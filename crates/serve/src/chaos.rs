@@ -199,6 +199,48 @@ fn request_events(epoch: u32, num_shards: usize, per_shard: usize, segments: u32
     events
 }
 
+/// Starts a service on `scenario` with a fresh simulated clock.
+fn start_on(
+    scenario: &Arc<Scenario>,
+    config: ServeConfig,
+    registry: Arc<ModelRegistry>,
+) -> Result<(DispatchService, Arc<SimClock>), ServeError> {
+    let clock = Arc::new(SimClock::new());
+    let service = DispatchService::start(
+        Arc::clone(scenario),
+        config,
+        Arc::clone(&clock) as Arc<dyn Clock>,
+        registry,
+    )?;
+    Ok((service, clock))
+}
+
+/// Offers the standard request stream (`per_shard` requests per shard per
+/// epoch) and drives `epochs` epochs; `at_boundary` runs at each epoch
+/// boundary, before the next epoch's offers.
+fn drive(
+    service: &DispatchService,
+    clock: &SimClock,
+    epochs: u32,
+    per_shard: usize,
+    segments: u32,
+    mut at_boundary: impl FnMut(u32),
+) -> Result<(), ServeError> {
+    let shards = service.config().num_shards;
+    let mut scheduler = EpochScheduler::for_service(service)?;
+    for event in request_events(0, shards, per_shard, segments) {
+        service.ingest(event)?;
+    }
+    scheduler.run(service, clock, epochs, |e, _| {
+        at_boundary(e);
+        if e + 1 < epochs {
+            for event in request_events(e + 1, shards, per_shard, segments) {
+                let _ = service.ingest(event);
+            }
+        }
+    })
+}
+
 /// Runs the full service under `opts` and checks every invariant.
 ///
 /// # Errors
@@ -217,14 +259,8 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
     config.faults = Some(Arc::clone(&injector));
     config.epoch_deadline_ms = Some(opts.deadline_ms);
     config.auto_recover = true;
-    let clock: Arc<SimClock> = Arc::new(SimClock::new());
     let registry = Arc::new(ModelRegistry::new(None, None));
-    let service = DispatchService::start(
-        Arc::clone(&scenario),
-        config,
-        Arc::clone(&clock) as Arc<dyn Clock>,
-        Arc::clone(&registry),
-    )?;
+    let (service, clock) = start_on(&scenario, config, Arc::clone(&registry))?;
     let segments = scenario.city.network.num_segments() as u32;
     let retry = RetryPolicy::default();
     let mut violations = Vec::new();
@@ -464,26 +500,10 @@ pub fn crash_replay_divergence(
             config.epoch_deadline_ms = Some(10);
             config.auto_recover = faults.is_some();
             config.faults = faults;
-            let clock: Arc<SimClock> = Arc::new(SimClock::new());
             let registry = Arc::new(ModelRegistry::new(None, None));
-            let service = DispatchService::start(
-                Arc::clone(&scenario),
-                config,
-                Arc::clone(&clock) as Arc<dyn Clock>,
-                registry,
-            )?;
+            let (service, clock) = start_on(&scenario, config, registry)?;
             let segments = scenario.city.network.num_segments() as u32;
-            let mut scheduler = EpochScheduler::for_service(&service)?;
-            for event in request_events(0, num_shards, 4, segments) {
-                service.ingest(event)?;
-            }
-            scheduler.run(&service, clock.as_ref(), epochs, |e, _| {
-                if e + 1 < epochs {
-                    for event in request_events(e + 1, num_shards, 4, segments) {
-                        let _ = service.ingest(event);
-                    }
-                }
-            })?;
+            drive(&service, &clock, epochs, 4, segments, |_| {})?;
             let snapshot = service.snapshot()?;
             let metrics = service.metrics();
             let restarts = service.shard_restarts();
@@ -507,19 +527,68 @@ pub fn crash_replay_divergence(
         divergences
             .push("metrics diverged between crashed+recovered and unfaulted runs".to_owned());
     }
-    if faulted_snap != clean_snap {
-        let at = faulted_snap
-            .bytes()
-            .zip(clean_snap.bytes())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| faulted_snap.len().min(clean_snap.len()));
-        divergences.push(format!(
-            "snapshot texts diverge at byte {at} (faulted {} bytes, clean {} bytes)",
-            faulted_snap.len(),
-            clean_snap.len()
-        ));
-    }
+    divergences.extend(first_divergence(
+        "snapshot texts",
+        ("faulted", &faulted_snap),
+        ("clean", &clean_snap),
+    ));
     Ok(divergences)
+}
+
+/// Where two twin runs' snapshot texts first differ, as a violation
+/// message naming both sides (`None` when they are identical).
+fn first_divergence(
+    label: &str,
+    (a_name, a): (&str, &str),
+    (b_name, b): (&str, &str),
+) -> Option<String> {
+    if a == b {
+        return None;
+    }
+    let at = a
+        .bytes()
+        .zip(b.bytes())
+        .position(|(x, y)| x != y)
+        .unwrap_or_else(|| a.len().min(b.len()));
+    Some(format!(
+        "{label} diverge at byte {at} ({a_name} {} bytes, {b_name} {} bytes)",
+        a.len(),
+        b.len()
+    ))
+}
+
+/// A *competent* incumbent policy for the gate harnesses: the shadow gate
+/// can only separate a reward tank from the incumbent if the incumbent
+/// reliably out-picks a policy that recalls every team. Hand-set weights
+/// score candidate zones by live requests and remaining demand, penalise
+/// distance, and pin the standby feature strongly negative; the seed
+/// contributes a small perturbation on top so a sweep still covers
+/// distinct policies.
+fn competent_incumbent(seed: u64) -> Mlp {
+    let mut net = Mlp::new(&[FEATURE_DIM, 1], seed ^ 0x600d);
+    let base = [-2.0, 1.0, 3.0, 0.0, 0.0, -1_000.0, 0.0];
+    net.visit_params_mut(|i, w, _| {
+        *w = base[i] + 0.05 * *w;
+    });
+    net
+}
+
+/// The gate configuration of the rollout and trainer harnesses. Canary
+/// and watch slacks are wide open: there those stages only need to
+/// *pass* for a good candidate (a tank must die in shadow, and the
+/// dedicated watch tests cover post-promotion regression); the strict
+/// shadow gate is the one under test.
+fn gate_rollout_config() -> RolloutConfig {
+    RolloutConfig {
+        shadow_epochs: 4,
+        shadow_slack: 0.0,
+        canary_epochs: 2,
+        canary_shards: 1,
+        canary_slack: 1e9,
+        watch_epochs: 2,
+        watch_slack: 1e9,
+        probe_bound: 1e6,
+    }
 }
 
 /// What a poisoned-checkpoint chaos run should look like.
@@ -591,34 +660,11 @@ pub fn rollout_chaos_divergence(
 ) -> Result<Vec<String>, ServeError> {
     let scenario = Arc::new(chaos_scenario());
     // The incumbent (and the good candidate, which carries the same
-    // weights) must be a *competent* dispatcher, not a random init: the
-    // shadow gate can only separate a reward tank from the incumbent if
-    // the incumbent reliably out-picks a policy that recalls every team.
-    // Hand-set weights score candidate zones by live requests and
-    // remaining demand, penalise distance, and pin the standby feature
-    // strongly negative; the seed contributes a small perturbation on
-    // top so the sweep still covers distinct policies.
-    let mut good_net = Mlp::new(&[FEATURE_DIM, 1], seed ^ 0x600d);
-    let base = [-2.0, 1.0, 3.0, 0.0, 0.0, -1_000.0, 0.0];
-    good_net.visit_params_mut(|i, w, _| {
-        *w = base[i] + 0.05 * *w;
-    });
+    // weights) must be a competent dispatcher, not a random init.
+    let good_net = competent_incumbent(seed);
     let good_text = mlp_to_text(&good_net);
     let segments = scenario.city.network.num_segments() as u32;
-    // Canary and watch slacks are wide open: in this harness those stages
-    // only need to *pass* for the good candidate (the tank must die in
-    // shadow, and the dedicated watch tests cover post-promotion
-    // regression); the shadow gate is the one under test.
-    let rollout_cfg = RolloutConfig {
-        shadow_epochs: 4,
-        shadow_slack: 0.0,
-        canary_epochs: 2,
-        canary_shards: 1,
-        canary_slack: 1e9,
-        watch_epochs: 2,
-        watch_slack: 1e9,
-        probe_bound: 1e6,
-    };
+    let rollout_cfg = gate_rollout_config();
     struct RunEnd {
         snapshot: String,
         metrics: MetricsSnapshot,
@@ -638,22 +684,13 @@ pub fn rollout_chaos_divergence(
         config.request_queue_capacity = 8;
         config.faults = Some(Arc::clone(&injector));
         config.rollout = rollout_cfg.clone();
-        let clock: Arc<SimClock> = Arc::new(SimClock::new());
         let registry = Arc::new(ModelRegistry::new(None, Some(good_net.clone())));
         let v1 = registry.current();
-        let service = DispatchService::start(
-            Arc::clone(&scenario),
-            config,
-            Arc::clone(&clock) as Arc<dyn Clock>,
-            Arc::clone(&registry),
-        )?;
+        let (service, clock) = start_on(&scenario, config, Arc::clone(&registry))?;
         let mut violations = Vec::new();
         let mut pending: VecDeque<CheckpointPoison> = poisons.iter().copied().collect();
-        let mut scheduler = EpochScheduler::for_service(&service)?;
-        for event in request_events(0, opts.num_shards, opts.requests_per_epoch, segments) {
-            service.ingest(event)?;
-        }
-        scheduler.run(&service, clock.as_ref(), opts.epochs, |e, _| {
+        let per_shard = opts.requests_per_epoch;
+        drive(&service, &clock, opts.epochs, per_shard, segments, |e| {
             // One submission at a time: poisoned deliveries first, the
             // genuine candidate at `good_at`. Every submission sends the
             // *good* text — the injector swaps the poison in transit.
@@ -690,13 +727,6 @@ pub fn rollout_chaos_divergence(
                             s.model_version
                         ));
                     }
-                }
-            }
-            if e + 1 < opts.epochs {
-                for event in
-                    request_events(e + 1, opts.num_shards, opts.requests_per_epoch, segments)
-                {
-                    let _ = service.ingest(event);
                 }
             }
         })?;
@@ -772,19 +802,11 @@ pub fn rollout_chaos_divergence(
     if faulted.metrics != clean.metrics {
         divergences.push("metrics diverged between poisoned and clean runs".to_owned());
     }
-    if faulted.snapshot != clean.snapshot {
-        let at = faulted
-            .snapshot
-            .bytes()
-            .zip(clean.snapshot.bytes())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| faulted.snapshot.len().min(clean.snapshot.len()));
-        divergences.push(format!(
-            "snapshot texts diverge at byte {at} (poisoned {} bytes, clean {} bytes)",
-            faulted.snapshot.len(),
-            clean.snapshot.len()
-        ));
-    }
+    divergences.extend(first_divergence(
+        "snapshot texts",
+        ("poisoned", &faulted.snapshot),
+        ("clean", &clean.snapshot),
+    ));
     Ok(divergences)
 }
 
@@ -842,24 +864,10 @@ pub fn trainer_chaos_divergence(
 ) -> Result<Vec<String>, ServeError> {
     let scenario = Arc::new(chaos_scenario());
     let segments = scenario.city.network.num_segments() as u32;
-    // Competent incumbent (same construction as the rollout harness): the
-    // shadow gate can only kill a reward-tanking flood candidate when the
-    // incumbent reliably out-picks it.
-    let mut incumbent = Mlp::new(&[FEATURE_DIM, 1], seed ^ 0x600d);
-    let base = [-2.0, 1.0, 3.0, 0.0, 0.0, -1_000.0, 0.0];
-    incumbent.visit_params_mut(|i, w, _| {
-        *w = base[i] + 0.05 * *w;
-    });
-    let rollout_cfg = RolloutConfig {
-        shadow_epochs: 4,
-        shadow_slack: 0.0,
-        canary_epochs: 2,
-        canary_shards: 1,
-        canary_slack: 1e9,
-        watch_epochs: 2,
-        watch_slack: 1e9,
-        probe_bound: 1e6,
-    };
+    // The shadow gate can only kill a reward-tanking flood candidate when
+    // the incumbent reliably out-picks it.
+    let incumbent = competent_incumbent(seed);
+    let rollout_cfg = gate_rollout_config();
     let trainer_cfg = |candidate_every: u32| TrainerConfig {
         min_replay: 8,
         batch_size: 4,
@@ -894,20 +902,11 @@ pub fn trainer_chaos_divergence(
             config.rollout = rollout_cfg.clone();
             config.trainer = Some(trainer_cfg(candidate_every));
             config.faults = Some(Arc::clone(&injector));
-            let clock: Arc<SimClock> = Arc::new(SimClock::new());
             let registry = Arc::new(ModelRegistry::new(None, Some(incumbent.clone())));
-            let service = DispatchService::start(
-                Arc::clone(&scenario),
-                config,
-                Arc::clone(&clock) as Arc<dyn Clock>,
-                Arc::clone(&registry),
-            )?;
+            let (service, clock) = start_on(&scenario, config, Arc::clone(&registry))?;
             let mut violations = Vec::new();
-            let mut scheduler = EpochScheduler::for_service(&service)?;
-            for event in request_events(0, opts.num_shards, opts.requests_per_epoch, segments) {
-                service.ingest(event)?;
-            }
-            scheduler.run(&service, clock.as_ref(), opts.epochs, |e, _| {
+            let per_shard = opts.requests_per_epoch;
+            drive(&service, &clock, opts.epochs, per_shard, segments, |e| {
                 if check_pinned {
                     // With emission disabled, every submission this run ever
                     // makes is an injected stale candidate — primary dispatch
@@ -919,13 +918,6 @@ pub fn trainer_chaos_divergence(
                             s.model_version
                         ));
                         }
-                    }
-                }
-                if e + 1 < opts.epochs {
-                    for event in
-                        request_events(e + 1, opts.num_shards, opts.requests_per_epoch, segments)
-                    {
-                        let _ = service.ingest(event);
                     }
                 }
             })?;
@@ -1029,19 +1021,11 @@ pub fn trainer_chaos_divergence(
     if faulted.metrics != clean.metrics {
         divergences.push("metrics diverged between crashed and unfaulted trainer runs".to_owned());
     }
-    if faulted.snapshot != clean.snapshot {
-        let at = faulted
-            .snapshot
-            .bytes()
-            .zip(clean.snapshot.bytes())
-            .position(|(x, y)| x != y)
-            .unwrap_or_else(|| faulted.snapshot.len().min(clean.snapshot.len()));
-        divergences.push(format!(
-            "snapshot texts diverge at byte {at} (crashed {} bytes, clean {} bytes)",
-            faulted.snapshot.len(),
-            clean.snapshot.len()
-        ));
-    }
+    divergences.extend(first_divergence(
+        "snapshot texts",
+        ("crashed", &faulted.snapshot),
+        ("clean", &clean.snapshot),
+    ));
     Ok(divergences)
 }
 
@@ -1176,14 +1160,8 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
             .with_wal_fault(4, WalFault::FsyncStall(7));
         let injector = Arc::new(FaultInjector::new(plan));
         let config = wal_serve_config(opts, &dir, Some(Arc::clone(&injector)));
-        let clock: Arc<SimClock> = Arc::new(SimClock::new());
         let registry = Arc::new(ModelRegistry::new(None, None));
-        let service = DispatchService::start(
-            Arc::clone(&scenario),
-            config,
-            Arc::clone(&clock) as Arc<dyn Clock>,
-            Arc::clone(&registry),
-        )?;
+        let (service, clock) = start_on(&scenario, config, Arc::clone(&registry))?;
         let mut torn_refused = 0u64;
         let mut ingest_errors = Vec::new();
         {
@@ -1270,26 +1248,10 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
             fresh_dir(&dir);
             let injector = Arc::new(FaultInjector::new(plan));
             let config = wal_serve_config(opts, &dir, Some(injector));
-            let clock: Arc<SimClock> = Arc::new(SimClock::new());
-            let service = DispatchService::start(
-                Arc::clone(&scenario),
-                config,
-                Arc::clone(&clock) as Arc<dyn Clock>,
-                Arc::new(ModelRegistry::new(None, None)),
-            )?;
-            let mut scheduler = EpochScheduler::for_service(&service)?;
-            for event in request_events(0, opts.num_shards, opts.requests_per_epoch, segments) {
-                service.ingest(event)?;
-            }
-            scheduler.run(&service, clock.as_ref(), opts.epochs, |e, _| {
-                if e + 1 < opts.epochs {
-                    for event in
-                        request_events(e + 1, opts.num_shards, opts.requests_per_epoch, segments)
-                    {
-                        let _ = service.ingest(event);
-                    }
-                }
-            })?;
+            let registry = Arc::new(ModelRegistry::new(None, None));
+            let (service, clock) = start_on(&scenario, config, registry)?;
+            let per_shard = opts.requests_per_epoch;
+            drive(&service, &clock, opts.epochs, per_shard, segments, |_| {})?;
             let end = (service.snapshot()?, service.metrics());
             service.shutdown();
             fresh_dir(&dir);
@@ -1307,18 +1269,11 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
         if stalled_metrics != clean_metrics {
             violations.push("metrics diverged between stalled and clean journal runs".to_owned());
         }
-        if stalled_snap != clean_snap {
-            let at = stalled_snap
-                .bytes()
-                .zip(clean_snap.bytes())
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| stalled_snap.len().min(clean_snap.len()));
-            violations.push(format!(
-                "stall twin snapshots diverge at byte {at} (stalled {} bytes, clean {} bytes)",
-                stalled_snap.len(),
-                clean_snap.len()
-            ));
-        }
+        violations.extend(first_divergence(
+            "stall twin snapshots",
+            ("stalled", &stalled_snap),
+            ("clean", &clean_snap),
+        ));
     }
 
     // ---- Arm B: kill -9 at any byte of the journal.
@@ -1327,26 +1282,10 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
         let dir = wal_chaos_dir(seed, "ref");
         fresh_dir(&dir);
         let config = wal_serve_config(opts, &dir, None);
-        let clock: Arc<SimClock> = Arc::new(SimClock::new());
-        let service = DispatchService::start(
-            Arc::clone(&scenario),
-            config,
-            Arc::clone(&clock) as Arc<dyn Clock>,
-            Arc::new(ModelRegistry::new(None, None)),
-        )?;
-        let mut scheduler = EpochScheduler::for_service(&service)?;
-        for event in request_events(0, opts.num_shards, opts.requests_per_epoch, segments) {
-            service.ingest(event)?;
-        }
-        scheduler.run(&service, clock.as_ref(), mid, |e, _| {
-            if e + 1 < mid {
-                for event in
-                    request_events(e + 1, opts.num_shards, opts.requests_per_epoch, segments)
-                {
-                    let _ = service.ingest(event);
-                }
-            }
-        })?;
+        let registry = Arc::new(ModelRegistry::new(None, None));
+        let (service, clock) = start_on(&scenario, config, registry)?;
+        let per_shard = opts.requests_per_epoch;
+        drive(&service, &clock, mid, per_shard, segments, |_| {})?;
         // The boundary snapshot pins the journal high-water mark; every
         // offer after it lives only in the journal until dispatched.
         let boundary_snapshot = service.snapshot()?;
@@ -1439,19 +1378,11 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
                         restored.wal_last_seq()
                     ));
                 }
-                if crashed_snapshot != reference_snapshot {
-                    let at = crashed_snapshot
-                        .bytes()
-                        .zip(reference_snapshot.bytes())
-                        .position(|(a, b)| a != b)
-                        .unwrap_or_else(|| crashed_snapshot.len().min(reference_snapshot.len()));
-                    violations.push(format!(
-                        "crash at byte {cut}: snapshots diverge at byte {at} (crashed {} bytes, \
-                         twin {} bytes)",
-                        crashed_snapshot.len(),
-                        reference_snapshot.len()
-                    ));
-                }
+                violations.extend(first_divergence(
+                    &format!("crash at byte {cut}: snapshots"),
+                    ("crashed", &crashed_snapshot),
+                    ("twin", &reference_snapshot),
+                ));
                 restored.shutdown();
                 fresh_dir(&crash_dir);
             }
@@ -1466,12 +1397,7 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
         let plan = FaultPlan::empty().with_wal_fault(2, WalFault::SegmentBitFlip);
         let injector = Arc::new(FaultInjector::new(plan));
         let config = wal_serve_config(opts, &dir, Some(Arc::clone(&injector)));
-        let service = DispatchService::start(
-            Arc::clone(&scenario),
-            config,
-            Arc::new(SimClock::new()) as Arc<dyn Clock>,
-            Arc::new(ModelRegistry::new(None, None)),
-        )?;
+        let (service, _) = start_on(&scenario, config, Arc::new(ModelRegistry::new(None, None)))?;
         for event in request_events(0, opts.num_shards, opts.requests_per_epoch, segments) {
             let _ = service.ingest(event);
         }

@@ -9,6 +9,7 @@
 
 use crate::rollout::RolloutError;
 use crate::wal::WalError;
+use mobirescue_sim::record::RecordError;
 use mobirescue_sim::WorldError;
 
 /// Why a service operation failed.
@@ -89,6 +90,12 @@ impl std::error::Error for ServeError {}
 impl From<WorldError> for ServeError {
     fn from(e: WorldError) -> Self {
         ServeError::World(e)
+    }
+}
+
+impl From<RecordError> for ServeError {
+    fn from(e: RecordError) -> Self {
+        ServeError::BadSnapshot(e.0)
     }
 }
 

@@ -1,6 +1,7 @@
 //! Service observability: the epoch-latency histogram and the aggregated
 //! [`MetricsSnapshot`].
 
+use mobirescue_sim::record::{Record, RecordError};
 use std::fmt::Write as _;
 
 /// Upper bucket bounds of the latency histogram, milliseconds. Values
@@ -72,17 +73,16 @@ impl LatencyHistogram {
         out
     }
 
-    /// Parses [`LatencyHistogram::to_line`] output.
-    pub(crate) fn from_line(line: &str) -> Option<Self> {
+    /// Reads the [`LatencyHistogram::to_line`] fields of a `hist` record.
+    pub(crate) fn from_record(r: &mut Record) -> Result<Self, RecordError> {
         let mut h = Self::new();
-        let mut it = line.split_whitespace();
-        h.count = it.next()?.parse().ok()?;
-        h.total_ms = it.next()?.parse().ok()?;
-        h.max_ms = it.next()?.parse().ok()?;
+        h.count = r.field("count")?;
+        h.total_ms = r.field("total_ms")?;
+        h.max_ms = r.field("max_ms")?;
         for c in h.counts.iter_mut() {
-            *c = it.next()?.parse().ok()?;
+            *c = r.field("bucket count")?;
         }
-        it.next().is_none().then_some(h)
+        Ok(h)
     }
 }
 
@@ -253,10 +253,11 @@ mod tests {
         for ms in [2, 7, 450] {
             h.record(ms);
         }
-        let back = LatencyHistogram::from_line(&h.to_line()).expect("parses");
+        let line = format!("hist {}", h.to_line());
+        let back = LatencyHistogram::from_record(&mut Record::new(&line)).expect("parses");
         assert_eq!(back, h);
-        assert!(LatencyHistogram::from_line("1 2").is_none());
-        assert!(LatencyHistogram::from_line("not numbers at all").is_none());
+        assert!(LatencyHistogram::from_record(&mut Record::new("hist 1 2")).is_err());
+        assert!(LatencyHistogram::from_record(&mut Record::new("hist not numbers")).is_err());
     }
 
     #[test]

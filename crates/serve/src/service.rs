@@ -27,6 +27,7 @@ use mobirescue_obs::{Counter, Histogram, Level, ObsSnapshot, Registry, TimeSourc
 use mobirescue_rl::persist::{mlp_from_text, mlp_to_text};
 use mobirescue_rl::PairTransition;
 use mobirescue_roadnet::graph::SegmentId;
+use mobirescue_sim::record::{write_block, Reader, Record, RecordError};
 use mobirescue_sim::{open_snapshot, seal_snapshot};
 use mobirescue_sim::{EpochReport, RequestSpec, SimConfig, World};
 use std::collections::VecDeque;
@@ -1764,10 +1765,10 @@ impl DispatchService {
                         prior.version
                     );
                     if let Some(p) = &prior.predictor {
-                        write_text_block(&mut out, "rtext ppred", &p.to_text());
+                        write_block(&mut out, "rtext ppred", &p.to_text());
                     }
                     if let Some(net) = &prior.policy {
-                        write_text_block(&mut out, "rtext ppol", &mlp_to_text(net));
+                        write_block(&mut out, "rtext ppol", &mlp_to_text(net));
                     }
                 }
             }
@@ -1777,7 +1778,7 @@ impl DispatchService {
         // restore treats its absence as training-from-scratch (or
         // disabled, when the config carries no trainer).
         if let Some(slot) = lock(&self.trainer).as_ref() {
-            write_text_block(&mut out, "tstate", &slot.trainer.snapshot_text());
+            write_block(&mut out, "tstate", &slot.trainer.snapshot_text());
         }
         out.push_str(&rqueue_text);
         for event in self.advisories.peek_all() {
@@ -1819,8 +1820,7 @@ impl DispatchService {
                 .map_err(|_| self.shard_error(i, "worker thread gone"))?;
             match self.recv_reply(i)? {
                 ShardReply::Snapshot(Ok(text)) => {
-                    let _ = writeln!(out, "shard {i} {}", text.lines().count());
-                    out.push_str(&text);
+                    write_block(&mut out, &format!("shard {i}"), &text)
                 }
                 ShardReply::Snapshot(Err(message)) => {
                     return Err(self.shard_error(i, message));
@@ -1854,271 +1854,127 @@ impl DispatchService {
         text: &str,
     ) -> Result<Self, ServeError> {
         let bad = |why: &str| ServeError::BadSnapshot(why.to_owned());
-        let text = open_snapshot(text).map_err(ServeError::BadSnapshot)?;
+        let body = open_snapshot(text).map_err(ServeError::BadSnapshot)?;
+        let mut reader = Reader::open(body, "mrserve 1")?;
         // start_core, not start: the journal must replay against the
         // *restored* queues with the snapshot's high-water mark as the
         // cutoff, so it attaches at the very end of restore.
         let svc = Self::start_core(scenario, config, clock, registry)?;
-        let mut lines = text.lines();
-        if lines.next() != Some("mrserve 1") {
-            return Err(bad("missing `mrserve 1` header"));
-        }
-        let mut epochs = 0u32;
-        let mut wal_hwm: Option<u64> = None;
-        let mut adv_counts = (0u64, 0u64, 0u64, 0u64);
-        let mut resil = (0u64, 0u64);
-        let mut swap_causes = (0u64, 0u64, 0u64);
-        let mut recent_rewards: VecDeque<f64> = VecDeque::new();
-        let mut pending_rollout: Option<PendingRollout> = None;
-        let mut rtexts = RolloutTexts::default();
-        let mut histogram = LatencyHistogram::new();
-        let mut rqueue_counters = vec![(0u64, 0u64); svc.config.num_shards];
+        let num_shards = svc.config.num_shards;
+        let num_segments = svc.scenario.city.network.num_segments();
+        // Singleton records; an absent one restores its default.
+        let mut epochs: Option<(u32, Option<u64>)> = None;
+        let mut adv_counts: Option<[u64; 4]> = None;
+        let mut resil: Option<([u64; 2], Option<[u64; 3]>)> = None;
+        let mut recent_rewards: Option<Vec<f64>> = None;
+        let mut histogram: Option<LatencyHistogram> = None;
+        let mut rollout: Option<Record> = None;
         let mut trainer_text: Option<String> = None;
-        let mut restored_shards = vec![false; svc.config.num_shards];
-        let mut shard_metrics = vec![ShardMetrics::default(); svc.config.num_shards];
-        let mut saw_end = false;
-        while let Some(line) = lines.next() {
-            let mut p = line.split_whitespace();
-            let Some(tag) = p.next() else { continue };
-            match tag {
+        let mut rtexts = RolloutTexts::default();
+        let mut rqueue_counters = vec![(0u64, 0u64); num_shards];
+        let mut restored_shards = vec![false; num_shards];
+        let mut shard_metrics = vec![ShardMetrics::default(); num_shards];
+        let read_spec = |r: &mut Record| -> Result<RequestSpec, RecordError> {
+            Ok(RequestSpec {
+                appear_s: r.field("appear_s")?,
+                segment: SegmentId(r.below(num_segments, "segment")?),
+            })
+        };
+        while let Some(mut r) = reader.next_record()? {
+            match r.tag {
                 "epochs" => {
-                    epochs = p
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| bad("bad epochs line"))?;
-                    // Pre-wal snapshots carry one field; the extended
-                    // format appends the journal high-water mark. Absent
-                    // means "replay nothing" — everything this snapshot
-                    // holds predates the journal.
-                    wal_hwm = match p.next() {
-                        Some(t) => Some(t.parse().map_err(|_| bad("bad epochs hwm"))?),
-                        None => None,
-                    };
+                    // Pre-wal snapshots lack the journal high-water mark
+                    // tail. Absent means "replay nothing" — everything
+                    // this snapshot holds predates the journal.
+                    r.once(&mut epochs, |r| {
+                        let count = r.field("count")?;
+                        Ok((count, r.tail("journal high-water mark")?.map(|[hwm]| hwm)))
+                    })?;
                 }
                 "advisories" => {
-                    let mut next = || p.next().and_then(|t| t.parse::<u64>().ok());
-                    adv_counts = (
-                        next().ok_or_else(|| bad("bad advisories line"))?,
-                        next().ok_or_else(|| bad("bad advisories line"))?,
-                        next().ok_or_else(|| bad("bad advisories line"))?,
-                        next().ok_or_else(|| bad("bad advisories line"))?,
-                    );
+                    r.once(&mut adv_counts, |r| {
+                        Ok([
+                            r.field("applied")?,
+                            r.field("invalid")?,
+                            r.field("accepted")?,
+                            r.field("shed")?,
+                        ])
+                    })?;
                 }
-                "hist" => {
-                    let rest = line.strip_prefix("hist ").unwrap_or("");
-                    histogram =
-                        LatencyHistogram::from_line(rest).ok_or_else(|| bad("bad hist line"))?;
-                }
+                "hist" => r.once(&mut histogram, LatencyHistogram::from_record)?,
                 "resil" => {
-                    let mut next = || p.next().and_then(|t| t.parse::<u64>().ok());
-                    resil = (
-                        next().ok_or_else(|| bad("bad resil line"))?,
-                        next().ok_or_else(|| bad("bad resil line"))?,
-                    );
-                    // Pre-rollout snapshots carry two fields; the extended
-                    // format appends the three swap-cause counters.
-                    let extra: Vec<u64> = {
-                        let mut v = Vec::new();
-                        for t in p.by_ref() {
-                            v.push(t.parse().map_err(|_| bad("bad resil line"))?);
-                        }
-                        v
-                    };
-                    swap_causes = match extra[..] {
-                        [] => (0, 0, 0),
-                        [i, b, r] => (i, b, r),
-                        _ => return Err(bad("bad resil line")),
-                    };
+                    // Pre-rollout snapshots lack the swap-cause tail.
+                    r.once(&mut resil, |r| {
+                        let counters = [r.field("degraded")?, r.field("retries")?];
+                        Ok((counters, r.tail("swap-cause counters")?))
+                    })?;
                 }
-                "rrew" => {
-                    for t in p.by_ref() {
-                        recent_rewards.push_back(t.parse().map_err(|_| bad("bad rrew value"))?);
-                    }
-                }
+                "rrew" => r.once(&mut recent_rewards, |r| r.all(|r| r.field("reward")))?,
                 "rollout" => {
-                    if pending_rollout.is_some() {
-                        return Err(bad("duplicate rollout record"));
-                    }
-                    pending_rollout =
-                        Some(PendingRollout::parse(&mut p).ok_or_else(|| bad("bad rollout line"))?);
+                    // Read after the loop, once its `rtext` blocks are in.
+                    r.once(&mut rollout, |r| Ok(*r))?;
+                    continue;
                 }
                 "rtext" => {
-                    let kind = p.next().ok_or_else(|| bad("bad rtext kind"))?;
-                    let num_lines: usize = p
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| bad("bad rtext line count"))?;
-                    let mut body = String::new();
-                    for _ in 0..num_lines {
-                        let l = lines.next().ok_or_else(|| bad("truncated rtext body"))?;
-                        body.push_str(l);
-                        body.push('\n');
-                    }
-                    let slot = match kind {
+                    let slot = match r.token("kind")? {
                         "cpred" => &mut rtexts.cpred,
                         "cpol" => &mut rtexts.cpol,
                         "ppred" => &mut rtexts.ppred,
                         "ppol" => &mut rtexts.ppol,
                         _ => return Err(bad("unknown rtext kind")),
                     };
-                    if slot.replace(body).is_some() {
-                        return Err(bad("duplicate rtext record"));
-                    }
+                    r.once(slot, |r| reader.block(r))?;
                 }
-                "tstate" => {
-                    let num_lines: usize = p
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| bad("bad tstate line count"))?;
-                    let mut body = String::new();
-                    for _ in 0..num_lines {
-                        let l = lines.next().ok_or_else(|| bad("truncated tstate body"))?;
-                        body.push_str(l);
-                        body.push('\n');
-                    }
-                    if trainer_text.replace(body).is_some() {
-                        return Err(bad("duplicate tstate record"));
-                    }
-                }
+                "tstate" => r.once(&mut trainer_text, |r| reader.block(r))?,
                 "rqueue" => {
-                    let i: usize = p
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| bad("bad rqueue index"))?;
-                    if i >= svc.config.num_shards {
-                        return Err(bad("rqueue index out of range"));
-                    }
-                    let accepted = p
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| bad("bad rqueue accepted"))?;
-                    let shed = p
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| bad("bad rqueue shed"))?;
-                    rqueue_counters[i] = (accepted, shed);
+                    let i: usize = r.below(num_shards, "shard")?;
+                    rqueue_counters[i] = (r.field("accepted")?, r.field("shed")?);
                 }
                 "queued" => {
-                    let i: usize = p
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| bad("bad queued shard"))?;
-                    if i >= svc.config.num_shards {
-                        return Err(bad("queued shard out of range"));
-                    }
-                    let appear_s = p
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| bad("bad queued appear_s"))?;
-                    let segment = p
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .map(SegmentId)
-                        .ok_or_else(|| bad("bad queued segment"))?;
+                    let i: usize = r.below(num_shards, "shard")?;
                     // A `queued` record was admitted (and acked) by the
                     // snapshotted process; overflow means the capacity
                     // shrank across the restart — refuse rather than
                     // silently shed it.
-                    if !svc.request_queues[i].push(RequestSpec { appear_s, segment }) {
+                    if !svc.request_queues[i].push(read_spec(&mut r)?) {
                         return Err(ServeError::ReplayOverflow {
                             shard: i,
                             capacity: svc.request_queues[i].capacity(),
                         });
                     }
                 }
-                "adv" => match p.next() {
-                    Some("w") => {
-                        let shard = p
-                            .next()
-                            .and_then(|t| t.parse().ok())
-                            .ok_or_else(|| bad("bad adv shard"))?;
-                        let hour = p
-                            .next()
-                            .and_then(|t| t.parse().ok())
-                            .ok_or_else(|| bad("bad adv hour"))?;
-                        let rain_mm = p
-                            .next()
-                            .and_then(|t| t.parse().ok())
-                            .ok_or_else(|| bad("bad adv rain"))?;
-                        svc.advisories.push(Event::Weather {
-                            shard,
-                            hour,
-                            rain_mm,
-                        });
-                    }
-                    Some("d") => {
-                        let shard = p
-                            .next()
-                            .and_then(|t| t.parse().ok())
-                            .ok_or_else(|| bad("bad adv shard"))?;
-                        let segment = p
-                            .next()
-                            .and_then(|t| t.parse().ok())
-                            .map(SegmentId)
-                            .ok_or_else(|| bad("bad adv segment"))?;
-                        let hour = p
-                            .next()
-                            .and_then(|t| t.parse().ok())
-                            .ok_or_else(|| bad("bad adv hour"))?;
-                        let flooded = match p.next() {
-                            Some("1") => true,
-                            Some("0") => false,
-                            _ => return Err(bad("bad adv flooded flag")),
-                        };
-                        svc.advisories.push(Event::RoadDamage {
-                            shard,
-                            segment,
-                            hour,
-                            flooded,
-                        });
-                    }
-                    _ => return Err(bad("unknown advisory kind")),
-                },
+                "adv" => {
+                    let event = match r.token("kind")? {
+                        "w" => Event::Weather {
+                            shard: r.below(num_shards, "shard")?,
+                            hour: r.field("hour")?,
+                            rain_mm: r.field("rain")?,
+                        },
+                        "d" => Event::RoadDamage {
+                            shard: r.below(num_shards, "shard")?,
+                            // Not range-checked: advisories are validated
+                            // (and counted invalid) when drained.
+                            segment: SegmentId(r.field("segment")?),
+                            hour: r.field("hour")?,
+                            flooded: r.below::<u8>(2, "flooded flag")? == 1,
+                        },
+                        _ => return Err(bad("unknown advisory kind")),
+                    };
+                    svc.advisories.push(event);
+                }
                 "dlay" => {
-                    let release_epoch = p
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| bad("bad dlay release epoch"))?;
-                    let shard: usize = p
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| bad("bad dlay shard"))?;
-                    if shard >= svc.config.num_shards {
-                        return Err(bad("dlay shard out of range"));
-                    }
-                    let appear_s = p
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| bad("bad dlay appear_s"))?;
-                    let segment = p
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .map(SegmentId)
-                        .ok_or_else(|| bad("bad dlay segment"))?;
+                    let release_epoch = r.field("release epoch")?;
+                    let shard = r.below(num_shards, "shard")?;
+                    let spec = read_spec(&mut r)?;
                     lock(&svc.delayed).push(DelayedRequest {
                         release_epoch,
                         shard,
-                        spec: RequestSpec { appear_s, segment },
+                        spec,
                     });
                 }
                 "shard" => {
-                    let i: usize = p
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| bad("bad shard index"))?;
-                    if i >= svc.config.num_shards {
-                        return Err(bad("shard index out of range"));
-                    }
-                    let num_lines: usize = p
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| bad("bad shard line count"))?;
-                    let mut body = String::new();
-                    for _ in 0..num_lines {
-                        let l = lines.next().ok_or_else(|| bad("truncated shard body"))?;
-                        body.push_str(l);
-                        body.push('\n');
-                    }
+                    let i: usize = r.below(num_shards, "index")?;
+                    let body = reader.block(&mut r)?;
                     svc.shard(i)
                         .tx
                         .send(ShardCmd::Restore(body))
@@ -2134,15 +1990,9 @@ impl DispatchService {
                         _ => return Err(svc.shard_error(i, "out-of-protocol reply")),
                     }
                 }
-                "end" => {
-                    saw_end = true;
-                    break;
-                }
                 other => return Err(bad(&format!("unknown record `{other}`"))),
             }
-        }
-        if !saw_end {
-            return Err(bad("truncated snapshot (missing `end`)"));
+            r.finish()?;
         }
         if !restored_shards.iter().all(|&r| r) {
             return Err(bad("snapshot does not cover every configured shard"));
@@ -2152,43 +2002,35 @@ impl DispatchService {
         // checkpoint that would not be admitted today — while a watch
         // stage's pinned prior rebuilds verbatim from its persisted texts
         // (`{:?}` float formatting round-trips weights bit-exactly).
-        let restored_rollout = match pending_rollout {
+        let restored_rollout = match rollout {
             None => None,
-            Some(PendingRollout::Shadow {
-                done,
-                cand_total,
-                inc_total,
-                version,
-            }) => Some(RolloutInFlight::Shadow {
-                done,
-                cand_total,
-                inc_total,
-                candidate: rtexts.candidate(version, &svc.config.rollout)?,
-            }),
-            Some(PendingRollout::Canary {
-                done,
-                canary_total,
-                control_total,
-                failures,
-                version,
-            }) => Some(RolloutInFlight::Canary {
-                done,
-                canary_total,
-                control_total,
-                failures,
-                candidate: rtexts.candidate(version, &svc.config.rollout)?,
-            }),
-            Some(PendingRollout::Watch {
-                done,
-                total,
-                baseline,
-                prior_version,
-            }) => Some(RolloutInFlight::Watch {
-                done,
-                total,
-                baseline,
-                prior: rtexts.prior(prior_version)?,
-            }),
+            Some(mut r) => {
+                let cfg = &svc.config.rollout;
+                let stage = match r.token("stage")? {
+                    "shadow" => RolloutInFlight::Shadow {
+                        done: r.field("done")?,
+                        cand_total: r.field("candidate total")?,
+                        inc_total: r.field("incumbent total")?,
+                        candidate: rtexts.candidate(r.field("version")?, cfg)?,
+                    },
+                    "canary" => RolloutInFlight::Canary {
+                        done: r.field("done")?,
+                        canary_total: r.field("canary total")?,
+                        control_total: r.field("control total")?,
+                        failures: r.field("failures")?,
+                        candidate: rtexts.candidate(r.field("version")?, cfg)?,
+                    },
+                    "watch" => RolloutInFlight::Watch {
+                        done: r.field("done")?,
+                        total: r.field("total")?,
+                        baseline: r.opt(|r| r.field("baseline"))?,
+                        prior: rtexts.prior(r.field("prior version")?)?,
+                    },
+                    other => return Err(bad(&format!("unknown rollout stage `{other}`"))),
+                };
+                r.finish()?;
+                Some(stage)
+            }
         };
         // A trainer record only matters when the restored service trains:
         // the snapshot carries state, the config carries topology. With
@@ -2208,24 +2050,28 @@ impl DispatchService {
             let (accepted, shed) = rqueue_counters[i];
             q.set_counters(accepted, shed);
         }
-        svc.advisories.set_counters(adv_counts.2, adv_counts.3);
+        let [applied, invalid, adv_accepted, adv_shed] = adv_counts.unwrap_or_default();
+        let ([degraded, retries], swap_causes) = resil.unwrap_or_default();
+        let [swap_injected, swap_build, swap_rollout] = swap_causes.unwrap_or_default();
+        svc.advisories.set_counters(adv_accepted, adv_shed);
         // Registry-backed counters are *set*, not added: a restored
         // service continues from the snapshot's totals exactly once, even
         // when the caller handed `start` a pre-populated registry.
-        svc.retries.set(resil.1);
-        svc.advisories_applied.set(adv_counts.0);
-        svc.advisories_invalid.set(adv_counts.1);
-        svc.degraded_epochs.set(resil.0);
-        svc.swap_fail_injected.set(swap_causes.0);
-        svc.swap_fail_build.set(swap_causes.1);
-        svc.swap_fail_rollout.set(swap_causes.2);
+        svc.retries.set(retries);
+        svc.advisories_applied.set(applied);
+        svc.advisories_invalid.set(invalid);
+        svc.degraded_epochs.set(degraded);
+        svc.swap_fail_injected.set(swap_injected);
+        svc.swap_fail_build.set(swap_build);
+        svc.swap_fail_rollout.set(swap_rollout);
+        let (epochs, wal_hwm) = epochs.unwrap_or_default();
         {
             let mut state = svc.state();
             state.epochs_completed = epochs;
-            state.histogram = histogram;
+            state.histogram = histogram.unwrap_or_default();
             state.shard_metrics = shard_metrics;
             state.rollout = restored_rollout;
-            state.recent_rewards = recent_rewards;
+            state.recent_rewards = recent_rewards.unwrap_or_default().into();
         }
         // The snapshot restored everything journaled at or below its
         // high-water mark; replaying the journal suffix past it recovers
@@ -2294,77 +2140,12 @@ fn normalize_text(text: &str) -> String {
     out
 }
 
-/// Writes one `{tag} {line_count}` header plus the text body.
-fn write_text_block(out: &mut String, tag: &str, text: &str) {
-    let _ = writeln!(out, "{tag} {}", text.lines().count());
-    for l in text.lines() {
-        out.push_str(l);
-        out.push('\n');
-    }
-}
-
 fn write_candidate_texts(out: &mut String, candidate: &CandidateBundle) {
     if let Some(t) = &candidate.predictor_text {
-        write_text_block(out, "rtext cpred", t);
+        write_block(out, "rtext cpred", t);
     }
     if let Some(t) = &candidate.policy_text {
-        write_text_block(out, "rtext cpol", t);
-    }
-}
-
-/// A `rollout` snapshot record, parsed but not yet joined with its `rtext`
-/// bodies (which follow later in the snapshot).
-enum PendingRollout {
-    Shadow {
-        done: u32,
-        cand_total: f64,
-        inc_total: f64,
-        version: u64,
-    },
-    Canary {
-        done: u32,
-        canary_total: f64,
-        control_total: f64,
-        failures: u64,
-        version: u64,
-    },
-    Watch {
-        done: u32,
-        total: f64,
-        baseline: Option<f64>,
-        prior_version: u64,
-    },
-}
-
-impl PendingRollout {
-    fn parse(p: &mut std::str::SplitWhitespace<'_>) -> Option<Self> {
-        let stage = p.next()?;
-        let parsed = match stage {
-            "shadow" => PendingRollout::Shadow {
-                done: p.next()?.parse().ok()?,
-                cand_total: p.next()?.parse().ok()?,
-                inc_total: p.next()?.parse().ok()?,
-                version: p.next()?.parse().ok()?,
-            },
-            "canary" => PendingRollout::Canary {
-                done: p.next()?.parse().ok()?,
-                canary_total: p.next()?.parse().ok()?,
-                control_total: p.next()?.parse().ok()?,
-                failures: p.next()?.parse().ok()?,
-                version: p.next()?.parse().ok()?,
-            },
-            "watch" => PendingRollout::Watch {
-                done: p.next()?.parse().ok()?,
-                total: p.next()?.parse().ok()?,
-                baseline: match p.next()? {
-                    "-" => None,
-                    t => Some(t.parse().ok()?),
-                },
-                prior_version: p.next()?.parse().ok()?,
-            },
-            _ => return None,
-        };
-        p.next().is_none().then_some(parsed)
+        write_block(out, "rtext cpol", t);
     }
 }
 

@@ -43,6 +43,7 @@ use mobirescue_obs::{PhaseTimer, Registry, TimeSource};
 use mobirescue_rl::qscore::{PairTransition, QScore, QScoreConfig};
 use mobirescue_roadnet::planner::PlannerStats;
 use mobirescue_sim::dispatcher::{DispatchState, Dispatcher};
+use mobirescue_sim::record::Reader;
 use mobirescue_sim::{
     DispatchPlan, EpochReport, NearestRequestDispatcher, RequestSpec, SimConfig, World,
 };
@@ -627,33 +628,20 @@ fn parse_shard_snapshot<'a>(scenario: &'a Scenario, text: &str) -> Result<Parsed
     let (first, rest) = text
         .split_once('\n')
         .ok_or_else(|| "empty shard snapshot".to_owned())?;
-    let mut p = first.split_whitespace();
-    if p.next() != Some("shardstate") {
-        return Err("missing shardstate line".to_owned());
-    }
-    let mut next_u64 = |what: &str| -> Result<u64, String> {
-        p.next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| format!("bad {what} in shardstate"))
+    let mut r = Reader::new(first).expect("shardstate")?;
+    let parsed = ParsedShard {
+        injected: r.field("injected")?,
+        rejected: r.field("rejected")?,
+        carry_ms: r.field("carry latency")?,
+        version: r.field("model version")?,
+        routing: PlannerStats {
+            hits: r.field("routing hits")?,
+            misses: r.field("routing misses")?,
+        },
+        degraded: r.field("degraded epochs")?,
+        world: World::restore_text(&scenario.city, &scenario.conditions, rest)
+            .map_err(|e| e.to_string())?,
     };
-    let injected = next_u64("injected")?;
-    let rejected = next_u64("rejected")?;
-    let carry_ms = next_u64("carry latency")?;
-    let version = next_u64("model version")?;
-    let routing = PlannerStats {
-        hits: next_u64("routing hits")?,
-        misses: next_u64("routing misses")?,
-    };
-    let degraded = next_u64("degraded epochs")?;
-    let world = World::restore_text(&scenario.city, &scenario.conditions, rest)
-        .map_err(|e| e.to_string())?;
-    Ok(ParsedShard {
-        world,
-        injected,
-        rejected,
-        carry_ms,
-        version,
-        routing,
-        degraded,
-    })
+    r.finish()?;
+    Ok(parsed)
 }

@@ -35,9 +35,9 @@ use mobirescue_rl::persist::{mlp_from_text, mlp_to_text};
 use mobirescue_rl::qscore::PairTransition;
 use mobirescue_rl::replay::{pair_from_line, pair_to_line, PairReplay};
 use mobirescue_rl::Adam;
+use mobirescue_sim::record::{write_block, Reader};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Hyperparameters of the background trainer.
@@ -300,12 +300,8 @@ impl Trainer {
         out.push_str(&mlp_to_text(&self.online));
         out.push_str(&mlp_to_text(&self.target));
         out.push_str(&self.replay.to_text());
-        let queued = self.queue.peek_all();
-        let _ = writeln!(out, "tqueue {}", queued.len());
-        for t in &queued {
-            out.push_str(&pair_to_line(t));
-            out.push('\n');
-        }
+        let queued: Vec<String> = self.queue.peek_all().iter().map(pair_to_line).collect();
+        write_block(&mut out, "tqueue", &queued.join("\n"));
         out
     }
 
@@ -318,64 +314,37 @@ impl Trainer {
     ///
     /// Returns a message naming the malformed record.
     pub fn restore(config: TrainerConfig, text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty trainer snapshot")?;
-        let mut it = header.split_whitespace();
-        if it.next() != Some("trainer") {
-            return Err(format!("bad trainer header: {header:?}"));
-        }
-        let mut num = |what: &str| -> Result<u64, String> {
-            it.next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| format!("bad trainer {what}"))
+        let mut reader = Reader::new(text);
+        let mut r = reader.expect("trainer")?;
+        let epochs = r.field("epochs")?;
+        let steps = r.field("steps")?;
+        let candidates = r.field("candidates")?;
+        let accepted = r.field("accepted")?;
+        let shed = r.field("shed")?;
+        r.finish()?;
+        let adam = Adam::from_text(reader.line("optimizer")?)?;
+        // Each network is a two-line `rl::persist` text.
+        let mut take_net = |what: &str| -> Result<Mlp, String> {
+            mlp_from_text(&reader.lines_block(2, what)?).map_err(|e| e.to_string())
         };
-        let epochs =
-            u32::try_from(num("epochs")?).map_err(|_| "trainer epochs overflow".to_owned())?;
-        let steps = num("steps")?;
-        let candidates = num("candidates")?;
-        let accepted = num("accepted")?;
-        let shed = num("shed")?;
-        if it.next().is_some() {
-            return Err(format!("trailing fields in trainer header: {header:?}"));
-        }
-        let adam_line = lines.next().ok_or("trainer snapshot missing optimizer")?;
-        let adam = Adam::from_text(adam_line)?;
-        let online_line = lines.next().ok_or("trainer snapshot missing online net")?;
-        let take_net =
-            |header_line: &str, lines: &mut std::str::Lines<'_>| -> Result<Mlp, String> {
-                let params = lines.next().ok_or("network text ends early")?;
-                mlp_from_text(&format!("{header_line}\n{params}\n")).map_err(|e| e.to_string())
-            };
-        let online = take_net(online_line, &mut lines)?;
-        let target_line = lines.next().ok_or("trainer snapshot missing target net")?;
-        let target = take_net(target_line, &mut lines)?;
-        let replay_header = lines.next().ok_or("trainer snapshot missing replay")?;
-        let mut replay_text = format!("{replay_header}\n");
-        let replay_len: usize = replay_header
-            .split_whitespace()
-            .nth(2)
-            .and_then(|s| s.parse().ok())
-            .ok_or("bad replay header in trainer snapshot")?;
-        for _ in 0..replay_len {
-            let line = lines.next().ok_or("trainer replay ends early")?;
-            replay_text.push_str(line);
-            replay_text.push('\n');
-        }
-        let replay = PairReplay::from_text(&replay_text)?;
-        let tqueue = lines.next().ok_or("trainer snapshot missing tqueue")?;
-        let queued_len: usize = tqueue
-            .strip_prefix("tqueue ")
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad tqueue line: {tqueue:?}"))?;
+        let online = take_net("online net")?;
+        let target = take_net("target net")?;
+        let replay_header = reader.line("replay")?;
+        let mut h = Reader::new(replay_header).expect("pairreplay")?;
+        h.field::<usize>("capacity")?;
+        let replay_len = h.field("length")?;
+        let replay_body = reader.lines_block(replay_len, "replay")?;
+        let replay = PairReplay::from_text(&format!("{replay_header}\n{replay_body}"))?;
+        let mut tqueue = reader.expect("tqueue")?;
+        let queued = reader.block(&mut tqueue)?;
         let queue = BoundedQueue::new(config.queue_capacity.max(1), ShedPolicy::DropNewest);
-        for _ in 0..queued_len {
-            let line = lines.next().ok_or("trainer queue ends early")?;
+        for line in queued.lines() {
             let t = pair_from_line(line).ok_or_else(|| format!("bad queued line: {line:?}"))?;
             let _ = queue.push(t);
         }
         queue.set_counters(accepted, shed);
-        if lines.next().is_some() {
-            return Err("trailing lines in trainer snapshot".to_owned());
+        if let Ok(line) = reader.line("end") {
+            return Err(format!("trailing line in trainer snapshot: {line:?}"));
         }
         if online.input_dim() != FEATURE_DIM || online.output_dim() != 1 {
             return Err("trainer online network has the wrong shape".to_owned());

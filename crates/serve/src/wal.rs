@@ -44,6 +44,7 @@
 
 use mobirescue_obs::{Counter, Histogram, Registry, TimeSource};
 use mobirescue_roadnet::graph::SegmentId;
+use mobirescue_sim::record::Reader;
 use mobirescue_sim::{fnv1a_64_bytes, RequestSpec};
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -267,23 +268,13 @@ fn parse_record(line: &str, expected_seq: u64) -> Result<(u64, usize, RequestSpe
     if seal != fnv1a_64_bytes(body.as_bytes()) {
         return Err("seal mismatch".to_owned());
     }
-    let mut p = body.split_whitespace();
-    if p.next() != Some("rec") {
-        return Err("missing `rec` tag".to_owned());
-    }
-    let mut next = |what: &str| {
-        p.next()
-            .and_then(|t| t.parse::<u64>().ok())
-            .ok_or_else(|| format!("bad {what} field"))
-    };
-    let seq = next("seq")?;
-    let clock_ms = next("clock")?;
-    let shard = usize::try_from(next("shard")?).map_err(|_| "shard field overflows".to_owned())?;
-    let appear_s =
-        u32::try_from(next("appear_s")?).map_err(|_| "appear_s field overflows".to_owned())?;
-    let segment = SegmentId(
-        u32::try_from(next("segment")?).map_err(|_| "segment field overflows".to_owned())?,
-    );
+    let mut r = Reader::new(body).expect("rec")?;
+    let seq: u64 = r.field("seq")?;
+    let clock_ms = r.field("clock")?;
+    let shard = r.field("shard")?;
+    let appear_s = r.field("appear_s")?;
+    let segment = SegmentId(r.field("segment")?);
+    r.finish()?;
     if seq != expected_seq {
         return Err(format!(
             "sequence gap: found {seq}, expected {expected_seq}"

@@ -1,6 +1,7 @@
 //! Property tests for the `mrserve 1` snapshot format — restore of any
 //! truncated or bit-flipped snapshot must return a typed
-//! [`ServeError::BadSnapshot`], never panic, never silently succeed —
+//! [`ServeError::BadSnapshot`], never panic, never silently succeed, and a
+//! re-sealed snapshot with one hostile field must restore or fail typed —
 //! and for rollout admission, which must reject any candidate policy
 //! with mismatched layer shapes or a non-finite weight anywhere.
 //!
@@ -16,7 +17,7 @@ use mobirescue_serve::rollout::admit;
 use mobirescue_serve::{
     Clock, DispatchService, Event, ModelRegistry, RolloutError, ServeConfig, ServeError, SimClock,
 };
-use mobirescue_sim::{RequestSpec, SimConfig};
+use mobirescue_sim::{open_snapshot, seal_snapshot, RequestSpec, SimConfig};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -88,6 +89,46 @@ fn restore(text: &str) -> Result<DispatchService, ServeError> {
     )
 }
 
+/// Tokens chosen to break a hand parser: the optional marker, an empty
+/// field (the token is deleted), an overflow, a negative, a non-number.
+const HOSTILE: [&str; 5] = ["-", "", "18446744073709551615", "-1", "x"];
+
+/// Replaces one field of a sealed snapshot's body with `hostile` and
+/// re-seals it. Candidates are the fields the service parser reads itself:
+/// every record outside a counted block, plus each shard block's
+/// `shardstate` line (the nested `mrworld` body carries its own seal, so
+/// an edit there only ever reaches that inner checksum).
+fn with_hostile_field(snapshot: &str, pick: usize, hostile: &str) -> String {
+    let body = open_snapshot(snapshot).expect("fixture is sealed");
+    let mut candidates = Vec::new();
+    let mut nested = 0usize;
+    for (ln, line) in body.lines().enumerate() {
+        let fields: Vec<&str> = line.split(' ').collect();
+        if nested > 0 {
+            nested -= 1;
+            if fields[0] != "shardstate" {
+                continue;
+            }
+        } else if matches!(fields[0], "shard" | "tstate" | "rtext") {
+            nested = fields.last().and_then(|n| n.parse().ok()).unwrap_or(0);
+        }
+        candidates.extend((0..fields.len()).map(|i| (ln, i)));
+    }
+    let (target_line, target_field) = candidates[pick % candidates.len()];
+    let mut out = String::new();
+    for (ln, line) in body.lines().enumerate() {
+        if ln == target_line {
+            let mut fields: Vec<&str> = line.split(' ').collect();
+            fields[target_field] = hostile;
+            out.push_str(&fields.join(" "));
+        } else {
+            out.push_str(line);
+        }
+        out.push('\n');
+    }
+    seal_snapshot(out)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -139,6 +180,20 @@ proptest! {
             // as a failure for anything that is not the fixture itself.
             service.shutdown();
             prop_assert!(false, "arbitrary text restored: {text:?}");
+        }
+    }
+
+    /// One hostile field in a correctly sealed body restores or fails with
+    /// a typed error; in particular no shard worker dies parsing it.
+    #[test]
+    fn hostile_field_never_panics(pick in 0usize..1_000_000, hostile in 0usize..5) {
+        let text = with_hostile_field(&fixture().snapshot, pick, HOSTILE[hostile]);
+        match restore(&text) {
+            Ok(service) => service.shutdown(),
+            Err(ServeError::Shard { message, .. }) => {
+                prop_assert!(!message.contains("worker thread"), "shard worker died: {message}");
+            }
+            Err(_) => {}
         }
     }
 

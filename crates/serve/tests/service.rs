@@ -12,7 +12,7 @@ use mobirescue_serve::{
     Clock, DispatchService, EpochScheduler, Event, ModelRegistry, RetryPolicy, ServeConfig,
     ServeError, SimClock, SwapError,
 };
-use mobirescue_sim::{RequestSpec, SimConfig};
+use mobirescue_sim::{seal_snapshot, RequestSpec, SimConfig};
 use std::sync::Arc;
 
 fn test_scenario() -> Arc<Scenario> {
@@ -252,6 +252,16 @@ fn snapshot_restore_preserves_metrics_and_future_evolution() {
         .expect("epochs run");
     assert_eq!(seen.len(), 3);
     assert_eq!(scheduler.overruns(), 0, "sim-clock epochs never overrun");
+    // An advisory naming an unknown segment is admitted and only counted
+    // invalid when drained, so a snapshot may carry it and must restore.
+    service
+        .ingest(Event::RoadDamage {
+            shard: 0,
+            segment: SegmentId(u32::MAX),
+            hour: 0,
+            flooded: true,
+        })
+        .expect("advisory segments are validated at drain");
 
     let snapshot = service.snapshot().expect("snapshot serializes");
     let before = service.metrics();
@@ -365,25 +375,39 @@ fn garbage_snapshots_are_rejected() {
     let scenario = test_scenario();
     let clock = Arc::new(SimClock::new());
     let registry = Arc::new(ModelRegistry::new(None, None));
-    for text in [
-        "",
-        "not a snapshot",
-        "mrserve 1\n",                    // missing end
-        "mrserve 1\nepochs zero\nend\n",  // bad number
-        "mrserve 1\nshard 5 0\nend\n",    // shard out of range
-        "mrserve 1\nend\n",               // no shard bodies
-        "mrserve 1\nwhatever 1 2\nend\n", // unknown record
+    // Every body is correctly sealed, so the checksum passes and the
+    // record parser itself must refuse — with the named reason.
+    for (body, reason) in [
+        ("", "checksum"), // a sealed empty body has no line to carry a trailer
+        ("not a snapshot\n", "header"),
+        ("mrserve 1\n", "missing `end`"),
+        ("mrserve 1\nepochs zero\nend\n", "bad count"),
+        ("mrserve 1\nshard 5 0\nend\n", "out of range"),
+        ("mrserve 1\nend\n", "every configured shard"),
+        ("mrserve 1\nwhatever 1 2\nend\n", "unknown record"),
+        (
+            "mrserve 1\nepochs 1 0\nepochs 2 0\nend\n",
+            "duplicate `epochs`",
+        ),
+        (
+            "mrserve 1\nresil 0 0 1\nend\n",
+            "partial swap-cause counters",
+        ),
+        ("mrserve 1\nrqueue 2 0 0\nend\n", "out of range"),
+        ("mrserve 1\nadv x 0 1 1.5\nend\n", "unknown advisory kind"),
     ] {
+        let text = seal_snapshot(body.to_owned());
         let err = DispatchService::restore(
             Arc::clone(&scenario),
             test_config(),
             Arc::clone(&clock) as Arc<dyn Clock>,
             Arc::clone(&registry),
-            text,
+            &text,
         );
         assert!(
-            matches!(err, Err(ServeError::BadSnapshot(_))),
-            "snapshot should be rejected: {text:?}"
+            matches!(&err, Err(ServeError::BadSnapshot(why)) if why.contains(reason)),
+            "snapshot {body:?} should be rejected for {reason:?}, got {:?}",
+            err.map(|_| ())
         );
     }
 }

@@ -33,7 +33,7 @@ mod snapshot;
 
 use arena::{RequestArena, TeamArena, WaitingQueues, NO_U32};
 
-pub use snapshot::{fnv1a_64, fnv1a_64_bytes, open_snapshot, seal_snapshot};
+pub use crate::record::{fnv1a_64, fnv1a_64_bytes, open_snapshot, seal_snapshot};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mission {
@@ -73,6 +73,12 @@ impl std::fmt::Display for WorldError {
 }
 
 impl std::error::Error for WorldError {}
+
+impl From<crate::record::RecordError> for WorldError {
+    fn from(e: crate::record::RecordError) -> Self {
+        WorldError::BadSnapshot(e.0)
+    }
+}
 
 /// Result of one simulation run.
 #[derive(Debug, Clone)]

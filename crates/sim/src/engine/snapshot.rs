@@ -11,73 +11,26 @@
 //!
 //! The format is line-oriented, versioned (`mrworld 1` header), and emits
 //! floats with `{:?}` (shortest round-tripping representation), so
-//! snapshot → restore → snapshot is byte-stable.
+//! snapshot → restore → snapshot is byte-stable. Restore reads through
+//! [`crate::record`], which range-checks every request, landmark and
+//! segment reference.
 
 use super::{Mission, World, WorldError};
-use crate::types::{DispatchPlan, Order, RequestId, RequestOutcome, RequestSpec, SimConfig};
+use crate::record::{open_snapshot, seal_snapshot, Reader, Record, RecordError};
+use crate::types::{
+    DispatchPlan, Order, RequestId, RequestOutcome, RequestSpec, SimConfig, TeamId,
+};
 use mobirescue_mobility::flow::HourlyConditions;
 use mobirescue_roadnet::generator::City;
 use mobirescue_roadnet::graph::{LandmarkId, SegmentId};
-use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::str::FromStr;
+
+/// Upper bound on a restored team capacity (the per-team onboard stride
+/// the team arena allocates).
+const MAX_CAPACITY: usize = 1 << 16;
 
 fn bad(why: impl Into<String>) -> WorldError {
     WorldError::BadSnapshot(why.into())
-}
-
-/// FNV-1a 64-bit hash of `text` — the workspace's snapshot integrity
-/// checksum. Dependency-free and byte-stable across platforms.
-pub fn fnv1a_64(text: &str) -> u64 {
-    fnv1a_64_bytes(text.as_bytes())
-}
-
-/// FNV-1a 64-bit over raw bytes — the binary-payload variant of
-/// [`fnv1a_64`], used by the `mrnet 1` wire frames where the checksummed
-/// content is not UTF-8 text.
-pub fn fnv1a_64_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Appends the integrity trailer (`sum <16-hex-digits>`) to a snapshot
-/// body. Every versioned snapshot format in the workspace (`mrworld 1`,
-/// `mrserve 1`) is sealed this way on write.
-pub fn seal_snapshot(mut body: String) -> String {
-    let sum = fnv1a_64(&body);
-    let _ = writeln!(body, "sum {sum:016x}");
-    body
-}
-
-/// Verifies and strips the integrity trailer, returning the body it
-/// covers.
-///
-/// # Errors
-///
-/// Returns a description when the trailer is missing, malformed, or does
-/// not match the body — the caller maps it into its typed snapshot error.
-/// Any truncation or bit-flip of a sealed snapshot lands here: either the
-/// body no longer hashes to the recorded sum, or the trailer itself is
-/// damaged.
-pub fn open_snapshot(text: &str) -> Result<&str, String> {
-    let missing = || "missing checksum trailer".to_owned();
-    let rest = text.strip_suffix('\n').ok_or_else(missing)?;
-    let (head, last) = rest.rsplit_once('\n').ok_or_else(missing)?;
-    let hex = last.strip_prefix("sum ").ok_or_else(missing)?;
-    let expect =
-        u64::from_str_radix(hex, 16).map_err(|_| format!("bad checksum trailer `{last}`"))?;
-    let body = &text[..head.len() + 1];
-    let got = fnv1a_64(body);
-    if got != expect {
-        return Err(format!(
-            "checksum mismatch: trailer says {expect:016x}, content hashes to {got:016x}"
-        ));
-    }
-    Ok(body)
 }
 
 fn opt_u32(v: Option<u32>) -> String {
@@ -86,32 +39,6 @@ fn opt_u32(v: Option<u32>) -> String {
 
 fn opt_f64(v: Option<f64>) -> String {
     v.map_or_else(|| "-".into(), |x| format!("{x:?}"))
-}
-
-fn parse_opt_u32(tok: &str) -> Result<Option<u32>, WorldError> {
-    if tok == "-" {
-        Ok(None)
-    } else {
-        u32::from_str(tok)
-            .map(Some)
-            .map_err(|_| bad(format!("bad u32 `{tok}`")))
-    }
-}
-
-fn parse_opt_f64(tok: &str) -> Result<Option<f64>, WorldError> {
-    if tok == "-" {
-        Ok(None)
-    } else {
-        f64::from_str(tok)
-            .map(Some)
-            .map_err(|_| bad(format!("bad f64 `{tok}`")))
-    }
-}
-
-fn parse<T: FromStr>(tok: Option<&str>, what: &str) -> Result<T, WorldError> {
-    tok.ok_or_else(|| bad(format!("missing {what}")))?
-        .parse()
-        .map_err(|_| bad(format!("bad {what}")))
 }
 
 fn mission_token(m: Mission) -> String {
@@ -123,17 +50,23 @@ fn mission_token(m: Mission) -> String {
     }
 }
 
-fn parse_mission(tok: &str) -> Result<Mission, WorldError> {
-    match tok {
-        "s" => Ok(Mission::Standby),
-        "h" => Ok(Mission::ToHospital),
-        "b" => Ok(Mission::ToBase),
-        _ => tok
-            .strip_prefix('g')
-            .and_then(|n| u32::from_str(n).ok())
-            .map(|n| Mission::ToSegment(SegmentId(n)))
-            .ok_or_else(|| bad(format!("bad mission `{tok}`"))),
-    }
+/// The segment of a `g<segment>` goal token, range-checked like every
+/// other segment field.
+fn goal(r: &Record, tok: &str, num_segments: usize) -> Result<SegmentId, RecordError> {
+    tok.strip_prefix('g')
+        .and_then(|n| n.parse::<u32>().ok())
+        .filter(|&n| (n as usize) < num_segments)
+        .map(SegmentId)
+        .ok_or_else(|| r.fail(format!("bad goal `{tok}`")))
+}
+
+fn parse_mission(r: &mut Record, num_segments: usize) -> Result<Mission, RecordError> {
+    Ok(match r.token("mission")? {
+        "s" => Mission::Standby,
+        "h" => Mission::ToHospital,
+        "b" => Mission::ToBase,
+        tok => Mission::ToSegment(goal(r, tok, num_segments)?),
+    })
 }
 
 fn order_token(o: Option<Order>) -> String {
@@ -144,16 +77,12 @@ fn order_token(o: Option<Order>) -> String {
     }
 }
 
-fn parse_order(tok: &str) -> Result<Option<Order>, WorldError> {
-    match tok {
-        "-" => Ok(None),
-        "b" => Ok(Some(Order::ReturnToBase)),
-        _ => tok
-            .strip_prefix('g')
-            .and_then(|n| u32::from_str(n).ok())
-            .map(|n| Some(Order::GoToSegment(SegmentId(n))))
-            .ok_or_else(|| bad(format!("bad order `{tok}`"))),
-    }
+fn parse_order(r: &mut Record, num_segments: usize) -> Result<Option<Order>, RecordError> {
+    Ok(match r.token("order")? {
+        "-" => None,
+        "b" => Some(Order::ReturnToBase),
+        tok => Some(Order::GoToSegment(goal(r, tok, num_segments)?)),
+    })
 }
 
 impl World<'_> {
@@ -271,125 +200,87 @@ impl World<'_> {
     ) -> Result<World<'a>, WorldError> {
         // Integrity first: a snapshot that fails its checksum is rejected
         // before a single record is interpreted.
-        let text = open_snapshot(text).map_err(bad)?;
-        let mut lines = text.lines();
-        if lines.next() != Some("mrworld 1") {
-            return Err(bad("missing `mrworld 1` header"));
-        }
-        let config_line = lines.next().ok_or_else(|| bad("missing config line"))?;
-        let mut p = config_line.split_whitespace();
-        if p.next() != Some("config") {
-            return Err(bad("missing config line"));
-        }
+        let body = open_snapshot(text).map_err(bad)?;
+        let mut reader = Reader::open(body, "mrworld 1")?;
+        // The config sizes the arenas `World::new` allocates, so it is
+        // bounded before anything is built: every team has its own record,
+        // the window lies inside the scenario's hours, and the onboard
+        // stride stays below `MAX_CAPACITY`.
+        let hours = conditions.hours() as usize;
+        let mut r = reader.expect("config")?;
         let config = SimConfig {
-            num_teams: parse(p.next(), "num_teams")?,
-            capacity: parse(p.next(), "capacity")?,
-            dispatch_period_s: parse(p.next(), "dispatch_period_s")?,
-            pickup_service_s: parse(p.next(), "pickup_service_s")?,
-            start_hour: parse(p.next(), "start_hour")?,
-            duration_hours: parse(p.next(), "duration_hours")?,
-            timely_threshold_s: parse(p.next(), "timely_threshold_s")?,
-            sample_positions_every_s: parse_opt_u32(
-                p.next()
-                    .ok_or_else(|| bad("missing sample_positions_every_s"))?,
-            )?,
+            num_teams: r.below(body.lines().count(), "num_teams")?,
+            capacity: r.below(MAX_CAPACITY, "capacity")?,
+            dispatch_period_s: r.field("dispatch_period_s")?,
+            pickup_service_s: r.field("pickup_service_s")?,
+            start_hour: r.below(hours, "start_hour")?,
+            duration_hours: r.below(hours + 1, "duration_hours")?,
+            timely_threshold_s: r.field("timely_threshold_s")?,
+            sample_positions_every_s: r.opt(|r| r.field("sample_positions_every_s"))?,
         };
+        r.finish()?;
         let mut world = World::new(city, conditions, &config)?;
-        let clock_line = lines.next().ok_or_else(|| bad("missing clock line"))?;
-        let mut p = clock_line.split_whitespace();
-        if p.next() != Some("clock") {
-            return Err(bad("missing clock line"));
-        }
-        world.now = parse(p.next(), "now")?;
-        world.next_spec = parse(p.next(), "next_spec")?;
-        world.dispatch_rounds = parse(p.next(), "dispatch_rounds")?;
-        world.unroutable_orders = parse(p.next(), "unroutable_orders")?;
-        world.waiting_at_last_tick = parse(p.next(), "waiting_at_last_tick")?;
+        let mut r = reader.expect("clock")?;
+        world.now = r.field("now")?;
+        world.next_spec = r.field("next_spec")?;
+        world.dispatch_rounds = r.field("dispatch_rounds")?;
+        world.unroutable_orders = r.field("unroutable_orders")?;
+        world.waiting_at_last_tick = r.field("waiting_at_last_tick")?;
+        r.finish()?;
 
-        // Restored collections replace the fresh ones wholesale.
+        // Restored collections replace the fresh ones wholesale. Every
+        // reference is range-checked against what it points into, so a
+        // restored world never indexes past its arenas or the network.
         world.teams.clear();
         world.team_served.clear();
         let num_segments = city.network.num_segments();
-        let mut saw_end = false;
-        for line in lines {
-            let mut p = line.split_whitespace();
-            let Some(tag) = p.next() else { continue };
-            match tag {
+        let num_landmarks = city.network.num_landmarks();
+        while let Some(mut r) = reader.next_record()? {
+            // Outcomes precede every record that references a request.
+            let outcomes = world.requests.len();
+            match r.tag {
                 "spec" => {
-                    let id = RequestId(parse(p.next(), "spec id")?);
-                    let appear_s = parse(p.next(), "spec appear_s")?;
-                    let segment = SegmentId(parse(p.next(), "spec segment")?);
-                    if segment.index() >= num_segments {
-                        return Err(WorldError::UnknownSegment(segment));
-                    }
+                    let id = RequestId(r.field("id")?);
+                    let appear_s = r.field("appear_s")?;
+                    let segment = SegmentId(r.below(num_segments, "segment")?);
                     world.specs.push((id, RequestSpec { appear_s, segment }));
                 }
                 "outcome" => {
-                    let id = RequestId(parse(p.next(), "outcome id")?);
-                    if id.index() != world.requests.len() {
-                        return Err(bad(format!("outcome id {} out of order", id.0)));
+                    let id: usize = r.field("id")?;
+                    if id != outcomes {
+                        return Err(bad(format!("outcome id {id} out of order")));
                     }
-                    let appear_s = parse(p.next(), "outcome appear_s")?;
-                    let segment = SegmentId(parse(p.next(), "outcome segment")?);
-                    let picked_up_s =
-                        parse_opt_u32(p.next().ok_or_else(|| bad("missing picked_up"))?)?;
-                    let delivered_s =
-                        parse_opt_u32(p.next().ok_or_else(|| bad("missing delivered"))?)?;
-                    let team = parse_opt_u32(p.next().ok_or_else(|| bad("missing team"))?)?
-                        .map(crate::types::TeamId);
-                    let driving_delay_s =
-                        parse_opt_f64(p.next().ok_or_else(|| bad("missing delay"))?)?;
                     world.requests.push_outcome(&RequestOutcome {
-                        id,
-                        spec: RequestSpec { appear_s, segment },
-                        picked_up_s,
-                        delivered_s,
-                        team,
-                        driving_delay_s,
+                        id: RequestId(id as u32),
+                        spec: RequestSpec {
+                            appear_s: r.field("appear_s")?,
+                            segment: SegmentId(r.below(num_segments, "segment")?),
+                        },
+                        picked_up_s: r.opt(|r| r.field("picked_up_s"))?,
+                        delivered_s: r.opt(|r| r.field("delivered_s"))?,
+                        team: r.opt(|r| r.below(config.num_teams, "team").map(TeamId))?,
+                        driving_delay_s: r.opt(|r| r.field("driving_delay_s"))?,
                     });
                 }
                 "wait" => {
-                    let seg = SegmentId(parse(p.next(), "wait segment")?);
-                    if seg.index() >= num_segments {
-                        return Err(WorldError::UnknownSegment(seg));
-                    }
-                    let ids: Vec<RequestId> = p
-                        .map(|tok| {
-                            u32::from_str(tok)
-                                .map(RequestId)
-                                .map_err(|_| bad(format!("bad wait id `{tok}`")))
-                        })
-                        .collect::<Result<_, _>>()?;
+                    let seg = SegmentId(r.below(num_segments, "segment")?);
+                    let ids = r.all(|r| r.below(outcomes, "request id").map(RequestId))?;
                     world.waiting.set_entry(seg, ids);
                 }
                 "team" => {
-                    let location = LandmarkId(parse(p.next(), "team location")?);
-                    let seg_remaining_s: f64 = parse(p.next(), "team seg_remaining")?;
-                    let stall_s: f64 = parse(p.next(), "team stall")?;
-                    let order_start_s = parse(p.next(), "team order_start")?;
-                    let mission =
-                        parse_mission(p.next().ok_or_else(|| bad("missing team mission"))?)?;
-                    if p.next() != Some("route") {
-                        return Err(bad("missing team route marker"));
-                    }
-                    let mut route = VecDeque::new();
-                    let mut onboard = Vec::new();
-                    let mut in_route = true;
-                    for tok in p {
-                        if tok == "onboard" {
-                            in_route = false;
-                        } else if in_route {
-                            route.push_back(SegmentId(parse(Some(tok), "route segment")?));
-                        } else {
-                            onboard.push(RequestId(parse(Some(tok), "onboard id")?));
-                        }
-                    }
-                    if in_route {
-                        return Err(bad("missing team onboard marker"));
-                    }
+                    let location = LandmarkId(r.below(num_landmarks, "location")?);
+                    let seg_remaining_s = r.field("seg_remaining_s")?;
+                    let stall_s = r.field("stall_s")?;
+                    let order_start_s = r.field("order_start_s")?;
+                    let mission = parse_mission(&mut r, num_segments)?;
+                    r.until("route")?.finish()?;
+                    let route = r
+                        .until("onboard")?
+                        .all(|r| r.below(num_segments, "route segment").map(SegmentId))?;
+                    let onboard = r.all(|r| r.below(outcomes, "onboard id").map(RequestId))?;
                     if !world.teams.push(
                         location,
-                        route,
+                        route.into(),
                         seg_remaining_s,
                         stall_s,
                         &onboard,
@@ -400,51 +291,48 @@ impl World<'_> {
                     }
                 }
                 "plan" => {
-                    let apply_at = parse(p.next(), "plan apply_at")?;
-                    let orders: Vec<Option<Order>> =
-                        p.map(parse_order).collect::<Result<_, _>>()?;
+                    let apply_at = r.field("apply_at")?;
+                    let orders = r.all(|r| parse_order(r, num_segments))?;
                     world
                         .pending_plans
                         .push_back((apply_at, DispatchPlan { orders }));
                 }
                 "tick" => {
-                    let s = parse(p.next(), "tick second")?;
-                    let n = parse(p.next(), "tick count")?;
-                    world.serving_per_tick.push((s, n));
+                    let tick = (r.field("second")?, r.field("count")?);
+                    world.serving_per_tick.push(tick);
                 }
                 "served" => {
-                    let _ti: usize = parse(p.next(), "served team index")?;
-                    let row: Vec<u32> = p
-                        .map(|tok| parse(Some(tok), "served count"))
-                        .collect::<Result<_, _>>()?;
+                    let ti: usize = r.field("team index")?;
+                    if ti != world.team_served.len() {
+                        return Err(bad(format!("served row {ti} out of order")));
+                    }
+                    let row = r.all(|r| r.field("served count"))?;
                     world.team_served.push(row);
                 }
                 "possample" => {
-                    let s = parse(p.next(), "possample second")?;
-                    let positions: Vec<LandmarkId> = p
-                        .map(|tok| parse(Some(tok), "possample landmark").map(LandmarkId))
-                        .collect::<Result<_, _>>()?;
+                    let s = r.field("second")?;
+                    let positions =
+                        r.all(|r| r.below(num_landmarks, "landmark").map(LandmarkId))?;
                     world.position_samples.push((s, positions));
-                }
-                "end" => {
-                    saw_end = true;
-                    break;
                 }
                 other => return Err(bad(format!("unknown record `{other}`"))),
             }
+            r.finish()?;
         }
-        if !saw_end {
-            return Err(bad("truncated snapshot (missing `end`)"));
-        }
-        if world.teams.len() != config.num_teams {
+        if world.teams.len() != config.num_teams || world.team_served.len() != config.num_teams {
             return Err(bad(format!(
-                "snapshot has {} teams, config says {}",
+                "snapshot has {} teams and {} served rows, config says {}",
                 world.teams.len(),
+                world.team_served.len(),
                 config.num_teams
             )));
         }
         if world.next_spec > world.specs.len() {
             return Err(bad("next_spec beyond scheduled specs"));
+        }
+        let outcomes = world.requests.len();
+        if let Some((id, _)) = world.specs.iter().find(|(id, _)| id.index() >= outcomes) {
+            return Err(bad(format!("spec id {} has no outcome record", id.0)));
         }
         Ok(world)
     }
@@ -534,8 +422,9 @@ mod tests {
         reject("mrworld 1\n");
         reject("mrworld 1\nend\nsum zzzz\n");
         reject("mrworld 1\nend\nsum 0000000000000000\n"); // wrong sum
-                                                          // Semantically malformed but correctly sealed bodies: the
-                                                          // checksum passes, the record validation still rejects.
+
+        // Semantically malformed but correctly sealed bodies: the
+        // checksum passes, the record validation still rejects.
         let sealed = |body: &str| seal_snapshot(body.to_owned());
         reject(&sealed("mrworld 1\n"));
         reject(&sealed("mrworld 1\nconfig 1 1 300 60 0 4 1800 -\n")); // no clock
@@ -555,30 +444,68 @@ mod tests {
         ));
     }
 
+    /// Replaces one field of the first body line `pick` selects (it
+    /// returns the field index to overwrite) and re-seals the body, so
+    /// the checksum passes and only record validation stands between the
+    /// edit and the engine.
+    fn edit_sealed(snap: &str, value: &str, pick: impl Fn(&[&str]) -> Option<usize>) -> String {
+        let mut edited = false;
+        let mut out = String::new();
+        for line in open_snapshot(snap).expect("sealed").lines() {
+            let mut fields: Vec<&str> = line.split(' ').collect();
+            if !edited {
+                if let Some(i) = pick(&fields) {
+                    fields[i] = value;
+                    edited = true;
+                }
+            }
+            out.push_str(&fields.join(" "));
+            out.push('\n');
+        }
+        assert!(edited, "no line matched the edit");
+        seal_snapshot(out)
+    }
+
     #[test]
-    fn checksum_trailer_seals_and_opens() {
-        let sealed = seal_snapshot("mrworld 1\nend\n".to_owned());
-        assert!(sealed.ends_with('\n'));
-        assert_eq!(
-            open_snapshot(&sealed).expect("valid seal"),
-            "mrworld 1\nend\n"
-        );
-        // Flipping any single byte of the sealed text breaks verification.
-        for i in 0..sealed.len() {
-            let mut bytes = sealed.clone().into_bytes();
-            bytes[i] ^= 0x01;
-            let corrupt = String::from_utf8_lossy(&bytes).into_owned();
-            assert!(
-                open_snapshot(&corrupt).is_err(),
-                "flip at byte {i} accepted"
-            );
+    fn sealed_out_of_range_references_are_refused() {
+        let (city, conditions) = fixture();
+        let config = SimConfig::small(0);
+        let mut world = World::new(&city, &conditions, &config).unwrap();
+        world.schedule_requests(&sample_requests(&city)).unwrap();
+        let mut d = NearestRequestDispatcher::default();
+        world.run_epoch(&mut d, 0.0);
+        let snap = world.snapshot_text();
+        let tagged = |tag: &'static str, i: usize| {
+            move |f: &[&str]| (f[0] == tag && f.len() > i).then_some(i)
+        };
+        let cases = [
+            ("wait id", edit_sealed(&snap, "99999", tagged("wait", 2))),
+            (
+                "team location",
+                edit_sealed(&snap, "99999999", tagged("team", 1)),
+            ),
+            (
+                "route segment",
+                edit_sealed(&snap, "99999999", |f| {
+                    let at = f.iter().position(|&t| t == "route")? + 1;
+                    (f[0] == "team" && f[at] != "onboard").then_some(at)
+                }),
+            ),
+            (
+                "outcome segment",
+                edit_sealed(&snap, "99999999", tagged("outcome", 3)),
+            ),
+        ];
+        for (what, text) in cases {
+            match World::restore_text(&city, &conditions, &text) {
+                Err(WorldError::BadSnapshot(why)) => {
+                    assert!(why.contains("out of range"), "{what}: {why}");
+                }
+                Err(other) => panic!("{what}: wrong error {other}"),
+                Ok(_) => panic!("{what}: out-of-range reference restored"),
+            }
         }
-        // Any truncation breaks it too.
-        for i in 0..sealed.len() {
-            assert!(
-                open_snapshot(&sealed[..i]).is_err(),
-                "truncation at {i} accepted"
-            );
-        }
+        // The unedited snapshot still restores.
+        assert!(World::restore_text(&city, &conditions, &snap).is_ok());
     }
 }

@@ -16,13 +16,16 @@
 //! * [`engine`] — the second-resolution simulation loop, as a steppable
 //!   [`engine::World`] with epoch-boundary snapshot/restore (the batch
 //!   [`run`] wraps it);
-//! * [`metrics`] — one extraction helper per evaluation figure.
+//! * [`metrics`] — one extraction helper per evaluation figure;
+//! * [`record`] — the record codec and integrity seal shared by the
+//!   `mrworld`, `mrserve` and `mrwal` readers.
 
 #![warn(missing_docs)]
 
 pub mod dispatcher;
 pub mod engine;
 pub mod metrics;
+pub mod record;
 pub mod types;
 
 pub use dispatcher::{DispatchState, Dispatcher, NearestRequestDispatcher};

@@ -1,6 +1,7 @@
 //! Property tests for the `mrworld 1` snapshot format: any truncation or
 //! bit-flip of a sealed snapshot must be *rejected* on restore — a typed
-//! `Err`, never a panic and never a silent success.
+//! `Err`, never a panic and never a silent success — and a re-sealed body
+//! with one hostile field must restore or fail typed, never panic.
 
 use mobirescue_disaster::hurricane::Hurricane;
 use mobirescue_disaster::scenario::DisasterScenario;
@@ -10,6 +11,7 @@ use mobirescue_roadnet::graph::SegmentId;
 use mobirescue_sim::dispatcher::NearestRequestDispatcher;
 use mobirescue_sim::engine::World;
 use mobirescue_sim::types::{RequestSpec, SimConfig};
+use mobirescue_sim::{open_snapshot, seal_snapshot};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -48,6 +50,32 @@ fn fixture() -> &'static Fixture {
             snapshot,
         }
     })
+}
+
+/// Tokens chosen to break a hand parser: the optional marker, an empty
+/// field (the token is deleted), an overflow, a negative, a non-number.
+const HOSTILE: [&str; 5] = ["-", "", "18446744073709551615", "-1", "x"];
+
+/// Replaces field `pick` (modulo the body's field count) of a sealed
+/// snapshot's body with `hostile` and re-seals it, so the edit reaches the
+/// record parser instead of the checksum.
+fn with_hostile_field(snapshot: &str, pick: usize, hostile: &str) -> String {
+    let body = open_snapshot(snapshot).expect("fixture is sealed");
+    let total: usize = body.lines().map(|l| l.split(' ').count()).sum();
+    let mut target = pick % total;
+    let mut out = String::new();
+    for line in body.lines() {
+        let mut fields: Vec<&str> = line.split(' ').collect();
+        if target < fields.len() {
+            fields[target] = hostile;
+            target = usize::MAX;
+        } else if target != usize::MAX {
+            target -= fields.len();
+        }
+        out.push_str(&fields.join(" "));
+        out.push('\n');
+    }
+    seal_snapshot(out)
 }
 
 proptest! {
@@ -92,6 +120,15 @@ proptest! {
     fn arbitrary_text_never_panics(bytes in prop::collection::vec(9u8..127, 0..300)) {
         let f = fixture();
         let text = String::from_utf8(bytes).expect("ASCII bytes");
+        let _ = World::restore_text(&f.city, &f.conditions, &text);
+    }
+
+    /// One hostile field in a correctly sealed body: restore returns the
+    /// world or a typed error — it never panics.
+    #[test]
+    fn hostile_field_never_panics(pick in 0usize..1_000_000, hostile in 0usize..5) {
+        let f = fixture();
+        let text = with_hostile_field(&f.snapshot, pick, HOSTILE[hostile]);
         let _ = World::restore_text(&f.city, &f.conditions, &text);
     }
 }
