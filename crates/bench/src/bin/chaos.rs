@@ -24,6 +24,7 @@ use mobirescue_serve::chaos::{
     wal_chaos_divergence, ChaosOptions, RolloutChaosOptions, TrainerChaosOptions, WalChaosOptions,
     CHAOS_SEEDS,
 };
+use mobirescue_serve::ServeError;
 
 fn main() {
     let mut seeds = 10u64;
@@ -68,70 +69,32 @@ fn main() {
         }
     }
 
-    print!("crash-replay masking (crashes at (0,0), (2,1), (4,0)): ");
-    match crash_replay_divergence(
-        &[(0, 0), (2, 1.min(shards - 1)), (4, 0)],
-        epochs.max(5),
-        shards,
-    ) {
-        Ok(divergences) if divergences.is_empty() => {
-            println!("bit-identical to the unfaulted reference -> OK");
-        }
-        Ok(divergences) => {
-            println!("DIVERGED -> FAIL");
-            for d in &divergences {
-                println!("  {d}");
-            }
-            failures += 1;
-        }
-        Err(e) => {
-            println!("service error: {e} -> FAIL");
-            failures += 1;
-        }
-    }
+    failures += report(
+        "crash-replay masking (crashes at (0,0), (2,1), (4,0))",
+        "bit-identical to the unfaulted reference",
+        crash_replay_divergence(
+            &[(0, 0), (2, 1.min(shards - 1)), (4, 0)],
+            epochs.max(5),
+            shards,
+        ),
+    );
 
     println!("rollout chaos (poisoned checkpoints vs the guarded pipeline):");
     for seed in base_seed..base_seed + seeds.min(5) {
-        let opts = RolloutChaosOptions::standard(shards);
-        match rollout_chaos_divergence(seed, &opts) {
-            Ok(divergences) if divergences.is_empty() => {
-                println!("  seed {seed:>4}: poisoned twin bit-identical to clean run -> OK");
-            }
-            Ok(divergences) => {
-                println!("  seed {seed:>4}: VIOLATED -> FAIL");
-                for d in &divergences {
-                    println!("    {d}");
-                }
-                failures += 1;
-            }
-            Err(e) => {
-                println!("  seed {seed:>4}: service error: {e} -> FAIL");
-                failures += 1;
-            }
-        }
+        failures += report(
+            &format!("  seed {seed:>4}"),
+            "poisoned twin bit-identical to clean run",
+            rollout_chaos_divergence(seed, &RolloutChaosOptions::standard(shards)),
+        );
     }
 
     println!("trainer chaos (drops, stale floods, boundary crashes vs the learning loop):");
     for seed in base_seed..base_seed + seeds.min(5) {
-        let opts = TrainerChaosOptions::standard(shards);
-        match trainer_chaos_divergence(seed, &opts) {
-            Ok(divergences) if divergences.is_empty() => {
-                println!(
-                    "  seed {seed:>4}: conservation held, floods blocked, crash twin bit-identical -> OK"
-                );
-            }
-            Ok(divergences) => {
-                println!("  seed {seed:>4}: VIOLATED -> FAIL");
-                for d in &divergences {
-                    println!("    {d}");
-                }
-                failures += 1;
-            }
-            Err(e) => {
-                println!("  seed {seed:>4}: service error: {e} -> FAIL");
-                failures += 1;
-            }
-        }
+        failures += report(
+            &format!("  seed {seed:>4}"),
+            "conservation held, floods blocked, crash twin bit-identical",
+            trainer_chaos_divergence(seed, &TrainerChaosOptions::standard(shards)),
+        );
     }
 
     // The WAL arm runs the pinned seed set (the same CHAOS_SEEDS constant
@@ -139,25 +102,11 @@ fn main() {
     // byte recovery is a pinned contract, not a coverage lottery.
     println!("wal chaos (kill -9 at any journal byte, torn tails, bit flips, fsync stalls):");
     for seed in CHAOS_SEEDS {
-        let opts = WalChaosOptions::standard(shards);
-        match wal_chaos_divergence(seed, &opts) {
-            Ok(divergences) if divergences.is_empty() => {
-                println!(
-                    "  seed {seed:>4}: crash twin bit-identical, corruption refused typed -> OK"
-                );
-            }
-            Ok(divergences) => {
-                println!("  seed {seed:>4}: VIOLATED -> FAIL");
-                for d in &divergences {
-                    println!("    {d}");
-                }
-                failures += 1;
-            }
-            Err(e) => {
-                println!("  seed {seed:>4}: service error: {e} -> FAIL");
-                failures += 1;
-            }
-        }
+        failures += report(
+            &format!("  seed {seed:>4}"),
+            "crash twin bit-identical, corruption refused typed",
+            wal_chaos_divergence(seed, &WalChaosOptions::standard(shards)),
+        );
     }
 
     // Each chaos run owns a private registry (twins must stay
@@ -180,4 +129,26 @@ fn main() {
         std::process::exit(1);
     }
     println!("chaos sweep: all invariants held");
+}
+
+/// Prints one divergence check's result under `label` (`ok` describes a
+/// pass) and returns the number of failures it adds: 0 or 1.
+fn report(label: &str, ok: &str, result: Result<Vec<String>, ServeError>) -> u64 {
+    match result {
+        Ok(divergences) if divergences.is_empty() => {
+            println!("{label}: {ok} -> OK");
+            0
+        }
+        Ok(divergences) => {
+            println!("{label}: VIOLATED -> FAIL");
+            for d in &divergences {
+                println!("    {d}");
+            }
+            1
+        }
+        Err(e) => {
+            println!("{label}: service error: {e} -> FAIL");
+            1
+        }
+    }
 }

@@ -48,20 +48,27 @@
 //! the journal recovers bit-identical to a twin that never crashed, and
 //! an interior bit flip is a typed [`crate::WalError::Corrupt`] refusal
 //! naming the segment and offset.
+//!
+//! Every bit-identity check runs through one twin harness. An *arm* is a
+//! service configuration, an incumbent policy and the standard request
+//! stream; its twins run it under the arm's fault plan and as the plain
+//! service (no injector, no `auto_recover`), with the same checks on
+//! both, and must end with equal metrics, journal sequence, trainer
+//! status and policy, and byte-identical snapshot text.
 
 use crate::clock::{Clock, SimClock};
 use crate::error::ServeError;
 use crate::event::Event;
 use crate::fault::{
-    CheckpointPoison, FaultCounters, FaultInjector, FaultPlan, FaultPlanConfig, ScheduledFaults,
-    TrainerFault, WalFault,
+    family_stream, CheckpointPoison, FaultCounters, FaultInjector, FaultPlan, FaultPlanConfig,
+    ScheduledFaults, TrainerFault, WalFault,
 };
 use crate::metrics::MetricsSnapshot;
 use crate::registry::ModelRegistry;
 use crate::rollout::{RolloutConfig, RolloutError};
 use crate::scheduler::EpochScheduler;
 use crate::service::{DispatchService, RetryPolicy, ServeConfig};
-use crate::trainer::TrainerConfig;
+use crate::trainer::{TrainerConfig, TrainerStatus};
 use crate::wal::{FsyncPolicy, WalConfig, WalError};
 use mobirescue_core::rl_dispatch::FEATURE_DIM;
 use mobirescue_core::scenario::{Scenario, ScenarioConfig};
@@ -69,8 +76,8 @@ use mobirescue_obs::ObsSnapshot;
 use mobirescue_rl::nn::Mlp;
 use mobirescue_rl::persist::mlp_to_text;
 use mobirescue_roadnet::graph::SegmentId;
-use mobirescue_sim::{RequestSpec, SimConfig};
-use std::collections::VecDeque;
+use mobirescue_sim::{EpochReport, RequestSpec, SimConfig};
+use rand::RngExt;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -199,46 +206,272 @@ fn request_events(epoch: u32, num_shards: usize, per_shard: usize, segments: u32
     events
 }
 
-/// Starts a service on `scenario` with a fresh simulated clock.
-fn start_on(
-    scenario: &Arc<Scenario>,
+/// One chaos arm: a service configuration, the incumbent policy and the
+/// standard request stream on the chaos scenario. The twins of an arm
+/// share all of it and differ only in their fault plan, so any difference
+/// between their ends is the plan's doing.
+#[derive(Clone)]
+struct Arm {
+    scenario: Arc<Scenario>,
     config: ServeConfig,
-    registry: Arc<ModelRegistry>,
-) -> Result<(DispatchService, Arc<SimClock>), ServeError> {
-    let clock = Arc::new(SimClock::new());
-    let service = DispatchService::start(
-        Arc::clone(scenario),
-        config,
-        Arc::clone(&clock) as Arc<dyn Clock>,
-        registry,
-    )?;
-    Ok((service, clock))
-}
-
-/// Offers the standard request stream (`per_shard` requests per shard per
-/// epoch) and drives `epochs` epochs; `at_boundary` runs at each epoch
-/// boundary, before the next epoch's offers.
-fn drive(
-    service: &DispatchService,
-    clock: &SimClock,
+    incumbent: Option<Mlp>,
     epochs: u32,
     per_shard: usize,
-    segments: u32,
-    mut at_boundary: impl FnMut(u32),
-) -> Result<(), ServeError> {
-    let shards = service.config().num_shards;
-    let mut scheduler = EpochScheduler::for_service(service)?;
-    for event in request_events(0, shards, per_shard, segments) {
-        service.ingest(event)?;
+}
+
+/// A started run of an arm: the live service and what the checks read.
+struct Live {
+    service: DispatchService,
+    clock: Arc<SimClock>,
+    registry: Arc<ModelRegistry>,
+    injector: Arc<FaultInjector>,
+    violations: Vec<String>,
+}
+
+/// A finished run's end state, as a twin comparison reads it.
+struct RunEnd {
+    snapshot: String,
+    metrics: MetricsSnapshot,
+    wal_seq: u64,
+    trainer: Option<TrainerStatus>,
+    policy: Option<String>,
+    violations: Vec<String>,
+}
+
+impl Arm {
+    /// An arm of `epochs` epochs with `per_shard` request offers per shard
+    /// per epoch, on `num_shards` shards with request queues of 8.
+    fn new(num_shards: usize, epochs: u32, per_shard: usize) -> Self {
+        let mut config = ServeConfig::new(SimConfig::small(6));
+        config.num_shards = num_shards;
+        config.request_queue_capacity = 8;
+        Self {
+            scenario: Arc::new(chaos_scenario()),
+            config,
+            incumbent: None,
+            epochs,
+            per_shard,
+        }
     }
-    scheduler.run(service, clock, epochs, |e, _| {
-        at_boundary(e);
-        if e + 1 < epochs {
-            for event in request_events(e + 1, shards, per_shard, segments) {
-                let _ = service.ingest(event);
+
+    /// The number of road segments requests are placed on.
+    fn segments(&self) -> u32 {
+        self.scenario.city.network.num_segments() as u32
+    }
+
+    /// A fresh registry holding the arm's incumbent.
+    fn registry(&self) -> Arc<ModelRegistry> {
+        Arc::new(ModelRegistry::new(None, self.incumbent.clone()))
+    }
+
+    /// This arm with its journal in `dir`. One segment keeps the crash
+    /// arm's byte-offset arithmetic over a single file (rotation and
+    /// compaction have their own unit coverage).
+    fn journaled(&self, dir: &Path) -> Self {
+        let mut wal = WalConfig::new(dir);
+        wal.segment_max_bytes = 1 << 20;
+        wal.fsync = FsyncPolicy::Always;
+        let mut arm = self.clone();
+        arm.config.wal = Some(wal);
+        arm
+    }
+
+    /// Starts the arm's service on a fresh simulated clock. With a plan,
+    /// an injector executing it is attached; with `None` the run is the
+    /// plain service — no injector, and `auto_recover` off as
+    /// [`ServeConfig`] defaults it — though the run still holds an empty
+    /// injector so checks read the same counters. `restore` restores a
+    /// snapshot into the given registry over whatever journal the arm's
+    /// directory holds; without it the service starts fresh over an
+    /// emptied journal directory.
+    fn start(
+        &self,
+        plan: Option<FaultPlan>,
+        restore: Option<(&str, Arc<ModelRegistry>)>,
+    ) -> Result<Live, ServeError> {
+        let attach = plan.is_some();
+        let injector = Arc::new(FaultInjector::new(plan.unwrap_or_else(FaultPlan::empty)));
+        let mut config = self.config.clone();
+        config.faults = attach.then(|| Arc::clone(&injector));
+        config.auto_recover &= attach;
+        let clock = Arc::new(SimClock::new());
+        let scenario = Arc::clone(&self.scenario);
+        let service_clock = Arc::clone(&clock) as Arc<dyn Clock>;
+        let (service, registry) = match restore {
+            Some((text, registry)) => (
+                DispatchService::restore(
+                    scenario,
+                    config,
+                    service_clock,
+                    Arc::clone(&registry),
+                    text,
+                )?,
+                registry,
+            ),
+            None => {
+                if let Some(wal) = &config.wal {
+                    fresh_dir(&wal.dir);
+                }
+                let registry = self.registry();
+                let service =
+                    DispatchService::start(scenario, config, service_clock, Arc::clone(&registry))?;
+                (service, registry)
+            }
+        };
+        Ok(Live {
+            service,
+            clock,
+            registry,
+            injector,
+            violations: Vec::new(),
+        })
+    }
+
+    /// Offers epoch `e` of the standard request stream to `run`; an
+    /// ingest error is a violation.
+    fn offer(&self, run: &Live, e: u32, violations: &mut Vec<String>) {
+        let (shards, segments) = (self.config.num_shards, self.segments());
+        for event in request_events(e, shards, self.per_shard, segments) {
+            if let Err(err) = run.service.ingest(event) {
+                violations.push(format!("epoch {e}: unexpected ingest error: {err}"));
             }
         }
-    })
+    }
+
+    /// The twin experiment: drives the standard request stream through
+    /// every epoch under `plan`, and again on the plain service, with the
+    /// same boundary and end checks on both. Returns every violation of
+    /// either run followed by every difference between their ends.
+    fn twins(
+        &self,
+        name: &str,
+        plan: FaultPlan,
+        at_boundary: impl Fn(&Live, u32, &mut Vec<String>),
+        check: impl Fn(&mut Live),
+    ) -> Result<Vec<String>, ServeError> {
+        let one = |plan| -> Result<RunEnd, ServeError> {
+            let mut run = self.start(plan, None)?;
+            run.drive(
+                self.epochs,
+                |run, e, violations| self.offer(run, e, violations),
+                |run, e, _, violations| at_boundary(run, e, violations),
+            )?;
+            check(&mut run);
+            run.end()
+        };
+        let faulted = one(Some(plan))?;
+        let clean = one(None)?;
+        let diverged = divergences("twins", (name, &faulted), ("clean", &clean));
+        let mut out = faulted.violations;
+        out.extend(clean.violations.iter().map(|v| format!("clean twin: {v}")));
+        out.extend(diverged);
+        Ok(out)
+    }
+}
+
+impl Live {
+    /// Drives `epochs` epochs. `offer(run, e, violations)` feeds epoch
+    /// `e`'s requests: epoch 0 up front, every later epoch at the previous
+    /// boundary, right after `at_boundary(run, e, reports, violations)`.
+    /// What either reports joins the run's violations. Returns the
+    /// scheduler, for its overrun count.
+    fn drive(
+        &mut self,
+        epochs: u32,
+        mut offer: impl FnMut(&Live, u32, &mut Vec<String>),
+        mut at_boundary: impl FnMut(&Live, u32, &[EpochReport], &mut Vec<String>),
+    ) -> Result<EpochScheduler, ServeError> {
+        let mut violations = Vec::new();
+        let run = &*self;
+        let mut scheduler = EpochScheduler::for_service(&run.service)?;
+        offer(run, 0, &mut violations);
+        scheduler.run(&run.service, &*run.clock, epochs, |e, reports| {
+            at_boundary(run, e, reports, &mut violations);
+            if e + 1 < epochs {
+                offer(run, e + 1, &mut violations);
+            }
+        })?;
+        self.violations.append(&mut violations);
+        Ok(scheduler)
+    }
+
+    /// Snapshots the run, shuts it down, and returns its end state.
+    fn end(mut self) -> Result<RunEnd, ServeError> {
+        let end = RunEnd {
+            snapshot: self.service.snapshot()?,
+            metrics: self.service.metrics(),
+            wal_seq: self.service.wal_last_seq(),
+            trainer: self.service.trainer_status(),
+            policy: self.service.trainer_policy_text(),
+            violations: std::mem::take(&mut self.violations),
+        };
+        self.shutdown();
+        Ok(end)
+    }
+
+    /// Shuts the run down and empties its journal directory.
+    fn shutdown(self) {
+        let journal = self.service.config().wal.as_ref().map(|w| w.dir.clone());
+        self.service.shutdown();
+        if let Some(dir) = journal {
+            fresh_dir(&dir);
+        }
+    }
+}
+
+/// How two runs' ends differ — metrics, journal sequence, trainer status
+/// and policy, and the first byte where their snapshot texts differ — as
+/// violation messages under `label`; empty when the ends are identical.
+fn divergences(
+    label: &str,
+    (a_name, a): (&str, &RunEnd),
+    (b_name, b): (&str, &RunEnd),
+) -> Vec<String> {
+    let mut out = Vec::new();
+    if a.metrics != b.metrics {
+        out.push(format!(
+            "{label}: metrics diverged between the {a_name} and {b_name} runs"
+        ));
+    }
+    if a.wal_seq != b.wal_seq {
+        out.push(format!(
+            "{label}: journal at seq {} in the {a_name} run, {} in the {b_name} run",
+            a.wal_seq, b.wal_seq
+        ));
+    }
+    if a.trainer != b.trainer {
+        out.push(format!(
+            "{label}: trainer status diverged: {:?} vs {:?}",
+            a.trainer, b.trainer
+        ));
+    }
+    if a.policy != b.policy {
+        out.push(format!("{label}: trainer policy checkpoints diverged"));
+    }
+    if a.snapshot != b.snapshot {
+        let at = a
+            .snapshot
+            .bytes()
+            .zip(b.snapshot.bytes())
+            .position(|(x, y)| x != y)
+            .unwrap_or_else(|| a.snapshot.len().min(b.snapshot.len()));
+        out.push(format!(
+            "{label}: snapshot texts diverge at byte {at} ({a_name} {} bytes, {b_name} {} bytes)",
+            a.snapshot.len(),
+            b.snapshot.len()
+        ));
+    }
+    out
+}
+
+/// The admitted requests the shards account for: injected into a world,
+/// rejected by it, or still queued.
+fn accounted(metrics: &MetricsSnapshot) -> u64 {
+    metrics
+        .shards
+        .iter()
+        .map(|s| s.injected + s.rejected + s.queue_depth as u64)
+        .sum()
 }
 
 /// Runs the full service under `opts` and checks every invariant.
@@ -250,80 +483,72 @@ fn drive(
 /// rejected at restore) are part of the contract and checked, not
 /// propagated.
 pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeError> {
-    let scenario = Arc::new(chaos_scenario());
-    let injector = Arc::new(FaultInjector::new(opts.plan.clone()));
-    let scheduled = injector.scheduled();
-    let mut config = ServeConfig::new(SimConfig::small(6));
-    config.num_shards = opts.num_shards;
-    config.request_queue_capacity = opts.queue_capacity;
-    config.faults = Some(Arc::clone(&injector));
-    config.epoch_deadline_ms = Some(opts.deadline_ms);
-    config.auto_recover = true;
-    let registry = Arc::new(ModelRegistry::new(None, None));
-    let (service, clock) = start_on(&scenario, config, Arc::clone(&registry))?;
-    let segments = scenario.city.network.num_segments() as u32;
+    let mut arm = Arm::new(opts.num_shards, opts.epochs, opts.requests_per_epoch);
+    arm.config.request_queue_capacity = opts.queue_capacity;
+    arm.config.epoch_deadline_ms = Some(opts.deadline_ms);
+    arm.config.auto_recover = true;
+    let mut run = arm.start(Some(opts.plan.clone()), None)?;
+    let scheduled = run.injector.scheduled();
+    let segments = arm.segments();
     let retry = RetryPolicy::default();
-    let mut violations = Vec::new();
 
     // Offers are counted locally too, so the injector's bookkeeping is
     // cross-checked against an independent tally.
     let mut offered = 0u64;
     let mut rejected_corrupt = 0u64;
-    let mut ingest = |service: &DispatchService, epoch: u32| {
-        for event in request_events(epoch, opts.num_shards, opts.requests_per_epoch, segments) {
-            offered += 1;
-            match service.ingest_with_retry(event, &retry) {
-                Ok(_) => {}
-                Err(ServeError::World(_)) => rejected_corrupt += 1,
-                Err(e) => violations.push(format!("unexpected ingest error: {e}")),
+    let scheduler = run.drive(
+        opts.epochs,
+        |run, epoch, violations| {
+            let service = &run.service;
+            for event in request_events(epoch, opts.num_shards, opts.requests_per_epoch, segments) {
+                offered += 1;
+                match service.ingest_with_retry(event, &retry) {
+                    Ok(_) => {}
+                    Err(ServeError::World(_)) => rejected_corrupt += 1,
+                    Err(e) => violations.push(format!("unexpected ingest error: {e}")),
+                }
             }
-        }
-        // A couple of advisories per epoch keep the advisory path hot
-        // (one valid, one invalid — both bypass fault injection).
-        let _ = service.ingest(Event::Weather {
-            shard: epoch as usize % opts.num_shards,
-            hour: epoch % 4,
-            rain_mm: 1.5 + f64::from(epoch),
-        });
-        let _ = service.ingest(Event::RoadDamage {
-            shard: 0,
-            segment: SegmentId(u32::MAX),
-            hour: 0,
-            flooded: true,
-        });
-    };
-
-    let mut scheduler = EpochScheduler::for_service(&service)?;
-    let mut short_epochs = Vec::new();
-    ingest(&service, 0);
-    scheduler.run(&service, clock.as_ref(), opts.epochs, |e, reports| {
-        if reports.len() != opts.num_shards {
-            short_epochs.push(format!(
-                "epoch {e} produced {} reports for {} shards",
-                reports.len(),
-                opts.num_shards
-            ));
-        }
-        if e == opts.epochs / 2 {
-            // Exercise the hot-swap path mid-run with a valid policy —
-            // through the guarded rollout pipeline, like a deployment
-            // would. With the pipeline's default gates the candidate is
-            // usually still in flight at the end of the run, which drags
-            // the rollout state through the snapshot-integrity check.
-            let policy = mlp_to_text(&Mlp::new(&[FEATURE_DIM, 8, 1], 5));
-            match service.submit_rollout(None, Some(&policy)) {
-                Ok(_) => {}
-                // A scheduled checkpoint poison replaced the candidate in
-                // flight; the typed admission rejection *is* the contract.
-                Err(ServeError::Rollout(_)) if scheduled.poisoned_checkpoints > 0 => {}
-                Err(e) => short_epochs.push(format!("guarded rollout submission failed: {e}")),
+            // A couple of advisories per epoch keep the advisory path hot
+            // (one valid, one invalid — both bypass fault injection).
+            let _ = service.ingest(Event::Weather {
+                shard: epoch as usize % opts.num_shards,
+                hour: epoch % 4,
+                rain_mm: 1.5 + f64::from(epoch),
+            });
+            let _ = service.ingest(Event::RoadDamage {
+                shard: 0,
+                segment: SegmentId(u32::MAX),
+                hour: 0,
+                flooded: true,
+            });
+        },
+        |run, e, reports, violations| {
+            if reports.len() != opts.num_shards {
+                violations.push(format!(
+                    "epoch {e} produced {} reports for {} shards",
+                    reports.len(),
+                    opts.num_shards
+                ));
             }
-        }
-        if e + 1 < opts.epochs {
-            ingest(&service, e + 1);
-        }
-    })?;
-    violations.extend(short_epochs);
+            if e == opts.epochs / 2 {
+                // Exercise the hot-swap path mid-run with a valid policy —
+                // through the guarded rollout pipeline, like a deployment
+                // would. With the pipeline's default gates the candidate is
+                // usually still in flight at the end of the run, which drags
+                // the rollout state through the snapshot-integrity check.
+                let policy = mlp_to_text(&Mlp::new(&[FEATURE_DIM, 8, 1], 5));
+                match run.service.submit_rollout(None, Some(&policy)) {
+                    Ok(_) => {}
+                    // A scheduled checkpoint poison replaced the candidate in
+                    // flight; the typed admission rejection *is* the contract.
+                    Err(ServeError::Rollout(_)) if scheduled.poisoned_checkpoints > 0 => {}
+                    Err(e) => violations.push(format!("guarded rollout submission failed: {e}")),
+                }
+            }
+        },
+    )?;
+    let mut violations = std::mem::take(&mut run.violations);
+    let (service, injector) = (&run.service, &run.injector);
 
     let metrics = service.metrics();
     let counters = injector.counters();
@@ -373,11 +598,7 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
             metrics.requests_accepted, metrics.requests_shed
         ));
     }
-    let consumed: u64 = metrics
-        .shards
-        .iter()
-        .map(|s| s.injected + s.rejected + s.queue_depth as u64)
-        .sum();
+    let consumed = accounted(&metrics);
     if metrics.requests_accepted != consumed {
         violations.push(format!(
             "accepted {} but shards account for {consumed} (injected + rejected + queued)",
@@ -399,10 +620,14 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
             metrics.degraded_epochs
         ));
     }
+    // A stall and a swap failure on the same shard epoch degrade it once:
+    // the failed swap forces the fallback before the stalled dispatcher
+    // runs. So the shards count degraded shard epochs, not faults.
     let shard_degraded: u64 = metrics.shards.iter().map(|s| s.degraded).sum();
-    if shard_degraded != degrading {
+    let cells = opts.plan.degraded_cells(opts.epochs, opts.num_shards) as u64;
+    if shard_degraded != cells {
         violations.push(format!(
-            "shards report {shard_degraded} degraded epochs, {degrading} degrading faults fired"
+            "shards report {shard_degraded} degraded epochs, the plan degrades {cells} shard epochs"
         ));
     }
 
@@ -435,18 +660,15 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
     // service; a corrupted write is rejected with a typed error.
     let snapshot = service.snapshot()?;
     let wrote_corrupted = injector.counters().snapshot_corruptions > counters.snapshot_corruptions;
-    let restored = DispatchService::restore(
-        Arc::clone(&scenario),
-        service.config().clone(),
-        Arc::new(SimClock::new()) as Arc<dyn Clock>,
-        Arc::clone(&registry),
-        &snapshot,
+    let restored = arm.start(
+        Some(FaultPlan::empty()),
+        Some((&snapshot, Arc::clone(&run.registry))),
     );
     match restored {
         Ok(restored) => {
             if wrote_corrupted {
                 violations.push("corrupted snapshot restored without error".to_owned());
-            } else if restored.metrics() != metrics {
+            } else if restored.service.metrics() != metrics {
                 violations.push("restored metrics differ from the live service".to_owned());
             }
             restored.shutdown();
@@ -458,7 +680,7 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
     let counters = injector.counters();
     let overruns = scheduler.overruns();
     let obs = service.obs_snapshot();
-    service.shutdown();
+    run.shutdown();
     Ok(ChaosOutcome {
         seed,
         scheduled,
@@ -486,75 +708,33 @@ pub fn crash_replay_divergence(
     epochs: u32,
     num_shards: usize,
 ) -> Result<Vec<String>, ServeError> {
-    let scenario = Arc::new(chaos_scenario());
-    let mut plan = FaultPlan::empty();
-    for &(epoch, shard) in crashes {
-        plan = plan.with_crash(epoch, shard);
-    }
-    let injector = Arc::new(FaultInjector::new(plan));
-    let run =
-        |faults: Option<Arc<FaultInjector>>| -> Result<(String, MetricsSnapshot, u64), ServeError> {
-            let mut config = ServeConfig::new(SimConfig::small(6));
-            config.num_shards = num_shards;
-            config.request_queue_capacity = 8;
-            config.epoch_deadline_ms = Some(10);
-            config.auto_recover = faults.is_some();
-            config.faults = faults;
-            let registry = Arc::new(ModelRegistry::new(None, None));
-            let (service, clock) = start_on(&scenario, config, registry)?;
-            let segments = scenario.city.network.num_segments() as u32;
-            drive(&service, &clock, epochs, 4, segments, |_| {})?;
-            let snapshot = service.snapshot()?;
-            let metrics = service.metrics();
-            let restarts = service.shard_restarts();
-            service.shutdown();
-            Ok((snapshot, metrics, restarts))
-        };
-    let (faulted_snap, faulted_metrics, restarts) = run(Some(Arc::clone(&injector)))?;
-    let (clean_snap, clean_metrics, _) = run(None)?;
-    let mut divergences = Vec::new();
-    let crashes_fired = injector.counters().crashes;
-    if crashes_fired != crashes.len() as u64 {
-        divergences.push(format!(
-            "{crashes_fired} crashes fired, {} scheduled",
-            crashes.len()
-        ));
-    }
-    if restarts != crashes_fired {
-        divergences.push(format!("{restarts} restarts for {crashes_fired} crashes"));
-    }
-    if faulted_metrics != clean_metrics {
-        divergences
-            .push("metrics diverged between crashed+recovered and unfaulted runs".to_owned());
-    }
-    divergences.extend(first_divergence(
-        "snapshot texts",
-        ("faulted", &faulted_snap),
-        ("clean", &clean_snap),
-    ));
+    let mut arm = Arm::new(num_shards, epochs, 4);
+    arm.config.epoch_deadline_ms = Some(10);
+    arm.config.auto_recover = true;
+    let plan = crashes
+        .iter()
+        .fold(FaultPlan::empty(), |plan, &(epoch, shard)| {
+            plan.with_crash(epoch, shard)
+        });
+    let divergences = arm.twins(
+        "crashed",
+        plan,
+        |_, _, _| {},
+        |run| {
+            let fired = run.injector.counters().crashes;
+            let scheduled = run.injector.scheduled().crashes;
+            if fired != scheduled as u64 {
+                run.violations
+                    .push(format!("{fired} crashes fired, {scheduled} scheduled"));
+            }
+            let restarts = run.service.shard_restarts();
+            if restarts != fired {
+                run.violations
+                    .push(format!("{restarts} restarts for {fired} crashes"));
+            }
+        },
+    )?;
     Ok(divergences)
-}
-
-/// Where two twin runs' snapshot texts first differ, as a violation
-/// message naming both sides (`None` when they are identical).
-fn first_divergence(
-    label: &str,
-    (a_name, a): (&str, &str),
-    (b_name, b): (&str, &str),
-) -> Option<String> {
-    if a == b {
-        return None;
-    }
-    let at = a
-        .bytes()
-        .zip(b.bytes())
-        .position(|(x, y)| x != y)
-        .unwrap_or_else(|| a.len().min(b.len()));
-    Some(format!(
-        "{label} diverge at byte {at} ({a_name} {} bytes, {b_name} {} bytes)",
-        a.len(),
-        b.len()
-    ))
 }
 
 /// A *competent* incumbent policy for the gate harnesses: the shadow gate
@@ -638,7 +818,7 @@ impl RolloutChaosOptions {
 ///   with a typed error and never reaches the registry;
 /// * an admitted but **reward-tanking** candidate never serves a primary
 ///   dispatch (it dies in shadow), and its rejection leaves the registry
-///   pinned to the *exact* prior bundle (`Arc` identity);
+///   pinned to the *exact* prior bundle;
 /// * a run that saw every poison ends **bit-identical** — snapshot text
 ///   and metrics — to a twin run that never saw any poison, because every
 ///   guard fired before dispatch could be affected.
@@ -658,155 +838,111 @@ pub fn rollout_chaos_divergence(
     seed: u64,
     opts: &RolloutChaosOptions,
 ) -> Result<Vec<String>, ServeError> {
-    let scenario = Arc::new(chaos_scenario());
     // The incumbent (and the good candidate, which carries the same
     // weights) must be a competent dispatcher, not a random init.
     let good_net = competent_incumbent(seed);
     let good_text = mlp_to_text(&good_net);
-    let segments = scenario.city.network.num_segments() as u32;
-    let rollout_cfg = gate_rollout_config();
-    struct RunEnd {
-        snapshot: String,
-        metrics: MetricsSnapshot,
-        swaps: u64,
-        rollbacks: u64,
-        final_version: u64,
-        violations: Vec<String>,
-    }
-    let run = |poisons: &[CheckpointPoison]| -> Result<RunEnd, ServeError> {
-        let mut plan = FaultPlan::empty();
-        for &kind in poisons {
-            plan = plan.with_poisoned_checkpoint(kind);
-        }
-        let injector = Arc::new(FaultInjector::new(plan));
-        let mut config = ServeConfig::new(SimConfig::small(6));
-        config.num_shards = opts.num_shards;
-        config.request_queue_capacity = 8;
-        config.faults = Some(Arc::clone(&injector));
-        config.rollout = rollout_cfg.clone();
-        let registry = Arc::new(ModelRegistry::new(None, Some(good_net.clone())));
-        let v1 = registry.current();
-        let (service, clock) = start_on(&scenario, config, Arc::clone(&registry))?;
-        let mut violations = Vec::new();
-        let mut pending: VecDeque<CheckpointPoison> = poisons.iter().copied().collect();
-        let per_shard = opts.requests_per_epoch;
-        drive(&service, &clock, opts.epochs, per_shard, segments, |e| {
-            // One submission at a time: poisoned deliveries first, the
-            // genuine candidate at `good_at`. Every submission sends the
-            // *good* text — the injector swaps the poison in transit.
-            if e < opts.good_at && service.rollout_status().is_none() {
-                if let Some(kind) = pending.pop_front() {
-                    let outcome = service.submit_rollout(None, Some(&good_text));
-                    match (kind, outcome) {
-                        (CheckpointPoison::RewardTank, Ok(_)) => {}
-                        (
-                            CheckpointPoison::NanWeights | CheckpointPoison::WrongDims,
-                            Err(ServeError::Rollout(RolloutError::Probe { .. })),
-                        ) => {}
-                        (kind, outcome) => violations.push(format!(
-                            "epoch {e}: poisoned submission ({kind:?}) resolved as {outcome:?}"
-                        )),
-                    }
-                }
-            } else if e == opts.good_at {
-                if let Err(err) = service.submit_rollout(None, Some(&good_text)) {
-                    violations.push(format!("epoch {e}: good candidate rejected: {err}"));
+    let mut arm = Arm::new(opts.num_shards, opts.epochs, opts.requests_per_epoch);
+    arm.config.rollout = gate_rollout_config();
+    arm.incumbent = Some(good_net);
+    let plan = opts.poisons.iter().fold(FaultPlan::empty(), |plan, &kind| {
+        plan.with_poisoned_checkpoint(kind)
+    });
+    // A run's poisons are those its plan scheduled: the whole list for the
+    // poisoned twin, none for the clean one.
+    let poisons_of = |run: &Live| run.injector.scheduled().poisoned_checkpoints;
+    let at_boundary = |run: &Live, e: u32, violations: &mut Vec<String>| {
+        let service = &run.service;
+        // One submission at a time: poisoned deliveries first, the
+        // genuine candidate at `good_at`. Every submission sends the
+        // *good* text — the injector swaps the poison in transit.
+        let delivered = run.injector.counters().poisoned_checkpoints as usize;
+        if e < opts.good_at && service.rollout_status().is_none() {
+            if let Some(&kind) = opts.poisons[..poisons_of(run)].get(delivered) {
+                let outcome = service.submit_rollout(None, Some(&good_text));
+                match (kind, outcome) {
+                    (CheckpointPoison::RewardTank, Ok(_)) => {}
+                    (
+                        CheckpointPoison::NanWeights | CheckpointPoison::WrongDims,
+                        Err(ServeError::Rollout(RolloutError::Probe { .. })),
+                    ) => {}
+                    (kind, outcome) => violations.push(format!(
+                        "epoch {e}: poisoned submission ({kind:?}) resolved as {outcome:?}"
+                    )),
                 }
             }
-            // While poisons are being delivered and screened, nothing may
-            // serve but the exact original bundle: the registry still
-            // holds the v1 Arc and every shard dispatches at version 1.
-            if e < opts.good_at {
-                if !Arc::ptr_eq(&registry.current(), &v1) {
-                    violations.push(format!("epoch {e}: registry moved off the v1 bundle"));
-                }
-                for (i, s) in service.metrics().shards.iter().enumerate() {
-                    if s.model_version != 1 {
-                        violations.push(format!(
-                            "epoch {e}: shard {i} served model v{} during poison screening",
-                            s.model_version
-                        ));
-                    }
+        } else if e == opts.good_at {
+            if let Err(err) = service.submit_rollout(None, Some(&good_text)) {
+                violations.push(format!("epoch {e}: good candidate rejected: {err}"));
+            }
+        }
+        // While poisons are being delivered and screened, nothing may
+        // serve but the exact original bundle: the registry has seen no
+        // install and no restore (the only two writes to its slot), and
+        // every shard dispatches at version 1.
+        if e < opts.good_at {
+            if run.registry.swaps() + run.registry.rollbacks() != 0 {
+                violations.push(format!("epoch {e}: registry moved off the v1 bundle"));
+            }
+            for (i, s) in service.metrics().shards.iter().enumerate() {
+                if s.model_version != 1 {
+                    violations.push(format!(
+                        "epoch {e}: shard {i} served model v{} during poison screening",
+                        s.model_version
+                    ));
                 }
             }
-        })?;
-        if !pending.is_empty() {
-            violations.push(format!(
-                "{} poisons never submitted (good_at too early)",
-                pending.len()
-            ));
         }
+    };
+    let check = |run: &mut Live| {
+        let poisons = &opts.poisons[..poisons_of(run)];
         let tanks = poisons
             .iter()
             .filter(|p| matches!(p, CheckpointPoison::RewardTank))
             .count() as u64;
         let structural = poisons.len() as u64 - tanks;
-        let counters = service.rollout_counters();
+        let counters = run.service.rollout_counters();
+        let fired = run.injector.counters().poisoned_checkpoints;
+        let (swaps, rollbacks) = (run.registry.swaps(), run.registry.rollbacks());
+        let version = run.registry.current().version;
+        let v = &mut run.violations;
+        if fired != poisons.len() as u64 {
+            v.push(format!(
+                "{fired} poisons submitted, {} scheduled (good_at too early?)",
+                poisons.len()
+            ));
+        }
         if counters.rejected != structural {
-            violations.push(format!(
+            v.push(format!(
                 "{} admission rejections for {structural} structural poisons",
                 counters.rejected
             ));
         }
         if counters.admitted != tanks + 1 {
-            violations.push(format!(
+            v.push(format!(
                 "{} admissions for {tanks} reward tanks plus the good candidate",
                 counters.admitted
             ));
         }
         if counters.rolled_back != tanks {
-            violations.push(format!(
+            v.push(format!(
                 "{} rollbacks for {tanks} reward tanks",
                 counters.rolled_back
             ));
         }
-        if injector.counters().poisoned_checkpoints != poisons.len() as u64 {
-            violations.push(format!(
-                "{} poisons fired, {} scheduled",
-                injector.counters().poisoned_checkpoints,
-                poisons.len()
+        if run.service.rollout_status().is_some() {
+            v.push("rollout still in flight at end of run".to_owned());
+        }
+        // The good candidate promoted exactly once; no poison ever made it
+        // far enough to need a registry-level rollback.
+        if swaps != 1 || rollbacks != 0 || version != 2 {
+            v.push(format!(
+                "run ended at v{version} with {swaps} swaps, {rollbacks} rollbacks \
+                 (expected v2, 1, 0)"
             ));
         }
-        if service.rollout_status().is_some() {
-            violations.push("rollout still in flight at end of run".to_owned());
-        }
-        let snapshot = service.snapshot()?;
-        let metrics = service.metrics();
-        let end = RunEnd {
-            snapshot,
-            metrics,
-            swaps: registry.swaps(),
-            rollbacks: registry.rollbacks(),
-            final_version: registry.current().version,
-            violations,
-        };
-        service.shutdown();
-        Ok(end)
     };
-    let mut faulted = run(&opts.poisons)?;
-    let clean = run(&[])?;
-    let mut divergences = std::mem::take(&mut faulted.violations);
-    for v in &clean.violations {
-        divergences.push(format!("clean twin: {v}"));
-    }
-    // The good candidate promoted exactly once in both runs; no poison
-    // ever made it far enough to need a registry-level rollback.
-    for (name, end) in [("faulted", &faulted), ("clean", &clean)] {
-        if end.swaps != 1 || end.rollbacks != 0 || end.final_version != 2 {
-            divergences.push(format!(
-                "{name} run ended at v{} with {} swaps, {} rollbacks (expected v2, 1, 0)",
-                end.final_version, end.swaps, end.rollbacks
-            ));
-        }
-    }
-    if faulted.metrics != clean.metrics {
-        divergences.push("metrics diverged between poisoned and clean runs".to_owned());
-    }
-    divergences.extend(first_divergence(
-        "snapshot texts",
-        ("poisoned", &faulted.snapshot),
-        ("clean", &clean.snapshot),
-    ));
+    let divergences = arm.twins("poisoned", plan, at_boundary, check)?;
     Ok(divergences)
 }
 
@@ -862,85 +998,24 @@ pub fn trainer_chaos_divergence(
     seed: u64,
     opts: &TrainerChaosOptions,
 ) -> Result<Vec<String>, ServeError> {
-    let scenario = Arc::new(chaos_scenario());
-    let segments = scenario.city.network.num_segments() as u32;
+    let mut base = Arm::new(opts.num_shards, opts.epochs, opts.requests_per_epoch);
+    base.config.rollout = gate_rollout_config();
     // The shadow gate can only kill a reward-tanking flood candidate when
     // the incumbent reliably out-picks it.
-    let incumbent = competent_incumbent(seed);
-    let rollout_cfg = gate_rollout_config();
-    let trainer_cfg = |candidate_every: u32| TrainerConfig {
-        min_replay: 8,
-        batch_size: 4,
-        steps_per_epoch: 2,
-        candidate_every,
-        hidden: vec![8],
-        seed,
-        ..TrainerConfig::default()
+    base.incumbent = Some(competent_incumbent(seed));
+    let arm = |candidate_every: u32| {
+        let mut arm = base.clone();
+        arm.config.trainer = Some(TrainerConfig {
+            min_replay: 8,
+            batch_size: 4,
+            steps_per_epoch: 2,
+            candidate_every,
+            hidden: vec![8],
+            seed,
+            ..TrainerConfig::default()
+        });
+        arm
     };
-    struct RunEnd {
-        snapshot: String,
-        metrics: MetricsSnapshot,
-        status: crate::trainer::TrainerStatus,
-        policy_text: String,
-        swaps: u64,
-        final_version: u64,
-        fired: FaultCounters,
-        offered: u64,
-        accepted: u64,
-        shed: u64,
-        submitted: u64,
-        admitted: u64,
-        rejected: u64,
-        violations: Vec<String>,
-    }
-    let run =
-        |plan: FaultPlan, candidate_every: u32, check_pinned: bool| -> Result<RunEnd, ServeError> {
-            let injector = Arc::new(FaultInjector::new(plan));
-            let mut config = ServeConfig::new(SimConfig::small(6));
-            config.num_shards = opts.num_shards;
-            config.request_queue_capacity = 8;
-            config.rollout = rollout_cfg.clone();
-            config.trainer = Some(trainer_cfg(candidate_every));
-            config.faults = Some(Arc::clone(&injector));
-            let registry = Arc::new(ModelRegistry::new(None, Some(incumbent.clone())));
-            let (service, clock) = start_on(&scenario, config, Arc::clone(&registry))?;
-            let mut violations = Vec::new();
-            let per_shard = opts.requests_per_epoch;
-            drive(&service, &clock, opts.epochs, per_shard, segments, |e| {
-                if check_pinned {
-                    // With emission disabled, every submission this run ever
-                    // makes is an injected stale candidate — primary dispatch
-                    // must stay pinned to v1 on every shard at every epoch.
-                    for (i, s) in service.metrics().shards.iter().enumerate() {
-                        if s.model_version != 1 {
-                            violations.push(format!(
-                            "epoch {e}: shard {i} served model v{} under a stale-candidate flood",
-                            s.model_version
-                        ));
-                        }
-                    }
-                }
-            })?;
-            let o = service.obs();
-            let end = RunEnd {
-                snapshot: service.snapshot()?,
-                metrics: service.metrics(),
-                status: service.trainer_status().expect("trainer configured"),
-                policy_text: service.trainer_policy_text().expect("trainer configured"),
-                swaps: registry.swaps(),
-                final_version: registry.current().version,
-                fired: injector.counters(),
-                offered: o.counter("train.transitions_offered").value(),
-                accepted: o.counter("train.transitions_accepted").value(),
-                shed: o.counter("train.transitions_shed").value(),
-                submitted: o.counter("train.candidates_submitted").value(),
-                admitted: o.counter("train.candidates_admitted").value(),
-                rejected: o.counter("train.candidates_rejected").value(),
-                violations,
-            };
-            service.shutdown();
-            Ok(end)
-        };
 
     // Arm A: seeded floods and transition drops, with one of each forced
     // so every seed exercises both kinds.
@@ -954,78 +1029,96 @@ pub fn trainer_chaos_divergence(
     let plan_a = FaultPlan::generate(seed, &flood_drop_cfg)
         .with_trainer_fault(2, TrainerFault::StaleCandidateFlood(2))
         .with_trainer_fault(3, TrainerFault::TransitionDrop);
-    let a = run(plan_a, 0, true)?;
-    let mut divergences = a.violations;
-    if a.fired.trainer_floods == 0 || a.fired.trainer_drops == 0 {
+    // With emission disabled, every submission this run ever makes is an
+    // injected stale candidate — primary dispatch must stay pinned to v1
+    // on every shard at every epoch.
+    let arm_a = arm(0);
+    let mut a = arm_a.start(Some(plan_a), None)?;
+    a.drive(
+        opts.epochs,
+        |run, e, violations| arm_a.offer(run, e, violations),
+        |run, e, _, violations| {
+            for (i, s) in run.service.metrics().shards.iter().enumerate() {
+                if s.model_version != 1 {
+                    violations.push(format!(
+                        "epoch {e}: shard {i} served model v{} under a stale-candidate flood",
+                        s.model_version
+                    ));
+                }
+            }
+        },
+    )?;
+    let fired = a.injector.counters();
+    let status = a.service.trainer_status().expect("trainer configured");
+    let obs = a.service.obs();
+    let count = |name: &str| obs.counter(name).value();
+    let offered = count("train.transitions_offered");
+    let accepted = count("train.transitions_accepted");
+    let shed = count("train.transitions_shed");
+    let submitted = count("train.candidates_submitted");
+    let admitted = count("train.candidates_admitted");
+    let rejected = count("train.candidates_rejected");
+    let (swaps, final_version) = (a.registry.swaps(), a.registry.current().version);
+    let mut divergences = std::mem::take(&mut a.violations);
+    if fired.trainer_floods == 0 || fired.trainer_drops == 0 {
         divergences.push(format!(
             "arm A fired {} floods / {} drops, expected at least one of each",
-            a.fired.trainer_floods, a.fired.trainer_drops
+            fired.trainer_floods, fired.trainer_drops
         ));
     }
-    if a.offered != a.accepted + a.shed {
+    if offered != accepted + shed {
         divergences.push(format!(
-            "transition conservation broken: offered {} != accepted {} + shed {}",
-            a.offered, a.accepted, a.shed
+            "transition conservation broken: offered {offered} != accepted {accepted} + shed {shed}"
         ));
     }
-    if a.accepted != a.status.accepted || a.shed != a.status.shed || a.offered != a.status.offered {
+    if accepted != status.accepted || shed != status.shed || offered != status.offered {
         divergences.push(format!(
-            "registry counters ({}/{}/{}) disagree with trainer status ({}/{}/{})",
-            a.offered, a.accepted, a.shed, a.status.offered, a.status.accepted, a.status.shed
+            "registry counters ({offered}/{accepted}/{shed}) disagree with trainer status ({}/{}/{})",
+            status.offered, status.accepted, status.shed
         ));
     }
-    if a.offered == 0 {
+    if offered == 0 {
         divergences.push("no transitions ever offered — the tap is dead".to_owned());
     }
-    if a.status.steps == 0 {
+    if status.steps == 0 {
         divergences.push("trainer never learned under flood/drop faults".to_owned());
     }
-    if a.submitted == 0 || a.submitted != a.admitted + a.rejected {
+    if submitted == 0 || submitted != admitted + rejected {
         divergences.push(format!(
-            "candidate accounting broken: submitted {} admitted {} rejected {}",
-            a.submitted, a.admitted, a.rejected
+            "candidate accounting broken: submitted {submitted} admitted {admitted} rejected {rejected}"
         ));
     }
-    if a.swaps != 0 || a.final_version != 1 {
+    if swaps != 0 || final_version != 1 {
         divergences.push(format!(
-            "stale-candidate flood reached the registry: v{} after {} swaps",
-            a.final_version, a.swaps
+            "stale-candidate flood reached the registry: v{final_version} after {swaps} swaps"
         ));
     }
+    a.shutdown();
 
     // Arm B: seeded boundary crashes (one forced) against an unfaulted
-    // twin — recovery must be bit-identical.
+    // twin — recovery must be bit-identical, trainer state included.
     let crash_cfg = FaultPlanConfig {
         trainer_horizon: opts.epochs,
         p_trainer_crash: 0.20,
         ..FaultPlanConfig::quiet(opts.epochs, opts.num_shards)
     };
     let plan_b = FaultPlan::generate(seed, &crash_cfg).with_trainer_fault(1, TrainerFault::Crash);
-    let faulted = run(plan_b, 5, false)?;
-    let clean = run(FaultPlan::empty(), 5, false)?;
-    for v in clean.violations {
-        divergences.push(format!("clean twin: {v}"));
-    }
-    if faulted.fired.trainer_crashes == 0 {
-        divergences.push("arm B fired no trainer crashes".to_owned());
-    }
-    if faulted.status != clean.status {
-        divergences.push(format!(
-            "trainer status diverged after crash recovery: {:?} vs {:?}",
-            faulted.status, clean.status
-        ));
-    }
-    if faulted.policy_text != clean.policy_text {
-        divergences.push("trainer policy checkpoint diverged after crash recovery".to_owned());
-    }
-    if faulted.metrics != clean.metrics {
-        divergences.push("metrics diverged between crashed and unfaulted trainer runs".to_owned());
-    }
-    divergences.extend(first_divergence(
-        "snapshot texts",
-        ("crashed", &faulted.snapshot),
-        ("clean", &clean.snapshot),
-    ));
+    let twins = arm(5).twins(
+        "crashed",
+        plan_b,
+        |_, _, _| {},
+        |run| {
+            // Every crash in the horizon fires: the clean twin fires none.
+            let fired = run.injector.counters().trainer_crashes;
+            let scheduled = run.injector.scheduled().trainer;
+            if fired != scheduled as u64 {
+                run.violations.push(format!(
+                    "arm B fired {fired} of {scheduled} trainer crashes"
+                ));
+            }
+        },
+    )?;
+    divergences.extend(twins);
     Ok(divergences)
 }
 
@@ -1068,25 +1161,7 @@ fn fresh_dir(dir: &Path) {
     let _ = fs::remove_dir_all(dir);
 }
 
-fn wal_serve_config(
-    opts: &WalChaosOptions,
-    dir: &Path,
-    faults: Option<Arc<FaultInjector>>,
-) -> ServeConfig {
-    let mut config = ServeConfig::new(SimConfig::small(6));
-    config.num_shards = opts.num_shards;
-    config.request_queue_capacity = 8;
-    config.faults = faults;
-    let mut wal = WalConfig::new(dir);
-    // One segment keeps the crash arm's byte-offset arithmetic over a
-    // single file; rotation/compaction have their own unit coverage.
-    wal.segment_max_bytes = 1 << 20;
-    wal.fsync = FsyncPolicy::Always;
-    config.wal = Some(wal);
-    config
-}
-
-/// The one journal segment a [`wal_serve_config`] run produced.
+/// The one journal segment a [`Arm::journaled`] run produced.
 fn only_segment(dir: &Path) -> Result<PathBuf, String> {
     let mut segs: Vec<PathBuf> = fs::read_dir(dir)
         .map_err(|e| format!("journal dir unreadable: {e}"))?
@@ -1119,8 +1194,9 @@ fn only_segment(dir: &Path) -> Result<PathBuf, String> {
 ///   service.
 ///
 /// **Arm A2 (stall-only twin):** a run whose appends stall on fsync ends
-/// **bit-identical** — snapshot text and metrics — to a twin that never
-/// stalled: durability latency must never leak into state.
+/// **bit-identical** — snapshot text, metrics and journal sequence — to a
+/// twin that never stalled: durability latency must never leak into
+/// state.
 ///
 /// **Arm B (kill -9 at any byte):** a reference run snapshots at the
 /// halfway boundary, journals one more epoch's offers, then finishes
@@ -1146,46 +1222,36 @@ fn only_segment(dir: &Path) -> Result<PathBuf, String> {
 /// refusals and the arm-C corrupt rejection are the contract, not
 /// errors).
 pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<String>, ServeError> {
-    let scenario = Arc::new(chaos_scenario());
-    let segments = scenario.city.network.num_segments() as u32;
+    let base = Arm::new(opts.num_shards, opts.epochs, opts.requests_per_epoch);
+    let segments = base.segments();
     let mut violations = Vec::new();
 
     // ---- Arm A: seeded torn appends + fsync stalls, one of each forced.
     {
-        let dir = wal_chaos_dir(seed, "a");
-        fresh_dir(&dir);
         let cfg = FaultPlanConfig::wal_chaos(opts.epochs, opts.num_shards);
         let plan = FaultPlan::generate(seed, &cfg)
             .with_wal_fault(1, WalFault::TornAppend)
             .with_wal_fault(4, WalFault::FsyncStall(7));
-        let injector = Arc::new(FaultInjector::new(plan));
-        let config = wal_serve_config(opts, &dir, Some(Arc::clone(&injector)));
-        let registry = Arc::new(ModelRegistry::new(None, None));
-        let (service, clock) = start_on(&scenario, config, Arc::clone(&registry))?;
+        let arm = base.journaled(&wal_chaos_dir(seed, "a"));
+        let mut run = arm.start(Some(plan), None)?;
         let mut torn_refused = 0u64;
-        let mut ingest_errors = Vec::new();
-        {
-            let mut offer = |service: &DispatchService, epoch: u32| {
+        run.drive(
+            opts.epochs,
+            |run, epoch, violations| {
                 for event in
                     request_events(epoch, opts.num_shards, opts.requests_per_epoch, segments)
                 {
-                    match service.ingest(event) {
+                    match run.service.ingest(event) {
                         Ok(_) => {}
                         Err(ServeError::Wal(WalError::TornTail { .. })) => torn_refused += 1,
-                        Err(e) => ingest_errors.push(format!("unexpected ingest error: {e}")),
+                        Err(e) => violations.push(format!("unexpected ingest error: {e}")),
                     }
                 }
-            };
-            let mut scheduler = EpochScheduler::for_service(&service)?;
-            offer(&service, 0);
-            scheduler.run(&service, clock.as_ref(), opts.epochs, |e, _| {
-                if e + 1 < opts.epochs {
-                    offer(&service, e + 1);
-                }
-            })?;
-        }
-        violations.extend(ingest_errors);
-        let counters = injector.counters();
+            },
+            |_, _, _, _| {},
+        )?;
+        violations.append(&mut run.violations);
+        let counters = run.injector.counters();
         if counters.wal_torn == 0 {
             violations.push("arm A fired no torn appends".to_owned());
         }
@@ -1199,12 +1265,8 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
             ));
         }
         // Conservation: acked == dispatched + still_journaled.
-        let metrics = service.metrics();
-        let consumed: u64 = metrics
-            .shards
-            .iter()
-            .map(|s| s.injected + s.rejected + s.queue_depth as u64)
-            .sum();
+        let metrics = run.service.metrics();
+        let consumed = accounted(&metrics);
         if metrics.requests_accepted != consumed {
             violations.push(format!(
                 "acked {} but shards account for {consumed} (dispatched + still journaled)",
@@ -1213,50 +1275,33 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
         }
         // Every injected tear self-healed: the journal directory restores
         // to an equal service.
-        let snapshot = service.snapshot()?;
-        match DispatchService::restore(
-            Arc::clone(&scenario),
-            service.config().clone(),
-            Arc::new(SimClock::new()) as Arc<dyn Clock>,
-            Arc::clone(&registry),
-            &snapshot,
+        let snapshot = run.service.snapshot()?;
+        match arm.start(
+            Some(FaultPlan::empty()),
+            Some((&snapshot, Arc::clone(&run.registry))),
         ) {
             Ok(restored) => {
+                let restored = restored.service;
                 if restored.metrics() != metrics {
                     violations
                         .push("arm A restore over the torn journal diverged from live".to_owned());
                 }
-                if restored.wal_last_seq() != service.wal_last_seq() {
+                if restored.wal_last_seq() != run.service.wal_last_seq() {
                     violations.push(format!(
                         "arm A restore recovered journal seq {}, live is at {}",
                         restored.wal_last_seq(),
-                        service.wal_last_seq()
+                        run.service.wal_last_seq()
                     ));
                 }
                 restored.shutdown();
             }
             Err(e) => violations.push(format!("arm A journal unrecoverable after tears: {e}")),
         }
-        service.shutdown();
-        fresh_dir(&dir);
+        run.shutdown();
     }
 
     // ---- Arm A2: fsync stalls must never leak into state.
     {
-        let run = |arm: &str, plan: FaultPlan| -> Result<(String, MetricsSnapshot), ServeError> {
-            let dir = wal_chaos_dir(seed, arm);
-            fresh_dir(&dir);
-            let injector = Arc::new(FaultInjector::new(plan));
-            let config = wal_serve_config(opts, &dir, Some(injector));
-            let registry = Arc::new(ModelRegistry::new(None, None));
-            let (service, clock) = start_on(&scenario, config, registry)?;
-            let per_shard = opts.requests_per_epoch;
-            drive(&service, &clock, opts.epochs, per_shard, segments, |_| {})?;
-            let end = (service.snapshot()?, service.metrics());
-            service.shutdown();
-            fresh_dir(&dir);
-            Ok(end)
-        };
         let stall_cfg = FaultPlanConfig {
             wal_horizon: 64,
             p_wal_stall: 0.5,
@@ -1264,57 +1309,47 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
             ..FaultPlanConfig::quiet(opts.epochs, opts.num_shards)
         };
         let plan = FaultPlan::generate(seed, &stall_cfg).with_wal_fault(0, WalFault::FsyncStall(5));
-        let (stalled_snap, stalled_metrics) = run("a2s", plan)?;
-        let (clean_snap, clean_metrics) = run("a2c", FaultPlan::empty())?;
-        if stalled_metrics != clean_metrics {
-            violations.push("metrics diverged between stalled and clean journal runs".to_owned());
-        }
-        violations.extend(first_divergence(
-            "stall twin snapshots",
-            ("stalled", &stalled_snap),
-            ("clean", &clean_snap),
-        ));
+        let arm = base.journaled(&wal_chaos_dir(seed, "a2"));
+        let twins = arm.twins("stalled", plan, |_, _, _| {}, |_| {})?;
+        violations.extend(twins);
     }
 
     // ---- Arm B: kill -9 at any byte of the journal.
     {
         let mid = (opts.epochs / 2).max(1);
         let dir = wal_chaos_dir(seed, "ref");
-        fresh_dir(&dir);
-        let config = wal_serve_config(opts, &dir, None);
-        let registry = Arc::new(ModelRegistry::new(None, None));
-        let (service, clock) = start_on(&scenario, config, registry)?;
-        let per_shard = opts.requests_per_epoch;
-        drive(&service, &clock, mid, per_shard, segments, |_| {})?;
+        let mut reference = base.journaled(&dir).start(None, None)?;
+        reference.drive(
+            mid,
+            |run, e, violations| base.offer(run, e, violations),
+            |_, _, _, _| {},
+        )?;
         // The boundary snapshot pins the journal high-water mark; every
         // offer after it lives only in the journal until dispatched.
-        let boundary_snapshot = service.snapshot()?;
-        let hwm = service.wal_last_seq();
+        let boundary_snapshot = reference.service.snapshot()?;
+        let hwm = reference.service.wal_last_seq();
         let segment = match only_segment(&dir) {
             Ok(p) => p,
             Err(why) => {
                 violations.push(format!("arm B: {why}"));
-                service.shutdown();
-                fresh_dir(&dir);
+                reference.shutdown();
                 return Ok(violations);
             }
         };
-        let prefix_len = fs::read(&segment)
-            .map_err(|e| ServeError::Io(format!("read {}: {e}", segment.display())))?
-            .len();
-        let post: Vec<Event> =
-            request_events(mid, opts.num_shards, opts.requests_per_epoch, segments);
+        let read_segment = || {
+            fs::read(&segment)
+                .map_err(|e| ServeError::Io(format!("read {}: {e}", segment.display())))
+        };
+        let prefix_len = read_segment()?.len();
+        let post = request_events(mid, opts.num_shards, opts.requests_per_epoch, segments);
         for event in post.iter().cloned() {
-            service.ingest(event)?;
+            reference.service.ingest(event)?;
         }
-        let journal = fs::read(&segment)
-            .map_err(|e| ServeError::Io(format!("read {}: {e}", segment.display())))?;
-        let mut tail = EpochScheduler::for_service(&service)?;
-        tail.run(&service, clock.as_ref(), opts.epochs - mid, |_, _| {})?;
-        let reference_snapshot = service.snapshot()?;
-        let reference_metrics = service.metrics();
-        let reference_seq = service.wal_last_seq();
-        service.shutdown();
+        let journal = read_segment()?;
+        let tail = opts.epochs - mid;
+        reference.drive(tail, |_, _, _| {}, |_, _, _, _| {})?;
+        let mut reference = reference.end()?;
+        violations.append(&mut reference.violations);
 
         if journal.len() <= prefix_len {
             violations.push("arm B journal never grew past the boundary snapshot".to_owned());
@@ -1322,15 +1357,12 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
             // Crash offsets: both endpoints plus seeded interior bytes —
             // interior cuts usually land mid-record, exercising the torn
             // tail truncation on the recovery path.
-            let span = (journal.len() - prefix_len) as u64;
+            let span = journal.len() - prefix_len;
+            let mut rng = family_stream(seed, "wal-crash-points");
             let mut cuts = vec![prefix_len, journal.len()];
-            let mut x = seed ^ 0x0007_7a1c_4a05_u64;
-            for _ in 0..opts.interior_crash_points {
-                x = x
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                cuts.push(prefix_len + (x % span) as usize);
-            }
+            cuts.extend(
+                (0..opts.interior_crash_points).map(|_| prefix_len + rng.random_range(0..span)),
+            );
             cuts.sort_unstable();
             cuts.dedup();
             let segment_file = segment.file_name().expect("segment has a name").to_owned();
@@ -1341,16 +1373,10 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
                     .map_err(|e| ServeError::Io(format!("create {}: {e}", crash_dir.display())))?;
                 fs::write(crash_dir.join(&segment_file), &journal[..cut])
                     .map_err(|e| ServeError::Io(format!("write truncated journal: {e}")))?;
-                let config = wal_serve_config(opts, &crash_dir, None);
-                let clock: Arc<SimClock> = Arc::new(SimClock::new());
-                let restored = DispatchService::restore(
-                    Arc::clone(&scenario),
-                    config,
-                    Arc::clone(&clock) as Arc<dyn Clock>,
-                    Arc::new(ModelRegistry::new(None, None)),
-                    &boundary_snapshot,
-                )?;
-                let recovered = restored.wal_last_seq();
+                let mut crashed = base
+                    .journaled(&crash_dir)
+                    .start(None, Some((&boundary_snapshot, base.registry())))?;
+                let recovered = crashed.service.wal_last_seq();
                 if recovered < hwm {
                     violations.push(format!(
                         "crash at byte {cut}: recovery lost journal seq {recovered} below \
@@ -1362,56 +1388,32 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
                 // that suffix, in order.
                 let missing = (hwm + post.len() as u64 - recovered) as usize;
                 for event in post[post.len() - missing..].iter().cloned() {
-                    restored.ingest(event)?;
+                    crashed.service.ingest(event)?;
                 }
-                let mut tail = EpochScheduler::for_service(&restored)?;
-                tail.run(&restored, clock.as_ref(), opts.epochs - mid, |_, _| {})?;
-                let crashed_snapshot = restored.snapshot()?;
-                if restored.metrics() != reference_metrics {
-                    violations.push(format!(
-                        "crash at byte {cut}: metrics diverged from the never-crashed twin"
-                    ));
-                }
-                if restored.wal_last_seq() != reference_seq {
-                    violations.push(format!(
-                        "crash at byte {cut}: journal resumed at seq {}, twin at {reference_seq}",
-                        restored.wal_last_seq()
-                    ));
-                }
-                violations.extend(first_divergence(
-                    &format!("crash at byte {cut}: snapshots"),
-                    ("crashed", &crashed_snapshot),
-                    ("twin", &reference_snapshot),
+                crashed.drive(tail, |_, _, _| {}, |_, _, _, _| {})?;
+                let crashed = crashed.end()?;
+                violations.extend(divergences(
+                    &format!("crash at byte {cut}"),
+                    ("crashed", &crashed),
+                    ("reference", &reference),
                 ));
-                restored.shutdown();
-                fresh_dir(&crash_dir);
             }
         }
-        fresh_dir(&dir);
     }
 
     // ---- Arm C: an interior bit flip is a typed refusal, never a panic.
     {
-        let dir = wal_chaos_dir(seed, "c");
-        fresh_dir(&dir);
         let plan = FaultPlan::empty().with_wal_fault(2, WalFault::SegmentBitFlip);
-        let injector = Arc::new(FaultInjector::new(plan));
-        let config = wal_serve_config(opts, &dir, Some(Arc::clone(&injector)));
-        let (service, _) = start_on(&scenario, config, Arc::new(ModelRegistry::new(None, None)))?;
+        let arm = base.journaled(&wal_chaos_dir(seed, "c"));
+        let run = arm.start(Some(plan), None)?;
         for event in request_events(0, opts.num_shards, opts.requests_per_epoch, segments) {
-            let _ = service.ingest(event);
+            let _ = run.service.ingest(event);
         }
-        if injector.counters().wal_bitflips == 0 {
+        if run.injector.counters().wal_bitflips == 0 {
             violations.push("arm C fired no bit flips".to_owned());
         }
-        let snapshot = service.snapshot()?;
-        match DispatchService::restore(
-            Arc::clone(&scenario),
-            service.config().clone(),
-            Arc::new(SimClock::new()) as Arc<dyn Clock>,
-            Arc::new(ModelRegistry::new(None, None)),
-            &snapshot,
-        ) {
+        let snapshot = run.service.snapshot()?;
+        match arm.start(Some(FaultPlan::empty()), Some((&snapshot, arm.registry()))) {
             Err(ServeError::Wal(WalError::Corrupt { segment, .. })) => {
                 if segment.is_empty() {
                     violations.push("arm C corrupt refusal names no segment".to_owned());
@@ -1419,13 +1421,29 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
             }
             Ok(restored) => {
                 violations.push("bit-flipped journal recovered without error".to_owned());
-                restored.shutdown();
+                restored.service.shutdown();
             }
             Err(e) => violations.push(format!("arm C refused with the wrong error: {e}")),
         }
-        service.shutdown();
-        fresh_dir(&dir);
+        run.shutdown();
     }
 
     Ok(violations)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_stall_masked_by_a_failed_swap_degrades_its_shard_epoch_once() {
+        let mut opts = ChaosOptions::seeded(8, 3, 2);
+        opts.plan = FaultPlan::empty()
+            .with_stall(1, 0, 50)
+            .with_swap_failure(1, 0);
+        let outcome = run_chaos(8, &opts).expect("chaos run completes");
+        assert!(outcome.ok(), "{}", outcome.summary());
+        assert_eq!(outcome.counters.degrading(), 2);
+        assert_eq!(outcome.metrics.shards[0].degraded, 1);
+    }
 }

@@ -10,7 +10,9 @@
 //! [`crate::DispatchService`] and its shard workers.
 //!
 //! Determinism is the whole point. The plan is fully decided up front from
-//! a seed (via the vendored `rand` shim), every fault is consumed
+//! a seed (via the vendored `rand` shim), each fault family drawing from
+//! its own stream seeded by `hash(seed, family)` so that arming one family
+//! never shifts another's schedule; every fault is consumed
 //! one-shot, and the service runs on a [`crate::SimClock`] in tests — so a
 //! chaos run is a pure function of `(scenario seed, fault seed)` and every
 //! failure reproduces exactly. Consuming faults one-shot is also what
@@ -21,11 +23,11 @@
 use mobirescue_core::rl_dispatch::FEATURE_DIM;
 use mobirescue_rl::nn::Mlp;
 use mobirescue_rl::persist::mlp_to_text;
+use mobirescue_sim::fnv1a_64_bytes;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A fault applied to one rescue request offered to
 /// [`crate::DispatchService::ingest`].
@@ -140,7 +142,10 @@ pub enum SnapshotCorruption {
 }
 
 /// Probabilities and horizons from which a seeded [`FaultPlan`] is drawn.
-#[derive(Debug, Clone)]
+///
+/// The default arms nothing: it is [`FaultPlanConfig::quiet`] over zero
+/// epochs and shards.
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlanConfig {
     /// Epochs the schedule covers (shard faults are drawn per epoch).
     pub epochs: u32,
@@ -209,12 +214,10 @@ pub struct FaultPlanConfig {
 }
 
 impl FaultPlanConfig {
-    /// The standard chaos mix: every fault kind armed with moderate
-    /// probability.
+    /// The standard chaos mix: every ingestion and shard fault kind armed
+    /// with moderate probability.
     pub fn chaos(epochs: u32, num_shards: usize) -> Self {
         Self {
-            epochs,
-            num_shards,
             ingest_horizon: 256,
             p_drop: 0.08,
             p_delay: 0.08,
@@ -225,22 +228,8 @@ impl FaultPlanConfig {
             p_crash: 0.08,
             p_swap_fail: 0.06,
             stall_ms: 50,
-            snapshot_corruptions: 0,
-            poisoned_checkpoints: 0,
-            conn_horizon: 0,
-            p_conn_disconnect: 0.0,
-            p_conn_torn: 0.0,
-            p_conn_slowloris: 0.0,
-            trainer_horizon: 0,
-            p_trainer_crash: 0.0,
-            p_trainer_flood: 0.0,
-            p_trainer_drop: 0.0,
             trainer_flood_len: 3,
-            wal_horizon: 0,
-            p_wal_torn: 0.0,
-            p_wal_bitflip: 0.0,
-            p_wal_stall: 0.0,
-            wal_stall_ms: 0,
+            ..Self::quiet(epochs, num_shards)
         }
     }
 
@@ -295,32 +284,8 @@ impl FaultPlanConfig {
         Self {
             epochs,
             num_shards,
-            ingest_horizon: 0,
-            p_drop: 0.0,
-            p_delay: 0.0,
-            p_duplicate: 0.0,
-            p_corrupt: 0.0,
             max_delay_epochs: 1,
-            p_stall: 0.0,
-            p_crash: 0.0,
-            p_swap_fail: 0.0,
-            stall_ms: 0,
-            snapshot_corruptions: 0,
-            poisoned_checkpoints: 0,
-            conn_horizon: 0,
-            p_conn_disconnect: 0.0,
-            p_conn_torn: 0.0,
-            p_conn_slowloris: 0.0,
-            trainer_horizon: 0,
-            p_trainer_crash: 0.0,
-            p_trainer_flood: 0.0,
-            p_trainer_drop: 0.0,
-            trainer_flood_len: 0,
-            wal_horizon: 0,
-            p_wal_torn: 0.0,
-            p_wal_bitflip: 0.0,
-            p_wal_stall: 0.0,
-            wal_stall_ms: 0,
+            ..Self::default()
         }
     }
 }
@@ -365,14 +330,42 @@ impl ScheduledFaults {
     }
 }
 
+/// The random stream of one fault family, seeded from
+/// `hash(seed, family)`. Each family of a [`FaultPlan`] draws from its own
+/// stream, so arming, disarming or resizing one family never shifts
+/// another family's draws for the same seed.
+pub(crate) fn family_stream(seed: u64, family: &str) -> StdRng {
+    let mut key = seed.to_le_bytes().to_vec();
+    key.extend_from_slice(family.as_bytes());
+    StdRng::seed_from_u64(fnv1a_64_bytes(&key))
+}
+
+/// One uniform roll against consecutive probability bands: the first
+/// fault whose cumulative band holds the roll, or `None` past them all.
+fn roll<F: Copy>(rng: &mut StdRng, bands: &[(f64, F)]) -> Option<F> {
+    let roll: f64 = rng.random();
+    let mut acc = 0.0;
+    bands.iter().find_map(|&(p, fault)| {
+        acc += p;
+        (roll < acc).then_some(fault)
+    })
+}
+
+/// The kinds a generated plan's checkpoint poisons cycle through.
+const POISON_CYCLE: [CheckpointPoison; 3] = [
+    CheckpointPoison::NanWeights,
+    CheckpointPoison::WrongDims,
+    CheckpointPoison::RewardTank,
+];
+
 /// A deterministic, inspectable schedule of faults.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     ingest: Vec<Option<IngestFault>>,
     shard: BTreeMap<(u32, usize), ShardFault>,
     swap_fail: BTreeSet<(u32, usize)>,
-    snapshot: Vec<SnapshotCorruption>,
-    poison: Vec<CheckpointPoison>,
+    snapshot: VecDeque<SnapshotCorruption>,
+    poison: VecDeque<CheckpointPoison>,
     conn: Vec<Option<ConnFault>>,
     trainer: BTreeMap<u32, TrainerFault>,
     wal: Vec<Option<WalFault>>,
@@ -385,127 +378,80 @@ impl FaultPlan {
     }
 
     /// Draws a full schedule from `seed` under `cfg`. The same
-    /// `(seed, cfg)` always yields the same plan.
+    /// `(seed, cfg)` always yields the same plan, and each fault family
+    /// draws from its own stream seeded by `(seed, family)`.
     pub fn generate(seed: u64, cfg: &FaultPlanConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x6d72_6663_6861_6f73); // "mrfchaos"
+        let grid = || (0..cfg.epochs).flat_map(|e| (0..cfg.num_shards).map(move |s| (e, s)));
+        let mut rng = family_stream(seed, "ingest");
+        let ingest_bands = [
+            (cfg.p_drop, IngestFault::Drop),
+            (cfg.p_delay, IngestFault::Delay(0)),
+            (cfg.p_duplicate, IngestFault::Duplicate),
+            (cfg.p_corrupt, IngestFault::Corrupt),
+        ];
         let ingest = (0..cfg.ingest_horizon)
-            .map(|_| {
-                let roll: f64 = rng.random();
-                let mut acc = cfg.p_drop;
-                if roll < acc {
-                    return Some(IngestFault::Drop);
-                }
-                acc += cfg.p_delay;
-                if roll < acc {
-                    let d = rng.random_range(1..=cfg.max_delay_epochs.max(1));
-                    return Some(IngestFault::Delay(d));
-                }
-                acc += cfg.p_duplicate;
-                if roll < acc {
-                    return Some(IngestFault::Duplicate);
-                }
-                acc += cfg.p_corrupt;
-                if roll < acc {
-                    return Some(IngestFault::Corrupt);
-                }
-                None
+            .map(|_| match roll(&mut rng, &ingest_bands) {
+                Some(IngestFault::Delay(_)) => Some(IngestFault::Delay(
+                    rng.random_range(1..=cfg.max_delay_epochs.max(1)),
+                )),
+                fault => fault,
             })
             .collect();
-        let mut shard = BTreeMap::new();
-        let mut swap_fail = BTreeSet::new();
-        for epoch in 0..cfg.epochs {
-            for s in 0..cfg.num_shards {
-                let roll: f64 = rng.random();
-                if roll < cfg.p_crash {
-                    shard.insert((epoch, s), ShardFault::Crash);
-                } else if roll < cfg.p_crash + cfg.p_stall {
-                    shard.insert((epoch, s), ShardFault::Stall(cfg.stall_ms));
-                }
-                if rng.random_bool(cfg.p_swap_fail) {
-                    swap_fail.insert((epoch, s));
-                }
-            }
-        }
+        let mut rng = family_stream(seed, "shard");
+        let shard_bands = [
+            (cfg.p_crash, ShardFault::Crash),
+            (cfg.p_stall, ShardFault::Stall(cfg.stall_ms)),
+        ];
+        let shard = grid()
+            .filter_map(|key| roll(&mut rng, &shard_bands).map(|f| (key, f)))
+            .collect();
+        let mut rng = family_stream(seed, "swap");
+        let swap_fail = grid()
+            .filter(|_| rng.random_bool(cfg.p_swap_fail))
+            .collect();
+        let mut rng = family_stream(seed, "snapshot");
         let snapshot = (0..cfg.snapshot_corruptions)
             .map(|_| {
+                let at = rng.random::<u64>();
                 if rng.random::<bool>() {
-                    SnapshotCorruption::Truncate(rng.random::<u64>())
+                    SnapshotCorruption::Truncate(at)
                 } else {
-                    SnapshotCorruption::BitFlip(rng.random::<u64>())
+                    SnapshotCorruption::BitFlip(at)
                 }
             })
             .collect();
-        // Drawn after every other kind so enabling poisons never perturbs
-        // a seed's existing schedule.
-        let poison = (0..cfg.poisoned_checkpoints)
-            .map(|i| match i % 3 {
-                0 => CheckpointPoison::NanWeights,
-                1 => CheckpointPoison::WrongDims,
-                _ => CheckpointPoison::RewardTank,
-            })
+        let poison = (0..cfg.poisoned_checkpoints as usize)
+            .map(|i| POISON_CYCLE[i % POISON_CYCLE.len()])
             .collect();
-        // Connection faults draw last for the same reason: arming the
-        // front door must leave a seed's in-process schedule untouched.
+        let mut rng = family_stream(seed, "conn");
+        let conn_bands = [
+            (cfg.p_conn_disconnect, ConnFault::MidFrameDisconnect),
+            (cfg.p_conn_torn, ConnFault::TornWrite),
+            (cfg.p_conn_slowloris, ConnFault::SlowLoris),
+        ];
         let conn = (0..cfg.conn_horizon)
-            .map(|_| {
-                let roll: f64 = rng.random();
-                let mut acc = cfg.p_conn_disconnect;
-                if roll < acc {
-                    return Some(ConnFault::MidFrameDisconnect);
-                }
-                acc += cfg.p_conn_torn;
-                if roll < acc {
-                    return Some(ConnFault::TornWrite);
-                }
-                acc += cfg.p_conn_slowloris;
-                if roll < acc {
-                    return Some(ConnFault::SlowLoris);
-                }
-                None
-            })
+            .map(|_| roll(&mut rng, &conn_bands))
             .collect();
-        // Trainer faults draw after conn for the same reason again: arming
-        // the trainer must leave every earlier schedule for a seed intact.
-        let mut trainer = BTreeMap::new();
-        for epoch in 0..cfg.trainer_horizon {
-            let roll: f64 = rng.random();
-            let mut acc = cfg.p_trainer_crash;
-            if roll < acc {
-                trainer.insert(epoch, TrainerFault::Crash);
-                continue;
-            }
-            acc += cfg.p_trainer_flood;
-            if roll < acc {
-                trainer.insert(
-                    epoch,
-                    TrainerFault::StaleCandidateFlood(cfg.trainer_flood_len.max(1)),
-                );
-                continue;
-            }
-            acc += cfg.p_trainer_drop;
-            if roll < acc {
-                trainer.insert(epoch, TrainerFault::TransitionDrop);
-            }
-        }
-        // WAL faults draw after trainer, with their own offer index, so
-        // arming the journal leaves every existing seeded plan intact.
+        let mut rng = family_stream(seed, "trainer");
+        let trainer_bands = [
+            (cfg.p_trainer_crash, TrainerFault::Crash),
+            (
+                cfg.p_trainer_flood,
+                TrainerFault::StaleCandidateFlood(cfg.trainer_flood_len.max(1)),
+            ),
+            (cfg.p_trainer_drop, TrainerFault::TransitionDrop),
+        ];
+        let trainer = (0..cfg.trainer_horizon)
+            .filter_map(|epoch| roll(&mut rng, &trainer_bands).map(|f| (epoch, f)))
+            .collect();
+        let mut rng = family_stream(seed, "wal");
+        let wal_bands = [
+            (cfg.p_wal_torn, WalFault::TornAppend),
+            (cfg.p_wal_bitflip, WalFault::SegmentBitFlip),
+            (cfg.p_wal_stall, WalFault::FsyncStall(cfg.wal_stall_ms)),
+        ];
         let wal = (0..cfg.wal_horizon)
-            .map(|_| {
-                let roll: f64 = rng.random();
-                let mut acc = cfg.p_wal_torn;
-                if roll < acc {
-                    return Some(WalFault::TornAppend);
-                }
-                acc += cfg.p_wal_bitflip;
-                if roll < acc {
-                    return Some(WalFault::SegmentBitFlip);
-                }
-                acc += cfg.p_wal_stall;
-                if roll < acc {
-                    return Some(WalFault::FsyncStall(cfg.wal_stall_ms));
-                }
-                None
-            })
+            .map(|_| roll(&mut rng, &wal_bands))
             .collect();
         Self {
             ingest,
@@ -521,10 +467,7 @@ impl FaultPlan {
 
     /// Schedules `fault` for the `offer_index`-th request offer.
     pub fn with_ingest_fault(mut self, offer_index: usize, fault: IngestFault) -> Self {
-        if self.ingest.len() <= offer_index {
-            self.ingest.resize(offer_index + 1, None);
-        }
-        self.ingest[offer_index] = Some(fault);
+        set_offer(&mut self.ingest, offer_index, fault);
         self
     }
 
@@ -549,24 +492,21 @@ impl FaultPlan {
     /// Schedules a corruption of the next not-yet-corrupted snapshot
     /// write.
     pub fn with_snapshot_corruption(mut self, corruption: SnapshotCorruption) -> Self {
-        self.snapshot.push(corruption);
+        self.snapshot.push_back(corruption);
         self
     }
 
     /// Schedules the next rollout submission's policy checkpoint to be
     /// replaced with a poisoned one of the given kind.
     pub fn with_poisoned_checkpoint(mut self, kind: CheckpointPoison) -> Self {
-        self.poison.push(kind);
+        self.poison.push_back(kind);
         self
     }
 
     /// Schedules `fault` for the `offer_index`-th frame sent over the
     /// front door.
     pub fn with_conn_fault(mut self, offer_index: usize, fault: ConnFault) -> Self {
-        if self.conn.len() <= offer_index {
-            self.conn.resize(offer_index + 1, None);
-        }
-        self.conn[offer_index] = Some(fault);
+        set_offer(&mut self.conn, offer_index, fault);
         self
     }
 
@@ -578,35 +518,53 @@ impl FaultPlan {
 
     /// Schedules `fault` for the `offer_index`-th journaled push attempt.
     pub fn with_wal_fault(mut self, offer_index: usize, fault: WalFault) -> Self {
-        if self.wal.len() <= offer_index {
-            self.wal.resize(offer_index + 1, None);
-        }
-        self.wal[offer_index] = Some(fault);
+        set_offer(&mut self.wal, offer_index, fault);
         self
+    }
+
+    /// The shard epochs below `epochs` on shards below `num_shards` that
+    /// a scheduled stall or registry-swap failure degrades. One shard
+    /// epoch with both counts once.
+    pub(crate) fn degraded_cells(&self, epochs: u32, num_shards: usize) -> usize {
+        let stalls = self
+            .shard
+            .iter()
+            .filter(|(_, f)| matches!(f, ShardFault::Stall(_)))
+            .map(|(&cell, _)| cell);
+        stalls
+            .chain(self.swap_fail.iter().copied())
+            .filter(|&(e, s)| e < epochs && s < num_shards)
+            .collect::<BTreeSet<_>>()
+            .len()
     }
 
     /// What the plan has scheduled, by kind.
     pub fn scheduled(&self) -> ScheduledFaults {
+        let stalls = self
+            .shard
+            .values()
+            .filter(|f| matches!(f, ShardFault::Stall(_)))
+            .count();
         ScheduledFaults {
-            ingest: self.ingest.iter().filter(|f| f.is_some()).count(),
-            stalls: self
-                .shard
-                .values()
-                .filter(|f| matches!(f, ShardFault::Stall(_)))
-                .count(),
-            crashes: self
-                .shard
-                .values()
-                .filter(|f| matches!(f, ShardFault::Crash))
-                .count(),
+            ingest: self.ingest.iter().flatten().count(),
+            stalls,
+            crashes: self.shard.len() - stalls,
             swap_fails: self.swap_fail.len(),
             snapshot_corruptions: self.snapshot.len(),
             poisoned_checkpoints: self.poison.len(),
-            conn: self.conn.iter().filter(|f| f.is_some()).count(),
+            conn: self.conn.iter().flatten().count(),
             trainer: self.trainer.len(),
-            wal: self.wal.iter().filter(|f| f.is_some()).count(),
+            wal: self.wal.iter().flatten().count(),
         }
     }
+}
+
+/// Schedules `fault` at `index` of an offer-indexed family.
+fn set_offer<F: Copy>(offers: &mut Vec<Option<F>>, index: usize, fault: F) {
+    if offers.len() <= index {
+        offers.resize(index + 1, None);
+    }
+    offers[index] = Some(fault);
 }
 
 /// Cumulative counts of faults that actually *fired* during a run.
@@ -694,77 +652,40 @@ impl FaultCounters {
 /// exactly once, with cumulative fired-fault counters.
 #[derive(Debug)]
 pub struct FaultInjector {
-    ingest: Vec<Option<IngestFault>>,
-    shard: Mutex<BTreeMap<(u32, usize), ShardFault>>,
-    swap_fail: Mutex<BTreeSet<(u32, usize)>>,
-    snapshot: Mutex<VecDeque<SnapshotCorruption>>,
-    poison: Mutex<VecDeque<CheckpointPoison>>,
-    conn: Vec<Option<ConnFault>>,
-    trainer: Mutex<BTreeMap<u32, TrainerFault>>,
-    wal: Vec<Option<WalFault>>,
     scheduled: ScheduledFaults,
-    offer_idx: AtomicUsize,
-    conn_offer_idx: AtomicUsize,
-    wal_offer_idx: AtomicUsize,
-    c_offers: AtomicU64,
-    c_drops: AtomicU64,
-    c_delays: AtomicU64,
-    c_delays_released: AtomicU64,
-    c_duplicates: AtomicU64,
-    c_corrupts: AtomicU64,
-    c_stalls: AtomicU64,
-    c_crashes: AtomicU64,
-    c_swap_fails: AtomicU64,
-    c_snapshot_corruptions: AtomicU64,
-    c_poisoned_checkpoints: AtomicU64,
-    c_conn_disconnects: AtomicU64,
-    c_conn_torn_writes: AtomicU64,
-    c_conn_slow_loris: AtomicU64,
-    c_trainer_crashes: AtomicU64,
-    c_trainer_floods: AtomicU64,
-    c_trainer_drops: AtomicU64,
-    c_wal_torn: AtomicU64,
-    c_wal_bitflips: AtomicU64,
-    c_wal_stalls: AtomicU64,
+    state: Mutex<Pending>,
+}
+
+/// What an injector has yet to fire, and what it has fired so far.
+#[derive(Debug, Default)]
+struct Pending {
+    /// The plan minus every keyed or queued fault that already fired.
+    plan: FaultPlan,
+    /// The next offer of each offer-indexed family. Each advances on its
+    /// own, so front-door frames and journal appends never shift the
+    /// ingest schedule, and vice versa.
+    ingest_at: usize,
+    conn_at: usize,
+    wal_at: usize,
+    fired: FaultCounters,
+}
+
+/// The fault (if any) for the next offer of an offer-indexed family.
+fn next_offer<F: Copy>(offers: &[Option<F>], at: &mut usize) -> Option<F> {
+    let fault = offers.get(*at).copied().flatten();
+    *at += 1;
+    fault
 }
 
 impl FaultInjector {
     /// An injector executing `plan`.
     pub fn new(plan: FaultPlan) -> Self {
-        let scheduled = plan.scheduled();
         Self {
-            ingest: plan.ingest,
-            shard: Mutex::new(plan.shard),
-            swap_fail: Mutex::new(plan.swap_fail),
-            snapshot: Mutex::new(plan.snapshot.into()),
-            poison: Mutex::new(plan.poison.into()),
-            conn: plan.conn,
-            trainer: Mutex::new(plan.trainer),
-            wal: plan.wal,
-            scheduled,
-            offer_idx: AtomicUsize::new(0),
-            conn_offer_idx: AtomicUsize::new(0),
-            wal_offer_idx: AtomicUsize::new(0),
-            c_offers: AtomicU64::new(0),
-            c_drops: AtomicU64::new(0),
-            c_delays: AtomicU64::new(0),
-            c_delays_released: AtomicU64::new(0),
-            c_duplicates: AtomicU64::new(0),
-            c_corrupts: AtomicU64::new(0),
-            c_stalls: AtomicU64::new(0),
-            c_crashes: AtomicU64::new(0),
-            c_swap_fails: AtomicU64::new(0),
-            c_snapshot_corruptions: AtomicU64::new(0),
-            c_poisoned_checkpoints: AtomicU64::new(0),
-            c_conn_disconnects: AtomicU64::new(0),
-            c_conn_torn_writes: AtomicU64::new(0),
-            c_conn_slow_loris: AtomicU64::new(0),
-            c_trainer_crashes: AtomicU64::new(0),
-            c_trainer_floods: AtomicU64::new(0),
-            c_trainer_drops: AtomicU64::new(0),
-            c_wal_torn: AtomicU64::new(0),
-            c_wal_bitflips: AtomicU64::new(0),
-            c_wal_stalls: AtomicU64::new(0),
+            scheduled: plan.scheduled(),
+            state: Mutex::new(Pending {
+                plan,
+                ..Pending::default()
+            }),
         }
     }
 
@@ -778,72 +699,48 @@ impl FaultInjector {
         self.scheduled
     }
 
-    fn lock<'m, T>(m: &'m Mutex<T>) -> std::sync::MutexGuard<'m, T> {
-        m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn pending(&self) -> MutexGuard<'_, Pending> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The fault (if any) for the next request offer. Counts the offer and
     /// the fired fault.
     pub fn next_ingest_fault(&self) -> Option<IngestFault> {
-        let idx = self.offer_idx.fetch_add(1, Ordering::Relaxed);
-        self.c_offers.fetch_add(1, Ordering::Relaxed);
-        let fault = self.ingest.get(idx).copied().flatten();
+        let p = &mut *self.pending();
+        p.fired.offers += 1;
+        let fault = next_offer(&p.plan.ingest, &mut p.ingest_at);
         match fault {
-            Some(IngestFault::Drop) => {
-                self.c_drops.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(IngestFault::Delay(_)) => {
-                self.c_delays.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(IngestFault::Duplicate) => {
-                self.c_duplicates.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(IngestFault::Corrupt) => {
-                self.c_corrupts.fetch_add(1, Ordering::Relaxed);
-            }
+            Some(IngestFault::Drop) => p.fired.drops += 1,
+            Some(IngestFault::Delay(_)) => p.fired.delays += 1,
+            Some(IngestFault::Duplicate) => p.fired.duplicates += 1,
+            Some(IngestFault::Corrupt) => p.fired.corrupts += 1,
             None => {}
         }
         fault
     }
 
     /// The fault (if any) for the next frame offered over the front door.
-    /// Consumes the offer index and counts the fired fault. Connection
-    /// offers advance independently of ingest offers: the front-door
-    /// harness perturbs the wire without shifting the in-process schedule.
+    /// Consumes the offer index and counts the fired fault.
     pub fn next_conn_fault(&self) -> Option<ConnFault> {
-        let idx = self.conn_offer_idx.fetch_add(1, Ordering::Relaxed);
-        let fault = self.conn.get(idx).copied().flatten();
+        let p = &mut *self.pending();
+        let fault = next_offer(&p.plan.conn, &mut p.conn_at);
         match fault {
-            Some(ConnFault::MidFrameDisconnect) => {
-                self.c_conn_disconnects.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(ConnFault::TornWrite) => {
-                self.c_conn_torn_writes.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(ConnFault::SlowLoris) => {
-                self.c_conn_slow_loris.fetch_add(1, Ordering::Relaxed);
-            }
+            Some(ConnFault::MidFrameDisconnect) => p.fired.conn_disconnects += 1,
+            Some(ConnFault::TornWrite) => p.fired.conn_torn_writes += 1,
+            Some(ConnFault::SlowLoris) => p.fired.conn_slow_loris += 1,
             None => {}
         }
         fault
     }
 
-    /// The fault (if any) for the next journaled push attempt. WAL
-    /// offers advance on their own index: arming the journal never
-    /// shifts the ingest or conn schedules, and vice versa.
+    /// The fault (if any) for the next journaled push attempt.
     pub fn next_wal_fault(&self) -> Option<WalFault> {
-        let idx = self.wal_offer_idx.fetch_add(1, Ordering::Relaxed);
-        let fault = self.wal.get(idx).copied().flatten();
+        let p = &mut *self.pending();
+        let fault = next_offer(&p.plan.wal, &mut p.wal_at);
         match fault {
-            Some(WalFault::TornAppend) => {
-                self.c_wal_torn.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(WalFault::SegmentBitFlip) => {
-                self.c_wal_bitflips.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(WalFault::FsyncStall(_)) => {
-                self.c_wal_stalls.fetch_add(1, Ordering::Relaxed);
-            }
+            Some(WalFault::TornAppend) => p.fired.wal_torn += 1,
+            Some(WalFault::SegmentBitFlip) => p.fired.wal_bitflips += 1,
+            Some(WalFault::FsyncStall(_)) => p.fired.wal_stalls += 1,
             None => {}
         }
         fault
@@ -851,20 +748,17 @@ impl FaultInjector {
 
     /// Notes that a deferred event reached its queue.
     pub(crate) fn note_delay_released(&self) {
-        self.c_delays_released.fetch_add(1, Ordering::Relaxed);
+        self.pending().fired.delays_released += 1;
     }
 
     /// Takes (consumes) the shard fault scheduled for `(epoch, shard)`, if
     /// any. One-shot: a crashed epoch's replay sees no fault.
     pub fn take_shard_fault(&self, epoch: u32, shard: usize) -> Option<ShardFault> {
-        let fault = Self::lock(&self.shard).remove(&(epoch, shard));
+        let p = &mut *self.pending();
+        let fault = p.plan.shard.remove(&(epoch, shard));
         match fault {
-            Some(ShardFault::Stall(_)) => {
-                self.c_stalls.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(ShardFault::Crash) => {
-                self.c_crashes.fetch_add(1, Ordering::Relaxed);
-            }
+            Some(ShardFault::Stall(_)) => p.fired.stalls += 1,
+            Some(ShardFault::Crash) => p.fired.crashes += 1,
             None => {}
         }
         fault
@@ -873,17 +767,12 @@ impl FaultInjector {
     /// Takes (consumes) the trainer fault scheduled for `epoch`, if any.
     /// One-shot, like every other fault kind.
     pub fn take_trainer_fault(&self, epoch: u32) -> Option<TrainerFault> {
-        let fault = Self::lock(&self.trainer).remove(&epoch);
+        let p = &mut *self.pending();
+        let fault = p.plan.trainer.remove(&epoch);
         match fault {
-            Some(TrainerFault::Crash) => {
-                self.c_trainer_crashes.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(TrainerFault::StaleCandidateFlood(_)) => {
-                self.c_trainer_floods.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(TrainerFault::TransitionDrop) => {
-                self.c_trainer_drops.fetch_add(1, Ordering::Relaxed);
-            }
+            Some(TrainerFault::Crash) => p.fired.trainer_crashes += 1,
+            Some(TrainerFault::StaleCandidateFlood(_)) => p.fired.trainer_floods += 1,
+            Some(TrainerFault::TransitionDrop) => p.fired.trainer_drops += 1,
             None => {}
         }
         fault
@@ -892,58 +781,46 @@ impl FaultInjector {
     /// Takes (consumes) the registry-swap failure scheduled for
     /// `(epoch, shard)`, if any.
     pub fn take_swap_failure(&self, epoch: u32, shard: usize) -> bool {
-        let fired = Self::lock(&self.swap_fail).remove(&(epoch, shard));
-        if fired {
-            self.c_swap_fails.fetch_add(1, Ordering::Relaxed);
-        }
+        let p = &mut *self.pending();
+        let fired = p.plan.swap_fail.remove(&(epoch, shard));
+        p.fired.swap_fails += u64::from(fired);
         fired
     }
 
     /// Damages `text` according to the next scheduled snapshot corruption,
     /// or returns it untouched when none is scheduled.
     pub fn corrupt_snapshot(&self, text: String) -> String {
-        let Some(c) = Self::lock(&self.snapshot).pop_front() else {
-            return text;
+        let corruption = {
+            let p = &mut *self.pending();
+            let c = p.plan.snapshot.pop_front();
+            p.fired.snapshot_corruptions += u64::from(c.is_some());
+            c
         };
-        self.c_snapshot_corruptions.fetch_add(1, Ordering::Relaxed);
-        apply_corruption(text, c)
+        match corruption {
+            Some(c) => apply_corruption(text, c),
+            None => text,
+        }
     }
 
     /// Replaces a rollout submission's policy checkpoint text with the
     /// next scheduled poison (consumed one-shot), or passes the text
     /// through untouched when none is scheduled.
     pub fn poison_checkpoint(&self, policy_text: Option<String>) -> Option<String> {
-        let Some(kind) = Self::lock(&self.poison).pop_front() else {
-            return policy_text;
+        let kind = {
+            let p = &mut *self.pending();
+            let kind = p.plan.poison.pop_front();
+            p.fired.poisoned_checkpoints += u64::from(kind.is_some());
+            kind
         };
-        self.c_poisoned_checkpoints.fetch_add(1, Ordering::Relaxed);
-        Some(poisoned_policy_text(kind))
+        match kind {
+            Some(kind) => Some(poisoned_policy_text(kind)),
+            None => policy_text,
+        }
     }
 
     /// The faults fired so far.
     pub fn counters(&self) -> FaultCounters {
-        FaultCounters {
-            offers: self.c_offers.load(Ordering::Relaxed),
-            drops: self.c_drops.load(Ordering::Relaxed),
-            delays: self.c_delays.load(Ordering::Relaxed),
-            delays_released: self.c_delays_released.load(Ordering::Relaxed),
-            duplicates: self.c_duplicates.load(Ordering::Relaxed),
-            corrupts: self.c_corrupts.load(Ordering::Relaxed),
-            stalls: self.c_stalls.load(Ordering::Relaxed),
-            crashes: self.c_crashes.load(Ordering::Relaxed),
-            swap_fails: self.c_swap_fails.load(Ordering::Relaxed),
-            snapshot_corruptions: self.c_snapshot_corruptions.load(Ordering::Relaxed),
-            poisoned_checkpoints: self.c_poisoned_checkpoints.load(Ordering::Relaxed),
-            conn_disconnects: self.c_conn_disconnects.load(Ordering::Relaxed),
-            conn_torn_writes: self.c_conn_torn_writes.load(Ordering::Relaxed),
-            conn_slow_loris: self.c_conn_slow_loris.load(Ordering::Relaxed),
-            trainer_crashes: self.c_trainer_crashes.load(Ordering::Relaxed),
-            trainer_floods: self.c_trainer_floods.load(Ordering::Relaxed),
-            trainer_drops: self.c_trainer_drops.load(Ordering::Relaxed),
-            wal_torn: self.c_wal_torn.load(Ordering::Relaxed),
-            wal_bitflips: self.c_wal_bitflips.load(Ordering::Relaxed),
-            wal_stalls: self.c_wal_stalls.load(Ordering::Relaxed),
-        }
+        self.pending().fired
     }
 }
 
@@ -1085,25 +962,84 @@ mod tests {
     }
 
     #[test]
-    fn generated_poisons_cycle_and_leave_seeded_plans_untouched() {
-        let base_cfg = FaultPlanConfig::chaos(6, 2);
-        let with_poison = FaultPlanConfig {
+    fn each_family_draws_from_its_own_stream() {
+        let all = FaultPlanConfig {
+            p_crash: 0.3,
+            p_stall: 0.3,
+            p_swap_fail: 0.5,
+            snapshot_corruptions: 2,
             poisoned_checkpoints: 4,
-            ..base_cfg.clone()
+            trainer_horizon: 16,
+            p_trainer_crash: 0.2,
+            p_trainer_flood: 0.2,
+            p_trainer_drop: 0.2,
+            wal_horizon: 64,
+            p_wal_torn: 0.2,
+            p_wal_bitflip: 0.2,
+            p_wal_stall: 0.2,
+            wal_stall_ms: 10,
+            ..FaultPlanConfig::net_chaos(6, 2)
         };
-        let a = FaultPlan::generate(7, &base_cfg);
-        let b = FaultPlan::generate(7, &with_poison);
-        assert_eq!(a.ingest, b.ingest, "poisons must not perturb other draws");
-        assert_eq!(a.shard, b.shard);
-        assert_eq!(a.swap_fail, b.swap_fail);
+        let families = |cfg: &FaultPlanConfig| {
+            let p = FaultPlan::generate(7, cfg);
+            [
+                format!("{:?}", p.ingest),
+                format!("{:?}", p.shard),
+                format!("{:?}", p.swap_fail),
+                format!("{:?}", p.snapshot),
+                format!("{:?}", p.poison),
+                format!("{:?}", p.conn),
+                format!("{:?}", p.trainer),
+                format!("{:?}", p.wal),
+            ]
+        };
+        let armed = families(&all);
+        let disarms: [fn(&mut FaultPlanConfig); 8] = [
+            |c| c.ingest_horizon = 0,
+            |c| (c.p_crash, c.p_stall) = (0.0, 0.0),
+            |c| c.p_swap_fail = 0.0,
+            |c| c.snapshot_corruptions = 0,
+            |c| c.poisoned_checkpoints = 0,
+            |c| c.conn_horizon = 0,
+            |c| c.trainer_horizon = 0,
+            |c| c.wal_horizon = 0,
+        ];
+        // Disarming one family empties exactly that family and leaves
+        // every other family's draws untouched.
+        for (i, disarm) in disarms.iter().enumerate() {
+            let mut cfg = all.clone();
+            disarm(&mut cfg);
+            for (j, (a, b)) in armed.iter().zip(families(&cfg)).enumerate() {
+                assert_eq!(*a == b, i != j, "disarming family {i} vs family {j}");
+            }
+        }
         assert_eq!(
-            b.poison,
-            vec![
+            FaultPlan::generate(7, &all).poison,
+            [
                 CheckpointPoison::NanWeights,
                 CheckpointPoison::WrongDims,
                 CheckpointPoison::RewardTank,
                 CheckpointPoison::NanWeights,
             ]
+        );
+        // The dedicated mixes arm only their own family.
+        let trainer = FaultPlan::generate(7, &FaultPlanConfig::trainer_chaos(8, 2)).scheduled();
+        assert!(trainer.trainer > 0);
+        assert_eq!(
+            trainer,
+            ScheduledFaults {
+                trainer: trainer.trainer,
+                ..ScheduledFaults::default()
+            }
+        );
+        let wal = FaultPlan::generate(7, &FaultPlanConfig::wal_chaos(8, 2)).scheduled();
+        assert!(wal.wal > 0);
+        assert_eq!(
+            wal,
+            ScheduledFaults {
+                wal: wal.wal,
+                ..ScheduledFaults::default()
+            }
         );
     }
 
@@ -1129,24 +1065,6 @@ mod tests {
         assert_eq!(c.conn_torn_writes, 1);
         assert_eq!(c.conn_slow_loris, 1);
         assert!(c.any());
-    }
-
-    #[test]
-    fn conn_draws_leave_seeded_plans_untouched() {
-        // Arming the front door must not perturb the in-process schedule a
-        // seed already draws — conn faults are drawn after everything else.
-        let base_cfg = FaultPlanConfig::chaos(6, 2);
-        let with_conn = FaultPlanConfig::net_chaos(6, 2);
-        let a = FaultPlan::generate(7, &base_cfg);
-        let b = FaultPlan::generate(7, &with_conn);
-        assert_eq!(a.ingest, b.ingest, "conn draws must not perturb ingest");
-        assert_eq!(a.shard, b.shard);
-        assert_eq!(a.swap_fail, b.swap_fail);
-        assert_eq!(a.scheduled().conn, 0);
-        assert!(b.scheduled().conn > 0, "net chaos schedules conn faults");
-        // And the conn schedule itself is deterministic per seed.
-        let c = FaultPlan::generate(7, &with_conn);
-        assert_eq!(b.conn, c.conn);
     }
 
     #[test]
@@ -1177,45 +1095,6 @@ mod tests {
     }
 
     #[test]
-    fn trainer_draws_leave_seeded_plans_untouched() {
-        // Arming the trainer must not perturb anything a seed already
-        // draws — trainer faults are drawn after every other kind.
-        let base_cfg = FaultPlanConfig::net_chaos(6, 2);
-        let with_trainer = FaultPlanConfig {
-            trainer_horizon: 6,
-            p_trainer_crash: 0.3,
-            p_trainer_flood: 0.3,
-            p_trainer_drop: 0.3,
-            ..base_cfg.clone()
-        };
-        let a = FaultPlan::generate(7, &base_cfg);
-        let b = FaultPlan::generate(7, &with_trainer);
-        assert_eq!(a.ingest, b.ingest, "trainer draws must not perturb ingest");
-        assert_eq!(a.shard, b.shard);
-        assert_eq!(a.swap_fail, b.swap_fail);
-        assert_eq!(a.conn, b.conn, "trainer draws must not perturb conn");
-        assert_eq!(a.scheduled().trainer, 0);
-        assert!(b.scheduled().trainer > 0, "horizon 6 at p=0.9 draws faults");
-        // And the trainer schedule itself is deterministic per seed.
-        let c = FaultPlan::generate(7, &with_trainer);
-        assert_eq!(b.trainer, c.trainer);
-        // The dedicated mix schedules only trainer faults.
-        let solo = FaultPlan::generate(7, &FaultPlanConfig::trainer_chaos(8, 2));
-        let sched = solo.scheduled();
-        assert_eq!(
-            (
-                sched.ingest,
-                sched.stalls,
-                sched.crashes,
-                sched.swap_fails,
-                sched.conn
-            ),
-            (0, 0, 0, 0, 0),
-            "trainer chaos arms no other fault kind"
-        );
-    }
-
-    #[test]
     fn wal_faults_consume_one_shot_with_their_own_index() {
         let plan = FaultPlan::empty()
             .with_wal_fault(1, WalFault::TornAppend)
@@ -1239,55 +1118,6 @@ mod tests {
         assert_eq!(c.wal_bitflips, 1);
         assert_eq!(c.wal_stalls, 1);
         assert!(c.any());
-    }
-
-    #[test]
-    fn wal_draws_leave_seeded_plans_untouched() {
-        // Arming the journal must not perturb anything a seed already
-        // draws — WAL faults are drawn after every other kind.
-        let base_cfg = FaultPlanConfig {
-            trainer_horizon: 6,
-            p_trainer_crash: 0.2,
-            p_trainer_flood: 0.2,
-            p_trainer_drop: 0.2,
-            ..FaultPlanConfig::net_chaos(6, 2)
-        };
-        let with_wal = FaultPlanConfig {
-            wal_horizon: 64,
-            p_wal_torn: 0.3,
-            p_wal_bitflip: 0.3,
-            p_wal_stall: 0.3,
-            wal_stall_ms: 10,
-            ..base_cfg.clone()
-        };
-        let a = FaultPlan::generate(7, &base_cfg);
-        let b = FaultPlan::generate(7, &with_wal);
-        assert_eq!(a.ingest, b.ingest, "wal draws must not perturb ingest");
-        assert_eq!(a.shard, b.shard);
-        assert_eq!(a.swap_fail, b.swap_fail);
-        assert_eq!(a.conn, b.conn, "wal draws must not perturb conn");
-        assert_eq!(a.trainer, b.trainer, "wal draws must not perturb trainer");
-        assert_eq!(a.scheduled().wal, 0);
-        assert!(b.scheduled().wal > 0, "horizon 64 at p=0.9 draws faults");
-        // And the WAL schedule itself is deterministic per seed.
-        let c = FaultPlan::generate(7, &with_wal);
-        assert_eq!(b.wal, c.wal);
-        // The dedicated mix schedules only WAL faults.
-        let solo = FaultPlan::generate(7, &FaultPlanConfig::wal_chaos(8, 2));
-        let sched = solo.scheduled();
-        assert_eq!(
-            (
-                sched.ingest,
-                sched.stalls,
-                sched.crashes,
-                sched.swap_fails,
-                sched.conn,
-                sched.trainer
-            ),
-            (0, 0, 0, 0, 0, 0),
-            "wal chaos arms no other fault kind"
-        );
-        assert!(sched.wal > 0);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! to a connection fault, and the wire-visible NACKs reconcile with the
 //! bounded queues' own shed counters. Overload is honest or it is a bug.
 //!
-//! The schedules come from `serve::fault` (the conn draws happen after
-//! all in-process draws, so these seeds never perturb the in-process
-//! chaos suite), the sockets are real, and the invariants are checked by
+//! The schedules come from `serve::fault` (conn faults draw from their
+//! own seeded stream, so these seeds never perturb the in-process chaos
+//! suite), the sockets are real, and the invariants are checked by
 //! [`run_net_chaos`] itself — a seed that fails here reproduces as
 //! `run_net_chaos(seed, &opts)`.
 
