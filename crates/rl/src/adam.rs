@@ -1,4 +1,4 @@
-//! Optimizers: Adam and plain SGD.
+//! The Adam optimizer.
 
 use crate::nn::Mlp;
 use serde::{Deserialize, Serialize};
@@ -140,35 +140,6 @@ impl Adam {
     }
 }
 
-/// Plain SGD, useful as an ablation against Adam.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Sgd {
-    lr: f64,
-}
-
-impl Sgd {
-    /// Creates SGD with learning rate `lr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive.
-    pub fn new(lr: f64) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Self { lr }
-    }
-
-    /// Applies one SGD step (gradients scaled by `1 / batch_size`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size == 0`.
-    pub fn step(&self, net: &mut Mlp, batch_size: usize) {
-        assert!(batch_size > 0, "batch size must be positive");
-        let scale = self.lr / batch_size as f64;
-        net.visit_params_mut(|_, w, g| *w -= scale * g);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,13 +176,6 @@ mod tests {
             adam.step(net, bs);
         });
         assert!(mse < 1e-3, "Adam final MSE {mse}");
-    }
-
-    #[test]
-    fn sgd_fits_a_line_more_slowly() {
-        let sgd = Sgd::new(0.05);
-        let mse = train_regression(|net, bs| sgd.step(net, bs));
-        assert!(mse < 1e-2, "SGD final MSE {mse}");
     }
 
     #[test]

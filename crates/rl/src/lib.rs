@@ -7,27 +7,23 @@
 //! pieces live here, free of any ML dependency:
 //!
 //! * [`nn`] — dense MLP with explicit backpropagation (gradient-checked);
-//! * [`adam`] — Adam and SGD optimizers;
-//! * [`replay`] — bounded experience replay;
-//! * [`dqn`] — Double-DQN agent with target network and action masking;
+//! * [`adam`] — the Adam optimizer;
 //! * [`qscore`] — Q-learning over action features (the dispatcher's
-//!   policy head: shared weights across destination zones);
-//! * [`reinforce`] — Monte-Carlo policy gradient, for ablations.
+//!   policy head: shared weights across destination zones), with replay
+//!   and a target network;
+//! * [`replay`] — the bounded replay ring the online trainer learns from;
+//! * [`persist`] — the network checkpoint text format.
 
 #![warn(missing_docs)]
 
 pub mod adam;
-pub mod dqn;
 pub mod nn;
 pub mod persist;
 pub mod qscore;
-pub mod reinforce;
 pub mod replay;
 
-pub use adam::{Adam, Sgd};
-pub use dqn::{DqnAgent, DqnConfig};
+pub use adam::Adam;
 pub use nn::{ForwardCache, Mlp};
 pub use persist::{mlp_from_text, mlp_to_text, ParseNetworkError};
 pub use qscore::{PairTransition, QScore, QScoreConfig};
-pub use reinforce::{Reinforce, ReinforceConfig};
-pub use replay::{pair_from_line, pair_to_line, PairReplay, ReplayBuffer, Transition};
+pub use replay::{pair_from_line, pair_to_line, PairReplay};

@@ -1,131 +1,18 @@
-//! Experience replay buffer.
+//! Experience replay ring.
 //!
-//! Section IV-C4: the RL model is trained offline on sampled historical
-//! dispatch data and *kept training online* while running. Both modes feed
-//! transitions through this bounded ring buffer.
+//! Section IV-C4: the RL model is *kept training online* while running.
+//! The online trainer feeds the dispatcher's tapped transitions through
+//! this bounded ring and samples its mini-batches from it.
 
 use crate::qscore::PairTransition;
 use rand::rngs::StdRng;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-
-/// One `(s, a, r, s′)` transition, with the valid-action mask of the next
-/// state so the TD target only maximizes over feasible actions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Transition {
-    /// State before the action.
-    pub state: Vec<f64>,
-    /// Action index taken.
-    pub action: usize,
-    /// Reward received (Equation 5 in the dispatcher).
-    pub reward: f64,
-    /// State after the action.
-    pub next_state: Vec<f64>,
-    /// Valid actions in `next_state`; empty means "all valid".
-    pub next_valid: Vec<bool>,
-    /// Whether the episode ended at `next_state`.
-    pub done: bool,
-}
-
-/// A bounded FIFO replay buffer with uniform sampling.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ReplayBuffer {
-    capacity: usize,
-    items: Vec<Transition>,
-    next: usize,
-}
-
-impl ReplayBuffer {
-    /// Creates a buffer holding at most `capacity` transitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        Self {
-            capacity,
-            items: Vec::new(),
-            next: 0,
-        }
-    }
-
-    /// Number of stored transitions.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Maximum number of transitions retained.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Inserts a transition, evicting the oldest once full.
-    pub fn push(&mut self, t: Transition) {
-        if self.items.len() < self.capacity {
-            self.items.push(t);
-        } else {
-            self.items[self.next] = t;
-            self.next = (self.next + 1) % self.capacity;
-        }
-    }
-
-    /// Uniformly samples `k` transitions (with replacement).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer is empty or `k == 0`.
-    pub fn sample<'a>(&'a self, rng: &mut StdRng, k: usize) -> Vec<&'a Transition> {
-        assert!(!self.items.is_empty(), "cannot sample an empty buffer");
-        assert!(k > 0, "sample size must be positive");
-        (0..k)
-            .map(|_| &self.items[rng.random_range(0..self.items.len())])
-            .collect()
-    }
-
-    /// The stored transitions, in slot order (eviction order is tracked by
-    /// [`ReplayBuffer::cursor`], not by position).
-    pub fn items(&self) -> &[Transition] {
-        &self.items
-    }
-
-    /// The ring cursor: the slot the next eviction will overwrite once the
-    /// buffer is full.
-    pub fn cursor(&self) -> usize {
-        self.next
-    }
-
-    /// Rebuilds a buffer from [`ReplayBuffer::items`] /
-    /// [`ReplayBuffer::cursor`] parts, e.g. after a snapshot restore.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`, `items.len() > capacity`, or the cursor
-    /// is out of range.
-    pub fn from_parts(capacity: usize, items: Vec<Transition>, cursor: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        assert!(items.len() <= capacity, "more items than capacity");
-        assert!(cursor < capacity, "cursor out of range");
-        Self {
-            capacity,
-            items,
-            next: cursor,
-        }
-    }
-}
 
 /// A bounded FIFO replay ring over [`PairTransition`]s — the pairwise
 /// (candidate-feature) transition form the online dispatcher emits — with
 /// uniform sampling and an exact text round-trip for snapshot persistence.
-///
-/// Same eviction discipline as [`ReplayBuffer`]: append until full, then
-/// overwrite the oldest slot.
+/// Append until full, then overwrite the oldest slot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PairReplay {
     capacity: usize,
@@ -327,58 +214,6 @@ pub fn pair_from_line(line: &str) -> Option<PairTransition> {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-
-    fn t(r: f64) -> Transition {
-        Transition {
-            state: vec![r],
-            action: 0,
-            reward: r,
-            next_state: vec![r],
-            next_valid: Vec::new(),
-            done: false,
-        }
-    }
-
-    #[test]
-    fn fifo_eviction_at_capacity() {
-        let mut buf = ReplayBuffer::new(3);
-        for i in 0..5 {
-            buf.push(t(i as f64));
-        }
-        assert_eq!(buf.len(), 3);
-        let rewards: Vec<f64> = buf.items.iter().map(|x| x.reward).collect();
-        // Slots 0 and 1 were overwritten by 3 and 4.
-        assert!(rewards.contains(&2.0) && rewards.contains(&3.0) && rewards.contains(&4.0));
-        assert!(!rewards.contains(&0.0));
-    }
-
-    #[test]
-    fn sampling_covers_contents() {
-        let mut buf = ReplayBuffer::new(10);
-        for i in 0..10 {
-            buf.push(t(i as f64));
-        }
-        let mut rng = StdRng::seed_from_u64(1);
-        let sample = buf.sample(&mut rng, 200);
-        assert_eq!(sample.len(), 200);
-        let distinct: std::collections::HashSet<u64> =
-            sample.iter().map(|t| t.reward as u64).collect();
-        assert!(distinct.len() >= 8, "sampling missed most of the buffer");
-    }
-
-    #[test]
-    #[should_panic(expected = "empty buffer")]
-    fn sampling_empty_panics() {
-        let buf = ReplayBuffer::new(4);
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = buf.sample(&mut rng, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_capacity_rejected() {
-        let _ = ReplayBuffer::new(0);
-    }
 
     fn p(r: f64) -> PairTransition {
         PairTransition {

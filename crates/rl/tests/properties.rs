@@ -2,11 +2,7 @@
 
 use mobirescue_rl::nn::Mlp;
 use mobirescue_rl::qscore::{QScore, QScoreConfig};
-use mobirescue_rl::reinforce::{Reinforce, ReinforceConfig};
-use mobirescue_rl::replay::{ReplayBuffer, Transition};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -40,47 +36,6 @@ proptest! {
             prop_assert!((numeric - grads[k]).abs() < 1e-4,
                 "param {k}: numeric {numeric} vs analytic {}", grads[k]);
         }
-    }
-
-    /// The replay buffer never exceeds capacity and always retains the most
-    /// recent item.
-    #[test]
-    fn replay_bounds(capacity in 1usize..20, pushes in 1usize..80) {
-        let mut buf = ReplayBuffer::new(capacity);
-        for i in 0..pushes {
-            buf.push(Transition {
-                state: vec![i as f64],
-                action: 0,
-                reward: i as f64,
-                next_state: vec![],
-                next_valid: vec![],
-                done: true,
-            });
-        }
-        prop_assert_eq!(buf.len(), pushes.min(capacity));
-        let mut rng = StdRng::seed_from_u64(0);
-        let sample = buf.sample(&mut rng, 64);
-        // Every sampled reward is one of the last `capacity` pushes.
-        let floor = pushes.saturating_sub(capacity) as f64;
-        prop_assert!(sample.iter().all(|t| t.reward >= floor));
-    }
-
-    /// Softmax policies always output proper distributions.
-    #[test]
-    fn reinforce_distribution(
-        state in prop::collection::vec(-5.0f64..5.0, 4),
-        actions in 2usize..8,
-        seed in 0u64..100,
-    ) {
-        let mut cfg = ReinforceConfig::new(4, actions);
-        cfg.seed = seed;
-        let agent = Reinforce::new(cfg);
-        let p = agent.probabilities(&state);
-        prop_assert_eq!(p.len(), actions);
-        prop_assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        prop_assert!(p.iter().all(|&x| x > 0.0));
-        let greedy = agent.act_greedy(&state);
-        prop_assert!(p.iter().all(|&x| x <= p[greedy]));
     }
 
     /// QScore's greedy choice is consistent with its own Q values.

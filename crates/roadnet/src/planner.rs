@@ -113,6 +113,14 @@ impl<'a> RoutePlanner<'a> {
         }
     }
 
+    /// Adds `stats` to the cumulative cache counters, so the planner of a
+    /// world restored from a snapshot carries on from the totals the
+    /// snapshot recorded.
+    pub fn resume_stats(&self, stats: PlannerStats) {
+        self.hits.fetch_add(stats.hits, Ordering::Relaxed);
+        self.misses.fetch_add(stats.misses, Ordering::Relaxed);
+    }
+
     /// Trees computed by prewarm calls (cumulative). Not part of
     /// [`PlannerStats`] — that struct's shape is persisted in the serve
     /// snapshot wire format and must stay fixed.

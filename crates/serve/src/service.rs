@@ -9,28 +9,22 @@ use crate::event::Event;
 use crate::fault::{reward_tank_policy_text, IngestFault, TrainerFault, WalFault};
 use crate::metrics::{LatencyHistogram, MetricsSnapshot, ShardMetrics};
 use crate::queue::{BoundedQueue, ShedPolicy};
-use crate::registry::{ModelBundle, ModelRegistry};
+use crate::registry::ModelRegistry;
 use crate::rollout::{
-    self, CandidateBundle, RolloutConfig, RolloutCounters, RolloutError, RolloutInFlight,
-    RolloutStatus,
+    Events, Rollout, RolloutConfig, RolloutCounters, RolloutError, RolloutRecords, RolloutStatus,
 };
-use crate::shard::{
-    spawn_shard, RolloutDirective, ShardCmd, ShardReply, ShardSpec, ShardStatus, SwapError,
-};
-use crate::trainer::{Trainer, TrainerConfig, TrainerObs, TrainerStatus};
+use crate::shard::{spawn_shard, ShardCmd, ShardReply, ShardSpec, ShardStatus, SwapError};
+use crate::trainer::{Trainer, TrainerConfig, TrainerStatus};
 use crate::wal::{FsyncPolicy, Wal, WalConfig, WalEntry, WalError};
 use crate::FaultInjector;
-use mobirescue_core::predictor::RequestPredictor;
 use mobirescue_core::rl_dispatch::RlDispatchConfig;
 use mobirescue_core::scenario::Scenario;
 use mobirescue_obs::{Counter, Histogram, Level, ObsSnapshot, Registry, TimeSource};
-use mobirescue_rl::persist::{mlp_from_text, mlp_to_text};
 use mobirescue_rl::PairTransition;
 use mobirescue_roadnet::graph::SegmentId;
 use mobirescue_sim::record::{write_block, Reader, Record, RecordError};
 use mobirescue_sim::{open_snapshot, seal_snapshot};
 use mobirescue_sim::{EpochReport, RequestSpec, SimConfig, World};
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -152,11 +146,7 @@ struct ServiceState {
     histogram: LatencyHistogram,
     shard_metrics: Vec<ShardMetrics>,
     last_swap_error: Option<(usize, SwapError)>,
-    /// The rollout pipeline's in-flight candidate, if any.
-    rollout: Option<RolloutInFlight>,
-    /// Recent per-epoch fleet rewards (capped at `rollout.watch_epochs`);
-    /// their mean is the baseline a post-promotion watch compares against.
-    recent_rewards: VecDeque<f64>,
+    rollout: Rollout,
 }
 
 struct ShardHandle {
@@ -215,7 +205,6 @@ pub struct DispatchService {
     // The online trainer (populated iff `config.trainer` is set), stepped
     // synchronously at each epoch boundary.
     trainer: Mutex<Option<TrainerSlot>>,
-    trainer_obs: Option<TrainerObs>,
     // The durable ingest journal (populated iff `config.wal` is set),
     // appended to under its own lock so producers group-commit naturally.
     wal: Mutex<Option<Wal>>,
@@ -273,95 +262,56 @@ impl DispatchService {
             config.advisory_shed,
         ));
         let obs = config.obs.clone().unwrap_or_default();
-        let make_spec = |scenario: &Arc<Scenario>| ShardSpec {
-            scenario: Arc::clone(scenario),
-            registry: Arc::clone(&registry),
-            clock: Arc::clone(&clock),
-            sim: config.sim.clone(),
-            rl: config.rl.clone(),
-            faults: config.faults.clone(),
-            obs: Arc::clone(&obs),
-            tap_transitions: config.trainer.is_some(),
-        };
-        let shards = (0..config.num_shards)
-            .map(|i| {
-                let (cmd_tx, cmd_rx) = channel();
-                let (reply_tx, reply_rx) = channel();
-                let join = spawn_shard(i, make_spec(&scenario), cmd_rx, reply_tx);
-                Mutex::new(ShardHandle {
-                    tx: cmd_tx,
-                    rx: reply_rx,
-                    join: Some(join),
-                })
-            })
-            .collect();
         let state = ServiceState {
             epochs_completed: 0,
             histogram: LatencyHistogram::new(),
             shard_metrics: vec![ShardMetrics::default(); config.num_shards],
             last_swap_error: None,
-            rollout: None,
-            recent_rewards: VecDeque::new(),
+            rollout: Rollout::new(config.rollout.clone(), Arc::clone(&registry)),
         };
-        let checkpoints = vec![None; config.num_shards];
-        let retries = obs.counter("serve.ingest_retries");
-        let restarts = obs.counter("serve.shard_restarts");
-        let advisories_applied = obs.counter("serve.advisories_applied");
-        let advisories_invalid = obs.counter("serve.advisories_invalid");
-        let degraded_epochs = obs.counter("serve.degraded_epochs");
-        let swap_fail_injected = obs.counter("serve.swap_failures_injected");
-        let swap_fail_build = obs.counter("serve.swap_failures_build");
-        let swap_fail_rollout = obs.counter("serve.swap_failures_rollout");
-        let rollouts_admitted = obs.counter("serve.rollouts_admitted");
-        let rollouts_rejected = obs.counter("serve.rollouts_rejected");
-        let rollouts_rolled_back = obs.counter("serve.rollouts_rolled_back");
-        let candidates_submitted = obs.counter("train.candidates_submitted");
-        let candidates_admitted = obs.counter("train.candidates_admitted");
-        let candidates_rejected = obs.counter("train.candidates_rejected");
-        let snapshot_hist = obs.histogram("epoch.snapshot_ms");
         let trainer = config.trainer.clone().map(|cfg| {
-            let trainer = Trainer::new(cfg);
+            let trainer = Trainer::new(cfg, &obs, Arc::new(ClockTimeSource(Arc::clone(&clock))));
             let checkpoint = trainer.snapshot_text();
             TrainerSlot {
                 trainer,
                 checkpoint,
             }
         });
-        let trainer_obs = config.trainer.is_some().then(|| {
-            let time: Arc<dyn TimeSource> = Arc::new(ClockTimeSource(Arc::clone(&clock)));
-            TrainerObs::new(&obs, time)
-        });
-        Ok(Self {
+        let num_shards = config.num_shards;
+        let mut svc = Self {
             config,
             scenario,
             registry,
             clock,
             request_queues,
             advisories,
-            shards,
+            shards: Vec::new(),
             delayed: Mutex::new(Vec::new()),
-            checkpoints: Mutex::new(checkpoints),
+            checkpoints: Mutex::new(vec![None; num_shards]),
+            retries: obs.counter("serve.ingest_retries"),
+            restarts: obs.counter("serve.shard_restarts"),
+            advisories_applied: obs.counter("serve.advisories_applied"),
+            advisories_invalid: obs.counter("serve.advisories_invalid"),
+            degraded_epochs: obs.counter("serve.degraded_epochs"),
+            swap_fail_injected: obs.counter("serve.swap_failures_injected"),
+            swap_fail_build: obs.counter("serve.swap_failures_build"),
+            swap_fail_rollout: obs.counter("serve.swap_failures_rollout"),
+            rollouts_admitted: obs.counter("serve.rollouts_admitted"),
+            rollouts_rejected: obs.counter("serve.rollouts_rejected"),
+            rollouts_rolled_back: obs.counter("serve.rollouts_rolled_back"),
+            candidates_submitted: obs.counter("train.candidates_submitted"),
+            candidates_admitted: obs.counter("train.candidates_admitted"),
+            candidates_rejected: obs.counter("train.candidates_rejected"),
+            snapshot_hist: obs.histogram("epoch.snapshot_ms"),
             obs,
-            retries,
-            restarts,
-            advisories_applied,
-            advisories_invalid,
-            degraded_epochs,
-            swap_fail_injected,
-            swap_fail_build,
-            swap_fail_rollout,
-            rollouts_admitted,
-            rollouts_rejected,
-            rollouts_rolled_back,
-            candidates_submitted,
-            candidates_admitted,
-            candidates_rejected,
-            snapshot_hist,
             trainer: Mutex::new(trainer),
-            trainer_obs,
             wal: Mutex::new(None),
             state: Mutex::new(state),
-        })
+        };
+        svc.shards = (0..num_shards)
+            .map(|i| Mutex::new(svc.spawn_worker(i)))
+            .collect();
+        Ok(svc)
     }
 
     /// Opens the journal from `config.wal` (no-op when unset) and replays
@@ -429,99 +379,84 @@ impl DispatchService {
         Ok(())
     }
 
-    /// Journals a batch of admitted offers for `shard` under an
-    /// already-held journal lock. Callers must complete the matching
-    /// queue pushes *before releasing `guard`*: [`snapshot`] captures
-    /// the high-water mark and the queue contents in one journal
-    /// critical section, so journal-and-push must be atomic with
-    /// respect to it — a record at `seq <= hwm` is always visible to
-    /// the queue capture, a record past it never is.
+    /// Journals then pushes `copies` back-to-back offers of one request
+    /// (two for an injected duplicate), atomically with respect to
+    /// [`snapshot`]: the queue only sees specs the journal already holds,
+    /// so `Ok(true)` (the first copy was admitted) means the request
+    /// survives a process kill. Only the copies the bounded queue will
+    /// admit are journaled — a journaled record means "admitted and about
+    /// to be acked" — so a shed offer leaves no durable trace: recovery
+    /// never replays a request whose client got a NACK, and a
+    /// shed-then-retried offer is journaled exactly once, on the attempt
+    /// that is admitted.
     ///
-    /// Only offers the bounded queue will actually admit may be passed
-    /// in: a journaled record means "admitted and about to be acked",
-    /// or recovery would replay requests no client was ever acked for.
+    /// The journal lock is held across the pushes. It serializes every
+    /// journaled push, which makes the room check race-free (concurrent
+    /// epoch drains only ever make room), and [`snapshot`] captures the
+    /// high-water mark and the queue contents in one journal critical
+    /// section, so a record at `seq <= hwm` is always visible to the
+    /// queue capture and a record past it never is.
     ///
-    /// One injected WAL fault is drawn per call with a non-empty batch,
-    /// so a duplicate-fault double push journals as a single group
-    /// commit under one draw (and a shed offer, which never reaches the
-    /// journal, draws nothing).
+    /// One injected WAL fault is drawn per call that journals anything,
+    /// so the admitted copies journal as one group commit under one draw.
     ///
     /// [`snapshot`]: DispatchService::snapshot
-    fn journal_locked(
+    fn journal_push(
         &self,
-        guard: &mut MutexGuard<'_, Option<Wal>>,
         shard: usize,
-        specs: &[RequestSpec],
-    ) -> Result<(), ServeError> {
-        let Some(wal) = guard.as_mut() else {
-            return Ok(());
-        };
-        if specs.is_empty() {
-            return Ok(());
-        }
-        let clock_ms = self.clock.now_ms();
-        let entries: Vec<WalEntry> = specs
-            .iter()
-            .map(|spec| WalEntry {
-                clock_ms,
+        spec: RequestSpec,
+        copies: usize,
+    ) -> Result<bool, ServeError> {
+        let mut guard = lock(&self.wal);
+        let q = &self.request_queues[shard];
+        let room = q.admittable(copies);
+        if let (Some(wal), true) = (guard.as_mut(), room > 0) {
+            let entry = WalEntry {
+                clock_ms: self.clock.now_ms(),
                 shard,
-                spec: *spec,
-            })
-            .collect();
-        match self.config.faults.as_ref().and_then(|f| f.next_wal_fault()) {
-            Some(WalFault::TornAppend) => {
-                // The append dies mid-write: the tail is torn (and healed
-                // in place, as recovery would), nothing was made durable,
-                // so the caller must refuse the request instead of acking.
-                let err = wal.inject_torn_append(&entries[0]);
-                self.obs
-                    .events()
-                    .log(Level::Warn, 0, Some(shard), format!("wal: injected {err}"));
-                return Err(ServeError::Wal(err));
-            }
-            Some(WalFault::SegmentBitFlip) => {
-                wal.append(&entries)?;
-                if let Some((segment, offset)) = wal.inject_bit_flip() {
+                spec,
+            };
+            let entries = vec![entry; room];
+            match self.config.faults.as_ref().and_then(|f| f.next_wal_fault()) {
+                Some(WalFault::TornAppend) => {
+                    // The append dies mid-write: the tail is torn (and
+                    // healed in place, as recovery would), nothing was
+                    // made durable, so the caller must refuse the request
+                    // instead of acking.
+                    let err = wal.inject_torn_append(&entry);
                     self.obs.events().log(
                         Level::Warn,
                         0,
                         Some(shard),
-                        format!("wal: injected bit flip in {segment} at byte {offset}"),
+                        format!("wal: injected {err}"),
                     );
+                    return Err(ServeError::Wal(err));
+                }
+                Some(WalFault::SegmentBitFlip) => {
+                    wal.append(&entries)?;
+                    if let Some((segment, offset)) = wal.inject_bit_flip() {
+                        self.obs.events().log(
+                            Level::Warn,
+                            0,
+                            Some(shard),
+                            format!("wal: injected bit flip in {segment} at byte {offset}"),
+                        );
+                    }
+                }
+                Some(WalFault::FsyncStall(ms)) => {
+                    self.clock.sleep_ms(ms);
+                    wal.append(&entries)?;
+                }
+                None => {
+                    wal.append(&entries)?;
                 }
             }
-            Some(WalFault::FsyncStall(ms)) => {
-                self.clock.sleep_ms(ms);
-                wal.append(&entries)?;
-            }
-            None => {
-                wal.append(&entries)?;
-            }
         }
-        Ok(())
-    }
-
-    /// Journals then pushes one request, atomically with respect to
-    /// [`snapshot`]: the queue only sees specs the journal already
-    /// holds, so `Ok(true)` here means the request survives a process
-    /// kill. A full queue sheds *before* journaling — `Ok(false)` means
-    /// the offer left no durable trace, so a recovery never replays a
-    /// request whose client got a NACK (and a shed-then-retried offer
-    /// is journaled exactly once, on the attempt that is admitted).
-    ///
-    /// The journal lock is held across the push; it serializes every
-    /// journaled push, which is what makes the shed check race-free
-    /// (concurrent epoch drains only ever make room).
-    ///
-    /// [`snapshot`]: DispatchService::snapshot
-    fn journal_push(&self, shard: usize, spec: RequestSpec) -> Result<bool, ServeError> {
-        let mut guard = lock(&self.wal);
-        let q = &self.request_queues[shard];
-        if q.admittable(1) == 0 {
-            return Ok(q.push(spec));
+        let first = q.push(spec);
+        for _ in 1..copies {
+            let _ = q.push(spec);
         }
-        self.journal_locked(&mut guard, shard, &[spec])?;
-        Ok(q.push(spec))
+        Ok(first)
     }
 
     /// Flushes the journal when the fsync policy is `Epoch`; called at
@@ -580,8 +515,9 @@ impl DispatchService {
         lock(&self.shards[i])
     }
 
-    fn shard_spec(&self) -> ShardSpec {
-        ShardSpec {
+    /// Spawns a worker thread for shard `i` with a fresh world.
+    fn spawn_worker(&self, i: usize) -> ShardHandle {
+        let spec = ShardSpec {
             scenario: Arc::clone(&self.scenario),
             registry: Arc::clone(&self.registry),
             clock: Arc::clone(&self.clock),
@@ -590,6 +526,13 @@ impl DispatchService {
             faults: self.config.faults.clone(),
             obs: Arc::clone(&self.obs),
             tap_transitions: self.config.trainer.is_some(),
+        };
+        let (cmd_tx, cmd_rx) = channel();
+        let (reply_tx, reply_rx) = channel();
+        ShardHandle {
+            tx: cmd_tx,
+            rx: reply_rx,
+            join: Some(spawn_shard(i, spec, cmd_rx, reply_tx)),
         }
     }
 
@@ -618,7 +561,7 @@ impl DispatchService {
     /// Submits a candidate checkpoint bundle to the guarded rollout
     /// pipeline instead of installing it directly into the registry.
     ///
-    /// The candidate is structurally validated at once ([`rollout::admit`]:
+    /// The candidate is structurally validated at once ([`crate::rollout::admit`]:
     /// parse, finite weights, `FEATURE_DIM`-compatible shapes, sane probe
     /// outputs); an admitted candidate then advances one pipeline stage per
     /// [`DispatchService::run_epoch`] — shadow scoring, canary shards,
@@ -644,7 +587,7 @@ impl DispatchService {
     ) -> Result<Option<RolloutStatus>, ServeError> {
         let mut state = self.state();
         let epoch = state.epochs_completed;
-        if state.rollout.is_some() {
+        if state.rollout.status().is_some() {
             self.rollouts_rejected.inc();
             return Err(ServeError::Rollout(RolloutError::InFlight));
         }
@@ -654,78 +597,26 @@ impl DispatchService {
             Some(injector) => injector.poison_checkpoint(policy_text.map(str::to_owned)),
             None => policy_text.map(str::to_owned),
         };
-        let admitted = rollout::admit(
-            predictor_text,
-            policy_text.as_deref(),
-            self.config.rollout.probe_bound,
-        );
-        let (predictor, policy) = match admitted {
-            Ok(models) => models,
-            Err(e) => {
-                self.rollouts_rejected.inc();
-                self.obs.events().log(
-                    Level::Warn,
-                    epoch,
-                    None,
-                    format!("rollout candidate rejected at admission: {e}"),
-                );
-                return Err(ServeError::Rollout(e));
-            }
-        };
+        let mut events = Events::new();
+        let submitted = state
+            .rollout
+            .submit(predictor_text, policy_text.as_deref(), &mut events);
+        let status = submitted.map_err(|e| {
+            self.rollouts_rejected.inc();
+            let message = format!("rollout candidate rejected at admission: {e}");
+            self.obs.events().log(Level::Warn, epoch, None, message);
+            ServeError::Rollout(e)
+        })?;
         self.rollouts_admitted.inc();
-        let version = self.registry.current().version + 1;
-        let candidate = CandidateBundle {
-            bundle: Arc::new(ModelBundle {
-                version,
-                predictor,
-                policy,
-            }),
-            predictor_text: predictor_text.map(normalize_text),
-            policy_text: policy_text.as_deref().map(normalize_text),
-        };
-        let cfg = &self.config.rollout;
-        let mut events: Vec<(Level, Option<usize>, String)> = Vec::new();
-        let inflight = if cfg.shadow_epochs > 0 {
-            events.push((
-                Level::Info,
-                None,
-                format!("rollout v{version}: admitted, entering shadow evaluation"),
-            ));
-            Some(RolloutInFlight::Shadow {
-                done: 0,
-                cand_total: 0.0,
-                inc_total: 0.0,
-                candidate,
-            })
-        } else if cfg.canary_epochs > 0 && cfg.canary_shards > 0 {
-            events.push((
-                Level::Info,
-                None,
-                format!("rollout v{version}: admitted, entering canary stage"),
-            ));
-            Some(RolloutInFlight::Canary {
-                done: 0,
-                canary_total: 0.0,
-                control_total: 0.0,
-                failures: 0,
-                candidate,
-            })
-        } else {
-            self.promote(&mut state, &candidate, &mut events)
-        };
-        let status = inflight.as_ref().map(RolloutInFlight::status);
-        state.rollout = inflight;
         drop(state);
-        for (level, shard, message) in events {
-            self.obs.events().log(level, epoch, shard, message);
-        }
+        self.log_events(epoch, events);
         Ok(status)
     }
 
     /// The in-flight rollout's stage, epochs completed within it, and the
     /// candidate's (tentative) version; `None` when nothing is in flight.
     pub fn rollout_status(&self) -> Option<RolloutStatus> {
-        self.state().rollout.as_ref().map(RolloutInFlight::status)
+        self.state().rollout.status()
     }
 
     /// Lifetime rollout counters: admitted, rejected, rolled back.
@@ -753,233 +644,6 @@ impl DispatchService {
         lock(&self.trainer)
             .as_ref()
             .map(|s| s.trainer.policy_text())
-    }
-
-    /// Installs the candidate fleet-wide, pinning the previous bundle for
-    /// the watch window's rollback (when a watch window is configured).
-    fn promote(
-        &self,
-        state: &mut ServiceState,
-        candidate: &CandidateBundle,
-        events: &mut Vec<(Level, Option<usize>, String)>,
-    ) -> Option<RolloutInFlight> {
-        let prior = self.registry.current();
-        let version = self.registry.install(
-            candidate.bundle.predictor.clone(),
-            candidate.bundle.policy.clone(),
-        );
-        events.push((
-            Level::Info,
-            None,
-            format!("rollout v{version}: promoted fleet-wide"),
-        ));
-        let cfg = &self.config.rollout;
-        if cfg.watch_epochs == 0 {
-            return None;
-        }
-        let baseline = if state.recent_rewards.is_empty() {
-            None
-        } else {
-            Some(state.recent_rewards.iter().sum::<f64>() / state.recent_rewards.len() as f64)
-        };
-        Some(RolloutInFlight::Watch {
-            done: 0,
-            total: 0.0,
-            baseline,
-            prior,
-        })
-    }
-
-    /// Advances the rollout state machine by one completed epoch. Runs
-    /// under the state lock, after the epoch's shard statuses have been
-    /// folded into the accumulators passed here.
-    #[allow(clippy::too_many_arguments)] // a fold over one epoch's statuses
-    fn advance_rollout(
-        &self,
-        state: &mut ServiceState,
-        fleet_reward: f64,
-        shadow_cand: f64,
-        shadow_error: Option<(usize, String)>,
-        canary_reward: f64,
-        canary_n: u32,
-        control_reward: f64,
-        control_n: u32,
-        canary_failures: u64,
-        events: &mut Vec<(Level, Option<usize>, String)>,
-    ) {
-        let cfg = &self.config.rollout;
-        let next = match state.rollout.take() {
-            None => None,
-            Some(RolloutInFlight::Shadow {
-                mut done,
-                mut cand_total,
-                mut inc_total,
-                candidate,
-            }) => {
-                let version = candidate.bundle.version;
-                if let Some((shard, e)) = shadow_error {
-                    self.rollouts_rolled_back.inc();
-                    events.push((
-                        Level::Warn,
-                        Some(shard),
-                        format!(
-                            "rollout v{version}: shadow evaluation failed, candidate dropped: {e}"
-                        ),
-                    ));
-                    None
-                } else {
-                    done += 1;
-                    cand_total += shadow_cand;
-                    inc_total += fleet_reward;
-                    if done < cfg.shadow_epochs {
-                        Some(RolloutInFlight::Shadow {
-                            done,
-                            cand_total,
-                            inc_total,
-                            candidate,
-                        })
-                    } else if cand_total + cfg.shadow_slack >= inc_total {
-                        events.push((
-                            Level::Info,
-                            None,
-                            format!(
-                                "rollout v{version}: shadow gate passed \
-                                 (candidate {cand_total:.3} vs incumbent {inc_total:.3})"
-                            ),
-                        ));
-                        if cfg.canary_epochs > 0 && cfg.canary_shards > 0 {
-                            Some(RolloutInFlight::Canary {
-                                done: 0,
-                                canary_total: 0.0,
-                                control_total: 0.0,
-                                failures: 0,
-                                candidate,
-                            })
-                        } else {
-                            self.promote(state, &candidate, events)
-                        }
-                    } else {
-                        self.rollouts_rolled_back.inc();
-                        events.push((
-                            Level::Warn,
-                            None,
-                            format!(
-                                "rollout v{version}: shadow gate failed \
-                                 (candidate {cand_total:.3} vs incumbent {inc_total:.3}), \
-                                 candidate dropped"
-                            ),
-                        ));
-                        None
-                    }
-                }
-            }
-            Some(RolloutInFlight::Canary {
-                mut done,
-                mut canary_total,
-                mut control_total,
-                mut failures,
-                candidate,
-            }) => {
-                let version = candidate.bundle.version;
-                done += 1;
-                canary_total += canary_reward;
-                control_total += control_reward;
-                failures += canary_failures;
-                if done < cfg.canary_epochs {
-                    Some(RolloutInFlight::Canary {
-                        done,
-                        canary_total,
-                        control_total,
-                        failures,
-                        candidate,
-                    })
-                } else {
-                    let canary_mean = canary_total / f64::from(canary_n.max(1) * done);
-                    let control_mean = if control_n == 0 {
-                        0.0
-                    } else {
-                        control_total / f64::from(control_n * done)
-                    };
-                    let healthy = failures == 0
-                        && (control_n == 0 || canary_mean + cfg.canary_slack >= control_mean);
-                    if healthy {
-                        events.push((
-                            Level::Info,
-                            None,
-                            format!(
-                                "rollout v{version}: canary gate passed \
-                                 (canary {canary_mean:.3} vs control {control_mean:.3})"
-                            ),
-                        ));
-                        self.promote(state, &candidate, events)
-                    } else {
-                        self.rollouts_rolled_back.inc();
-                        events.push((
-                            Level::Warn,
-                            None,
-                            format!(
-                                "rollout v{version}: canary gate failed ({failures} build \
-                                 failures, canary {canary_mean:.3} vs control \
-                                 {control_mean:.3}), candidate dropped"
-                            ),
-                        ));
-                        None
-                    }
-                }
-            }
-            Some(RolloutInFlight::Watch {
-                mut done,
-                mut total,
-                baseline,
-                prior,
-            }) => {
-                let version = prior.version + 1;
-                done += 1;
-                total += fleet_reward;
-                if done < cfg.watch_epochs {
-                    Some(RolloutInFlight::Watch {
-                        done,
-                        total,
-                        baseline,
-                        prior,
-                    })
-                } else {
-                    let mean = total / f64::from(done);
-                    match baseline {
-                        Some(b) if mean + cfg.watch_slack < b => {
-                            let prior_version = prior.version;
-                            self.registry.restore_bundle(prior);
-                            self.rollouts_rolled_back.inc();
-                            events.push((
-                                Level::Warn,
-                                None,
-                                format!(
-                                    "rollout v{version}: post-promotion regression (fleet \
-                                     reward {mean:.3} vs baseline {b:.3}), rolled back to \
-                                     v{prior_version}"
-                                ),
-                            ));
-                        }
-                        _ => {
-                            events.push((
-                                Level::Info,
-                                None,
-                                format!(
-                                    "rollout v{version}: watch window clean, promotion confirmed"
-                                ),
-                            ));
-                        }
-                    }
-                    None
-                }
-            }
-        };
-        state.rollout = next;
-        state.recent_rewards.push_back(fleet_reward);
-        let cap = cfg.watch_epochs.max(1) as usize;
-        while state.recent_rewards.len() > cap {
-            state.recent_rewards.pop_front();
-        }
     }
 
     fn validate_request(&self, spec: &RequestSpec) -> Result<(), ServeError> {
@@ -1017,10 +681,10 @@ impl DispatchService {
             Event::Request { spec, .. } => {
                 self.validate_request(&spec)?;
                 let Some(injector) = &self.config.faults else {
-                    return self.journal_push(shard, spec);
+                    return self.journal_push(shard, spec, 1);
                 };
                 match injector.next_ingest_fault() {
-                    None => self.journal_push(shard, spec),
+                    None => self.journal_push(shard, spec, 1),
                     Some(IngestFault::Drop) => Ok(false),
                     Some(IngestFault::Delay(epochs)) => {
                         // Not journaled yet: the spec is journaled when it
@@ -1034,19 +698,7 @@ impl DispatchService {
                         });
                         Ok(true)
                     }
-                    Some(IngestFault::Duplicate) => {
-                        // Both push attempts journal as one group commit
-                        // (and one injected-wal-fault draw) — but only
-                        // the copies the bounded queue has room to admit;
-                        // a shed copy must leave no durable trace.
-                        let mut guard = lock(&self.wal);
-                        let q = &self.request_queues[shard];
-                        let room = q.admittable(2);
-                        self.journal_locked(&mut guard, shard, &[spec, spec][..room])?;
-                        let first = q.push(spec);
-                        let _ = q.push(spec);
-                        Ok(first)
-                    }
+                    Some(IngestFault::Duplicate) => self.journal_push(shard, spec, 2),
                     Some(IngestFault::Corrupt) => {
                         // The payload is damaged in flight; validation
                         // rejects it exactly like any malformed event.
@@ -1101,20 +753,7 @@ impl DispatchService {
                 // every journaled push); if journaling fails the request
                 // stays pending for the next boundary instead of being
                 // silently lost, and a shed release is never journaled.
-                let released = {
-                    let mut guard = lock(&self.wal);
-                    let q = &self.request_queues[d.shard];
-                    if q.admittable(1) == 0 {
-                        let _ = q.push(d.spec);
-                        Ok(())
-                    } else {
-                        self.journal_locked(&mut guard, d.shard, &[d.spec])
-                            .map(|()| {
-                                let _ = q.push(d.spec);
-                            })
-                    }
-                };
-                if let Err(err) = released {
+                if let Err(err) = self.journal_push(d.shard, d.spec, 1) {
                     self.obs.events().log(
                         Level::Warn,
                         epoch,
@@ -1164,6 +803,12 @@ impl DispatchService {
         (applied, invalid)
     }
 
+    fn log_events(&self, epoch: u32, events: Events) {
+        for (level, shard, message) in events {
+            self.obs.events().log(level, epoch, shard, message);
+        }
+    }
+
     fn shard_error(&self, shard: usize, message: impl Into<String>) -> ServeError {
         ServeError::Shard {
             shard,
@@ -1171,11 +816,44 @@ impl DispatchService {
         }
     }
 
+    fn send(&self, shard: usize, cmd: ShardCmd) -> Result<(), ServeError> {
+        self.shard(shard)
+            .tx
+            .send(cmd)
+            .map_err(|_| self.shard_error(shard, "worker thread gone"))
+    }
+
     fn recv_reply(&self, shard: usize) -> Result<ShardReply, ServeError> {
         self.shard(shard)
             .rx
             .recv()
             .map_err(|_| self.shard_error(shard, "worker thread died"))
+    }
+
+    /// Shard `shard`'s serialized state.
+    fn shard_snapshot(&self, shard: usize) -> Result<String, ServeError> {
+        self.send(shard, ShardCmd::Snapshot)?;
+        match self.recv_reply(shard)? {
+            ShardReply::Snapshot(reply) => reply.map_err(|m| self.shard_error(shard, m)),
+            _ => Err(self.shard_error(shard, "out-of-protocol reply")),
+        }
+    }
+
+    /// Replaces shard `shard`'s state with a parsed snapshot `text`.
+    fn shard_restore(&self, shard: usize, text: String) -> Result<Box<ShardStatus>, ServeError> {
+        self.send(shard, ShardCmd::Restore(text))?;
+        match self.recv_reply(shard)? {
+            ShardReply::Restored(reply) => reply.map_err(|m| self.shard_error(shard, m)),
+            _ => Err(self.shard_error(shard, "out-of-protocol reply")),
+        }
+    }
+
+    /// Shard `shard`'s reply to the `RunEpoch` already sent to it.
+    fn epoch_reply(&self, shard: usize) -> Result<Box<ShardStatus>, ServeError> {
+        match self.recv_reply(shard)? {
+            ShardReply::Epoch(reply) => reply.map_err(|m| self.shard_error(shard, m)),
+            _ => Err(self.shard_error(shard, "out-of-protocol reply")),
+        }
     }
 
     fn to_metrics(&self, shard: usize, st: &ShardStatus) -> ShardMetrics {
@@ -1197,15 +875,10 @@ impl DispatchService {
     /// Restarts shard `i`'s worker, restores it from the last boundary
     /// checkpoint (a missing checkpoint means the shard had completed no
     /// epoch — a fresh world *is* its last good state), and replays the
-    /// epoch with the already-drained `requests`. The crashed epoch's
-    /// faults were consumed when they fired, so the replay runs unfaulted.
-    fn recover_shard(
-        &self,
-        i: usize,
-        requests: &[RequestSpec],
-        budget_ms: Option<u64>,
-        rollout: Option<RolloutDirective>,
-    ) -> Result<Box<ShardStatus>, ServeError> {
+    /// epoch's `RunEpoch` command, with the already-drained requests. The
+    /// crashed epoch's faults were consumed when they fired, so the replay
+    /// runs unfaulted.
+    fn recover_shard(&self, i: usize, run_epoch: ShardCmd) -> Result<Box<ShardStatus>, ServeError> {
         self.restarts.inc();
         self.obs.events().log(
             Level::Error,
@@ -1218,39 +891,14 @@ impl DispatchService {
             if let Some(join) = h.join.take() {
                 let _ = join.join();
             }
-            let (cmd_tx, cmd_rx) = channel();
-            let (reply_tx, reply_rx) = channel();
-            h.join = Some(spawn_shard(i, self.shard_spec(), cmd_rx, reply_tx));
-            h.tx = cmd_tx;
-            h.rx = reply_rx;
+            *h = self.spawn_worker(i);
         }
         let checkpoint = lock(&self.checkpoints)[i].clone();
         if let Some(text) = checkpoint {
-            self.shard(i)
-                .tx
-                .send(ShardCmd::Restore(text))
-                .map_err(|_| self.shard_error(i, "restarted worker gone"))?;
-            match self.recv_reply(i)? {
-                ShardReply::Restored(Ok(_)) => {}
-                ShardReply::Restored(Err(message)) => {
-                    return Err(self.shard_error(i, message));
-                }
-                _ => return Err(self.shard_error(i, "out-of-protocol reply")),
-            }
+            self.shard_restore(i, text)?;
         }
-        self.shard(i)
-            .tx
-            .send(ShardCmd::RunEpoch {
-                requests: requests.to_vec(),
-                budget_ms,
-                rollout,
-            })
-            .map_err(|_| self.shard_error(i, "restarted worker gone"))?;
-        match self.recv_reply(i)? {
-            ShardReply::Epoch(Ok(st)) => Ok(st),
-            ShardReply::Epoch(Err(message)) => Err(self.shard_error(i, message)),
-            _ => Err(self.shard_error(i, "out-of-protocol reply")),
-        }
+        self.send(i, run_epoch)?;
+        self.epoch_reply(i)
     }
 
     /// Takes a post-epoch checkpoint of every shard for crash recovery.
@@ -1258,19 +906,8 @@ impl DispatchService {
         let ts = ClockTimeSource(Arc::clone(&self.clock));
         let _span = self.snapshot_hist.time(&ts);
         for i in 0..self.shards.len() {
-            self.shard(i)
-                .tx
-                .send(ShardCmd::Snapshot)
-                .map_err(|_| self.shard_error(i, "worker thread gone"))?;
-            match self.recv_reply(i)? {
-                ShardReply::Snapshot(Ok(text)) => {
-                    lock(&self.checkpoints)[i] = Some(text);
-                }
-                ShardReply::Snapshot(Err(message)) => {
-                    return Err(self.shard_error(i, message));
-                }
-                _ => return Err(self.shard_error(i, "out-of-protocol reply")),
-            }
+            let text = self.shard_snapshot(i)?;
+            lock(&self.checkpoints)[i] = Some(text);
         }
         Ok(())
     }
@@ -1289,60 +926,34 @@ impl DispatchService {
     pub fn run_epoch(&self) -> Result<Vec<EpochReport>, ServeError> {
         self.release_due_delayed();
         let (applied, invalid) = self.apply_advisories(self.advisories.drain());
-        let budget_ms = self.config.epoch_deadline_ms;
-        // In-flight rollout → a per-shard directive: shadow candidates are
-        // scored on every shard; canary candidates serve only the shards
-        // below `canary_shards` (the rest are controls).
-        let stage_directive = match &self.state().rollout {
-            Some(RolloutInFlight::Shadow { candidate, .. }) => {
-                Some(RolloutDirective::Shadow(Arc::clone(&candidate.bundle)))
-            }
-            Some(RolloutInFlight::Canary { candidate, .. }) => {
-                Some(RolloutDirective::Canary(Arc::clone(&candidate.bundle)))
-            }
-            _ => None,
-        };
-        let canary_shards = self.config.rollout.canary_shards;
-        let directive = |i: usize| match &stage_directive {
-            Some(RolloutDirective::Shadow(_)) => stage_directive.clone(),
-            Some(RolloutDirective::Canary(_)) if i < canary_shards => stage_directive.clone(),
-            _ => None,
-        };
-        let drained: Vec<Vec<RequestSpec>> =
-            self.request_queues.iter().map(|q| q.drain()).collect();
+        let (directives, mut tally) = self.state().rollout.plan(self.shards.len());
+        let cmds: Vec<ShardCmd> = (self.request_queues.iter().zip(directives))
+            .map(|(q, rollout)| ShardCmd::RunEpoch {
+                requests: q.drain(),
+                budget_ms: self.config.epoch_deadline_ms,
+                rollout,
+            })
+            .collect();
         let mut send_failed = vec![false; self.shards.len()];
-        for (i, requests) in drained.iter().enumerate() {
-            let sent = self.shard(i).tx.send(ShardCmd::RunEpoch {
-                requests: requests.clone(),
-                budget_ms,
-                rollout: directive(i),
-            });
-            if sent.is_err() {
+        for (i, cmd) in cmds.iter().enumerate() {
+            if let Err(e) = self.send(i, cmd.clone()) {
                 if !self.config.auto_recover {
-                    return Err(self.shard_error(i, "worker thread gone"));
+                    return Err(e);
                 }
                 send_failed[i] = true;
             }
         }
         let mut statuses = Vec::with_capacity(self.shards.len());
         let mut first_error = None;
-        for (i, requests) in drained.iter().enumerate() {
-            let outcome = if send_failed[i] {
+        for (i, cmd) in cmds.into_iter().enumerate() {
+            let mut outcome = if send_failed[i] {
                 Err(self.shard_error(i, "worker thread gone"))
             } else {
-                match self.recv_reply(i) {
-                    Ok(ShardReply::Epoch(Ok(st))) => Ok(st),
-                    Ok(ShardReply::Epoch(Err(message))) => Err(self.shard_error(i, message)),
-                    Ok(_) => Err(self.shard_error(i, "out-of-protocol reply")),
-                    Err(e) => Err(e),
-                }
+                self.epoch_reply(i)
             };
-            let outcome = match outcome {
-                Err(_) if self.config.auto_recover => {
-                    self.recover_shard(i, requests, budget_ms, directive(i))
-                }
-                other => other,
-            };
+            if outcome.is_err() && self.config.auto_recover {
+                outcome = self.recover_shard(i, cmd);
+            }
             match outcome {
                 Ok(st) => statuses.push((i, st)),
                 Err(e) => {
@@ -1354,7 +965,7 @@ impl DispatchService {
             return Err(e);
         }
         let mut reports = Vec::with_capacity(statuses.len());
-        let mut events: Vec<(Level, Option<usize>, String)> = Vec::new();
+        let mut events = Events::new();
         // Tapped transitions, collected in shard-index order so the
         // trainer's input stream is deterministic.
         let mut trainer_feed: Vec<PairTransition> = Vec::new();
@@ -1362,35 +973,11 @@ impl DispatchService {
         {
             let mut state = self.state();
             let mut any_degraded = false;
-            let mut fleet_reward = 0.0;
-            let mut shadow_cand = 0.0;
-            let mut shadow_error: Option<(usize, String)> = None;
-            let (mut canary_reward, mut canary_n) = (0.0, 0u32);
-            let (mut control_reward, mut control_n) = (0.0, 0u32);
-            let mut canary_failures = 0u64;
-            let canary_stage = matches!(&stage_directive, Some(RolloutDirective::Canary(_)));
             for (i, st) in statuses {
                 state.histogram.record(st.compute_ms);
                 state.shard_metrics[i] = self.to_metrics(i, &st);
                 any_degraded |= st.degraded_now;
-                fleet_reward += st.reward;
-                if let Some(sh) = &st.shadow {
-                    shadow_cand += sh.candidate_reward;
-                    if let Some(e) = &sh.error {
-                        if shadow_error.is_none() {
-                            shadow_error = Some((i, e.clone()));
-                        }
-                    }
-                }
-                if canary_stage {
-                    if i < canary_shards {
-                        canary_reward += st.reward;
-                        canary_n += 1;
-                    } else {
-                        control_reward += st.reward;
-                        control_n += 1;
-                    }
-                }
+                tally.add(i, &st);
                 if st.degraded_now {
                     events.push((
                         Level::Warn,
@@ -1402,10 +989,7 @@ impl DispatchService {
                     match &err {
                         SwapError::Injected => self.swap_fail_injected.inc(),
                         SwapError::Build(_) => self.swap_fail_build.inc(),
-                        SwapError::Rollout(_) => {
-                            self.swap_fail_rollout.inc();
-                            canary_failures += 1;
-                        }
+                        SwapError::Rollout(_) => self.swap_fail_rollout.inc(),
                     }
                     events.push((Level::Warn, Some(i), format!("model swap failed: {err}")));
                     state.last_swap_error = Some((i, err));
@@ -1415,18 +999,9 @@ impl DispatchService {
                 }
                 trainer_feed.extend(st.transitions);
             }
-            self.advance_rollout(
-                &mut state,
-                fleet_reward,
-                shadow_cand,
-                shadow_error,
-                canary_reward,
-                canary_n,
-                control_reward,
-                control_n,
-                canary_failures,
-                &mut events,
-            );
+            if state.rollout.advance(&tally, &mut events) {
+                self.rollouts_rolled_back.inc();
+            }
             epoch = state.epochs_completed;
             state.epochs_completed += 1;
             self.advisories_applied.add(applied);
@@ -1435,9 +1010,7 @@ impl DispatchService {
                 self.degraded_epochs.inc();
             }
         }
-        for (level, shard, message) in events {
-            self.obs.events().log(level, epoch, shard, message);
-        }
+        self.log_events(epoch, events);
         self.run_trainer_phase(epoch, trainer_feed);
         self.wal_epoch_sync()?;
         self.obs
@@ -1455,7 +1028,9 @@ impl DispatchService {
     /// checkpoint, and route an emitted candidate into the rollout
     /// pipeline. A no-op when no trainer is configured.
     fn run_trainer_phase(&self, epoch: u32, mut transitions: Vec<PairTransition>) {
-        let Some(obs) = &self.trainer_obs else { return };
+        if self.config.trainer.is_none() {
+            return;
+        }
         let fault = self
             .config
             .faults
@@ -1480,40 +1055,24 @@ impl DispatchService {
             Some(TrainerFault::Crash) => {
                 let mut slot = lock(&self.trainer);
                 if let Some(s) = slot.as_mut() {
-                    let cfg = self
-                        .config
-                        .trainer
-                        .clone()
-                        .expect("trainer slot implies config");
-                    match Trainer::restore(cfg, &s.checkpoint) {
+                    let message = match s.trainer.restore(&s.checkpoint) {
                         Ok(trainer) => {
                             s.trainer = trainer;
-                            self.obs.events().log(
-                                Level::Error,
-                                epoch,
-                                None,
-                                "trainer crashed; respawned from last boundary checkpoint",
-                            );
+                            "trainer crashed; respawned from last boundary checkpoint".to_owned()
                         }
-                        Err(e) => {
-                            // Unreachable with self-written checkpoints;
-                            // keep the live trainer rather than panicking.
-                            self.obs.events().log(
-                                Level::Error,
-                                epoch,
-                                None,
-                                format!("trainer crash recovery failed, kept live state: {e}"),
-                            );
-                        }
-                    }
+                        // Unreachable with self-written checkpoints; keep
+                        // the live trainer rather than panicking.
+                        Err(e) => format!("trainer crash recovery failed, kept live state: {e}"),
+                    };
+                    self.obs.events().log(Level::Error, epoch, None, message);
                 }
             }
         }
         let candidate = {
             let mut slot = lock(&self.trainer);
             let Some(s) = slot.as_mut() else { return };
-            s.trainer.offer(transitions, obs);
-            let candidate = s.trainer.epoch_tick(obs);
+            s.trainer.offer(transitions);
+            let candidate = s.trainer.epoch_tick();
             s.checkpoint = s.trainer.snapshot_text();
             candidate
         };
@@ -1710,68 +1269,7 @@ impl DispatchService {
                 self.swap_fail_build.value(),
                 self.swap_fail_rollout.value()
             );
-            if !state.recent_rewards.is_empty() {
-                out.push_str("rrew");
-                for r in &state.recent_rewards {
-                    let _ = write!(out, " {r:?}");
-                }
-                out.push('\n');
-            }
-            // In-flight rollout state: the stage accumulators plus the
-            // checkpoint texts needed to rebuild the candidate (or, during
-            // a watch window, the pinned prior bundle) bit-identically.
-            match &state.rollout {
-                None => {}
-                Some(RolloutInFlight::Shadow {
-                    done,
-                    cand_total,
-                    inc_total,
-                    candidate,
-                }) => {
-                    let _ = writeln!(
-                        out,
-                        "rollout shadow {done} {cand_total:?} {inc_total:?} {}",
-                        candidate.bundle.version
-                    );
-                    write_candidate_texts(&mut out, candidate);
-                }
-                Some(RolloutInFlight::Canary {
-                    done,
-                    canary_total,
-                    control_total,
-                    failures,
-                    candidate,
-                }) => {
-                    let _ = writeln!(
-                        out,
-                        "rollout canary {done} {canary_total:?} {control_total:?} {failures} {}",
-                        candidate.bundle.version
-                    );
-                    write_candidate_texts(&mut out, candidate);
-                }
-                Some(RolloutInFlight::Watch {
-                    done,
-                    total,
-                    baseline,
-                    prior,
-                }) => {
-                    let baseline_text = match baseline {
-                        Some(b) => format!("{b:?}"),
-                        None => "-".to_owned(),
-                    };
-                    let _ = writeln!(
-                        out,
-                        "rollout watch {done} {total:?} {baseline_text} {}",
-                        prior.version
-                    );
-                    if let Some(p) = &prior.predictor {
-                        write_block(&mut out, "rtext ppred", &p.to_text());
-                    }
-                    if let Some(net) = &prior.policy {
-                        write_block(&mut out, "rtext ppol", &mlp_to_text(net));
-                    }
-                }
-            }
+            state.rollout.write_records(&mut out);
         }
         // Trainer state rides along as one counted text block; snapshots
         // taken before the trainer existed simply lack the record, and
@@ -1814,19 +1312,7 @@ impl DispatchService {
             );
         }
         for i in 0..self.shards.len() {
-            self.shard(i)
-                .tx
-                .send(ShardCmd::Snapshot)
-                .map_err(|_| self.shard_error(i, "worker thread gone"))?;
-            match self.recv_reply(i)? {
-                ShardReply::Snapshot(Ok(text)) => {
-                    write_block(&mut out, &format!("shard {i}"), &text)
-                }
-                ShardReply::Snapshot(Err(message)) => {
-                    return Err(self.shard_error(i, message));
-                }
-                _ => return Err(self.shard_error(i, "out-of-protocol reply")),
-            }
+            write_block(&mut out, &format!("shard {i}"), &self.shard_snapshot(i)?);
         }
         out.push_str("end\n");
         let sealed = seal_snapshot(out);
@@ -1866,11 +1352,9 @@ impl DispatchService {
         let mut epochs: Option<(u32, Option<u64>)> = None;
         let mut adv_counts: Option<[u64; 4]> = None;
         let mut resil: Option<([u64; 2], Option<[u64; 3]>)> = None;
-        let mut recent_rewards: Option<Vec<f64>> = None;
         let mut histogram: Option<LatencyHistogram> = None;
-        let mut rollout: Option<Record> = None;
+        let mut rollout_records = RolloutRecords::default();
         let mut trainer_text: Option<String> = None;
-        let mut rtexts = RolloutTexts::default();
         let mut rqueue_counters = vec![(0u64, 0u64); num_shards];
         let mut restored_shards = vec![false; num_shards];
         let mut shard_metrics = vec![ShardMetrics::default(); num_shards];
@@ -1909,21 +1393,9 @@ impl DispatchService {
                         Ok((counters, r.tail("swap-cause counters")?))
                     })?;
                 }
-                "rrew" => r.once(&mut recent_rewards, |r| r.all(|r| r.field("reward")))?,
-                "rollout" => {
-                    // Read after the loop, once its `rtext` blocks are in.
-                    r.once(&mut rollout, |r| Ok(*r))?;
+                "rrew" | "rollout" | "rtext" => {
+                    rollout_records.read(r, &mut reader)?;
                     continue;
-                }
-                "rtext" => {
-                    let slot = match r.token("kind")? {
-                        "cpred" => &mut rtexts.cpred,
-                        "cpol" => &mut rtexts.cpol,
-                        "ppred" => &mut rtexts.ppred,
-                        "ppol" => &mut rtexts.ppol,
-                        _ => return Err(bad("unknown rtext kind")),
-                    };
-                    r.once(slot, |r| reader.block(r))?;
                 }
                 "tstate" => r.once(&mut trainer_text, |r| reader.block(r))?,
                 "rqueue" => {
@@ -1974,21 +1446,9 @@ impl DispatchService {
                 }
                 "shard" => {
                     let i: usize = r.below(num_shards, "index")?;
-                    let body = reader.block(&mut r)?;
-                    svc.shard(i)
-                        .tx
-                        .send(ShardCmd::Restore(body))
-                        .map_err(|_| svc.shard_error(i, "worker thread gone"))?;
-                    match svc.recv_reply(i)? {
-                        ShardReply::Restored(Ok(st)) => {
-                            shard_metrics[i] = svc.to_metrics(i, &st);
-                            restored_shards[i] = true;
-                        }
-                        ShardReply::Restored(Err(message)) => {
-                            return Err(svc.shard_error(i, message));
-                        }
-                        _ => return Err(svc.shard_error(i, "out-of-protocol reply")),
-                    }
+                    let st = svc.shard_restore(i, reader.block(&mut r)?)?;
+                    shard_metrics[i] = svc.to_metrics(i, &st);
+                    restored_shards[i] = true;
                 }
                 other => return Err(bad(&format!("unknown record `{other}`"))),
             }
@@ -1997,54 +1457,19 @@ impl DispatchService {
         if !restored_shards.iter().all(|&r| r) {
             return Err(bad("snapshot does not cover every configured shard"));
         }
-        // Reassemble the in-flight rollout. Candidates re-enter through
-        // the admission gate — a snapshot is no excuse for serving a
-        // checkpoint that would not be admitted today — while a watch
-        // stage's pinned prior rebuilds verbatim from its persisted texts
-        // (`{:?}` float formatting round-trips weights bit-exactly).
-        let restored_rollout = match rollout {
-            None => None,
-            Some(mut r) => {
-                let cfg = &svc.config.rollout;
-                let stage = match r.token("stage")? {
-                    "shadow" => RolloutInFlight::Shadow {
-                        done: r.field("done")?,
-                        cand_total: r.field("candidate total")?,
-                        inc_total: r.field("incumbent total")?,
-                        candidate: rtexts.candidate(r.field("version")?, cfg)?,
-                    },
-                    "canary" => RolloutInFlight::Canary {
-                        done: r.field("done")?,
-                        canary_total: r.field("canary total")?,
-                        control_total: r.field("control total")?,
-                        failures: r.field("failures")?,
-                        candidate: rtexts.candidate(r.field("version")?, cfg)?,
-                    },
-                    "watch" => RolloutInFlight::Watch {
-                        done: r.field("done")?,
-                        total: r.field("total")?,
-                        baseline: r.opt(|r| r.field("baseline"))?,
-                        prior: rtexts.prior(r.field("prior version")?)?,
-                    },
-                    other => return Err(bad(&format!("unknown rollout stage `{other}`"))),
-                };
-                r.finish()?;
-                Some(stage)
-            }
-        };
+        let rollout =
+            rollout_records.restore(svc.config.rollout.clone(), Arc::clone(&svc.registry))?;
         // A trainer record only matters when the restored service trains:
         // the snapshot carries state, the config carries topology. With
         // training disabled the record is skipped, and a snapshot without
         // one (taken before the trainer existed, or with training off)
         // restores into a trainer-configured service training from scratch.
-        if let (Some(text), Some(cfg)) = (&trainer_text, svc.config.trainer.clone()) {
-            let trainer = Trainer::restore(cfg, text)
+        if let (Some(text), Some(slot)) = (&trainer_text, lock(&svc.trainer).as_mut()) {
+            slot.trainer = slot
+                .trainer
+                .restore(text)
                 .map_err(|e| ServeError::BadSnapshot(format!("trainer state in snapshot: {e}")))?;
-            let checkpoint = trainer.snapshot_text();
-            *lock(&svc.trainer) = Some(TrainerSlot {
-                trainer,
-                checkpoint,
-            });
+            slot.checkpoint = slot.trainer.snapshot_text();
         }
         for (i, q) in svc.request_queues.iter().enumerate() {
             let (accepted, shed) = rqueue_counters[i];
@@ -2070,8 +1495,7 @@ impl DispatchService {
             state.epochs_completed = epochs;
             state.histogram = histogram.unwrap_or_default();
             state.shard_metrics = shard_metrics;
-            state.rollout = restored_rollout;
-            state.recent_rewards = recent_rewards.unwrap_or_default().into();
+            state.rollout = rollout;
         }
         // The snapshot restored everything journaled at or below its
         // high-water mark; replaying the journal suffix past it recovers
@@ -2127,80 +1551,4 @@ impl Drop for DispatchService {
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Normalizes a checkpoint text to exactly one `\n` per line (so snapshot
-/// line counting is exact regardless of the submitter's trailing newline).
-fn normalize_text(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 1);
-    for l in text.lines() {
-        out.push_str(l);
-        out.push('\n');
-    }
-    out
-}
-
-fn write_candidate_texts(out: &mut String, candidate: &CandidateBundle) {
-    if let Some(t) = &candidate.predictor_text {
-        write_block(out, "rtext cpred", t);
-    }
-    if let Some(t) = &candidate.policy_text {
-        write_block(out, "rtext cpol", t);
-    }
-}
-
-/// The `rtext` checkpoint bodies collected while parsing a snapshot.
-#[derive(Default)]
-struct RolloutTexts {
-    cpred: Option<String>,
-    cpol: Option<String>,
-    ppred: Option<String>,
-    ppol: Option<String>,
-}
-
-impl RolloutTexts {
-    /// Rebuilds a shadow/canary candidate through the admission gate.
-    fn candidate(self, version: u64, cfg: &RolloutConfig) -> Result<CandidateBundle, ServeError> {
-        let (predictor, policy) =
-            rollout::admit(self.cpred.as_deref(), self.cpol.as_deref(), cfg.probe_bound).map_err(
-                |e| {
-                    ServeError::BadSnapshot(format!(
-                        "rollout candidate in snapshot failed admission: {e}"
-                    ))
-                },
-            )?;
-        Ok(CandidateBundle {
-            bundle: Arc::new(ModelBundle {
-                version,
-                predictor,
-                policy,
-            }),
-            predictor_text: self.cpred,
-            policy_text: self.cpol,
-        })
-    }
-
-    /// Rebuilds a watch stage's pinned prior bundle verbatim.
-    fn prior(self, prior_version: u64) -> Result<Arc<ModelBundle>, ServeError> {
-        let bad = |what: &str, e: String| {
-            ServeError::BadSnapshot(format!("rollout prior {what} in snapshot: {e}"))
-        };
-        let predictor = self
-            .ppred
-            .as_deref()
-            .map(RequestPredictor::from_text)
-            .transpose()
-            .map_err(|e| bad("predictor", e))?;
-        let policy = self
-            .ppol
-            .as_deref()
-            .map(mlp_from_text)
-            .transpose()
-            .map_err(|e| bad("policy", e.to_string()))?;
-        Ok(Arc::new(ModelBundle {
-            version: prior_version,
-            predictor,
-            policy,
-        }))
-    }
 }

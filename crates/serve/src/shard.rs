@@ -98,6 +98,7 @@ pub(crate) struct ShadowReport {
 }
 
 /// Commands the service sends to a shard worker.
+#[derive(Clone)]
 pub(crate) enum ShardCmd {
     /// Inject the drained requests, run one dispatch epoch, reply with
     /// [`ShardReply::Epoch`].
@@ -288,17 +289,6 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
     let mut rejected: u64 = 0;
     let mut carry_ms: u64 = 0;
     let mut degraded: u64 = 0;
-    // A restored world starts with a fresh planner; its pre-snapshot
-    // counters are carried in this base so totals survive restores.
-    let mut routing_base = PlannerStats::default();
-
-    let routing_total = |world: &World<'_>, base: PlannerStats| {
-        let now = world.routing_stats();
-        PlannerStats {
-            hits: base.hits + now.hits,
-            misses: base.misses + now.misses,
-        }
-    };
 
     #[allow(clippy::too_many_arguments)] // a plain projection of worker state
     let status = |world: &World<'_>,
@@ -306,7 +296,6 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
                   rejected: u64,
                   version: u64,
                   compute_ms: u64,
-                  routing: PlannerStats,
                   degraded: u64,
                   degraded_now: bool,
                   report: Option<EpochReport>,
@@ -323,7 +312,7 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
             delivered: world.num_delivered(),
             model_version: version,
             compute_ms,
-            routing,
+            routing: world.routing_stats(),
             degraded,
             degraded_now,
             report,
@@ -502,7 +491,6 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
                     rejected,
                     bundle.version,
                     spent_ms.get(),
-                    routing_total(&world, routing_base),
                     degraded + u64::from(degraded_now),
                     degraded_now,
                     Some(report),
@@ -518,7 +506,7 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
                 carry_ms = spent_ms.get();
             }
             ShardCmd::Snapshot => {
-                let routing = routing_total(&world, routing_base);
+                let routing = world.routing_stats();
                 let mut text = format!(
                     "shardstate {injected} {rejected} {carry_ms} {} {} {} {degraded}\n",
                     bundle.version, routing.hits, routing.misses
@@ -537,7 +525,9 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
                         rejected = parsed.rejected;
                         carry_ms = parsed.carry_ms;
                         degraded = parsed.degraded;
-                        routing_base = parsed.routing;
+                        // The restored world's planner is fresh: carry the
+                        // snapshot's cache totals on in it.
+                        world.resume_routing_stats(parsed.routing);
                         // The dispatcher rebuilds from the registry at the
                         // next epoch; until then report the version the
                         // snapshot ran with.
@@ -547,7 +537,6 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
                             rejected,
                             parsed.version,
                             carry_ms,
-                            routing_total(&world, routing_base),
                             degraded,
                             false,
                             None,

@@ -108,18 +108,19 @@ pub struct TrainerStatus {
 
 /// Observability handles the trainer records into (fetched once from the
 /// service registry; all zero-cost on a [`crate::SimClock`]).
-pub(crate) struct TrainerObs {
-    pub steps: Counter,
-    pub offered: Counter,
-    pub accepted: Counter,
-    pub shed: Counter,
-    pub loss: Histogram,
-    pub step_ms: Histogram,
-    pub time: Arc<dyn TimeSource>,
+#[derive(Clone)]
+struct TrainerObs {
+    steps: Counter,
+    offered: Counter,
+    accepted: Counter,
+    shed: Counter,
+    loss: Histogram,
+    step_ms: Histogram,
+    time: Arc<dyn TimeSource>,
 }
 
 impl TrainerObs {
-    pub(crate) fn new(obs: &Registry, time: Arc<dyn TimeSource>) -> Self {
+    fn new(obs: &Registry, time: Arc<dyn TimeSource>) -> Self {
         Self {
             steps: obs.counter("train.steps"),
             offered: obs.counter("train.transitions_offered"),
@@ -149,11 +150,13 @@ pub(crate) struct Trainer {
     steps: u64,
     /// Candidates emitted.
     candidates: u64,
+    obs: TrainerObs,
 }
 
 impl Trainer {
-    /// A fresh trainer: seeded nets, empty replay, empty queue.
-    pub fn new(config: TrainerConfig) -> Self {
+    /// A fresh trainer (seeded nets, empty replay, empty queue) recording
+    /// into `obs`'s `train.*` series, timing steps on `time`.
+    pub fn new(config: TrainerConfig, obs: &Registry, time: Arc<dyn TimeSource>) -> Self {
         let mut dims = vec![FEATURE_DIM];
         dims.extend_from_slice(&config.hidden);
         dims.push(1);
@@ -173,12 +176,14 @@ impl Trainer {
             epochs: 0,
             steps: 0,
             candidates: 0,
+            obs: TrainerObs::new(obs, time),
         }
     }
 
     /// Offers one epoch's tapped transitions into the bounded queue,
     /// recording offer/accept/shed counts.
-    pub fn offer(&self, transitions: Vec<PairTransition>, obs: &TrainerObs) {
+    pub fn offer(&self, transitions: Vec<PairTransition>) {
+        let obs = &self.obs;
         for t in transitions {
             obs.offered.inc();
             if self.queue.push(t) {
@@ -192,7 +197,9 @@ impl Trainer {
     /// One epoch boundary: drain the queue into replay, run the configured
     /// learning steps (if warmed up), and return a candidate checkpoint
     /// text when the emission cadence is due.
-    pub fn epoch_tick(&mut self, obs: &TrainerObs) -> Option<String> {
+    pub fn epoch_tick(&mut self) -> Option<String> {
+        // Handles, not the trainer: a step span is open across `learn_step`.
+        let obs = self.obs.clone();
         for t in self.queue.drain() {
             self.replay.push(t);
         }
@@ -306,14 +313,16 @@ impl Trainer {
     }
 
     /// Rebuilds a trainer from [`Trainer::snapshot_text`] output under
-    /// `config` (the config itself is not persisted — like every other
-    /// serve component, topology and hyperparameters come from the caller
-    /// and only *state* comes from the snapshot).
+    /// this trainer's config (like every other serve component, only
+    /// *state* comes from the snapshot), recording into the same `train.*`
+    /// series with the step and transition counters *set* to the restored
+    /// totals, as a service restore sets its `serve.*` counters.
     ///
     /// # Errors
     ///
     /// Returns a message naming the malformed record.
-    pub fn restore(config: TrainerConfig, text: &str) -> Result<Self, String> {
+    pub fn restore(&self, text: &str) -> Result<Self, String> {
+        let config = self.config.clone();
         let mut reader = Reader::new(text);
         let mut r = reader.expect("trainer")?;
         let epochs = r.field("epochs")?;
@@ -349,6 +358,11 @@ impl Trainer {
         if online.input_dim() != FEATURE_DIM || online.output_dim() != 1 {
             return Err("trainer online network has the wrong shape".to_owned());
         }
+        let obs = self.obs.clone();
+        obs.steps.set(steps);
+        obs.offered.set(accepted + shed);
+        obs.accepted.set(accepted);
+        obs.shed.set(shed);
         Ok(Self {
             config,
             online,
@@ -359,6 +373,7 @@ impl Trainer {
             epochs,
             steps,
             candidates,
+            obs,
         })
     }
 }
@@ -368,12 +383,9 @@ mod tests {
     use super::*;
     use crate::clock::{Clock, ClockTimeSource, SimClock};
 
-    fn test_obs() -> (Arc<Registry>, TrainerObs) {
-        let registry = Arc::new(Registry::new());
+    fn trainer(config: TrainerConfig) -> Trainer {
         let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
-        let time: Arc<dyn TimeSource> = Arc::new(ClockTimeSource(clock));
-        let obs = TrainerObs::new(&registry, time);
-        (registry, obs)
+        Trainer::new(config, &Registry::new(), Arc::new(ClockTimeSource(clock)))
     }
 
     fn stream(seed: u64, n: usize) -> Vec<PairTransition> {
@@ -404,13 +416,12 @@ mod tests {
 
     #[test]
     fn learns_and_emits_candidates_on_cadence() {
-        let (_r, obs) = test_obs();
-        let mut t = Trainer::new(small_config());
+        let mut t = trainer(small_config());
         let initial = t.policy_text();
         let mut emitted = 0;
         for epoch in 0..6u64 {
-            t.offer(stream(epoch, 4), &obs);
-            if t.epoch_tick(&obs).is_some() {
+            t.offer(stream(epoch, 4));
+            if t.epoch_tick().is_some() {
                 emitted += 1;
             }
         }
@@ -418,23 +429,21 @@ mod tests {
         assert_eq!(emitted, 3, "cadence is every 2 epochs");
         assert_eq!(t.status().candidates, 3);
         assert_ne!(t.policy_text(), initial, "training never moved the net");
-        assert_eq!(obs.steps.value(), t.status().steps);
+        assert_eq!(t.obs.steps.value(), t.status().steps);
         assert_eq!(
-            obs.offered.value(),
-            obs.accepted.value() + obs.shed.value(),
+            t.obs.offered.value(),
+            t.obs.accepted.value() + t.obs.shed.value(),
             "transition conservation"
         );
     }
 
     #[test]
     fn queue_sheds_when_full_and_conserves() {
-        let (_r, obs) = test_obs();
-        let config = TrainerConfig {
+        let t = trainer(TrainerConfig {
             queue_capacity: 3,
             ..small_config()
-        };
-        let t = Trainer::new(config);
-        t.offer(stream(0, 10), &obs);
+        });
+        t.offer(stream(0, 10));
         let s = t.status();
         assert_eq!(s.offered, 10);
         assert_eq!(s.accepted, 3);
@@ -444,22 +453,21 @@ mod tests {
 
     #[test]
     fn snapshot_restore_resumes_bit_identically() {
-        let (_r, obs) = test_obs();
-        let mut a = Trainer::new(small_config());
+        let mut a = trainer(small_config());
         for epoch in 0..3u64 {
-            a.offer(stream(epoch, 6), &obs);
-            let _ = a.epoch_tick(&obs);
+            a.offer(stream(epoch, 6));
+            let _ = a.epoch_tick();
         }
         // Snapshot mid-stream — with transitions still queued.
-        a.offer(stream(90, 3), &obs);
+        a.offer(stream(90, 3));
         let text = a.snapshot_text();
-        let mut b = Trainer::restore(small_config(), &text).expect("restores");
+        let mut b = trainer(small_config()).restore(&text).expect("restores");
         assert_eq!(b.snapshot_text(), text, "restore is lossless");
         for epoch in 3..6u64 {
-            a.offer(stream(epoch, 6), &obs);
-            b.offer(stream(epoch, 6), &obs);
-            let ca = a.epoch_tick(&obs);
-            let cb = b.epoch_tick(&obs);
+            a.offer(stream(epoch, 6));
+            b.offer(stream(epoch, 6));
+            let ca = a.epoch_tick();
+            let cb = b.epoch_tick();
             assert_eq!(ca, cb, "restored trainer diverged at epoch {epoch}");
         }
         assert_eq!(a.policy_text(), b.policy_text());
@@ -468,27 +476,26 @@ mod tests {
 
     #[test]
     fn restore_rejects_malformed_records() {
-        let t = Trainer::new(small_config());
+        let t = trainer(small_config());
         let text = t.snapshot_text();
-        assert!(Trainer::restore(small_config(), "").is_err());
-        assert!(Trainer::restore(small_config(), "notatrainer 0 0 0 0 0").is_err());
+        assert!(t.restore("").is_err());
+        assert!(t.restore("notatrainer 0 0 0 0 0").is_err());
         let truncated: String = text.lines().take(2).collect::<Vec<_>>().join("\n");
-        assert!(Trainer::restore(small_config(), &truncated).is_err());
+        assert!(t.restore(&truncated).is_err());
         let trailing = format!("{text}junk\n");
-        assert!(Trainer::restore(small_config(), &trailing).is_err());
+        assert!(t.restore(&trailing).is_err());
     }
 
     #[test]
     fn same_seed_same_stream_is_byte_identical_and_seed_changes_it() {
-        let (_r, obs) = test_obs();
         let run = |seed: u64| {
-            let mut t = Trainer::new(TrainerConfig {
+            let mut t = trainer(TrainerConfig {
                 seed,
                 ..small_config()
             });
             for epoch in 0..4u64 {
-                t.offer(stream(epoch, 6), &obs);
-                let _ = t.epoch_tick(&obs);
+                t.offer(stream(epoch, 6));
+                let _ = t.epoch_tick();
             }
             t.policy_text()
         };

@@ -1,10 +1,13 @@
-//! Golden-file test pinning the `mrserve 1` snapshot text format.
+//! Golden-file tests pinning the `mrserve 1` snapshot text format.
 //!
-//! The checked-in fixture is the byte-exact snapshot of a small
-//! deterministic service run. Any change to the wire format — a new
-//! record, a reordered field, a float formatting change — shows up as an
-//! explicit diff against `tests/golden/mrserve_v1.txt` instead of a
-//! silent break for operators holding older snapshots on disk.
+//! The checked-in fixtures are byte-exact snapshots of small
+//! deterministic service runs: `mrserve_v1.txt` with no rollout in
+//! flight, and `mrserve_v1_rollout_{shadow,canary,watch}.txt` with a
+//! guarded rollout stopped in each stage (the `rrew`, `rollout` and
+//! `rtext` records). Any change to the wire format — a new record, a
+//! reordered field, a float formatting change — shows up as an explicit
+//! diff against a fixture instead of a silent break for operators holding
+//! older snapshots on disk.
 //!
 //! To bless an *intentional* format change:
 //!
@@ -15,19 +18,25 @@
 //! and commit the updated fixture together with the format change and a
 //! version-number bump rationale.
 
-use mobirescue_core::scenario::ScenarioConfig;
+use mobirescue_core::rl_dispatch::FEATURE_DIM;
+use mobirescue_core::scenario::{Scenario, ScenarioConfig};
+use mobirescue_rl::nn::Mlp;
+use mobirescue_rl::persist::mlp_to_text;
 use mobirescue_roadnet::graph::SegmentId;
+use mobirescue_serve::chaos::chaos_scenario;
 use mobirescue_serve::{
-    Clock, DispatchService, Event, ModelRegistry, ServeConfig, SimClock, TrainerConfig,
+    Clock, DispatchService, Event, ModelRegistry, RolloutConfig, RolloutStage, ServeConfig,
+    SimClock, TrainerConfig,
 };
 use mobirescue_sim::{RequestSpec, SimConfig};
+use std::ops::Range;
 use std::sync::Arc;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/mrserve_v1.txt");
 
 /// The trainer the fixture run enables, so the snapshot pins the
 /// `tstate` record: small and deterministic, with candidate emission off
-/// (a rollout in flight is `rollout`/`rtext`'s job, already pinned).
+/// (a rollout in flight is pinned by the rollout fixtures below).
 fn golden_trainer() -> TrainerConfig {
     TrainerConfig {
         min_replay: 4,
@@ -108,13 +117,19 @@ fn golden_snapshot() -> String {
 
 #[test]
 fn mrserve_v1_format_matches_golden_fixture() {
-    let generated = golden_snapshot();
+    assert_matches_fixture(&golden_snapshot(), GOLDEN_PATH);
+}
+
+/// Compares a generated snapshot against the fixture at `path` byte for
+/// byte (or, under `UPDATE_GOLDEN`, writes it there) and returns the
+/// fixture text.
+fn assert_matches_fixture(generated: &str, path: &str) -> String {
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(GOLDEN_PATH, &generated).expect("fixture written");
-        return;
+        std::fs::write(path, generated).expect("fixture written");
+        return generated.to_owned();
     }
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("tests/golden/mrserve_v1.txt exists; run with UPDATE_GOLDEN=1 to create it");
+    let golden = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("{path}: {e}; run with UPDATE_GOLDEN=1 to create it"));
     if generated != golden {
         let mismatch = generated
             .lines()
@@ -135,11 +150,149 @@ fn mrserve_v1_format_matches_golden_fixture() {
             ),
         };
         panic!(
-            "`mrserve 1` snapshot format drifted from the golden fixture.\n{context}\n\
+            "`mrserve 1` snapshot format drifted from the golden fixture {path}.\n{context}\n\
              If the change is intentional, bless it with:\n  \
              UPDATE_GOLDEN=1 cargo test -p mobirescue-serve --test golden\n\
              and explain the format change in the commit."
         );
+    }
+    golden
+}
+
+/// A hand-weighted single-layer policy that chases live requests and
+/// remaining demand, penalises distance, and never stands a team down
+/// (the competent policy of `tests/rollout.rs`).
+fn competent_net(seed: u64) -> Mlp {
+    let mut net = Mlp::new(&[FEATURE_DIM, 1], seed);
+    let base = [-2.0, 1.0, 3.0, 0.0, 0.0, -1_000.0, 0.0];
+    net.visit_params_mut(|i, w, _| {
+        *w = base[i] + 0.05 * *w;
+    });
+    net
+}
+
+/// The rollout run's configuration: 2 shards, 3 shadow epochs, 2 canary
+/// epochs on shard 0, a 2-epoch watch window. The canary slack covers the
+/// two shards' different request streams (canary 19.7 vs control 34.8),
+/// so the candidate reaches the watch stage.
+fn rollout_config() -> ServeConfig {
+    let mut config = ServeConfig::new(SimConfig::small(6));
+    config.num_shards = 2;
+    config.request_queue_capacity = 8;
+    config.rollout = RolloutConfig {
+        shadow_epochs: 3,
+        canary_epochs: 2,
+        canary_shards: 1,
+        canary_slack: 20.0,
+        watch_epochs: 2,
+        ..RolloutConfig::default()
+    };
+    config
+}
+
+/// Ingests three deterministic requests per shard and runs each epoch in
+/// `epochs`.
+fn drive_rollout(service: &DispatchService, scenario: &Scenario, epochs: Range<u32>) {
+    let segments = scenario.city.network.num_segments() as u32;
+    for epoch in epochs {
+        for shard in 0..2usize {
+            for i in 0..3u32 {
+                let spec = RequestSpec {
+                    appear_s: epoch * 300 + (i * 37) % 300,
+                    segment: SegmentId((epoch * 53 + i * 17 + shard as u32 * 29) % segments),
+                };
+                service
+                    .ingest(Event::Request { shard, spec })
+                    .expect("valid request");
+            }
+        }
+        service.run_epoch().expect("epoch runs");
+    }
+}
+
+/// Epochs the rollout run drives; the candidate is submitted after epoch
+/// 0 and the pipeline resolves before the last one.
+const ROLLOUT_EPOCHS: u32 = 9;
+
+/// Where the rollout run is snapshotted: after the named epoch, one epoch
+/// into each stage, so every stage's accumulators are non-zero.
+const ROLLOUT_SNAPSHOTS: [(RolloutStage, u32); 3] = [
+    (RolloutStage::Shadow, 1),
+    (RolloutStage::Canary, 4),
+    (RolloutStage::Watch, 6),
+];
+
+fn rollout_fixture(stage: RolloutStage) -> String {
+    format!(
+        "{}/tests/golden/mrserve_v1_rollout_{stage}.txt",
+        env!("CARGO_MANIFEST_DIR")
+    )
+}
+
+/// The `in_flight_rollout_survives_snapshot_and_restore` run (chaos
+/// scenario, `SimClock`, competent incumbent v1 and candidate v2),
+/// snapshotted once in each of the shadow, canary and watch stages. Each
+/// snapshot must equal its fixture byte for byte; each fixture must
+/// restore to the same rollout status and then finish at the same final
+/// snapshot as the uninterrupted run.
+#[test]
+fn in_flight_rollout_records_match_golden_fixtures() {
+    let scenario = Arc::new(chaos_scenario());
+    let incumbent = || Arc::new(ModelRegistry::new(None, Some(competent_net(6))));
+    let candidate = mlp_to_text(&competent_net(7));
+    let service = DispatchService::start(
+        Arc::clone(&scenario),
+        rollout_config(),
+        Arc::new(SimClock::new()) as Arc<dyn Clock>,
+        incumbent(),
+    )
+    .expect("service starts");
+    drive_rollout(&service, &scenario, 0..1);
+    service
+        .submit_rollout(None, Some(&candidate))
+        .expect("admitted");
+    let mut stops = Vec::new();
+    let mut next = 1;
+    for (stage, epoch) in ROLLOUT_SNAPSHOTS {
+        drive_rollout(&service, &scenario, next..epoch + 1);
+        next = epoch + 1;
+        let status = service.rollout_status().expect("rollout in flight");
+        assert_eq!((status.stage, status.epochs_done), (stage, 1));
+        let snapshot = service.snapshot().expect("snapshot serializes");
+        stops.push((status, epoch, snapshot));
+    }
+    drive_rollout(&service, &scenario, next..ROLLOUT_EPOCHS);
+    assert!(service.rollout_status().is_none(), "pipeline completed");
+    assert_eq!(service.metrics().model_version, 2, "candidate promoted");
+    let finished = service.snapshot().expect("final snapshot");
+    service.shutdown();
+
+    for (status, epoch, snapshot) in stops {
+        let golden = assert_matches_fixture(&snapshot, &rollout_fixture(status.stage));
+        // A restore takes the registry the caller holds: after promotion
+        // (the watch stage) that is the one the candidate was installed in.
+        let registry = incumbent();
+        if status.stage == RolloutStage::Watch {
+            registry
+                .install_from_text(None, Some(&candidate))
+                .expect("candidate installs");
+        }
+        let restored = DispatchService::restore(
+            Arc::clone(&scenario),
+            rollout_config(),
+            Arc::new(SimClock::new()) as Arc<dyn Clock>,
+            registry,
+            &golden,
+        )
+        .expect("fixture restores");
+        assert_eq!(restored.rollout_status(), Some(status));
+        drive_rollout(&restored, &scenario, epoch + 1..ROLLOUT_EPOCHS);
+        assert!(
+            restored.snapshot().expect("final snapshot") == finished,
+            "{} fixture: the restored run diverged from the uninterrupted one",
+            status.stage
+        );
+        restored.shutdown();
     }
 }
 

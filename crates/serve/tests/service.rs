@@ -227,6 +227,31 @@ fn route_planner_counters_survive_restore_exactly() {
         assert_eq!(b.routing_misses, a.routing_misses, "miss counter drifted");
     }
 
+    // One epoch later the planner's published cache counters, the serve
+    // mirror and the metrics view all hold the same cumulative totals.
+    ingest_all(&restored, &scenario, 3, 3);
+    restored.run_epoch().expect("epoch runs after the restore");
+    let metrics = restored.metrics();
+    let dump = restored.obs_snapshot();
+    for (i, shard) in metrics.shards.iter().enumerate() {
+        for (kind, total) in [
+            ("hits", shard.routing_hits),
+            ("misses", shard.routing_misses),
+        ] {
+            let counter = |name: String| dump.counters[&name];
+            assert_eq!(
+                counter(format!("routing.shard{i}.cache_{kind}")),
+                total,
+                "shard {i}: planner cache_{kind} disagrees with the metrics"
+            );
+            assert_eq!(
+                counter(format!("serve.shard{i}.routing_{kind}")),
+                total,
+                "shard {i}: serve routing_{kind} disagrees with the metrics"
+            );
+        }
+    }
+
     service.shutdown();
     restored.shutdown();
 }

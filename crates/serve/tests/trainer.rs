@@ -217,6 +217,24 @@ fn trainer_state_survives_snapshot_restore_and_resumes_bit_identically() {
         policy_before,
         "the trainer's online network must survive byte-exactly"
     );
+    // The `train.*` counters resume from the snapshot too, so the metrics
+    // dump agrees with `trainer_status()`.
+    let counter = |name: &str| b1.obs().counter(name).value();
+    assert_eq!(
+        [
+            counter("train.steps"),
+            counter("train.transitions_offered"),
+            counter("train.transitions_accepted"),
+            counter("train.transitions_shed"),
+        ],
+        [
+            status_before.steps,
+            status_before.offered,
+            status_before.accepted,
+            status_before.shed,
+        ],
+        "train.* counters must resume from the restored trainer state"
+    );
 
     let (b2, clock_b2) = restore();
     drive(&b1, &clock_b1, 6, 12);

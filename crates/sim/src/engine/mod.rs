@@ -365,6 +365,13 @@ impl<'a> World<'a> {
         self.planner.stats()
     }
 
+    /// Carries the route planner's cache counters on from `stats`, the
+    /// totals recorded next to this world's snapshot (see
+    /// [`mobirescue_roadnet::planner::RoutePlanner::resume_stats`]).
+    pub fn resume_routing_stats(&self, stats: mobirescue_roadnet::planner::PlannerStats) {
+        self.planner.resume_stats(stats);
+    }
+
     /// Advances one second. `extra_latency_s` is added to the
     /// dispatcher's *modeled* latency if this step runs a dispatch tick —
     /// the serve runtime feeds the measured wall-clock computation time

@@ -7,8 +7,9 @@
 #   scripts/verify.sh --full   # additionally run the whole workspace's tests
 #
 # `cargo test -q` tests only the root package, so the "snapshot formats"
-# step runs the sim and serve crates' suites: the golden and frozen
-# compat fixtures and the snapshot property tests.
+# step runs the sim, serve and rl crates' suites: the golden and frozen
+# compat fixtures, the snapshot property tests, and the round trips of the
+# `rl` texts (networks, Adam, replay ring) the trainer's `tstate` holds.
 #
 # Every step runs even when an earlier one fails, so one invocation
 # reports everything that is broken; the script exits non-zero if any
@@ -38,7 +39,7 @@ run_step "fmt" cargo fmt --check
 run_step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 run_step "tier-1 build" cargo build --release
 run_step "tier-1 tests" cargo test -q
-run_step "snapshot formats" cargo test -q -p mobirescue-sim -p mobirescue-serve
+run_step "snapshot formats" cargo test -q -p mobirescue-sim -p mobirescue-serve -p mobirescue-rl
 run_step "chaos suite" cargo test -q --test chaos
 run_step "rollout chaos suite" cargo test -q --test rollout_chaos
 run_step "trainer chaos suite" cargo test -q --test trainer_chaos
