@@ -10,7 +10,9 @@
 //! scores `(team, zone)` *feature* pairs (distance, live demand, predicted
 //! demand, load, stand-by flag) with weights shared across zones, so one
 //! simulated disaster day already provides hundreds of gradient steps per
-//! zone-like situation.
+//! zone-like situation. A team's candidates are fixed-size rows in one
+//! reused buffer, scored in a single batched forward pass
+//! ([`QScore::best`]), so the decide loop allocates nothing per candidate.
 //!
 //! The reward is Equation 5, `r = α·N^q − β·T^d − γ·N^m`, densified with a
 //! demand-coverage shaping term, and is computed online from observed state
@@ -102,7 +104,7 @@ impl Default for RlDispatchConfig {
 struct Decision {
     team_index: usize,
     /// Features of the chosen action.
-    features: Vec<f64>,
+    features: [f64; FEATURE_DIM],
     /// Demand coverage earned by this choice (`min(remaining, c)/c`).
     covered: f64,
     /// Estimated driving delay of this choice, seconds.
@@ -141,12 +143,12 @@ pub struct MobiRescueDispatcher<'a> {
     cached_pred_hour: Option<u32>,
     cached_pred: Vec<f64>,
     /// Per-round scratch (per-segment demand/live tallies and the candidate
-    /// feature/action lists), reused across every dispatch round so the
+    /// feature rows/actions), reused across every dispatch round so the
     /// epoch loop allocates nothing proportional to world size after the
     /// first tick.
     demand: Vec<f64>,
     live: Vec<f64>,
-    cand_feats: Vec<Vec<f64>>,
+    cand_feats: Vec<[f64; FEATURE_DIM]>,
     cand_actions: Vec<Option<ZoneId>>,
     prev: Option<PrevRound>,
     observed: usize,
@@ -362,19 +364,18 @@ impl<'a> MobiRescueDispatcher<'a> {
         }
     }
 
-    /// Candidate `(team, action)` features: one entry per non-empty zone
-    /// plus the final stand-by candidate. Returns `(features, action)`
-    /// pairs where `action = Some(zone)` or `None` for stand-by. The decide
-    /// loop uses [`fill_candidates`] with reused buffers instead; this
-    /// owned variant serves the reward path, whose candidate sets outlive
-    /// the round inside stored transitions.
+    /// Candidate `(team, action)` features: one row per non-empty zone
+    /// plus the final stand-by row. The decide loop uses
+    /// [`fill_candidates`] with reused buffers instead; this owned variant
+    /// serves the reward path, whose candidate sets outlive the round
+    /// inside stored transitions.
     fn candidates(
         &self,
         team_pos: GeoPoint,
         onboard_frac: f64,
         remaining: &[f64],
         live_zone: &[f64],
-    ) -> (Vec<Vec<f64>>, Vec<Option<ZoneId>>) {
+    ) -> Vec<Vec<f64>> {
         let mut feats = Vec::with_capacity(self.zones.num_zones() + 1);
         let mut actions = Vec::with_capacity(self.zones.num_zones() + 1);
         fill_candidates(
@@ -387,7 +388,7 @@ impl<'a> MobiRescueDispatcher<'a> {
             &mut feats,
             &mut actions,
         );
-        (feats, actions)
+        feats.iter().map(|row| row.to_vec()).collect()
     }
 
     /// The pickup segment for a team sent to `zone`: the *nearest* segment
@@ -405,12 +406,9 @@ impl<'a> MobiRescueDispatcher<'a> {
         let nearest_live = segs
             .iter()
             .filter(|s| live[s.index()] > 0.0)
-            .min_by(|a, b| {
-                let da = state.net.segment_midpoint(**a).distance_m(team_pos);
-                let db = state.net.segment_midpoint(**b).distance_m(team_pos);
-                da.partial_cmp(&db).expect("distances are never NaN")
-            })
-            .copied();
+            .map(|&s| (s, state.net.segment_midpoint(s).distance_m(team_pos)))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("distances are never NaN"))
+            .map(|(s, _)| s);
         nearest_live
             .or_else(|| {
                 segs.iter()
@@ -429,11 +427,12 @@ impl<'a> MobiRescueDispatcher<'a> {
     }
 }
 
-/// Writes one team's candidate `(team, action)` feature set into
-/// caller-owned buffers, recycling the inner feature-vector allocations
-/// from the previous call — every dispatch round scores candidates for
-/// every free team, so the per-candidate `Vec` churn was a measurable
-/// fraction of the frozen-policy dispatch tick.
+/// Writes one team's candidate `(team, action)` set into caller-owned
+/// buffers: one fixed-size feature row per non-empty zone plus the final
+/// stand-by row, with `actions[i] = Some(zone)` or `None` for stand-by.
+/// Every dispatch round scores candidates for every free team, so the rows
+/// live in one reused buffer the policy scores in a single batched pass —
+/// the decide loop allocates nothing per candidate.
 #[allow(clippy::too_many_arguments)]
 fn fill_candidates(
     anchor_pos: &[Option<GeoPoint>],
@@ -442,40 +441,27 @@ fn fill_candidates(
     onboard_frac: f64,
     remaining: &[f64],
     live_zone: &[f64],
-    feats: &mut Vec<Vec<f64>>,
+    feats: &mut Vec<[f64; FEATURE_DIM]>,
     actions: &mut Vec<Option<ZoneId>>,
 ) {
     let squash = |d: f64| d / (d + 3.0);
     let total: f64 = remaining.iter().sum();
+    feats.clear();
     actions.clear();
-    let mut used = 0;
-    let mut slot = |feats: &mut Vec<Vec<f64>>, row: [f64; FEATURE_DIM]| {
-        if used < feats.len() {
-            feats[used].clear();
-            feats[used].extend_from_slice(&row);
-        } else {
-            feats.push(row.to_vec());
-        }
-        used += 1;
-    };
     for (z, pos) in anchor_pos.iter().enumerate() {
         let Some(pos) = pos else { continue };
-        slot(
-            feats,
-            [
-                team_pos.distance_m(*pos) / diameter_m,
-                squash(remaining[z]),
-                squash(live_zone[z]),
-                squash(total),
-                onboard_frac,
-                0.0,
-            ],
-        );
+        feats.push([
+            team_pos.distance_m(*pos) / diameter_m,
+            squash(remaining[z]),
+            squash(live_zone[z]),
+            squash(total),
+            onboard_frac,
+            0.0,
+        ]);
         actions.push(Some(ZoneId(z as u16)));
     }
-    slot(feats, [0.0, 0.0, 0.0, squash(total), onboard_frac, 1.0]);
+    feats.push([0.0, 0.0, 0.0, squash(total), onboard_frac, 1.0]);
     actions.push(None);
-    feats.truncate(used);
 }
 
 impl Dispatcher for MobiRescueDispatcher<'_> {
@@ -527,7 +513,7 @@ impl Dispatcher for MobiRescueDispatcher<'_> {
                         - self.config.gamma_weight * f64::from(d.serving);
                     let team = &state.teams[d.team_index];
                     let pos = state.net.landmark(team.location).position;
-                    let (mut next_candidates, _) = self.candidates(
+                    let mut next_candidates = self.candidates(
                         pos,
                         team.onboard as f64 / self.config.capacity as f64,
                         &remaining,
@@ -549,7 +535,7 @@ impl Dispatcher for MobiRescueDispatcher<'_> {
                         next_candidates.push(standby);
                     }
                     let t = PairTransition {
-                        features: d.features,
+                        features: d.features.to_vec(),
                         reward,
                         next_candidates,
                     };
@@ -570,8 +556,8 @@ impl Dispatcher for MobiRescueDispatcher<'_> {
             }
         }
 
-        // Decide this round. Decisions (with their cloned feature vectors)
-        // are only recorded when the reward path will consume them.
+        // Decide this round. Decisions are only recorded when the reward
+        // path will consume them.
         let record = self.training || self.tap;
         let mut plan = DispatchPlan::none(state.teams.len());
         let mut decisions = Vec::new();
@@ -581,8 +567,6 @@ impl Dispatcher for MobiRescueDispatcher<'_> {
             }
             let pos = state.net.landmark(team.location).position;
             let onboard_frac = team.onboard as f64 / self.config.capacity as f64;
-            let mut feats = std::mem::take(&mut self.cand_feats);
-            let mut actions = std::mem::take(&mut self.cand_actions);
             fill_candidates(
                 &self.anchor_pos,
                 self.diameter_m,
@@ -590,29 +574,22 @@ impl Dispatcher for MobiRescueDispatcher<'_> {
                 onboard_frac,
                 &remaining,
                 &live_zone,
-                &mut feats,
-                &mut actions,
+                &mut self.cand_feats,
+                &mut self.cand_actions,
             );
             let idx = if self.training {
-                self.policy.act(&feats)
+                self.policy.act(&self.cand_feats)
             } else {
-                self.policy.best(&feats)
+                self.policy.best(&self.cand_feats)
             };
             let mut decision = Decision {
                 team_index: team.id.index(),
-                features: if record {
-                    feats[idx].clone()
-                } else {
-                    Vec::new()
-                },
+                features: self.cand_feats[idx],
                 covered: 0.0,
                 delay_s: 0.0,
                 serving: false,
             };
-            let action = actions[idx];
-            self.cand_feats = feats;
-            self.cand_actions = actions;
-            match action {
+            match self.cand_actions[idx] {
                 None => {
                     if !team.standby {
                         plan.orders[team.id.index()] = Some(Order::ReturnToBase);

@@ -41,12 +41,9 @@ pub fn requests_on_day(
                 nearest
             } else {
                 cond.operable_segments()
-                    .min_by(|a, b| {
-                        let da = net.segment_midpoint(*a).distance_m(r.request_position);
-                        let db = net.segment_midpoint(*b).distance_m(r.request_position);
-                        da.partial_cmp(&db).expect("distances are never NaN")
-                    })
-                    .unwrap_or(nearest)
+                    .map(|s| (s, net.segment_midpoint(s).distance_m(r.request_position)))
+                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("distances are never NaN"))
+                    .map_or(nearest, |(s, _)| s)
             };
             RequestSpec {
                 appear_s: (r.request_minute - day * 24 * 60) * 60,

@@ -40,6 +40,30 @@ impl Linear {
         }
     }
 
+    /// `forward` for a whole batch at once: `x` holds `rows` inputs
+    /// feature-major (feature `i` of row `r` at `i * rows + r`) and `y`
+    /// receives the outputs in the same layout. Every output is computed in
+    /// `forward`'s order — its products summed in input order from
+    /// `Iterator::sum`'s `-0.0` start, then added to the bias — so each
+    /// row's result is bit-identical to `forward` on that row; batching
+    /// only lets [`ROW_BLOCK`] rows share each weight load and run as
+    /// independent, vectorized accumulators.
+    fn forward_batch(&self, x: &[f64], rows: usize, y: &mut Vec<f64>) {
+        debug_assert_eq!(x.len(), self.in_dim * rows);
+        y.clear();
+        y.resize(self.out_dim * rows, 0.0);
+        let full = rows - rows % ROW_BLOCK;
+        for (o, out) in y.chunks_exact_mut(rows).enumerate() {
+            let w = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
+            for r in (0..full).step_by(ROW_BLOCK) {
+                dot_block::<ROW_BLOCK>(w, self.b[o], x, rows, r, out);
+            }
+            for r in full..rows {
+                dot_block::<1>(w, self.b[o], x, rows, r, out);
+            }
+        }
+    }
+
     #[allow(clippy::needless_range_loop)] // index couples several arrays
     fn forward(&self, x: &[f64]) -> Vec<f64> {
         debug_assert_eq!(x.len(), self.in_dim);
@@ -88,6 +112,18 @@ impl ForwardCache {
     pub fn output(&self) -> &[f64] {
         self.acts.last().expect("cache always holds the input")
     }
+}
+
+/// Reusable activation buffers for [`Mlp::predict_batch`]: once they have
+/// grown to the widest layer of the largest batch, a pass allocates
+/// nothing.
+#[derive(Debug, Clone, Default)]
+pub struct BatchScratch {
+    /// The current layer's input, feature-major.
+    input: Vec<f64>,
+    /// The current layer's output, feature-major; also holds the
+    /// row-major result of a multi-output network.
+    output: Vec<f64>,
 }
 
 /// A multi-layer perceptron: ReLU hidden layers, linear output.
@@ -147,22 +183,61 @@ impl Mlp {
         dims
     }
 
-    /// Forward pass without caching.
+    /// Forward pass without caching: the one-row case of
+    /// [`Mlp::predict_batch`].
     ///
     /// # Panics
     ///
     /// Panics if `x` has the wrong dimension.
     pub fn predict(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.input_dim(), "input has wrong dimension");
-        let n = self.layers.len();
-        let mut a = x.to_vec();
-        for (i, layer) in self.layers.iter().enumerate() {
-            a = layer.forward(&a);
-            if i + 1 < n {
-                relu_inplace(&mut a);
+        self.predict_batch(&[x], &mut BatchScratch::default())
+            .to_vec()
+    }
+
+    /// Forward pass over a batch of rows, layer by layer through
+    /// `scratch`. Returns the outputs row-major (`output_dim` values per
+    /// row, in row order), each bit-identical to [`Mlp::predict`] and to
+    /// [`Mlp::forward`] on that row alone — batching changes the memory
+    /// layout, never the arithmetic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any row has the wrong dimension.
+    pub fn predict_batch<'s, R: AsRef<[f64]>>(
+        &self,
+        rows: &[R],
+        scratch: &'s mut BatchScratch,
+    ) -> &'s [f64] {
+        let n = rows.len();
+        if n == 0 {
+            return &[];
+        }
+        let dim = self.input_dim();
+        let BatchScratch { input, output } = scratch;
+        input.clear();
+        input.resize(dim * n, 0.0);
+        for (r, row) in rows.iter().enumerate() {
+            let row = row.as_ref();
+            assert_eq!(row.len(), dim, "input has wrong dimension");
+            for (i, &x) in row.iter().enumerate() {
+                input[i * n + r] = x;
             }
         }
-        a
+        let last = self.layers.len() - 1;
+        for (i, layer) in self.layers.iter().enumerate() {
+            layer.forward_batch(input, n, output);
+            if i < last {
+                relu_inplace(output);
+            }
+            std::mem::swap(input, output);
+        }
+        let out_dim = self.output_dim();
+        if out_dim == 1 {
+            return input;
+        }
+        output.clear();
+        output.extend((0..n * out_dim).map(|j| input[(j % out_dim) * n + j / out_dim]));
+        output
     }
 
     /// Forward pass caching every activation for [`Mlp::backward`].
@@ -266,6 +341,25 @@ impl Mlp {
                 idx += 1;
             }
         }
+    }
+}
+
+/// Rows per block of [`Linear::forward_batch`]: sixteen accumulators fill
+/// eight SSE2 registers (on x86-64, 16 ran faster than 4, 8 or 12).
+const ROW_BLOCK: usize = 16;
+
+/// Writes `out[r..r + L]`: rows `r..r + L` of one output unit with weights
+/// `w` and bias `b`, over the feature-major batch `x` of `rows` rows.
+#[inline(always)]
+fn dot_block<const L: usize>(w: &[f64], b: f64, x: &[f64], rows: usize, r: usize, out: &mut [f64]) {
+    let mut acc = [-0.0; L];
+    for (&w, xs) in w.iter().zip(x.chunks_exact(rows)) {
+        for (a, &x) in acc.iter_mut().zip(&xs[r..r + L]) {
+            *a += w * x;
+        }
+    }
+    for (y, a) in out[r..r + L].iter_mut().zip(acc) {
+        *y = b + a;
     }
 }
 

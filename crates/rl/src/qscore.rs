@@ -8,9 +8,11 @@
 //! hundred rounds.
 
 use crate::adam::Adam;
-use crate::nn::Mlp;
+use crate::nn::{BatchScratch, Mlp};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::cell::RefCell;
+use std::cmp::Ordering;
 
 /// Hyperparameters of the scoring learner.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,6 +87,33 @@ pub struct QScore {
     rng: StdRng,
     act_steps: u64,
     learn_steps: u64,
+    /// Activation buffers every scoring pass reuses.
+    scratch: RefCell<BatchScratch>,
+}
+
+/// The TD bootstrap `max_c Q(c)` over a one-output network, shared by
+/// [`QScore::learn_step`] and the serve runtime's online trainer: one
+/// batched pass over the candidates, reduced from −∞ with `f64::max` as
+/// the per-candidate loop was (so a NaN score is skipped).
+pub fn max_q(net: &Mlp, candidates: &[Vec<f64>], scratch: &mut BatchScratch) -> f64 {
+    debug_assert_eq!(net.output_dim(), 1, "Q-network outputs one score");
+    net.predict_batch(candidates, scratch)
+        .iter()
+        .copied()
+        .fold(f64::NEG_INFINITY, f64::max)
+}
+
+/// Index of the highest score by `Iterator::max_by`'s rules: the last
+/// maximum wins, and a NaN met in a comparison panics.
+fn argmax(scores: &[f64]) -> usize {
+    let mut best = 0;
+    for (i, s) in scores.iter().enumerate().skip(1) {
+        match scores[best].partial_cmp(s).expect("Q values are never NaN") {
+            Ordering::Greater => {}
+            Ordering::Less | Ordering::Equal => best = i,
+        }
+    }
+    best
 }
 
 impl QScore {
@@ -114,6 +143,7 @@ impl QScore {
             rng,
             act_steps: 0,
             learn_steps: 0,
+            scratch: RefCell::default(),
         }
     }
 
@@ -153,6 +183,7 @@ impl QScore {
             rng,
             act_steps: 0,
             learn_steps: 0,
+            scratch: RefCell::default(),
         }
     }
 
@@ -177,23 +208,18 @@ impl QScore {
         self.online.predict(features)[0]
     }
 
-    /// Index of the best-scored candidate.
+    /// Index of the best-scored candidate — the last one when several tie
+    /// — scoring every candidate once in one batched pass.
     ///
     /// # Panics
     ///
-    /// Panics if `candidates` is empty.
-    pub fn best(&self, candidates: &[Vec<f64>]) -> usize {
+    /// Panics if `candidates` is empty, or if a candidate scores NaN.
+    pub fn best<R: AsRef<[f64]>>(&self, candidates: &[R]) -> usize {
         assert!(!candidates.is_empty(), "no candidates to score");
-        candidates
-            .iter()
-            .enumerate()
-            .max_by(|a, b| {
-                self.q(a.1)
-                    .partial_cmp(&self.q(b.1))
-                    .expect("Q values are never NaN")
-            })
-            .map(|(i, _)| i)
-            .expect("non-empty candidates")
+        argmax(
+            self.online
+                .predict_batch(candidates, &mut self.scratch.borrow_mut()),
+        )
     }
 
     /// ε-greedy selection among candidates.
@@ -201,7 +227,7 @@ impl QScore {
     /// # Panics
     ///
     /// Panics if `candidates` is empty.
-    pub fn act(&mut self, candidates: &[Vec<f64>]) -> usize {
+    pub fn act<R: AsRef<[f64]>>(&mut self, candidates: &[R]) -> usize {
         assert!(!candidates.is_empty(), "no candidates to score");
         self.act_steps += 1;
         if self.rng.random::<f64>() < self.epsilon() {
@@ -240,15 +266,11 @@ impl QScore {
         self.online.zero_grad();
         let mut loss = 0.0;
         for _ in 0..bs {
-            let t = self.replay[self.rng.random_range(0..self.replay.len())].clone();
+            let t = &self.replay[self.rng.random_range(0..self.replay.len())];
             let target_q = if t.next_candidates.is_empty() {
                 t.reward
             } else {
-                let best_next = t
-                    .next_candidates
-                    .iter()
-                    .map(|c| self.target.predict(c)[0])
-                    .fold(f64::NEG_INFINITY, f64::max);
+                let best_next = max_q(&self.target, &t.next_candidates, self.scratch.get_mut());
                 t.reward + self.config.gamma * best_next
             };
             let cache = self.online.forward(&t.features);
@@ -361,6 +383,22 @@ mod tests {
     #[should_panic(expected = "no candidates")]
     fn empty_candidates_rejected() {
         let mut q = QScore::new(QScoreConfig::new(1));
-        let _ = q.act(&[]);
+        let _ = q.act::<Vec<f64>>(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "Q values are never NaN")]
+    fn nan_scores_panic_like_max_by() {
+        let mut net = Mlp::new(&[1, 4, 1], 3);
+        net.visit_params_mut(|_, w, _| *w = f64::NAN);
+        let q = QScore::from_mlp(QScoreConfig::new(1), net);
+        let _ = q.best(&[[0.0], [1.0]]);
+    }
+
+    #[test]
+    fn ties_go_to_the_last_maximum() {
+        assert_eq!(argmax(&[1.0, 3.0, 2.0, 3.0, -1.0]), 3);
+        assert_eq!(argmax(&[0.0, -0.0]), 1);
+        assert_eq!(argmax(&[f64::NAN]), 0);
     }
 }

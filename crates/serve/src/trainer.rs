@@ -9,7 +9,7 @@
 //! training data, never dispatch throughput. Once per epoch the trainer
 //! drains the queue into a capacity-bounded replay ring and runs a fixed
 //! number of seeded mini-batch DQN updates (the exact TD rule the offline
-//! `QScore` learner uses: pairwise candidate scoring, target network,
+//! `QScore` learner uses: batched candidate scoring, target network,
 //! Adam). Every `candidate_every` epochs it emits its online network as a
 //! candidate checkpoint — which the service routes through
 //! [`crate::DispatchService::submit_rollout`], so a self-trained model is
@@ -30,9 +30,9 @@
 use crate::queue::{BoundedQueue, ShedPolicy};
 use mobirescue_core::rl_dispatch::FEATURE_DIM;
 use mobirescue_obs::{Counter, Histogram, Registry, TimeSource};
-use mobirescue_rl::nn::Mlp;
+use mobirescue_rl::nn::{BatchScratch, Mlp};
 use mobirescue_rl::persist::{mlp_from_text, mlp_to_text};
-use mobirescue_rl::qscore::PairTransition;
+use mobirescue_rl::qscore::{max_q, PairTransition};
 use mobirescue_rl::replay::{pair_from_line, pair_to_line, PairReplay};
 use mobirescue_rl::Adam;
 use mobirescue_sim::record::{write_block, Reader};
@@ -151,6 +151,8 @@ pub(crate) struct Trainer {
     /// Candidates emitted.
     candidates: u64,
     obs: TrainerObs,
+    /// Activation buffers of the target-network scoring passes.
+    scratch: BatchScratch,
 }
 
 impl Trainer {
@@ -177,6 +179,7 @@ impl Trainer {
             steps: 0,
             candidates: 0,
             obs: TrainerObs::new(obs, time),
+            scratch: BatchScratch::default(),
         }
     }
 
@@ -225,8 +228,8 @@ impl Trainer {
         })
     }
 
-    /// One seeded mini-batch TD update (the `QScore` rule: pairwise
-    /// candidate max over the target net); returns the mean squared TD
+    /// One seeded mini-batch TD update (the `QScore` rule: candidate max
+    /// over the target net, [`max_q`]); returns the mean squared TD
     /// error. The batch RNG is derived from `(seed, steps)` alone, so a
     /// restored trainer samples identically to one that never stopped.
     fn learn_step(&mut self) -> f64 {
@@ -236,23 +239,14 @@ impl Trainer {
                 ^ self.steps.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
         let batch_size = self.config.batch_size.max(1);
-        let batch: Vec<PairTransition> = self
-            .replay
-            .sample(&mut rng, batch_size)
-            .into_iter()
-            .cloned()
-            .collect();
+        let batch = self.replay.sample(&mut rng, batch_size);
         self.online.zero_grad();
         let mut loss = 0.0;
-        for t in &batch {
+        for t in batch {
             let target_q = if t.next_candidates.is_empty() {
                 t.reward
             } else {
-                let best = t
-                    .next_candidates
-                    .iter()
-                    .map(|c| self.target.predict(c)[0])
-                    .fold(f64::NEG_INFINITY, f64::max);
+                let best = max_q(&self.target, &t.next_candidates, &mut self.scratch);
                 t.reward + self.config.gamma * best
             };
             let cache = self.online.forward(&t.features);
@@ -374,6 +368,7 @@ impl Trainer {
             steps,
             candidates,
             obs,
+            scratch: BatchScratch::default(),
         })
     }
 }

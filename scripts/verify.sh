@@ -3,7 +3,8 @@
 # lints, with a per-step PASS/FAIL summary.
 #
 #   scripts/verify.sh          # tier-1 + fmt + clippy + snapshot-format
-#                              # suites + pinned chaos suite
+#                              # suites + pinned chaos suite + mrbench
+#                              # ledger tests
 #   scripts/verify.sh --full   # additionally run the whole workspace's tests
 #
 # `cargo test -q` tests only the root package, so the "snapshot formats"
@@ -46,6 +47,11 @@ run_step "trainer chaos suite" cargo test -q --test trainer_chaos
 run_step "net chaos suite" cargo test -q --test net_chaos
 run_step "wal chaos suite" cargo test -q --test wal_chaos
 run_step "net crate tests" cargo test -q -p mobirescue-net
+# The mrbench ledger is a package of its own that builds the crates from
+# source and calls only their public items; building and testing it here
+# turns a public-API break in rl, core or sim into a verify failure
+# instead of a benchmark-pipeline one.
+run_step "ledger" cargo test --offline -q --manifest-path mrbench/Cargo.toml
 # Scale gate only (routing/serve gates have their own CI jobs); medium
 # preset with a loosened ceiling — verify machines vary more than the
 # bless machine, and the exact checksum is the load-bearing part.
