@@ -137,10 +137,10 @@ fn bench_point_queries(c: &mut Criterion) {
             }
         })
     });
-    group.bench_function("multi_target_early_exit", |b| {
+    group.bench_function("nearest_early_exit", |b| {
         b.iter(|| {
             for &(from, _) in &pairs {
-                black_box(planner.nearest_target(&cond, from, &hospitals));
+                black_box(planner.nearest_route(&cond, from, &hospitals));
             }
         })
     });

@@ -124,8 +124,8 @@ fn epoch_cached(
         if let Some(route) = planner.route(cond, loc, w.targets[i % TARGETS]) {
             sum += route.travel_time_s;
         }
-        if let Some((_, t)) = planner.nearest_target(cond, loc, &w.hospitals) {
-            sum += t;
+        if let Some((_, route)) = planner.nearest_route(cond, loc, &w.hospitals) {
+            sum += route.travel_time_s;
         }
     }
     sum

@@ -27,6 +27,22 @@
 //!
 //! Property tests in `crates/roadnet/tests/` compare both paths on random
 //! networks under random damage.
+//!
+//! # One search, three stopping rules
+//!
+//! `CsrGraph::search` is the only Dijkstra loop here. It settles the
+//! whole graph for a full tree, stops at the goal for a point query, and
+//! for a nearest-target query stops once the heap's next entry costs more
+//! than the first target settled. Every run is a prefix of the full
+//! search's pop sequence, so each landmark it settles carries the full
+//! tree's `f64` distance and predecessor. The nearest rule still settles
+//! every landmark at exactly the nearest distance, and any landmark left
+//! unsettled has a tentative distance strictly above it, so the first tied
+//! target in list order wins exactly as in the full tree.
+//!
+//! The search runs in a `Workspace`: full trees use a fresh one and keep
+//! its arrays, while early-exit queries reuse one and reset only the
+//! landmarks the previous search touched.
 
 use crate::damage::{NetworkCondition, FREE_FLOW_GENERATION};
 use crate::graph::{LandmarkId, RoadNetwork, SegmentId};
@@ -114,20 +130,23 @@ impl CsrGraph {
         self.materialize(net, &crate::routing::FreeFlow, FREE_FLOW_GENERATION)
     }
 
-    /// CSR Dijkstra from `from` under `snap`, with the given stopping
-    /// rule. Identical relaxation order, weights, and heap behavior to
-    /// [`crate::routing::Router`]'s Dijkstra — see the module docs.
+    /// CSR Dijkstra from `from` under `snap` in `ws`, with the given
+    /// stopping rule. Identical relaxation order, weights, and heap
+    /// behavior to [`crate::routing::Router`]'s Dijkstra — see the module
+    /// docs. The answer is read from `Workspace::paths`; it is exact for
+    /// every landmark the search settled.
     ///
     /// # Panics
     ///
     /// Panics if `from` (or any target) is out of range, or if the
-    /// snapshot's edge count does not match this graph.
-    pub(crate) fn dijkstra(
+    /// snapshot or the workspace was built for a different graph.
+    pub(crate) fn search(
         &self,
         snap: &CostSnapshot,
         from: LandmarkId,
         goal: Goal<'_>,
-    ) -> ShortestPaths {
+        ws: &mut Workspace,
+    ) {
         let n = self.num_landmarks();
         assert!(from.index() < n, "unknown landmark {from}");
         assert_eq!(
@@ -135,36 +154,42 @@ impl CsrGraph {
             self.num_edges(),
             "cost snapshot built for a different graph"
         );
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev_seg: Vec<Option<SegmentId>> = vec![None; n];
-        let mut settled = vec![false; n];
-        // Multi-target bookkeeping: stop once every distinct target is
-        // settled instead of exhausting the graph.
-        let (mut remaining, is_target) = match goal {
-            Goal::Multi(targets) => {
-                let mut mark = vec![false; n];
-                let mut distinct = 0usize;
-                for &t in targets {
-                    assert!(t.index() < n, "unknown landmark {t}");
-                    if !mark[t.index()] {
-                        mark[t.index()] = true;
-                        distinct += 1;
-                    }
-                }
-                (distinct, mark)
-            }
-            _ => (0, Vec::new()),
+        assert_eq!(ws.settled.len(), n, "workspace built for a different graph");
+        let targets = match goal {
+            Goal::Nearest(targets) => targets,
+            _ => &[],
         };
-        dist[from.index()] = 0.0;
-        if matches!(goal, Goal::Multi(_)) && remaining == 0 {
-            return ShortestPaths::from_parts(from, dist, prev_seg);
+        for &t in targets {
+            assert!(t.index() < n, "unknown landmark {t}");
         }
-        let mut heap = BinaryHeap::new();
+        ws.reset(from);
+        let Workspace {
+            paths,
+            settled,
+            is_target,
+            heap,
+            touched,
+        } = ws;
+        for &t in targets {
+            is_target[t.index()] = true;
+        }
+        paths.dist[from.index()] = 0.0;
+        touched.push(from.0);
+        if let Goal::Nearest([]) = goal {
+            return;
+        }
         heap.push(HeapEntry {
             cost: 0.0,
             node: from.0,
         });
+        // Distance of the first target settled. Every node at exactly this
+        // distance is still settled, so tied targets all carry their final
+        // time and `min_by` picks the same one as in the full tree.
+        let mut nearest = f64::INFINITY;
         while let Some(HeapEntry { cost: d, node }) = heap.pop() {
+            if d > nearest {
+                break;
+            }
             let u = node as usize;
             if settled[u] {
                 continue;
@@ -177,12 +202,9 @@ impl CsrGraph {
                         break;
                     }
                 }
-                Goal::Multi(_) => {
-                    if is_target[u] {
-                        remaining -= 1;
-                        if remaining == 0 {
-                            break;
-                        }
+                Goal::Nearest(_) => {
+                    if is_target[u] && nearest.is_infinite() {
+                        nearest = d;
                     }
                 }
             }
@@ -196,9 +218,12 @@ impl CsrGraph {
                 debug_assert!(w >= 0.0, "negative travel time on {}", self.segs[e]);
                 let nd = d + w;
                 let v = self.heads[e] as usize;
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    prev_seg[v] = Some(self.segs[e]);
+                if nd < paths.dist[v] {
+                    if paths.dist[v].is_infinite() {
+                        touched.push(self.heads[e]);
+                    }
+                    paths.dist[v] = nd;
+                    paths.prev_seg[v] = Some(self.segs[e]);
                     heap.push(HeapEntry {
                         cost: nd,
                         node: self.heads[e],
@@ -206,12 +231,17 @@ impl CsrGraph {
                 }
             }
         }
-        ShortestPaths::from_parts(from, dist, prev_seg)
+        for &t in targets {
+            is_target[t.index()] = false;
+        }
     }
 
-    /// Full shortest-path tree from `from` under `snap`.
+    /// Full shortest-path tree from `from` under `snap`, searched in a
+    /// fresh workspace whose arrays become the tree.
     pub fn shortest_paths(&self, snap: &CostSnapshot, from: LandmarkId) -> ShortestPaths {
-        self.dijkstra(snap, from, Goal::All)
+        let mut ws = Workspace::new(self.num_landmarks());
+        self.search(snap, from, Goal::All, &mut ws);
+        ws.into_paths()
     }
 }
 
@@ -222,8 +252,65 @@ pub(crate) enum Goal<'t> {
     All,
     /// Stop once this landmark is settled (point query).
     One(LandmarkId),
-    /// Stop once every listed landmark is settled (dispatch fan-in).
-    Multi(&'t [LandmarkId]),
+    /// Stop once the heap passes the distance of the first listed landmark
+    /// settled (nearest-target query); an empty list searches nothing.
+    Nearest(&'t [LandmarkId]),
+}
+
+/// The state of one CSR Dijkstra, kept between searches so repeated
+/// early-exit queries do not allocate and fill per-landmark arrays.
+///
+/// A search starts by resetting only the landmarks the previous search
+/// touched (reached with a finite distance); every other entry is already
+/// in its initial state.
+pub(crate) struct Workspace {
+    /// Distances and predecessor segments of the last search.
+    paths: ShortestPaths,
+    settled: Vec<bool>,
+    is_target: Vec<bool>,
+    heap: BinaryHeap<HeapEntry>,
+    /// Landmarks whose distance the last search made finite.
+    touched: Vec<u32>,
+}
+
+impl Workspace {
+    /// An untouched workspace for a graph of `n` landmarks.
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            paths: ShortestPaths {
+                source: LandmarkId(0),
+                dist: vec![f64::INFINITY; n],
+                prev_seg: vec![None; n],
+            },
+            settled: vec![false; n],
+            is_target: vec![false; n],
+            heap: BinaryHeap::new(),
+            touched: Vec::new(),
+        }
+    }
+
+    /// Restores the initial state for a search from `from`.
+    fn reset(&mut self, from: LandmarkId) {
+        for &v in &self.touched {
+            let v = v as usize;
+            self.paths.dist[v] = f64::INFINITY;
+            self.paths.prev_seg[v] = None;
+            self.settled[v] = false;
+        }
+        self.touched.clear();
+        self.heap.clear();
+        self.paths.source = from;
+    }
+
+    /// The result of the last search.
+    pub(crate) fn paths(&self) -> &ShortestPaths {
+        &self.paths
+    }
+
+    /// The result of the last search, keeping its arrays.
+    pub(crate) fn into_paths(self) -> ShortestPaths {
+        self.paths
+    }
 }
 
 /// Per-edge travel times materialized from one [`TravelCost`], valid for
@@ -339,18 +426,33 @@ mod tests {
         }
     }
 
+    /// Runs one search in a fresh workspace.
+    fn run(csr: &CsrGraph, snap: &CostSnapshot, from: LandmarkId, goal: Goal<'_>) -> ShortestPaths {
+        let mut ws = Workspace::new(csr.num_landmarks());
+        csr.search(snap, from, goal, &mut ws);
+        ws.into_paths()
+    }
+
     #[test]
-    fn multi_target_settles_all_targets_exactly() {
+    fn nearest_target_time_and_route_match_full_tree() {
         let (net, ids) = grid4();
         let csr = CsrGraph::build(&net);
         let snap = csr.snapshot_free_flow(&net);
         let full = csr.shortest_paths(&snap, ids[0]);
-        let targets = [ids[3], ids[12], ids[3]];
-        let partial = csr.dijkstra(&snap, ids[0], Goal::Multi(&targets));
+        let targets = [ids[15], ids[12], ids[3], ids[12]];
+        let partial = run(&csr, &snap, ids[0], Goal::Nearest(&targets));
+        // Arterial columns are faster than residential rows, so ids[12] is
+        // the nearest target; the search stops before reaching ids[15].
+        let nearest = ids[12];
+        assert_eq!(partial.travel_time_s(nearest), full.travel_time_s(nearest));
+        assert_eq!(
+            partial.route_to(&net, nearest),
+            full.route_to(&net, nearest)
+        );
         for &t in &targets {
-            assert_eq!(partial.travel_time_s(t), full.travel_time_s(t));
-            assert_eq!(partial.route_to(&net, t), full.route_to(&net, t));
+            assert!(partial.travel_times()[t.index()] >= full.travel_times()[nearest.index()]);
         }
+        assert_eq!(partial.travel_time_s(ids[15]), None);
     }
 
     #[test]
@@ -360,9 +462,7 @@ mod tests {
         let snap = csr.snapshot_free_flow(&net);
         let router = Router::new(&net);
         for &to in &ids {
-            let fast = csr
-                .dijkstra(&snap, ids[0], Goal::One(to))
-                .route_to(&net, to);
+            let fast = run(&csr, &snap, ids[0], Goal::One(to)).route_to(&net, to);
             let slow = router.shortest_path(&FreeFlow, ids[0], to);
             assert_eq!(fast, slow);
         }
@@ -373,7 +473,7 @@ mod tests {
         let (net, ids) = grid4();
         let csr = CsrGraph::build(&net);
         let snap = csr.snapshot_free_flow(&net);
-        let sp = csr.dijkstra(&snap, ids[0], Goal::Multi(&[]));
+        let sp = run(&csr, &snap, ids[0], Goal::Nearest(&[]));
         assert_eq!(sp.travel_time_s(ids[0]), Some(0.0));
         assert_eq!(sp.travel_time_s(ids[1]), None);
     }

@@ -13,8 +13,11 @@
 //! * **shortest-path trees** keyed by `(generation, source landmark)` —
 //!   each team's tree is computed once per epoch and shared by every
 //!   consumer;
-//! * point and multi-target queries use the CSR early-exit Dijkstra when
-//!   no tree is cached, and are answered from the tree when one is.
+//! * point and nearest-target queries are answered from the tree when one
+//!   is cached, and otherwise run the CSR early-exit search
+//!   ([`crate::csr`]) in a reused workspace, resetting only the landmarks
+//!   the previous search touched. [`RoutePlanner::nearest_route`] returns
+//!   the route to the nearest target from that same search.
 //!
 //! Invalidation is automatic: every damage mutation draws a fresh
 //! process-unique generation ([`NetworkCondition::generation`]), and the
@@ -24,8 +27,10 @@
 //!
 //! All methods take `&self`; the planner is `Sync` and is shared across
 //! the scoped worker threads of [`crate::pool`] by [`RoutePlanner::prewarm`].
+//! Concurrent early-exit queries each take their own workspace from an idle
+//! list, so a sequential caller reuses one.
 
-use crate::csr::{CostSnapshot, CsrGraph, Goal};
+use crate::csr::{CostSnapshot, CsrGraph, Goal, Workspace};
 use crate::damage::{NetworkCondition, FREE_FLOW_GENERATION};
 use crate::graph::{LandmarkId, RoadNetwork};
 use crate::pool::parallel_map;
@@ -60,6 +65,8 @@ pub struct RoutePlanner<'a> {
     csr: CsrGraph,
     free_flow: Arc<CostSnapshot>,
     cache: Mutex<Cache>,
+    /// Idle workspaces of the early-exit searches.
+    workspaces: Mutex<Vec<Workspace>>,
     hits: AtomicU64,
     misses: AtomicU64,
     prewarmed: AtomicU64,
@@ -89,6 +96,7 @@ impl<'a> RoutePlanner<'a> {
                 snapshot: None,
                 trees: HashMap::new(),
             }),
+            workspaces: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             prewarmed: AtomicU64::new(0),
@@ -218,15 +226,37 @@ impl<'a> RoutePlanner<'a> {
         self.tree(&free_flow, from)
     }
 
+    /// Runs an early-exit search in an idle workspace (a fresh one when
+    /// none is idle) and reads its answer with `read`.
+    fn search<R>(
+        &self,
+        snap: &CostSnapshot,
+        from: LandmarkId,
+        goal: Goal<'_>,
+        read: impl FnOnce(&ShortestPaths) -> R,
+    ) -> R {
+        let idle = self
+            .workspaces
+            .lock()
+            .expect("planner workspaces poisoned")
+            .pop();
+        let mut ws = idle.unwrap_or_else(|| Workspace::new(self.csr.num_landmarks()));
+        self.csr.search(snap, from, goal, &mut ws);
+        let answer = read(ws.paths());
+        self.workspaces
+            .lock()
+            .expect("planner workspaces poisoned")
+            .push(ws);
+        answer
+    }
+
     fn point_query(&self, snap: &CostSnapshot, from: LandmarkId, to: LandmarkId) -> Option<Route> {
         if let Some(tree) = self.cached_tree(snap.generation(), from) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return tree.route_to(self.net, to);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.csr
-            .dijkstra(snap, from, Goal::One(to))
-            .route_to(self.net, to)
+        self.search(snap, from, Goal::One(to), |sp| sp.route_to(self.net, to))
     }
 
     /// Shortest route from `from` to `to` under `cond`, or `None` when
@@ -250,35 +280,35 @@ impl<'a> RoutePlanner<'a> {
     }
 
     /// Among `targets`, the one with the least travel time from `from`
-    /// under `cond`: `(index into targets, travel time)`, or `None` when
-    /// no target is reachable (or `targets` is empty). Uses the cached
-    /// tree when present, else a multi-target early-exit Dijkstra that
-    /// stops once all distinct targets are settled.
-    pub fn nearest_target(
+    /// under `cond`, and the shortest route to it: `(index into targets,
+    /// route)`, or `None` when no target is reachable (or `targets` is
+    /// empty). Ties go to the first such target in `targets` order. Uses
+    /// the cached tree when present, else one early-exit search that stops
+    /// at the nearest target's distance.
+    pub fn nearest_route(
         &self,
         cond: &NetworkCondition,
         from: LandmarkId,
         targets: &[LandmarkId],
-    ) -> Option<(usize, f64)> {
+    ) -> Option<(usize, Route)> {
         if targets.is_empty() {
             return None;
         }
         let snap = self.snapshot_for(cond);
-        let sp = match self.cached_tree(snap.generation(), from) {
-            Some(tree) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                tree
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Arc::new(self.csr.dijkstra(&snap, from, Goal::Multi(targets)))
-            }
+        let nearest = |sp: &ShortestPaths| {
+            let (i, _) = targets
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &t)| sp.travel_time_s(t).map(|d| (i, d)))
+                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("travel times are never NaN"))?;
+            Some((i, sp.route_to(self.net, targets[i])?))
         };
-        targets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &t)| sp.travel_time_s(t).map(|d| (i, d)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("travel times are never NaN"))
+        if let Some(tree) = self.cached_tree(snap.generation(), from) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return nearest(&tree);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.search(&snap, from, Goal::Nearest(targets), nearest)
     }
 
     /// Computes (and caches) the shortest-path trees of every listed
@@ -427,11 +457,46 @@ mod tests {
             );
         }
         let targets = [ids[24], ids[4], ids[20], ids[4]];
+        let (i, route) = planner.nearest_route(&cond, ids[0], &targets).unwrap();
         assert_eq!(
-            planner.nearest_target(&cond, ids[0], &targets),
+            Some((i, route.travel_time_s)),
             router.nearest_target(&cond, ids[0], &targets)
         );
-        assert_eq!(planner.nearest_target(&cond, ids[0], &[]), None);
+        assert_eq!(Some(route), router.shortest_path(&cond, ids[0], targets[i]));
+        assert_eq!(planner.nearest_route(&cond, ids[0], &[]), None);
+    }
+
+    /// Exact ties: landmarks at one point joined to a common neighbour are
+    /// bit-identically far from it. The first listed target must win, as in
+    /// the full search, also when it is reached at the tied distance only
+    /// after the first target is settled.
+    #[test]
+    fn nearest_route_breaks_exact_ties_like_the_full_search() {
+        let mut net = RoadNetwork::new();
+        let origin = GeoPoint::new(35.0, -80.0);
+        let p = origin.offset_m(500.0, 0.0);
+        let src = net.add_landmark(origin);
+        let a = net.add_landmark(p);
+        let b = net.add_landmark(p);
+        let c = net.add_landmark(p);
+        let t = net.add_landmark(p);
+        for lm in [a, b, c] {
+            net.add_two_way(src, lm, RoadClass::Residential);
+        }
+        // Zero-length hop: `t` is settled at the tied distance after `a`.
+        net.add_two_way(c, t, RoadClass::Residential);
+        let planner = RoutePlanner::new(&net);
+        let router = Router::new(&net);
+        let cond = NetworkCondition::pristine(&net);
+        for targets in [[b, a], [t, a]] {
+            let (i, route) = planner.nearest_route(&cond, src, &targets).unwrap();
+            assert_eq!(i, 0, "the first listed of the tied targets wins");
+            assert_eq!(
+                Some((i, route.travel_time_s)),
+                router.nearest_target(&cond, src, &targets)
+            );
+            assert_eq!(Some(route), router.shortest_path(&cond, src, targets[0]));
+        }
     }
 
     #[test]

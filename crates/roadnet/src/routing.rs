@@ -82,26 +82,13 @@ impl PartialOrd for HeapEntry {
 /// Result of a single-source shortest-path run.
 #[derive(Debug, Clone)]
 pub struct ShortestPaths {
-    source: LandmarkId,
-    dist: Vec<f64>,
-    prev_seg: Vec<Option<SegmentId>>,
+    // Written in place by the CSR search's workspace ([`crate::csr`]).
+    pub(crate) source: LandmarkId,
+    pub(crate) dist: Vec<f64>,
+    pub(crate) prev_seg: Vec<Option<SegmentId>>,
 }
 
 impl ShortestPaths {
-    /// Assembles a result from raw Dijkstra output (the CSR routing path in
-    /// [`crate::csr`] produces the same representation).
-    pub(crate) fn from_parts(
-        source: LandmarkId,
-        dist: Vec<f64>,
-        prev_seg: Vec<Option<SegmentId>>,
-    ) -> Self {
-        Self {
-            source,
-            dist,
-            prev_seg,
-        }
-    }
-
     /// The source landmark of this run.
     pub fn source(&self) -> LandmarkId {
         self.source
@@ -137,6 +124,7 @@ impl ShortestPaths {
         let mut length_m = 0.0;
         let mut cur = to;
         while let Some(sid) = self.prev_seg[cur.index()] {
+            debug_assert!(segments.len() < self.dist.len(), "predecessor cycle");
             let seg = net.segment(sid);
             segments.push(sid);
             length_m += seg.length_m;

@@ -26,6 +26,31 @@ fn damaged_condition(
     cond
 }
 
+/// One point query and one nearest query of `planner` against the naive
+/// router: the nearest index and time equal [`Router::nearest_target`], and
+/// its route equals [`Router::shortest_path`] to that target.
+fn assert_planner_matches_router(
+    planner: &RoutePlanner<'_>,
+    router: &Router<'_>,
+    cond: &NetworkCondition,
+    from: LandmarkId,
+    to: LandmarkId,
+    targets: &[LandmarkId],
+) {
+    assert_eq!(
+        planner.route(cond, from, to),
+        router.shortest_path(cond, from, to)
+    );
+    let nearest = planner.nearest_route(cond, from, targets);
+    assert_eq!(
+        nearest.as_ref().map(|(i, route)| (*i, route.travel_time_s)),
+        router.nearest_target(cond, from, targets)
+    );
+    if let Some((i, route)) = nearest {
+        assert_eq!(Some(route), router.shortest_path(cond, from, targets[i]));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -152,45 +177,53 @@ proptest! {
     }
 
     /// Planner point queries (early-exit Dijkstra or cached tree) and
-    /// nearest-target queries (multi-target early exit) return exactly what
-    /// the naive router returns, before and after the cache is populated.
+    /// nearest-target queries (nearest-rule early exit) return exactly what
+    /// the naive router returns. One planner answers every query, cold ones
+    /// from several sources in one reused workspace with generation bumps
+    /// in between, then warm ones from a cached tree.
     #[test]
     fn planner_queries_match_naive_router(
         seed in 0u64..100,
-        source in 0u32..10_000,
+        sources in prop::collection::vec(0u32..10_000, 1..6),
         to in 0u32..10_000,
         targets in prop::collection::vec(0u32..10_000, 0..12),
         blocked in prop::collection::vec(0u32..10_000, 0..40),
+        cut_off in 0u32..10_000,
+        bumps in prop::collection::vec(0u32..10_000, 1..6),
     ) {
         let city = CityConfig::small().build(seed);
         let net = &city.network;
         let n = net.num_landmarks() as u32;
-        let cond = damaged_condition(net, &blocked, &[]);
-        let from = LandmarkId(source % n);
-        let to = LandmarkId(to % n);
-        let targets: Vec<LandmarkId> =
+        let num_segs = net.num_segments() as u32;
+        let mut cond = damaged_condition(net, &blocked, &[]);
+        // A target whose in-segments are all blocked, and a duplicate.
+        let cut_off = LandmarkId(cut_off % n);
+        for &sid in net.in_segments(cut_off) {
+            cond.block(sid);
+        }
+        let mut targets: Vec<LandmarkId> =
             targets.into_iter().map(|t| LandmarkId(t % n)).collect();
+        targets.push(cut_off);
+        targets.push(targets[0]);
+        let to = LandmarkId(to % n);
         let router = Router::new(net);
         let planner = RoutePlanner::new(net);
-        // Cold pass: early-exit point / multi-target queries, no cached tree.
-        prop_assert_eq!(
-            planner.route(&cond, from, to),
-            router.shortest_path(&cond, from, to)
-        );
-        prop_assert_eq!(
-            planner.nearest_target(&cond, from, &targets),
-            router.nearest_target(&cond, from, &targets)
-        );
+        let sources: Vec<LandmarkId> =
+            sources.into_iter().map(|s| LandmarkId(s % n)).collect();
+        for (k, &from) in sources.iter().enumerate() {
+            if k % 2 == 1 {
+                cond.block(SegmentId(bumps[k % bumps.len()] % num_segs));
+            }
+            // `from` itself as a target, then the list without it.
+            let mut with_from = targets.clone();
+            with_from.insert(k % with_from.len(), from);
+            assert_planner_matches_router(&planner, &router, &cond, from, to, &with_from);
+            assert_planner_matches_router(&planner, &router, &cond, from, to, &targets);
+        }
         // Warm pass: the same queries served from the cached full tree.
+        let from = sources[0];
         planner.prewarm(&cond, &[from], 2);
-        prop_assert_eq!(
-            planner.route(&cond, from, to),
-            router.shortest_path(&cond, from, to)
-        );
-        prop_assert_eq!(
-            planner.nearest_target(&cond, from, &targets),
-            router.nearest_target(&cond, from, &targets)
-        );
+        assert_planner_matches_router(&planner, &router, &cond, from, to, &targets);
     }
 
     /// Mutating the condition (a generation bump) invalidates the cache and

@@ -840,6 +840,26 @@ fn set_route_to_landmark(
     true
 }
 
+/// Routes team `ti` to the nearest reachable hospital, with the route from
+/// the same search that picks the hospital. Callers zero `seg_remaining_s`
+/// first, so the search starts at the team's landmark. Returns `false`
+/// when no hospital is reachable.
+fn set_route_to_hospital(
+    teams: &mut TeamArena,
+    ti: usize,
+    planner: &RoutePlanner<'_>,
+    cond: &NetworkCondition,
+    city: &City,
+) -> bool {
+    let (start, mut route) = reroute_start(teams, ti, planner);
+    let Some((_, path)) = planner.nearest_route(cond, start, &city.hospitals) else {
+        return false;
+    };
+    route.extend(path.segments);
+    teams.routes[ti] = route;
+    true
+}
+
 /// Replans the current mission from the team's location. Returns `false`
 /// when the mission target is unreachable.
 fn replan(
@@ -853,11 +873,7 @@ fn replan(
     teams.routes[ti].clear();
     match teams.mission[ti] {
         Mission::ToSegment(seg) => set_route_to_segment(teams, ti, planner, cond, seg),
-        Mission::ToHospital => planner
-            .nearest_target(cond, teams.location[ti], &city.hospitals)
-            .is_some_and(|(i, _)| {
-                set_route_to_landmark(teams, ti, planner, cond, city.hospitals[i])
-            }),
+        Mission::ToHospital => set_route_to_hospital(teams, ti, planner, cond, city),
         Mission::ToBase => set_route_to_landmark(teams, ti, planner, cond, city.depot),
         Mission::Standby => true,
     }
@@ -874,13 +890,9 @@ fn abort_mission(
 ) {
     teams.routes[ti].clear();
     teams.seg_remaining_s[ti] = 0.0;
-    if teams.onboard_count(ti) > 0 {
-        if let Some((i, _)) = planner.nearest_target(cond, teams.location[ti], &city.hospitals) {
-            if set_route_to_landmark(teams, ti, planner, cond, city.hospitals[i]) {
-                teams.mission[ti] = Mission::ToHospital;
-                return;
-            }
-        }
+    if teams.onboard_count(ti) > 0 && set_route_to_hospital(teams, ti, planner, cond, city) {
+        teams.mission[ti] = Mission::ToHospital;
+        return;
     }
     teams.mission[ti] = Mission::Standby;
 }
@@ -895,12 +907,10 @@ fn head_to_hospital(
     now: u32,
 ) {
     teams.seg_remaining_s[ti] = 0.0;
-    if let Some((i, _)) = planner.nearest_target(cond, teams.location[ti], &city.hospitals) {
-        if set_route_to_landmark(teams, ti, planner, cond, city.hospitals[i]) {
-            teams.mission[ti] = Mission::ToHospital;
-            teams.order_start_s[ti] = now;
-            return;
-        }
+    if set_route_to_hospital(teams, ti, planner, cond, city) {
+        teams.mission[ti] = Mission::ToHospital;
+        teams.order_start_s[ti] = now;
+        return;
     }
     teams.mission[ti] = Mission::Standby;
 }

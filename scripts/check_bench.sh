@@ -33,8 +33,8 @@
 #     timeout to shrug at.
 #
 # The scale gate re-runs the metro-scale world benchmark (bench_scale)
-# for the presets in SCALE_PRESETS (default "medium metro"; CI gates
-# only `medium` to stay within the smoke budget) and fails when either:
+# for the presets in SCALE_PRESETS (default "medium metro", which CI
+# gates too) and fails when either:
 #   * any preset's snapshot `checksum` differs from the baseline row —
 #     engine behavior changed at scale; or
 #   * any preset's `epoch_ms` regressed more than SCALE_MAX_SLOWDOWN_PCT

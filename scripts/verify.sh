@@ -53,9 +53,10 @@ run_step "net crate tests" cargo test -q -p mobirescue-net
 # instead of a benchmark-pipeline one.
 run_step "ledger" cargo test --offline -q --manifest-path mrbench/Cargo.toml
 # Scale gate only (routing/serve gates have their own CI jobs); medium
-# preset with a loosened ceiling — verify machines vary more than the
-# bless machine, and the exact checksum is the load-bearing part.
-run_step "scale bench gate" env ROUTING_GATE=0 SERVE_GATE=0 SCALE_PRESETS=medium \
+# and metro presets with a loosened ceiling — verify machines vary more
+# than the bless machine, and the exact checksums are the load-bearing
+# part.
+run_step "scale bench gate" env ROUTING_GATE=0 SERVE_GATE=0 SCALE_PRESETS="medium metro" \
     SCALE_MAX_SLOWDOWN_PCT=150 scripts/check_bench.sh
 
 if [[ "${1:-}" == "--full" ]]; then

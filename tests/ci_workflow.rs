@@ -140,8 +140,8 @@ fn all_jobs_run_their_gate_scripts_on_a_runner() {
         "wal-smoke job must run scripts/wal_smoke.sh"
     );
     assert!(
-        text.contains("SCALE_PRESETS=medium"),
-        "scale-smoke job must gate the medium preset via check_bench.sh"
+        text.contains("SCALE_PRESETS=\"medium metro\""),
+        "scale-smoke job must gate both the medium and the metro preset via check_bench.sh"
     );
     assert!(
         text.contains("SCALE_GATE=0 scripts/check_bench.sh"),
