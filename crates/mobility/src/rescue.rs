@@ -10,7 +10,7 @@ use crate::person::PersonId;
 use crate::trace::{MobilityDataset, Trajectory};
 use mobirescue_disaster::factors::FactorVector;
 use mobirescue_disaster::scenario::DisasterScenario;
-use mobirescue_roadnet::geo::GeoPoint;
+use mobirescue_roadnet::geo::{GeoPoint, EARTH_RADIUS_M};
 use serde::{Deserialize, Serialize};
 
 /// Default hospital catchment radius for detection, meters.
@@ -65,23 +65,31 @@ impl RescueRecord {
 /// `min_stay_minutes` (judged by the first subsequent ping outside it, or
 /// the last ping if none leaves). At most one delivery per person is
 /// reported, matching the paper's "starting from a person's first
-/// appearance in a hospital".
+/// appearance in a hospital". A ping inside several catchments belongs to
+/// the first-listed hospital.
+///
+/// Before the exact haversine test, a hospital whose latitude differs from
+/// the ping's by more than the catchment's latitude band is skipped. A
+/// great-circle distance is never less than `EARTH_RADIUS_M · |Δφ|`, so a
+/// skipped hospital would also fail the exact test; the band is widened by
+/// 0.1% so that rounding cannot make it skip one that passes. The result is
+/// the same as testing every hospital exactly, for latitudes within ±90°
+/// and any radius above a millimetre.
 pub fn detect_deliveries(
-    trajectories: &[Trajectory],
+    trajectories: &[Trajectory<'_>],
     hospitals: &[GeoPoint],
     radius_m: f64,
     min_stay_minutes: u32,
 ) -> Vec<HospitalDelivery> {
+    let band_deg = (radius_m * 1.001 / EARTH_RADIUS_M).to_degrees();
+    let near = |p: GeoPoint| -> Option<usize> {
+        hospitals
+            .iter()
+            .position(|h| (h.lat - p.lat).abs() <= band_deg && h.distance_m(p) <= radius_m)
+    };
     let mut out = Vec::new();
     for traj in trajectories {
-        let near = |p: GeoPoint| -> Option<usize> {
-            hospitals
-                .iter()
-                .enumerate()
-                .find(|(_, h)| h.distance_m(p) <= radius_m)
-                .map(|(i, _)| i)
-        };
-        let pings = &traj.pings;
+        let pings = traj.pings;
         for (i, ping) in pings.iter().enumerate() {
             let Some(hospital_index) = near(ping.position) else {
                 continue;
@@ -240,7 +248,7 @@ mod tests {
         let away = hospital.offset_m(5_000.0, 0.0);
         let traj = Trajectory {
             person: PersonId(0),
-            pings: vec![
+            pings: &[
                 ping(0, away),
                 ping(100, hospital),
                 ping(180, hospital.offset_m(20.0, 0.0)),
@@ -260,7 +268,7 @@ mod tests {
         let away = hospital.offset_m(5_000.0, 0.0);
         let traj = Trajectory {
             person: PersonId(0),
-            pings: vec![ping(0, away), ping(100, hospital), ping(160, away)],
+            pings: &[ping(0, away), ping(100, hospital), ping(160, away)],
         };
         let ds = detect_deliveries(&[traj], &[hospital], 300.0, 120);
         assert!(ds.is_empty());
@@ -272,7 +280,7 @@ mod tests {
         let away = hospital.offset_m(5_000.0, 0.0);
         let traj = Trajectory {
             person: PersonId(0),
-            pings: vec![
+            pings: &[
                 ping(0, hospital),
                 ping(200, hospital),
                 ping(300, away),

@@ -40,16 +40,17 @@ impl GpsPing {
 }
 
 /// The time-ordered pings of a single person (the paper's Definition 1,
-/// before snapping to landmarks).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct Trajectory {
+/// before snapping to landmarks): a view into the dataset's sorted ping
+/// array, not a copy.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Trajectory<'a> {
     /// The person this trajectory belongs to.
     pub person: PersonId,
     /// Pings in increasing `minute` order.
-    pub pings: Vec<GpsPing>,
+    pub pings: &'a [GpsPing],
 }
 
-impl Trajectory {
+impl Trajectory<'_> {
     /// The paper's Definition 1 proper: the trajectory as a sequence of
     /// time-ordered *landmarks* (consecutive duplicates collapsed — a
     /// person pinging from home all night is one landmark visit).
@@ -59,7 +60,7 @@ impl Trajectory {
         matcher: &crate::map_match::MapMatcher,
     ) -> Vec<(u32, mobirescue_roadnet::graph::LandmarkId)> {
         let mut out: Vec<(u32, mobirescue_roadnet::graph::LandmarkId)> = Vec::new();
-        for ping in &self.pings {
+        for ping in self.pings {
             let lm = matcher.nearest_landmark(net, ping.position);
             if out.last().map(|&(_, prev)| prev) != Some(lm) {
                 out.push((ping.minute, lm));
@@ -92,22 +93,34 @@ impl MobilityDataset {
         self.people.len()
     }
 
-    /// Splits the pings into one [`Trajectory`] per person, preserving time
-    /// order. People without pings get an empty trajectory.
-    pub fn trajectories(&self) -> Vec<Trajectory> {
-        let mut out: Vec<Trajectory> = self
+    /// Splits the pings into one [`Trajectory`] per person, in `people`
+    /// order, without copying them: each trajectory borrows its person's run
+    /// of the `(person, minute)`-sorted ping array. People without pings get
+    /// an empty trajectory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a person's pings do not form one contiguous run (the pings
+    /// are not sorted by person), or if a ping names a person outside
+    /// `people`.
+    pub fn trajectories(&self) -> Vec<Trajectory<'_>> {
+        let mut out: Vec<Trajectory<'_>> = self
             .people
             .iter()
             .map(|p| Trajectory {
                 person: p.id,
-                pings: Vec::new(),
+                pings: &[],
             })
             .collect();
-        for ping in &self.pings {
-            out[ping.person.index()].pings.push(*ping);
-        }
-        for t in &mut out {
-            debug_assert!(t.pings.windows(2).all(|w| w[0].minute <= w[1].minute));
+        for run in self.pings.chunk_by(|a, b| a.person == b.person) {
+            let person = run[0].person;
+            let slot = &mut out[person.index()];
+            assert!(
+                slot.pings.is_empty(),
+                "pings of {person} form more than one run: the dataset must be sorted by (person, minute)"
+            );
+            debug_assert!(run.windows(2).all(|w| w[0].minute <= w[1].minute));
+            slot.pings = run;
         }
         out
     }
@@ -167,12 +180,29 @@ mod tests {
 
     #[test]
     fn trajectories_split_by_person_in_order() {
-        let ds = tiny_dataset();
+        let mut ds = tiny_dataset();
+        ds.people.push(Person {
+            id: PersonId(2),
+            ..ds.people[0]
+        });
         let trajs = ds.trajectories();
-        assert_eq!(trajs.len(), 2);
+        assert_eq!(trajs.len(), 3);
         assert_eq!(trajs[0].pings.len(), 2);
         assert_eq!(trajs[1].pings.len(), 2);
         assert!(trajs[1].pings[0].minute < trajs[1].pings[1].minute);
+        // Views into the sorted array, not copies.
+        assert!(std::ptr::eq(trajs[1].pings, &ds.pings[2..]));
+        assert_eq!(trajs[2].person, PersonId(2));
+        assert!(trajs[2].pings.is_empty(), "a person without pings");
+    }
+
+    #[test]
+    #[should_panic(expected = "must be sorted by (person, minute)")]
+    fn trajectories_reject_pings_not_sorted_by_person() {
+        let mut ds = tiny_dataset();
+        // Person 0's pings now form two runs: 0, 1, 0, 1.
+        ds.pings.swap(1, 2);
+        ds.trajectories();
     }
 
     #[test]
@@ -196,14 +226,15 @@ mod tests {
             altitude_m: 0.0,
             speed_mps: 0.0,
         };
+        let pings = [
+            ping(0, home),
+            ping(60, home.offset_m(5.0, 5.0)), // same landmark
+            ping(120, far),
+            ping(180, home),
+        ];
         let traj = Trajectory {
             person: PersonId(0),
-            pings: vec![
-                ping(0, home),
-                ping(60, home.offset_m(5.0, 5.0)), // same landmark
-                ping(120, far),
-                ping(180, home),
-            ],
+            pings: &pings,
         };
         let lms = traj.to_landmarks(&city.network, &matcher);
         assert_eq!(lms.len(), 3, "duplicate home visit collapsed: {lms:?}");

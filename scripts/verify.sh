@@ -3,14 +3,17 @@
 # lints, with a per-step PASS/FAIL summary.
 #
 #   scripts/verify.sh          # tier-1 + fmt + clippy + snapshot-format
-#                              # suites + pinned chaos suite + mrbench
-#                              # ledger tests
+#                              # suites + mobility suite + pinned chaos
+#                              # suite + mrbench ledger tests
 #   scripts/verify.sh --full   # additionally run the whole workspace's tests
 #
 # `cargo test -q` tests only the root package, so the "snapshot formats"
 # step runs the sim, serve and rl crates' suites: the golden and frozen
 # compat fixtures, the snapshot property tests, and the round trips of the
 # `rl` texts (networks, Adam, replay ring) the trainer's `tstate` holds.
+# The "mobility crate tests" step runs the hospital-delivery unit tests and
+# the property test that holds `detect_deliveries` to its copy-and-scan
+# reference.
 #
 # Every step runs even when an earlier one fails, so one invocation
 # reports everything that is broken; the script exits non-zero if any
@@ -41,6 +44,7 @@ run_step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 run_step "tier-1 build" cargo build --release
 run_step "tier-1 tests" cargo test -q
 run_step "snapshot formats" cargo test -q -p mobirescue-sim -p mobirescue-serve -p mobirescue-rl
+run_step "mobility crate tests" cargo test -q -p mobirescue-mobility
 run_step "chaos suite" cargo test -q --test chaos
 run_step "rollout chaos suite" cargo test -q --test rollout_chaos
 run_step "trainer chaos suite" cargo test -q --test trainer_chaos
