@@ -2,11 +2,8 @@
 //!
 //! The `figures` binary (`cargo run -p mobirescue-bench --release --bin
 //! figures`) reprints every table and figure of the paper's evaluation from
-//! a fresh simulation; the criterion benches under `benches/` time the
-//! underlying computations (notably the dispatch-latency gap behind
-//! Figure 13). [`experiments`] holds one function per table/figure so the
-//! binary, the benches and the integration tests share the exact same
-//! code.
+//! a fresh simulation. [`experiments`] holds one function per table/figure
+//! so the binary and the integration tests share the exact same code.
 
 #![warn(missing_docs)]
 

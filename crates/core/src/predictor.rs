@@ -237,8 +237,31 @@ impl RequestPredictor {
         };
         let means = parse_vec(lines.next(), "means ")?;
         let stds = parse_vec(lines.next(), "stds ")?;
+        // Every row the predictor scores is a factor vector, so a scaler or
+        // support vector of another length could only panic later, in
+        // `scale` or `kernel`.
+        let dim = FactorVector::default().as_array().len();
+        for (name, v) in [("means", &means), ("stds", &stds)] {
+            if v.len() != dim {
+                return Err(format!("{name} has {} entries, expected {dim}", v.len()));
+            }
+        }
+        // `StandardScaler::from_parts` asserts that every spread is positive.
+        if let Some(i) = stds.iter().position(|s| s.is_nan() || *s <= 0.0) {
+            return Err(format!("stds[{i}] is not positive ({})", stds[i]));
+        }
         let rest: String = lines.collect::<Vec<_>>().join("\n");
         let model = mobirescue_svm::persist::model_from_text(&rest).map_err(|e| e.to_string())?;
+        if let Some(i) = model
+            .support_vectors()
+            .iter()
+            .position(|sv| sv.len() != dim)
+        {
+            return Err(format!(
+                "support vector {i} has {} components, expected {dim}",
+                model.support_vectors()[i].len()
+            ));
+        }
         Ok(Self {
             scaler: mobirescue_svm::StandardScaler::from_parts(means, stds),
             model,
@@ -634,6 +657,37 @@ mod tests {
         }
         assert!(RequestPredictor::from_text("garbage").is_err());
         assert!(RequestPredictor::from_text("").is_err());
+    }
+
+    #[test]
+    fn from_text_refuses_shapes_other_than_the_factor_vector() {
+        let text = |means: &str, stds: &str, sv: &str| {
+            format!(
+                "predictor michael 4 0.0\nmeans {means}\nstds {stds}\n\
+                 svm rbf 0.5\nbias 0.1\nsv 1.0 {sv}\n"
+            )
+        };
+        let ok = RequestPredictor::from_text(&text("1 2 3", "1 1 1", "0.5 0.5 0.5"))
+            .expect("a 3-factor predictor parses");
+        assert_eq!(ok.probe(), Ok(()));
+        let refused = |t: String| RequestPredictor::from_text(&t).map(|_| ()).unwrap_err();
+        // A 3-mean scaler over 1-component support vectors.
+        let e = refused(text("1 2 3", "1 1 1", "0.5"));
+        assert!(e.contains("support vector 0 has 1 components"), "{e}");
+        // A 1-mean scaler.
+        let e = refused(text("1", "1", "0.5 0.5 0.5"));
+        assert!(e.contains("means has 1 entries"), "{e}");
+        // 4-component support vectors.
+        let e = refused(text("1 2 3", "1 1 1", "0.5 0.5 0.5 0.5"));
+        assert!(e.contains("support vector 0 has 4 components"), "{e}");
+        // A scaler whose stds disagree in length with its means.
+        let e = refused(text("1 2 3", "1 1", "0.5 0.5 0.5"));
+        assert!(e.contains("stds has 2 entries"), "{e}");
+        // A zero or negative spread cannot standardize anything.
+        let e = refused(text("1 2 3", "1 0 1", "0.5 0.5 0.5"));
+        assert!(e.contains("stds[1] is not positive"), "{e}");
+        let e = refused(text("1 2 3", "1 1 -1", "0.5 0.5 0.5"));
+        assert!(e.contains("stds[2] is not positive"), "{e}");
     }
 
     #[test]

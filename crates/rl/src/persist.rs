@@ -84,7 +84,7 @@ pub fn mlp_from_text(text: &str) -> Result<Mlp, ParseNetworkError> {
         .map(usize::from_str)
         .collect::<Result<_, _>>()
         .map_err(|_| ParseNetworkError::BadHeader)?;
-    if dims.len() < 2 {
+    if dims.len() < 2 || dims.contains(&0) {
         return Err(ParseNetworkError::BadHeader);
     }
     let params_line = lines.next().ok_or(ParseNetworkError::WrongLength)?;
@@ -93,10 +93,15 @@ pub fn mlp_from_text(text: &str) -> Result<Mlp, ParseNetworkError> {
         .map(f64::from_str)
         .collect::<Result<_, _>>()
         .map_err(|_| ParseNetworkError::BadNumber)?;
-    let mut net = Mlp::new(&dims, 0);
-    if params.len() != net.num_params() {
+    // Check the count before building: a hostile header could otherwise
+    // allocate a network far larger than the text that describes it.
+    let num_params = dims.windows(2).try_fold(0usize, |n, w| {
+        w[0].checked_mul(w[1])?.checked_add(w[1])?.checked_add(n)
+    });
+    if num_params != Some(params.len()) {
         return Err(ParseNetworkError::WrongLength);
     }
+    let mut net = Mlp::new(&dims, 0);
     net.visit_params_mut(|i, w, _| *w = params[i]);
     Ok(net)
 }
@@ -212,6 +217,24 @@ mod tests {
         );
         assert_eq!(
             mlp_from_text("mlp 2 2\n1 2 3"),
+            Err(ParseNetworkError::WrongLength)
+        );
+        // A zero-sized layer is a malformed header, not a panic.
+        assert_eq!(
+            mlp_from_text("mlp 0 1\n\n"),
+            Err(ParseNetworkError::BadHeader)
+        );
+        assert_eq!(
+            mlp_from_text("mlp 1 0\n0\n"),
+            Err(ParseNetworkError::BadHeader)
+        );
+        // Huge or overflowing layers are refused before anything is built.
+        assert_eq!(
+            mlp_from_text("mlp 100000 100000 100000\n1 2 3"),
+            Err(ParseNetworkError::WrongLength)
+        );
+        assert_eq!(
+            mlp_from_text("mlp 18446744073709551615 2\n1 2 3"),
             Err(ParseNetworkError::WrongLength)
         );
         let err = ParseNetworkError::WrongLength.to_string();

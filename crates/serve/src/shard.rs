@@ -290,39 +290,6 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
     let mut carry_ms: u64 = 0;
     let mut degraded: u64 = 0;
 
-    #[allow(clippy::too_many_arguments)] // a plain projection of worker state
-    let status = |world: &World<'_>,
-                  injected: u64,
-                  rejected: u64,
-                  version: u64,
-                  compute_ms: u64,
-                  degraded: u64,
-                  degraded_now: bool,
-                  report: Option<EpochReport>,
-                  swap_error: Option<SwapError>,
-                  reward: f64,
-                  shadow: Option<ShadowReport>,
-                  transitions: Vec<PairTransition>| {
-        Box::new(ShardStatus {
-            epochs: world.epoch_index(),
-            injected,
-            rejected,
-            waiting: world.num_waiting(),
-            picked_up: world.num_picked_up(),
-            delivered: world.num_delivered(),
-            model_version: version,
-            compute_ms,
-            routing: world.routing_stats(),
-            degraded,
-            degraded_now,
-            report,
-            swap_error,
-            reward,
-            shadow,
-            transitions,
-        })
-    };
-
     while let Ok(cmd) = rx.recv() {
         match cmd {
             ShardCmd::RunEpoch {
@@ -485,21 +452,23 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
                         )
                     },
                 );
-                let st = status(
-                    &world,
-                    injected,
-                    rejected,
-                    bundle.version,
-                    spent_ms.get(),
-                    degraded + u64::from(degraded_now),
+                let st = ShardStatus {
                     degraded_now,
-                    Some(report),
+                    report: Some(report),
                     swap_error,
                     reward,
                     shadow,
                     transitions,
-                );
-                if tx.send(ShardReply::Epoch(Ok(st))).is_err() {
+                    ..status(
+                        &world,
+                        injected,
+                        rejected,
+                        bundle.version,
+                        spent_ms.get(),
+                        degraded + u64::from(degraded_now),
+                    )
+                };
+                if tx.send(ShardReply::Epoch(Ok(Box::new(st)))).is_err() {
                     return;
                 }
                 degraded += u64::from(degraded_now);
@@ -531,20 +500,14 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
                         // The dispatcher rebuilds from the registry at the
                         // next epoch; until then report the version the
                         // snapshot ran with.
-                        Ok(status(
+                        Ok(Box::new(status(
                             &world,
                             injected,
                             rejected,
                             parsed.version,
                             carry_ms,
                             degraded,
-                            false,
-                            None,
-                            None,
-                            0.0,
-                            None,
-                            Vec::new(),
-                        ))
+                        )))
                     }
                     Err(e) => Err(e),
                 };
@@ -554,6 +517,38 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
             }
             ShardCmd::Shutdown => return,
         }
+    }
+}
+
+/// The counters both worker replies share, read from the world and the
+/// worker's own tallies. The per-epoch fields hold their restore values
+/// (no epoch report, swap error, reward, shadow or transitions); an epoch
+/// reply fills them in by struct update.
+fn status(
+    world: &World<'_>,
+    injected: u64,
+    rejected: u64,
+    model_version: u64,
+    compute_ms: u64,
+    degraded: u64,
+) -> ShardStatus {
+    ShardStatus {
+        epochs: world.epoch_index(),
+        injected,
+        rejected,
+        waiting: world.num_waiting(),
+        picked_up: world.num_picked_up(),
+        delivered: world.num_delivered(),
+        model_version,
+        compute_ms,
+        routing: world.routing_stats(),
+        degraded,
+        degraded_now: false,
+        report: None,
+        swap_error: None,
+        reward: 0.0,
+        shadow: None,
+        transitions: Vec::new(),
     }
 }
 

@@ -3,7 +3,8 @@
 //! [`ServeError::BadSnapshot`], never panic, never silently succeed, and a
 //! re-sealed snapshot with one hostile field must restore or fail typed —
 //! and for rollout admission, which must reject any candidate policy
-//! with mismatched layer shapes or a non-finite weight anywhere.
+//! with mismatched layer shapes or a non-finite weight anywhere, and must
+//! refuse a candidate with one hostile field typed, never by panicking.
 //!
 //! The checksum trailer is verified before a single record is parsed, so
 //! every corrupted case fails fast without spawning shard workers.
@@ -13,7 +14,7 @@ use mobirescue_core::scenario::{Scenario, ScenarioConfig};
 use mobirescue_rl::nn::Mlp;
 use mobirescue_rl::persist::mlp_to_text;
 use mobirescue_roadnet::graph::SegmentId;
-use mobirescue_serve::rollout::admit;
+use mobirescue_serve::rollout::{admit, Artifact};
 use mobirescue_serve::{
     Clock, DispatchService, Event, ModelRegistry, RolloutError, ServeConfig, ServeError, SimClock,
 };
@@ -127,6 +128,57 @@ fn with_hostile_field(snapshot: &str, pick: usize, hostile: &str) -> String {
         out.push('\n');
     }
     seal_snapshot(out)
+}
+
+/// Values chosen to break a checkpoint parser: a zero-sized layer or
+/// spread, a huge layer, an overflow, a negative, a non-number.
+const HOSTILE_CHECKPOINT: [&str; 5] = ["0", "100000", "18446744073709551615", "-1", "x"];
+
+/// An admissible candidate: a hand-written predictor over the three
+/// disaster factors and a `FEATURE_DIM`→3→1 policy, in artifact order
+/// (`Artifact::Svm`, `Artifact::Dqn`).
+fn admissible_candidate() -> [String; 2] {
+    let predictor = "predictor michael 4 0.25\n\
+                     means 1.0 20.0 5.0\n\
+                     stds 2.0 10.0 3.0\n\
+                     svm rbf 0.5\n\
+                     bias 0.1\n\
+                     sv 0.5 0.2 -0.4 1.0\n";
+    [
+        predictor.to_owned(),
+        mlp_to_text(&Mlp::new(&[FEATURE_DIM, 3, 1], 5)),
+    ]
+}
+
+/// Edits one whitespace-separated field of `text`, counted across all its
+/// lines: `edit` indexes [`HOSTILE_CHECKPOINT`] to replace the field, or
+/// is 5 to drop it, or 6 to duplicate it.
+fn with_hostile_checkpoint_field(text: &str, pick: usize, edit: usize) -> String {
+    let mut lines: Vec<Vec<&str>> = text
+        .lines()
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    let fields: Vec<(usize, usize)> = lines
+        .iter()
+        .enumerate()
+        .flat_map(|(ln, f)| (0..f.len()).map(move |i| (ln, i)))
+        .collect();
+    let (ln, i) = fields[pick % fields.len()];
+    let line = &mut lines[ln];
+    match edit {
+        5 => {
+            line.remove(i);
+        }
+        6 => line.insert(i, line[i]),
+        _ => line[i] = HOSTILE_CHECKPOINT[edit],
+    }
+    lines.iter().map(|f| f.join(" ") + "\n").collect()
+}
+
+#[test]
+fn admissible_candidate_is_admitted() {
+    let [predictor, policy] = admissible_candidate();
+    admit(Some(&predictor), Some(&policy), 1e6).expect("the unedited candidate is admissible");
 }
 
 proptest! {
@@ -249,6 +301,26 @@ proptest! {
             }
             Err(other) => prop_assert!(false, "wrong rejection: {other}"),
             Ok(_) => prop_assert!(false, "non-finite weight at {target} admitted"),
+        }
+    }
+
+    /// One hostile field in either checkpoint text is admitted or refused
+    /// with a typed error naming that artifact; admission never panics.
+    #[test]
+    fn admission_never_panics_on_a_hostile_field(
+        artifact in 0usize..2,
+        pick in 0usize..1_000_000,
+        edit in 0usize..7,
+    ) {
+        let mut texts = admissible_candidate();
+        texts[artifact] = with_hostile_checkpoint_field(&texts[artifact], pick, edit);
+        let edited = [Artifact::Svm, Artifact::Dqn][artifact];
+        match admit(Some(&texts[0]), Some(&texts[1]), 1e6) {
+            Ok(_) => {}
+            Err(RolloutError::Parse { artifact, .. } | RolloutError::Probe { artifact, .. }) => {
+                prop_assert_eq!(artifact, edited);
+            }
+            Err(other) => prop_assert!(false, "wrong refusal: {other}"),
         }
     }
 }

@@ -2,19 +2,14 @@
 //!
 //! The comparison methods *Schedule* \[5\] and *Rescue* \[8\] both "formulate an
 //! integer programming problem" to assign rescue teams to (predicted)
-//! request positions. This crate provides the exact solvers they run every
-//! dispatch period:
-//!
-//! * [`hungarian`] — O(n²m) exact min-cost assignment (the shape both
-//!   baselines' programs reduce to);
-//! * [`bnb`] — general 0/1 covering integer programs by branch-and-bound,
-//!   used for latency benchmarks demonstrating why IP-based dispatch is
-//!   slow (Figure 13's 300-second dispatch latency).
+//! request positions. Both programs reduce to min-cost assignment, which
+//! [`hungarian`] solves exactly in O(n²m) every dispatch period. The time
+//! an IP solver would take (Figure 13's ~300-second dispatch latency) is
+//! not spent here: the baselines in `mobirescue-core` charge it as the
+//! modelled `ip_latency_s`.
 
 #![warn(missing_docs)]
 
-pub mod bnb;
 pub mod hungarian;
 
-pub use bnb::{CoverProblem, CoverSolution};
 pub use hungarian::{min_cost_assignment, Assignment, CostMatrix, FORBIDDEN};

@@ -1,6 +1,5 @@
 //! Property-based tests for the optimization substrate.
 
-use mobirescue_solver::bnb::CoverProblem;
 use mobirescue_solver::hungarian::{min_cost_assignment, CostMatrix};
 use proptest::prelude::*;
 
@@ -52,43 +51,6 @@ proptest! {
         });
         let square = min_cost_assignment(&padded).total_cost;
         prop_assert!((rect - square).abs() < 1e-9);
-    }
-
-    /// Branch-and-bound solutions are feasible and never beaten by greedy.
-    #[test]
-    fn bnb_feasible_and_at_most_greedy(
-        n in 2usize..8,
-        costs in prop::collection::vec(0.5f64..10.0, 8),
-        coeffs in prop::collection::vec(0.0f64..2.0, 16),
-        demand in 0.5f64..3.0,
-    ) {
-        let costs = costs[..n].to_vec();
-        let row: Vec<f64> = coeffs[..n].to_vec();
-        let feasible_total: f64 = row.iter().sum();
-        let problem = CoverProblem {
-            costs: costs.clone(),
-            constraints: vec![(row.clone(), demand.min(feasible_total * 0.9))],
-        };
-        if let Some(sol) = problem.solve() {
-            // Feasible.
-            let covered: f64 = (0..n).filter(|&j| sol.selected[j]).map(|j| row[j]).sum();
-            prop_assert!(covered + 1e-9 >= problem.constraints[0].1);
-            // Optimal ≤ all-selected.
-            prop_assert!(sol.cost <= costs.iter().sum::<f64>() + 1e-9);
-            // Removing any selected variable breaks feasibility or was
-            // free: optimality implies no strictly-cheaper subset, checked
-            // against the exhaustive optimum for these tiny sizes.
-            let mut best = f64::INFINITY;
-            for mask in 0..(1u32 << n) {
-                let cov: f64 = (0..n).filter(|&j| mask & (1 << j) != 0).map(|j| row[j]).sum();
-                if cov + 1e-9 >= problem.constraints[0].1 {
-                    let cost: f64 =
-                        (0..n).filter(|&j| mask & (1 << j) != 0).map(|j| costs[j]).sum();
-                    best = best.min(cost);
-                }
-            }
-            prop_assert!((sol.cost - best).abs() < 1e-6, "bnb {} vs exhaustive {}", sol.cost, best);
-        }
     }
 }
 

@@ -2,9 +2,9 @@
 # Repo verification: the tier-1 gate (ROADMAP.md) plus formatting and
 # lints, with a per-step PASS/FAIL summary.
 #
-#   scripts/verify.sh          # tier-1 + fmt + clippy + snapshot-format
-#                              # suites + mobility suite + pinned chaos
-#                              # suite + mrbench ledger tests
+#   scripts/verify.sh          # lock files + tier-1 + fmt + clippy +
+#                              # snapshot-format suites + mobility suite +
+#                              # pinned chaos suite + mrbench ledger tests
 #   scripts/verify.sh --full   # additionally run the whole workspace's tests
 #
 # `cargo test -q` tests only the root package, so the "snapshot formats"
@@ -13,7 +13,8 @@
 # `rl` texts (networks, Adam, replay ring) the trainer's `tstate` holds.
 # The "mobility crate tests" step runs the hospital-delivery unit tests and
 # the property test that holds `detect_deliveries` to its copy-and-scan
-# reference.
+# reference. The "lock files" step runs first, because every later cargo
+# command would quietly rewrite a stale `Cargo.lock`.
 #
 # Every step runs even when an earlier one fails, so one invocation
 # reports everything that is broken; the script exits non-zero if any
@@ -39,6 +40,15 @@ run_step() { # run_step NAME CMD...
     results+=("$result")
 }
 
+# Both lock files must already match their manifests: the root workspace's
+# and the mrbench ledger's, which builds the same crates from source.
+locks_current() {
+    cargo metadata --locked --offline --format-version 1 >/dev/null &&
+        cargo metadata --locked --offline --format-version 1 \
+            --manifest-path mrbench/Cargo.toml >/dev/null
+}
+
+run_step "lock files" locks_current
 run_step "fmt" cargo fmt --check
 run_step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 run_step "tier-1 build" cargo build --release

@@ -21,7 +21,7 @@
 //! * [`mobility`] — synthetic population traces, flow rates, ground truth
 //! * [`svm`] — support vector machine (SMO) used by the request predictor
 //! * [`rl`] — neural network + DQN used by the dispatcher
-//! * [`solver`] — Hungarian assignment / branch-and-bound ILP for baselines
+//! * [`solver`] — Hungarian assignment for the baselines
 //! * [`sim`] — discrete-event rescue simulation engine and metrics
 //! * [`core`] — the MobiRescue system itself plus the `Schedule` and
 //!   `Rescue` baselines and the dataset-analysis pipeline
