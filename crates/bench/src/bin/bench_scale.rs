@@ -9,16 +9,10 @@
 //! a mismatch means the engine's *behavior* changed at scale, not just its
 //! speed.
 //!
-//! The `dispatch_alloc` section measures the per-call allocation fix in the
-//! baseline dispatcher: `before` replays the pre-fix dispatch loop (fresh
-//! claim table and candidate list every period), `after` uses the shipped
-//! scratch-reusing [`NearestRequestDispatcher`]. Both runs must produce
-//! bit-identical snapshots before the timings are reported.
-//!
 //! Usage: `bench_scale [preset ...]` with presets from
 //! {`medium`, `metro`, `multi_city`}; no arguments runs `medium metro`.
-//! Presets always run with the same seeds/epochs, so a subset run (the CI
-//! smoke gates `medium` only) emits rows comparable to a full bless.
+//! Presets always run with the same seeds/epochs, so a subset run emits
+//! rows comparable to a full bless.
 
 use mobirescue_core::scenario::ScenarioConfig;
 use mobirescue_disaster::hurricane::Hurricane;
@@ -27,9 +21,9 @@ use mobirescue_mobility::flow::HourlyConditions;
 use mobirescue_mobility::stream::ResidentStream;
 use mobirescue_roadnet::damage::NetworkCondition;
 use mobirescue_roadnet::graph::SegmentId;
-use mobirescue_sim::dispatcher::{DispatchState, Dispatcher, NearestRequestDispatcher};
+use mobirescue_sim::dispatcher::NearestRequestDispatcher;
 use mobirescue_sim::engine::{fnv1a_64, World};
-use mobirescue_sim::types::{DispatchPlan, Order, RequestSpec, SimConfig, TeamView};
+use mobirescue_sim::types::{RequestSpec, SimConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::time::Instant;
@@ -42,9 +36,6 @@ const STORM_HOUR: u32 = 276;
 /// Requests per road segment, scaled so bigger worlds carry
 /// proportionally bigger request streams (floored at 48).
 const REQUESTS_PER_KSEG: u32 = 180;
-/// Timed repetitions of the alloc before/after comparison; the median is
-/// reported.
-const ALLOC_REPS: usize = 3;
 
 struct Preset {
     name: &'static str,
@@ -76,48 +67,6 @@ fn presets() -> Vec<Preset> {
     ]
 }
 
-/// The pre-fix `NearestRequestDispatcher` dispatch loop, verbatim: a fresh
-/// claim table and a fresh free-team candidate list are allocated on every
-/// dispatch period. Kept here as the `before` leg of the alloc comparison.
-#[derive(Default)]
-struct AllocEachCallDispatcher;
-
-impl Dispatcher for AllocEachCallDispatcher {
-    fn name(&self) -> &str {
-        "NearestRequest"
-    }
-
-    fn compute_latency_s(&self, _state: &DispatchState<'_>) -> f64 {
-        0.1
-    }
-
-    fn dispatch(&mut self, state: &DispatchState<'_>) -> DispatchPlan {
-        let mut plan = DispatchPlan::none(state.teams.len());
-        let mut claimed = vec![false; state.waiting.len()];
-        let free: Vec<&TeamView> = state
-            .teams
-            .iter()
-            .filter(|t| !t.delivering && t.onboard == 0)
-            .collect();
-        state.prewarm_team_routes(&free);
-        for team in free {
-            let sp = state.planner.paths_from(state.condition, team.location);
-            let target = state
-                .waiting
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !claimed[*i])
-                .filter(|(_, r)| sp.travel_time_s(state.net.segment(r.segment).to).is_some())
-                .min_by_key(|(_, r)| r.appear_s);
-            if let Some((i, r)) = target {
-                claimed[i] = true;
-                plan.orders[team.id.index()] = Some(Order::GoToSegment(r.segment));
-            }
-        }
-        plan
-    }
-}
-
 struct WorldRow {
     name: &'static str,
     landmarks: usize,
@@ -142,7 +91,7 @@ struct BuiltWorld {
 }
 
 /// Builds the city, storm-window conditions, and deterministic request
-/// stream of one preset (everything reusable across dispatcher runs).
+/// stream of one preset.
 fn build_world(p: &Preset) -> BuiltWorld {
     let t0 = Instant::now();
     let city = p.config.city.build(SEED);
@@ -182,19 +131,20 @@ fn build_world(p: &Preset) -> BuiltWorld {
     }
 }
 
-/// Steps a fresh world through the whole horizon under `dispatcher`,
-/// returning (wall seconds, dispatch epochs covered, final-snapshot
-/// checksum). `World::step` is a one-second tick; the epoch count is the
-/// number of dispatch periods the horizon spans, which is what the
-/// per-epoch latency is normalized by.
-fn run_world(b: &BuiltWorld, dispatcher: &mut dyn Dispatcher) -> (f64, u32, u64) {
+/// Steps a fresh world through the whole horizon under the
+/// [`NearestRequestDispatcher`] baseline, returning (wall seconds,
+/// dispatch epochs covered, final-snapshot checksum). `World::step` is a
+/// one-second tick; the epoch count is the number of dispatch periods the
+/// horizon spans, which is what the per-epoch latency is normalized by.
+fn run_world(b: &BuiltWorld) -> (f64, u32, u64) {
+    let mut dispatcher = NearestRequestDispatcher::default();
     let mut world = World::new(&b.city, &b.conditions, &b.sim).expect("window covers horizon");
     world.schedule_requests(&b.specs).expect("valid requests");
     let horizon = b.sim.duration_s();
     let epochs = horizon / b.sim.dispatch_period_s;
     let t0 = Instant::now();
     while world.now_s() < horizon {
-        world.step(dispatcher, 0.0);
+        world.step(&mut dispatcher, 0.0);
     }
     let wall_s = t0.elapsed().as_secs_f64();
     (wall_s, epochs, fnv1a_64(&world.snapshot_text()))
@@ -202,7 +152,7 @@ fn run_world(b: &BuiltWorld, dispatcher: &mut dyn Dispatcher) -> (f64, u32, u64)
 
 fn bench_preset(p: &Preset) -> WorldRow {
     let b = build_world(p);
-    let (wall_s, epochs, checksum) = run_world(&b, &mut NearestRequestDispatcher::default());
+    let (wall_s, epochs, checksum) = run_world(&b);
     WorldRow {
         name: p.name,
         landmarks: b.city.network.num_landmarks(),
@@ -245,11 +195,6 @@ fn bench_mobility_stream() -> (usize, usize, f64) {
     (total, out.dataset.num_people(), per_million_ms)
 }
 
-fn median(times: &mut [f64]) -> f64 {
-    times.sort_by(|a, b| a.partial_cmp(b).expect("durations are never NaN"));
-    times[times.len() / 2]
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let wanted: Vec<&str> = if args.is_empty() {
@@ -270,34 +215,6 @@ fn main() {
         .filter(|p| wanted.contains(&p.name))
         .map(bench_preset)
         .collect();
-
-    // Alloc before/after on the medium preset (the CI-sized world): the
-    // pre-fix allocating dispatch loop vs. the scratch-reusing shipped one,
-    // over identical worlds, with snapshot equality enforced.
-    let alloc = wanted.contains(&"medium").then(|| {
-        let p = all
-            .iter()
-            .find(|p| p.name == "medium")
-            .expect("medium preset exists");
-        let b = build_world(p);
-        let mut before = Vec::with_capacity(ALLOC_REPS);
-        let mut after = Vec::with_capacity(ALLOC_REPS);
-        let mut before_sum = 0;
-        let mut after_sum = 0;
-        for _ in 0..ALLOC_REPS {
-            let (s, _, sum) = run_world(&b, &mut AllocEachCallDispatcher);
-            before.push(s * 1e3);
-            before_sum = sum;
-            let (s, _, sum) = run_world(&b, &mut NearestRequestDispatcher::default());
-            after.push(s * 1e3);
-            after_sum = sum;
-        }
-        assert_eq!(
-            before_sum, after_sum,
-            "scratch-reusing dispatcher diverged from the allocating baseline"
-        );
-        (median(&mut before), median(&mut after))
-    });
 
     let (residents, sampled, per_million_ms) = bench_mobility_stream();
 
@@ -333,16 +250,6 @@ fn main() {
         println!("    }}{comma}");
     }
     println!("  ],");
-    if let Some((before_ms, after_ms)) = alloc {
-        println!("  \"dispatch_alloc\": {{");
-        println!(
-            "    \"before_ms\": {:.2}, \"after_ms\": {:.2}, \"speedup\": {:.3}, \"results_identical\": true",
-            before_ms,
-            after_ms,
-            before_ms / after_ms
-        );
-        println!("  }},");
-    }
     println!("  \"mobility_stream\": {{");
     println!(
         "    \"residents\": {residents}, \"sampled\": {sampled}, \"per_million_ms\": {per_million_ms:.0}"

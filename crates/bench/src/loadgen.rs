@@ -176,9 +176,8 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Flat JSON, one scalar per line — the same shape `BENCH_routing.json`
-    /// uses, so `scripts/check_bench.sh` extracts fields with the same
-    /// one-line sed.
+    /// Flat JSON, one scalar per line, so `scripts/check_bench.sh`
+    /// extracts each field with a one-line sed.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"profile\": \"{}\",", self.profile);

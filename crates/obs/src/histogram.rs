@@ -174,7 +174,7 @@ impl HistogramSnapshot {
 
     /// Parses [`HistogramSnapshot::to_line`] output. Returns `None` on
     /// malformed input (including a count that disagrees with the
-    /// buckets).
+    /// buckets, or buckets whose sum overflows a `u64`).
     pub fn from_line(line: &str) -> Option<Self> {
         let mut it = line.split_whitespace();
         let count: u64 = it.next()?.parse().ok()?;
@@ -189,8 +189,8 @@ impl HistogramSnapshot {
             }
             counts[idx] = c.parse().ok()?;
         }
-        let snap = Self { counts, sum, max };
-        (snap.count() == count).then_some(snap)
+        let total = counts.iter().try_fold(0u64, |acc, &c| acc.checked_add(c))?;
+        (total == count).then_some(Self { counts, sum, max })
     }
 }
 
@@ -291,6 +291,8 @@ mod tests {
         // Count/bucket disagreement is rejected.
         assert!(HistogramSnapshot::from_line("5 2 3 1:1").is_none());
         assert!(HistogramSnapshot::from_line("1 0 1 1:1").is_some());
+        // So are buckets whose sum overflows.
+        assert!(HistogramSnapshot::from_line("0 0 0 1:18446744073709551615 2:1").is_none());
     }
 
     #[test]

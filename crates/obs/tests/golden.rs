@@ -100,3 +100,68 @@ fn golden_fixture_still_parses() {
     assert_eq!(parsed, golden_registry());
     assert_eq!(parsed.to_text(), golden, "parse → render round-trips");
 }
+
+/// Values chosen to break a hand parser: a zero, a bucket count that
+/// overflows the bucket sum, a negative, a non-number.
+const HOSTILE: [&str; 4] = ["0", "18446744073709551615", "-1", "x"];
+
+/// Every single-token edit of `tokens` joined by `sep`: each token is
+/// replaced by each [`HOSTILE`] value, dropped, or duplicated.
+fn token_edits(tokens: &[&str], sep: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for (i, &token) in tokens.iter().enumerate() {
+        for hostile in HOSTILE {
+            let mut replaced = tokens.to_vec();
+            replaced[i] = hostile;
+            out.push(replaced.join(sep));
+        }
+        let mut dropped = tokens.to_vec();
+        dropped.remove(i);
+        out.push(dropped.join(sep));
+        let mut duplicated = tokens.to_vec();
+        duplicated.insert(i, token);
+        out.push(duplicated.join(sep));
+    }
+    out
+}
+
+/// Every single-token edit of `line`: of one space-separated field, or of
+/// one `:`-separated part of a field.
+fn line_edits(line: &str) -> Vec<String> {
+    let fields: Vec<&str> = line.split(' ').collect();
+    let mut out = token_edits(&fields, " ");
+    for (i, field) in fields.iter().enumerate() {
+        let parts: Vec<&str> = field.split(':').collect();
+        if parts.len() > 1 {
+            for part in token_edits(&parts, ":") {
+                let mut edited = fields.clone();
+                edited[i] = &part;
+                out.push(edited.join(" "));
+            }
+        }
+    }
+    out
+}
+
+/// Every single-token edit of the fixture parses to a snapshot or fails
+/// with an error; it never panics. A snapshot it does parse to renders
+/// and re-parses to itself.
+#[test]
+fn hostile_edits_of_the_golden_fixture_never_panic() {
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        return;
+    }
+    let golden = std::fs::read_to_string(TEXT_PATH)
+        .expect("golden fixture exists; run with UPDATE_GOLDEN=1 to create it");
+    let lines: Vec<&str> = golden.lines().collect();
+    for (ln, line) in lines.iter().enumerate() {
+        for edited_line in line_edits(line) {
+            let mut edited = lines.clone();
+            edited[ln] = &edited_line;
+            let text = edited.join("\n") + "\n";
+            if let Ok(snap) = ObsSnapshot::parse(&text) {
+                assert_eq!(ObsSnapshot::parse(&snap.to_text()), Ok(snap), "{text}");
+            }
+        }
+    }
+}

@@ -108,11 +108,6 @@ impl<'a> RoutePlanner<'a> {
         self.net
     }
 
-    /// The frozen CSR adjacency (for benchmarks and direct CSR runs).
-    pub fn csr(&self) -> &CsrGraph {
-        &self.csr
-    }
-
     /// Cumulative cache counters.
     pub fn stats(&self) -> PlannerStats {
         PlannerStats {

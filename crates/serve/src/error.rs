@@ -33,8 +33,6 @@ pub enum ServeError {
     },
     /// A service snapshot failed to parse.
     BadSnapshot(String),
-    /// A model checkpoint failed to load.
-    BadModel(String),
     /// The rollout pipeline rejected a candidate bundle (admission
     /// failure or a rollout already in flight).
     Rollout(RolloutError),
@@ -70,7 +68,6 @@ impl std::fmt::Display for ServeError {
                 write!(f, "shard {shard} failed: {message}")
             }
             ServeError::BadSnapshot(why) => write!(f, "bad service snapshot: {why}"),
-            ServeError::BadModel(why) => write!(f, "bad model checkpoint: {why}"),
             ServeError::Rollout(e) => write!(f, "rollout rejected: {e}"),
             ServeError::Io(why) => write!(f, "i/o error: {why}"),
             ServeError::BadConfig(what) => write!(f, "bad service config: {what}"),
@@ -121,9 +118,6 @@ mod tests {
         assert!(ServeError::BadSnapshot("x".into())
             .to_string()
             .contains("snapshot"));
-        assert!(ServeError::BadModel("y".into())
-            .to_string()
-            .contains("checkpoint"));
         assert!(ServeError::BadConfig("zero shards")
             .to_string()
             .contains("zero shards"));

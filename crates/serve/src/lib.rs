@@ -16,9 +16,9 @@
 //!   deterministic runs), measuring per-epoch dispatcher latency and
 //!   feeding it back into the simulation as order delay exactly as
 //!   `mobirescue_sim::engine` models dispatch latency.
-//! * **Model hot-swap** ([`ModelRegistry`]) — SVM + DQN checkpoints load
-//!   through the existing persistence formats and swap in atomically via
-//!   `Arc` between epochs, without pausing ingestion.
+//! * **Model hot-swap** ([`ModelRegistry`]) — SVM + DQN bundles swap in
+//!   atomically via `Arc` between epochs, without pausing ingestion;
+//!   checkpoint texts enter through the guarded rollout below.
 //! * **Snapshot recovery** ([`DispatchService::snapshot`],
 //!   [`DispatchService::restore`]) — the full service state (each shard's
 //!   world, pending queues, counters) serializes at epoch boundaries so a

@@ -8,15 +8,13 @@
 //! version at the next epoch boundary and rebuild their dispatcher from
 //! it, which is exactly when a dispatch policy may change consistently.
 //!
-//! Checkpoints load through the existing persistence formats:
-//! [`mobirescue_core::predictor::RequestPredictor::from_text`] (which
-//! wraps `mobirescue_svm::persist`) and [`mobirescue_rl::persist`].
+//! The registry installs models that are already parsed. A checkpoint
+//! text enters service through [`crate::DispatchService::submit_rollout`]:
+//! [`crate::rollout::admit`] parses and probes it, and the rollout stages
+//! install it here only once it has passed their gates.
 
-use crate::error::ServeError;
 use mobirescue_core::predictor::RequestPredictor;
 use mobirescue_rl::nn::Mlp;
-use mobirescue_rl::persist::mlp_from_text;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -102,55 +100,6 @@ impl ModelRegistry {
         self.rollbacks.load(Ordering::Relaxed)
     }
 
-    /// Parses checkpoint texts and installs them as a new bundle. `None`
-    /// keeps that slot empty (not the previous model — a bundle is
-    /// installed whole, so a swap is never half of one checkpoint and half
-    /// of another).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::BadModel`] without swapping when either text
-    /// fails to parse.
-    pub fn install_from_text(
-        &self,
-        predictor_text: Option<&str>,
-        policy_text: Option<&str>,
-    ) -> Result<u64, ServeError> {
-        let predictor = predictor_text
-            .map(|t| {
-                RequestPredictor::from_text(t)
-                    .map_err(|e| ServeError::BadModel(format!("svm predictor checkpoint: {e}")))
-            })
-            .transpose()?;
-        let policy = policy_text
-            .map(|t| {
-                mlp_from_text(t)
-                    .map_err(|e| ServeError::BadModel(format!("dqn policy checkpoint: {e}")))
-            })
-            .transpose()?;
-        Ok(self.install(predictor, policy))
-    }
-
-    /// Reads checkpoint files and installs them as a new bundle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Io`] when a file cannot be read and
-    /// [`ServeError::BadModel`] when its contents fail to parse; the
-    /// current bundle stays in place either way.
-    pub fn install_from_files(
-        &self,
-        predictor_path: Option<&Path>,
-        policy_path: Option<&Path>,
-    ) -> Result<u64, ServeError> {
-        let read = |p: &Path| {
-            std::fs::read_to_string(p).map_err(|e| ServeError::Io(format!("{}: {e}", p.display())))
-        };
-        let predictor_text = predictor_path.map(read).transpose()?;
-        let policy_text = policy_path.map(read).transpose()?;
-        self.install_from_text(predictor_text.as_deref(), policy_text.as_deref())
-    }
-
     /// Hot-swaps performed since creation.
     pub fn swaps(&self) -> u64 {
         self.swaps.load(Ordering::Relaxed)
@@ -160,7 +109,6 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mobirescue_rl::persist::mlp_to_text;
 
     #[test]
     fn swap_is_versioned_and_readers_keep_old_bundles() {
@@ -177,56 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn text_install_round_trips_weights() {
-        let reg = ModelRegistry::new(None, None);
-        let net = Mlp::new(&[6, 8, 1], 7);
-        let v = reg
-            .install_from_text(None, Some(&mlp_to_text(&net)))
-            .expect("valid checkpoint");
-        assert_eq!(v, 2);
-        let loaded = reg.current().policy.clone().expect("policy installed");
-        let x = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6];
-        assert_eq!(loaded.predict(&x), net.predict(&x));
-    }
-
-    #[test]
-    fn bad_checkpoints_leave_the_bundle_alone() {
-        let reg = ModelRegistry::new(None, Some(Mlp::new(&[2, 1], 0)));
-        let err = reg.install_from_text(None, Some("garbage")).unwrap_err();
-        assert!(matches!(err, ServeError::BadModel(_)));
-        let err = reg
-            .install_from_text(Some("not a predictor"), None)
-            .unwrap_err();
-        assert!(matches!(err, ServeError::BadModel(_)));
-        assert_eq!(reg.current().version, 1);
-        assert!(reg.current().policy.is_some());
-        assert_eq!(reg.swaps(), 0);
-    }
-
-    #[test]
-    fn bad_checkpoint_errors_name_the_artifact() {
-        let reg = ModelRegistry::new(None, None);
-        let ServeError::BadModel(msg) = reg.install_from_text(None, Some("garbage")).unwrap_err()
-        else {
-            panic!("expected BadModel");
-        };
-        assert!(
-            msg.starts_with("dqn policy checkpoint: ") && msg.contains("header"),
-            "{msg}"
-        );
-        let ServeError::BadModel(msg) = reg
-            .install_from_text(Some("not a predictor"), None)
-            .unwrap_err()
-        else {
-            panic!("expected BadModel");
-        };
-        assert!(
-            msg.starts_with("svm predictor checkpoint: ") && msg.contains("predictor header"),
-            "{msg}"
-        );
-    }
-
-    #[test]
     fn restore_bundle_is_exact_and_counted() {
         let reg = ModelRegistry::new(None, Some(Mlp::new(&[6, 4, 1], 9)));
         let pinned = reg.current();
@@ -237,14 +135,5 @@ mod tests {
         assert_eq!(reg.current().version, 1);
         assert_eq!(reg.swaps(), 1, "rollback is not a swap");
         assert_eq!(reg.rollbacks(), 1);
-    }
-
-    #[test]
-    fn missing_files_are_io_errors() {
-        let reg = ModelRegistry::new(None, None);
-        let err = reg
-            .install_from_files(None, Some(Path::new("/nonexistent/policy.txt")))
-            .unwrap_err();
-        assert!(matches!(err, ServeError::Io(_)));
     }
 }

@@ -875,7 +875,10 @@ mod tests {
         }
 
         match admit(None, Some("garbage"), 1e6) {
-            Err(RolloutError::Parse { artifact, .. }) => assert_eq!(artifact, Artifact::Dqn),
+            Err(RolloutError::Parse { artifact, message }) => {
+                assert_eq!(artifact, Artifact::Dqn);
+                assert!(message.contains("header"), "{message}");
+            }
             other => panic!("expected Dqn parse error, got {other:?}"),
         }
 
@@ -903,7 +906,10 @@ mod tests {
         }
 
         match admit(Some("not a predictor"), None, 1e6) {
-            Err(RolloutError::Parse { artifact, .. }) => assert_eq!(artifact, Artifact::Svm),
+            Err(RolloutError::Parse { artifact, message }) => {
+                assert_eq!(artifact, Artifact::Svm);
+                assert!(message.contains("predictor header"), "{message}");
+            }
             other => panic!("expected Svm parse error, got {other:?}"),
         }
     }

@@ -35,16 +35,10 @@ use std::thread::JoinHandle;
 pub struct ServeConfig {
     /// Independent city shards hosted on the thread pool.
     pub num_shards: usize,
-    /// Capacity of each shard's request ingest queue.
+    /// Capacity of each shard's request ingest queue. A full queue
+    /// rejects the newcomer: an accepted rescue is never silently
+    /// forgotten.
     pub request_queue_capacity: usize,
-    /// Capacity of the shared weather/road-damage advisory queue.
-    pub advisory_queue_capacity: usize,
-    /// Shed policy for request queues (default: reject the newcomer —
-    /// already-accepted rescues are not silently forgotten).
-    pub request_shed: ShedPolicy,
-    /// Shed policy for advisories (default: evict the oldest — fresh
-    /// observations supersede stale ones).
-    pub advisory_shed: ShedPolicy,
     /// Per-shard simulation settings (the dispatch period is the paper's
     /// 5-minute tick).
     pub sim: SimConfig,
@@ -91,9 +85,6 @@ impl ServeConfig {
         Self {
             num_shards: 1,
             request_queue_capacity: 1_024,
-            advisory_queue_capacity: 256,
-            request_shed: ShedPolicy::DropNewest,
-            advisory_shed: ShedPolicy::DropOldest,
             sim,
             rl: RlDispatchConfig::default(),
             faults: None,
@@ -106,6 +97,11 @@ impl ServeConfig {
         }
     }
 }
+
+/// Capacity of the shared weather/road-damage advisory queue. A full
+/// queue evicts its oldest advisory: a fresh observation supersedes a
+/// stale one.
+const ADVISORY_QUEUE_CAPACITY: usize = 256;
 
 /// Bounded retry for [`DispatchService::ingest_with_retry`]: when the
 /// queue sheds the event, back off on the service clock and re-offer.
@@ -249,17 +245,19 @@ impl DispatchService {
         // Validate once on the caller's thread so workers cannot fail
         // construction.
         World::new(&scenario.city, &scenario.conditions, &config.sim)?;
+        // A full request queue sheds the newcomer: evicting the oldest
+        // would drop a request that is already journaled and acked.
         let request_queues: Vec<_> = (0..config.num_shards)
             .map(|_| {
                 Arc::new(BoundedQueue::new(
                     config.request_queue_capacity,
-                    config.request_shed,
+                    ShedPolicy::DropNewest,
                 ))
             })
             .collect();
         let advisories = Arc::new(BoundedQueue::new(
-            config.advisory_queue_capacity,
-            config.advisory_shed,
+            ADVISORY_QUEUE_CAPACITY,
+            ShedPolicy::DropOldest,
         ));
         let obs = config.obs.clone().unwrap_or_default();
         let state = ServiceState {

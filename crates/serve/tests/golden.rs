@@ -273,9 +273,7 @@ fn in_flight_rollout_records_match_golden_fixtures() {
         // (the watch stage) that is the one the candidate was installed in.
         let registry = incumbent();
         if status.stage == RolloutStage::Watch {
-            registry
-                .install_from_text(None, Some(&candidate))
-                .expect("candidate installs");
+            registry.install(None, Some(competent_net(7)));
         }
         let restored = DispatchService::restore(
             Arc::clone(&scenario),

@@ -6,7 +6,6 @@
 use mobirescue_core::rl_dispatch::FEATURE_DIM;
 use mobirescue_core::scenario::{Scenario, ScenarioConfig};
 use mobirescue_rl::nn::Mlp;
-use mobirescue_rl::persist::mlp_to_text;
 use mobirescue_roadnet::graph::SegmentId;
 use mobirescue_serve::{
     Clock, DispatchService, EpochScheduler, Event, ModelRegistry, RetryPolicy, ServeConfig,
@@ -353,12 +352,9 @@ fn hot_swap_applies_at_the_next_epoch_without_stopping_ingestion() {
     service.run_epoch().expect("epoch 0");
     assert_eq!(service.metrics().model_version, 1);
 
-    // Install a checkpointed policy through the text format mid-run.
+    // Install a policy mid-run.
     let mut dims = vec![FEATURE_DIM, 8, 1];
-    let policy = Mlp::new(&dims, 99);
-    let version = registry
-        .install_from_text(None, Some(&mlp_to_text(&policy)))
-        .expect("valid checkpoint");
+    let version = registry.install(None, Some(Mlp::new(&dims, 99)));
     assert_eq!(version, 2);
 
     // Ingestion keeps working between the swap and the next epoch.
@@ -376,9 +372,7 @@ fn hot_swap_applies_at_the_next_epoch_without_stopping_ingestion() {
     // A wrong-shaped policy is rejected by the shards but never kills the
     // service: it keeps dispatching with the previous bundle.
     dims[0] = FEATURE_DIM + 1;
-    registry
-        .install_from_text(None, Some(&mlp_to_text(&Mlp::new(&dims, 7))))
-        .expect("parses fine; shape is checked at rebuild");
+    registry.install(None, Some(Mlp::new(&dims, 7)));
     ingest_all(&service, &scenario, 2, 2);
     service.run_epoch().expect("epoch 2 still runs");
     let m = service.metrics();

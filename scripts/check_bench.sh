@@ -1,22 +1,12 @@
 #!/usr/bin/env bash
-# Bench-regression gate: re-runs the per-epoch routing benchmark and the
-# TCP serving load test, comparing both against their committed
-# baselines (BENCH_routing.json, BENCH_serve.json).
+# Bench-regression gate: re-runs the TCP serving load test and the
+# metro-scale world benchmark, comparing both against their committed
+# baselines (BENCH_serve.json, BENCH_scale.json).
 #
-#   scripts/check_bench.sh              # gate against all baselines
-#   MAX_SLOWDOWN_PCT=40 scripts/check_bench.sh   # loosen the timing gate
-#   SERVE_GATE=0 scripts/check_bench.sh          # skip the serving gate
-#   ROUTING_GATE=0 SERVE_GATE=0 scripts/check_bench.sh   # scale gate only
-#
-# The routing gate fails (non-zero exit) when either:
-#   * the `checksum` differs from the baseline — the routing *results*
-#     changed, which is never acceptable from a perf-only change; or
-#   * `cached_single_thread` per-epoch time regressed more than
-#     MAX_SLOWDOWN_PCT percent (default 25) against the baseline. The
-#     single-thread figure is gated because it is the least
-#     machine-dependent of the timings, and the gate takes the best of
-#     BENCH_RUNS (default 3) full benchmark runs — the minimum is far
-#     more stable against scheduler noise than any single run.
+#   scripts/check_bench.sh                              # gate against all baselines
+#   SCALE_MAX_SLOWDOWN_PCT=40 scripts/check_bench.sh    # loosen the scale timing gate
+#   SCALE_GATE=0 scripts/check_bench.sh                 # serving gate only
+#   SERVE_GATE=0 scripts/check_bench.sh                 # scale gate only
 #
 # The serving gate boots `serve --listen` on an ephemeral port, replays
 # the mined request stream through `loadgen` at the baseline's nominal
@@ -33,93 +23,41 @@
 #     timeout to shrug at.
 #
 # The scale gate re-runs the metro-scale world benchmark (bench_scale)
-# for the presets in SCALE_PRESETS (default "medium metro", which CI
-# gates too) and fails when either:
+# for the presets in SCALE_PRESETS (default "medium metro", the presets
+# scripts/verify.sh gates) and fails when either:
 #   * any preset's snapshot `checksum` differs from the baseline row —
 #     engine behavior changed at scale; or
 #   * any preset's `epoch_ms` regressed more than SCALE_MAX_SLOWDOWN_PCT
-#     percent (default: MAX_SLOWDOWN_PCT) over the best of SCALE_RUNS
-#     (default 2) runs.
+#     percent (default 25) over the best of SCALE_RUNS (default 2) runs.
 # Disable with SCALE_GATE=0.
+#
+# Routing results are pinned by the tier-1 test
+# tests/routing_equivalence.rs, which holds the CSR kernel and the cached
+# planner bit-identical to naive Dijkstra.
 #
 # To re-bless the baselines after an intentional change:
 #
-#   scripts/bench_routing.sh            # rewrites BENCH_routing.json
 #   scripts/loadgen_smoke.sh --bless    # rewrites BENCH_serve.json
 #   scripts/bench_scale.sh --bless      # rewrites BENCH_scale.json
 #
 # and commit the new baseline together with the change and a rationale
-# (in particular, explain any checksum change — it means different
-# routes or distances, not just different timings).
+# (in particular, explain any checksum change — it means the simulation
+# produced different outcomes, not just different timings).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BASELINE="BENCH_routing.json"
-MAX_SLOWDOWN_PCT="${MAX_SLOWDOWN_PCT:-25}"
-BENCH_RUNS="${BENCH_RUNS:-3}"
-
-fresh="$(mktemp)"
 serve_log=""
 fresh_serve=""
 fresh_scale=""
-trap 'rm -f "$fresh" "$serve_log" "$fresh_serve" "$fresh_scale"' EXIT
+trap 'rm -f "$serve_log" "$fresh_serve" "$fresh_scale"' EXIT
 
-# Extract `"key": value` scalars from the flat JSON the benchmark emits.
+# Extract `"key": value` scalars from the flat JSON loadgen emits.
 field() { # field FILE KEY
     sed -n "s/^.*\"$2\": \([0-9.]*\).*$/\1/p" "$1" | head -n 1
 }
 
 failures=0
-
-if [[ "${ROUTING_GATE:-1}" != "0" ]]; then
-    if [[ ! -f "$BASELINE" ]]; then
-        echo "check_bench: no baseline $BASELINE; run scripts/bench_routing.sh first" >&2
-        exit 1
-    fi
-
-    echo "==> cargo build --release -p mobirescue-bench --bin bench_routing"
-    cargo build --release -q -p mobirescue-bench --bin bench_routing
-
-    new_checksum=""
-    new_ms=""
-    for run in $(seq 1 "$BENCH_RUNS"); do
-        echo "==> running routing benchmark ($run/$BENCH_RUNS)"
-        ./target/release/bench_routing > "$fresh"
-        run_checksum="$(field "$fresh" checksum)"
-        run_ms="$(field "$fresh" cached_single_thread)"
-        if [[ -n "$new_checksum" && "$run_checksum" != "$new_checksum" ]]; then
-            echo "FAIL: checksum not even stable across runs ($run_checksum vs $new_checksum)" >&2
-            exit 1
-        fi
-        new_checksum="$run_checksum"
-        if [[ -z "$new_ms" ]] || awk -v a="$run_ms" -v b="$new_ms" 'BEGIN { exit !(a < b) }'; then
-            new_ms="$run_ms"
-        fi
-    done
-
-    base_checksum="$(field "$BASELINE" checksum)"
-    base_ms="$(field "$BASELINE" cached_single_thread)"
-
-    if [[ -z "$base_checksum" || -z "$base_ms" ]]; then
-        echo "check_bench: baseline $BASELINE is missing checksum/cached_single_thread;" >&2
-        echo "             re-bless it with scripts/bench_routing.sh" >&2
-        exit 1
-    fi
-
-    echo "checksum: baseline $base_checksum, fresh $new_checksum"
-    if [[ "$new_checksum" != "$base_checksum" ]]; then
-        echo "FAIL: routing checksum changed — results differ from the baseline" >&2
-        failures=$((failures + 1))
-    fi
-
-    echo "cached_single_thread per-epoch ms: baseline $base_ms, fresh $new_ms (gate: +${MAX_SLOWDOWN_PCT}%)"
-    if ! awk -v new="$new_ms" -v base="$base_ms" -v pct="$MAX_SLOWDOWN_PCT" \
-            'BEGIN { exit !(new <= base * (1 + pct / 100)) }'; then
-        echo "FAIL: cached_single_thread regressed more than ${MAX_SLOWDOWN_PCT}% vs baseline" >&2
-        failures=$((failures + 1))
-    fi
-fi
 
 # ---------------------------------------------------------------------
 # Serving SLO gate: serve --listen + loadgen against BENCH_serve.json.
@@ -217,7 +155,7 @@ if [[ "${SCALE_GATE:-1}" != "0" ]]; then
         echo "check_bench: no baseline $SCALE_BASELINE; run scripts/bench_scale.sh --bless" >&2
         exit 1
     fi
-    SCALE_MAX_SLOWDOWN_PCT="${SCALE_MAX_SLOWDOWN_PCT:-$MAX_SLOWDOWN_PCT}"
+    SCALE_MAX_SLOWDOWN_PCT="${SCALE_MAX_SLOWDOWN_PCT:-25}"
     SCALE_RUNS="${SCALE_RUNS:-2}"
     read -r -a scale_presets <<< "${SCALE_PRESETS:-medium metro}"
 

@@ -3,18 +3,22 @@
 # lints, with a per-step PASS/FAIL summary.
 #
 #   scripts/verify.sh          # lock files + tier-1 + fmt + clippy +
-#                              # snapshot-format suites + mobility suite +
-#                              # pinned chaos suite + mrbench ledger tests
+#                              # snapshot-format suites + mobility and
+#                              # roadnet suites + pinned chaos suites +
+#                              # mrbench ledger tests + scale bench gate
 #   scripts/verify.sh --full   # additionally run the whole workspace's tests
 #
 # `cargo test -q` tests only the root package, so the "snapshot formats"
-# step runs the sim, serve and rl crates' suites: the golden and frozen
-# compat fixtures, the snapshot property tests, and the round trips of the
-# `rl` texts (networks, Adam, replay ring) the trainer's `tstate` holds.
-# The "mobility crate tests" step runs the hospital-delivery unit tests and
-# the property test that holds `detect_deliveries` to its copy-and-scan
-# reference. The "lock files" step runs first, because every later cargo
-# command would quietly rewrite a stale `Cargo.lock`.
+# step runs the sim, serve, rl and obs crates' suites: the golden and
+# frozen compat fixtures (`mrobs 1` included), the snapshot property tests,
+# and the round trips of the `rl` texts (networks, Adam, replay ring) the
+# trainer's `tstate` holds. The "mobility crate tests" step runs the
+# hospital-delivery unit tests and the property test that holds
+# `detect_deliveries` to its copy-and-scan reference. The "roadnet crate
+# tests" step runs the property tests that hold the CSR kernel and the
+# route planner exactly equal to naive Dijkstra. The "lock files" step
+# runs first, because every later cargo command would quietly rewrite a
+# stale `Cargo.lock`.
 #
 # Every step runs even when an earlier one fails, so one invocation
 # reports everything that is broken; the script exits non-zero if any
@@ -53,8 +57,10 @@ run_step "fmt" cargo fmt --check
 run_step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 run_step "tier-1 build" cargo build --release
 run_step "tier-1 tests" cargo test -q
-run_step "snapshot formats" cargo test -q -p mobirescue-sim -p mobirescue-serve -p mobirescue-rl
+run_step "snapshot formats" cargo test -q -p mobirescue-sim -p mobirescue-serve -p mobirescue-rl \
+    -p mobirescue-obs
 run_step "mobility crate tests" cargo test -q -p mobirescue-mobility
+run_step "roadnet crate tests" cargo test -q -p mobirescue-roadnet
 run_step "chaos suite" cargo test -q --test chaos
 run_step "rollout chaos suite" cargo test -q --test rollout_chaos
 run_step "trainer chaos suite" cargo test -q --test trainer_chaos
@@ -66,11 +72,11 @@ run_step "net crate tests" cargo test -q -p mobirescue-net
 # turns a public-API break in rl, core or sim into a verify failure
 # instead of a benchmark-pipeline one.
 run_step "ledger" cargo test --offline -q --manifest-path mrbench/Cargo.toml
-# Scale gate only (routing/serve gates have their own CI jobs); medium
-# and metro presets with a loosened ceiling — verify machines vary more
-# than the bless machine, and the exact checksums are the load-bearing
-# part.
-run_step "scale bench gate" env ROUTING_GATE=0 SERVE_GATE=0 SCALE_PRESETS="medium metro" \
+# CI's scale gate (the serving gate has its own CI job, bench-smoke):
+# medium and metro presets with a loosened ceiling — verify machines vary
+# more than the bless machine, and the exact checksums are the
+# load-bearing part.
+run_step "scale bench gate" env SERVE_GATE=0 SCALE_PRESETS="medium metro" \
     SCALE_MAX_SLOWDOWN_PCT=150 scripts/check_bench.sh
 
 if [[ "${1:-}" == "--full" ]]; then

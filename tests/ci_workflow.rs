@@ -2,16 +2,22 @@
 //!
 //! The build environment has no YAML parser crate, so this validates the
 //! subset of YAML that workflow files actually use: indentation-scoped
-//! mappings with no tabs. It pins the structure CI depends on — all six
+//! mappings with no tabs. It pins the structure CI depends on — all five
 //! jobs exist, run the gate scripts, and cache `target/` keyed on
 //! `Cargo.lock` with `restore-keys` fallbacks — so an edit that breaks
-//! the pipeline fails locally, not on the runner.
+//! the pipeline fails locally, not on the runner. It also pins where the
+//! gates live: the scale gate runs in `scripts/verify.sh`, and the retired
+//! routing gate's knobs stay out of CI.
 
 use std::path::Path;
 
-fn workflow() -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(".github/workflows/ci.yml");
+fn repo_file(relative: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(relative);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+}
+
+fn workflow() -> String {
+    repo_file(".github/workflows/ci.yml")
 }
 
 /// Leading-space count of a line (YAML indentation).
@@ -103,7 +109,6 @@ fn all_jobs_run_their_gate_scripts_on_a_runner() {
         "verify",
         "bench-smoke",
         "loadgen-smoke",
-        "scale-smoke",
         "wal-smoke",
         "train-smoke",
     ] {
@@ -111,12 +116,12 @@ fn all_jobs_run_their_gate_scripts_on_a_runner() {
     }
     assert_eq!(
         text.matches("runs-on:").count(),
-        6,
+        5,
         "every job needs a runs-on"
     );
     assert_eq!(
         text.matches("uses: actions/checkout@").count(),
-        6,
+        5,
         "every job checks out the repo"
     );
     assert!(
@@ -140,13 +145,29 @@ fn all_jobs_run_their_gate_scripts_on_a_runner() {
         "wal-smoke job must run scripts/wal_smoke.sh"
     );
     assert!(
-        text.contains("SCALE_PRESETS=\"medium metro\""),
-        "scale-smoke job must gate both the medium and the metro preset via check_bench.sh"
-    );
-    assert!(
         text.contains("SCALE_GATE=0 scripts/check_bench.sh"),
-        "bench-smoke must skip the scale gate (scale-smoke owns it)"
+        "bench-smoke must skip the scale gate (the verify job runs it)"
     );
+    // One shell command per line, continuation lines joined.
+    let verify = repo_file("scripts/verify.sh").replace("\\\n", " ");
+    assert!(
+        verify
+            .lines()
+            .any(|l| l.contains("SCALE_PRESETS=\"medium metro\"")
+                && l.contains("scripts/check_bench.sh")),
+        "verify.sh must gate both the medium and the metro preset via check_bench.sh"
+    );
+}
+
+#[test]
+fn retired_routing_gate_stays_out_of_ci() {
+    let text = workflow();
+    for retired in ["ROUTING_GATE", "MAX_SLOWDOWN_PCT", "bench_routing"] {
+        assert!(
+            !text.contains(retired),
+            "ci.yml names {retired}, which belongs to the retired routing gate"
+        );
+    }
 }
 
 #[test]
@@ -154,17 +175,17 @@ fn all_jobs_cache_target_keyed_on_the_lockfile() {
     let text = workflow();
     assert_eq!(
         text.matches("uses: actions/cache@").count(),
-        6,
+        5,
         "every job caches the build"
     );
     assert_eq!(
         text.matches("hashFiles('Cargo.lock')").count(),
-        6,
+        5,
         "cache keys must invalidate when Cargo.lock changes"
     );
     // `target` appears in each job's cached-path block.
     assert!(
-        text.lines().filter(|l| l.trim() == "target").count() >= 6,
+        text.lines().filter(|l| l.trim() == "target").count() >= 5,
         "every cache must include target/"
     );
     // A lockfile bump should warm-start from the previous cache rather
@@ -172,7 +193,7 @@ fn all_jobs_cache_target_keyed_on_the_lockfile() {
     // restore-keys fallback prefix.
     assert_eq!(
         text.matches("restore-keys:").count(),
-        6,
+        5,
         "every cache step must declare restore-keys"
     );
 }
