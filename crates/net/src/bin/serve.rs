@@ -38,6 +38,7 @@ use mobirescue_core::predictor::{PredictorConfig, RequestPredictor};
 use mobirescue_core::rl_dispatch::{RlDispatchConfig, FEATURE_DIM};
 use mobirescue_core::scenario::{Scenario, ScenarioConfig};
 use mobirescue_net::{NetConfig, NetServer};
+use mobirescue_obs::TimeSource as _;
 use mobirescue_rl::nn::Mlp;
 use mobirescue_rl::persist::mlp_to_text;
 use mobirescue_roadnet::graph::SegmentId;
@@ -746,8 +747,8 @@ fn run_demo(args: &Args) -> Result<(), ServeError> {
         rollouts.rejected, rollouts.admitted, rollouts.rolled_back
     );
 
-    // Dump the observability registry: per-phase epoch histograms, every
-    // MetricsSnapshot counter mirrored under `serve.*`, routing gauges.
+    // Dump the observability registry: per-phase epoch histograms, the
+    // `serve.*` series MetricsSnapshot reads, routing gauges.
     let obs = service.obs_snapshot();
     println!("\nobservability summary:\n{}", obs.render_summary());
     println!("recent events:\n{}", service.obs().events().render());

@@ -36,6 +36,12 @@ impl Adam {
         }
     }
 
+    /// Parameters the optimizer holds moments for: the network size it
+    /// can step.
+    pub fn num_params(&self) -> usize {
+        self.m.len()
+    }
+
     /// Applies one Adam step using the gradients accumulated in `net`
     /// (scaled by `1 / batch_size`), then leaves the gradients untouched —
     /// callers zero them when starting the next batch.
@@ -113,16 +119,17 @@ impl Adam {
             .next()
             .and_then(|s| s.parse().ok())
             .ok_or("bad adam moment count")?;
-        let mut moments = Vec::with_capacity(2 * n);
-        for _ in 0..2 * n {
-            moments.push(
-                it.next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("missing adam moment")?,
-            );
-        }
-        if it.next().is_some() {
-            return Err("trailing fields in adam text".to_owned());
+        // Sized by the fields present, never by the count: the text has
+        // to back every moment it claims.
+        let mut moments = it
+            .map(|s| s.parse().map_err(|_| "bad adam moment"))
+            .collect::<Result<Vec<f64>, _>>()?;
+        match n.checked_mul(2) {
+            Some(len) if len == moments.len() => {}
+            Some(len) if len < moments.len() => {
+                return Err("trailing fields in adam text".to_owned())
+            }
+            _ => return Err("missing adam moment".to_owned()),
         }
         if !lr.is_finite() || lr <= 0.0 {
             return Err("adam learning rate must be positive".to_owned());
@@ -231,6 +238,14 @@ mod tests {
         let adam = Adam::new(&net, 0.01);
         let trailing = format!("{} 9.9", adam.to_text().trim_end());
         assert!(Adam::from_text(&trailing).is_err());
+    }
+
+    #[test]
+    fn adam_text_refuses_counts_the_text_does_not_back() {
+        for n in ["100000000000", "18446744073709551615"] {
+            let text = format!("adam 0.001 0.9 0.999 1e-8 1 {n} 0.0 0.0");
+            assert!(Adam::from_text(&text).is_err(), "moment count {n}");
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::adam::Adam;
 use crate::nn::{BatchScratch, Mlp};
+use crate::replay::PairReplay;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::cell::RefCell;
@@ -79,23 +80,156 @@ pub struct PairTransition {
 #[derive(Debug)]
 pub struct QScore {
     config: QScoreConfig,
-    online: Mlp,
-    target: Mlp,
-    adam: Adam,
-    replay: Vec<PairTransition>,
-    replay_next: usize,
+    learner: TdLearner,
+    replay: PairReplay,
     rng: StdRng,
     act_steps: u64,
-    learn_steps: u64,
     /// Activation buffers every scoring pass reuses.
     scratch: RefCell<BatchScratch>,
 }
 
-/// The TD bootstrap `max_c Q(c)` over a one-output network, shared by
-/// [`QScore::learn_step`] and the serve runtime's online trainer: one
-/// batched pass over the candidates, reduced from −∞ with `f64::max` as
-/// the per-candidate loop was (so a NaN score is skipped).
-pub fn max_q(net: &Mlp, candidates: &[Vec<f64>], scratch: &mut BatchScratch) -> f64 {
+/// The DQN core both learners share — [`QScore`] and the serve runtime's
+/// online trainer: the online scoring network, its target copy, the Adam
+/// optimizer, and the minibatch TD update. Each caller samples its own
+/// batches; the update itself is written once, here.
+#[derive(Debug)]
+pub struct TdLearner {
+    online: Mlp,
+    target: Mlp,
+    adam: Adam,
+    steps: u64,
+    gamma: f64,
+    target_sync_every: u64,
+}
+
+impl TdLearner {
+    /// A fresh learner for `config`: an online network of
+    /// `feature_dim → hidden… → 1` seeded with `config.seed`, the target
+    /// a copy of it, and Adam at `config.lr`.
+    pub fn new(config: &QScoreConfig) -> Self {
+        let mut dims = vec![config.feature_dim];
+        dims.extend_from_slice(&config.hidden);
+        dims.push(1);
+        Self::from_online(Mlp::new(&dims, config.seed), config)
+    }
+
+    /// A learner around an already-built online network; the target
+    /// starts as a copy of it and the optimizer fresh.
+    pub fn from_online(online: Mlp, config: &QScoreConfig) -> Self {
+        Self {
+            target: online.clone(),
+            adam: Adam::new(&online, config.lr),
+            online,
+            steps: 0,
+            gamma: config.gamma,
+            target_sync_every: config.target_sync_every,
+        }
+    }
+
+    /// Rebuilds a learner from persisted state (a snapshot restore),
+    /// with `config`'s discount and sync cadence.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the optimizer or the target network does
+    /// not match the online network's shape — either would panic at the
+    /// next [`TdLearner::step`] or target sync.
+    pub fn from_parts(
+        config: &QScoreConfig,
+        online: Mlp,
+        target: Mlp,
+        adam: Adam,
+        steps: u64,
+    ) -> Result<Self, String> {
+        if adam.num_params() != online.num_params() {
+            return Err(format!(
+                "optimizer holds {} moments for a {}-parameter network",
+                adam.num_params(),
+                online.num_params()
+            ));
+        }
+        if target.layer_dims() != online.layer_dims() {
+            return Err(format!(
+                "target network is {:?}, online network is {:?}",
+                target.layer_dims(),
+                online.layer_dims()
+            ));
+        }
+        Ok(Self {
+            online,
+            target,
+            adam,
+            steps,
+            gamma: config.gamma,
+            target_sync_every: config.target_sync_every,
+        })
+    }
+
+    /// The online scoring network.
+    pub fn online(&self) -> &Mlp {
+        &self.online
+    }
+
+    /// The target network the TD bootstrap scores with.
+    pub fn target(&self) -> &Mlp {
+        &self.target
+    }
+
+    /// The optimizer state.
+    pub fn adam(&self) -> &Adam {
+        &self.adam
+    }
+
+    /// TD updates performed so far.
+    pub fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// Whether the online network can learn from `t`: its features and
+    /// every next candidate are exactly the network's input width.
+    pub fn can_step(&self, t: &PairTransition) -> bool {
+        let dim = self.online.input_dim();
+        t.features.len() == dim && t.next_candidates.iter().all(|c| c.len() == dim)
+    }
+
+    /// One minibatch TD update over `batch`: the target is the reward
+    /// plus γ times the target network's best next score (just the
+    /// reward when there is no next state); then forward, backward and
+    /// one Adam step, and a target sync every `target_sync_every` steps.
+    /// Returns the mean squared TD error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` is empty or a transition does not fit the
+    /// network (see [`TdLearner::can_step`]).
+    pub fn step(&mut self, batch: &[&PairTransition], scratch: &mut BatchScratch) -> f64 {
+        self.online.zero_grad();
+        let mut loss = 0.0;
+        for t in batch {
+            let target_q = if t.next_candidates.is_empty() {
+                t.reward
+            } else {
+                let best_next = max_q(&self.target, &t.next_candidates, scratch);
+                t.reward + self.gamma * best_next
+            };
+            let cache = self.online.forward(&t.features);
+            let err = cache.output()[0] - target_q;
+            loss += err * err;
+            self.online.backward(&cache, &[err]);
+        }
+        self.adam.step(&mut self.online, batch.len());
+        self.steps += 1;
+        if self.steps.is_multiple_of(self.target_sync_every) {
+            self.target.copy_params_from(&self.online);
+        }
+        loss / batch.len() as f64
+    }
+}
+
+/// The TD bootstrap `max_c Q(c)` over a one-output network: one batched
+/// pass over the candidates, reduced from −∞ with `f64::max` as the
+/// per-candidate loop was (so a NaN score is skipped).
+fn max_q(net: &Mlp, candidates: &[Vec<f64>], scratch: &mut BatchScratch) -> f64 {
     debug_assert_eq!(net.output_dim(), 1, "Q-network outputs one score");
     net.predict_batch(candidates, scratch)
         .iter()
@@ -121,28 +255,22 @@ impl QScore {
     ///
     /// # Panics
     ///
-    /// Panics if `feature_dim` or `batch_size` is zero.
+    /// Panics if `feature_dim`, `batch_size` or `replay_capacity` is
+    /// zero.
     pub fn new(config: QScoreConfig) -> Self {
         assert!(config.feature_dim > 0, "feature dimension must be positive");
         assert!(config.batch_size > 0, "batch size must be positive");
-        let mut dims = vec![config.feature_dim];
-        dims.extend_from_slice(&config.hidden);
-        dims.push(1);
-        let online = Mlp::new(&dims, config.seed);
-        let mut target = Mlp::new(&dims, config.seed.wrapping_add(1));
-        target.copy_params_from(&online);
-        let adam = Adam::new(&online, config.lr);
-        let rng = StdRng::seed_from_u64(config.seed ^ 0x7173_636f_7265);
+        let learner = TdLearner::new(&config);
+        Self::with_learner(config, learner)
+    }
+
+    fn with_learner(config: QScoreConfig, learner: TdLearner) -> Self {
         Self {
+            replay: PairReplay::new(config.replay_capacity),
+            rng: StdRng::seed_from_u64(config.seed ^ 0x7173_636f_7265),
             config,
-            online,
-            target,
-            adam,
-            replay: Vec::new(),
-            replay_next: 0,
-            rng,
+            learner,
             act_steps: 0,
-            learn_steps: 0,
             scratch: RefCell::default(),
         }
     }
@@ -156,7 +284,8 @@ impl QScore {
     /// # Panics
     ///
     /// Panics if the network's input dimension differs from
-    /// `config.feature_dim` or its output is not a single score.
+    /// `config.feature_dim`, its output is not a single score, or
+    /// `replay_capacity` is zero.
     pub fn from_mlp(mut config: QScoreConfig, online: Mlp) -> Self {
         assert_eq!(
             online.input_dim(),
@@ -170,26 +299,13 @@ impl QScore {
         );
         let dims = online.layer_dims();
         config.hidden = dims[1..dims.len() - 1].to_vec();
-        let target = online.clone();
-        let adam = Adam::new(&online, config.lr);
-        let rng = StdRng::seed_from_u64(config.seed ^ 0x7173_636f_7265);
-        Self {
-            config,
-            online,
-            target,
-            adam,
-            replay: Vec::new(),
-            replay_next: 0,
-            rng,
-            act_steps: 0,
-            learn_steps: 0,
-            scratch: RefCell::default(),
-        }
+        let learner = TdLearner::from_online(online, &config);
+        Self::with_learner(config, learner)
     }
 
     /// The online scoring network (checkpointing / persistence).
     pub fn online(&self) -> &Mlp {
-        &self.online
+        self.learner.online()
     }
 
     /// The configuration.
@@ -205,7 +321,7 @@ impl QScore {
 
     /// Q-value of one pair.
     pub fn q(&self, features: &[f64]) -> f64 {
-        self.online.predict(features)[0]
+        self.online().predict(features)[0]
     }
 
     /// Index of the best-scored candidate — the last one when several tie
@@ -217,7 +333,7 @@ impl QScore {
     pub fn best<R: AsRef<[f64]>>(&self, candidates: &[R]) -> usize {
         assert!(!candidates.is_empty(), "no candidates to score");
         argmax(
-            self.online
+            self.online()
                 .predict_batch(candidates, &mut self.scratch.borrow_mut()),
         )
     }
@@ -239,12 +355,7 @@ impl QScore {
 
     /// Stores a transition (ring buffer).
     pub fn store(&mut self, t: PairTransition) {
-        if self.replay.len() < self.config.replay_capacity {
-            self.replay.push(t);
-        } else {
-            self.replay[self.replay_next] = t;
-            self.replay_next = (self.replay_next + 1) % self.config.replay_capacity;
-        }
+        self.replay.push(t);
     }
 
     /// Stores and, once warmed up, learns. Returns the TD loss if a step
@@ -262,36 +373,13 @@ impl QScore {
     /// Panics if nothing has been stored yet.
     pub fn learn_step(&mut self) -> f64 {
         assert!(!self.replay.is_empty(), "nothing to learn from");
-        let bs = self.config.batch_size;
-        self.online.zero_grad();
-        let mut loss = 0.0;
-        for _ in 0..bs {
-            let t = &self.replay[self.rng.random_range(0..self.replay.len())];
-            let target_q = if t.next_candidates.is_empty() {
-                t.reward
-            } else {
-                let best_next = max_q(&self.target, &t.next_candidates, self.scratch.get_mut());
-                t.reward + self.config.gamma * best_next
-            };
-            let cache = self.online.forward(&t.features);
-            let err = cache.output()[0] - target_q;
-            loss += err * err;
-            self.online.backward(&cache, &[err]);
-        }
-        self.adam.step(&mut self.online, bs);
-        self.learn_steps += 1;
-        if self
-            .learn_steps
-            .is_multiple_of(self.config.target_sync_every)
-        {
-            self.target.copy_params_from(&self.online);
-        }
-        loss / bs as f64
+        let batch = self.replay.sample(&mut self.rng, self.config.batch_size);
+        self.learner.step(&batch, self.scratch.get_mut())
     }
 
     /// Learning steps performed so far.
     pub fn learn_steps(&self) -> u64 {
-        self.learn_steps
+        self.learner.steps()
     }
 
     /// Acting steps performed so far.

@@ -148,7 +148,7 @@ impl PairReplay {
         if capacity == 0 || len > capacity || cursor >= capacity {
             return Err(format!("inconsistent pairreplay header: {header:?}"));
         }
-        let mut items = Vec::with_capacity(len);
+        let mut items = Vec::new();
         for _ in 0..len {
             let line = lines.next().ok_or("pairreplay text ends early")?;
             items.push(
@@ -184,20 +184,22 @@ pub fn pair_to_line(t: &PairTransition) -> String {
     out
 }
 
-/// Parses [`pair_to_line`] output; `None` on any malformed field.
+/// Parses [`pair_to_line`] output; `None` on any malformed field. No
+/// buffer is sized from a count: a count the line's fields do not back
+/// fails at the first missing field.
 pub fn pair_from_line(line: &str) -> Option<PairTransition> {
     let mut it = line.split_whitespace();
     let reward: f64 = it.next()?.parse().ok()?;
     let dim: usize = it.next()?.parse().ok()?;
-    let mut features = Vec::with_capacity(dim);
+    let mut features = Vec::new();
     for _ in 0..dim {
         features.push(it.next()?.parse().ok()?);
     }
     let ncand: usize = it.next()?.parse().ok()?;
-    let mut next_candidates = Vec::with_capacity(ncand);
+    let mut next_candidates = Vec::new();
     for _ in 0..ncand {
         let clen: usize = it.next()?.parse().ok()?;
-        let mut cand = Vec::with_capacity(clen);
+        let mut cand = Vec::new();
         for _ in 0..clen {
             cand.push(it.next()?.parse().ok()?);
         }
@@ -260,6 +262,21 @@ mod tests {
         assert!(PairReplay::from_text("pairreplay 4 1 0\n1.0 1 2.0 nope").is_err());
         assert!(PairReplay::from_text("pairreplay 0 0 0").is_err());
         assert!(PairReplay::from_text("pairreplay 2 3 0").is_err());
+    }
+
+    #[test]
+    fn counts_the_text_does_not_back_are_refused() {
+        for n in ["100000000000", "18446744073709551615"] {
+            for line in [
+                format!("1.0 {n} 2.0 0"),
+                format!("1.0 1 2.0 {n} 1 3.0"),
+                format!("1.0 1 2.0 1 {n} 3.0"),
+            ] {
+                assert!(pair_from_line(&line).is_none(), "{line}");
+            }
+            let header = format!("pairreplay {n} {n} 0\n1.0 1 2.0 0");
+            assert!(PairReplay::from_text(&header).is_err(), "{header}");
+        }
     }
 
     #[test]

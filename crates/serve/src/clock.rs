@@ -8,15 +8,20 @@
 //! simulated disaster day schedules in milliseconds and every measured
 //! latency is exactly zero, making service metrics reproducible
 //! bit-for-bit.
+//!
+//! A [`Clock`] is an observability [`TimeSource`] that can also sleep, so
+//! every span the service records measures on the same clock the
+//! scheduler runs on: an `Arc<dyn Clock>` coerces to the
+//! `Arc<dyn TimeSource>` the obs crate takes.
 
+use mobirescue_obs::TimeSource;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// A monotonic millisecond clock the service runs on.
-pub trait Clock: Send + Sync {
-    /// Milliseconds since the clock was created.
-    fn now_ms(&self) -> u64;
-
+/// A monotonic millisecond clock the service runs on; its reading,
+/// [`TimeSource::now_ms`], counts milliseconds since the clock was
+/// created.
+pub trait Clock: TimeSource {
     /// Blocks (or simulates blocking) for `ms` milliseconds.
     fn sleep_ms(&self, ms: u64);
 }
@@ -42,11 +47,13 @@ impl Default for WallClock {
     }
 }
 
-impl Clock for WallClock {
+impl TimeSource for WallClock {
     fn now_ms(&self) -> u64 {
         self.start.elapsed().as_millis() as u64
     }
+}
 
+impl Clock for WallClock {
     fn sleep_ms(&self, ms: u64) {
         std::thread::sleep(Duration::from_millis(ms));
     }
@@ -72,27 +79,15 @@ impl SimClock {
     }
 }
 
-impl Clock for SimClock {
+impl TimeSource for SimClock {
     fn now_ms(&self) -> u64 {
         self.now.load(Ordering::Relaxed)
     }
-
-    fn sleep_ms(&self, ms: u64) {
-        self.now.fetch_add(ms, Ordering::Relaxed);
-    }
 }
 
-/// Adapts a service [`Clock`] to the observability [`TimeSource`] so that
-/// every span the service records measures on the same clock the scheduler
-/// runs on. Under [`SimClock`] all span durations are exactly zero, which
-/// keeps instrumented runs bit-identical to uninstrumented ones.
-///
-/// [`TimeSource`]: mobirescue_obs::TimeSource
-pub struct ClockTimeSource(pub std::sync::Arc<dyn Clock>);
-
-impl mobirescue_obs::TimeSource for ClockTimeSource {
-    fn now_ms(&self) -> u64 {
-        self.0.now_ms()
+impl Clock for SimClock {
+    fn sleep_ms(&self, ms: u64) {
+        self.now.fetch_add(ms, Ordering::Relaxed);
     }
 }
 

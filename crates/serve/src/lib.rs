@@ -24,8 +24,10 @@
 //!   world, pending queues, counters) serializes at epoch boundaries so a
 //!   killed service resumes mid-disaster.
 //! * **Sharded runner** ([`DispatchService`]) — hosts independent city
-//!   shards on worker threads and aggregates a [`MetricsSnapshot`]
-//!   (queue depths, epoch-latency histogram, served/shed totals).
+//!   shards on worker threads; every count it reports lives once, as a
+//!   series in its obs registry, and [`MetricsSnapshot`] is a read-only
+//!   view over a registry capture (queue depths, served/shed totals,
+//!   plus the epoch-latency histogram).
 //! * **Fault injection & graceful degradation** ([`FaultPlan`],
 //!   [`FaultInjector`], [`chaos`]) — a seeded, deterministic fault
 //!   schedule (drop/delay/duplicate/corrupt ingestion, stall/crash a
@@ -83,7 +85,7 @@ pub use chaos::{
     ChaosOptions, ChaosOutcome, RolloutChaosOptions, TrainerChaosOptions, WalChaosOptions,
     CHAOS_SEEDS,
 };
-pub use clock::{Clock, ClockTimeSource, SimClock, WallClock};
+pub use clock::{Clock, SimClock, WallClock};
 pub use error::ServeError;
 pub use event::Event;
 pub use fault::{

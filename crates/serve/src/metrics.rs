@@ -1,8 +1,20 @@
 //! Service observability: the epoch-latency histogram and the aggregated
-//! [`MetricsSnapshot`].
+//! [`MetricsSnapshot`], a read-only view over the service's obs registry.
 
+use mobirescue_obs::ObsSnapshot;
 use mobirescue_sim::record::{Record, RecordError};
 use std::fmt::Write as _;
+
+/// The registry name of shard `shard`'s `series` (`serve.shard{i}.*`).
+pub(crate) fn shard_series(shard: usize, series: &str) -> String {
+    format!("serve.shard{shard}.{series}")
+}
+
+/// The prefix of shard `shard`'s route-planner series
+/// (`routing.shard{i}.cache_hits`, …).
+pub(crate) fn routing_prefix(shard: usize) -> String {
+    format!("routing.shard{shard}")
+}
 
 /// Upper bucket bounds of the latency histogram, milliseconds. Values
 /// above the last bound land in a final overflow bucket.
@@ -164,6 +176,61 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// Reads the view out of one registry capture of a service hosting
+    /// `num_shards` shards. Every count is the series its owner writes
+    /// (absent series read 0); `epoch_latency` is the one field held
+    /// outside the registry.
+    pub(crate) fn read(
+        obs: &ObsSnapshot,
+        num_shards: usize,
+        epoch_latency: LatencyHistogram,
+    ) -> Self {
+        let counter = |name: &str| obs.counters.get(name).copied().unwrap_or(0);
+        let gauge = |name: &str| obs.gauges.get(name).copied().unwrap_or(0);
+        let shards = (0..num_shards)
+            .map(|i| {
+                let c = |series: &str| counter(&shard_series(i, series));
+                let g = |series: &str| gauge(&shard_series(i, series));
+                ShardMetrics {
+                    epochs: c("epochs") as u32,
+                    queue_depth: g("queue_depth") as usize,
+                    injected: c("injected"),
+                    rejected: c("rejected"),
+                    waiting: g("waiting") as usize,
+                    picked_up: c("picked_up") as usize,
+                    delivered: c("delivered") as usize,
+                    model_version: g("model_version") as u64,
+                    routing_hits: counter(&format!("{}.cache_hits", routing_prefix(i))),
+                    routing_misses: counter(&format!("{}.cache_misses", routing_prefix(i))),
+                    degraded: c("degraded_epochs"),
+                }
+            })
+            .collect();
+        let requests = |series: &str| -> u64 {
+            (0..num_shards)
+                .map(|i| counter(&shard_series(i, series)))
+                .sum()
+        };
+        Self {
+            epochs_completed: counter("serve.epochs_completed") as u32,
+            requests_accepted: requests("requests_accepted"),
+            requests_shed: requests("requests_shed"),
+            advisories_accepted: counter("serve.advisories_accepted"),
+            advisories_shed: counter("serve.advisories_shed"),
+            advisories_applied: counter("serve.advisories_applied"),
+            advisories_invalid: counter("serve.advisories_invalid"),
+            degraded_epochs: counter("serve.degraded_epochs"),
+            ingest_retries: counter("serve.ingest_retries"),
+            swap_failures_injected: counter("serve.swap_failures_injected"),
+            swap_failures_build: counter("serve.swap_failures_build"),
+            swap_failures_rollout: counter("serve.swap_failures_rollout"),
+            model_version: gauge("serve.model_version") as u64,
+            model_swaps: counter("serve.model_swaps"),
+            epoch_latency,
+            shards,
+        }
+    }
+
     /// Total requests picked up across shards.
     pub fn total_picked_up(&self) -> usize {
         self.shards.iter().map(|s| s.picked_up).sum()

@@ -4,11 +4,13 @@
 //! bursts far above its drain rate (the paper's request stream peaks with
 //! the flood). Rather than let memory grow unboundedly or block producers,
 //! each queue has a hard capacity and a declared [`ShedPolicy`]; every
-//! accepted and every shed event is counted, and both counters are
-//! surfaced in the service's metrics snapshot.
+//! accepted and every shed event is counted into two [`Counter`]s the
+//! queue's owner fetches from its obs registry, so the registry holds the
+//! only copy of each tally and the service's metrics snapshot reads it
+//! there.
 
+use mobirescue_obs::Counter;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// What to drop when a bounded queue is full.
@@ -22,24 +24,25 @@ pub enum ShedPolicy {
 }
 
 /// A thread-safe bounded queue with shed accounting.
-#[derive(Debug)]
 pub struct BoundedQueue<T> {
     inner: Mutex<VecDeque<T>>,
     capacity: usize,
     policy: ShedPolicy,
-    accepted: AtomicU64,
-    shed: AtomicU64,
+    accepted: Counter,
+    shed: Counter,
 }
 
 impl<T> BoundedQueue<T> {
-    /// A queue holding at most `capacity` events (minimum 1).
-    pub fn new(capacity: usize, policy: ShedPolicy) -> Self {
+    /// A queue holding at most `capacity` events (minimum 1) that counts
+    /// every admitted event into `accepted` and every shed one into
+    /// `shed`.
+    pub fn new(capacity: usize, policy: ShedPolicy, accepted: Counter, shed: Counter) -> Self {
         Self {
             inner: Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
             policy,
-            accepted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
+            accepted,
+            shed,
         }
     }
 
@@ -59,19 +62,19 @@ impl<T> BoundedQueue<T> {
         let mut q = self.lock();
         if q.len() < self.capacity {
             q.push_back(item);
-            self.accepted.fetch_add(1, Ordering::Relaxed);
+            self.accepted.inc();
             return true;
         }
         match self.policy {
             ShedPolicy::DropNewest => {
-                self.shed.fetch_add(1, Ordering::Relaxed);
+                self.shed.inc();
                 false
             }
             ShedPolicy::DropOldest => {
                 q.pop_front();
                 q.push_back(item);
-                self.shed.fetch_add(1, Ordering::Relaxed);
-                self.accepted.fetch_add(1, Ordering::Relaxed);
+                self.shed.inc();
+                self.accepted.inc();
                 true
             }
         }
@@ -104,20 +107,19 @@ impl<T> BoundedQueue<T> {
         self.lock().len()
     }
 
-    /// Total events admitted since creation.
+    /// Total events admitted, as its counter holds it.
     pub fn accepted(&self) -> u64 {
-        self.accepted.load(Ordering::Relaxed)
+        self.accepted.value()
     }
 
-    /// Total events shed since creation.
+    /// Total events shed, as its counter holds it.
     pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
+        self.shed.value()
     }
 
-    /// Overwrites the counters (snapshot restore).
-    pub(crate) fn set_counters(&self, accepted: u64, shed: u64) {
-        self.accepted.store(accepted, Ordering::Relaxed);
-        self.shed.store(shed, Ordering::Relaxed);
+    /// The admitted and shed counters, for a snapshot restore to `set`.
+    pub(crate) fn counters(&self) -> (&Counter, &Counter) {
+        (&self.accepted, &self.shed)
     }
 }
 
@@ -131,11 +133,17 @@ impl<T: Clone> BoundedQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mobirescue_obs::Registry;
     use std::sync::Arc;
+
+    fn queue<T>(capacity: usize, policy: ShedPolicy) -> BoundedQueue<T> {
+        let obs = Registry::new();
+        BoundedQueue::new(capacity, policy, obs.counter("a"), obs.counter("s"))
+    }
 
     #[test]
     fn drop_newest_rejects_overflow() {
-        let q = BoundedQueue::new(2, ShedPolicy::DropNewest);
+        let q = queue(2, ShedPolicy::DropNewest);
         assert!(q.push(1));
         assert!(q.push(2));
         assert!(!q.push(3));
@@ -147,7 +155,7 @@ mod tests {
 
     #[test]
     fn drop_oldest_evicts_head() {
-        let q = BoundedQueue::new(2, ShedPolicy::DropOldest);
+        let q = queue(2, ShedPolicy::DropOldest);
         assert!(q.push(1));
         assert!(q.push(2));
         assert!(q.push(3));
@@ -159,7 +167,7 @@ mod tests {
 
     #[test]
     fn capacity_floor_is_one() {
-        let q = BoundedQueue::new(0, ShedPolicy::DropNewest);
+        let q = queue(0, ShedPolicy::DropNewest);
         assert!(q.push(9));
         assert!(!q.push(10));
     }
@@ -169,7 +177,7 @@ mod tests {
     /// every step.
     fn boundary_case(cap: usize, policy: ShedPolicy) {
         let effective = cap.max(1);
-        let q = BoundedQueue::new(cap, policy);
+        let q = queue(cap, policy);
         assert_eq!(q.depth(), 0);
         assert_eq!(q.drain(), Vec::<usize>::new(), "empty queue drains empty");
 
@@ -219,18 +227,27 @@ mod tests {
     }
 
     #[test]
-    fn counters_survive_restore_overwrite() {
-        let q = BoundedQueue::<u32>::new(2, ShedPolicy::DropNewest);
+    fn counts_live_in_the_registry_handles() {
+        let obs = Registry::new();
+        let q = BoundedQueue::new(
+            2,
+            ShedPolicy::DropNewest,
+            obs.counter("q_accepted"),
+            obs.counter("q_shed"),
+        );
         let _ = q.push(1);
-        q.set_counters(40, 7);
+        assert_eq!(obs.counter("q_accepted").value(), 1);
+        let (accepted, shed) = q.counters();
+        accepted.set(40);
+        shed.set(7);
         assert_eq!(q.accepted(), 40);
-        assert_eq!(q.shed(), 7);
+        assert_eq!(obs.counter("q_shed").value(), 7);
         assert_eq!(q.depth(), 1, "restore overwrites counters, not contents");
     }
 
     #[test]
     fn concurrent_pushes_account_for_everything() {
-        let q = Arc::new(BoundedQueue::new(64, ShedPolicy::DropNewest));
+        let q = Arc::new(queue(64, ShedPolicy::DropNewest));
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 let q = Arc::clone(&q);

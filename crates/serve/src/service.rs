@@ -3,11 +3,11 @@
 //! harness (bounded ingestion retry, delayed-event release, shard
 //! crash-restart from the last boundary checkpoint).
 
-use crate::clock::{Clock, ClockTimeSource};
+use crate::clock::Clock;
 use crate::error::ServeError;
 use crate::event::Event;
 use crate::fault::{reward_tank_policy_text, IngestFault, TrainerFault, WalFault};
-use crate::metrics::{LatencyHistogram, MetricsSnapshot, ShardMetrics};
+use crate::metrics::{shard_series, LatencyHistogram, MetricsSnapshot};
 use crate::queue::{BoundedQueue, ShedPolicy};
 use crate::registry::ModelRegistry;
 use crate::rollout::{
@@ -19,7 +19,7 @@ use crate::wal::{FsyncPolicy, Wal, WalConfig, WalEntry, WalError};
 use crate::FaultInjector;
 use mobirescue_core::rl_dispatch::RlDispatchConfig;
 use mobirescue_core::scenario::Scenario;
-use mobirescue_obs::{Counter, Histogram, Level, ObsSnapshot, Registry, TimeSource};
+use mobirescue_obs::{Counter, Histogram, Level, ObsSnapshot, Registry};
 use mobirescue_rl::PairTransition;
 use mobirescue_roadnet::graph::SegmentId;
 use mobirescue_sim::record::{write_block, Reader, Record, RecordError};
@@ -134,13 +134,15 @@ struct DelayedRequest {
     spec: RequestSpec,
 }
 
-/// Mutable service-level accounting, behind one lock. Monotonic counters
-/// live in the obs [`Registry`] instead; this holds only what the epoch
-/// logic reads back.
+/// Mutable service-level state, behind one lock: what the epoch logic
+/// reads back. No count lives here — every count the service reports is
+/// an obs [`Registry`] series with one writer — except `epochs_completed`,
+/// the barrier's own epoch number, which a scrape samples into
+/// `serve.epochs_completed`, and `histogram`, which the `hist` record
+/// persists.
 struct ServiceState {
     epochs_completed: u32,
     histogram: LatencyHistogram,
-    shard_metrics: Vec<ShardMetrics>,
     last_swap_error: Option<(usize, SwapError)>,
     rollout: Rollout,
 }
@@ -245,30 +247,33 @@ impl DispatchService {
         // Validate once on the caller's thread so workers cannot fail
         // construction.
         World::new(&scenario.city, &scenario.conditions, &config.sim)?;
+        let obs = config.obs.clone().unwrap_or_default();
         // A full request queue sheds the newcomer: evicting the oldest
         // would drop a request that is already journaled and acked.
         let request_queues: Vec<_> = (0..config.num_shards)
-            .map(|_| {
+            .map(|i| {
                 Arc::new(BoundedQueue::new(
                     config.request_queue_capacity,
                     ShedPolicy::DropNewest,
+                    obs.counter(&shard_series(i, "requests_accepted")),
+                    obs.counter(&shard_series(i, "requests_shed")),
                 ))
             })
             .collect();
         let advisories = Arc::new(BoundedQueue::new(
             ADVISORY_QUEUE_CAPACITY,
             ShedPolicy::DropOldest,
+            obs.counter("serve.advisories_accepted"),
+            obs.counter("serve.advisories_shed"),
         ));
-        let obs = config.obs.clone().unwrap_or_default();
         let state = ServiceState {
             epochs_completed: 0,
             histogram: LatencyHistogram::new(),
-            shard_metrics: vec![ShardMetrics::default(); config.num_shards],
             last_swap_error: None,
             rollout: Rollout::new(config.rollout.clone(), Arc::clone(&registry)),
         };
         let trainer = config.trainer.clone().map(|cfg| {
-            let trainer = Trainer::new(cfg, &obs, Arc::new(ClockTimeSource(Arc::clone(&clock))));
+            let trainer = Trainer::new(cfg, &obs, Arc::clone(&clock) as _);
             let checkpoint = trainer.snapshot_text();
             TrainerSlot {
                 trainer,
@@ -320,8 +325,7 @@ impl DispatchService {
         let Some(cfg) = self.config.wal.clone() else {
             return Ok(());
         };
-        let time: Arc<dyn TimeSource> = Arc::new(ClockTimeSource(Arc::clone(&self.clock)));
-        let (mut wal, recovery) = Wal::open(cfg, &self.obs, time)?;
+        let (mut wal, recovery) = Wal::open(cfg, &self.obs, Arc::clone(&self.clock) as _)?;
         if let Some(WalError::TornTail { segment, offset }) = &recovery.torn {
             self.obs.events().log(
                 Level::Warn,
@@ -837,8 +841,9 @@ impl DispatchService {
         }
     }
 
-    /// Replaces shard `shard`'s state with a parsed snapshot `text`.
-    fn shard_restore(&self, shard: usize, text: String) -> Result<Box<ShardStatus>, ServeError> {
+    /// Replaces shard `shard`'s state with a parsed snapshot `text`; the
+    /// worker has republished its series when this returns.
+    fn shard_restore(&self, shard: usize, text: String) -> Result<(), ServeError> {
         self.send(shard, ShardCmd::Restore(text))?;
         match self.recv_reply(shard)? {
             ShardReply::Restored(reply) => reply.map_err(|m| self.shard_error(shard, m)),
@@ -851,22 +856,6 @@ impl DispatchService {
         match self.recv_reply(shard)? {
             ShardReply::Epoch(reply) => reply.map_err(|m| self.shard_error(shard, m)),
             _ => Err(self.shard_error(shard, "out-of-protocol reply")),
-        }
-    }
-
-    fn to_metrics(&self, shard: usize, st: &ShardStatus) -> ShardMetrics {
-        ShardMetrics {
-            epochs: st.epochs,
-            queue_depth: self.request_queues[shard].depth(),
-            injected: st.injected,
-            rejected: st.rejected,
-            waiting: st.waiting,
-            picked_up: st.picked_up,
-            delivered: st.delivered,
-            model_version: st.model_version,
-            routing_hits: st.routing.hits,
-            routing_misses: st.routing.misses,
-            degraded: st.degraded,
         }
     }
 
@@ -901,8 +890,7 @@ impl DispatchService {
 
     /// Takes a post-epoch checkpoint of every shard for crash recovery.
     fn checkpoint_shards(&self) -> Result<(), ServeError> {
-        let ts = ClockTimeSource(Arc::clone(&self.clock));
-        let _span = self.snapshot_hist.time(&ts);
+        let _span = self.snapshot_hist.time(self.clock.as_ref());
         for i in 0..self.shards.len() {
             let text = self.shard_snapshot(i)?;
             lock(&self.checkpoints)[i] = Some(text);
@@ -973,7 +961,6 @@ impl DispatchService {
             let mut any_degraded = false;
             for (i, st) in statuses {
                 state.histogram.record(st.compute_ms);
-                state.shard_metrics[i] = self.to_metrics(i, &st);
                 any_degraded |= st.degraded_now;
                 tally.add(i, &st);
                 if st.degraded_now {
@@ -992,9 +979,7 @@ impl DispatchService {
                     events.push((Level::Warn, Some(i), format!("model swap failed: {err}")));
                     state.last_swap_error = Some((i, err));
                 }
-                if let Some(report) = st.report {
-                    reports.push(report);
-                }
+                reports.push(st.report);
                 trainer_feed.extend(st.transitions);
             }
             if state.rollout.advance(&tally, &mut events) {
@@ -1133,67 +1118,34 @@ impl DispatchService {
     }
 
     /// Assembles a point-in-time metrics snapshot without stopping any
-    /// shard.
+    /// shard: a read-only view over one [`DispatchService::obs_snapshot`]
+    /// capture, plus the epoch-latency histogram.
     pub fn metrics(&self) -> MetricsSnapshot {
         let state = self.state();
-        let mut shards = state.shard_metrics.clone();
-        for (i, m) in shards.iter_mut().enumerate() {
-            m.queue_depth = self.request_queues[i].depth();
-        }
-        MetricsSnapshot {
-            epochs_completed: state.epochs_completed,
-            requests_accepted: self.request_queues.iter().map(|q| q.accepted()).sum(),
-            requests_shed: self.request_queues.iter().map(|q| q.shed()).sum(),
-            advisories_accepted: self.advisories.accepted(),
-            advisories_shed: self.advisories.shed(),
-            advisories_applied: self.advisories_applied.value(),
-            advisories_invalid: self.advisories_invalid.value(),
-            degraded_epochs: self.degraded_epochs.value(),
-            ingest_retries: self.retries.value(),
-            swap_failures_injected: self.swap_fail_injected.value(),
-            swap_failures_build: self.swap_fail_build.value(),
-            swap_failures_rollout: self.swap_fail_rollout.value(),
-            model_version: self.registry.current().version,
-            model_swaps: self.registry.swaps(),
-            epoch_latency: state.histogram.clone(),
-            shards,
-        }
+        let obs = self.sample_into_registry(&state);
+        MetricsSnapshot::read(&obs, self.shards.len(), state.histogram.clone())
     }
 
-    /// Mirrors the full [`MetricsSnapshot`] view into the registry and
-    /// captures it. The returned snapshot therefore carries *everything*:
-    /// the registry-native phase histograms, counters and events that
-    /// accumulate live, plus `serve.*` mirrors of the queue, model and
-    /// per-shard counters that have other sources of truth.
+    /// Captures the registry: the phase histograms, every count the
+    /// service reports (each written live by its owner — a queue, a shard
+    /// worker, the epoch barrier — or set by a restore), and the event
+    /// ring. The few values owned outside the registry are sampled into
+    /// it first: the barrier's epoch count, the model registry's version
+    /// and swap count, and each request queue's depth.
     pub fn obs_snapshot(&self) -> ObsSnapshot {
-        let m = self.metrics();
+        self.sample_into_registry(&self.state())
+    }
+
+    fn sample_into_registry(&self, state: &ServiceState) -> ObsSnapshot {
         let o = &self.obs;
         o.counter("serve.epochs_completed")
-            .set(u64::from(m.epochs_completed));
-        o.counter("serve.requests_accepted")
-            .set(m.requests_accepted);
-        o.counter("serve.requests_shed").set(m.requests_shed);
-        o.counter("serve.advisories_accepted")
-            .set(m.advisories_accepted);
-        o.counter("serve.advisories_shed").set(m.advisories_shed);
-        o.gauge("serve.model_version").set(m.model_version as i64);
-        o.counter("serve.model_swaps").set(m.model_swaps);
-        for (i, s) in m.shards.iter().enumerate() {
-            let p = format!("serve.shard{i}");
-            o.counter(&format!("{p}.epochs")).set(u64::from(s.epochs));
-            o.gauge(&format!("{p}.queue_depth"))
-                .set(s.queue_depth as i64);
-            o.counter(&format!("{p}.injected")).set(s.injected);
-            o.counter(&format!("{p}.rejected")).set(s.rejected);
-            o.gauge(&format!("{p}.waiting")).set(s.waiting as i64);
-            o.counter(&format!("{p}.picked_up")).set(s.picked_up as u64);
-            o.counter(&format!("{p}.delivered")).set(s.delivered as u64);
-            o.gauge(&format!("{p}.model_version"))
-                .set(s.model_version as i64);
-            o.counter(&format!("{p}.routing_hits")).set(s.routing_hits);
-            o.counter(&format!("{p}.routing_misses"))
-                .set(s.routing_misses);
-            o.counter(&format!("{p}.degraded_epochs")).set(s.degraded);
+            .set(u64::from(state.epochs_completed));
+        o.gauge("serve.model_version")
+            .set(self.registry.current().version as i64);
+        o.counter("serve.model_swaps").set(self.registry.swaps());
+        for (i, q) in self.request_queues.iter().enumerate() {
+            o.gauge(&shard_series(i, "queue_depth"))
+                .set(q.depth() as i64);
         }
         o.snapshot()
     }
@@ -1214,8 +1166,7 @@ impl DispatchService {
     ///
     /// Returns [`ServeError::Shard`] when a worker cannot serialize.
     pub fn snapshot(&self) -> Result<String, ServeError> {
-        let ts = ClockTimeSource(Arc::clone(&self.clock));
-        let _span = self.snapshot_hist.time(&ts);
+        let _span = self.snapshot_hist.time(self.clock.as_ref());
         // Capture the journal high-water mark AND the queue contents in
         // ONE journal critical section, before taking the state lock (wal
         // and state locks are never held together). Every journaled push
@@ -1355,7 +1306,6 @@ impl DispatchService {
         let mut trainer_text: Option<String> = None;
         let mut rqueue_counters = vec![(0u64, 0u64); num_shards];
         let mut restored_shards = vec![false; num_shards];
-        let mut shard_metrics = vec![ShardMetrics::default(); num_shards];
         let read_spec = |r: &mut Record| -> Result<RequestSpec, RecordError> {
             Ok(RequestSpec {
                 appear_s: r.field("appear_s")?,
@@ -1444,8 +1394,7 @@ impl DispatchService {
                 }
                 "shard" => {
                     let i: usize = r.below(num_shards, "index")?;
-                    let st = svc.shard_restore(i, reader.block(&mut r)?)?;
-                    shard_metrics[i] = svc.to_metrics(i, &st);
+                    svc.shard_restore(i, reader.block(&mut r)?)?;
                     restored_shards[i] = true;
                 }
                 other => return Err(bad(&format!("unknown record `{other}`"))),
@@ -1469,17 +1418,21 @@ impl DispatchService {
                 .map_err(|e| ServeError::BadSnapshot(format!("trainer state in snapshot: {e}")))?;
             slot.checkpoint = slot.trainer.snapshot_text();
         }
-        for (i, q) in svc.request_queues.iter().enumerate() {
-            let (accepted, shed) = rqueue_counters[i];
-            q.set_counters(accepted, shed);
-        }
+        // Counters are *set*, not added, and only after every `queued` and
+        // `adv` record was pushed through its queue: a restored service
+        // continues from the snapshot's totals exactly once, even when the
+        // caller handed `start` a pre-populated registry.
         let [applied, invalid, adv_accepted, adv_shed] = adv_counts.unwrap_or_default();
         let ([degraded, retries], swap_causes) = resil.unwrap_or_default();
         let [swap_injected, swap_build, swap_rollout] = swap_causes.unwrap_or_default();
-        svc.advisories.set_counters(adv_accepted, adv_shed);
-        // Registry-backed counters are *set*, not added: a restored
-        // service continues from the snapshot's totals exactly once, even
-        // when the caller handed `start` a pre-populated registry.
+        for (q, (accepted, shed)) in svc.request_queues.iter().zip(rqueue_counters) {
+            let (a, s) = q.counters();
+            a.set(accepted);
+            s.set(shed);
+        }
+        let (a, s) = svc.advisories.counters();
+        a.set(adv_accepted);
+        s.set(adv_shed);
         svc.retries.set(retries);
         svc.advisories_applied.set(applied);
         svc.advisories_invalid.set(invalid);
@@ -1492,7 +1445,6 @@ impl DispatchService {
             let mut state = svc.state();
             state.epochs_completed = epochs;
             state.histogram = histogram.unwrap_or_default();
-            state.shard_metrics = shard_metrics;
             state.rollout = rollout;
         }
         // The snapshot restored everything journaled at or below its

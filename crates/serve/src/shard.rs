@@ -33,8 +33,9 @@
 //! injected stall on one shard must not leak into its neighbours'
 //! deadline decisions.
 
-use crate::clock::{Clock, ClockTimeSource};
+use crate::clock::Clock;
 use crate::fault::{FaultInjector, ShardFault};
+use crate::metrics::{routing_prefix, shard_series};
 use crate::registry::{ModelBundle, ModelRegistry};
 use mobirescue_core::predictor::RequestPredictor;
 use mobirescue_core::rl_dispatch::{MobiRescueDispatcher, RlDispatchConfig, FEATURE_DIM};
@@ -120,32 +121,21 @@ pub(crate) enum ShardCmd {
     Shutdown,
 }
 
-/// Point-in-time shard counters reported back to the service.
+/// What one epoch produced, reported back to the service. The shard's
+/// running counts are not here: the worker publishes them into its
+/// `serve.shard{i}.*` series before it replies.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardStatus {
-    pub epochs: u32,
-    pub injected: u64,
-    pub rejected: u64,
-    pub waiting: usize,
-    pub picked_up: usize,
-    pub delivered: usize,
-    pub model_version: u64,
-    /// Dispatcher compute time measured during the last epoch, ms.
+    /// Dispatcher compute time measured during the epoch, ms.
     pub compute_ms: u64,
-    /// Cumulative routing-cache counters of the shard's world (carried
-    /// across snapshot/restore).
-    pub routing: PlannerStats,
-    /// Epochs served by the heuristic fallback instead of the DQN policy
-    /// (cumulative, carried across snapshot/restore).
-    pub degraded: u64,
-    /// Whether the epoch just completed was degraded.
+    /// Whether the epoch was degraded.
     pub degraded_now: bool,
-    /// The epoch just completed (`None` after a restore).
-    pub report: Option<EpochReport>,
+    /// The epoch's report.
+    pub report: EpochReport,
     /// A model hot-swap that failed this epoch (the shard keeps serving —
     /// with its previous dispatcher, or degraded on the fallback).
     pub swap_error: Option<SwapError>,
-    /// Paper reward of the epoch just served (0 after a restore).
+    /// Paper reward of the epoch.
     pub reward: f64,
     /// Shadow evaluation result, when a shadow directive was attached.
     pub shadow: Option<ShadowReport>,
@@ -159,7 +149,7 @@ pub(crate) struct ShardStatus {
 pub(crate) enum ShardReply {
     Epoch(Result<Box<ShardStatus>, String>),
     Snapshot(Result<String, String>),
-    Restored(Result<Box<ShardStatus>, String>),
+    Restored(Result<(), String>),
 }
 
 /// Everything a worker needs to run.
@@ -172,7 +162,8 @@ pub(crate) struct ShardSpec {
     /// Fault schedule shared with the service (chaos testing only).
     pub faults: Option<Arc<FaultInjector>>,
     /// Service observability registry: workers record the per-epoch phase
-    /// histograms and publish their routing-cache gauges into it.
+    /// histograms and publish their `serve.shard{i}.*` and
+    /// `routing.shard{i}.*` series into it.
     pub obs: Arc<Registry>,
     /// Tap the primary dispatcher's transitions for the online trainer.
     /// The tap never changes action selection, so enabling it leaves
@@ -214,6 +205,32 @@ impl Dispatcher for TimedDispatcher<'_> {
         self.stall_ms = 0;
         plan
     }
+}
+
+/// Publishes shard `index`'s running counts into the service registry:
+/// `serve.shard{i}.*` and the planner's `routing.shard{i}.*`. The worker
+/// owns these values (its world's counts and its own tallies) and is the
+/// series' only writer: it publishes after every epoch and every restore,
+/// before it replies, so the series are current whenever the service
+/// holds the reply.
+fn publish(
+    obs: &Registry,
+    index: usize,
+    world: &World<'_>,
+    [injected, rejected, degraded]: [u64; 3],
+    model_version: u64,
+) {
+    let counter = |series: &str, value: u64| obs.counter(&shard_series(index, series)).set(value);
+    let gauge = |series: &str, value: i64| obs.gauge(&shard_series(index, series)).set(value);
+    counter("epochs", u64::from(world.epoch_index()));
+    counter("injected", injected);
+    counter("rejected", rejected);
+    gauge("waiting", world.num_waiting() as i64);
+    counter("picked_up", world.num_picked_up() as u64);
+    counter("delivered", world.num_delivered() as u64);
+    gauge("model_version", model_version as i64);
+    counter("degraded_epochs", degraded);
+    world.publish_routing(obs, &routing_prefix(index));
 }
 
 /// Builds a frozen-greedy dispatcher from a model bundle.
@@ -266,14 +283,13 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
     // Phase spans measure on the *service* clock, like everything else the
     // worker times: under a SimClock every span is exactly zero, so
     // instrumented runs stay bit-identical to uninstrumented ones.
-    let time_source: Arc<dyn TimeSource> = Arc::new(ClockTimeSource(Arc::clone(&spec.clock)));
+    let time_source: Arc<dyn TimeSource> = Arc::clone(&spec.clock) as _;
     let phase_timer = PhaseTimer::new(Arc::clone(&time_source));
     let obs = Arc::clone(&spec.obs);
     let h_ingest = obs.histogram("epoch.ingest_ms");
     let h_predict = obs.histogram("epoch.predict_ms");
     let h_dispatch = obs.histogram("epoch.dispatch_ms");
     let h_routing = obs.histogram("epoch.routing_ms");
-    let routing_prefix = format!("routing.shard{index}");
     // The service validated this exact construction before spawning.
     let mut world = World::new(&scenario.city, &scenario.conditions, &spec.sim)
         .expect("service validated the world configuration");
@@ -427,7 +443,14 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
                 };
                 h_dispatch.record(spent_ms.get());
                 h_routing.record(world.take_phases().routing_ms);
-                world.publish_routing(&obs, &routing_prefix);
+                degraded += u64::from(degraded_now);
+                publish(
+                    &obs,
+                    index,
+                    &world,
+                    [injected, rejected, degraded],
+                    bundle.version,
+                );
                 let reward = crate::rollout::epoch_reward(&spec.rl, &spec.sim, &report);
                 // Drain the tap every epoch (even when the transitions are
                 // then discarded) so stale decisions never leak into a
@@ -453,25 +476,17 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
                     },
                 );
                 let st = ShardStatus {
+                    compute_ms: spent_ms.get(),
                     degraded_now,
-                    report: Some(report),
+                    report,
                     swap_error,
                     reward,
                     shadow,
                     transitions,
-                    ..status(
-                        &world,
-                        injected,
-                        rejected,
-                        bundle.version,
-                        spent_ms.get(),
-                        degraded + u64::from(degraded_now),
-                    )
                 };
                 if tx.send(ShardReply::Epoch(Ok(Box::new(st)))).is_err() {
                     return;
                 }
-                degraded += u64::from(degraded_now);
                 carry_ms = spent_ms.get();
             }
             ShardCmd::Snapshot => {
@@ -500,14 +515,9 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
                         // The dispatcher rebuilds from the registry at the
                         // next epoch; until then report the version the
                         // snapshot ran with.
-                        Ok(Box::new(status(
-                            &world,
-                            injected,
-                            rejected,
-                            parsed.version,
-                            carry_ms,
-                            degraded,
-                        )))
+                        let tallies = [injected, rejected, degraded];
+                        publish(&obs, index, &world, tallies, parsed.version);
+                        Ok(())
                     }
                     Err(e) => Err(e),
                 };
@@ -517,38 +527,6 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
             }
             ShardCmd::Shutdown => return,
         }
-    }
-}
-
-/// The counters both worker replies share, read from the world and the
-/// worker's own tallies. The per-epoch fields hold their restore values
-/// (no epoch report, swap error, reward, shadow or transitions); an epoch
-/// reply fills them in by struct update.
-fn status(
-    world: &World<'_>,
-    injected: u64,
-    rejected: u64,
-    model_version: u64,
-    compute_ms: u64,
-    degraded: u64,
-) -> ShardStatus {
-    ShardStatus {
-        epochs: world.epoch_index(),
-        injected,
-        rejected,
-        waiting: world.num_waiting(),
-        picked_up: world.num_picked_up(),
-        delivered: world.num_delivered(),
-        model_version,
-        compute_ms,
-        routing: world.routing_stats(),
-        degraded,
-        degraded_now: false,
-        report: None,
-        swap_error: None,
-        reward: 0.0,
-        shadow: None,
-        transitions: Vec::new(),
     }
 }
 

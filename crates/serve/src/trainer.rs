@@ -8,10 +8,10 @@
 //! backpressure discipline as request ingestion: a slow trainer sheds
 //! training data, never dispatch throughput. Once per epoch the trainer
 //! drains the queue into a capacity-bounded replay ring and runs a fixed
-//! number of seeded mini-batch DQN updates (the exact TD rule the offline
-//! `QScore` learner uses: batched candidate scoring, target network,
-//! Adam). Every `candidate_every` epochs it emits its online network as a
-//! candidate checkpoint — which the service routes through
+//! number of seeded mini-batch DQN updates through `rl`'s `TdLearner`,
+//! the same update the offline `QScore` learner runs (batched candidate
+//! scoring, target network, Adam). Every `candidate_every` epochs it
+//! emits its online network as a candidate checkpoint — which the service routes through
 //! [`crate::DispatchService::submit_rollout`], so a self-trained model is
 //! admission-probed, shadow-evaluated, canaried and auto-rolled-back
 //! exactly like one delivered from outside.
@@ -30,9 +30,9 @@
 use crate::queue::{BoundedQueue, ShedPolicy};
 use mobirescue_core::rl_dispatch::FEATURE_DIM;
 use mobirescue_obs::{Counter, Histogram, Registry, TimeSource};
-use mobirescue_rl::nn::{BatchScratch, Mlp};
+use mobirescue_rl::nn::BatchScratch;
 use mobirescue_rl::persist::{mlp_from_text, mlp_to_text};
-use mobirescue_rl::qscore::{max_q, PairTransition};
+use mobirescue_rl::qscore::{PairTransition, QScoreConfig, TdLearner};
 use mobirescue_rl::replay::{pair_from_line, pair_to_line, PairReplay};
 use mobirescue_rl::Adam;
 use mobirescue_sim::record::{write_block, Reader};
@@ -96,9 +96,10 @@ pub struct TrainerStatus {
     pub steps: u64,
     /// Transitions offered to the trainer queue.
     pub offered: u64,
-    /// Transitions accepted into the queue.
+    /// Transitions accepted into the queue (`train.transitions_accepted`).
     pub accepted: u64,
-    /// Transitions shed at the queue (backpressure).
+    /// Transitions shed at the queue, backpressure
+    /// (`train.transitions_shed`).
     pub shed: u64,
     /// Transitions currently held in the replay ring.
     pub replay_len: usize,
@@ -107,13 +108,13 @@ pub struct TrainerStatus {
 }
 
 /// Observability handles the trainer records into (fetched once from the
-/// service registry; all zero-cost on a [`crate::SimClock`]).
+/// service registry; all zero-cost on a [`crate::SimClock`]). The queue
+/// counts its own admissions and sheds into `train.transitions_accepted`
+/// and `train.transitions_shed`.
 #[derive(Clone)]
 struct TrainerObs {
     steps: Counter,
     offered: Counter,
-    accepted: Counter,
-    shed: Counter,
     loss: Histogram,
     step_ms: Histogram,
     time: Arc<dyn TimeSource>,
@@ -124,8 +125,6 @@ impl TrainerObs {
         Self {
             steps: obs.counter("train.steps"),
             offered: obs.counter("train.transitions_offered"),
-            accepted: obs.counter("train.transitions_accepted"),
-            shed: obs.counter("train.transitions_shed"),
             loss: obs.histogram("train.loss"),
             step_ms: obs.histogram("train.step_ms"),
             time,
@@ -139,15 +138,13 @@ impl TrainerObs {
 /// only ever be snapshotted between steps.
 pub(crate) struct Trainer {
     config: TrainerConfig,
-    online: Mlp,
-    target: Mlp,
-    adam: Adam,
+    /// Networks, optimizer and TD update; its step count is also the
+    /// per-step RNG stream position.
+    learner: TdLearner,
     replay: PairReplay,
     queue: BoundedQueue<PairTransition>,
     /// Service epochs ticked.
     epochs: u32,
-    /// Learning steps performed (also the per-step RNG stream position).
-    steps: u64,
     /// Candidates emitted.
     candidates: u64,
     obs: TrainerObs,
@@ -159,24 +156,20 @@ impl Trainer {
     /// A fresh trainer (seeded nets, empty replay, empty queue) recording
     /// into `obs`'s `train.*` series, timing steps on `time`.
     pub fn new(config: TrainerConfig, obs: &Registry, time: Arc<dyn TimeSource>) -> Self {
-        let mut dims = vec![FEATURE_DIM];
-        dims.extend_from_slice(&config.hidden);
-        dims.push(1);
-        let online = Mlp::new(&dims, config.seed);
-        let mut target = Mlp::new(&dims, config.seed.wrapping_add(1));
-        target.copy_params_from(&online);
-        let adam = Adam::new(&online, config.lr);
+        let learner = TdLearner::new(&learner_config(&config));
         let replay = PairReplay::new(config.replay_capacity.max(1));
-        let queue = BoundedQueue::new(config.queue_capacity.max(1), ShedPolicy::DropNewest);
+        let queue = BoundedQueue::new(
+            config.queue_capacity.max(1),
+            ShedPolicy::DropNewest,
+            obs.counter("train.transitions_accepted"),
+            obs.counter("train.transitions_shed"),
+        );
         Self {
             config,
-            online,
-            target,
-            adam,
+            learner,
             replay,
             queue,
             epochs: 0,
-            steps: 0,
             candidates: 0,
             obs: TrainerObs::new(obs, time),
             scratch: BatchScratch::default(),
@@ -184,16 +177,12 @@ impl Trainer {
     }
 
     /// Offers one epoch's tapped transitions into the bounded queue,
-    /// recording offer/accept/shed counts.
+    /// which counts each admission or shed; the offer count is the
+    /// trainer's own.
     pub fn offer(&self, transitions: Vec<PairTransition>) {
-        let obs = &self.obs;
         for t in transitions {
-            obs.offered.inc();
-            if self.queue.push(t) {
-                obs.accepted.inc();
-            } else {
-                obs.shed.inc();
-            }
+            self.obs.offered.inc();
+            let _ = self.queue.push(t);
         }
     }
 
@@ -221,61 +210,37 @@ impl Trainer {
         self.epochs += 1;
         let due = self.config.candidate_every > 0
             && self.epochs.is_multiple_of(self.config.candidate_every)
-            && self.steps > 0;
+            && self.learner.steps() > 0;
         due.then(|| {
             self.candidates += 1;
-            mlp_to_text(&self.online)
+            self.policy_text()
         })
     }
 
-    /// One seeded mini-batch TD update (the `QScore` rule: candidate max
-    /// over the target net, [`max_q`]); returns the mean squared TD
+    /// One seeded mini-batch TD update; returns the mean squared TD
     /// error. The batch RNG is derived from `(seed, steps)` alone, so a
     /// restored trainer samples identically to one that never stopped.
     fn learn_step(&mut self) -> f64 {
         let mut rng = StdRng::seed_from_u64(
             self.config.seed
                 ^ 0x7472_6169_6e00_0000u64
-                ^ self.steps.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                ^ self.learner.steps().wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
-        let batch_size = self.config.batch_size.max(1);
-        let batch = self.replay.sample(&mut rng, batch_size);
-        self.online.zero_grad();
-        let mut loss = 0.0;
-        for t in batch {
-            let target_q = if t.next_candidates.is_empty() {
-                t.reward
-            } else {
-                let best = max_q(&self.target, &t.next_candidates, &mut self.scratch);
-                t.reward + self.config.gamma * best
-            };
-            let cache = self.online.forward(&t.features);
-            let err = cache.output()[0] - target_q;
-            loss += err * err;
-            self.online.backward(&cache, &[err]);
-        }
-        self.adam.step(&mut self.online, batch_size);
-        self.steps += 1;
-        if self
-            .steps
-            .is_multiple_of(self.config.target_sync_every.max(1))
-        {
-            self.target.copy_params_from(&self.online);
-        }
-        loss / batch_size as f64
+        let batch = self.replay.sample(&mut rng, self.config.batch_size.max(1));
+        self.learner.step(&batch, &mut self.scratch)
     }
 
     /// The current online network's checkpoint text (what the next
     /// candidate emission would contain).
     pub fn policy_text(&self) -> String {
-        mlp_to_text(&self.online)
+        mlp_to_text(self.learner.online())
     }
 
     /// Progress counters (queue totals come from the shed-counting queue).
     pub fn status(&self) -> TrainerStatus {
         TrainerStatus {
             epochs: self.epochs,
-            steps: self.steps,
+            steps: self.learner.steps(),
             offered: self.queue.accepted() + self.queue.shed(),
             accepted: self.queue.accepted(),
             shed: self.queue.shed(),
@@ -292,14 +257,14 @@ impl Trainer {
         let mut out = format!(
             "trainer {} {} {} {} {}\n",
             self.epochs,
-            self.steps,
+            self.learner.steps(),
             self.candidates,
             self.queue.accepted(),
             self.queue.shed()
         );
-        out.push_str(&self.adam.to_text());
-        out.push_str(&mlp_to_text(&self.online));
-        out.push_str(&mlp_to_text(&self.target));
+        out.push_str(&self.learner.adam().to_text());
+        out.push_str(&mlp_to_text(self.learner.online()));
+        out.push_str(&mlp_to_text(self.learner.target()));
         out.push_str(&self.replay.to_text());
         let queued: Vec<String> = self.queue.peek_all().iter().map(pair_to_line).collect();
         write_block(&mut out, "tqueue", &queued.join("\n"));
@@ -310,11 +275,14 @@ impl Trainer {
     /// this trainer's config (like every other serve component, only
     /// *state* comes from the snapshot), recording into the same `train.*`
     /// series with the step and transition counters *set* to the restored
-    /// totals, as a service restore sets its `serve.*` counters.
+    /// totals, as a service restore sets its `serve.*` counters. Nothing
+    /// is written to those series unless the whole text is accepted.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the malformed record.
+    /// Returns a message naming the malformed record, or the part of the
+    /// state the online network could not step: an optimizer or target
+    /// network of another shape, or a transition of another width.
     pub fn restore(&self, text: &str) -> Result<Self, String> {
         let config = self.config.clone();
         let mut reader = Reader::new(text);
@@ -327,8 +295,8 @@ impl Trainer {
         r.finish()?;
         let adam = Adam::from_text(reader.line("optimizer")?)?;
         // Each network is a two-line `rl::persist` text.
-        let mut take_net = |what: &str| -> Result<Mlp, String> {
-            mlp_from_text(&reader.lines_block(2, what)?).map_err(|e| e.to_string())
+        let mut take_net = |what: &str| {
+            mlp_from_text(&reader.lines_block(2, what)?).map_err(|e| format!("{what}: {e}"))
         };
         let online = take_net("online net")?;
         let target = take_net("target net")?;
@@ -339,33 +307,46 @@ impl Trainer {
         let replay_body = reader.lines_block(replay_len, "replay")?;
         let replay = PairReplay::from_text(&format!("{replay_header}\n{replay_body}"))?;
         let mut tqueue = reader.expect("tqueue")?;
-        let queued = reader.block(&mut tqueue)?;
-        let queue = BoundedQueue::new(config.queue_capacity.max(1), ShedPolicy::DropNewest);
-        for line in queued.lines() {
-            let t = pair_from_line(line).ok_or_else(|| format!("bad queued line: {line:?}"))?;
-            let _ = queue.push(t);
-        }
-        queue.set_counters(accepted, shed);
+        let queued = (reader.block(&mut tqueue)?.lines())
+            .map(|line| pair_from_line(line).ok_or_else(|| format!("bad queued line: {line:?}")))
+            .collect::<Result<Vec<_>, _>>()?;
         if let Ok(line) = reader.line("end") {
             return Err(format!("trailing line in trainer snapshot: {line:?}"));
         }
         if online.input_dim() != FEATURE_DIM || online.output_dim() != 1 {
             return Err("trainer online network has the wrong shape".to_owned());
         }
+        let learner = TdLearner::from_parts(&learner_config(&config), online, target, adam, steps)?;
+        let unfit = |what: &str, items: &[PairTransition]| {
+            let i = items.iter().position(|t| !learner.can_step(t))?;
+            Some(format!(
+                "{what} transition {i} does not fit the online network"
+            ))
+        };
+        if let Some(why) = unfit("replay", replay.items()).or_else(|| unfit("queued", &queued)) {
+            return Err(why);
+        }
+        let (accepted_c, shed_c) = self.queue.counters();
+        let queue = BoundedQueue::new(
+            config.queue_capacity.max(1),
+            ShedPolicy::DropNewest,
+            accepted_c.clone(),
+            shed_c.clone(),
+        );
+        for t in queued {
+            let _ = queue.push(t);
+        }
+        accepted_c.set(accepted);
+        shed_c.set(shed);
         let obs = self.obs.clone();
         obs.steps.set(steps);
         obs.offered.set(accepted + shed);
-        obs.accepted.set(accepted);
-        obs.shed.set(shed);
         Ok(Self {
             config,
-            online,
-            target,
-            adam,
+            learner,
             replay,
             queue,
             epochs,
-            steps,
             candidates,
             obs,
             scratch: BatchScratch::default(),
@@ -373,14 +354,26 @@ impl Trainer {
     }
 }
 
+/// The [`TdLearner`] settings a trainer config implies: a
+/// `FEATURE_DIM`-input network, and a target sync at least every step.
+fn learner_config(config: &TrainerConfig) -> QScoreConfig {
+    QScoreConfig {
+        hidden: config.hidden.clone(),
+        gamma: config.gamma,
+        lr: config.lr,
+        target_sync_every: config.target_sync_every.max(1),
+        seed: config.seed,
+        ..QScoreConfig::new(FEATURE_DIM)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{Clock, ClockTimeSource, SimClock};
+    use crate::clock::SimClock;
 
     fn trainer(config: TrainerConfig) -> Trainer {
-        let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
-        Trainer::new(config, &Registry::new(), Arc::new(ClockTimeSource(clock)))
+        Trainer::new(config, &Registry::new(), Arc::new(SimClock::new()))
     }
 
     fn stream(seed: u64, n: usize) -> Vec<PairTransition> {
@@ -427,7 +420,7 @@ mod tests {
         assert_eq!(t.obs.steps.value(), t.status().steps);
         assert_eq!(
             t.obs.offered.value(),
-            t.obs.accepted.value() + t.obs.shed.value(),
+            t.queue.accepted() + t.queue.shed(),
             "transition conservation"
         );
     }

@@ -26,9 +26,9 @@ use mobirescue_roadnet::graph::SegmentId;
 use mobirescue_serve::chaos::chaos_scenario;
 use mobirescue_serve::{
     Clock, DispatchService, Event, ModelRegistry, RolloutConfig, RolloutStage, ServeConfig,
-    SimClock, TrainerConfig,
+    ServeError, SimClock, TrainerConfig,
 };
-use mobirescue_sim::{RequestSpec, SimConfig};
+use mobirescue_sim::{open_snapshot, seal_snapshot, RequestSpec, SimConfig};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -389,6 +389,86 @@ fn golden_fixture_still_restores() {
         .expect("the tstate record restores the trainer");
     assert_eq!(status.epochs, 2, "trainer cadence survives the round-trip");
     restored.shutdown();
+}
+
+/// Rewrites one line, given its whitespace-separated fields.
+type LineEdit = fn(Vec<&str>) -> String;
+
+/// The fixture with the line `offset` lines below its `tstate` header
+/// rewritten by `edit` (the block keeps its line count), resealed: the
+/// FNV-1a seal catches damage, not an edited body, so only the trainer
+/// state's own checks stand between this text and the trainer.
+fn with_tstate_edit(golden: &str, offset: usize, edit: LineEdit) -> String {
+    let body = open_snapshot(golden).expect("the fixture is sealed");
+    let mut lines: Vec<String> = body.lines().map(str::to_owned).collect();
+    let header = lines.iter().position(|l| l.starts_with("tstate "));
+    let at = header.expect("the fixture carries a tstate block") + offset;
+    let edited = edit(lines[at].split_whitespace().collect());
+    lines[at] = edited;
+    seal_snapshot(lines.join("\n") + "\n")
+}
+
+/// A sealed snapshot whose trainer state the online network cannot step
+/// is refused at restore with a `BadSnapshot` naming the trainer state.
+/// Before the checks, the first two edits panicked inside `restore`
+/// (an unchecked `2 * n`; a `Vec` sized from the count) and the others
+/// restored cleanly and panicked at a later step, target sync or sample.
+#[test]
+fn unsteppable_trainer_state_is_refused_at_restore() {
+    let golden = std::fs::read_to_string(GOLDEN_PATH).expect("the fixture is checked in");
+    const HUGE: &str = "18446744073709551615";
+    // Offsets below the `tstate` header: 2 is the optimizer, 5 the target
+    // net's header, 8 the first replay transition.
+    let cases: [(&str, usize, LineEdit); 5] = [
+        ("adam moment count overflows", 2, |mut f| {
+            f[6] = HUGE;
+            f.join(" ")
+        }),
+        ("replay feature count overflows", 8, |mut f| {
+            f[1] = HUGE;
+            f.join(" ")
+        }),
+        ("adam cut to 32 of the net's 33 moments", 2, |f| {
+            let (m, v) = f[7..].split_at(33);
+            let mut cut = f[..6].to_vec();
+            cut.push("32");
+            cut.extend_from_slice(&m[..32]);
+            cut.extend_from_slice(&v[..32]);
+            cut.join(" ")
+        }),
+        ("target net reshaped to 32→1", 5, |_| {
+            "mlp 32 1".to_owned()
+        }),
+        ("replay transition 5 features wide", 8, |mut f| {
+            f[1] = "5";
+            f.remove(7);
+            f.join(" ")
+        }),
+    ];
+    for (case, offset, edit) in cases {
+        let hostile = with_tstate_edit(&golden, offset, edit);
+        let mut config = ServeConfig::new(SimConfig::small(6));
+        config.num_shards = 2;
+        config.request_queue_capacity = 4;
+        config.trainer = Some(golden_trainer());
+        let restored = DispatchService::restore(
+            Arc::new(ScenarioConfig::small().florence().build(11)),
+            config,
+            Arc::new(SimClock::new()) as Arc<dyn Clock>,
+            Arc::new(ModelRegistry::new(None, None)),
+            &hostile,
+        );
+        match restored {
+            Err(ServeError::BadSnapshot(why)) => {
+                assert!(why.contains("trainer state"), "{case}: {why}");
+            }
+            Err(e) => panic!("{case}: refused for the wrong reason: {e}"),
+            Ok(service) => {
+                service.shutdown();
+                panic!("{case}: restored a trainer state the online net cannot step");
+            }
+        }
+    }
 }
 
 /// Snapshots written before the online training loop carry no `tstate`

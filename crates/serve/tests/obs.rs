@@ -87,10 +87,10 @@ fn phase_histograms_cover_every_epoch_and_dump_round_trips() {
     // Every MetricsSnapshot counter appears in the dump.
     let m = service.metrics();
     assert_eq!(snap.counters["serve.epochs_completed"], u64::from(epochs));
-    assert_eq!(
-        snap.counters["serve.requests_accepted"],
-        m.requests_accepted
-    );
+    let shard_accepted: u64 = (0..NUM_SHARDS)
+        .map(|i| snap.counters[&format!("serve.shard{i}.requests_accepted")])
+        .sum();
+    assert_eq!(shard_accepted, m.requests_accepted);
     assert_eq!(
         snap.counters["serve.advisories_applied"],
         m.advisories_applied

@@ -7,6 +7,7 @@ use mobirescue_core::rl_dispatch::FEATURE_DIM;
 use mobirescue_core::scenario::{Scenario, ScenarioConfig};
 use mobirescue_rl::nn::Mlp;
 use mobirescue_roadnet::graph::SegmentId;
+use mobirescue_serve::obs::TimeSource as _;
 use mobirescue_serve::{
     Clock, DispatchService, EpochScheduler, Event, ModelRegistry, RetryPolicy, ServeConfig,
     ServeError, SimClock, SwapError,
@@ -226,8 +227,8 @@ fn route_planner_counters_survive_restore_exactly() {
         assert_eq!(b.routing_misses, a.routing_misses, "miss counter drifted");
     }
 
-    // One epoch later the planner's published cache counters, the serve
-    // mirror and the metrics view all hold the same cumulative totals.
+    // One epoch later the planner's published cache counters and the
+    // metrics view hold the same cumulative totals.
     ingest_all(&restored, &scenario, 3, 3);
     restored.run_epoch().expect("epoch runs after the restore");
     let metrics = restored.metrics();
@@ -242,11 +243,6 @@ fn route_planner_counters_survive_restore_exactly() {
                 counter(format!("routing.shard{i}.cache_{kind}")),
                 total,
                 "shard {i}: planner cache_{kind} disagrees with the metrics"
-            );
-            assert_eq!(
-                counter(format!("serve.shard{i}.routing_{kind}")),
-                total,
-                "shard {i}: serve routing_{kind} disagrees with the metrics"
             );
         }
     }

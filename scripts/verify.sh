@@ -2,23 +2,23 @@
 # Repo verification: the tier-1 gate (ROADMAP.md) plus formatting and
 # lints, with a per-step PASS/FAIL summary.
 #
-#   scripts/verify.sh          # lock files + tier-1 + fmt + clippy +
-#                              # snapshot-format suites + mobility and
-#                              # roadnet suites + pinned chaos suites +
-#                              # mrbench ledger tests + scale bench gate
-#   scripts/verify.sh --full   # additionally run the whole workspace's tests
+#   scripts/verify.sh          # lock files + fmt + clippy + tier-1 +
+#                              # crate tests + mrbench ledger tests +
+#                              # scale bench gate
+#   scripts/verify.sh --full   # additionally run the whole workspace's
+#                              # tests in release, `bench` included
 #
-# `cargo test -q` tests only the root package, so the "snapshot formats"
-# step runs the sim, serve, rl and obs crates' suites: the golden and
-# frozen compat fixtures (`mrobs 1` included), the snapshot property tests,
-# and the round trips of the `rl` texts (networks, Adam, replay ring) the
-# trainer's `tstate` holds. The "mobility crate tests" step runs the
-# hospital-delivery unit tests and the property test that holds
-# `detect_deliveries` to its copy-and-scan reference. The "roadnet crate
-# tests" step runs the property tests that hold the CSR kernel and the
-# route planner exactly equal to naive Dijkstra. The "lock files" step
-# runs first, because every later cargo command would quietly rewrite a
-# stale `Cargo.lock`.
+# `cargo test -q` tests only the root package: its suites include the
+# five chaos suites (chaos, rollout, trainer, net, wal). The "crate tests"
+# step runs every library crate under `crates/` once — the golden and
+# frozen compat fixtures (`mrserve 1`, `mrworld 1`, `mrobs 1`), the
+# property tests that hold the CSR kernel and the route planner to naive
+# Dijkstra and `detect_deliveries` to its copy-and-scan reference, and
+# the core, svm, disaster and solver unit tests. `bench` stays under
+# `--full`: its tests drive its binaries and are slow in debug
+# (`tests/ci_workflow.rs` pins that split). The "lock files" step runs
+# first, because every later cargo command would quietly rewrite a stale
+# `Cargo.lock`.
 #
 # Every step runs even when an earlier one fails, so one invocation
 # reports everything that is broken; the script exits non-zero if any
@@ -57,16 +57,10 @@ run_step "fmt" cargo fmt --check
 run_step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 run_step "tier-1 build" cargo build --release
 run_step "tier-1 tests" cargo test -q
-run_step "snapshot formats" cargo test -q -p mobirescue-sim -p mobirescue-serve -p mobirescue-rl \
-    -p mobirescue-obs
-run_step "mobility crate tests" cargo test -q -p mobirescue-mobility
-run_step "roadnet crate tests" cargo test -q -p mobirescue-roadnet
-run_step "chaos suite" cargo test -q --test chaos
-run_step "rollout chaos suite" cargo test -q --test rollout_chaos
-run_step "trainer chaos suite" cargo test -q --test trainer_chaos
-run_step "net chaos suite" cargo test -q --test net_chaos
-run_step "wal chaos suite" cargo test -q --test wal_chaos
-run_step "net crate tests" cargo test -q -p mobirescue-net
+run_step "crate tests" cargo test -q -p mobirescue-core -p mobirescue-disaster \
+    -p mobirescue-mobility -p mobirescue-net -p mobirescue-obs -p mobirescue-rl \
+    -p mobirescue-roadnet -p mobirescue-serve -p mobirescue-sim -p mobirescue-solver \
+    -p mobirescue-svm
 # The mrbench ledger is a package of its own that builds the crates from
 # source and calls only their public items; building and testing it here
 # turns a public-API break in rl, core or sim into a verify failure

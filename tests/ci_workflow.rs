@@ -6,8 +6,10 @@
 //! jobs exist, run the gate scripts, and cache `target/` keyed on
 //! `Cargo.lock` with `restore-keys` fallbacks — so an edit that breaks
 //! the pipeline fails locally, not on the runner. It also pins where the
-//! gates live: the scale gate runs in `scripts/verify.sh`, and the retired
-//! routing gate's knobs stay out of CI.
+//! gates live: the scale gate runs in `scripts/verify.sh`, the retired
+//! routing gate's knobs stay out of CI, and verify's "crate tests" step
+//! names every library crate under `crates/`, so a new crate cannot go
+//! untested.
 
 use std::path::Path;
 
@@ -156,6 +158,55 @@ fn all_jobs_run_their_gate_scripts_on_a_runner() {
             .any(|l| l.contains("SCALE_PRESETS=\"medium metro\"")
                 && l.contains("scripts/check_bench.sh")),
         "verify.sh must gate both the medium and the metro preset via check_bench.sh"
+    );
+}
+
+/// The package names of the crates under `crates/`, read from their
+/// manifests.
+fn workspace_crates() -> Vec<String> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("cannot list {}: {e}", dir.display()))
+        .filter_map(|entry| {
+            let manifest = entry.expect("readable entry").path().join("Cargo.toml");
+            let text = std::fs::read_to_string(manifest).ok()?;
+            let name = text.lines().find_map(|l| l.strip_prefix("name = "))?;
+            Some(name.trim_matches('"').to_owned())
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn verify_tests_every_library_crate_once() {
+    let verify = repo_file("scripts/verify.sh").replace("\\\n", " ");
+    let step = verify
+        .lines()
+        .find(|l| l.trim_start().starts_with("run_step \"crate tests\""))
+        .expect("verify.sh has a \"crate tests\" step");
+    let mut named: Vec<&str> = step
+        .split_whitespace()
+        .zip(step.split_whitespace().skip(1))
+        .filter_map(|(flag, name)| (flag == "-p").then_some(name))
+        .collect();
+    named.sort_unstable();
+    let expected: Vec<String> = workspace_crates()
+        .into_iter()
+        .filter(|name| name != "mobirescue-bench")
+        .collect();
+    assert_eq!(
+        expected.len(),
+        11,
+        "crates/ holds the 11 library crates plus bench: {expected:?}"
+    );
+    assert_eq!(
+        named, expected,
+        "the crate tests step must name every crate under crates/ but bench, once each"
+    );
+    assert!(
+        !verify.contains("--test "),
+        "verify.sh re-runs a root-package suite that the tier-1 step already runs"
     );
 }
 
