@@ -18,7 +18,6 @@ use mobirescue_core::scenario::ScenarioConfig;
 use mobirescue_disaster::hurricane::Hurricane;
 use mobirescue_disaster::scenario::DisasterScenario;
 use mobirescue_mobility::flow::HourlyConditions;
-use mobirescue_mobility::stream::ResidentStream;
 use mobirescue_roadnet::damage::NetworkCondition;
 use mobirescue_roadnet::graph::SegmentId;
 use mobirescue_sim::dispatcher::NearestRequestDispatcher;
@@ -168,33 +167,6 @@ fn bench_preset(p: &Preset) -> WorldRow {
     }
 }
 
-/// Times the streamed resident generator on the metro population and
-/// returns (residents, sampled, milliseconds per million residents of the
-/// full stream, measured on the sampled stride).
-fn bench_mobility_stream() -> (usize, usize, f64) {
-    let cfg = ScenarioConfig::metro();
-    let city = cfg.city.build(SEED);
-    let disaster = DisasterScenario::new(&city, Hurricane::florence(), SEED);
-    let stream = ResidentStream::new(&city, &cfg.population, SEED);
-    let total = stream.total();
-    let sampled = cfg
-        .materialize_cap
-        .expect("metro preset caps materialization");
-    let t0 = Instant::now();
-    let out = mobirescue_mobility::stream::generate_streamed(
-        &city,
-        &disaster,
-        &cfg.population,
-        SEED,
-        sampled,
-    );
-    let wall_s = t0.elapsed().as_secs_f64();
-    assert_eq!(out.total_residents, total);
-    // Scale the sampled cost to a full-population estimate per million.
-    let per_million_ms = wall_s * 1e3 / out.dataset.num_people() as f64 * 1e6;
-    (total, out.dataset.num_people(), per_million_ms)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let wanted: Vec<&str> = if args.is_empty() {
@@ -215,8 +187,6 @@ fn main() {
         .filter(|p| wanted.contains(&p.name))
         .map(bench_preset)
         .collect();
-
-    let (residents, sampled, per_million_ms) = bench_mobility_stream();
 
     // Fold the per-preset snapshot checksums (in run order) into one
     // results checksum for quick whole-file comparison.
@@ -250,11 +220,6 @@ fn main() {
         println!("    }}{comma}");
     }
     println!("  ],");
-    println!("  \"mobility_stream\": {{");
-    println!(
-        "    \"residents\": {residents}, \"sampled\": {sampled}, \"per_million_ms\": {per_million_ms:.0}"
-    );
-    println!("  }},");
     println!("  \"results_checksum\": \"{:016x}\"", fnv1a_64(&combined));
     println!("}}");
 }

@@ -88,8 +88,6 @@ mod tests {
             person: PersonId(person),
             minute,
             position: pos,
-            altitude_m: 0.0,
-            speed_mps: 0.0,
         }
     }
 

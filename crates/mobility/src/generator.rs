@@ -2,8 +2,9 @@
 //!
 //! The paper's dataset — 8,590 people tracked at 0.5–2 hour intervals for 15
 //! days before and after Hurricane Florence — is proprietary (X-Mode). This
-//! generator synthesizes a dataset with the same schema and the behavioural
-//! structure the paper's analysis detects:
+//! generator synthesizes the part of its schema the pipeline reads (who was
+//! where when: a [`GpsPing`] is `(person, minute, position)`) with the
+//! behavioural structure the paper's analysis detects:
 //!
 //! * normal days: commutes and errands (vehicle trips → flow rate);
 //! * disaster days: people shelter as the storm intensifies (flow collapses,
@@ -331,13 +332,13 @@ pub(crate) fn simulate_person(
                 rng.random_range(-config.gps_noise_m..=config.gps_noise_m),
                 rng.random_range(-config.gps_noise_m..=config.gps_noise_m),
             );
-            let altitude_m = scenario.terrain().altitude_m(position) + rng.random_range(-3.0..3.0);
+            // Pings carry no altimeter reading, but its noise draw stays so
+            // that every later draw, and so every dataset, is unchanged.
+            let _: f64 = rng.random_range(-3.0..3.0);
             pings.push(GpsPing {
                 person: person.id,
                 minute: t,
                 position,
-                altitude_m,
-                speed_mps: 0.0,
             });
             t += rng.random_range(config.ping_interval_min..=config.ping_interval_max);
         }

@@ -2,12 +2,15 @@
 //!
 //! The paper's foundation is a proprietary city-scale GPS dataset (8,590
 //! people around Hurricane Florence). This crate replaces it with a
-//! synthetic dataset of identical schema plus the full Section-III analysis
+//! synthetic dataset of the fields the pipeline reads (a ping is
+//! `(person, minute, position)`) plus the full Section-III analysis
 //! pipeline, which consumes only the GPS pings:
 //!
 //! * [`person`] / [`trace`] — dataset schema (people, pings, trajectories);
 //! * [`generator`] — behavioural population synthesis (commutes, sheltering,
 //!   trapping, hospital deliveries);
+//! * [`stream`] — per-resident seeded samples of metro-scale populations,
+//!   simulated on every core;
 //! * [`cleaning`] — bounding-box and redundancy filtering (Figure 7 stage 1);
 //! * [`map_match`] — grid-indexed snapping of positions to landmarks and
 //!   segments;

@@ -237,8 +237,6 @@ mod tests {
             person: PersonId(0),
             minute,
             position: pos,
-            altitude_m: 0.0,
-            speed_mps: 0.0,
         }
     }
 

@@ -4,12 +4,13 @@
 //! resident plus their full GPS trace; at 2M residents that is tens of
 //! gigabytes and minutes of work. [`ResidentStream`] instead derives any
 //! resident *independently* from `(seed, index)` via a splitmix64-keyed
-//! per-resident RNG, so callers can walk millions of residents in fixed
-//! memory — chunk by chunk, reusing one buffer — without ever holding the
-//! population. [`generate_streamed`] builds on it to produce a
-//! deterministic evenly-strided sample of the metro population whose
-//! [`GenerationOutput`] plugs into the existing rescue-mining pipeline
-//! unchanged, while `total_residents` records the true population size.
+//! per-resident RNG, so callers can reach any of millions of residents
+//! without ever holding the population. [`generate_streamed`] builds on it
+//! to produce a deterministic evenly-strided sample of the metro population
+//! whose [`GenerationOutput`] plugs into the existing rescue-mining
+//! pipeline unchanged, while `total_residents` records the true population
+//! size. Because no resident depends on another, the sample is simulated
+//! in blocks on every core and joined in index order.
 
 use crate::generator::{sample_person, simulate_person, GenerationOutput, PopulationConfig};
 use crate::person::{Person, PersonId};
@@ -17,6 +18,7 @@ use crate::trace::MobilityDataset;
 use mobirescue_disaster::scenario::DisasterScenario;
 use mobirescue_roadnet::generator::City;
 use mobirescue_roadnet::geo::GeoPoint;
+use mobirescue_roadnet::pool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,6 +26,13 @@ use rand::SeedableRng;
 const PERSON_MAGIC: u64 = 0x7265_7369_6465_6e74; // "resident"
 /// Domain tag for per-resident *trace* RNGs (trips, sheltering, rescue).
 const TRACE_MAGIC: u64 = 0x6d65_7472_6f70_696e; // "metropin"
+
+/// Consecutive sampled residents one worker simulates as one work item.
+const BLOCK_RESIDENTS: usize = 64;
+/// Sampled residents per round of blocks. Each round is appended to the
+/// output and dropped before the next starts, so the join never holds more
+/// than one round of pings outside the final array.
+const ROUND_RESIDENTS: usize = 8 * BLOCK_RESIDENTS;
 
 /// splitmix64 finalizer: mixes `(seed, index)` into a statistically
 /// independent 64-bit stream key. This is the standard seeding mixer
@@ -42,14 +51,13 @@ fn resident_rng(seed: u64, domain: u64, index: u64) -> StdRng {
 }
 
 /// A lazily generated metro population: any resident is derived on demand
-/// from `(seed, index)`, so iterating 2M residents needs memory for one
-/// chunk, not one population.
+/// from `(seed, index)`, so reaching any of 2M residents needs memory for
+/// one resident, not one population.
 pub struct ResidentStream<'a> {
     city: &'a City,
     config: &'a PopulationConfig,
     landmarks: Vec<GeoPoint>,
     seed: u64,
-    next: u64,
 }
 
 impl<'a> ResidentStream<'a> {
@@ -66,7 +74,6 @@ impl<'a> ResidentStream<'a> {
             config,
             landmarks,
             seed,
-            next: 0,
         }
     }
 
@@ -75,13 +82,8 @@ impl<'a> ResidentStream<'a> {
         self.config.num_people
     }
 
-    /// Residents not yet emitted by [`next_chunk`](Self::next_chunk).
-    pub fn remaining(&self) -> usize {
-        self.config.num_people - self.next as usize
-    }
-
-    /// Materializes resident `index` (independent of cursor position and of
-    /// any other resident — random access is O(1) in population size).
+    /// Materializes resident `index` (independent of any other resident —
+    /// random access is O(1) in population size).
     ///
     /// # Panics
     ///
@@ -101,21 +103,6 @@ impl<'a> ResidentStream<'a> {
             &mut rng,
         )
     }
-
-    /// Appends up to `max` further residents into `buf` (which the caller
-    /// clears and reuses across calls — no per-chunk allocation after the
-    /// first) and advances the cursor. Returns the number appended; 0 means
-    /// the stream is exhausted.
-    pub fn next_chunk(&mut self, max: usize, buf: &mut Vec<Person>) -> usize {
-        buf.clear();
-        let n = max.min(self.remaining());
-        buf.reserve(n);
-        for _ in 0..n {
-            buf.push(self.resident(self.next));
-            self.next += 1;
-        }
-        n
-    }
 }
 
 /// Generates a deterministic dataset for a metro-scale population by
@@ -125,8 +112,12 @@ impl<'a> ResidentStream<'a> {
 /// `total_residents` preserves the true population size for rate math.
 ///
 /// Each sampled resident's trace comes from its own `(seed, global index)`
-/// RNG, so the output is independent of `cap`-induced chunking and two runs
-/// with the same seed agree resident-by-resident.
+/// RNG. So the sample is simulated in fixed blocks of consecutive residents
+/// on every available core, and the blocks are appended in index order: the
+/// output is bit-identical for any thread count, and two runs with the same
+/// seed agree resident-by-resident. Blocks run in fixed rounds, each
+/// appended and dropped before the next, which bounds the memory the join
+/// holds beyond the output to one round's pings.
 ///
 /// # Panics
 ///
@@ -156,25 +147,53 @@ pub fn generate_streamed(
         .map(|&h| city.network.landmark(h).position)
         .collect();
 
+    // A resident pings at most once per `ping_interval_min`. Reserving that
+    // bound means a block's pings are never copied while they grow, so a
+    // round in flight costs about its pings and no freed copies besides.
+    let max_pings = (scenario.total_hours() * 60 / config.ping_interval_min) as usize + 1;
+    // A block's `(people, pings, true rescues)`. Sampled resident `k` is
+    // global resident `k * stride`, re-indexed as `k`.
+    let simulate_block = |_: usize, &(start, end): &(usize, usize)| {
+        let mut people = Vec::with_capacity(end - start);
+        let mut pings = Vec::with_capacity((end - start) * max_pings);
+        let mut true_rescues = Vec::new();
+        for k in start as u64..end as u64 {
+            let global = k * stride;
+            let mut person = stream.resident(global);
+            person.id = PersonId(k as u32);
+            let mut rng = resident_rng(seed, TRACE_MAGIC, global);
+            simulate_person(
+                &person,
+                city,
+                scenario,
+                config,
+                &hospital_pos,
+                &mut rng,
+                &mut pings,
+                &mut true_rescues,
+            );
+            people.push(person);
+        }
+        (people, pings, true_rescues)
+    };
+
+    let threads = pool::available_threads();
     let mut people = Vec::with_capacity(sampled);
     let mut pings = Vec::new();
     let mut true_rescues = Vec::new();
-    for k in 0..sampled as u64 {
-        let global = k * stride;
-        let mut person = stream.resident(global);
-        person.id = PersonId(k as u32);
-        let mut rng = resident_rng(seed, TRACE_MAGIC, global);
-        simulate_person(
-            &person,
-            city,
-            scenario,
-            config,
-            &hospital_pos,
-            &mut rng,
-            &mut pings,
-            &mut true_rescues,
-        );
-        people.push(person);
+    for round in (0..sampled).step_by(ROUND_RESIDENTS) {
+        let round_end = (round + ROUND_RESIDENTS).min(sampled);
+        let blocks: Vec<(usize, usize)> = (round..round_end)
+            .step_by(BLOCK_RESIDENTS)
+            .map(|start| (start, (start + BLOCK_RESIDENTS).min(round_end)))
+            .collect();
+        for (block_people, block_pings, block_rescues) in
+            pool::parallel_map(threads, &blocks, simulate_block)
+        {
+            people.extend(block_people);
+            pings.extend(block_pings);
+            true_rescues.extend(block_rescues);
+        }
     }
 
     GenerationOutput {
@@ -196,27 +215,66 @@ mod tests {
         (city, scenario)
     }
 
-    #[test]
-    fn chunked_walk_matches_random_access() {
-        let (city, _) = setup();
-        let config = PopulationConfig::small();
-        let mut stream = ResidentStream::new(&city, &config, 9);
-        let reference = ResidentStream::new(&city, &config, 9);
-        let mut buf = Vec::new();
-        let mut index = 0u64;
-        // Uneven chunk sizes must not change which residents come out.
-        for chunk in [7usize, 64, 1, 100_000] {
-            let n = stream.next_chunk(chunk, &mut buf);
-            for person in &buf {
-                assert_eq!(*person, reference.resident(index), "resident {index}");
-                index += 1;
-            }
-            if n == 0 {
-                break;
-            }
+    /// The per-resident loop `generate_streamed` runs in parallel blocks,
+    /// run sequentially: one resident after another into one output.
+    fn sequential_reference(
+        city: &City,
+        scenario: &DisasterScenario,
+        config: &PopulationConfig,
+        seed: u64,
+        cap: usize,
+    ) -> GenerationOutput {
+        let stream = ResidentStream::new(city, config, seed);
+        let total = stream.total();
+        let sampled = cap.min(total);
+        let stride = total as u64 / sampled as u64;
+        let hospital_pos: Vec<GeoPoint> = city
+            .hospitals
+            .iter()
+            .map(|&h| city.network.landmark(h).position)
+            .collect();
+        let mut people = Vec::with_capacity(sampled);
+        let mut pings = Vec::new();
+        let mut true_rescues = Vec::new();
+        for k in 0..sampled as u64 {
+            let global = k * stride;
+            let mut person = stream.resident(global);
+            person.id = PersonId(k as u32);
+            let mut rng = resident_rng(seed, TRACE_MAGIC, global);
+            simulate_person(
+                &person,
+                city,
+                scenario,
+                config,
+                &hospital_pos,
+                &mut rng,
+                &mut pings,
+                &mut true_rescues,
+            );
+            people.push(person);
         }
-        assert_eq!(index as usize, config.num_people);
-        assert_eq!(stream.remaining(), 0);
+        GenerationOutput {
+            dataset: MobilityDataset { people, pings },
+            true_rescues,
+            total_residents: total,
+        }
+    }
+
+    #[test]
+    fn parallel_blocks_match_the_sequential_loop() {
+        let (city, scenario) = setup();
+        let mut config = PopulationConfig::small();
+        config.num_people = 30_000;
+        // Two full rounds, then a round of one full block and a partial one.
+        let cap = 2 * ROUND_RESIDENTS + BLOCK_RESIDENTS + 13;
+        let parallel = generate_streamed(&city, &scenario, &config, 11, cap);
+        let sequential = sequential_reference(&city, &scenario, &config, 11, cap);
+        assert_eq!(parallel.dataset.num_people(), cap);
+        assert!(!parallel.true_rescues.is_empty(), "the sample sees rescues");
+        assert_eq!(parallel.dataset.people, sequential.dataset.people);
+        assert_eq!(parallel.dataset.pings, sequential.dataset.pings);
+        assert_eq!(parallel.true_rescues, sequential.true_rescues);
+        assert_eq!(parallel.total_residents, sequential.total_residents);
     }
 
     #[test]

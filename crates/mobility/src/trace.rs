@@ -1,9 +1,12 @@
 //! GPS pings, trajectories and the mobility dataset container.
 //!
-//! The paper's dataset schema (Section III-A): per-user GPS samples at 0.5–2
-//! hour intervals carrying timestamp, latitude, longitude, altitude and
-//! speed, with an anonymous user id. [`GpsPing`] reproduces that schema;
-//! time is minutes since the scenario start.
+//! The paper's dataset rows (Section III-A) are per-user GPS samples at
+//! 0.5–2 hour intervals carrying timestamp, latitude, longitude, altitude
+//! and speed, with an anonymous user id. The pipeline reads only who was
+//! where when, so [`GpsPing`] keeps `(person, minute, position)`: the SVM's
+//! altitude factor comes from the terrain model
+//! (`DisasterScenario::factors_at`), not from the pings. Time is minutes
+//! since the scenario start.
 
 use crate::person::{Person, PersonId};
 use mobirescue_roadnet::geo::GeoPoint;
@@ -12,7 +15,8 @@ use serde::{Deserialize, Serialize};
 /// Minutes per simulated day.
 pub const MINUTES_PER_DAY: u32 = 24 * 60;
 
-/// One GPS sample of one person — the paper's dataset row.
+/// One GPS sample of one person: the part of the paper's dataset row that
+/// the pipeline reads.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GpsPing {
     /// The sampled person.
@@ -21,10 +25,6 @@ pub struct GpsPing {
     pub minute: u32,
     /// Sampled position.
     pub position: GeoPoint,
-    /// Altimeter reading, meters.
-    pub altitude_m: f64,
-    /// Instantaneous speed, meters per second.
-    pub speed_mps: f64,
 }
 
 impl GpsPing {
@@ -156,8 +156,6 @@ mod tests {
             person: PersonId(person),
             minute,
             position: home,
-            altitude_m: 230.0,
-            speed_mps: 0.0,
         };
         MobilityDataset {
             people,
@@ -171,8 +169,6 @@ mod tests {
             person: PersonId(0),
             minute: MINUTES_PER_DAY + 125,
             position: GeoPoint::new(0.0, 0.0),
-            altitude_m: 0.0,
-            speed_mps: 0.0,
         };
         assert_eq!(p.day(), 1);
         assert_eq!(p.hour(), 26);
@@ -223,8 +219,6 @@ mod tests {
             person: PersonId(0),
             minute,
             position: pos,
-            altitude_m: 0.0,
-            speed_mps: 0.0,
         };
         let pings = [
             ping(0, home),

@@ -80,8 +80,6 @@ mod tests {
             person: PersonId(person),
             minute,
             position: pos,
-            altitude_m: 0.0,
-            speed_mps: 0.0,
         }
     }
 

@@ -71,8 +71,6 @@ proptest! {
                 person: PersonId(0),
                 minute,
                 position: GeoPoint::new(center.lat + dlat, center.lon + dlon),
-                altitude_m: 0.0,
-                speed_mps: 0.0,
             })
             .collect();
         pings.sort_by_key(|p| (p.person, p.minute));
@@ -161,8 +159,6 @@ fn dataset(people: &[Vec<(u32, GeoPoint)>]) -> MobilityDataset {
                 person: PersonId(i as u32),
                 minute,
                 position,
-                altitude_m: 0.0,
-                speed_mps: 0.0,
             });
         }
     }
