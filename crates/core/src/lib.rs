@@ -21,8 +21,7 @@
 //! * [`rl_dispatch`] — the MobiRescue dispatcher (DQN + online training);
 //! * [`training`] — offline training on the Hurricane Michael scenario;
 //! * [`baselines`] — the *Schedule* and *Rescue* comparison dispatchers;
-//! * [`experiment`] — the end-to-end Section-V comparison harness;
-//! * [`extension`] — Section IV-C5 extensions (generic factor sets).
+//! * [`experiment`] — the end-to-end Section-V comparison harness.
 //!
 //! # Examples
 //!
@@ -44,7 +43,6 @@
 pub mod analysis;
 pub mod baselines;
 pub mod experiment;
-pub mod extension;
 pub mod predictor;
 pub mod rl_dispatch;
 pub mod scenario;
@@ -55,7 +53,6 @@ pub mod zones;
 pub use analysis::{DatasetAnalysis, Table1};
 pub use baselines::{RescueDispatcher, ScheduleDispatcher};
 pub use experiment::{run_comparison, Comparison, ExperimentConfig, MethodResult};
-pub use extension::{FactorSetPredictor, FactorSetPredictorConfig};
 pub use predictor::{PredictorConfig, RequestPredictor, SegmentEval};
 pub use rl_dispatch::{MobiRescueDispatcher, RlDispatchConfig};
 pub use scenario::{Scenario, ScenarioConfig};

@@ -7,6 +7,7 @@
 //! of the truth — plenty for p50/p95/p99 dashboards, at the cost of one
 //! `fetch_add` per observation.
 
+use crate::record::{Record, RecordError};
 use crate::time::{SpanTimer, TimeSource};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -172,31 +173,46 @@ impl HistogramSnapshot {
         out
     }
 
-    /// Parses [`HistogramSnapshot::to_line`] output. Returns `None` on
-    /// malformed input (including a count that disagrees with the
-    /// buckets, or buckets whose sum overflows a `u64`).
-    pub fn from_line(line: &str) -> Option<Self> {
-        let mut it = line.split_whitespace();
-        let count: u64 = it.next()?.parse().ok()?;
-        let sum = it.next()?.parse().ok()?;
-        let max = it.next()?.parse().ok()?;
-        let mut counts = vec![0u64; NUM_BUCKETS];
-        for pair in it {
-            let (idx, c) = pair.split_once(':')?;
-            let idx: usize = idx.parse().ok()?;
-            if idx >= NUM_BUCKETS {
-                return None;
+    /// Reads the [`HistogramSnapshot::to_line`] fields that remain in
+    /// `r`. Refuses a bucket index of [`NUM_BUCKETS`] or more, a count
+    /// that disagrees with the buckets, and buckets whose sum overflows a
+    /// `u64`; a repeated bucket keeps its last count.
+    pub fn from_record(r: &mut Record) -> Result<Self, RecordError> {
+        let count: u64 = r.field("count")?;
+        let sum = r.field("sum")?;
+        let max = r.field("max")?;
+        let buckets = r.all(|r| {
+            let pair = r.token("bucket")?;
+            let parsed = pair
+                .split_once(':')
+                .and_then(|(idx, c)| Some((idx.parse::<usize>().ok()?, c.parse::<u64>().ok()?)));
+            match parsed {
+                Some((idx, c)) if idx < NUM_BUCKETS => Ok((idx, c)),
+                _ => Err(r.fail(format!(
+                    "bad bucket `{pair}` (want <index below {NUM_BUCKETS}>:<count>)"
+                ))),
             }
-            counts[idx] = c.parse().ok()?;
+        })?;
+        let mut counts = vec![0u64; NUM_BUCKETS];
+        for (idx, c) in buckets {
+            counts[idx] = c;
         }
-        let total = counts.iter().try_fold(0u64, |acc, &c| acc.checked_add(c))?;
-        (total == count).then_some(Self { counts, sum, max })
+        let total = counts.iter().try_fold(0u64, |acc, &c| acc.checked_add(c));
+        if total != Some(count) {
+            return Err(r.fail(format!("count {count} disagrees with the buckets")));
+        }
+        Ok(Self { counts, sum, max })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reads `line` as the fields of an `h` record.
+    fn read(line: &str) -> Option<HistogramSnapshot> {
+        HistogramSnapshot::from_record(&mut Record::new(&format!("h {line}"))).ok()
+    }
 
     #[test]
     fn bucket_boundaries() {
@@ -278,21 +294,21 @@ mod tests {
         }
         let s = h.snapshot();
         assert_eq!(s.max, u64::MAX);
-        let back = HistogramSnapshot::from_line(&s.to_line()).expect("parses");
+        let back = read(&s.to_line()).expect("parses");
         assert_eq!(back, s);
     }
 
     #[test]
-    fn from_line_rejects_garbage() {
-        assert!(HistogramSnapshot::from_line("").is_none());
-        assert!(HistogramSnapshot::from_line("1 2").is_none());
-        assert!(HistogramSnapshot::from_line("1 2 3 notapair").is_none());
-        assert!(HistogramSnapshot::from_line("1 2 3 99:1").is_none());
+    fn from_record_rejects_garbage() {
+        assert!(read("").is_none());
+        assert!(read("1 2").is_none());
+        assert!(read("1 2 3 notapair").is_none());
+        assert!(read("1 2 3 99:1").is_none());
         // Count/bucket disagreement is rejected.
-        assert!(HistogramSnapshot::from_line("5 2 3 1:1").is_none());
-        assert!(HistogramSnapshot::from_line("1 0 1 1:1").is_some());
+        assert!(read("5 2 3 1:1").is_none());
+        assert!(read("1 0 1 1:1").is_some());
         // So are buckets whose sum overflows.
-        assert!(HistogramSnapshot::from_line("0 0 0 1:18446744073709551615 2:1").is_none());
+        assert!(read("0 0 0 1:18446744073709551615 2:1").is_none());
     }
 
     #[test]

@@ -23,6 +23,10 @@
 //! * **Events** — every registry carries an [`EventRing`], a bounded ring
 //!   buffer of recent structured events (sequence, epoch, shard, level,
 //!   message) dumpable on error or on demand.
+//! * **Records** — [`record`] is the one codec every `mr*` text reader
+//!   goes through (`mrobs 1` here; `mrworld 1`, `mrserve 1` and `mrwal 1`
+//!   above this crate), plus the FNV-1a integrity seal. It lives here
+//!   because this is the one crate every reader already depends on.
 //!
 //! Built entirely on `std`, no external dependencies — consistent with
 //! the workspace's vendored-shim policy.
@@ -31,6 +35,7 @@
 
 pub mod events;
 pub mod histogram;
+pub mod record;
 pub mod registry;
 pub mod snapshot;
 pub mod time;

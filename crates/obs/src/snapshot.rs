@@ -27,6 +27,7 @@
 //! prefixed `mobirescue_`.
 
 use crate::histogram::{bucket_upper_bound, HistogramSnapshot};
+use crate::record::Reader;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -58,66 +59,37 @@ impl ObsSnapshot {
         out
     }
 
-    /// Parses [`ObsSnapshot::to_text`] output.
+    /// Parses [`ObsSnapshot::to_text`] output through the
+    /// [`crate::record`] codec.
     ///
     /// # Errors
     ///
     /// Returns a description of the first malformed record (missing
     /// header or `end`, bad value, duplicate name, unknown tag).
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        if lines.next() != Some("mrobs 1") {
-            return Err("missing `mrobs 1` header".to_owned());
-        }
+        let mut reader = Reader::open(text, "mrobs 1")?;
         let mut snap = Self::default();
-        let mut saw_end = false;
-        for line in lines {
-            let mut p = line.split_whitespace();
-            let Some(tag) = p.next() else { continue };
-            match tag {
-                "c" | "g" => {
-                    let name = p.next().ok_or_else(|| format!("`{line}`: missing name"))?;
-                    let value = p.next().ok_or_else(|| format!("`{line}`: missing value"))?;
-                    if p.next().is_some() {
-                        return Err(format!("`{line}`: trailing tokens"));
-                    }
-                    let fresh = if tag == "c" {
-                        let value = value
-                            .parse()
-                            .map_err(|_| format!("`{line}`: bad counter value"))?;
-                        snap.counters.insert(name.to_owned(), value).is_none()
-                    } else {
-                        let value = value
-                            .parse()
-                            .map_err(|_| format!("`{line}`: bad gauge value"))?;
-                        snap.gauges.insert(name.to_owned(), value).is_none()
-                    };
-                    if !fresh {
-                        return Err(format!("duplicate metric `{name}`"));
-                    }
-                }
+        while let Some(mut r) = reader.next_record()? {
+            let name = r.token("name")?;
+            let duplicate = match r.tag {
+                "c" => snap
+                    .counters
+                    .insert(name.to_owned(), r.field("value")?)
+                    .is_some(),
+                "g" => snap
+                    .gauges
+                    .insert(name.to_owned(), r.field("value")?)
+                    .is_some(),
                 "h" => {
-                    let name = p.next().ok_or_else(|| format!("`{line}`: missing name"))?;
-                    let rest = line
-                        .split_whitespace()
-                        .skip(2)
-                        .collect::<Vec<_>>()
-                        .join(" ");
-                    let hist = HistogramSnapshot::from_line(&rest)
-                        .ok_or_else(|| format!("`{line}`: bad histogram"))?;
-                    if snap.histograms.insert(name.to_owned(), hist).is_some() {
-                        return Err(format!("duplicate metric `{name}`"));
-                    }
-                }
-                "end" => {
-                    saw_end = true;
-                    break;
+                    let hist = HistogramSnapshot::from_record(&mut r)?;
+                    snap.histograms.insert(name.to_owned(), hist).is_some()
                 }
                 other => return Err(format!("unknown record `{other}`")),
+            };
+            if duplicate {
+                return Err(format!("duplicate metric `{name}`"));
             }
-        }
-        if !saw_end {
-            return Err("truncated dump (missing `end`)".to_owned());
+            r.finish()?;
         }
         Ok(snap)
     }

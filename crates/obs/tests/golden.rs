@@ -16,6 +16,8 @@
 //! and commit the updated fixtures together with the format change and a
 //! version-number bump rationale.
 
+mod hand_parser;
+
 use mobirescue_obs::{ObsSnapshot, Registry};
 
 const TEXT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/mrobs_v1.txt");
@@ -143,6 +145,20 @@ fn line_edits(line: &str) -> Vec<String> {
     out
 }
 
+/// `text` with one line replaced by each of its single-token edits.
+fn text_edits(text: &str) -> Vec<String> {
+    let lines: Vec<&str> = text.lines().collect();
+    let mut out = Vec::new();
+    for (ln, line) in lines.iter().enumerate() {
+        for edited_line in line_edits(line) {
+            let mut edited = lines.clone();
+            edited[ln] = &edited_line;
+            out.push(edited.join("\n") + "\n");
+        }
+    }
+    out
+}
+
 /// Every single-token edit of the fixture parses to a snapshot or fails
 /// with an error; it never panics. A snapshot it does parse to renders
 /// and re-parses to itself.
@@ -153,15 +169,72 @@ fn hostile_edits_of_the_golden_fixture_never_panic() {
     }
     let golden = std::fs::read_to_string(TEXT_PATH)
         .expect("golden fixture exists; run with UPDATE_GOLDEN=1 to create it");
-    let lines: Vec<&str> = golden.lines().collect();
-    for (ln, line) in lines.iter().enumerate() {
-        for edited_line in line_edits(line) {
-            let mut edited = lines.clone();
-            edited[ln] = &edited_line;
-            let text = edited.join("\n") + "\n";
-            if let Ok(snap) = ObsSnapshot::parse(&text) {
-                assert_eq!(ObsSnapshot::parse(&snap.to_text()), Ok(snap), "{text}");
-            }
+    for text in text_edits(&golden) {
+        if let Ok(snap) = ObsSnapshot::parse(&text) {
+            assert_eq!(ObsSnapshot::parse(&snap.to_text()), Ok(snap), "{text}");
         }
     }
+}
+
+/// The codec reader accepts exactly the texts the hand parser it replaced
+/// accepted, each to the same snapshot. The corpus: the fixture, every
+/// single-token edit of it, the malformed dumps and histogram lines the
+/// unit tests refuse, and layouts a line-oriented reader could treat
+/// differently (blank lines, text after `end`, a repeated bucket, a `+`
+/// sign, a two-colon bucket, CRLF line endings).
+#[test]
+fn codec_reader_agrees_with_the_hand_parser() {
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        return;
+    }
+    let golden = std::fs::read_to_string(TEXT_PATH)
+        .expect("golden fixture exists; run with UPDATE_GOLDEN=1 to create it");
+    let mut corpus = vec![golden.clone(), golden.replace('\n', "\r\n")];
+    corpus.extend(text_edits(&golden));
+    corpus.extend(
+        [
+            "",
+            "mrobs 2\nend\n",
+            "mrobs 1\n",
+            "mrobs 1\nc lonely\nend\n",
+            "mrobs 1\nc x 1\nc x 2\nend\n",
+            "mrobs 1\nz what 1\nend\n",
+            "mrobs 1\ng x 1 2\nend\n",
+            "mrobs 1\nh x 1 2\nend\n",
+            "mrobs 1\n\n   \nc x 1\n\t\nend\n",
+            "mrobs 1\nc x 1\nend\nc x 2\nnot a record\n",
+            "mrobs 1\nc x 1\ng x 1\nh x 1 1 1 1:1\nend\n",
+            "mrobs 1\nh x 1 3 3 4:1 4:1\nend\n",
+            "mrobs 1\nh x 2 3 3 4:1 4:1\nend\n",
+            "mrobs 1\nc x +5\ng y +5\nh z +1 +1 +1 +1:+1\nend\n",
+            "mrobs 1\nh x 1 1 1 1:1:1\nend\n",
+            "mrobs 1\r\nc x 1\r\nh y 1 12 12 4:1\r\nend\r\n",
+            "mrobs 1\r\nc x 1\rend\n",
+        ]
+        .map(str::to_owned),
+    );
+    for line in [
+        "",
+        "1 2",
+        "1 2 3 notapair",
+        "1 2 3 99:1",
+        "5 2 3 1:1",
+        "1 0 1 1:1",
+        "0 0 0 1:18446744073709551615 2:1",
+    ] {
+        corpus.push(format!("mrobs 1\nh x {line}\nend\n"));
+    }
+    let mut accepted = 0;
+    for text in &corpus {
+        match (hand_parser::parse(text), ObsSnapshot::parse(text)) {
+            (Ok(want), Ok(got)) => {
+                assert_eq!(got, want, "{text:?}");
+                accepted += 1;
+            }
+            (Err(_), Err(_)) => {}
+            (want, got) => panic!("{text:?}: hand parser {want:?}, codec {got:?}"),
+        }
+    }
+    // Both readers accept 59 of the 302 texts and refuse the other 243.
+    assert_eq!((corpus.len(), accepted), (302, 59), "corpus size, accepted");
 }

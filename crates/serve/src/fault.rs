@@ -174,12 +174,6 @@ pub struct FaultPlanConfig {
     /// Stall magnitude, clock milliseconds (choose it above the service's
     /// epoch deadline to guarantee the fallback trips).
     pub stall_ms: u64,
-    /// How many [`crate::DispatchService::snapshot`] calls get corrupted
-    /// on write.
-    pub snapshot_corruptions: u32,
-    /// How many rollout submissions get their policy checkpoint replaced
-    /// with a poisoned one (kinds cycle NaN → wrong-dims → reward-tank).
-    pub poisoned_checkpoints: u32,
     /// Frame offers over the TCP front door covered by connection-fault
     /// decisions; offers beyond the horizon are sent clean.
     pub conn_horizon: usize,
@@ -205,8 +199,6 @@ pub struct FaultPlanConfig {
     pub wal_horizon: usize,
     /// Per-attempt probability of [`WalFault::TornAppend`].
     pub p_wal_torn: f64,
-    /// Per-attempt probability of [`WalFault::SegmentBitFlip`].
-    pub p_wal_bitflip: f64,
     /// Per-attempt probability of [`WalFault::FsyncStall`].
     pub p_wal_stall: f64,
     /// Fsync-stall magnitude, clock milliseconds.
@@ -246,33 +238,16 @@ impl FaultPlanConfig {
         }
     }
 
-    /// The trainer chaos mix: *only* trainer faults armed. Shard faults
-    /// stay off on purpose — a shard crash rebuilds its dispatcher (losing
-    /// the in-flight transition tap), so trainer-loop invariants are
-    /// verified against an otherwise-healthy fleet, and shard recovery has
-    /// its own suite.
-    pub fn trainer_chaos(epochs: u32, num_shards: usize) -> Self {
-        Self {
-            trainer_horizon: epochs,
-            p_trainer_crash: 0.15,
-            p_trainer_flood: 0.10,
-            p_trainer_drop: 0.15,
-            trainer_flood_len: 3,
-            ..Self::quiet(epochs, num_shards)
-        }
-    }
-
     /// The journal chaos mix: *only* WAL faults armed (torn appends and
-    /// fsync stalls; bit flips are forced explicitly by harnesses that
-    /// want them, since a flipped segment poisons every later recovery).
-    /// Everything else stays off so journal invariants are verified
-    /// against an otherwise-healthy fleet, mirroring
-    /// [`FaultPlanConfig::trainer_chaos`].
+    /// fsync stalls; bit flips are scheduled explicitly with
+    /// [`FaultPlan::with_wal_fault`] by harnesses that want them, since a
+    /// flipped segment poisons every later recovery). Everything else
+    /// stays off so journal invariants are verified against an
+    /// otherwise-healthy fleet.
     pub fn wal_chaos(epochs: u32, num_shards: usize) -> Self {
         Self {
             wal_horizon: 64,
             p_wal_torn: 0.10,
-            p_wal_bitflip: 0.0,
             p_wal_stall: 0.12,
             wal_stall_ms: 15,
             ..Self::quiet(epochs, num_shards)
@@ -351,13 +326,6 @@ fn roll<F: Copy>(rng: &mut StdRng, bands: &[(f64, F)]) -> Option<F> {
     })
 }
 
-/// The kinds a generated plan's checkpoint poisons cycle through.
-const POISON_CYCLE: [CheckpointPoison; 3] = [
-    CheckpointPoison::NanWeights,
-    CheckpointPoison::WrongDims,
-    CheckpointPoison::RewardTank,
-];
-
 /// A deterministic, inspectable schedule of faults.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
@@ -409,20 +377,6 @@ impl FaultPlan {
         let swap_fail = grid()
             .filter(|_| rng.random_bool(cfg.p_swap_fail))
             .collect();
-        let mut rng = family_stream(seed, "snapshot");
-        let snapshot = (0..cfg.snapshot_corruptions)
-            .map(|_| {
-                let at = rng.random::<u64>();
-                if rng.random::<bool>() {
-                    SnapshotCorruption::Truncate(at)
-                } else {
-                    SnapshotCorruption::BitFlip(at)
-                }
-            })
-            .collect();
-        let poison = (0..cfg.poisoned_checkpoints as usize)
-            .map(|i| POISON_CYCLE[i % POISON_CYCLE.len()])
-            .collect();
         let mut rng = family_stream(seed, "conn");
         let conn_bands = [
             (cfg.p_conn_disconnect, ConnFault::MidFrameDisconnect),
@@ -447,7 +401,6 @@ impl FaultPlan {
         let mut rng = family_stream(seed, "wal");
         let wal_bands = [
             (cfg.p_wal_torn, WalFault::TornAppend),
-            (cfg.p_wal_bitflip, WalFault::SegmentBitFlip),
             (cfg.p_wal_stall, WalFault::FsyncStall(cfg.wal_stall_ms)),
         ];
         let wal = (0..cfg.wal_horizon)
@@ -457,11 +410,12 @@ impl FaultPlan {
             ingest,
             shard,
             swap_fail,
-            snapshot,
-            poison,
             conn,
             trainer,
             wal,
+            // Snapshot corruptions and checkpoint poisons are scheduled
+            // only through the builders below.
+            ..Self::default()
         }
     }
 
@@ -967,15 +921,12 @@ mod tests {
             p_crash: 0.3,
             p_stall: 0.3,
             p_swap_fail: 0.5,
-            snapshot_corruptions: 2,
-            poisoned_checkpoints: 4,
             trainer_horizon: 16,
             p_trainer_crash: 0.2,
             p_trainer_flood: 0.2,
             p_trainer_drop: 0.2,
             wal_horizon: 64,
             p_wal_torn: 0.2,
-            p_wal_bitflip: 0.2,
             p_wal_stall: 0.2,
             wal_stall_ms: 10,
             ..FaultPlanConfig::net_chaos(6, 2)
@@ -986,20 +937,16 @@ mod tests {
                 format!("{:?}", p.ingest),
                 format!("{:?}", p.shard),
                 format!("{:?}", p.swap_fail),
-                format!("{:?}", p.snapshot),
-                format!("{:?}", p.poison),
                 format!("{:?}", p.conn),
                 format!("{:?}", p.trainer),
                 format!("{:?}", p.wal),
             ]
         };
         let armed = families(&all);
-        let disarms: [fn(&mut FaultPlanConfig); 8] = [
+        let disarms: [fn(&mut FaultPlanConfig); 6] = [
             |c| c.ingest_horizon = 0,
             |c| (c.p_crash, c.p_stall) = (0.0, 0.0),
             |c| c.p_swap_fail = 0.0,
-            |c| c.snapshot_corruptions = 0,
-            |c| c.poisoned_checkpoints = 0,
             |c| c.conn_horizon = 0,
             |c| c.trainer_horizon = 0,
             |c| c.wal_horizon = 0,
@@ -1013,25 +960,7 @@ mod tests {
                 assert_eq!(*a == b, i != j, "disarming family {i} vs family {j}");
             }
         }
-        assert_eq!(
-            FaultPlan::generate(7, &all).poison,
-            [
-                CheckpointPoison::NanWeights,
-                CheckpointPoison::WrongDims,
-                CheckpointPoison::RewardTank,
-                CheckpointPoison::NanWeights,
-            ]
-        );
-        // The dedicated mixes arm only their own family.
-        let trainer = FaultPlan::generate(7, &FaultPlanConfig::trainer_chaos(8, 2)).scheduled();
-        assert!(trainer.trainer > 0);
-        assert_eq!(
-            trainer,
-            ScheduledFaults {
-                trainer: trainer.trainer,
-                ..ScheduledFaults::default()
-            }
-        );
+        // The dedicated journal mix arms only its own family.
         let wal = FaultPlan::generate(7, &FaultPlanConfig::wal_chaos(8, 2)).scheduled();
         assert!(wal.wal > 0);
         assert_eq!(

@@ -26,8 +26,8 @@
 //! * **Sharded runner** ([`DispatchService`]) — hosts independent city
 //!   shards on worker threads; every count it reports lives once, as a
 //!   series in its obs registry, and [`MetricsSnapshot`] is a read-only
-//!   view over a registry capture (queue depths, served/shed totals,
-//!   plus the epoch-latency histogram).
+//!   view over a registry capture (queue depths, served/shed totals);
+//!   epoch latency is the registry's `epoch.dispatch_ms` histogram.
 //! * **Fault injection & graceful degradation** ([`FaultPlan`],
 //!   [`FaultInjector`], [`chaos`]) — a seeded, deterministic fault
 //!   schedule (drop/delay/duplicate/corrupt ingestion, stall/crash a
@@ -93,7 +93,7 @@ pub use fault::{
     FaultInjector, FaultPlan, FaultPlanConfig, IngestFault, ScheduledFaults, ShardFault,
     SnapshotCorruption, TrainerFault, WalFault,
 };
-pub use metrics::{LatencyHistogram, MetricsSnapshot, ShardMetrics, LATENCY_BOUNDS_MS};
+pub use metrics::{MetricsSnapshot, ShardMetrics};
 pub use mobirescue_obs as obs;
 pub use queue::{BoundedQueue, ShedPolicy};
 pub use registry::{ModelBundle, ModelRegistry};

@@ -1,8 +1,7 @@
-//! Service observability: the epoch-latency histogram and the aggregated
-//! [`MetricsSnapshot`], a read-only view over the service's obs registry.
+//! Service observability: the aggregated [`MetricsSnapshot`], a
+//! read-only view over the service's obs registry.
 
 use mobirescue_obs::ObsSnapshot;
-use mobirescue_sim::record::{Record, RecordError};
 use std::fmt::Write as _;
 
 /// The registry name of shard `shard`'s `series` (`serve.shard{i}.*`).
@@ -14,94 +13,6 @@ pub(crate) fn shard_series(shard: usize, series: &str) -> String {
 /// (`routing.shard{i}.cache_hits`, …).
 pub(crate) fn routing_prefix(shard: usize) -> String {
     format!("routing.shard{shard}")
-}
-
-/// Upper bucket bounds of the latency histogram, milliseconds. Values
-/// above the last bound land in a final overflow bucket.
-pub const LATENCY_BOUNDS_MS: [u64; 10] = [1, 2, 5, 10, 25, 50, 100, 250, 1_000, 5_000];
-
-/// A fixed-bucket histogram of per-epoch dispatcher compute latency.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    counts: [u64; LATENCY_BOUNDS_MS.len() + 1],
-    count: u64,
-    total_ms: u64,
-    max_ms: u64,
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self {
-            counts: [0; LATENCY_BOUNDS_MS.len() + 1],
-            count: 0,
-            total_ms: 0,
-            max_ms: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, ms: u64) {
-        let bucket = LATENCY_BOUNDS_MS
-            .iter()
-            .position(|&b| ms <= b)
-            .unwrap_or(LATENCY_BOUNDS_MS.len());
-        self.counts[bucket] += 1;
-        self.count += 1;
-        self.total_ms += ms;
-        self.max_ms = self.max_ms.max(ms);
-    }
-
-    /// Observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean latency, milliseconds (0 when empty).
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ms as f64 / self.count as f64
-        }
-    }
-
-    /// Largest recorded latency, milliseconds.
-    pub fn max_ms(&self) -> u64 {
-        self.max_ms
-    }
-
-    /// Per-bucket counts (one extra overflow bucket at the end).
-    pub fn buckets(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// One-line text form (`count total max c0 c1 ...`), for snapshots.
-    pub(crate) fn to_line(&self) -> String {
-        let mut out = format!("{} {} {}", self.count, self.total_ms, self.max_ms);
-        for c in self.counts {
-            let _ = write!(out, " {c}");
-        }
-        out
-    }
-
-    /// Reads the [`LatencyHistogram::to_line`] fields of a `hist` record.
-    pub(crate) fn from_record(r: &mut Record) -> Result<Self, RecordError> {
-        let mut h = Self::new();
-        h.count = r.field("count")?;
-        h.total_ms = r.field("total_ms")?;
-        h.max_ms = r.field("max_ms")?;
-        for c in h.counts.iter_mut() {
-            *c = r.field("bucket count")?;
-        }
-        Ok(h)
-    }
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// Per-shard counters inside a [`MetricsSnapshot`].
@@ -169,8 +80,6 @@ pub struct MetricsSnapshot {
     pub model_version: u64,
     /// Hot-swaps performed since the registry was created.
     pub model_swaps: u64,
-    /// Distribution of per-epoch dispatcher compute latency.
-    pub epoch_latency: LatencyHistogram,
     /// One entry per hosted shard.
     pub shards: Vec<ShardMetrics>,
 }
@@ -178,13 +87,8 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Reads the view out of one registry capture of a service hosting
     /// `num_shards` shards. Every count is the series its owner writes
-    /// (absent series read 0); `epoch_latency` is the one field held
-    /// outside the registry.
-    pub(crate) fn read(
-        obs: &ObsSnapshot,
-        num_shards: usize,
-        epoch_latency: LatencyHistogram,
-    ) -> Self {
+    /// (absent series read 0).
+    pub(crate) fn read(obs: &ObsSnapshot, num_shards: usize) -> Self {
         let counter = |name: &str| obs.counters.get(name).copied().unwrap_or(0);
         let gauge = |name: &str| obs.gauges.get(name).copied().unwrap_or(0);
         let shards = (0..num_shards)
@@ -226,7 +130,6 @@ impl MetricsSnapshot {
             swap_failures_rollout: counter("serve.swap_failures_rollout"),
             model_version: gauge("serve.model_version") as u64,
             model_swaps: counter("serve.model_swaps"),
-            epoch_latency,
             shards,
         }
     }
@@ -264,10 +167,7 @@ impl MetricsSnapshot {
         );
         let _ = writeln!(
             out,
-            "  latency: {} samples, mean {:.2} ms, max {} ms | degraded epochs {} | ingest retries {} | swap failures {}i/{}b/{}r",
-            self.epoch_latency.count(),
-            self.epoch_latency.mean_ms(),
-            self.epoch_latency.max_ms(),
+            "  degraded epochs {} | ingest retries {} | swap failures {}i/{}b/{}r",
             self.degraded_epochs,
             self.ingest_retries,
             self.swap_failures_injected,
@@ -299,35 +199,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_buckets_and_stats() {
-        let mut h = LatencyHistogram::new();
-        for ms in [0, 1, 3, 9, 10_000] {
-            h.record(ms);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.max_ms(), 10_000);
-        assert!((h.mean_ms() - 2_002.6).abs() < 1e-9);
-        // 0 and 1 → bucket 0 (≤1); 3 → ≤5; 9 → ≤10; 10_000 → overflow.
-        assert_eq!(h.buckets()[0], 2);
-        assert_eq!(h.buckets()[2], 1);
-        assert_eq!(h.buckets()[3], 1);
-        assert_eq!(h.buckets()[LATENCY_BOUNDS_MS.len()], 1);
-    }
-
-    #[test]
-    fn histogram_line_round_trips() {
-        let mut h = LatencyHistogram::new();
-        for ms in [2, 7, 450] {
-            h.record(ms);
-        }
-        let line = format!("hist {}", h.to_line());
-        let back = LatencyHistogram::from_record(&mut Record::new(&line)).expect("parses");
-        assert_eq!(back, h);
-        assert!(LatencyHistogram::from_record(&mut Record::new("hist 1 2")).is_err());
-        assert!(LatencyHistogram::from_record(&mut Record::new("hist not numbers")).is_err());
-    }
-
-    #[test]
     fn snapshot_totals_and_render() {
         let m = MetricsSnapshot {
             epochs_completed: 3,
@@ -344,7 +215,6 @@ mod tests {
             swap_failures_rollout: 2,
             model_version: 2,
             model_swaps: 1,
-            epoch_latency: LatencyHistogram::new(),
             shards: vec![
                 ShardMetrics {
                     picked_up: 3,

@@ -7,7 +7,7 @@ use crate::clock::Clock;
 use crate::error::ServeError;
 use crate::event::Event;
 use crate::fault::{reward_tank_policy_text, IngestFault, TrainerFault, WalFault};
-use crate::metrics::{shard_series, LatencyHistogram, MetricsSnapshot};
+use crate::metrics::{shard_series, MetricsSnapshot};
 use crate::queue::{BoundedQueue, ShedPolicy};
 use crate::registry::ModelRegistry;
 use crate::rollout::{
@@ -138,11 +138,9 @@ struct DelayedRequest {
 /// reads back. No count lives here — every count the service reports is
 /// an obs [`Registry`] series with one writer — except `epochs_completed`,
 /// the barrier's own epoch number, which a scrape samples into
-/// `serve.epochs_completed`, and `histogram`, which the `hist` record
-/// persists.
+/// `serve.epochs_completed`.
 struct ServiceState {
     epochs_completed: u32,
-    histogram: LatencyHistogram,
     last_swap_error: Option<(usize, SwapError)>,
     rollout: Rollout,
 }
@@ -268,7 +266,6 @@ impl DispatchService {
         ));
         let state = ServiceState {
             epochs_completed: 0,
-            histogram: LatencyHistogram::new(),
             last_swap_error: None,
             rollout: Rollout::new(config.rollout.clone(), Arc::clone(&registry)),
         };
@@ -960,7 +957,6 @@ impl DispatchService {
             let mut state = self.state();
             let mut any_degraded = false;
             for (i, st) in statuses {
-                state.histogram.record(st.compute_ms);
                 any_degraded |= st.degraded_now;
                 tally.add(i, &st);
                 if st.degraded_now {
@@ -1119,11 +1115,9 @@ impl DispatchService {
 
     /// Assembles a point-in-time metrics snapshot without stopping any
     /// shard: a read-only view over one [`DispatchService::obs_snapshot`]
-    /// capture, plus the epoch-latency histogram.
+    /// capture.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let state = self.state();
-        let obs = self.sample_into_registry(&state);
-        MetricsSnapshot::read(&obs, self.shards.len(), state.histogram.clone())
+        MetricsSnapshot::read(&self.obs_snapshot(), self.shards.len())
     }
 
     /// Captures the registry: the phase histograms, every count the
@@ -1208,7 +1202,6 @@ impl DispatchService {
                 self.advisories.accepted(),
                 self.advisories.shed()
             );
-            let _ = writeln!(out, "hist {}", state.histogram.to_line());
             let _ = writeln!(
                 out,
                 "resil {} {} {} {} {}",
@@ -1301,7 +1294,6 @@ impl DispatchService {
         let mut epochs: Option<(u32, Option<u64>)> = None;
         let mut adv_counts: Option<[u64; 4]> = None;
         let mut resil: Option<([u64; 2], Option<[u64; 3]>)> = None;
-        let mut histogram: Option<LatencyHistogram> = None;
         let mut rollout_records = RolloutRecords::default();
         let mut trainer_text: Option<String> = None;
         let mut rqueue_counters = vec![(0u64, 0u64); num_shards];
@@ -1333,7 +1325,10 @@ impl DispatchService {
                         ])
                     })?;
                 }
-                "hist" => r.once(&mut histogram, LatencyHistogram::from_record)?,
+                // Snapshots written while epoch latency was service state
+                // carry it in a `hist` record; it is telemetry now, and a
+                // restore starts every `epoch.*` histogram empty.
+                "hist" => continue,
                 "resil" => {
                     // Pre-rollout snapshots lack the swap-cause tail.
                     r.once(&mut resil, |r| {
@@ -1444,7 +1439,6 @@ impl DispatchService {
         {
             let mut state = svc.state();
             state.epochs_completed = epochs;
-            state.histogram = histogram.unwrap_or_default();
             state.rollout = rollout;
         }
         // The snapshot restored everything journaled at or below its

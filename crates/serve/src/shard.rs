@@ -126,8 +126,6 @@ pub(crate) enum ShardCmd {
 /// `serve.shard{i}.*` series before it replies.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardStatus {
-    /// Dispatcher compute time measured during the epoch, ms.
-    pub compute_ms: u64,
     /// Whether the epoch was degraded.
     pub degraded_now: bool,
     /// The epoch's report.
@@ -476,7 +474,6 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
                     },
                 );
                 let st = ShardStatus {
-                    compute_ms: spent_ms.get(),
                     degraded_now,
                     report,
                     swap_error,

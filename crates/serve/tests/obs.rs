@@ -132,6 +132,10 @@ fn restore_into_prepopulated_registry_does_not_double_count() {
     let snapshot = service.snapshot().expect("snapshot serializes");
     let metrics_at_snap = service.metrics();
     assert!(metrics_at_snap.advisories_applied > 0, "counters are live");
+    assert!(
+        !snapshot.lines().any(|l| l.starts_with("hist ")),
+        "epoch latency is telemetry: the snapshot carries no `hist` record"
+    );
 
     // A host registry polluted by a previous tenant's totals.
     let host = Arc::new(Registry::new());
@@ -168,6 +172,12 @@ fn restore_into_prepopulated_registry_does_not_double_count() {
         restored.run_epoch().expect("epoch runs");
     }
     assert_eq!(restored.metrics(), service.metrics());
+    // The restore carried no latency, so the restored service's
+    // `epoch.dispatch_ms` holds only its own two epochs' samples.
+    assert_eq!(
+        restored.obs_snapshot().histograms["epoch.dispatch_ms"].count(),
+        2 * NUM_SHARDS as u64
+    );
     service.shutdown();
     restored.shutdown();
 }

@@ -18,15 +18,16 @@
 //!   [`run`] wraps it);
 //! * [`metrics`] — one extraction helper per evaluation figure;
 //! * [`record`] — the record codec and integrity seal shared by the
-//!   `mrworld`, `mrserve` and `mrwal` readers.
+//!   `mr*` readers, re-exported from `mobirescue_obs::record`.
 
 #![warn(missing_docs)]
 
 pub mod dispatcher;
 pub mod engine;
 pub mod metrics;
-pub mod record;
 pub mod types;
+
+pub use mobirescue_obs::record;
 
 pub use dispatcher::{DispatchState, Dispatcher, NearestRequestDispatcher};
 pub use engine::{

@@ -9,8 +9,9 @@
 //! gates live: the scale gate runs in `scripts/verify.sh`, the retired
 //! routing gate's knobs stay out of CI, and verify's "crate tests" step
 //! names every library crate under `crates/`, so a new crate cannot go
-//! untested.
+//! untested. DESIGN.md's dependency DAG is held to the crate manifests.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 fn repo_file(relative: &str) -> String {
@@ -161,21 +162,21 @@ fn all_jobs_run_their_gate_scripts_on_a_runner() {
     );
 }
 
-/// The package names of the crates under `crates/`, read from their
-/// manifests.
-fn workspace_crates() -> Vec<String> {
+/// The package name and manifest text of each crate under `crates/`,
+/// sorted by name.
+fn crate_manifests() -> Vec<(String, String)> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
-    let mut names: Vec<String> = std::fs::read_dir(&dir)
+    let mut manifests: Vec<(String, String)> = std::fs::read_dir(&dir)
         .unwrap_or_else(|e| panic!("cannot list {}: {e}", dir.display()))
         .filter_map(|entry| {
             let manifest = entry.expect("readable entry").path().join("Cargo.toml");
             let text = std::fs::read_to_string(manifest).ok()?;
             let name = text.lines().find_map(|l| l.strip_prefix("name = "))?;
-            Some(name.trim_matches('"').to_owned())
+            Some((name.trim_matches('"').to_owned(), text))
         })
         .collect();
-    names.sort();
-    names
+    manifests.sort();
+    manifests
 }
 
 #[test]
@@ -191,8 +192,9 @@ fn verify_tests_every_library_crate_once() {
         .filter_map(|(flag, name)| (flag == "-p").then_some(name))
         .collect();
     named.sort_unstable();
-    let expected: Vec<String> = workspace_crates()
+    let expected: Vec<String> = crate_manifests()
         .into_iter()
+        .map(|(name, _)| name)
         .filter(|name| name != "mobirescue-bench")
         .collect();
     assert_eq!(
@@ -246,5 +248,67 @@ fn all_jobs_cache_target_keyed_on_the_lockfile() {
         text.matches("restore-keys:").count(),
         5,
         "every cache step must declare restore-keys"
+    );
+}
+
+/// Each crate's workspace dependencies, by short name (`mobirescue-sim` is
+/// `sim`), read from the `mobirescue-*` entries of its manifest's
+/// `[dependencies]` table. A crate with none is left out.
+fn manifest_dependency_dag() -> BTreeMap<String, BTreeSet<String>> {
+    let short = |name: &str| name.strip_prefix("mobirescue-").map(str::to_owned);
+    crate_manifests()
+        .into_iter()
+        .filter_map(|(name, text)| {
+            let mut table = "";
+            let mut deps = BTreeSet::new();
+            for line in text.lines().map(str::trim) {
+                if line.starts_with('[') {
+                    table = line;
+                } else if table == "[dependencies]" {
+                    let key = line.split(['.', ' ', '=']).next().unwrap_or("");
+                    deps.extend(short(key));
+                }
+            }
+            let name = short(&name)?;
+            (!deps.is_empty()).then_some((name, deps))
+        })
+        .collect()
+}
+
+/// DESIGN.md's dependency DAG block: one `crate → {dep, ...}` line per
+/// crate.
+fn design_dependency_dag() -> BTreeMap<String, BTreeSet<String>> {
+    let design = repo_file("DESIGN.md");
+    let block = design
+        .split_once("Dependency DAG (arrows = depends on):")
+        .and_then(|(_, rest)| rest.split("```").nth(1))
+        .expect("DESIGN.md has a fenced dependency DAG block");
+    block
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .filter_map(|line| {
+            let (from, to) = line
+                .split_once('→')
+                .unwrap_or_else(|| panic!("DAG line without an arrow: {line:?}"));
+            let deps: BTreeSet<String> = to
+                .trim()
+                .trim_start_matches('{')
+                .trim_end_matches('}')
+                .split(',')
+                .map(|d| d.trim().to_owned())
+                .filter(|d| !d.is_empty())
+                .collect();
+            (!deps.is_empty()).then(|| (from.trim().to_owned(), deps))
+        })
+        .collect()
+}
+
+#[test]
+fn design_dependency_dag_matches_the_manifests() {
+    assert_eq!(
+        design_dependency_dag(),
+        manifest_dependency_dag(),
+        "DESIGN.md's dependency DAG must list exactly the workspace edges \
+         the crates' [dependencies] tables declare"
     );
 }
