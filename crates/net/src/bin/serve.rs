@@ -1,74 +1,35 @@
-//! The `serve` binary: the online dispatch service, in two modes.
+//! The `serve` binary: the online dispatch service behind its `mrnet 1`
+//! TCP front door, on a wall clock.
 //!
-//! **Demo mode** (default) drives the service on the charlotte-like
-//! scenario in accelerated (simulated-clock) time, demonstrating every
-//! serving feature end to end:
-//!
-//! 1. starts a two-shard service over the charlotte-like city under
-//!    Hurricane Florence, on the paper's 5-minute dispatch period;
-//! 2. streams rescue requests and weather/road-damage advisories into the
-//!    bounded ingest queues from producer threads;
-//! 3. rolls out a freshly trained SVM predictor + DQN policy checkpoint
-//!    mid-run through the guarded promotion pipeline — the first delivery
-//!    is poisoned (NaN weights) by the fault injector and dies at the
-//!    admission probe with a typed error; the clean retry is admitted and
-//!    staged through shadow evaluation and a canary shard before
-//!    fleet-wide promotion, all without pausing ingestion;
-//! 4. snapshots the whole service at an epoch boundary — with the canary
-//!    stage still in flight — tears it down, restores it from the
-//!    snapshot text, and finishes the promotion on the restored service;
-//! 5. prints periodic metrics and a final report, exiting 0 on success.
-//!
-//! **Listen mode** (`--listen ADDR`) serves the `mrnet 1` TCP front door
-//! on a wall clock: requests arrive over sockets (e.g. from the `loadgen`
-//! bin in `mobirescue-bench`), dispatch epochs tick at `--period-ms`, and
-//! overload surfaces to clients as NACK frames. Exits 0 after `--epochs`
-//! epochs with a graceful drain.
-//!
-//! **Train mode** (`--train`) closes the learning loop on an accelerated
-//! simulated clock: the shards tap their dispatch transitions into the
-//! background DQN trainer, the trainer periodically emits candidate
-//! checkpoints into the guarded rollout pipeline, the service snapshots
-//! and restores mid-run with the trainer's replay buffer and optimizer
-//! state intact, and the run exits 0 only if at least one self-trained
-//! candidate was submitted, the transition-conservation invariant held,
-//! and the `train.*` metrics are live.
+//! `serve --listen ADDR` starts the service over the chosen scenario
+//! preset and accepts connections on `ADDR`: requests arrive over
+//! sockets (e.g. from the `loadgen` bin in `mobirescue-bench`), dispatch
+//! epochs tick at `--period-ms`, and overload surfaces to clients as NACK
+//! frames. It exits 0 after `--epochs` epochs with a graceful drain. With
+//! `--wal-dir` every acked request is journaled first and the service
+//! snapshots at each epoch boundary, so a restart in the same directory
+//! recovers everything it acked.
 
-use mobirescue_core::predictor::{PredictorConfig, RequestPredictor};
-use mobirescue_core::rl_dispatch::{RlDispatchConfig, FEATURE_DIM};
 use mobirescue_core::scenario::{Scenario, ScenarioConfig};
 use mobirescue_net::{NetConfig, NetServer};
 use mobirescue_obs::TimeSource as _;
-use mobirescue_rl::nn::Mlp;
-use mobirescue_rl::persist::mlp_to_text;
-use mobirescue_roadnet::graph::SegmentId;
 use mobirescue_serve::{
-    CheckpointPoison, Clock, DispatchService, EpochScheduler, Event, FaultInjector, FaultPlan,
-    FsyncPolicy, ModelRegistry, RolloutConfig, RolloutError, ServeConfig, ServeError, SimClock,
-    TrainerConfig, WalConfig, WallClock,
+    Clock, DispatchService, FsyncPolicy, ModelRegistry, ServeConfig, ServeError, WalConfig,
+    WallClock,
 };
-use mobirescue_sim::{RequestSpec, SimConfig};
+use mobirescue_sim::SimConfig;
 use std::io::Write as _;
 use std::sync::Arc;
 
 const SEED: u64 = 20180914; // Florence's landfall date.
-const NUM_SHARDS: usize = 2;
-const PHASE1_EPOCHS: u32 = 7;
-const PHASE2_EPOCHS: u32 = 5;
-const SWAP_AT_EPOCH: u32 = 3;
 
 fn usage() -> String {
-    "usage: serve [--listen ADDR] [OPTIONS]
+    "usage: serve --listen ADDR [OPTIONS]
 
-Modes:
-  (default)            run the accelerated end-to-end serving demo
-  --listen ADDR        serve the mrnet 1 TCP front door on ADDR
-                       (e.g. 127.0.0.1:0 to pick an ephemeral port)
-  --train              run the accelerated online-training demo: shards
-                       feed the background DQN trainer, whose candidates
-                       enter the guarded rollout pipeline
+Serves the mrnet 1 TCP front door on ADDR (e.g. 127.0.0.1:0 to pick an
+ephemeral port).
 
-Listen/train-mode options:
+Options:
   --scenario NAME      world to serve: small | medium | charlotte | metro
                        | multi_city (default: small). Metro presets serve
                        the storm-hour condition window of a 100k+-segment
@@ -76,19 +37,17 @@ Listen/train-mode options:
   --shards N           city shards (default: 2)
   --epochs N           dispatch epochs before draining (default: 60)
   --period-ms MS       wall-clock milliseconds per dispatch epoch
-                       (default: 100; listen mode only)
+                       (default: 100)
   --queue-capacity N   per-shard request queue capacity (default: 1024)
   --max-conns N        concurrent connection cap; over-cap connects get
-                       `mrnet 1 busy` (default: 64; listen mode only)
+                       `mrnet 1 busy` (default: 64)
   --wal-dir DIR        durable ingest journal + epoch snapshots in DIR;
                        on start, restores DIR/snapshot.txt if present and
                        replays the journal suffix, so a kill -9 loses no
-                       acked request (listen mode only)
+                       acked request
   --fsync POLICY       journal fsync policy: always | epoch | off
                        (default: always; needs --wal-dir)
   --quiet              suppress per-epoch output
-
-Common options:
   --metrics-out FILE   write the mrobs 1 metrics dump at exit
   --metrics-prom FILE  write Prometheus exposition text at exit
   --help               print this message and exit"
@@ -96,8 +55,7 @@ Common options:
 }
 
 struct Args {
-    listen: Option<String>,
-    train: bool,
+    listen: String,
     scenario: String,
     shards: usize,
     epochs: u32,
@@ -112,11 +70,11 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
+    let mut listen = None;
     let mut parsed = Args {
-        listen: None,
-        train: false,
+        listen: String::new(),
         scenario: "small".to_owned(),
-        shards: NUM_SHARDS,
+        shards: 2,
         epochs: 60,
         period_ms: 100,
         queue_capacity: 1_024,
@@ -133,8 +91,7 @@ fn parse_args() -> Result<Args, String> {
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--listen" => parsed.listen = Some(value(&mut args, "--listen")?),
-            "--train" => parsed.train = true,
+            "--listen" => listen = Some(value(&mut args, "--listen")?),
             "--scenario" => {
                 let name = value(&mut args, "--scenario")?;
                 if ScenarioConfig::from_name(&name).is_none() {
@@ -195,6 +152,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
+    parsed.listen = listen.ok_or_else(|| "--listen ADDR is required".to_owned())?;
     Ok(parsed)
 }
 
@@ -206,19 +164,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if args.listen.is_some() && args.train {
-        eprintln!(
-            "serve: --listen and --train are mutually exclusive\n\n{}",
-            usage()
-        );
-        std::process::exit(2);
-    }
-    let result = match args.listen.clone() {
-        Some(addr) => run_listen(&args, &addr),
-        None if args.train => run_train(&args),
-        None => run_demo(&args),
-    };
-    if let Err(e) = result {
+    if let Err(e) = run_listen(&args) {
         eprintln!("serve: {e:?}");
         std::process::exit(1);
     }
@@ -236,11 +182,7 @@ fn dump_metrics(args: &Args, obs: &mobirescue_obs::ObsSnapshot) -> Result<(), Se
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Listen mode: the TCP front door on a wall clock.
-// ---------------------------------------------------------------------
-
-fn run_listen(args: &Args, addr: &str) -> Result<(), ServeError> {
+fn run_listen(args: &Args) -> Result<(), ServeError> {
     let scenario = Arc::new(build_scenario(&args.scenario));
     // Simulation starts at the first covered condition hour (0 for the
     // classic presets; the storm window's opening hour for metro presets).
@@ -315,7 +257,7 @@ fn run_listen(args: &Args, addr: &str) -> Result<(), ServeError> {
             service.wal_last_seq()
         );
     }
-    let mut net_cfg = NetConfig::new(addr);
+    let mut net_cfg = NetConfig::new(&args.listen);
     net_cfg.max_connections = args.max_conns;
     let mut server = NetServer::start(
         Arc::clone(&service),
@@ -423,10 +365,6 @@ fn run_listen(args: &Args, addr: &str) -> Result<(), ServeError> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Demo mode: the accelerated end-to-end feature tour.
-// ---------------------------------------------------------------------
-
 /// Builds the named preset's Florence scenario (the name is validated at
 /// argument-parse time, so the lookup cannot fail here).
 fn build_scenario(name: &str) -> Scenario {
@@ -434,518 +372,4 @@ fn build_scenario(name: &str) -> Scenario {
         .expect("scenario name validated by parse_args")
         .florence()
         .build(SEED)
-}
-
-/// A deterministic synthetic request stream for one shard and epoch,
-/// mimicking the repo's test idiom (mined rescue records need the full
-/// mobility pipeline; the service only cares about the arrival process).
-fn epoch_requests(scenario: &Scenario, shard: usize, epoch: u32) -> Vec<RequestSpec> {
-    let num_segments = scenario.city.network.num_segments() as u32;
-    let base = epoch * 300;
-    (0..8u32)
-        .map(|i| {
-            let mix = (epoch * 131 + i * 37 + shard as u32 * 61).wrapping_mul(2_654_435_761);
-            RequestSpec {
-                appear_s: base + i * 35,
-                segment: SegmentId(mix % num_segments),
-            }
-        })
-        .collect()
-}
-
-/// Streams one epoch's worth of events into the service from producer
-/// threads — ingestion is concurrent with (and independent of) the epoch
-/// loop.
-fn ingest_epoch(service: &Arc<DispatchService>, scenario: &Arc<Scenario>, epoch: u32) {
-    let handles: Vec<_> = (0..NUM_SHARDS)
-        .map(|shard| {
-            let service = Arc::clone(service);
-            let scenario = Arc::clone(scenario);
-            std::thread::spawn(move || {
-                let mut accepted = 0u32;
-                for spec in epoch_requests(&scenario, shard, epoch) {
-                    if service
-                        .ingest(Event::Request { shard, spec })
-                        .expect("in-range shard and segment")
-                    {
-                        accepted += 1;
-                    }
-                }
-                // One advisory of each kind per shard per epoch, pinned to
-                // the covered condition window.
-                let hour = (scenario.conditions.first_hour() + epoch / 12)
-                    .min(scenario.conditions.hours() - 1);
-                service
-                    .ingest(Event::Weather {
-                        shard,
-                        hour,
-                        rain_mm: 4.0 + f64::from(epoch),
-                    })
-                    .expect("in-range shard");
-                service
-                    .ingest(Event::RoadDamage {
-                        shard,
-                        segment: SegmentId((epoch * 97 + shard as u32) % 500),
-                        hour,
-                        flooded: epoch.is_multiple_of(2),
-                    })
-                    .expect("in-range shard");
-                accepted
-            })
-        })
-        .collect();
-    let total: u32 = handles
-        .into_iter()
-        .map(|h| h.join().expect("producer thread"))
-        .sum();
-    println!("  ingested {total} requests for epoch {epoch}");
-}
-
-/// Trains a fresh SVM predictor + DQN policy and round-trips both through
-/// the on-disk checkpoint formats, returning the texts a deployment would
-/// hand to [`DispatchService::submit_rollout`].
-fn train_candidate(rl: &RlDispatchConfig) -> Result<(String, String), ServeError> {
-    // The paper trains on the *previous* disaster (Michael) before serving
-    // the live one; a small scenario keeps the demo quick — the factor
-    // vector has fixed dimensions, so the model transfers.
-    let training = ScenarioConfig::small().michael().build(SEED);
-    let predictor = RequestPredictor::train_on(&training, &PredictorConfig::default());
-    let mut dims = vec![FEATURE_DIM];
-    dims.extend_from_slice(&rl.hidden);
-    dims.push(1);
-    let policy = Mlp::new(&dims, rl.seed ^ 0xd15b);
-
-    let dir = std::path::Path::new("target/serve-demo");
-    std::fs::create_dir_all(dir).map_err(|e| ServeError::Io(e.to_string()))?;
-    let predictor_path = dir.join("predictor.txt");
-    let policy_path = dir.join("policy.txt");
-    std::fs::write(&predictor_path, predictor.to_text())
-        .map_err(|e| ServeError::Io(e.to_string()))?;
-    std::fs::write(&policy_path, mlp_to_text(&policy))
-        .map_err(|e| ServeError::Io(e.to_string()))?;
-    let predictor_text =
-        std::fs::read_to_string(&predictor_path).map_err(|e| ServeError::Io(e.to_string()))?;
-    let policy_text =
-        std::fs::read_to_string(&policy_path).map_err(|e| ServeError::Io(e.to_string()))?;
-    Ok((predictor_text, policy_text))
-}
-
-fn run_demo(args: &Args) -> Result<(), ServeError> {
-    println!("building the charlotte-like Florence scenario (seed {SEED})...");
-    let scenario = Arc::new(ScenarioConfig::charlotte_like().florence().build(SEED));
-    let hours = scenario.conditions.hours();
-    let start_hour = hours / 2;
-    println!(
-        "  {} segments, {} hospitals, {hours} disaster hours; serving from hour {start_hour}",
-        scenario.city.network.num_segments(),
-        scenario.city.hospitals.len(),
-    );
-
-    let sim = SimConfig {
-        num_teams: 20,
-        duration_hours: 2u32.min(hours - start_hour),
-        ..SimConfig::paper(start_hour)
-    };
-    let rl = RlDispatchConfig::default();
-    // The fault injector will poison the first checkpoint delivery with
-    // NaN weights: the rollout admission probe must reject it, typed, and
-    // the clean retry goes through the staged pipeline. Slacks are wide
-    // open so a demo-sized candidate promotes — gate *strictness* is the
-    // chaos suite's job; the demo shows the stages.
-    let injector = Arc::new(FaultInjector::new(
-        FaultPlan::empty().with_poisoned_checkpoint(CheckpointPoison::NanWeights),
-    ));
-    let config = ServeConfig {
-        num_shards: NUM_SHARDS,
-        sim: sim.clone(),
-        rl: rl.clone(),
-        faults: Some(Arc::clone(&injector)),
-        rollout: RolloutConfig {
-            shadow_epochs: 2,
-            shadow_slack: 1e9,
-            canary_epochs: 2,
-            canary_shards: 1,
-            canary_slack: 1e9,
-            watch_epochs: 2,
-            watch_slack: 1e9,
-            ..RolloutConfig::default()
-        },
-        ..ServeConfig::new(sim)
-    };
-    let clock: Arc<SimClock> = Arc::new(SimClock::new());
-    let registry = Arc::new(ModelRegistry::new(None, None));
-
-    println!(
-        "starting {NUM_SHARDS} shards, {}s dispatch period, simulated clock",
-        config.sim.dispatch_period_s
-    );
-    let service = Arc::new(DispatchService::start(
-        Arc::clone(&scenario),
-        config.clone(),
-        Arc::clone(&clock) as Arc<dyn Clock>,
-        Arc::clone(&registry),
-    )?);
-
-    // Phase 1: epochs 0..PHASE1_EPOCHS with a mid-run guarded rollout.
-    // The first delivery of the trained checkpoint is poisoned in transit;
-    // admission rejects it and the retry enters the pipeline.
-    ingest_epoch(&service, &scenario, 0);
-    let mut scheduler = EpochScheduler::for_service(&service)?;
-    let mut swap_failed = None;
-    {
-        let service_cb = Arc::clone(&service);
-        let scenario_cb = Arc::clone(&scenario);
-        let rl_cb = rl.clone();
-        scheduler.run(&service, clock.as_ref(), PHASE1_EPOCHS, |epoch, reports| {
-            let delivered: u32 = reports.iter().map(|r| r.delivered).sum();
-            println!(
-                "epoch {epoch}: {} shard reports, {delivered} delivered",
-                reports.len()
-            );
-            if epoch == SWAP_AT_EPOCH {
-                println!("  submitting freshly trained SVM + DQN checkpoints for rollout...");
-                match train_candidate(&rl_cb) {
-                    Ok((predictor_text, policy_text)) => {
-                        match service_cb.submit_rollout(Some(&predictor_text), Some(&policy_text)) {
-                            Err(ServeError::Rollout(RolloutError::Probe { artifact, message })) => {
-                                println!(
-                                    "  checkpoint delivery was corrupted in transit; admission \
-                                     rejected the {artifact} artifact: {message}"
-                                );
-                                println!("  re-fetching the checkpoint and resubmitting...");
-                                match service_cb
-                                    .submit_rollout(Some(&predictor_text), Some(&policy_text))
-                                {
-                                    Ok(Some(status)) => println!(
-                                        "  candidate v{} admitted, entering {} stage",
-                                        status.version, status.stage
-                                    ),
-                                    Ok(None) => println!("  candidate promoted immediately"),
-                                    Err(e) => swap_failed = Some(e),
-                                }
-                            }
-                            Ok(_) => {
-                                swap_failed = Some(ServeError::Io(
-                                    "poisoned checkpoint passed admission".to_owned(),
-                                ))
-                            }
-                            Err(e) => swap_failed = Some(e),
-                        }
-                    }
-                    Err(e) => swap_failed = Some(e),
-                }
-            } else if let Some(status) = service_cb.rollout_status() {
-                println!(
-                    "  rollout v{}: {} stage, {} epochs in",
-                    status.version, status.stage, status.epochs_done
-                );
-            }
-            ingest_epoch(&service_cb, &scenario_cb, epoch + 1);
-        })?;
-    }
-    if let Some(e) = swap_failed {
-        return Err(e);
-    }
-    println!("\nafter phase 1:\n{}", service.metrics().render());
-    let status = service
-        .rollout_status()
-        .expect("the canary stage straddles the snapshot boundary");
-    println!(
-        "rollout v{} still in flight ({} stage) — it must survive the restore",
-        status.version, status.stage
-    );
-
-    // Snapshot/restore cycle: serialize, tear the service down, rebuild.
-    println!("snapshotting the service and killing it...");
-    let snapshot = service.snapshot()?;
-    let metrics_before = service.metrics();
-    // Keep the run's telemetry in one place across the restore: the dead
-    // service's registry is handed to its successor (safe exactly because
-    // the predecessor is shut down — restore overwrites the counters from
-    // the snapshot, and the phase histograms keep accumulating).
-    let obs_registry = Arc::clone(service.obs());
-    println!("  snapshot is {} bytes", snapshot.len());
-    Arc::try_unwrap(service)
-        .map_err(|_| ServeError::Shard {
-            shard: 0,
-            message: "service still referenced at shutdown".to_owned(),
-        })?
-        .shutdown();
-
-    println!("restoring from the snapshot...");
-    let restore_config = ServeConfig {
-        obs: Some(obs_registry),
-        ..config
-    };
-    let service = Arc::new(DispatchService::restore(
-        Arc::clone(&scenario),
-        restore_config,
-        Arc::clone(&clock) as Arc<dyn Clock>,
-        Arc::clone(&registry),
-        &snapshot,
-    )?);
-    assert_eq!(
-        service.metrics(),
-        metrics_before,
-        "restored metrics must equal the snapshotted ones"
-    );
-    println!("  restored; metrics identical to the snapshot point");
-
-    // Phase 2: keep serving from where the snapshot left off.
-    {
-        let service_cb = Arc::clone(&service);
-        let scenario_cb = Arc::clone(&scenario);
-        scheduler.run(&service, clock.as_ref(), PHASE2_EPOCHS, |i, reports| {
-            let epoch = PHASE1_EPOCHS + i;
-            let delivered: u32 = reports.iter().map(|r| r.delivered).sum();
-            println!(
-                "epoch {epoch}: {} shard reports, {delivered} delivered",
-                reports.len()
-            );
-            if let Some(status) = service_cb.rollout_status() {
-                println!(
-                    "  rollout v{}: {} stage, {} epochs in",
-                    status.version, status.stage, status.epochs_done
-                );
-            }
-            if i + 1 < PHASE2_EPOCHS {
-                ingest_epoch(&service_cb, &scenario_cb, epoch + 1);
-            }
-        })?;
-    }
-
-    let metrics = service.metrics();
-    println!(
-        "\nfinal report after {} epochs:\n{}",
-        metrics.epochs_completed,
-        metrics.render()
-    );
-    assert!(
-        metrics.epochs_completed >= 10,
-        "the demo must drive at least 10 epochs"
-    );
-    assert_eq!(metrics.model_swaps, 1, "the hot-swap must have happened");
-    assert_eq!(
-        metrics.model_version, 2,
-        "the candidate promoted fleet-wide"
-    );
-    assert!(
-        service.rollout_status().is_none(),
-        "the pipeline must have completed"
-    );
-    let rollouts = service.rollout_counters();
-    assert_eq!(rollouts.rejected, 1, "the poisoned delivery was rejected");
-    assert_eq!(rollouts.admitted, 1, "the clean retry was admitted");
-    assert_eq!(rollouts.rolled_back, 0, "nothing regressed");
-    assert_eq!(
-        injector.counters().poisoned_checkpoints,
-        1,
-        "the scheduled poison fired"
-    );
-    println!(
-        "rollout pipeline: {} rejected (poisoned), {} admitted, {} rolled back",
-        rollouts.rejected, rollouts.admitted, rollouts.rolled_back
-    );
-
-    // Dump the observability registry: per-phase epoch histograms, the
-    // `serve.*` series MetricsSnapshot reads, routing gauges.
-    let obs = service.obs_snapshot();
-    println!("\nobservability summary:\n{}", obs.render_summary());
-    println!("recent events:\n{}", service.obs().events().render());
-    dump_metrics(args, &obs)?;
-    Arc::try_unwrap(service)
-        .map_err(|_| ServeError::Shard {
-            shard: 0,
-            message: "service still referenced at shutdown".to_owned(),
-        })?
-        .shutdown();
-    println!("serve demo complete");
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Train mode: the online learning loop, accelerated.
-// ---------------------------------------------------------------------
-
-fn run_train(args: &Args) -> Result<(), ServeError> {
-    let scenario = Arc::new(build_scenario(&args.scenario));
-    let first = scenario.conditions.first_hour();
-    let hours = scenario.conditions.hours();
-    let base = if args.scenario == "small" {
-        SimConfig::small(first)
-    } else {
-        SimConfig::paper(first)
-    };
-    let needed_hours = (args.epochs * base.dispatch_period_s).div_ceil(3_600) + 1;
-    let sim = SimConfig {
-        duration_hours: needed_hours.min(hours - first),
-        ..base
-    };
-    let max_epochs = sim.duration_hours * 3_600 / sim.dispatch_period_s;
-    let epochs = args.epochs.min(max_epochs).max(2);
-    if epochs < args.epochs && !args.quiet {
-        println!(
-            "note: scenario covers {} epochs, clamping --epochs {}",
-            max_epochs, args.epochs
-        );
-    }
-    let shards = args.shards.max(1);
-    let mut config = ServeConfig::new(sim);
-    config.num_shards = shards;
-    config.request_queue_capacity = args.queue_capacity.max(1);
-    // The shadow gate is strict (slack 0): a self-trained candidate only
-    // promotes once it actually out-scores the incumbent on the shadow
-    // window — early candidates die there, which is the gate working.
-    // Canary/watch slacks stay wide so the run demonstrates stage flow
-    // rather than flapping on small-scenario reward noise.
-    config.rollout = RolloutConfig {
-        shadow_epochs: 2,
-        shadow_slack: 0.0,
-        canary_epochs: 2,
-        canary_shards: 1,
-        canary_slack: 1e9,
-        watch_epochs: 2,
-        watch_slack: 1e9,
-        ..RolloutConfig::default()
-    };
-    config.trainer = Some(TrainerConfig {
-        min_replay: 16,
-        batch_size: 8,
-        steps_per_epoch: 4,
-        candidate_every: 6,
-        hidden: vec![16],
-        seed: SEED,
-        ..TrainerConfig::default()
-    });
-    let clock: Arc<SimClock> = Arc::new(SimClock::new());
-    let registry = Arc::new(ModelRegistry::new(None, None));
-
-    println!(
-        "training online over {} ({} segments, {shards} shards), {epochs} epochs, simulated clock",
-        args.scenario,
-        scenario.city.network.num_segments()
-    );
-    let service = Arc::new(DispatchService::start(
-        Arc::clone(&scenario),
-        config.clone(),
-        Arc::clone(&clock) as Arc<dyn Clock>,
-        Arc::clone(&registry),
-    )?);
-
-    let ingest = |service: &DispatchService, epoch: u32| {
-        for shard in 0..shards {
-            for spec in epoch_requests(&scenario, shard, epoch) {
-                let _ = service.ingest(Event::Request { shard, spec });
-            }
-        }
-    };
-    let progress = |service: &DispatchService, epoch: u32| {
-        if args.quiet || !(epoch + 1).is_multiple_of(5) {
-            return;
-        }
-        let status = service.trainer_status().expect("trainer configured");
-        println!(
-            "epoch {}: trainer {} steps, replay {}, {} candidates; registry v{}",
-            epoch + 1,
-            status.steps,
-            status.replay_len,
-            status.candidates,
-            registry.current().version
-        );
-    };
-
-    // Phase 1, then a snapshot/restore cycle that must carry the trainer's
-    // replay buffer, optimizer moments and cadence, then phase 2.
-    let phase1 = epochs / 2;
-    ingest(&service, 0);
-    let mut scheduler = EpochScheduler::for_service(&service)?;
-    {
-        let service_cb = Arc::clone(&service);
-        scheduler.run(&service, clock.as_ref(), phase1, |epoch, _| {
-            progress(&service_cb, epoch);
-            ingest(&service_cb, epoch + 1);
-        })?;
-    }
-    let snapshot = service.snapshot()?;
-    let status_before = service.trainer_status().expect("trainer configured");
-    let obs_registry = Arc::clone(service.obs());
-    if !args.quiet {
-        println!(
-            "snapshotting at epoch {phase1} ({} bytes, trainer at {} steps) and restoring...",
-            snapshot.len(),
-            status_before.steps
-        );
-    }
-    Arc::try_unwrap(service)
-        .map_err(|_| ServeError::Shard {
-            shard: 0,
-            message: "service still referenced at shutdown".to_owned(),
-        })?
-        .shutdown();
-    let restore_config = ServeConfig {
-        obs: Some(obs_registry),
-        ..config
-    };
-    let service = Arc::new(DispatchService::restore(
-        Arc::clone(&scenario),
-        restore_config,
-        Arc::clone(&clock) as Arc<dyn Clock>,
-        Arc::clone(&registry),
-        &snapshot,
-    )?);
-    assert_eq!(
-        service.trainer_status().expect("trainer configured"),
-        status_before,
-        "trainer state must survive the snapshot/restore cycle"
-    );
-    {
-        let service_cb = Arc::clone(&service);
-        scheduler.run(&service, clock.as_ref(), epochs - phase1, |i, _| {
-            let epoch = phase1 + i;
-            progress(&service_cb, epoch);
-            if i + 1 < epochs - phase1 {
-                ingest(&service_cb, epoch + 1);
-            }
-        })?;
-    }
-
-    let status = service.trainer_status().expect("trainer configured");
-    let obs = service.obs();
-    let submitted = obs.counter("train.candidates_submitted").value();
-    let offered = obs.counter("train.transitions_offered").value();
-    let accepted = obs.counter("train.transitions_accepted").value();
-    let shed = obs.counter("train.transitions_shed").value();
-    println!(
-        "\ntrainer after {epochs} epochs: {} steps over {} transitions \
-         ({accepted} accepted, {shed} shed), {} candidates emitted, \
-         {submitted} submitted to rollout; registry at v{} after {} swaps",
-        status.steps,
-        offered,
-        status.candidates,
-        registry.current().version,
-        registry.swaps()
-    );
-    assert!(status.steps > 0, "the trainer must have learned");
-    assert!(
-        submitted >= 1,
-        "at least one self-trained candidate must reach the rollout gate"
-    );
-    assert_eq!(
-        offered,
-        accepted + shed,
-        "transition conservation must hold"
-    );
-    assert!(
-        obs.counter("train.steps").value() > 0,
-        "train.* metrics must be live"
-    );
-    dump_metrics(args, &service.obs_snapshot())?;
-    Arc::try_unwrap(service)
-        .map_err(|_| ServeError::Shard {
-            shard: 0,
-            message: "service still referenced at shutdown".to_owned(),
-        })?
-        .shutdown();
-    println!("serve train demo complete");
-    Ok(())
 }

@@ -248,9 +248,10 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         }
         let Ok(mut stream) = stream else { continue };
         if shared.active.load(Ordering::SeqCst) >= shared.cfg.max_connections {
-            let _ = stream.write_all(HELLO_BUSY.as_bytes());
+            // Count before telling: a client that has read `busy` must
+            // already see its refusal in the registry.
             shared.metrics.connections_refused.inc();
-            shared.metrics.busy_rejects.inc();
+            let _ = stream.write_all(HELLO_BUSY.as_bytes());
             continue;
         }
         shared.active.fetch_add(1, Ordering::SeqCst);

@@ -14,10 +14,6 @@ pub struct NetMetrics {
     pub connections_closed: Counter,
     /// Connections refused at the cap with `mrnet 1 busy`.
     pub connections_refused: Counter,
-    /// Same cap refusals under the SLO-dashboard name: `busy` sent
-    /// because `--max-conns` was reached. Kept alongside
-    /// `connections_refused` so existing scrapes keep working.
-    pub busy_rejects: Counter,
     /// Frames decoded successfully.
     pub frames_decoded: Counter,
     /// Frames rejected: decode errors, handshake failures, kinds a
@@ -42,7 +38,6 @@ impl NetMetrics {
             connections_accepted: registry.counter("net.connections_accepted"),
             connections_closed: registry.counter("net.connections_closed"),
             connections_refused: registry.counter("net.connections_refused"),
-            busy_rejects: registry.counter("net.busy_rejects"),
             frames_decoded: registry.counter("net.frames_decoded"),
             frames_rejected: registry.counter("net.frames_rejected"),
             requests_acked: registry.counter("net.requests_acked"),
@@ -62,7 +57,7 @@ mod tests {
         let reg = Registry::new();
         let m = NetMetrics::register(&reg);
         m.connections_accepted.inc();
-        m.busy_rejects.inc();
+        m.connections_refused.inc();
         m.frames_decoded.add(3);
         m.requests_acked.add(2);
         m.requests_nacked_shed.inc();
@@ -70,7 +65,7 @@ mod tests {
         let snap = reg.snapshot();
         let text = snap.to_text();
         assert!(text.contains("c net.connections_accepted 1"));
-        assert!(text.contains("c net.busy_rejects 1"));
+        assert!(text.contains("c net.connections_refused 1"));
         assert!(text.contains("c net.frames_decoded 3"));
         assert!(text.contains("h net.ingest_to_dispatch_ms 1 12 12"));
         let prom = snap.to_prometheus();

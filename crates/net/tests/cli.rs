@@ -1,6 +1,6 @@
-//! Pins the serve binary's command-line contract: a typo'd flag must
-//! fail loudly (nonzero exit, usage on stderr), never start a multi-hour
-//! demo with the option silently ignored.
+//! Pins the serve binary's command-line contract: a typo'd flag or a
+//! missing `--listen` must fail loudly (nonzero exit, usage on stderr),
+//! never start a server with the option silently ignored.
 
 use std::process::Command;
 
@@ -20,6 +20,30 @@ fn unknown_flag_prints_usage_and_exits_nonzero() {
         stderr.contains("usage: serve"),
         "stderr shows usage: {stderr}"
     );
+}
+
+#[test]
+fn missing_listen_prints_usage_and_exits_nonzero() {
+    let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--epochs", "1"])
+        .output()
+        .expect("serve runs");
+    assert_eq!(out.status.code(), Some(2), "serve without --listen exits 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--listen ADDR is required"), "{stderr}");
+    assert!(stderr.contains("usage: serve"), "{stderr}");
+}
+
+#[test]
+fn train_flag_is_unknown() {
+    let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--listen", "127.0.0.1:0", "--train"])
+        .output()
+        .expect("serve runs");
+    assert_eq!(out.status.code(), Some(2), "--train exits 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown argument \"--train\""), "{stderr}");
+    assert!(stderr.contains("usage: serve"), "{stderr}");
 }
 
 #[test]

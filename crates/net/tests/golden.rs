@@ -26,7 +26,6 @@ fn golden_registry() -> mobirescue_obs::ObsSnapshot {
     m.connections_accepted.add(11);
     m.connections_closed.add(9);
     m.connections_refused.add(2);
-    m.busy_rejects.add(1);
     m.frames_decoded.add(406);
     m.frames_rejected.add(5);
     m.requests_acked.add(380);
@@ -79,7 +78,6 @@ fn every_net_metric_is_pinned() {
         "net.connections_accepted",
         "net.connections_closed",
         "net.connections_refused",
-        "net.busy_rejects",
         "net.frames_decoded",
         "net.frames_rejected",
         "net.requests_acked",

@@ -12,11 +12,14 @@
 //! A [`Clock`] is an observability [`TimeSource`] that can also sleep, so
 //! every span the service records measures on the same clock the
 //! scheduler runs on: an `Arc<dyn Clock>` coerces to the
-//! `Arc<dyn TimeSource>` the obs crate takes.
+//! `Arc<dyn TimeSource>` the obs crate takes. The two clocks are the obs
+//! crate's own time sources under the service's names: [`WallClock`] is
+//! `WallTime` and [`SimClock`] is `ManualTime`.
 
 use mobirescue_obs::TimeSource;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+pub use mobirescue_obs::{ManualTime as SimClock, WallTime as WallClock};
 
 /// A monotonic millisecond clock the service runs on; its reading,
 /// [`TimeSource::now_ms`], counts milliseconds since the clock was
@@ -26,33 +29,7 @@ pub trait Clock: TimeSource {
     fn sleep_ms(&self, ms: u64);
 }
 
-/// Real time: [`Clock::sleep_ms`] actually blocks the calling thread.
-#[derive(Debug)]
-pub struct WallClock {
-    start: Instant,
-}
-
-impl WallClock {
-    /// A wall clock starting at zero now.
-    pub fn new() -> Self {
-        Self {
-            start: Instant::now(),
-        }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TimeSource for WallClock {
-    fn now_ms(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64
-    }
-}
-
+/// Real time: sleeping actually blocks the calling thread.
 impl Clock for WallClock {
     fn sleep_ms(&self, ms: u64) {
         std::thread::sleep(Duration::from_millis(ms));
@@ -61,33 +38,9 @@ impl Clock for WallClock {
 
 /// Accelerated time: sleeping advances the clock instantly, nothing else
 /// moves it. Deterministic — two runs see identical timestamps.
-#[derive(Debug, Default)]
-pub struct SimClock {
-    now: AtomicU64,
-}
-
-impl SimClock {
-    /// A simulated clock at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advances the clock by `ms` without sleeping (e.g. to model elapsed
-    /// compute time in a test).
-    pub fn advance_ms(&self, ms: u64) {
-        self.now.fetch_add(ms, Ordering::Relaxed);
-    }
-}
-
-impl TimeSource for SimClock {
-    fn now_ms(&self) -> u64 {
-        self.now.load(Ordering::Relaxed)
-    }
-}
-
 impl Clock for SimClock {
     fn sleep_ms(&self, ms: u64) {
-        self.now.fetch_add(ms, Ordering::Relaxed);
+        self.advance_ms(ms);
     }
 }
 

@@ -2,6 +2,7 @@
 //! service boundary, the shadow gate, post-promotion watch rollback, and
 //! in-flight rollout state surviving a snapshot/restore cycle.
 
+use mobirescue_core::predictor::RequestPredictor;
 use mobirescue_core::rl_dispatch::FEATURE_DIM;
 use mobirescue_core::scenario::Scenario;
 use mobirescue_rl::nn::Mlp;
@@ -210,24 +211,75 @@ fn zero_gate_config_promotes_immediately() {
     service.shutdown();
 }
 
-#[test]
-fn in_flight_rollout_survives_snapshot_and_restore() {
+/// A hand-written SVM request predictor checkpoint; `threshold` tells
+/// two of them apart.
+fn predictor_text(threshold: f64) -> String {
+    format!(
+        "predictor michael 4 {threshold:?}\n\
+         means 1.0 20.0 5.0\n\
+         stds 2.0 10.0 3.0\n\
+         svm rbf 0.5\n\
+         bias 0.1\n\
+         sv 0.5 0.2 -0.4 1.0\n"
+    )
+}
+
+fn parse_predictor(text: &str) -> RequestPredictor {
+    RequestPredictor::from_text(text).expect("hand-written predictor parses")
+}
+
+/// Submits a candidate (`competent_net(7)` plus `candidate_predictor`)
+/// against an incumbent (`competent_net(6)` plus `incumbent_predictor`)
+/// and drives the pipeline to its end. A twin restores from a snapshot
+/// taken one epoch into shadow, which carries the candidate's texts, and,
+/// if the candidate gets that far, another from one taken one epoch into
+/// watch, which carries the pinned prior's. Every twin must finish
+/// bit-identically to the uninterrupted run. Returns that run's registry
+/// and the number of twins.
+fn rollout_survives_restores(
+    incumbent_predictor: Option<&str>,
+    candidate_predictor: Option<&str>,
+    canary_slack: f64,
+) -> (Arc<ModelRegistry>, usize) {
     let scenario = Arc::new(chaos_scenario());
-    let make_registry = || Arc::new(ModelRegistry::new(None, Some(competent_net(6))));
+    let make_registry = || {
+        Arc::new(ModelRegistry::new(
+            incumbent_predictor.map(parse_predictor),
+            Some(competent_net(6)),
+        ))
+    };
+    let candidate_policy = mlp_to_text(&competent_net(7));
     let config = serve_config(RolloutConfig {
         shadow_epochs: 3,
         canary_epochs: 2,
         canary_shards: 1,
+        canary_slack,
         watch_epochs: 2,
         ..RolloutConfig::default()
     });
+    let restore = |snapshot: &str, registry: Arc<ModelRegistry>| {
+        let twin = DispatchService::restore(
+            Arc::clone(&scenario),
+            config.clone(),
+            Arc::new(SimClock::new()) as Arc<dyn Clock>,
+            registry,
+            snapshot,
+        )
+        .expect("snapshot restores with the rollout in flight");
+        assert_eq!(
+            twin.snapshot().expect("twin snapshot serializes"),
+            snapshot,
+            "a restore round-trips every record, rtext blocks included"
+        );
+        twin
+    };
 
     let registry = make_registry();
     let service = start(&scenario, config.clone(), &registry);
     ingest_epoch(&service, &scenario, 0);
     service.run_epoch().expect("epoch 0");
     service
-        .submit_rollout(None, Some(&mlp_to_text(&competent_net(7))))
+        .submit_rollout(candidate_predictor, Some(&candidate_policy))
         .expect("admitted");
     ingest_epoch(&service, &scenario, 1);
     service.run_epoch().expect("first shadow epoch");
@@ -236,35 +288,87 @@ fn in_flight_rollout_survives_snapshot_and_restore() {
     assert_eq!(status.epochs_done, 1);
 
     let snapshot = service.snapshot().expect("snapshot serializes");
-    let restored = DispatchService::restore(
-        Arc::clone(&scenario),
-        config,
-        Arc::new(SimClock::new()) as Arc<dyn Clock>,
-        make_registry(),
-        &snapshot,
-    )
-    .expect("snapshot restores with the rollout in flight");
+    assert_eq!(
+        snapshot.contains("rtext cpred"),
+        candidate_predictor.is_some(),
+        "a shadow snapshot carries the candidate's predictor text"
+    );
+    let restored = restore(&snapshot, make_registry());
     assert_eq!(
         restored.rollout_status().expect("rollout survived"),
         status,
         "stage, progress and version all round-trip"
     );
 
-    // Drive both services to the end of the pipeline in lock-step: the
+    // Drive the services to the end of the pipeline in lock-step: every
     // restored twin must finish bit-identically.
+    let mut twins = vec![restored];
     for epoch in 2..9 {
-        for svc in [&service, &restored] {
+        for svc in std::iter::once(&service).chain(&twins) {
             ingest_epoch(svc, &scenario, epoch);
             svc.run_epoch().expect("epoch runs");
         }
-        assert_eq!(service.rollout_status(), restored.rollout_status());
+        for twin in &twins {
+            assert_eq!(service.rollout_status(), twin.rollout_status());
+        }
+        let one_epoch_into_watch = service
+            .rollout_status()
+            .is_some_and(|s| (s.stage, s.epochs_done) == (RolloutStage::Watch, 1));
+        if one_epoch_into_watch {
+            let snapshot = service.snapshot().expect("watch snapshot serializes");
+            assert_eq!(
+                snapshot.contains("rtext ppred"),
+                incumbent_predictor.is_some(),
+                "a watch snapshot carries the pinned prior's predictor text"
+            );
+            // The snapshot holds the pipeline, not the registry: a restore
+            // in watch takes a registry that already serves the candidate.
+            let promoted = make_registry();
+            promoted.install(
+                candidate_predictor.map(parse_predictor),
+                Some(competent_net(7)),
+            );
+            twins.push(restore(&snapshot, promoted));
+        }
     }
     assert!(service.rollout_status().is_none(), "pipeline completed");
-    assert_eq!(
-        service.snapshot().expect("final snapshot"),
-        restored.snapshot().expect("final snapshot"),
-        "restored run is bit-identical to the uninterrupted one"
-    );
+    let final_snapshot = service.snapshot().expect("final snapshot");
+    for twin in &twins {
+        assert_eq!(
+            final_snapshot,
+            twin.snapshot().expect("final snapshot"),
+            "restored run is bit-identical to the uninterrupted one"
+        );
+    }
+    let restored = twins.len();
     service.shutdown();
-    restored.shutdown();
+    for twin in twins {
+        twin.shutdown();
+    }
+    (registry, restored)
+}
+
+#[test]
+fn in_flight_rollout_survives_snapshot_and_restore() {
+    // At the default canary slack this candidate dies in canary.
+    let (registry, twins) =
+        rollout_survives_restores(None, None, RolloutConfig::default().canary_slack);
+    assert_eq!((registry.current().version, twins), (1, 1));
+}
+
+#[test]
+fn in_flight_rollout_carrying_predictors_survives_snapshot_and_restore() {
+    let candidate = predictor_text(0.5);
+    // The canary slack covers the two shards' different request streams
+    // (as in `golden.rs`), so the candidate promotes.
+    let (registry, twins) =
+        rollout_survives_restores(Some(&predictor_text(0.25)), Some(&candidate), 20.0);
+    assert_eq!(twins, 2, "a twin restored in the watch stage");
+    let current = registry.current();
+    assert_eq!(current.version, 2, "the candidate promoted");
+    assert_eq!(
+        current.predictor.as_ref().map(RequestPredictor::to_text),
+        Some(parse_predictor(&candidate).to_text()),
+        "the fleet serves the candidate's predictor"
+    );
 }

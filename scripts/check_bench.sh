@@ -19,6 +19,10 @@
 #     SERVE_P999_SLO_MS) — the tail where fsync stalls hide; or
 #   * the shed rate exceeds the baseline's `max_shed_pct` ceiling
 #     (override with SERVE_MAX_SHED_PCT); or
+#   * no request was sent, one went unanswered (`lost`), or one was
+#     NACKed as invalid — the mined stream holds only valid requests; or
+#   * the server's `net.requests_acked` count (from its `--metrics-out`
+#     dump) differs from the acks loadgen received; or
 #   * either process exits non-zero — a hung drain is a failure, not a
 #     timeout to shrug at.
 #
@@ -37,7 +41,7 @@
 #
 # To re-bless the baselines after an intentional change:
 #
-#   scripts/loadgen_smoke.sh --bless    # rewrites BENCH_serve.json
+#   scripts/bless_serve.sh              # rewrites BENCH_serve.json
 #   scripts/bench_scale.sh --bless      # rewrites BENCH_scale.json
 #
 # and commit the new baseline together with the change and a rationale
@@ -48,9 +52,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 serve_log=""
+serve_metrics=""
 fresh_serve=""
 fresh_scale=""
-trap 'rm -f "$serve_log" "$fresh_serve" "$fresh_scale"' EXIT
+trap 'rm -f "$serve_log" "$serve_metrics" "$fresh_serve" "$fresh_scale"' EXIT
 
 # Extract `"key": value` scalars from the flat JSON loadgen emits.
 field() { # field FILE KEY
@@ -66,7 +71,7 @@ failures=0
 SERVE_BASELINE="BENCH_serve.json"
 if [[ "${SERVE_GATE:-1}" != "0" ]]; then
     if [[ ! -f "$SERVE_BASELINE" ]]; then
-        echo "check_bench: no baseline $SERVE_BASELINE; run scripts/loadgen_smoke.sh --bless" >&2
+        echo "check_bench: no baseline $SERVE_BASELINE; run scripts/bless_serve.sh" >&2
         exit 1
     fi
     slo_ms="${SERVE_P99_SLO_MS:-$(field "$SERVE_BASELINE" p99_slo_ms)}"
@@ -76,7 +81,7 @@ if [[ "${SERVE_GATE:-1}" != "0" ]]; then
     duration="$(field "$SERVE_BASELINE" duration_ms)"
     if [[ -z "$slo_ms" || -z "$p999_slo_ms" || -z "$max_shed" || -z "$rate" || -z "$duration" ]]; then
         echo "check_bench: $SERVE_BASELINE is missing p99_slo_ms/p999_slo_ms/max_shed_pct/target_rps/duration_ms;" >&2
-        echo "             re-bless it with scripts/loadgen_smoke.sh --bless" >&2
+        echo "             re-bless it with scripts/bless_serve.sh" >&2
         exit 1
     fi
 
@@ -84,10 +89,11 @@ if [[ "${SERVE_GATE:-1}" != "0" ]]; then
     cargo build --release -q -p mobirescue-net --bin serve -p mobirescue-bench --bin loadgen
 
     serve_log="$(mktemp)"
+    serve_metrics="$(mktemp)"
     fresh_serve="$(mktemp)"
     echo "==> serve --listen 127.0.0.1:0 (small scenario)"
     ./target/release/serve --listen 127.0.0.1:0 --epochs 250 --period-ms 100 --quiet \
-        > "$serve_log" 2>&1 &
+        --metrics-out "$serve_metrics" > "$serve_log" 2>&1 &
     serve_pid=$!
     addr=""
     for _ in $(seq 1 100); do
@@ -120,9 +126,13 @@ if [[ "${SERVE_GATE:-1}" != "0" ]]; then
     shed="$(field "$fresh_serve" shed_rate_pct)"
     sent="$(field "$fresh_serve" sent)"
     lost="$(field "$fresh_serve" lost)"
-    echo "serve: sent $sent, lost $lost, p99 ${p99}ms (SLO ${slo_ms}ms), p999 ${p999}ms (SLO ${p999_slo_ms}ms), shed ${shed}% (cap ${max_shed}%)"
-    if [[ -z "$p99" || -z "$p999" || -z "$shed" ]]; then
-        echo "FAIL: loadgen report is missing rtt_p99_ms/rtt_p999_ms/shed_rate_pct" >&2
+    acked="$(field "$fresh_serve" acked)"
+    nacked_invalid="$(field "$fresh_serve" nacked_invalid)"
+    server_acked="$(sed -n 's/^c net\.requests_acked \([0-9]*\)$/\1/p' "$serve_metrics")"
+    echo "serve: sent $sent, lost $lost, invalid $nacked_invalid, p99 ${p99}ms (SLO ${slo_ms}ms), p999 ${p999}ms (SLO ${p999_slo_ms}ms), shed ${shed}% (cap ${max_shed}%)"
+    echo "serve: acks counted by the server $server_acked, received by the client $acked"
+    if [[ -z "$p99" || -z "$p999" || -z "$shed" || -z "$acked" || -z "$nacked_invalid" ]]; then
+        echo "FAIL: loadgen report is missing rtt_p99_ms/rtt_p999_ms/shed_rate_pct/acked/nacked_invalid" >&2
         failures=$((failures + 1))
     else
         if ! awk -v v="$p99" -v cap="$slo_ms" 'BEGIN { exit !(v <= cap) }'; then
@@ -137,8 +147,20 @@ if [[ "${SERVE_GATE:-1}" != "0" ]]; then
             echo "FAIL: shed rate ${shed}% exceeds the ${max_shed}% ceiling" >&2
             failures=$((failures + 1))
         fi
+        if [[ -z "$sent" || "$sent" -eq 0 ]]; then
+            echo "FAIL: no requests were sent" >&2
+            failures=$((failures + 1))
+        fi
         if [[ "$lost" != "0" ]]; then
             echo "FAIL: $lost request(s) were never answered" >&2
+            failures=$((failures + 1))
+        fi
+        if [[ "$nacked_invalid" != "0" ]]; then
+            echo "FAIL: the mined stream produced $nacked_invalid invalid request(s)" >&2
+            failures=$((failures + 1))
+        fi
+        if [[ "$server_acked" != "$acked" ]]; then
+            echo "FAIL: the server counted ${server_acked:-no} ack(s), the client received $acked" >&2
             failures=$((failures + 1))
         fi
     fi

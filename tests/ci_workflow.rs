@@ -2,8 +2,8 @@
 //!
 //! The build environment has no YAML parser crate, so this validates the
 //! subset of YAML that workflow files actually use: indentation-scoped
-//! mappings with no tabs. It pins the structure CI depends on — all five
-//! jobs exist, run the gate scripts, and cache `target/` keyed on
+//! mappings with no tabs. It pins the structure CI depends on — exactly
+//! three jobs exist, run the gate scripts, and cache `target/` keyed on
 //! `Cargo.lock` with `restore-keys` fallbacks — so an edit that breaks
 //! the pipeline fails locally, not on the runner. It also pins where the
 //! gates live: the scale gate runs in `scripts/verify.sh`, the retired
@@ -104,27 +104,33 @@ fn superseded_runs_are_cancelled() {
     );
 }
 
+/// The CI jobs, in workflow order.
+const JOBS: [&str; 3] = ["verify", "bench-smoke", "wal-smoke"];
+
+/// The keys of the top-level `jobs:` mapping, in file order.
+fn job_names(text: &str) -> Vec<&str> {
+    text.lines()
+        .skip_while(|l| *l != "jobs:")
+        .skip(1)
+        .take_while(|l| l.is_empty() || indent(l) >= 2)
+        .filter(|l| indent(l) == 2)
+        .filter_map(|l| l.trim().strip_suffix(':'))
+        .collect()
+}
+
 #[test]
 fn all_jobs_run_their_gate_scripts_on_a_runner() {
     let text = workflow();
     assert!(has_key_at(&text, 0, "jobs"), "missing top-level jobs:");
-    for job in [
-        "verify",
-        "bench-smoke",
-        "loadgen-smoke",
-        "wal-smoke",
-        "train-smoke",
-    ] {
-        assert!(has_key_at(&text, 2, job), "missing job {job}");
-    }
+    assert_eq!(job_names(&text), JOBS, "CI runs exactly these jobs");
     assert_eq!(
         text.matches("runs-on:").count(),
-        5,
+        JOBS.len(),
         "every job needs a runs-on"
     );
     assert_eq!(
         text.matches("uses: actions/checkout@").count(),
-        5,
+        JOBS.len(),
         "every job checks out the repo"
     );
     assert!(
@@ -134,14 +140,6 @@ fn all_jobs_run_their_gate_scripts_on_a_runner() {
     assert!(
         text.contains("scripts/check_bench.sh"),
         "bench-smoke job must run scripts/check_bench.sh"
-    );
-    assert!(
-        text.contains("run: scripts/loadgen_smoke.sh"),
-        "loadgen-smoke job must run scripts/loadgen_smoke.sh"
-    );
-    assert!(
-        text.contains("run: scripts/train_smoke.sh"),
-        "train-smoke job must run scripts/train_smoke.sh"
     );
     assert!(
         text.contains("run: scripts/wal_smoke.sh"),
@@ -228,17 +226,17 @@ fn all_jobs_cache_target_keyed_on_the_lockfile() {
     let text = workflow();
     assert_eq!(
         text.matches("uses: actions/cache@").count(),
-        5,
+        JOBS.len(),
         "every job caches the build"
     );
     assert_eq!(
         text.matches("hashFiles('Cargo.lock')").count(),
-        5,
+        JOBS.len(),
         "cache keys must invalidate when Cargo.lock changes"
     );
     // `target` appears in each job's cached-path block.
     assert!(
-        text.lines().filter(|l| l.trim() == "target").count() >= 5,
+        text.lines().filter(|l| l.trim() == "target").count() >= JOBS.len(),
         "every cache must include target/"
     );
     // A lockfile bump should warm-start from the previous cache rather
@@ -246,7 +244,7 @@ fn all_jobs_cache_target_keyed_on_the_lockfile() {
     // restore-keys fallback prefix.
     assert_eq!(
         text.matches("restore-keys:").count(),
-        5,
+        JOBS.len(),
         "every cache step must declare restore-keys"
     );
 }
