@@ -47,14 +47,6 @@ pub fn series_table(x_label: &str, xs: &[String], series: &[(&str, Vec<String>)]
     out
 }
 
-/// Formats a CDF as ~`points` sampled `(x, F)` rows.
-pub fn cdf_rows(cdf: &mobirescue_mobility::stats::Cdf, points: usize) -> Vec<(String, String)> {
-    cdf.sampled_points(points)
-        .into_iter()
-        .map(|(x, f)| (format!("{x:.1}"), format!("{f:.3}")))
-        .collect()
-}
-
 /// Formats several CDFs over a shared x grid.
 pub fn cdf_table(
     x_label: &str,

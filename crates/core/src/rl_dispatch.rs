@@ -234,11 +234,6 @@ impl<'a> MobiRescueDispatcher<'a> {
         self.training = training;
     }
 
-    /// Whether online training is active.
-    pub fn is_training(&self) -> bool {
-        self.training
-    }
-
     /// Turns the transition tap on or off. While on, every round's online
     /// Equation-5 transitions are buffered for
     /// [`MobiRescueDispatcher::take_tapped_transitions`] — *without*
@@ -249,11 +244,6 @@ impl<'a> MobiRescueDispatcher<'a> {
         if !tap {
             self.tapped.clear();
         }
-    }
-
-    /// Whether the transition tap is on.
-    pub fn is_tapping(&self) -> bool {
-        self.tap
     }
 
     /// Drains the transitions buffered since the last call (insertion

@@ -88,23 +88,6 @@ pub struct TrainingReport {
     pub episodes: Vec<EpisodeStats>,
 }
 
-impl TrainingReport {
-    /// Mean served count over the first `n` and last `n` episodes — a
-    /// crude learning-progress measure.
-    pub fn improvement(&self, n: usize) -> Option<(f64, f64)> {
-        if self.episodes.len() < 2 * n || n == 0 {
-            return None;
-        }
-        let head: f64 = self.episodes[..n].iter().map(|e| e.reward).sum::<f64>() / n as f64;
-        let tail: f64 = self.episodes[self.episodes.len() - n..]
-            .iter()
-            .map(|e| e.reward)
-            .sum::<f64>()
-            / n as f64;
-        Some((head, tail))
-    }
-}
-
 /// Trains a fresh agent by replaying `episodes` simulated days of the
 /// training scenario (cycling over its disaster days), returning the
 /// trained agent and the per-episode report.

@@ -45,7 +45,6 @@ pub struct FloodField {
     bbox: BoundingBox,
     cols: usize,
     rows: usize,
-    cell_m: f64,
     hours: u32,
     /// Water depth in meters, indexed `[hour * rows * cols + row * cols + col]`.
     depth: Vec<f32>,
@@ -71,7 +70,6 @@ impl FloodField {
             let (e, n) = bbox.north_east.local_xy_m(bbox.south_west);
             (e, n)
         };
-        let cell_m = (width_m / cols as f64).max(height_m / rows as f64);
 
         // Precompute per-cell center position and altitude.
         let mut centers = Vec::with_capacity(rows * cols);
@@ -111,7 +109,6 @@ impl FloodField {
             bbox,
             cols,
             rows,
-            cell_m,
             hours,
             depth,
         }
@@ -125,11 +122,6 @@ impl FloodField {
     /// Raster bounding box.
     pub fn bbox(&self) -> BoundingBox {
         self.bbox
-    }
-
-    /// Edge length of one raster cell, meters.
-    pub fn cell_size_m(&self) -> f64 {
-        self.cell_m
     }
 
     fn cell_index(&self, p: GeoPoint) -> usize {

@@ -295,11 +295,6 @@ impl RoadNetwork {
     pub fn bounding_box(&self) -> Option<BoundingBox> {
         BoundingBox::enclosing(self.landmarks.iter().map(|lm| lm.position))
     }
-
-    /// Total length of all segments in meters.
-    pub fn total_length_m(&self) -> f64 {
-        self.segments.iter().map(|s| s.length_m).sum()
-    }
 }
 
 #[cfg(test)]

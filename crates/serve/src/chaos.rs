@@ -13,10 +13,10 @@
 //! 1. **No epoch skipped silently** — the service completes exactly the
 //!    requested number of epochs and every epoch yields one report per
 //!    shard, faults or not.
-//! 2. **Metrics conservation** — admitted + shed equals offered, minus
-//!    events the injector dropped/corrupted/still holds in flight, plus
-//!    duplicates; and everything admitted is either injected into a
-//!    world, rejected by it, or still queued.
+//! 2. **Metrics conservation** — admitted + shed equals the offers that
+//!    reached the service, less the corrupt ones its validation refused,
+//!    plus its retries; and everything admitted is either injected into
+//!    a world, rejected by it, or still queued.
 //! 3. **Degradation is honest** — `degraded_epochs` is positive iff a
 //!    degrading fault (stall past the deadline, failed swap) actually
 //!    fired, and never exceeds the number fired.
@@ -24,10 +24,18 @@
 //!    exactly one shard restart.
 //! 5. **Snapshot integrity** — the final snapshot restores to an equal
 //!    service when written cleanly, and is *rejected with a typed error*
-//!    when the injector corrupted the write.
+//!    when the plan corrupted the write.
 //! 6. **Swap-failure attribution** — every injected registry failure is
 //!    counted under its typed cause ([`crate::SwapError::Injected`]), and
 //!    no build or rollout failure claims one.
+//!
+//! The service draws only the faults it alone can suffer. Every other
+//! fault is applied here, to what crosses the service boundary, where it
+//! crosses: the network's drop, delay, duplicate and corrupt faults to
+//! each request before it is offered, snapshot corruption to the text
+//! [`DispatchService::snapshot`] returned, checkpoint poison to the text
+//! handed to [`DispatchService::submit_rollout`], and bit rot to the
+//! journal file on disk.
 //!
 //! [`rollout_chaos_divergence`] adds the poisoned-checkpoint invariants:
 //! an inadmissible or shadow-stage candidate never serves a primary
@@ -61,7 +69,7 @@ use crate::error::ServeError;
 use crate::event::Event;
 use crate::fault::{
     family_stream, CheckpointPoison, FaultCounters, FaultInjector, FaultPlan, FaultPlanConfig,
-    ScheduledFaults, TrainerFault, WalFault,
+    IngestFault, ScheduledFaults, TrainerFault, WalFault,
 };
 use crate::metrics::MetricsSnapshot;
 use crate::registry::ModelRegistry;
@@ -132,12 +140,13 @@ pub struct ChaosOutcome {
     pub scheduled: ScheduledFaults,
     /// What actually fired.
     pub counters: FaultCounters,
+    /// Delayed requests the harness offered once their delay ran out
+    /// (the rest of `counters.delays` were still held at the end).
+    pub delays_released: u64,
     /// Final service metrics.
     pub metrics: MetricsSnapshot,
     /// Shard workers restarted from a checkpoint.
     pub restarts: u64,
-    /// Scheduler epochs that finished past their deadline.
-    pub overruns: u64,
     /// The service's observability registry at the end of the run
     /// (per-phase epoch histograms, `serve.*` counters, routing gauges).
     /// Diagnostic output only — never part of any invariant: each run
@@ -164,7 +173,7 @@ impl ChaosOutcome {
             self.metrics.degraded_epochs,
             self.counters.drops,
             self.counters.delays,
-            self.counters.delays_released,
+            self.delays_released,
             self.counters.duplicates,
             self.counters.corrupts,
             self.counters.stalls,
@@ -373,14 +382,13 @@ impl Live {
     /// Drives `epochs` epochs. `offer(run, e, violations)` feeds epoch
     /// `e`'s requests: epoch 0 up front, every later epoch at the previous
     /// boundary, right after `at_boundary(run, e, reports, violations)`.
-    /// What either reports joins the run's violations. Returns the
-    /// scheduler, for its overrun count.
+    /// What either reports joins the run's violations.
     fn drive(
         &mut self,
         epochs: u32,
         mut offer: impl FnMut(&Live, u32, &mut Vec<String>),
         mut at_boundary: impl FnMut(&Live, u32, &[EpochReport], &mut Vec<String>),
-    ) -> Result<EpochScheduler, ServeError> {
+    ) -> Result<(), ServeError> {
         let mut violations = Vec::new();
         let run = &*self;
         let mut scheduler = EpochScheduler::for_service(&run.service)?;
@@ -392,7 +400,7 @@ impl Live {
             }
         })?;
         self.violations.append(&mut violations);
-        Ok(scheduler)
+        Ok(())
     }
 
     /// Snapshots the run, shuts it down, and returns its end state.
@@ -474,12 +482,15 @@ fn accounted(metrics: &MetricsSnapshot) -> u64 {
         .sum()
 }
 
-/// Runs the full service under `opts` and checks every invariant.
+/// Runs the full service under `opts` and checks every invariant. The
+/// plan's ingest faults are the network's: each request draws one before
+/// it is offered, and a held request is offered at the boundary before
+/// the epoch its delay runs out in.
 ///
 /// # Errors
 ///
 /// Returns the first *unexpected* service error — errors the plan itself
-/// provokes (corrupt events rejected at ingestion, corrupted snapshots
+/// provokes (corrupt requests rejected at ingestion, corrupted snapshots
 /// rejected at restore) are part of the contract and checked, not
 /// propagated.
 pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeError> {
@@ -492,24 +503,53 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
     let segments = arm.segments();
     let retry = RetryPolicy::default();
 
-    // Offers are counted locally too, so the injector's bookkeeping is
-    // cross-checked against an independent tally.
-    let mut offered = 0u64;
+    // The harness counts what reached the service itself, so the
+    // service's queue counters are checked against an independent tally.
+    let mut reached = 0u64;
     let mut rejected_corrupt = 0u64;
-    let scheduler = run.drive(
+    let mut released = 0u64;
+    let mut held: Vec<(u32, Event)> = Vec::new();
+    run.drive(
         opts.epochs,
         |run, epoch, violations| {
             let service = &run.service;
-            for event in request_events(epoch, opts.num_shards, opts.requests_per_epoch, segments) {
-                offered += 1;
+            let mut offer = |event: Event| {
+                reached += 1;
                 match service.ingest_with_retry(event, &retry) {
                     Ok(_) => {}
                     Err(ServeError::World(_)) => rejected_corrupt += 1,
                     Err(e) => violations.push(format!("unexpected ingest error: {e}")),
                 }
+            };
+            for event in request_events(epoch, opts.num_shards, opts.requests_per_epoch, segments) {
+                match run.injector.next_ingest_fault() {
+                    None => offer(event),
+                    Some(IngestFault::Drop) => {}
+                    Some(IngestFault::Delay(k)) => held.push((epoch + k.max(1), event)),
+                    Some(IngestFault::Duplicate) => {
+                        offer(event);
+                        offer(event);
+                    }
+                    Some(IngestFault::Corrupt) => {
+                        if let Event::Request { shard, spec } = event {
+                            // Damaged in flight: a segment no city has.
+                            let segment = SegmentId(u32::MAX);
+                            offer(Event::Request {
+                                shard,
+                                spec: RequestSpec { segment, ..spec },
+                            });
+                        }
+                    }
+                }
+            }
+            let (due, later) = held.drain(..).partition(|&(at, _)| at <= epoch);
+            held = later;
+            for (_, event) in due {
+                released += 1;
+                offer(event);
             }
             // A couple of advisories per epoch keep the advisory path hot
-            // (one valid, one invalid — both bypass fault injection).
+            // (one valid, one invalid — the network spares both).
             let _ = service.ingest(Event::Weather {
                 shard: epoch as usize % opts.num_shards,
                 hour: epoch % 4,
@@ -537,7 +577,8 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
                 // usually still in flight at the end of the run, which drags
                 // the rollout state through the snapshot-integrity check.
                 let policy = mlp_to_text(&Mlp::new(&[FEATURE_DIM, 8, 1], 5));
-                match run.service.submit_rollout(None, Some(&policy)) {
+                let delivered = run.injector.poison_checkpoint(Some(policy));
+                match run.service.submit_rollout(None, delivered.as_deref()) {
                     Ok(_) => {}
                     // A scheduled checkpoint poison replaced the candidate in
                     // flight; the typed admission rejection *is* the contract.
@@ -570,27 +611,16 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
         }
     }
 
-    // Invariant 2: conservation. Every offer the injector saw either
-    // produced queue pushes (admitted or shed) or is accounted for as
-    // dropped, corrupted, or delayed-in-flight; duplicates and released
-    // delays add pushes.
-    // Every retry re-offers through the injector, so the injector's offer
-    // count is the harness's events plus the service's retry count.
-    if counters.offers != offered + metrics.ingest_retries {
-        violations.push(format!(
-            "injector saw {} offers, harness made {} (+{} retries)",
-            counters.offers, offered, metrics.ingest_retries
-        ));
-    }
+    // Invariant 2: conservation. Validation refuses exactly the corrupt
+    // requests; every other offer that reached the service, and every
+    // retry, pushed into a queue once (admitted or shed).
     if rejected_corrupt != counters.corrupts {
         violations.push(format!(
             "{} typed corrupt rejections for {} corrupt faults",
             rejected_corrupt, counters.corrupts
         ));
     }
-    let pushes_expected = counters.offers - counters.drops - counters.corrupts - counters.delays
-        + counters.duplicates
-        + counters.delays_released;
+    let pushes_expected = reached - rejected_corrupt + metrics.ingest_retries;
     let pushes = metrics.requests_accepted + metrics.requests_shed;
     if pushes != pushes_expected {
         violations.push(format!(
@@ -658,7 +688,7 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
 
     // Invariant 5: snapshot integrity. A clean write restores to an equal
     // service; a corrupted write is rejected with a typed error.
-    let snapshot = service.snapshot()?;
+    let snapshot = injector.corrupt_snapshot(service.snapshot()?);
     let wrote_corrupted = injector.counters().snapshot_corruptions > counters.snapshot_corruptions;
     let restored = arm.start(
         Some(FaultPlan::empty()),
@@ -678,16 +708,15 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
     }
 
     let counters = injector.counters();
-    let overruns = scheduler.overruns();
     let obs = service.obs_snapshot();
     run.shutdown();
     Ok(ChaosOutcome {
         seed,
         scheduled,
         counters,
+        delays_released: released,
         metrics,
         restarts,
-        overruns,
         obs,
         violations,
     })
@@ -859,7 +888,8 @@ pub fn rollout_chaos_divergence(
         let delivered = run.injector.counters().poisoned_checkpoints as usize;
         if e < opts.good_at && service.rollout_status().is_none() {
             if let Some(&kind) = opts.poisons[..poisons_of(run)].get(delivered) {
-                let outcome = service.submit_rollout(None, Some(&good_text));
+                let text = run.injector.poison_checkpoint(Some(good_text.clone()));
+                let outcome = service.submit_rollout(None, text.as_deref());
                 match (kind, outcome) {
                     (CheckpointPoison::RewardTank, Ok(_)) => {}
                     (
@@ -1173,6 +1203,25 @@ fn only_segment(dir: &Path) -> Result<PathBuf, String> {
     }
 }
 
+/// Flips one bit of the first record in the journal segment at `path`, in
+/// place: terminated interior damage, which no crash can leave. Returns
+/// the segment's file name and the record's byte offset.
+fn flip_first_record(path: &Path) -> Result<(String, u64), String> {
+    let mut bytes = fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    let record = bytes
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(bytes.len(), |i| i + 1);
+    // Byte 4 of `rec <seq> ...` is the sequence number's first digit.
+    let byte = bytes
+        .get_mut(record + 4)
+        .ok_or("the journal holds no record to flip")?;
+    *byte ^= 0x10;
+    fs::write(path, &bytes).map_err(|e| format!("write {}: {e}", path.display()))?;
+    let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
+    Ok((name.unwrap_or_default(), record as u64))
+}
+
 /// The durable-ingest-journal invariants, checked as four arms:
 ///
 /// **Arm A (seeded torn appends + fsync stalls):**
@@ -1203,10 +1252,11 @@ fn only_segment(dir: &Path) -> Result<PathBuf, String> {
 /// **bit-identical** to the reference: snapshot text, metrics, and
 /// journal sequence numbers.
 ///
-/// **Arm C (interior bit flip):** a run whose journal was bit-flipped
-/// in place must be *refused* at recovery with a typed
-/// [`WalError::Corrupt`] naming the segment and byte offset — never a
-/// panic, never a silent wrong replay.
+/// **Arm C (interior bit flip):** after a run, one byte of the first
+/// record flips in the segment file itself, in place (silent storage
+/// rot). Recovery must *refuse* with a typed [`WalError::Corrupt`] naming
+/// that segment and the record's byte offset — never a panic, never a
+/// silent wrong replay.
 ///
 /// Returns the list of violations/divergences (empty on a clean run).
 ///
@@ -1397,27 +1447,30 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
 
     // ---- Arm C: an interior bit flip is a typed refusal, never a panic.
     {
-        let plan = FaultPlan::empty().with_wal_fault(2, WalFault::SegmentBitFlip);
-        let arm = base.journaled(&wal_chaos_dir(seed, "c"));
-        let run = arm.start(Some(plan), None)?;
+        let dir = wal_chaos_dir(seed, "c");
+        let arm = base.journaled(&dir);
+        let run = arm.start(None, None)?;
         for event in request_events(0, opts.num_shards, opts.requests_per_epoch, segments) {
-            let _ = run.service.ingest(event);
-        }
-        if run.injector.counters().wal_bitflips == 0 {
-            violations.push("arm C fired no bit flips".to_owned());
+            run.service.ingest(event)?;
         }
         let snapshot = run.service.snapshot()?;
-        match arm.start(Some(FaultPlan::empty()), Some((&snapshot, arm.registry()))) {
-            Err(ServeError::Wal(WalError::Corrupt { segment, .. })) => {
-                if segment.is_empty() {
-                    violations.push("arm C corrupt refusal names no segment".to_owned());
-                }
-            }
-            Ok(restored) => {
+        let flipped = only_segment(&dir).and_then(|path| flip_first_record(&path));
+        let restored = arm.start(Some(FaultPlan::empty()), Some((&snapshot, arm.registry())));
+        match (flipped, restored) {
+            (
+                Ok((name, at)),
+                Err(ServeError::Wal(WalError::Corrupt {
+                    segment, offset, ..
+                })),
+            ) if segment == name && offset == at => {}
+            (Err(why), _) => violations.push(format!("arm C: {why}")),
+            (_, Ok(restored)) => {
                 violations.push("bit-flipped journal recovered without error".to_owned());
-                restored.service.shutdown();
+                restored.shutdown();
             }
-            Err(e) => violations.push(format!("arm C refused with the wrong error: {e}")),
+            (Ok((name, at)), Err(e)) => violations.push(format!(
+                "arm C: expected a Corrupt refusal naming {name} at byte {at}, got: {e}"
+            )),
         }
         run.shutdown();
     }

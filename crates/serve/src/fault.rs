@@ -5,9 +5,20 @@
 //! worker processes die mid-epoch, model pushes fail, checkpoints get
 //! truncated on a failing disk. This module makes those conditions a
 //! *first-class, reproducible test input*: a [`FaultPlan`] is a seeded,
-//! inspectable schedule of faults, and a [`FaultInjector`] applies it —
-//! each fault exactly once — at the hook points threaded through
-//! [`crate::DispatchService`] and its shard workers.
+//! inspectable schedule of faults, and a [`FaultInjector`] hands each
+//! fault out exactly once.
+//!
+//! Where a fault is applied follows where it happens. Faults only the
+//! process itself can suffer — [`ShardFault`]s, registry-swap failures,
+//! [`TrainerFault`]s and the two [`WalFault`]s — fire at hook points
+//! inside [`crate::DispatchService`] and its shard workers. Faults on
+//! something that crosses the service boundary are applied by the
+//! caller at the point where it crosses: [`IngestFault`]s to requests
+//! before [`crate::DispatchService::ingest`], [`SnapshotCorruption`]s to
+//! snapshot texts after [`crate::DispatchService::snapshot`],
+//! [`CheckpointPoison`]s to checkpoint texts before
+//! [`crate::DispatchService::submit_rollout`], [`ConnFault`]s to frames
+//! on the socket, and bit flips to journal files on disk.
 //!
 //! Determinism is the whole point. The plan is fully decided up front from
 //! a seed (via the vendored `rand` shim), each fault family drawing from
@@ -29,19 +40,20 @@ use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// A fault applied to one rescue request offered to
-/// [`crate::DispatchService::ingest`].
+/// A fault the network applies to one rescue request on its way to
+/// [`crate::DispatchService::ingest`]. The caller draws it with
+/// [`FaultInjector::next_ingest_fault`] and applies it before the offer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestFault {
-    /// The event is lost: not queued, reported as not admitted.
+    /// The request is lost: it is never offered.
     Drop,
-    /// The event is deferred by this many epochs before reaching its
-    /// shard's queue (network delay / out-of-order delivery).
+    /// The request is held back this many epochs before it is offered
+    /// (network delay / out-of-order delivery).
     Delay(u32),
-    /// The event is enqueued twice (at-least-once delivery upstream).
+    /// The request is offered twice (at-least-once delivery upstream).
     Duplicate,
-    /// The event's payload is damaged in flight; the service's validation
-    /// must reject it with a typed error.
+    /// The request's payload is damaged in flight; the service's
+    /// validation must reject it with a typed error.
     Corrupt,
 }
 
@@ -97,7 +109,8 @@ pub enum TrainerFault {
 }
 
 /// A fault applied to the durable ingest journal (`crate::wal`) at one
-/// journaled push attempt.
+/// journaled push attempt. Damage to a journal file at rest is not one
+/// of these: a harness edits the file itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalFault {
     /// The process "dies" mid-append: a torn prefix of the record hits
@@ -105,10 +118,6 @@ pub enum WalFault {
     /// the typed `WalError::TornTail` — the request is not admitted and
     /// must never be acked.
     TornAppend,
-    /// Silent storage rot: one bit of an already-journaled record flips
-    /// on disk. The live run is unaffected; the *next* recovery must
-    /// refuse with a typed error naming the segment and offset.
-    SegmentBitFlip,
     /// The device stalls under fsync (a failing disk's write cache
     /// draining) for this many clock milliseconds. The append blocks for
     /// the stall and then completes normally.
@@ -117,7 +126,8 @@ pub enum WalFault {
 
 /// How a submitted checkpoint is poisoned before it reaches the rollout
 /// pipeline's admission gate (a corrupted training job, a bad export, or
-/// an adversarially regressed policy).
+/// an adversarially regressed policy). The caller applies it with
+/// [`FaultInjector::poison_checkpoint`] before it submits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointPoison {
     /// The policy parses but carries a NaN weight — admission must reject.
@@ -131,8 +141,10 @@ pub enum CheckpointPoison {
 }
 
 /// How a snapshot text is damaged on write (failing disk / torn write).
-/// The embedded position is reduced modulo the snapshot length when
-/// applied, so plans stay valid for any snapshot size.
+/// The caller applies it with [`FaultInjector::corrupt_snapshot`] to the
+/// text the service returned. The embedded position is reduced modulo
+/// the snapshot length when applied, so plans stay valid for any
+/// snapshot size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotCorruption {
     /// The text is cut short at a plan-chosen byte offset.
@@ -239,11 +251,8 @@ impl FaultPlanConfig {
     }
 
     /// The journal chaos mix: *only* WAL faults armed (torn appends and
-    /// fsync stalls; bit flips are scheduled explicitly with
-    /// [`FaultPlan::with_wal_fault`] by harnesses that want them, since a
-    /// flipped segment poisons every later recovery). Everything else
-    /// stays off so journal invariants are verified against an
-    /// otherwise-healthy fleet.
+    /// fsync stalls). Everything else stays off so journal invariants are
+    /// verified against an otherwise-healthy fleet.
     pub fn wal_chaos(epochs: u32, num_shards: usize) -> Self {
         Self {
             wal_horizon: 64,
@@ -522,21 +531,14 @@ fn set_offer<F: Copy>(offers: &mut Vec<Option<F>>, index: usize, fault: F) {
 }
 
 /// Cumulative counts of faults that actually *fired* during a run.
-///
-/// `delays_released` is incremented by the service when a deferred event
-/// finally reaches its queue; `delays - delays_released` is therefore the
-/// number of delayed events still in flight — the "retried/delayed
-/// in-flight" term of the chaos harness's conservation invariant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounters {
-    /// Request offers inspected by the injector (including retries).
+    /// Requests the injector drew an ingest fault decision for.
     pub offers: u64,
     /// Offers dropped.
     pub drops: u64,
     /// Offers deferred.
     pub delays: u64,
-    /// Deferred events released into their queue so far.
-    pub delays_released: u64,
     /// Offers duplicated.
     pub duplicates: u64,
     /// Offers corrupted.
@@ -565,8 +567,6 @@ pub struct FaultCounters {
     pub trainer_drops: u64,
     /// Torn journal appends fired.
     pub wal_torn: u64,
-    /// Journal segment bit-flips fired.
-    pub wal_bitflips: u64,
     /// Journal fsync stalls fired.
     pub wal_stalls: u64,
 }
@@ -596,14 +596,14 @@ impl FaultCounters {
             + self.trainer_floods
             + self.trainer_drops
             + self.wal_torn
-            + self.wal_bitflips
             + self.wal_stalls
             > 0
     }
 }
 
-/// Applies a [`FaultPlan`] at the service's hook points, each fault
-/// exactly once, with cumulative fired-fault counters.
+/// Hands out a [`FaultPlan`]'s faults, each exactly once — to the
+/// service's hook points and to the callers that apply boundary faults —
+/// with cumulative fired-fault counters.
 #[derive(Debug)]
 pub struct FaultInjector {
     scheduled: ScheduledFaults,
@@ -657,8 +657,8 @@ impl FaultInjector {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The fault (if any) for the next request offer. Counts the offer and
-    /// the fired fault.
+    /// The fault (if any) for the next request on its way to the service.
+    /// Counts the request and the fired fault.
     pub fn next_ingest_fault(&self) -> Option<IngestFault> {
         let p = &mut *self.pending();
         p.fired.offers += 1;
@@ -693,16 +693,10 @@ impl FaultInjector {
         let fault = next_offer(&p.plan.wal, &mut p.wal_at);
         match fault {
             Some(WalFault::TornAppend) => p.fired.wal_torn += 1,
-            Some(WalFault::SegmentBitFlip) => p.fired.wal_bitflips += 1,
             Some(WalFault::FsyncStall(_)) => p.fired.wal_stalls += 1,
             None => {}
         }
         fault
-    }
-
-    /// Notes that a deferred event reached its queue.
-    pub(crate) fn note_delay_released(&self) {
-        self.pending().fired.delays_released += 1;
     }
 
     /// Takes (consumes) the shard fault scheduled for `(epoch, shard)`, if
@@ -1027,16 +1021,15 @@ mod tests {
     fn wal_faults_consume_one_shot_with_their_own_index() {
         let plan = FaultPlan::empty()
             .with_wal_fault(1, WalFault::TornAppend)
-            .with_wal_fault(2, WalFault::SegmentBitFlip)
             .with_wal_fault(3, WalFault::FsyncStall(7))
             .with_ingest_fault(0, IngestFault::Drop)
             .with_conn_fault(0, ConnFault::TornWrite);
-        assert_eq!(plan.scheduled().wal, 3);
+        assert_eq!(plan.scheduled().wal, 2);
         assert!(plan.scheduled().any());
         let inj = FaultInjector::new(plan);
         assert_eq!(inj.next_wal_fault(), None);
         assert_eq!(inj.next_wal_fault(), Some(WalFault::TornAppend));
-        assert_eq!(inj.next_wal_fault(), Some(WalFault::SegmentBitFlip));
+        assert_eq!(inj.next_wal_fault(), None);
         assert_eq!(inj.next_wal_fault(), Some(WalFault::FsyncStall(7)));
         assert_eq!(inj.next_wal_fault(), None, "beyond the horizon");
         // The WAL index consumed neither the ingest nor the conn schedule.
@@ -1044,7 +1037,6 @@ mod tests {
         assert_eq!(inj.next_conn_fault(), Some(ConnFault::TornWrite));
         let c = inj.counters();
         assert_eq!(c.wal_torn, 1);
-        assert_eq!(c.wal_bitflips, 1);
         assert_eq!(c.wal_stalls, 1);
         assert!(c.any());
     }

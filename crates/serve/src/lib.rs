@@ -30,13 +30,16 @@
 //!   epoch latency is the registry's `epoch.dispatch_ms` histogram.
 //! * **Fault injection & graceful degradation** ([`FaultPlan`],
 //!   [`FaultInjector`], [`chaos`]) — a seeded, deterministic fault
-//!   schedule (drop/delay/duplicate/corrupt ingestion, stall/crash a
-//!   shard, fail a hot-swap, poison a checkpoint, corrupt a snapshot
-//!   write) threaded through the service, paired with the recovery it
-//!   demands: bounded ingestion retry, per-epoch dispatch deadline with
-//!   fallback to the heuristic dispatcher (`degraded_epochs`),
-//!   crash-restart from the last boundary checkpoint, and
-//!   checksum-validated snapshots.
+//!   schedule. The service draws the faults only it can suffer (stall or
+//!   crash a shard, fail a hot-swap, fault the trainer, tear or stall a
+//!   journal append); the [`chaos`] harness applies the rest where they
+//!   cross the service boundary (drop/delay/duplicate/corrupt a request
+//!   before it is offered, poison a checkpoint before it is submitted,
+//!   corrupt a snapshot text or a journal file after it is written).
+//!   Each is paired with the recovery it demands: bounded ingestion
+//!   retry, per-epoch dispatch deadline with fallback to the heuristic
+//!   dispatcher (`degraded_epochs`), crash-restart from the last boundary
+//!   checkpoint, and checksum-validated snapshots and journals.
 //! * **Guarded model rollout** ([`rollout`],
 //!   [`DispatchService::submit_rollout`]) — hot-swapped checkpoints pass
 //!   an admission probe (finite weights, matching shapes, sane outputs on

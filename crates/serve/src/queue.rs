@@ -80,15 +80,15 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// How many of `n` back-to-back offers made right now would be
-    /// admitted: limited by the free room under [`ShedPolicy::DropNewest`],
-    /// all of them (by eviction) under [`ShedPolicy::DropOldest`]. Only
-    /// meaningful while the caller serializes pushes externally;
-    /// concurrent drains can only make room, never take it.
-    pub fn admittable(&self, n: usize) -> usize {
+    /// Whether an offer made right now would be admitted: when there is
+    /// free room under [`ShedPolicy::DropNewest`], always (by eviction)
+    /// under [`ShedPolicy::DropOldest`]. Only meaningful while the caller
+    /// serializes pushes externally; concurrent drains can only make
+    /// room, never take it.
+    pub fn admittable(&self) -> bool {
         match self.policy {
-            ShedPolicy::DropOldest => n,
-            ShedPolicy::DropNewest => self.capacity.saturating_sub(self.lock().len()).min(n),
+            ShedPolicy::DropOldest => true,
+            ShedPolicy::DropNewest => self.lock().len() < self.capacity,
         }
     }
 

@@ -1,12 +1,12 @@
 //! The dispatch service: sharded runner, ingestion front, epoch barrier,
 //! snapshot/restore, and the recovery machinery exercised by the chaos
-//! harness (bounded ingestion retry, delayed-event release, shard
-//! crash-restart from the last boundary checkpoint).
+//! harness (bounded ingestion retry, shard crash-restart from the last
+//! boundary checkpoint).
 
 use crate::clock::Clock;
 use crate::error::ServeError;
 use crate::event::Event;
-use crate::fault::{reward_tank_policy_text, IngestFault, TrainerFault, WalFault};
+use crate::fault::{reward_tank_policy_text, TrainerFault, WalFault};
 use crate::metrics::{shard_series, MetricsSnapshot};
 use crate::queue::{BoundedQueue, ShedPolicy};
 use crate::registry::ModelRegistry;
@@ -45,7 +45,11 @@ pub struct ServeConfig {
     /// Dispatcher settings shared by all shards.
     pub rl: RlDispatchConfig,
     /// Deterministic fault schedule for chaos testing (`None` in
-    /// production: every hook is a no-op).
+    /// production: every hook is a no-op). The service draws only the
+    /// faults it alone can suffer — shard stalls and crashes, swap
+    /// failures, trainer faults, torn journal appends and fsync stalls;
+    /// faults on what crosses its boundary (requests, snapshot texts,
+    /// checkpoint texts, journal files) are applied by the caller.
     pub faults: Option<Arc<FaultInjector>>,
     /// Per-epoch dispatch compute budget, ms. A shard whose primary
     /// dispatcher exceeds it discards the late plan and replans with the
@@ -125,15 +129,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// A request deferred in flight by an injected [`IngestFault::Delay`],
-/// waiting for its release epoch.
-#[derive(Debug, Clone)]
-struct DelayedRequest {
-    release_epoch: u32,
-    shard: usize,
-    spec: RequestSpec,
-}
-
 /// Mutable service-level state, behind one lock: what the epoch logic
 /// reads back. No count lives here — every count the service reports is
 /// an obs [`Registry`] series with one writer — except `epochs_completed`,
@@ -178,7 +173,6 @@ pub struct DispatchService {
     // through `&self` during crash recovery (and because the non-`Sync`
     // receiver must not be shared bare across the `Arc`).
     shards: Vec<Mutex<ShardHandle>>,
-    delayed: Mutex<Vec<DelayedRequest>>,
     // Last boundary checkpoint per shard (auto-recover only).
     checkpoints: Mutex<Vec<Option<String>>>,
     obs: Arc<Registry>,
@@ -286,7 +280,6 @@ impl DispatchService {
             request_queues,
             advisories,
             shards: Vec::new(),
-            delayed: Mutex::new(Vec::new()),
             checkpoints: Mutex::new(vec![None; num_shards]),
             retries: obs.counter("serve.ingest_retries"),
             restarts: obs.counter("serve.shard_restarts"),
@@ -348,12 +341,11 @@ impl DispatchService {
                     ),
                 }));
             }
-            // Replay bypasses journaling and fault injection: the record
-            // is already durable and the fault schedule already fired for
-            // it in the run that journaled it. Every journaled record was
-            // admitted (and acked) by the crashed process, so an overflow
-            // here means the queue capacity shrank across the restart —
-            // refuse rather than silently shed a durable request.
+            // Replay bypasses journaling: the record is already durable.
+            // Every journaled record was admitted (and acked) by the
+            // crashed process, so an overflow here means the queue
+            // capacity shrank across the restart — refuse rather than
+            // silently shed a durable request.
             if !self.request_queues[rec.shard].push(rec.spec) {
                 return Err(ServeError::ReplayOverflow {
                     shard: rec.shard,
@@ -378,44 +370,34 @@ impl DispatchService {
         Ok(())
     }
 
-    /// Journals then pushes `copies` back-to-back offers of one request
-    /// (two for an injected duplicate), atomically with respect to
+    /// Journals then pushes one request, atomically with respect to
     /// [`snapshot`]: the queue only sees specs the journal already holds,
-    /// so `Ok(true)` (the first copy was admitted) means the request
-    /// survives a process kill. Only the copies the bounded queue will
-    /// admit are journaled — a journaled record means "admitted and about
-    /// to be acked" — so a shed offer leaves no durable trace: recovery
-    /// never replays a request whose client got a NACK, and a
-    /// shed-then-retried offer is journaled exactly once, on the attempt
-    /// that is admitted.
+    /// so `Ok(true)` means the request survives a process kill. Only an
+    /// offer the bounded queue will admit is journaled — a journaled
+    /// record means "admitted and about to be acked" — so a shed offer
+    /// leaves no durable trace: recovery never replays a request whose
+    /// client got a NACK, and a shed-then-retried offer is journaled
+    /// exactly once, on the attempt that is admitted.
     ///
-    /// The journal lock is held across the pushes. It serializes every
+    /// The journal lock is held across the push. It serializes every
     /// journaled push, which makes the room check race-free (concurrent
     /// epoch drains only ever make room), and [`snapshot`] captures the
     /// high-water mark and the queue contents in one journal critical
     /// section, so a record at `seq <= hwm` is always visible to the
     /// queue capture and a record past it never is.
     ///
-    /// One injected WAL fault is drawn per call that journals anything,
-    /// so the admitted copies journal as one group commit under one draw.
+    /// One injected WAL fault is drawn per call that journals.
     ///
     /// [`snapshot`]: DispatchService::snapshot
-    fn journal_push(
-        &self,
-        shard: usize,
-        spec: RequestSpec,
-        copies: usize,
-    ) -> Result<bool, ServeError> {
+    fn journal_push(&self, shard: usize, spec: RequestSpec) -> Result<bool, ServeError> {
         let mut guard = lock(&self.wal);
         let q = &self.request_queues[shard];
-        let room = q.admittable(copies);
-        if let (Some(wal), true) = (guard.as_mut(), room > 0) {
+        if let (Some(wal), true) = (guard.as_mut(), q.admittable()) {
             let entry = WalEntry {
                 clock_ms: self.clock.now_ms(),
                 shard,
                 spec,
             };
-            let entries = vec![entry; room];
             match self.config.faults.as_ref().and_then(|f| f.next_wal_fault()) {
                 Some(WalFault::TornAppend) => {
                     // The append dies mid-write: the tail is torn (and
@@ -431,31 +413,12 @@ impl DispatchService {
                     );
                     return Err(ServeError::Wal(err));
                 }
-                Some(WalFault::SegmentBitFlip) => {
-                    wal.append(&entries)?;
-                    if let Some((segment, offset)) = wal.inject_bit_flip() {
-                        self.obs.events().log(
-                            Level::Warn,
-                            0,
-                            Some(shard),
-                            format!("wal: injected bit flip in {segment} at byte {offset}"),
-                        );
-                    }
-                }
-                Some(WalFault::FsyncStall(ms)) => {
-                    self.clock.sleep_ms(ms);
-                    wal.append(&entries)?;
-                }
-                None => {
-                    wal.append(&entries)?;
-                }
+                Some(WalFault::FsyncStall(ms)) => self.clock.sleep_ms(ms),
+                None => {}
             }
+            wal.append(&[entry])?;
         }
-        let first = q.push(spec);
-        for _ in 1..copies {
-            let _ = q.push(spec);
-        }
-        Ok(first)
+        Ok(q.push(spec))
     }
 
     /// Flushes the journal when the fsync policy is `Epoch`; called at
@@ -569,10 +532,10 @@ impl DispatchService {
     /// in-flight status, or `None` when the configured gates are all empty
     /// and the candidate was promoted immediately.
     ///
-    /// With a [`FaultInjector`] configured, a scheduled checkpoint poison
-    /// replaces the submitted policy text (a corrupted artifact store);
-    /// admission must then reject it, or — for an adversarially plausible
-    /// poison — the shadow/watch gates must catch it.
+    /// The texts are taken as delivered: a poisoned checkpoint (a
+    /// corrupted artifact store) must be rejected at admission or — for
+    /// an adversarially plausible poison — caught by the shadow/watch
+    /// gates.
     ///
     /// # Errors
     ///
@@ -590,16 +553,10 @@ impl DispatchService {
             self.rollouts_rejected.inc();
             return Err(ServeError::Rollout(RolloutError::InFlight));
         }
-        // The poison hook models a corrupted artifact store: what admission
-        // sees is what the store delivered, not what the trainer submitted.
-        let policy_text = match &self.config.faults {
-            Some(injector) => injector.poison_checkpoint(policy_text.map(str::to_owned)),
-            None => policy_text.map(str::to_owned),
-        };
         let mut events = Events::new();
         let submitted = state
             .rollout
-            .submit(predictor_text, policy_text.as_deref(), &mut events);
+            .submit(predictor_text, policy_text, &mut events);
         let status = submitted.map_err(|e| {
             self.rollouts_rejected.inc();
             let message = format!("rollout candidate rejected at admission: {e}");
@@ -655,19 +612,17 @@ impl DispatchService {
     }
 
     /// Offers one event to the ingestion front. Returns `Ok(true)` if it
-    /// was admitted, `Ok(false)` if the bounded queue shed it.
-    ///
-    /// When a [`FaultInjector`] is configured, each *request* offer passes
-    /// through it: the event may be dropped (`Ok(false)`), deferred to a
-    /// later epoch (`Ok(true)` — it is in flight, not lost), enqueued
-    /// twice, or corrupted in flight (rejected by validation with a typed
-    /// error, like any malformed event). Advisories bypass injection.
+    /// was admitted — journaled first when a journal is configured — and
+    /// `Ok(false)` if the bounded queue shed it. The event is taken as
+    /// delivered: a network that drops, delays, duplicates or damages
+    /// requests does so before they reach this call.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::UnknownShard`] for an out-of-range shard and
+    /// Returns [`ServeError::UnknownShard`] for an out-of-range shard,
     /// [`ServeError::World`] for a request on a segment the city does not
-    /// have — malformed events are rejected at the door, not queued.
+    /// have — malformed events are rejected at the door, not queued — and
+    /// [`ServeError::Wal`] when the journal append fails.
     pub fn ingest(&self, event: Event) -> Result<bool, ServeError> {
         let shard = event.shard();
         if shard >= self.config.num_shards {
@@ -679,33 +634,7 @@ impl DispatchService {
         match event {
             Event::Request { spec, .. } => {
                 self.validate_request(&spec)?;
-                let Some(injector) = &self.config.faults else {
-                    return self.journal_push(shard, spec, 1);
-                };
-                match injector.next_ingest_fault() {
-                    None => self.journal_push(shard, spec, 1),
-                    Some(IngestFault::Drop) => Ok(false),
-                    Some(IngestFault::Delay(epochs)) => {
-                        // Not journaled yet: the spec is journaled when it
-                        // is released into a queue, so replay never
-                        // resurrects a request ahead of its release epoch.
-                        let release_epoch = self.state().epochs_completed + epochs.max(1);
-                        lock(&self.delayed).push(DelayedRequest {
-                            release_epoch,
-                            shard,
-                            spec,
-                        });
-                        Ok(true)
-                    }
-                    Some(IngestFault::Duplicate) => self.journal_push(shard, spec, 2),
-                    Some(IngestFault::Corrupt) => {
-                        // The payload is damaged in flight; validation
-                        // rejects it exactly like any malformed event.
-                        Err(ServeError::World(
-                            mobirescue_sim::WorldError::UnknownSegment(SegmentId(u32::MAX)),
-                        ))
-                    }
-                }
+                self.journal_push(shard, spec)
             }
             other => Ok(self.advisories.push(other)),
         }
@@ -713,9 +642,8 @@ impl DispatchService {
 
     /// [`DispatchService::ingest`] with bounded retry: when the queue
     /// sheds the offer, back off on the service clock and re-offer, up to
-    /// `retry.max_retries` times. Each re-offer is a fresh ingestion (it
-    /// passes through fault injection again). Errors are permanent —
-    /// malformed events are not retried.
+    /// `retry.max_retries` times. Errors are permanent — malformed events
+    /// are not retried.
     ///
     /// # Errors
     ///
@@ -735,41 +663,6 @@ impl DispatchService {
             self.clock.sleep_ms(backoff_ms);
             backoff_ms = backoff_ms.saturating_mul(retry.backoff_multiplier.max(1));
         }
-    }
-
-    /// Moves injection-delayed requests whose release epoch has arrived
-    /// into their shard queues (in arrival order).
-    fn release_due_delayed(&self) {
-        let epoch = self.state().epochs_completed;
-        let mut delayed = lock(&self.delayed);
-        if delayed.is_empty() {
-            return;
-        }
-        let mut pending = Vec::with_capacity(delayed.len());
-        for d in delayed.drain(..) {
-            if d.release_epoch <= epoch {
-                // Journal at release time, atomically with the push (like
-                // every journaled push); if journaling fails the request
-                // stays pending for the next boundary instead of being
-                // silently lost, and a shed release is never journaled.
-                if let Err(err) = self.journal_push(d.shard, d.spec, 1) {
-                    self.obs.events().log(
-                        Level::Warn,
-                        epoch,
-                        Some(d.shard),
-                        format!("wal: delayed release held back: {err}"),
-                    );
-                    pending.push(d);
-                    continue;
-                }
-                if let Some(injector) = &self.config.faults {
-                    injector.note_delay_released();
-                }
-            } else {
-                pending.push(d);
-            }
-        }
-        *delayed = pending;
     }
 
     /// Validates drained advisories against the scenario. Weather and
@@ -895,19 +788,19 @@ impl DispatchService {
         Ok(())
     }
 
-    /// Runs one dispatch epoch on every shard (the barrier): releases due
-    /// delayed events, drains each shard's request queue into its world,
-    /// advances all shards one dispatch period in parallel, and collects
-    /// their reports. With `auto_recover`, a shard whose worker died is
-    /// restarted from its last boundary checkpoint and the epoch is
-    /// replayed with the same drained batch — no epoch is skipped.
+    /// Runs one dispatch epoch on every shard (the barrier): drains each
+    /// shard's request queue into its world, advances all shards one
+    /// dispatch period in parallel, and collects their reports. With
+    /// `auto_recover`, a shard whose worker died is restarted from its
+    /// last boundary checkpoint and the epoch is replayed with the same
+    /// drained batch — no epoch is skipped. The shard and trainer faults
+    /// a configured [`FaultInjector`] schedules fire here.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Shard`] when a worker has died (and
     /// `auto_recover` is off or recovery itself failed).
     pub fn run_epoch(&self) -> Result<Vec<EpochReport>, ServeError> {
-        self.release_due_delayed();
         let (applied, invalid) = self.apply_advisories(self.advisories.drain());
         let (directives, mut tally) = self.state().rollout.plan(self.shards.len());
         let cmds: Vec<ShardCmd> = (self.request_queues.iter().zip(directives))
@@ -1148,11 +1041,8 @@ impl DispatchService {
     /// queue contents, and the service counters — to a versioned text
     /// blob sealed with an FNV-1a checksum trailer. Take it at an epoch
     /// boundary (between [`run_epoch`] calls); a service restored from it
-    /// continues identically.
-    ///
-    /// With a [`FaultInjector`] configured, a scheduled snapshot
-    /// corruption damages the returned text (a torn or bit-rotted write);
-    /// [`DispatchService::restore`] must then reject it.
+    /// continues identically. A text damaged after it leaves here (a torn
+    /// or bit-rotted write) is refused by [`DispatchService::restore`].
     ///
     /// [`run_epoch`]: DispatchService::run_epoch
     ///
@@ -1246,22 +1136,11 @@ impl DispatchService {
                 Event::Request { .. } => {}
             }
         }
-        for d in lock(&self.delayed).iter() {
-            let _ = writeln!(
-                out,
-                "dlay {} {} {} {}",
-                d.release_epoch, d.shard, d.spec.appear_s, d.spec.segment.0
-            );
-        }
         for i in 0..self.shards.len() {
             write_block(&mut out, &format!("shard {i}"), &self.shard_snapshot(i)?);
         }
         out.push_str("end\n");
-        let sealed = seal_snapshot(out);
-        Ok(match &self.config.faults {
-            Some(injector) => injector.corrupt_snapshot(sealed),
-            None => sealed,
-        })
+        Ok(seal_snapshot(out))
     }
 
     /// Rebuilds a service from a snapshot over the *same* scenario. The
@@ -1376,16 +1255,6 @@ impl DispatchService {
                         _ => return Err(bad("unknown advisory kind")),
                     };
                     svc.advisories.push(event);
-                }
-                "dlay" => {
-                    let release_epoch = r.field("release epoch")?;
-                    let shard = r.below(num_shards, "shard")?;
-                    let spec = read_spec(&mut r)?;
-                    lock(&svc.delayed).push(DelayedRequest {
-                        release_epoch,
-                        shard,
-                        spec,
-                    });
                 }
                 "shard" => {
                     let i: usize = r.below(num_shards, "index")?;

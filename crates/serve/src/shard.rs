@@ -293,6 +293,10 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
         .expect("service validated the world configuration");
     world.set_time_source(phase_timer.clone());
     let mut bundle = spec.registry.current();
+    // The model version this shard's world last ran under: the bundle's
+    // after each epoch's swap, the snapshot's after a restore (whose
+    // dispatcher only rebuilds at the next epoch).
+    let mut served_version = bundle.version;
     let mut dispatcher = build_dispatcher(scenario, &spec.rl, &bundle).ok();
     if let Some(d) = dispatcher.as_mut() {
         d.set_time_source(phase_timer.clone());
@@ -324,60 +328,40 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
                     None => 0,
                 };
                 // Hot-swap check at the epoch boundary only: mid-epoch the
-                // dispatcher stays whatever the epoch started with. An
-                // injected swap failure simulates the registry being
-                // unreachable: no swap happens and this epoch is served
-                // degraded on the fallback. A canary directive overrides
-                // the registry — the shard serves the candidate bundle —
-                // while a shadow directive leaves the incumbent path
-                // untouched and only pins the twin inputs below.
-                let mut swap_error: Option<SwapError> = None;
-                let mut force_fallback = false;
-                let mut shadow_cand: Option<Arc<ModelBundle>> = None;
-                match &rollout {
-                    Some(RolloutDirective::Canary(cand)) => {
-                        if faults.is_some_and(|f| f.take_swap_failure(epoch, index)) {
-                            swap_error = Some(SwapError::Injected);
-                            force_fallback = true;
-                        } else if !Arc::ptr_eq(&bundle, cand) || dispatcher.is_none() {
-                            match build_dispatcher(scenario, &spec.rl, cand) {
-                                Ok(mut d) => {
-                                    d.set_time_source(phase_timer.clone());
-                                    d.set_transition_tap(spec.tap_transitions);
-                                    dispatcher = Some(d);
-                                    bundle = Arc::clone(cand);
-                                }
-                                Err(e) => swap_error = Some(SwapError::Rollout(e)),
-                            }
+                // dispatcher stays whatever the epoch started with. A
+                // canary directive overrides the registry — the shard
+                // serves the candidate bundle, and a build failure is a
+                // canary gate failure — while a shadow directive leaves
+                // the incumbent path untouched and only pins the twin
+                // inputs below. An injected swap failure simulates the
+                // registry being unreachable: no swap happens and this
+                // epoch is served degraded on the fallback.
+                let shadow_cand = match &rollout {
+                    Some(RolloutDirective::Shadow(cand)) => Some(Arc::clone(cand)),
+                    _ => None,
+                };
+                let (target, build_error): (_, fn(String) -> SwapError) = match &rollout {
+                    Some(RolloutDirective::Canary(cand)) => (Arc::clone(cand), SwapError::Rollout),
+                    _ => (spec.registry.current(), SwapError::Build),
+                };
+                let force_fallback = faults.is_some_and(|f| f.take_swap_failure(epoch, index));
+                let mut swap_error = force_fallback.then_some(SwapError::Injected);
+                // Compare by Arc identity, not version: a rolled-back
+                // canary leaves the shard holding a stale bundle whose
+                // *tentative* version can collide with the next genuine
+                // install.
+                if !force_fallback && (!Arc::ptr_eq(&target, &bundle) || dispatcher.is_none()) {
+                    match build_dispatcher(scenario, &spec.rl, &target) {
+                        Ok(mut d) => {
+                            d.set_time_source(phase_timer.clone());
+                            d.set_transition_tap(spec.tap_transitions);
+                            dispatcher = Some(d);
+                            bundle = target;
                         }
-                    }
-                    directive => {
-                        if let Some(RolloutDirective::Shadow(cand)) = directive {
-                            shadow_cand = Some(Arc::clone(cand));
-                        }
-                        if faults.is_some_and(|f| f.take_swap_failure(epoch, index)) {
-                            swap_error = Some(SwapError::Injected);
-                            force_fallback = true;
-                        } else {
-                            let current = spec.registry.current();
-                            // Compare by Arc identity, not version: a
-                            // rolled-back canary leaves the shard holding
-                            // a stale bundle whose *tentative* version can
-                            // collide with the next genuine install.
-                            if !Arc::ptr_eq(&current, &bundle) || dispatcher.is_none() {
-                                match build_dispatcher(scenario, &spec.rl, &current) {
-                                    Ok(mut d) => {
-                                        d.set_time_source(phase_timer.clone());
-                                        d.set_transition_tap(spec.tap_transitions);
-                                        dispatcher = Some(d);
-                                        bundle = current;
-                                    }
-                                    Err(e) => swap_error = Some(SwapError::Build(e)),
-                                }
-                            }
-                        }
+                        Err(e) => swap_error = Some(build_error(e)),
                     }
                 }
+                served_version = bundle.version;
                 // Pin the shadow twin's inputs before they are consumed:
                 // the candidate must replay exactly this epoch — same
                 // world, same requests, same carry latency.
@@ -447,7 +431,7 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
                     index,
                     &world,
                     [injected, rejected, degraded],
-                    bundle.version,
+                    served_version,
                 );
                 let reward = crate::rollout::epoch_reward(&spec.rl, &spec.sim, &report);
                 // Drain the tap every epoch (even when the transitions are
@@ -489,8 +473,9 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
             ShardCmd::Snapshot => {
                 let routing = world.routing_stats();
                 let mut text = format!(
-                    "shardstate {injected} {rejected} {carry_ms} {} {} {} {degraded}\n",
-                    bundle.version, routing.hits, routing.misses
+                    "shardstate {injected} {rejected} {carry_ms} {served_version} {} {} \
+                     {degraded}\n",
+                    routing.hits, routing.misses
                 );
                 text.push_str(&world.snapshot_text());
                 if tx.send(ShardReply::Snapshot(Ok(text))).is_err() {
@@ -510,10 +495,11 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
                         // snapshot's cache totals on in it.
                         world.resume_routing_stats(parsed.routing);
                         // The dispatcher rebuilds from the registry at the
-                        // next epoch; until then report the version the
-                        // snapshot ran with.
+                        // next epoch; until then the shard serves the
+                        // version the snapshot ran with.
+                        served_version = parsed.version;
                         let tallies = [injected, rejected, degraded];
-                        publish(&obs, index, &world, tallies, parsed.version);
+                        publish(&obs, index, &world, tallies, served_version);
                         Ok(())
                     }
                     Err(e) => Err(e),

@@ -48,7 +48,7 @@ use mobirescue_sim::record::Reader;
 use mobirescue_sim::{fnv1a_64_bytes, RequestSpec};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -522,41 +522,6 @@ impl Wal {
         }
     }
 
-    /// Fault hook ([`crate::fault::WalFault::SegmentBitFlip`]): flips
-    /// one bit of the most recently appended record *on disk* — silent
-    /// storage rot. The live run is unaffected; the next recovery must
-    /// refuse with a typed [`WalError::Corrupt`] naming this segment
-    /// and offset. Returns the damaged location, or `None` when the
-    /// active segment holds no record yet.
-    pub fn inject_bit_flip(&mut self) -> Option<(String, u64)> {
-        let start = self.active_start_seq();
-        if self.last_seq < start {
-            return None;
-        }
-        let path = self.active_path();
-        // Damage a mid-line byte of the active segment's first record:
-        // terminated interior damage, unambiguously not a torn tail.
-        let flip = (|| -> std::io::Result<(String, u64)> {
-            let mut text = String::new();
-            self.file.seek(SeekFrom::Start(0))?;
-            self.file.read_to_string(&mut text)?;
-            let header_len = text.find('\n').map_or(0, |i| i + 1) as u64;
-            let offset = header_len + 4;
-            self.file.seek(SeekFrom::Start(offset))?;
-            let mut b = [0u8; 1];
-            self.file.read_exact(&mut b)?;
-            self.file.seek(SeekFrom::Start(offset))?;
-            self.file.write_all(&[b[0] ^ 0x10])?;
-            self.file.seek(SeekFrom::End(0))?;
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            Ok((name, header_len))
-        })();
-        flip.ok()
-    }
-
     fn active_path(&self) -> PathBuf {
         self.segments
             .last()
@@ -654,6 +619,14 @@ fn scan_segment(
         .strip_prefix(HEADER_PREFIX)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| corrupt(0, format!("bad header `{header}`")))?;
+    if start == 0 {
+        // The journal numbers records from 1; a start of 0 would make
+        // the last sequence of an empty journal underflow.
+        return Err(corrupt(
+            0,
+            "header start 0, sequences start at 1".to_owned(),
+        ));
+    }
     if start != seg.start_seq || start != expected_start {
         return Err(corrupt(
             0,
@@ -697,7 +670,9 @@ fn scan_segment(
             segment: name.clone(),
             offset: offset as u64,
         });
-        next_seq += 1;
+        next_seq = next_seq
+            .checked_add(1)
+            .ok_or_else(|| corrupt(offset as u64, "record sequence passes u64::MAX".to_owned()))?;
         offset += line_bytes.len() + 1;
     }
     Ok(ScanOutcome { next_seq, torn })
@@ -933,7 +908,7 @@ mod tests {
     }
 
     #[test]
-    fn injected_tear_self_heals_and_injected_flip_poisons_recovery() {
+    fn injected_tear_self_heals() {
         let dir = tdir("inject");
         let (mut wal, _) = open(&dir);
         wal.append(&[entry(0)]).expect("append");
@@ -942,28 +917,44 @@ mod tests {
         assert_eq!(wal.last_seq(), 1, "the torn entry was never journaled");
         wal.append(&[entry(2)]).expect("append after self-heal");
         drop(wal);
-        let (mut wal, rec) = open(&dir);
+        let (_, rec) = open(&dir);
         assert!(rec.torn.is_none(), "the tear healed in-process");
         assert_eq!(rec.records.len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-        let (segment, offset) = wal.inject_bit_flip().expect("a record exists to damage");
-        assert_eq!(segment, segment_name(1));
-        drop(wal);
+    /// Opens a journal directory holding the one segment `text`, named
+    /// for `start_seq`, expecting a typed refusal at `offset` of it.
+    fn assert_refused_at(tag: &str, start_seq: u64, text: &str, offset: u64) {
+        let dir = tdir(tag);
+        std::fs::create_dir_all(&dir).expect("dir");
+        std::fs::write(dir.join(segment_name(start_seq)), text).expect("segment written");
         let mut cfg = WalConfig::new(&dir);
         cfg.fsync = FsyncPolicy::Off;
         match Wal::open(cfg, &Registry::new(), time()) {
             Err(WalError::Corrupt {
-                segment: s,
-                offset: o,
-                ..
+                segment, offset: o, ..
             }) => {
-                assert_eq!(s, segment);
+                assert_eq!(segment, segment_name(start_seq));
                 assert_eq!(o, offset);
             }
-            Err(other) => panic!("flipped journal must refuse as Corrupt, got {other}"),
-            Ok(_) => panic!("flipped journal must refuse, but it opened"),
+            Err(other) => panic!("expected a Corrupt refusal, got {other}"),
+            Ok(_) => panic!("expected a Corrupt refusal, but the journal opened"),
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_segment_starting_at_sequence_zero_is_refused() {
+        assert_refused_at("start0", 0, &format!("{HEADER_PREFIX}0\n"), 0);
+    }
+
+    #[test]
+    fn a_record_sequence_past_u64_max_is_refused() {
+        let header = format!("{HEADER_PREFIX}{}\n", u64::MAX);
+        let e = entry(1);
+        let text = header.clone() + &record_line(u64::MAX, e.clock_ms, e.shard, &e.spec);
+        assert_refused_at("seqmax", u64::MAX, &text, header.len() as u64);
     }
 
     #[test]

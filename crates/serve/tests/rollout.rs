@@ -232,10 +232,11 @@ fn parse_predictor(text: &str) -> RequestPredictor {
 /// against an incumbent (`competent_net(6)` plus `incumbent_predictor`)
 /// and drives the pipeline to its end. A twin restores from a snapshot
 /// taken one epoch into shadow, which carries the candidate's texts, and,
-/// if the candidate gets that far, another from one taken one epoch into
-/// watch, which carries the pinned prior's. Every twin must finish
-/// bit-identically to the uninterrupted run. Returns that run's registry
-/// and the number of twins.
+/// if the candidate gets that far, two more from snapshots taken in the
+/// epoch it promoted and one epoch into watch, which carry the pinned
+/// prior's. Every restore must re-snapshot byte-identically, and every
+/// twin must finish bit-identically to the uninterrupted run. Returns
+/// that run's registry and the number of twins.
 fn rollout_survives_restores(
     incumbent_predictor: Option<&str>,
     candidate_predictor: Option<&str>,
@@ -311,10 +312,12 @@ fn rollout_survives_restores(
         for twin in &twins {
             assert_eq!(service.rollout_status(), twin.rollout_status());
         }
-        let one_epoch_into_watch = service
+        // The promoting epoch (0 done) restores shard worlds that ran the
+        // prior version into a registry that already serves the next.
+        let in_watch = service
             .rollout_status()
-            .is_some_and(|s| (s.stage, s.epochs_done) == (RolloutStage::Watch, 1));
-        if one_epoch_into_watch {
+            .is_some_and(|s| s.stage == RolloutStage::Watch && s.epochs_done <= 1);
+        if in_watch {
             let snapshot = service.snapshot().expect("watch snapshot serializes");
             assert_eq!(
                 snapshot.contains("rtext ppred"),
@@ -363,7 +366,7 @@ fn in_flight_rollout_carrying_predictors_survives_snapshot_and_restore() {
     // (as in `golden.rs`), so the candidate promotes.
     let (registry, twins) =
         rollout_survives_restores(Some(&predictor_text(0.25)), Some(&candidate), 20.0);
-    assert_eq!(twins, 2, "a twin restored in the watch stage");
+    assert_eq!(twins, 3, "two twins restored in the watch stage");
     let current = registry.current();
     assert_eq!(current.version, 2, "the candidate promoted");
     assert_eq!(

@@ -106,12 +106,9 @@ fn corrupted_snapshot_writes_are_rejected_on_restore() {
         SnapshotCorruption::BitFlip(6_789),
     ] {
         let scenario = Arc::new(mobirescue_serve::chaos::chaos_scenario());
-        let injector = Arc::new(FaultInjector::new(
-            FaultPlan::empty().with_snapshot_corruption(corruption),
-        ));
+        let injector = FaultInjector::new(FaultPlan::empty().with_snapshot_corruption(corruption));
         let mut config = mobirescue_serve::ServeConfig::new(mobirescue_sim::SimConfig::small(6));
         config.num_shards = 2;
-        config.faults = Some(Arc::clone(&injector));
         let clock: Arc<SimClock> = Arc::new(SimClock::new());
         let registry = Arc::new(ModelRegistry::new(None, None));
         let service = DispatchService::start(
@@ -122,7 +119,9 @@ fn corrupted_snapshot_writes_are_rejected_on_restore() {
         )
         .expect("service starts");
         service.run_epoch().expect("epoch runs");
-        let corrupted = service.snapshot().expect("snapshot writes");
+        // The write is damaged on its way to disk, after the service
+        // sealed it.
+        let corrupted = injector.corrupt_snapshot(service.snapshot().expect("snapshot writes"));
         assert_eq!(injector.counters().snapshot_corruptions, 1);
         let err = DispatchService::restore(
             Arc::clone(&scenario),
