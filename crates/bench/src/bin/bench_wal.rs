@@ -1,15 +1,15 @@
 //! Fsync-policy cost benchmark for the durable ingest journal.
 //!
-//! Measures the wall-clock cost of one group-committed append batch
-//! under each [`FsyncPolicy`] — `always` pays an fsync per batch before
-//! any `Ack` can leave, `epoch` defers it to the epoch boundary, `off`
-//! leans on the page cache — and emits the flat informational rows that
-//! ride along in `BENCH_serve.json` (the SLO gate does not read them;
-//! they document what durability costs on the bless machine).
+//! Measures the wall-clock cost of one journal append — the one record
+//! the service journals per admitted request — under each
+//! [`FsyncPolicy`]: `always` pays an fsync per append before any `Ack`
+//! can leave, `epoch` defers it to the epoch boundary, `off` leans on
+//! the page cache. Emits the flat informational rows that ride along in
+//! `BENCH_serve.json` (the SLO gate does not read them; they document
+//! what durability costs on the bless machine).
 //!
 //! ```text
-//! cargo run -p mobirescue-bench --release --bin bench_wal -- \
-//!     [--batches N] [--batch-size M]
+//! cargo run -p mobirescue-bench --release --bin bench_wal -- [--appends N]
 //! ```
 
 use mobirescue_obs::{Registry, WallTime};
@@ -19,10 +19,9 @@ use mobirescue_sim::RequestSpec;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Appends `batches` batches of `batch_size` entries under `policy` in a
-/// fresh temp journal and returns the mean per-batch cost in
-/// microseconds.
-fn bench_policy(policy: FsyncPolicy, batches: u64, batch_size: usize) -> f64 {
+/// Appends `appends` records under `policy` in a fresh temp journal and
+/// returns the mean per-append cost in microseconds.
+fn bench_policy(policy: FsyncPolicy, appends: u64) -> f64 {
     let dir = std::env::temp_dir().join(format!(
         "mobirescue-benchwal-{}-{}",
         std::process::id(),
@@ -35,37 +34,39 @@ fn bench_policy(policy: FsyncPolicy, batches: u64, batch_size: usize) -> f64 {
     let (mut wal, _recovery) =
         Wal::open(cfg, &registry, Arc::new(WallTime::new())).expect("fresh journal opens");
 
-    let entries: Vec<WalEntry> = (0..batch_size)
-        .map(|i| WalEntry {
-            clock_ms: i as u64,
-            shard: i % 2,
+    let start = Instant::now();
+    for i in 0..appends {
+        let entry = WalEntry {
+            clock_ms: i,
+            shard: (i % 2) as usize,
             spec: RequestSpec {
                 appear_s: i as u32 * 7,
                 segment: SegmentId(i as u32 % 64),
             },
-        })
-        .collect();
-    let start = Instant::now();
-    for _ in 0..batches {
-        wal.append(&entries).expect("append");
+        };
+        wal.append(&entry).expect("append");
     }
     let elapsed = start.elapsed();
     wal.sync().expect("final flush");
     drop(wal);
     let _ = std::fs::remove_dir_all(&dir);
-    elapsed.as_micros() as f64 / batches as f64
+    elapsed.as_micros() as f64 / appends as f64
 }
 
 fn main() {
-    let mut batches = 512u64;
-    let mut batch_size = 4usize;
+    let mut appends = 512u64;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--batches" => batches = args.next().and_then(|v| v.parse().ok()).unwrap_or(512),
-            "--batch-size" => batch_size = args.next().and_then(|v| v.parse().ok()).unwrap_or(4),
+            "--appends" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(n) if n > 0 => appends = n,
+                _ => {
+                    eprintln!("bench_wal: --appends needs a positive integer");
+                    std::process::exit(2);
+                }
+            },
             "--help" | "-h" => {
-                println!("usage: bench_wal [--batches N] [--batch-size M]");
+                println!("usage: bench_wal [--appends N]");
                 return;
             }
             other => {
@@ -75,16 +76,15 @@ fn main() {
         }
     }
 
-    eprintln!("bench_wal: {batches} batches of {batch_size} per policy (group-committed appends)");
+    eprintln!("bench_wal: {appends} single-record appends per policy");
     // Flat JSON, one scalar per line — the same shape as the rest of
     // BENCH_serve.json so the sed extractor keeps working.
     println!("{{");
-    println!("  \"wal_batch_size\": {batch_size},");
     for (i, policy) in [FsyncPolicy::Always, FsyncPolicy::Epoch, FsyncPolicy::Off]
         .into_iter()
         .enumerate()
     {
-        let us = bench_policy(policy, batches, batch_size);
+        let us = bench_policy(policy, appends);
         let comma = if i < 2 { "," } else { "" };
         println!("  \"wal_append_{}_us\": {:.1}{comma}", policy.as_str(), us);
     }

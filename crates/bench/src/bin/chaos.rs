@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! cargo run -p mobirescue-bench --release --bin chaos -- \
-//!     [--seeds N] [--base-seed S] [--epochs E] [--shards K] \
-//!     [--metrics-out FILE]
+//!     [--seeds N] [--base-seed S] [--metrics-out FILE]
 //! ```
 //!
 //! Sweeps N seeded fault plans through `mobirescue_serve::chaos::run_chaos`
@@ -16,45 +15,75 @@
 //! boundary crashes against the online training loop), and the WAL fault
 //! sweep (kill -9 at arbitrary journal byte offsets, torn appends, bit
 //! flips and fsync stalls against the durable ingest journal, over the
-//! pinned `CHAOS_SEEDS`). Exits non-zero if any seed breaks an invariant
-//! — pipe the output into `robustness_serve.txt` via `scripts/chaos.sh`.
+//! pinned `CHAOS_SEEDS`). Every run has the harness's one configuration
+//! (`CHAOS_EPOCHS` epochs on `CHAOS_SHARDS` shards for the sweep). Exits 1
+//! if any seed breaks an invariant and 2 on a bad argument — pipe the
+//! output into `robustness_serve.txt` via `scripts/chaos.sh`.
 
 use mobirescue_serve::chaos::{
     crash_replay_divergence, rollout_chaos_divergence, run_chaos, trainer_chaos_divergence,
-    wal_chaos_divergence, ChaosOptions, RolloutChaosOptions, TrainerChaosOptions, WalChaosOptions,
-    CHAOS_SEEDS,
+    wal_chaos_divergence, ChaosOptions, CHAOS_EPOCHS, CHAOS_SEEDS, CHAOS_SHARDS,
 };
 use mobirescue_serve::ServeError;
+use std::path::PathBuf;
 
-fn main() {
-    let mut seeds = 10u64;
-    let mut base_seed = 1u64;
-    let mut epochs = 6u32;
-    let mut shards = 2usize;
-    let mut metrics_out: Option<std::path::PathBuf> = None;
+const USAGE: &str = "usage: chaos [--seeds N] [--base-seed S] [--metrics-out FILE]";
+
+struct Args {
+    seeds: u64,
+    base_seed: u64,
+    metrics_out: Option<PathBuf>,
+}
+
+fn parse_args() -> Result<Args, String> {
+    let mut parsed = Args {
+        seeds: 10,
+        base_seed: 1,
+        metrics_out: None,
+    };
     let mut args = std::env::args().skip(1);
+    let value = |args: &mut dyn Iterator<Item = String>, flag: &str| {
+        args.next().ok_or_else(|| format!("{flag} needs a value"))
+    };
+    let count = |args: &mut dyn Iterator<Item = String>, flag: &str| {
+        let v = value(args, flag)?;
+        v.parse::<u64>()
+            .map_err(|_| format!("{flag} needs a non-negative integer, got {v:?}"))
+    };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--seeds" => seeds = args.next().and_then(|v| v.parse().ok()).unwrap_or(10),
-            "--base-seed" => base_seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(1),
-            "--epochs" => epochs = args.next().and_then(|v| v.parse().ok()).unwrap_or(6),
-            "--shards" => shards = args.next().and_then(|v| v.parse().ok()).unwrap_or(2),
-            "--metrics-out" => metrics_out = args.next().map(std::path::PathBuf::from),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
+            "--seeds" => parsed.seeds = count(&mut args, "--seeds")?,
+            "--base-seed" => parsed.base_seed = count(&mut args, "--base-seed")?,
+            "--metrics-out" => {
+                parsed.metrics_out = Some(value(&mut args, "--metrics-out")?.into());
             }
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
+    if parsed.base_seed.checked_add(parsed.seeds).is_none() {
+        return Err("--base-seed plus --seeds passes u64::MAX".to_owned());
+    }
+    Ok(parsed)
+}
+
+fn main() {
+    let Args {
+        seeds,
+        base_seed,
+        metrics_out,
+    } = parse_args().unwrap_or_else(|message| {
+        eprintln!("chaos: {message}\n{USAGE}");
+        std::process::exit(2);
+    });
 
     println!(
-        "chaos sweep: {seeds} seeds from {base_seed}, {epochs} epochs x {shards} shards per run"
+        "chaos sweep: {seeds} seeds from {base_seed}, {CHAOS_EPOCHS} epochs x {CHAOS_SHARDS} \
+         shards per run"
     );
     let mut failures = 0u64;
     let mut last_obs = None;
     for seed in base_seed..base_seed + seeds {
-        let opts = ChaosOptions::seeded(seed, epochs, shards);
-        match run_chaos(seed, &opts) {
+        match run_chaos(&ChaosOptions::seeded(seed)) {
             Ok(outcome) => {
                 println!("{}", outcome.summary());
                 if !outcome.ok() {
@@ -72,11 +101,7 @@ fn main() {
     failures += report(
         "crash-replay masking (crashes at (0,0), (2,1), (4,0))",
         "bit-identical to the unfaulted reference",
-        crash_replay_divergence(
-            &[(0, 0), (2, 1.min(shards - 1)), (4, 0)],
-            epochs.max(5),
-            shards,
-        ),
+        crash_replay_divergence(),
     );
 
     println!("rollout chaos (poisoned checkpoints vs the guarded pipeline):");
@@ -84,7 +109,7 @@ fn main() {
         failures += report(
             &format!("  seed {seed:>4}"),
             "poisoned twin bit-identical to clean run",
-            rollout_chaos_divergence(seed, &RolloutChaosOptions::standard(shards)),
+            rollout_chaos_divergence(seed),
         );
     }
 
@@ -93,7 +118,7 @@ fn main() {
         failures += report(
             &format!("  seed {seed:>4}"),
             "conservation held, floods blocked, crash twin bit-identical",
-            trainer_chaos_divergence(seed, &TrainerChaosOptions::standard(shards)),
+            trainer_chaos_divergence(seed),
         );
     }
 
@@ -105,7 +130,7 @@ fn main() {
         failures += report(
             &format!("  seed {seed:>4}"),
             "crash twin bit-identical, corruption refused typed",
-            wal_chaos_divergence(seed, &WalChaosOptions::standard(shards)),
+            wal_chaos_divergence(seed),
         );
     }
 

@@ -6,17 +6,16 @@
 //! frame the client offers is either answered on the wire (Ack or typed
 //! Nack) or was *deliberately destroyed by a scheduled fault* — and the
 //! server's own counters agree with the client's independent tally.
-//! Concretely, with `max_retries` retries configured:
+//! The listener retries no shed offer and the queues hold 4 requests
+//! each, so a burst between epochs overloads them. Concretely:
 //!
 //! 1. `completed == acked + nacked_shed + nacked_invalid` — every
 //!    surviving offer gets exactly one reply;
 //! 2. `offered == completed + lost` — frames destroyed by
 //!    mid-frame-disconnect / slow-loris faults, and nothing else, go
 //!    unanswered;
-//! 3. `queue_shed == nacked_shed + ingest_retries` — each failed queue
-//!    push either surfaced as a NACK or was re-offered by the bounded
-//!    retry (with `max_retries: 0` the NACK count *equals* the queues'
-//!    shed counters);
+//! 3. `queue_shed == nacked_shed` — every failed queue push surfaced as
+//!    exactly one NACK;
 //! 4. `queue_accepted == acked` — no request is duplicated or lost
 //!    between the socket and the shard queues;
 //! 5. `server.frames_decoded == completed + metrics_pulls` and every
@@ -47,10 +46,6 @@ pub struct NetChaosOptions {
     /// Dispatch epochs interleaved into the offer stream (one per this
     /// many offers).
     pub epoch_every: usize,
-    /// Request queue capacity (small enough to force sheds).
-    pub queue_capacity: usize,
-    /// Ingestion retries per shed offer (0 ⇒ NACKs equal shed counters).
-    pub max_retries: u32,
 }
 
 impl Default for NetChaosOptions {
@@ -58,8 +53,6 @@ impl Default for NetChaosOptions {
         Self {
             offers: 60,
             epoch_every: 8,
-            queue_capacity: 4,
-            max_retries: 0,
         }
     }
 }
@@ -88,8 +81,6 @@ pub struct NetChaosReport {
     pub queue_accepted: u64,
     /// Total shed by the shard queues.
     pub queue_shed: u64,
-    /// Server-side ingestion retries.
-    pub ingest_retries: u64,
     /// The server's own counters, pulled over the wire at the end.
     pub server: MetricsReport,
     /// Connection faults that actually fired.
@@ -107,7 +98,7 @@ impl NetChaosReport {
     /// A one-line report for sweep output.
     pub fn summary(&self) -> String {
         format!(
-            "offered {} completed {} (ack {} shed {} invalid {}) lost {} | faults: disc {} torn {} loris {} | queue acc {} shed {} retries {} -> {}",
+            "offered {} completed {} (ack {} shed {} invalid {}) lost {} | faults: disc {} torn {} loris {} | queue acc {} shed {} -> {}",
             self.offered,
             self.completed,
             self.acked,
@@ -119,7 +110,6 @@ impl NetChaosReport {
             self.faults.conn_slow_loris,
             self.queue_accepted,
             self.queue_shed,
-            self.ingest_retries,
             if self.ok() { "OK" } else { "FAIL" },
         )
     }
@@ -138,7 +128,7 @@ pub fn run_net_chaos(seed: u64, opts: &NetChaosOptions) -> NetChaosReport {
     let injector = FaultInjector::from_seed(seed, &FaultPlanConfig::net_chaos(epochs, 2));
     let mut config = ServeConfig::new(SimConfig::small(6));
     config.num_shards = 2;
-    config.request_queue_capacity = opts.queue_capacity;
+    config.request_queue_capacity = 4;
     // The injector stays client-side: it only schedules *connection*
     // faults, applied at the socket. The service itself runs unfaulted
     // so wire-level accounting is exact.
@@ -158,9 +148,8 @@ pub fn run_net_chaos(seed: u64, opts: &NetChaosOptions) -> NetChaosReport {
     net_cfg.frame_timeout_ms = 150;
     net_cfg.poll_interval_ms = 5;
     net_cfg.retry = RetryPolicy {
-        max_retries: opts.max_retries,
-        base_backoff_ms: 1,
-        backoff_multiplier: 2,
+        max_retries: 0,
+        ..RetryPolicy::default()
     };
     let mut server = NetServer::start(
         Arc::clone(&service),
@@ -283,7 +272,6 @@ pub fn run_net_chaos(seed: u64, opts: &NetChaosOptions) -> NetChaosReport {
         acked_ids_unique,
         queue_accepted: service_metrics.requests_accepted,
         queue_shed: service_metrics.requests_shed,
-        ingest_retries: service_metrics.ingest_retries,
         server: server_report,
         faults: injector.counters(),
         violations,
@@ -352,10 +340,10 @@ fn check_invariants(mut report: NetChaosReport) -> NetChaosReport {
             r.lost, r.faults.conn_disconnects, r.faults.conn_slow_loris
         ));
     }
-    if r.queue_shed != r.nacked_shed + r.ingest_retries {
+    if r.queue_shed != r.nacked_shed {
         found.push(format!(
-            "shed honesty: queue shed {} != shed NACKs {} + retries {}",
-            r.queue_shed, r.nacked_shed, r.ingest_retries
+            "shed honesty: queue shed {} != shed NACKs {}",
+            r.queue_shed, r.nacked_shed
         ));
     }
     if r.queue_accepted != r.acked {
@@ -403,7 +391,6 @@ mod tests {
         let opts = NetChaosOptions {
             offers: 12,
             epoch_every: 4,
-            ..NetChaosOptions::default()
         };
         let report = run_net_chaos(3, &opts);
         assert!(report.ok(), "{}", report.summary());

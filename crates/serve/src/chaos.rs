@@ -4,14 +4,16 @@
 //! Shared by the `tests/chaos.rs` suite in the workspace facade and the
 //! `chaos` binary in `mobirescue-bench`, so a failing seed from a sweep
 //! reproduces byte-for-byte as a test. Everything runs on a
-//! [`SimClock`], so a run is a pure function of `(fault plan, options)`.
+//! [`SimClock`], so a run is a pure function of its fault plan. Each arm
+//! runs one fixed configuration on [`CHAOS_SHARDS`] shards; only the
+//! seed and the plan vary.
 //!
 //! Invariants checked after every run (violations are returned as
 //! strings, one per broken invariant, rather than panicking — the caller
 //! decides whether to assert or report):
 //!
-//! 1. **No epoch skipped silently** — the service completes exactly the
-//!    requested number of epochs and every epoch yields one report per
+//! 1. **No epoch skipped silently** — the service completes exactly
+//!    [`CHAOS_EPOCHS`] epochs and every epoch yields one report per
 //!    shard, faults or not.
 //! 2. **Metrics conservation** — admitted + shed equals the offers that
 //!    reached the service, less the corrupt ones its validation refused,
@@ -23,19 +25,22 @@
 //! 4. **Crashes never outlive recovery** — every fired crash maps to
 //!    exactly one shard restart.
 //! 5. **Snapshot integrity** — the final snapshot restores to an equal
-//!    service when written cleanly, and is *rejected with a typed error*
-//!    when the plan corrupted the write.
+//!    service.
 //! 6. **Swap-failure attribution** — every injected registry failure is
 //!    counted under its typed cause ([`crate::SwapError::Injected`]), and
 //!    no build or rollout failure claims one.
 //!
+//! [`run_chaos`] exercises only retry *exhaustion*: its queues drain only
+//! in [`DispatchService::run_epoch`], which a retry's backoff sleep never
+//! reaches, so a shed offer is shed again on every retry. The retry that
+//! succeeds is pinned by `crates/serve/tests/service.rs`.
+//!
 //! The service draws only the faults it alone can suffer. Every other
 //! fault is applied here, to what crosses the service boundary, where it
 //! crosses: the network's drop, delay, duplicate and corrupt faults to
-//! each request before it is offered, snapshot corruption to the text
-//! [`DispatchService::snapshot`] returned, checkpoint poison to the text
-//! handed to [`DispatchService::submit_rollout`], and bit rot to the
-//! journal file on disk.
+//! each request before it is offered, checkpoint poison to the text the
+//! rollout arm hands to [`DispatchService::submit_rollout`], and bit rot
+//! to the journal file on disk.
 //!
 //! [`rollout_chaos_divergence`] adds the poisoned-checkpoint invariants:
 //! an inadmissible or shadow-stage candidate never serves a primary
@@ -69,18 +74,17 @@ use crate::error::ServeError;
 use crate::event::Event;
 use crate::fault::{
     family_stream, CheckpointPoison, FaultCounters, FaultInjector, FaultPlan, FaultPlanConfig,
-    IngestFault, ScheduledFaults, TrainerFault, WalFault,
+    IngestFault, TrainerFault, WalFault,
 };
 use crate::metrics::MetricsSnapshot;
 use crate::registry::ModelRegistry;
 use crate::rollout::{RolloutConfig, RolloutError};
-use crate::scheduler::EpochScheduler;
 use crate::service::{DispatchService, RetryPolicy, ServeConfig};
 use crate::trainer::{TrainerConfig, TrainerStatus};
 use crate::wal::{FsyncPolicy, WalConfig, WalError};
 use mobirescue_core::rl_dispatch::FEATURE_DIM;
 use mobirescue_core::scenario::{Scenario, ScenarioConfig};
-use mobirescue_obs::ObsSnapshot;
+use mobirescue_obs::{ObsSnapshot, TimeSource as _};
 use mobirescue_rl::nn::Mlp;
 use mobirescue_rl::persist::mlp_to_text;
 use mobirescue_roadnet::graph::SegmentId;
@@ -97,35 +101,27 @@ use std::sync::Arc;
 /// translation.
 pub const CHAOS_SEEDS: [u64; 5] = [11, 23, 37, 41, 53];
 
-/// What a chaos run should look like, beyond the fault plan itself.
+/// Dispatch epochs a [`run_chaos`] run drives.
+pub const CHAOS_EPOCHS: u32 = 6;
+
+/// City shards every chaos arm hosts.
+pub const CHAOS_SHARDS: usize = 2;
+
+/// One [`run_chaos`] run: the fault plan and the seed it is labeled with.
 #[derive(Debug, Clone)]
 pub struct ChaosOptions {
-    /// Dispatch epochs to drive.
-    pub epochs: u32,
-    /// City shards to host.
-    pub num_shards: usize,
-    /// Request offers per shard per epoch.
-    pub requests_per_epoch: usize,
-    /// Request queue capacity (small enough to exercise shedding).
-    pub queue_capacity: usize,
-    /// Per-epoch dispatch compute budget, ms (keep it below the plan's
-    /// stall so every stall trips the fallback).
-    pub deadline_ms: u64,
+    /// The seed the run's summary is labeled with.
+    pub seed: u64,
     /// The fault schedule to execute.
     pub plan: FaultPlan,
 }
 
 impl ChaosOptions {
-    /// The standard sweep configuration: the full fault mix drawn from
-    /// `seed`, small queues, a deadline every stall overshoots.
-    pub fn seeded(seed: u64, epochs: u32, num_shards: usize) -> Self {
-        let cfg = FaultPlanConfig::chaos(epochs, num_shards);
+    /// The standard sweep run: the full fault mix drawn from `seed`.
+    pub fn seeded(seed: u64) -> Self {
+        let cfg = FaultPlanConfig::chaos(CHAOS_EPOCHS, CHAOS_SHARDS);
         Self {
-            epochs,
-            num_shards,
-            requests_per_epoch: 6,
-            queue_capacity: 4,
-            deadline_ms: 10,
+            seed,
             plan: FaultPlan::generate(seed, &cfg),
         }
     }
@@ -136,8 +132,6 @@ impl ChaosOptions {
 pub struct ChaosOutcome {
     /// The seed the run was labeled with.
     pub seed: u64,
-    /// What the plan had scheduled.
-    pub scheduled: ScheduledFaults,
     /// What actually fired.
     pub counters: FaultCounters,
     /// Delayed requests the harness offered once their delay ran out
@@ -166,8 +160,7 @@ impl ChaosOutcome {
     pub fn summary(&self) -> String {
         let mut line = format!(
             "seed {:>4}: epochs {} degraded {} | fired: drop {} delay {}({} released) dup {} \
-             corrupt {} stall {} crash {} swapfail {} snapcorrupt {} poison {} | restarts {} \
-             retries {} shed {} -> {}",
+             corrupt {} stall {} crash {} swapfail {} | restarts {} retries {} shed {} -> {}",
             self.seed,
             self.metrics.epochs_completed,
             self.metrics.degraded_epochs,
@@ -179,8 +172,6 @@ impl ChaosOutcome {
             self.counters.stalls,
             self.counters.crashes,
             self.counters.swap_fails,
-            self.counters.snapshot_corruptions,
-            self.counters.poisoned_checkpoints,
             self.restarts,
             self.metrics.ingest_retries,
             self.metrics.requests_shed,
@@ -198,9 +189,9 @@ pub fn chaos_scenario() -> Scenario {
     ScenarioConfig::small().florence().build(11)
 }
 
-fn request_events(epoch: u32, num_shards: usize, per_shard: usize, segments: u32) -> Vec<Event> {
-    let mut events = Vec::with_capacity(num_shards * per_shard);
-    for shard in 0..num_shards {
+fn request_events(epoch: u32, per_shard: usize, segments: u32) -> Vec<Event> {
+    let mut events = Vec::with_capacity(CHAOS_SHARDS * per_shard);
+    for shard in 0..CHAOS_SHARDS {
         for i in 0..per_shard {
             let mix = epoch as usize * 53 + i * 17 + shard * 29;
             events.push(Event::Request {
@@ -249,10 +240,10 @@ struct RunEnd {
 
 impl Arm {
     /// An arm of `epochs` epochs with `per_shard` request offers per shard
-    /// per epoch, on `num_shards` shards with request queues of 8.
-    fn new(num_shards: usize, epochs: u32, per_shard: usize) -> Self {
+    /// per epoch, on [`CHAOS_SHARDS`] shards with request queues of 8.
+    fn new(epochs: u32, per_shard: usize) -> Self {
         let mut config = ServeConfig::new(SimConfig::small(6));
-        config.num_shards = num_shards;
+        config.num_shards = CHAOS_SHARDS;
         config.request_queue_capacity = 8;
         Self {
             scenario: Arc::new(chaos_scenario()),
@@ -339,8 +330,7 @@ impl Arm {
     /// Offers epoch `e` of the standard request stream to `run`; an
     /// ingest error is a violation.
     fn offer(&self, run: &Live, e: u32, violations: &mut Vec<String>) {
-        let (shards, segments) = (self.config.num_shards, self.segments());
-        for event in request_events(e, shards, self.per_shard, segments) {
+        for event in request_events(e, self.per_shard, self.segments()) {
             if let Err(err) = run.service.ingest(event) {
                 violations.push(format!("epoch {e}: unexpected ingest error: {err}"));
             }
@@ -382,7 +372,9 @@ impl Live {
     /// Drives `epochs` epochs. `offer(run, e, violations)` feeds epoch
     /// `e`'s requests: epoch 0 up front, every later epoch at the previous
     /// boundary, right after `at_boundary(run, e, reports, violations)`.
-    /// What either reports joins the run's violations.
+    /// What either reports joins the run's violations. After each epoch
+    /// the clock sleeps to that epoch's fixed deadline,
+    /// `start + (e+1)·period`, as a deployment paces its dispatch period.
     fn drive(
         &mut self,
         epochs: u32,
@@ -391,14 +383,19 @@ impl Live {
     ) -> Result<(), ServeError> {
         let mut violations = Vec::new();
         let run = &*self;
-        let mut scheduler = EpochScheduler::for_service(&run.service)?;
+        let period_ms = u64::from(run.service.config().sim.dispatch_period_s) * 1_000;
         offer(run, 0, &mut violations);
-        scheduler.run(&run.service, &*run.clock, epochs, |e, reports| {
-            at_boundary(run, e, reports, &mut violations);
+        let start = run.clock.now_ms();
+        for e in 0..epochs {
+            let reports = run.service.run_epoch()?;
+            at_boundary(run, e, &reports, &mut violations);
             if e + 1 < epochs {
                 offer(run, e + 1, &mut violations);
             }
-        })?;
+            let deadline = start + u64::from(e + 1) * period_ms;
+            let now = run.clock.now_ms();
+            run.clock.sleep_ms(deadline.saturating_sub(now));
+        }
         self.violations.append(&mut violations);
         Ok(())
     }
@@ -482,24 +479,24 @@ fn accounted(metrics: &MetricsSnapshot) -> u64 {
         .sum()
 }
 
-/// Runs the full service under `opts` and checks every invariant. The
-/// plan's ingest faults are the network's: each request draws one before
-/// it is offered, and a held request is offered at the boundary before
-/// the epoch its delay runs out in.
+/// Runs the full service under `opts` and checks every invariant: six
+/// request offers per shard per epoch into queues of 4, and a 10 ms
+/// dispatch deadline that every plan stall overshoots. The plan's ingest
+/// faults are the network's: each request draws one before it is offered,
+/// and a held request is offered at the boundary before the epoch its
+/// delay runs out in.
 ///
 /// # Errors
 ///
-/// Returns the first *unexpected* service error — errors the plan itself
-/// provokes (corrupt requests rejected at ingestion, corrupted snapshots
-/// rejected at restore) are part of the contract and checked, not
+/// Returns the first *unexpected* service error — corrupt requests
+/// rejected at ingestion are part of the contract and checked, not
 /// propagated.
-pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeError> {
-    let mut arm = Arm::new(opts.num_shards, opts.epochs, opts.requests_per_epoch);
-    arm.config.request_queue_capacity = opts.queue_capacity;
-    arm.config.epoch_deadline_ms = Some(opts.deadline_ms);
+pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosOutcome, ServeError> {
+    let mut arm = Arm::new(CHAOS_EPOCHS, 6);
+    arm.config.request_queue_capacity = 4;
+    arm.config.epoch_deadline_ms = Some(10);
     arm.config.auto_recover = true;
     let mut run = arm.start(Some(opts.plan.clone()), None)?;
-    let scheduled = run.injector.scheduled();
     let segments = arm.segments();
     let retry = RetryPolicy::default();
 
@@ -510,7 +507,7 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
     let mut released = 0u64;
     let mut held: Vec<(u32, Event)> = Vec::new();
     run.drive(
-        opts.epochs,
+        CHAOS_EPOCHS,
         |run, epoch, violations| {
             let service = &run.service;
             let mut offer = |event: Event| {
@@ -521,7 +518,7 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
                     Err(e) => violations.push(format!("unexpected ingest error: {e}")),
                 }
             };
-            for event in request_events(epoch, opts.num_shards, opts.requests_per_epoch, segments) {
+            for event in request_events(epoch, arm.per_shard, segments) {
                 match run.injector.next_ingest_fault() {
                     None => offer(event),
                     Some(IngestFault::Drop) => {}
@@ -551,7 +548,7 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
             // A couple of advisories per epoch keep the advisory path hot
             // (one valid, one invalid — the network spares both).
             let _ = service.ingest(Event::Weather {
-                shard: epoch as usize % opts.num_shards,
+                shard: epoch as usize % CHAOS_SHARDS,
                 hour: epoch % 4,
                 rain_mm: 1.5 + f64::from(epoch),
             });
@@ -563,27 +560,21 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
             });
         },
         |run, e, reports, violations| {
-            if reports.len() != opts.num_shards {
+            if reports.len() != CHAOS_SHARDS {
                 violations.push(format!(
-                    "epoch {e} produced {} reports for {} shards",
-                    reports.len(),
-                    opts.num_shards
+                    "epoch {e} produced {} reports for {CHAOS_SHARDS} shards",
+                    reports.len()
                 ));
             }
-            if e == opts.epochs / 2 {
+            if e == CHAOS_EPOCHS / 2 {
                 // Exercise the hot-swap path mid-run with a valid policy —
                 // through the guarded rollout pipeline, like a deployment
                 // would. With the pipeline's default gates the candidate is
                 // usually still in flight at the end of the run, which drags
                 // the rollout state through the snapshot-integrity check.
                 let policy = mlp_to_text(&Mlp::new(&[FEATURE_DIM, 8, 1], 5));
-                let delivered = run.injector.poison_checkpoint(Some(policy));
-                match run.service.submit_rollout(None, delivered.as_deref()) {
-                    Ok(_) => {}
-                    // A scheduled checkpoint poison replaced the candidate in
-                    // flight; the typed admission rejection *is* the contract.
-                    Err(ServeError::Rollout(_)) if scheduled.poisoned_checkpoints > 0 => {}
-                    Err(e) => violations.push(format!("guarded rollout submission failed: {e}")),
+                if let Err(e) = run.service.submit_rollout(None, Some(&policy)) {
+                    violations.push(format!("guarded rollout submission failed: {e}"));
                 }
             }
         },
@@ -596,17 +587,17 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
     let restarts = service.shard_restarts();
 
     // Invariant 1: no epoch skipped silently.
-    if metrics.epochs_completed != opts.epochs {
+    if metrics.epochs_completed != CHAOS_EPOCHS {
         violations.push(format!(
-            "completed {} epochs, expected {}",
-            metrics.epochs_completed, opts.epochs
+            "completed {} epochs, expected {CHAOS_EPOCHS}",
+            metrics.epochs_completed
         ));
     }
     for (i, s) in metrics.shards.iter().enumerate() {
-        if s.epochs != opts.epochs {
+        if s.epochs != CHAOS_EPOCHS {
             violations.push(format!(
-                "shard {i} at epoch {}, expected {}",
-                s.epochs, opts.epochs
+                "shard {i} at epoch {}, expected {CHAOS_EPOCHS}",
+                s.epochs
             ));
         }
     }
@@ -654,7 +645,7 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
     // the failed swap forces the fallback before the stalled dispatcher
     // runs. So the shards count degraded shard epochs, not faults.
     let shard_degraded: u64 = metrics.shards.iter().map(|s| s.degraded).sum();
-    let cells = opts.plan.degraded_cells(opts.epochs, opts.num_shards) as u64;
+    let cells = opts.plan.degraded_cells(CHAOS_EPOCHS, CHAOS_SHARDS) as u64;
     if shard_degraded != cells {
         violations.push(format!(
             "shards report {shard_degraded} degraded epochs, the plan degrades {cells} shard epochs"
@@ -686,33 +677,26 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
         ));
     }
 
-    // Invariant 5: snapshot integrity. A clean write restores to an equal
-    // service; a corrupted write is rejected with a typed error.
-    let snapshot = injector.corrupt_snapshot(service.snapshot()?);
-    let wrote_corrupted = injector.counters().snapshot_corruptions > counters.snapshot_corruptions;
-    let restored = arm.start(
+    // Invariant 5: snapshot integrity. The final snapshot restores to an
+    // equal service.
+    let snapshot = service.snapshot()?;
+    match arm.start(
         Some(FaultPlan::empty()),
         Some((&snapshot, Arc::clone(&run.registry))),
-    );
-    match restored {
+    ) {
         Ok(restored) => {
-            if wrote_corrupted {
-                violations.push("corrupted snapshot restored without error".to_owned());
-            } else if restored.service.metrics() != metrics {
+            if restored.service.metrics() != metrics {
                 violations.push("restored metrics differ from the live service".to_owned());
             }
             restored.shutdown();
         }
-        Err(ServeError::BadSnapshot(_)) if wrote_corrupted => {}
         Err(e) => violations.push(format!("snapshot restore failed unexpectedly: {e}")),
     }
 
-    let counters = injector.counters();
     let obs = service.obs_snapshot();
     run.shutdown();
     Ok(ChaosOutcome {
-        seed,
-        scheduled,
+        seed: opts.seed,
         counters,
         delays_released: released,
         metrics,
@@ -727,24 +711,23 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
 /// to an unfaulted twin fed the same event stream, because each crash's
 /// faults are consumed when they fire and the replayed epoch runs clean.
 ///
+/// Over six epochs, shard 0 crashes at epochs 0 and 4 and shard 1 at
+/// epoch 2. The epoch-0 crash recovers from "no checkpoint yet", which
+/// restarts a fresh world: exactly the pre-epoch-0 state.
+///
 /// Returns the list of divergences (empty when the runs converged).
 ///
 /// # Errors
 ///
 /// Returns the first service error from either run.
-pub fn crash_replay_divergence(
-    crashes: &[(u32, usize)],
-    epochs: u32,
-    num_shards: usize,
-) -> Result<Vec<String>, ServeError> {
-    let mut arm = Arm::new(num_shards, epochs, 4);
+pub fn crash_replay_divergence() -> Result<Vec<String>, ServeError> {
+    let mut arm = Arm::new(6, 4);
     arm.config.epoch_deadline_ms = Some(10);
     arm.config.auto_recover = true;
-    let plan = crashes
-        .iter()
-        .fold(FaultPlan::empty(), |plan, &(epoch, shard)| {
-            plan.with_crash(epoch, shard)
-        });
+    let plan = FaultPlan::empty()
+        .with_crash(0, 0)
+        .with_crash(2, 1)
+        .with_crash(4, 0);
     let divergences = arm.twins(
         "crashed",
         plan,
@@ -800,46 +783,20 @@ fn gate_rollout_config() -> RolloutConfig {
     }
 }
 
-/// What a poisoned-checkpoint chaos run should look like.
-#[derive(Debug, Clone)]
-pub struct RolloutChaosOptions {
-    /// Dispatch epochs to drive (leave room after `good_at` for the good
-    /// candidate's full shadow → canary → watch pipeline).
-    pub epochs: u32,
-    /// City shards to host.
-    pub num_shards: usize,
-    /// Request offers per shard per epoch.
-    pub requests_per_epoch: usize,
-    /// Poisoned checkpoints delivered (one per submission) before the good
-    /// candidate. Structural poisons must be rejected at admission; a
-    /// reward-tanking poison must be admitted and then killed by the
-    /// shadow gate.
-    pub poisons: Vec<CheckpointPoison>,
-    /// Epoch after which the genuine candidate is submitted (every poison
-    /// must have been consumed and resolved by then).
-    pub good_at: u32,
-}
+/// The checkpoints the rollout arm poisons, one per submission, before
+/// its good candidate. Structural poisons must be rejected at admission;
+/// the reward tank must be admitted and then killed by the shadow gate.
+const POISONS: [CheckpointPoison; 3] = [
+    CheckpointPoison::NanWeights,
+    CheckpointPoison::WrongDims,
+    CheckpointPoison::RewardTank,
+];
 
-impl RolloutChaosOptions {
-    /// The standard sweep configuration: one poison of each kind, then a
-    /// good candidate with enough epochs left to fully promote.
-    pub fn standard(num_shards: usize) -> Self {
-        Self {
-            epochs: 18,
-            num_shards,
-            // Light enough that free teams exist at every dispatch tick:
-            // the shadow gate can only separate a reward tank from the
-            // incumbent when there is work a free team *could* take.
-            requests_per_epoch: 3,
-            poisons: vec![
-                CheckpointPoison::NanWeights,
-                CheckpointPoison::WrongDims,
-                CheckpointPoison::RewardTank,
-            ],
-            good_at: 8,
-        }
-    }
-}
+/// The epoch after which the rollout arm submits its genuine candidate:
+/// every poison has been consumed and resolved by then, and the 18-epoch
+/// run leaves the candidate room for its full shadow → canary → watch
+/// pipeline.
+const GOOD_AT: u32 = 8;
 
 /// The poisoned-checkpoint invariants, checked as a twin experiment:
 ///
@@ -857,24 +814,26 @@ impl RolloutChaosOptions {
 /// passes the gate deterministically, while the reward tank — which
 /// refuses every dispatch — falls strictly short.
 ///
+/// The run offers three requests per shard per epoch: light enough that
+/// free teams exist at every dispatch tick, since the shadow gate can only
+/// separate a reward tank from the incumbent when there is work a free
+/// team *could* take.
+///
 /// Returns the list of divergences/violations (empty on a clean run).
 ///
 /// # Errors
 ///
 /// Returns the first *unexpected* service error from either run (typed
 /// admission rejections are the contract, not errors).
-pub fn rollout_chaos_divergence(
-    seed: u64,
-    opts: &RolloutChaosOptions,
-) -> Result<Vec<String>, ServeError> {
+pub fn rollout_chaos_divergence(seed: u64) -> Result<Vec<String>, ServeError> {
     // The incumbent (and the good candidate, which carries the same
     // weights) must be a competent dispatcher, not a random init.
     let good_net = competent_incumbent(seed);
     let good_text = mlp_to_text(&good_net);
-    let mut arm = Arm::new(opts.num_shards, opts.epochs, opts.requests_per_epoch);
+    let mut arm = Arm::new(18, 3);
     arm.config.rollout = gate_rollout_config();
     arm.incumbent = Some(good_net);
-    let plan = opts.poisons.iter().fold(FaultPlan::empty(), |plan, &kind| {
+    let plan = POISONS.iter().fold(FaultPlan::empty(), |plan, &kind| {
         plan.with_poisoned_checkpoint(kind)
     });
     // A run's poisons are those its plan scheduled: the whole list for the
@@ -886,8 +845,8 @@ pub fn rollout_chaos_divergence(
         // genuine candidate at `good_at`. Every submission sends the
         // *good* text — the injector swaps the poison in transit.
         let delivered = run.injector.counters().poisoned_checkpoints as usize;
-        if e < opts.good_at && service.rollout_status().is_none() {
-            if let Some(&kind) = opts.poisons[..poisons_of(run)].get(delivered) {
+        if e < GOOD_AT && service.rollout_status().is_none() {
+            if let Some(&kind) = POISONS[..poisons_of(run)].get(delivered) {
                 let text = run.injector.poison_checkpoint(Some(good_text.clone()));
                 let outcome = service.submit_rollout(None, text.as_deref());
                 match (kind, outcome) {
@@ -901,7 +860,7 @@ pub fn rollout_chaos_divergence(
                     )),
                 }
             }
-        } else if e == opts.good_at {
+        } else if e == GOOD_AT {
             if let Err(err) = service.submit_rollout(None, Some(&good_text)) {
                 violations.push(format!("epoch {e}: good candidate rejected: {err}"));
             }
@@ -910,7 +869,7 @@ pub fn rollout_chaos_divergence(
         // serve but the exact original bundle: the registry has seen no
         // install and no restore (the only two writes to its slot), and
         // every shard dispatches at version 1.
-        if e < opts.good_at {
+        if e < GOOD_AT {
             if run.registry.swaps() + run.registry.rollbacks() != 0 {
                 violations.push(format!("epoch {e}: registry moved off the v1 bundle"));
             }
@@ -925,7 +884,7 @@ pub fn rollout_chaos_divergence(
         }
     };
     let check = |run: &mut Live| {
-        let poisons = &opts.poisons[..poisons_of(run)];
+        let poisons = &POISONS[..poisons_of(run)];
         let tanks = poisons
             .iter()
             .filter(|p| matches!(p, CheckpointPoison::RewardTank))
@@ -938,7 +897,7 @@ pub fn rollout_chaos_divergence(
         let v = &mut run.violations;
         if fired != poisons.len() as u64 {
             v.push(format!(
-                "{fired} poisons submitted, {} scheduled (good_at too early?)",
+                "{fired} poisons submitted, {} scheduled (GOOD_AT too early?)",
                 poisons.len()
             ));
         }
@@ -976,31 +935,6 @@ pub fn rollout_chaos_divergence(
     Ok(divergences)
 }
 
-/// What a trainer chaos run should look like.
-#[derive(Debug, Clone)]
-pub struct TrainerChaosOptions {
-    /// Dispatch epochs to drive.
-    pub epochs: u32,
-    /// City shards to host.
-    pub num_shards: usize,
-    /// Request offers per shard per epoch. Keep it light enough that free
-    /// teams exist at every tick — the shadow gate can only separate a
-    /// stale reward tank from the incumbent when there is work a free
-    /// team *could* take.
-    pub requests_per_epoch: usize,
-}
-
-impl TrainerChaosOptions {
-    /// The standard sweep configuration.
-    pub fn standard(num_shards: usize) -> Self {
-        Self {
-            epochs: 14,
-            num_shards,
-            requests_per_epoch: 3,
-        }
-    }
-}
-
 /// The online-training-loop invariants, checked as two arms:
 ///
 /// **Arm A (floods + transition drops, no crashes):**
@@ -1019,16 +953,19 @@ impl TrainerChaosOptions {
 /// **bit-identical** — service snapshot text, metrics, trainer status and
 /// policy checkpoint — to an unfaulted twin fed the same event stream.
 ///
+/// Both arms run 14 epochs of three request offers per shard: light
+/// enough that free teams exist at every tick, since the shadow gate can
+/// only separate a stale reward tank from the incumbent when there is
+/// work a free team *could* take.
+///
 /// Returns the list of violations/divergences (empty on a clean run).
 ///
 /// # Errors
 ///
 /// Returns the first service error from any run.
-pub fn trainer_chaos_divergence(
-    seed: u64,
-    opts: &TrainerChaosOptions,
-) -> Result<Vec<String>, ServeError> {
-    let mut base = Arm::new(opts.num_shards, opts.epochs, opts.requests_per_epoch);
+pub fn trainer_chaos_divergence(seed: u64) -> Result<Vec<String>, ServeError> {
+    let epochs = 14;
+    let mut base = Arm::new(epochs, 3);
     base.config.rollout = gate_rollout_config();
     // The shadow gate can only kill a reward-tanking flood candidate when
     // the incumbent reliably out-picks it.
@@ -1050,11 +987,11 @@ pub fn trainer_chaos_divergence(
     // Arm A: seeded floods and transition drops, with one of each forced
     // so every seed exercises both kinds.
     let flood_drop_cfg = FaultPlanConfig {
-        trainer_horizon: opts.epochs,
+        trainer_horizon: epochs,
         p_trainer_flood: 0.20,
         p_trainer_drop: 0.25,
         trainer_flood_len: 2,
-        ..FaultPlanConfig::quiet(opts.epochs, opts.num_shards)
+        ..FaultPlanConfig::quiet(epochs, CHAOS_SHARDS)
     };
     let plan_a = FaultPlan::generate(seed, &flood_drop_cfg)
         .with_trainer_fault(2, TrainerFault::StaleCandidateFlood(2))
@@ -1065,7 +1002,7 @@ pub fn trainer_chaos_divergence(
     let arm_a = arm(0);
     let mut a = arm_a.start(Some(plan_a), None)?;
     a.drive(
-        opts.epochs,
+        epochs,
         |run, e, violations| arm_a.offer(run, e, violations),
         |run, e, _, violations| {
             for (i, s) in run.service.metrics().shards.iter().enumerate() {
@@ -1122,9 +1059,9 @@ pub fn trainer_chaos_divergence(
     // Arm B: seeded boundary crashes (one forced) against an unfaulted
     // twin — recovery must be bit-identical, trainer state included.
     let crash_cfg = FaultPlanConfig {
-        trainer_horizon: opts.epochs,
+        trainer_horizon: epochs,
         p_trainer_crash: 0.20,
-        ..FaultPlanConfig::quiet(opts.epochs, opts.num_shards)
+        ..FaultPlanConfig::quiet(epochs, CHAOS_SHARDS)
     };
     let plan_b = FaultPlan::generate(seed, &crash_cfg).with_trainer_fault(1, TrainerFault::Crash);
     let twins = arm(5).twins(
@@ -1144,34 +1081,6 @@ pub fn trainer_chaos_divergence(
     )?;
     divergences.extend(twins);
     Ok(divergences)
-}
-
-/// What a WAL chaos run should look like.
-#[derive(Debug, Clone)]
-pub struct WalChaosOptions {
-    /// Dispatch epochs to drive (the crash arm snapshots at the halfway
-    /// boundary, so keep this even and at least 2).
-    pub epochs: u32,
-    /// City shards to host.
-    pub num_shards: usize,
-    /// Request offers per shard per epoch.
-    pub requests_per_epoch: usize,
-    /// Seeded interior byte offsets the crash arm kills at, on top of the
-    /// two endpoints (right after the boundary snapshot, and after every
-    /// post-snapshot offer was journaled).
-    pub interior_crash_points: usize,
-}
-
-impl WalChaosOptions {
-    /// The standard sweep configuration.
-    pub fn standard(num_shards: usize) -> Self {
-        Self {
-            epochs: 8,
-            num_shards,
-            requests_per_epoch: 4,
-            interior_crash_points: 3,
-        }
-    }
 }
 
 fn wal_chaos_dir(seed: u64, arm: &str) -> PathBuf {
@@ -1222,7 +1131,8 @@ fn flip_first_record(path: &Path) -> Result<(String, u64), String> {
     Ok((name.unwrap_or_default(), record as u64))
 }
 
-/// The durable-ingest-journal invariants, checked as four arms:
+/// The durable-ingest-journal invariants, checked as four arms over
+/// eight epochs of four request offers per shard:
 ///
 /// **Arm A (seeded torn appends + fsync stalls):**
 /// * every injected torn append surfaces as a typed
@@ -1244,7 +1154,7 @@ fn flip_first_record(path: &Path) -> Result<(String, u64), String> {
 /// **Arm B (kill -9 at any byte):** a reference run snapshots at the
 /// halfway boundary, journals one more epoch's offers, then finishes
 /// cleanly. For each crash offset — right after the boundary snapshot,
-/// after every post-snapshot offer, and seeded interior bytes (torn
+/// after every post-snapshot offer, and three seeded interior bytes (torn
 /// mid-record included) — a twin restores from the boundary snapshot plus
 /// the journal *truncated at that byte*, re-offers exactly the suffix the
 /// truncated journal lost (the client-retry model: an un-journaled offer
@@ -1265,14 +1175,15 @@ fn flip_first_record(path: &Path) -> Result<(String, u64), String> {
 /// Returns the first *unexpected* service error from any run (typed torn
 /// refusals and the arm-C corrupt rejection are the contract, not
 /// errors).
-pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<String>, ServeError> {
-    let base = Arm::new(opts.num_shards, opts.epochs, opts.requests_per_epoch);
+pub fn wal_chaos_divergence(seed: u64) -> Result<Vec<String>, ServeError> {
+    let epochs = 8;
+    let base = Arm::new(epochs, 4);
     let segments = base.segments();
     let mut violations = Vec::new();
 
     // ---- Arm A: seeded torn appends + fsync stalls, one of each forced.
     {
-        let cfg = FaultPlanConfig::wal_chaos(opts.epochs, opts.num_shards);
+        let cfg = FaultPlanConfig::wal_chaos(epochs, CHAOS_SHARDS);
         let plan = FaultPlan::generate(seed, &cfg)
             .with_wal_fault(1, WalFault::TornAppend)
             .with_wal_fault(4, WalFault::FsyncStall(7));
@@ -1280,11 +1191,9 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
         let mut run = arm.start(Some(plan), None)?;
         let mut torn_refused = 0u64;
         run.drive(
-            opts.epochs,
+            epochs,
             |run, epoch, violations| {
-                for event in
-                    request_events(epoch, opts.num_shards, opts.requests_per_epoch, segments)
-                {
+                for event in request_events(epoch, base.per_shard, segments) {
                     match run.service.ingest(event) {
                         Ok(_) => {}
                         Err(ServeError::Wal(WalError::TornTail { .. })) => torn_refused += 1,
@@ -1350,7 +1259,7 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
             wal_horizon: 64,
             p_wal_stall: 0.5,
             wal_stall_ms: 15,
-            ..FaultPlanConfig::quiet(opts.epochs, opts.num_shards)
+            ..FaultPlanConfig::quiet(epochs, CHAOS_SHARDS)
         };
         let plan = FaultPlan::generate(seed, &stall_cfg).with_wal_fault(0, WalFault::FsyncStall(5));
         let arm = base.journaled(&wal_chaos_dir(seed, "a2"));
@@ -1360,7 +1269,7 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
 
     // ---- Arm B: kill -9 at any byte of the journal.
     {
-        let mid = (opts.epochs / 2).max(1);
+        let mid = epochs / 2;
         let dir = wal_chaos_dir(seed, "ref");
         let mut reference = base.journaled(&dir).start(None, None)?;
         reference.drive(
@@ -1385,12 +1294,12 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
                 .map_err(|e| ServeError::Io(format!("read {}: {e}", segment.display())))
         };
         let prefix_len = read_segment()?.len();
-        let post = request_events(mid, opts.num_shards, opts.requests_per_epoch, segments);
+        let post = request_events(mid, base.per_shard, segments);
         for event in post.iter().cloned() {
             reference.service.ingest(event)?;
         }
         let journal = read_segment()?;
-        let tail = opts.epochs - mid;
+        let tail = epochs - mid;
         reference.drive(tail, |_, _, _| {}, |_, _, _, _| {})?;
         let mut reference = reference.end()?;
         violations.append(&mut reference.violations);
@@ -1398,15 +1307,13 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
         if journal.len() <= prefix_len {
             violations.push("arm B journal never grew past the boundary snapshot".to_owned());
         } else {
-            // Crash offsets: both endpoints plus seeded interior bytes —
+            // Crash offsets: both endpoints plus three seeded interior bytes —
             // interior cuts usually land mid-record, exercising the torn
             // tail truncation on the recovery path.
             let span = journal.len() - prefix_len;
             let mut rng = family_stream(seed, "wal-crash-points");
             let mut cuts = vec![prefix_len, journal.len()];
-            cuts.extend(
-                (0..opts.interior_crash_points).map(|_| prefix_len + rng.random_range(0..span)),
-            );
+            cuts.extend((0..3).map(|_| prefix_len + rng.random_range(0..span)));
             cuts.sort_unstable();
             cuts.dedup();
             let segment_file = segment.file_name().expect("segment has a name").to_owned();
@@ -1450,7 +1357,7 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
         let dir = wal_chaos_dir(seed, "c");
         let arm = base.journaled(&dir);
         let run = arm.start(None, None)?;
-        for event in request_events(0, opts.num_shards, opts.requests_per_epoch, segments) {
+        for event in request_events(0, base.per_shard, segments) {
             run.service.ingest(event)?;
         }
         let snapshot = run.service.snapshot()?;
@@ -1484,11 +1391,11 @@ mod tests {
 
     #[test]
     fn a_stall_masked_by_a_failed_swap_degrades_its_shard_epoch_once() {
-        let mut opts = ChaosOptions::seeded(8, 3, 2);
+        let mut opts = ChaosOptions::seeded(8);
         opts.plan = FaultPlan::empty()
             .with_stall(1, 0, 50)
             .with_swap_failure(1, 0);
-        let outcome = run_chaos(8, &opts).expect("chaos run completes");
+        let outcome = run_chaos(&opts).expect("chaos run completes");
         assert!(outcome.ok(), "{}", outcome.summary());
         assert_eq!(outcome.counters.degrading(), 2);
         assert_eq!(outcome.metrics.shards[0].degraded, 1);

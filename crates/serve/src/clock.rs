@@ -1,6 +1,6 @@
 //! Pluggable service time.
 //!
-//! The epoch scheduler and latency measurement never read the OS clock
+//! Epoch pacing and latency measurement never read the OS clock
 //! directly; they go through a [`Clock`]. In production that is
 //! [`WallClock`] and a dispatch period is five real minutes. In tests and
 //! accelerated replays it is [`SimClock`], whose sleeps return instantly
@@ -10,8 +10,8 @@
 //! bit-for-bit.
 //!
 //! A [`Clock`] is an observability [`TimeSource`] that can also sleep, so
-//! every span the service records measures on the same clock the
-//! scheduler runs on: an `Arc<dyn Clock>` coerces to the
+//! every span the service records measures on the same clock its epochs
+//! are paced on: an `Arc<dyn Clock>` coerces to the
 //! `Arc<dyn TimeSource>` the obs crate takes. The two clocks are the obs
 //! crate's own time sources under the service's names: [`WallClock`] is
 //! `WallTime` and [`SimClock`] is `ManualTime`.

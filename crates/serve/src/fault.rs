@@ -14,11 +14,11 @@
 //! inside [`crate::DispatchService`] and its shard workers. Faults on
 //! something that crosses the service boundary are applied by the
 //! caller at the point where it crosses: [`IngestFault`]s to requests
-//! before [`crate::DispatchService::ingest`], [`SnapshotCorruption`]s to
-//! snapshot texts after [`crate::DispatchService::snapshot`],
-//! [`CheckpointPoison`]s to checkpoint texts before
-//! [`crate::DispatchService::submit_rollout`], [`ConnFault`]s to frames
-//! on the socket, and bit flips to journal files on disk.
+//! before [`crate::DispatchService::ingest`], [`CheckpointPoison`]s to
+//! checkpoint texts before [`crate::DispatchService::submit_rollout`],
+//! [`ConnFault`]s to frames on the socket, and bit flips to journal files
+//! on disk. A [`SnapshotCorruption`] is not scheduled: it is a pure
+//! function a test applies to a snapshot text.
 //!
 //! Determinism is the whole point. The plan is fully decided up front from
 //! a seed (via the vendored `rand` shim), each fault family drawing from
@@ -140,17 +140,40 @@ pub enum CheckpointPoison {
     RewardTank,
 }
 
-/// How a snapshot text is damaged on write (failing disk / torn write).
-/// The caller applies it with [`FaultInjector::corrupt_snapshot`] to the
-/// text the service returned. The embedded position is reduced modulo
-/// the snapshot length when applied, so plans stay valid for any
-/// snapshot size.
+/// How a snapshot text is damaged on write (failing disk / torn write),
+/// applied with [`SnapshotCorruption::apply`] to the text the service
+/// returned. The embedded position is reduced modulo the snapshot length
+/// when applied, so a corruption stays valid for any snapshot size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotCorruption {
-    /// The text is cut short at a plan-chosen byte offset.
+    /// The text is cut short at the given byte offset.
     Truncate(u64),
-    /// One byte at a plan-chosen offset has a bit flipped.
+    /// One byte at the given offset has a bit flipped.
     BitFlip(u64),
+}
+
+impl SnapshotCorruption {
+    /// The snapshot `text` damaged by this corruption. Snapshot formats
+    /// are pure ASCII, so byte surgery stays valid UTF-8;
+    /// `from_utf8_lossy` guards the general case anyway.
+    pub fn apply(self, text: &str) -> String {
+        let mut bytes = text.as_bytes().to_vec();
+        if bytes.is_empty() {
+            return String::new();
+        }
+        match self {
+            SnapshotCorruption::Truncate(at) => {
+                // Keep at least one byte, lose at least one.
+                let keep = 1 + (at as usize) % bytes.len().max(2).saturating_sub(1);
+                bytes.truncate(keep.min(bytes.len() - 1));
+            }
+            SnapshotCorruption::BitFlip(at) => {
+                let i = (at as usize) % bytes.len();
+                bytes[i] ^= 0x10;
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
 }
 
 /// Probabilities and horizons from which a seeded [`FaultPlan`] is drawn.
@@ -286,8 +309,6 @@ pub struct ScheduledFaults {
     pub crashes: usize,
     /// Scheduled registry-swap failures.
     pub swap_fails: usize,
-    /// Scheduled snapshot corruptions.
-    pub snapshot_corruptions: usize,
     /// Scheduled checkpoint poisonings.
     pub poisoned_checkpoints: usize,
     /// Front-door frame offers with a connection-fault decision.
@@ -305,7 +326,6 @@ impl ScheduledFaults {
             + self.stalls
             + self.crashes
             + self.swap_fails
-            + self.snapshot_corruptions
             + self.poisoned_checkpoints
             + self.conn
             + self.trainer
@@ -341,7 +361,6 @@ pub struct FaultPlan {
     ingest: Vec<Option<IngestFault>>,
     shard: BTreeMap<(u32, usize), ShardFault>,
     swap_fail: BTreeSet<(u32, usize)>,
-    snapshot: VecDeque<SnapshotCorruption>,
     poison: VecDeque<CheckpointPoison>,
     conn: Vec<Option<ConnFault>>,
     trainer: BTreeMap<u32, TrainerFault>,
@@ -422,8 +441,8 @@ impl FaultPlan {
             conn,
             trainer,
             wal,
-            // Snapshot corruptions and checkpoint poisons are scheduled
-            // only through the builders below.
+            // Checkpoint poisons are scheduled only through
+            // `with_poisoned_checkpoint`.
             ..Self::default()
         }
     }
@@ -449,13 +468,6 @@ impl FaultPlan {
     /// Schedules a registry-swap failure for `shard` at `epoch`.
     pub fn with_swap_failure(mut self, epoch: u32, shard: usize) -> Self {
         self.swap_fail.insert((epoch, shard));
-        self
-    }
-
-    /// Schedules a corruption of the next not-yet-corrupted snapshot
-    /// write.
-    pub fn with_snapshot_corruption(mut self, corruption: SnapshotCorruption) -> Self {
-        self.snapshot.push_back(corruption);
         self
     }
 
@@ -513,7 +525,6 @@ impl FaultPlan {
             stalls,
             crashes: self.shard.len() - stalls,
             swap_fails: self.swap_fail.len(),
-            snapshot_corruptions: self.snapshot.len(),
             poisoned_checkpoints: self.poison.len(),
             conn: self.conn.iter().flatten().count(),
             trainer: self.trainer.len(),
@@ -549,8 +560,6 @@ pub struct FaultCounters {
     pub crashes: u64,
     /// Registry-swap failures fired.
     pub swap_fails: u64,
-    /// Snapshot writes corrupted.
-    pub snapshot_corruptions: u64,
     /// Rollout submissions whose checkpoint was poisoned.
     pub poisoned_checkpoints: u64,
     /// Mid-frame disconnects fired at the front door.
@@ -587,7 +596,6 @@ impl FaultCounters {
             + self.stalls
             + self.crashes
             + self.swap_fails
-            + self.snapshot_corruptions
             + self.poisoned_checkpoints
             + self.conn_disconnects
             + self.conn_torn_writes
@@ -735,21 +743,6 @@ impl FaultInjector {
         fired
     }
 
-    /// Damages `text` according to the next scheduled snapshot corruption,
-    /// or returns it untouched when none is scheduled.
-    pub fn corrupt_snapshot(&self, text: String) -> String {
-        let corruption = {
-            let p = &mut *self.pending();
-            let c = p.plan.snapshot.pop_front();
-            p.fired.snapshot_corruptions += u64::from(c.is_some());
-            c
-        };
-        match corruption {
-            Some(c) => apply_corruption(text, c),
-            None => text,
-        }
-    }
-
     /// Replaces a rollout submission's policy checkpoint text with the
     /// next scheduled poison (consumed one-shot), or passes the text
     /// through untouched when none is scheduled.
@@ -801,28 +794,6 @@ pub fn reward_tank_policy_text() -> String {
         *w = if i == FEATURE_DIM - 1 { 1_000.0 } else { 0.0 };
     });
     mlp_to_text(&net)
-}
-
-/// Applies one corruption to a snapshot text. Snapshot formats are pure
-/// ASCII, so byte surgery stays valid UTF-8; `from_utf8_lossy` guards the
-/// general case anyway.
-fn apply_corruption(text: String, c: SnapshotCorruption) -> String {
-    let mut bytes = text.into_bytes();
-    if bytes.is_empty() {
-        return String::new();
-    }
-    match c {
-        SnapshotCorruption::Truncate(at) => {
-            // Keep at least one byte, lose at least one.
-            let keep = 1 + (at as usize) % bytes.len().max(2).saturating_sub(1);
-            bytes.truncate(keep.min(bytes.len() - 1));
-        }
-        SnapshotCorruption::BitFlip(at) => {
-            let i = (at as usize) % bytes.len();
-            bytes[i] ^= 0x10;
-        }
-    }
-    String::from_utf8_lossy(&bytes).into_owned()
 }
 
 #[cfg(test)]
@@ -1043,18 +1014,11 @@ mod tests {
 
     #[test]
     fn snapshot_corruption_damages_text() {
-        let plan = FaultPlan::empty()
-            .with_snapshot_corruption(SnapshotCorruption::BitFlip(7))
-            .with_snapshot_corruption(SnapshotCorruption::Truncate(5));
-        let inj = FaultInjector::new(plan);
-        let original = "mrserve 1\nepochs 3\nend\nsum 0123456789abcdef\n".to_owned();
-        let flipped = inj.corrupt_snapshot(original.clone());
+        let original = "mrserve 1\nepochs 3\nend\nsum 0123456789abcdef\n";
+        let flipped = SnapshotCorruption::BitFlip(7).apply(original);
         assert_ne!(flipped, original);
         assert_eq!(flipped.len(), original.len());
-        let truncated = inj.corrupt_snapshot(original.clone());
+        let truncated = SnapshotCorruption::Truncate(5).apply(original);
         assert!(truncated.len() < original.len());
-        // Plan exhausted: further writes pass through untouched.
-        assert_eq!(inj.corrupt_snapshot(original.clone()), original);
-        assert_eq!(inj.counters().snapshot_corruptions, 2);
     }
 }

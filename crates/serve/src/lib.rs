@@ -10,12 +10,13 @@
 //!   producer threads into bounded queues with an explicit shed policy
 //!   ([`ShedPolicy`]) and accepted/shed counters, so overload is a
 //!   measured decision instead of unbounded memory growth.
-//! * **Epoch scheduler** ([`EpochScheduler`]) — runs the dispatch tick on
-//!   the paper's 5-minute period against a pluggable [`Clock`]
-//!   ([`WallClock`] for deployment, [`SimClock`] for accelerated and
-//!   deterministic runs), measuring per-epoch dispatcher latency and
-//!   feeding it back into the simulation as order delay exactly as
-//!   `mobirescue_sim::engine` models dispatch latency.
+//! * **Epoch loop** ([`DispatchService::run_epoch`]) — one dispatch tick
+//!   per call, which its caller paces on the paper's 5-minute period
+//!   against a pluggable [`Clock`] ([`WallClock`] for deployment,
+//!   [`SimClock`] for accelerated and deterministic runs), measuring
+//!   per-epoch dispatcher latency and feeding it back into the simulation
+//!   as order delay exactly as `mobirescue_sim::engine` models dispatch
+//!   latency.
 //! * **Model hot-swap** ([`ModelRegistry`]) — SVM + DQN bundles swap in
 //!   atomically via `Arc` between epochs, without pausing ingestion;
 //!   checkpoint texts enter through the guarded rollout below.
@@ -35,7 +36,7 @@
 //!   journal append); the [`chaos`] harness applies the rest where they
 //!   cross the service boundary (drop/delay/duplicate/corrupt a request
 //!   before it is offered, poison a checkpoint before it is submitted,
-//!   corrupt a snapshot text or a journal file after it is written).
+//!   corrupt a journal file after it is written).
 //!   Each is paired with the recovery it demands: bounded ingestion
 //!   retry, per-epoch dispatch deadline with fallback to the heuristic
 //!   dispatcher (`degraded_epochs`), crash-restart from the last boundary
@@ -77,7 +78,6 @@ pub mod metrics;
 pub mod queue;
 pub mod registry;
 pub mod rollout;
-pub mod scheduler;
 pub mod service;
 mod shard;
 pub mod trainer;
@@ -85,8 +85,7 @@ pub mod wal;
 
 pub use chaos::{
     rollout_chaos_divergence, run_chaos, trainer_chaos_divergence, wal_chaos_divergence,
-    ChaosOptions, ChaosOutcome, RolloutChaosOptions, TrainerChaosOptions, WalChaosOptions,
-    CHAOS_SEEDS,
+    ChaosOptions, ChaosOutcome, CHAOS_EPOCHS, CHAOS_SEEDS, CHAOS_SHARDS,
 };
 pub use clock::{Clock, SimClock, WallClock};
 pub use error::ServeError;
@@ -103,7 +102,6 @@ pub use registry::{ModelBundle, ModelRegistry};
 pub use rollout::{
     Artifact, RolloutConfig, RolloutCounters, RolloutError, RolloutStage, RolloutStatus,
 };
-pub use scheduler::EpochScheduler;
 pub use service::{DispatchService, RetryPolicy, ServeConfig};
 pub use shard::SwapError;
 pub use trainer::{TrainerConfig, TrainerStatus};

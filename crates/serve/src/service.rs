@@ -158,7 +158,7 @@ struct TrainerSlot {
 /// A running sharded dispatch service.
 ///
 /// Producers call [`DispatchService::ingest`] from any thread at any time;
-/// an epoch driver (usually [`crate::EpochScheduler`]) calls
+/// one caller (the `serve` binary's `--period-ms` loop, or a test) calls
 /// [`DispatchService::run_epoch`] every dispatch period. Snapshots taken
 /// at epoch boundaries restore into a service that continues
 /// step-for-step identically.
@@ -196,7 +196,7 @@ pub struct DispatchService {
     // synchronously at each epoch boundary.
     trainer: Mutex<Option<TrainerSlot>>,
     // The durable ingest journal (populated iff `config.wal` is set),
-    // appended to under its own lock so producers group-commit naturally.
+    // appended to one record at a time under its own lock.
     wal: Mutex<Option<Wal>>,
     state: Mutex<ServiceState>,
 }
@@ -416,7 +416,7 @@ impl DispatchService {
                 Some(WalFault::FsyncStall(ms)) => self.clock.sleep_ms(ms),
                 None => {}
             }
-            wal.append(&[entry])?;
+            wal.append(&entry)?;
         }
         Ok(q.push(spec))
     }

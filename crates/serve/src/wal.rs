@@ -37,10 +37,10 @@
 //! # Durability policies
 //!
 //! [`FsyncPolicy`] picks the fsync cadence: `always` (one fsync per
-//! append batch — survives power loss), `epoch` (one fsync per epoch
+//! append — survives power loss), `epoch` (one fsync per epoch
 //! boundary), `off` (no fsync; the `write(2)` still lands in the page
-//! cache, which survives `kill -9` but not power loss). Appends are
-//! group-committed: one `write` call covers the whole batch.
+//! cache, which survives `kill -9` but not power loss). Each append
+//! writes one record with one `write` call.
 
 use mobirescue_obs::{Counter, Histogram, Registry, TimeSource};
 use mobirescue_roadnet::graph::SegmentId;
@@ -55,8 +55,8 @@ use std::sync::Arc;
 /// When the journal calls fsync.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// One fsync per append batch, before the append returns (and
-    /// therefore before any `Ack`). Survives power loss.
+    /// One fsync per append, before the append returns (and therefore
+    /// before any `Ack`). Survives power loss.
     Always,
     /// One fsync per epoch boundary. Survives `kill -9` (the write hit
     /// the page cache); a power loss can lose up to one epoch.
@@ -131,6 +131,13 @@ pub enum WalError {
         /// What failed to validate.
         why: String,
     },
+    /// The next record would carry sequence `u64::MAX`, which recovery
+    /// refuses (the sequence after it does not exist), so the journal
+    /// takes no more appends.
+    Exhausted {
+        /// The last sequence number the journal holds.
+        last_seq: u64,
+    },
     /// The filesystem failed underneath the journal.
     Io {
         /// Path of the file the operation touched.
@@ -151,6 +158,9 @@ impl fmt::Display for WalError {
                 offset,
                 why,
             } => write!(f, "corrupt journal: {segment} at byte {offset}: {why}"),
+            WalError::Exhausted { last_seq } => {
+                write!(f, "journal exhausted: sequence {last_seq} is its last")
+            }
             WalError::Io { path, why } => write!(f, "journal io failure on {path}: {why}"),
         }
     }
@@ -174,7 +184,7 @@ pub struct WalRecord {
     pub offset: u64,
 }
 
-/// One entry of an append batch (the `seq` is assigned by the journal).
+/// One request to append (the `seq` is assigned by the journal).
 #[derive(Debug, Clone, Copy)]
 pub struct WalEntry {
     /// Admission clock stamp, ms.
@@ -397,37 +407,37 @@ impl Wal {
         self.cfg.fsync
     }
 
-    /// Appends a batch as one group commit: one `write` covers every
-    /// entry, and (under [`FsyncPolicy::Always`]) one fsync seals it.
-    /// Returns the sequence number of the batch's last record.
+    /// Appends one record with one `write` and (under
+    /// [`FsyncPolicy::Always`]) one fsync. Returns its sequence number.
     ///
     /// # Errors
     ///
+    /// [`WalError::Exhausted`] when the record would carry sequence
+    /// `u64::MAX`, which recovery refuses; nothing is written.
     /// [`WalError::Io`] when the filesystem fails mid-append; the
     /// journal is then poisoned for the torn-tail path at next open.
-    pub fn append(&mut self, batch: &[WalEntry]) -> Result<u64, WalError> {
-        if batch.is_empty() {
-            return Ok(self.last_seq);
+    pub fn append(&mut self, entry: &WalEntry) -> Result<u64, WalError> {
+        let seq = self.last_seq + 1;
+        if seq == u64::MAX {
+            return Err(WalError::Exhausted {
+                last_seq: self.last_seq,
+            });
         }
         // Clone the handles so the span does not hold `self` borrowed
         // across the mutating append.
         let (hist, time) = (self.append_hist.clone(), Arc::clone(&self.time));
         let _span = hist.time(time.as_ref());
         self.rotate_if_needed()?;
-        let mut buf = String::new();
-        for (i, e) in batch.iter().enumerate() {
-            let seq = self.last_seq + 1 + i as u64;
-            buf.push_str(&record_line(seq, e.clock_ms, e.shard, &e.spec));
-        }
+        let line = record_line(seq, entry.clock_ms, entry.shard, &entry.spec);
         let path = self.active_path();
         self.file
-            .write_all(buf.as_bytes())
+            .write_all(line.as_bytes())
             .map_err(|e| io_err(&path, e))?;
-        self.last_seq += batch.len() as u64;
-        self.seg_bytes += buf.len() as u64;
-        self.unsynced += buf.len() as u64;
+        self.last_seq = seq;
+        self.seg_bytes += line.len() as u64;
+        self.unsynced += line.len() as u64;
         self.appends.inc();
-        self.bytes.add(buf.len() as u64);
+        self.bytes.add(line.len() as u64);
         if self.cfg.fsync == FsyncPolicy::Always {
             self.sync()?;
         }
@@ -534,8 +544,7 @@ impl Wal {
     }
 
     /// Rotates to a fresh segment when the active one is over the size
-    /// cap and holds at least one record (a batch never spans a
-    /// rotation boundary).
+    /// cap and holds at least one record.
     fn rotate_if_needed(&mut self) -> Result<(), WalError> {
         if self.seg_bytes < self.cfg.segment_max_bytes || self.last_seq < self.active_start_seq() {
             return Ok(());
@@ -595,6 +604,25 @@ fn scan_segment(
         f.set_len(offset).map_err(|e| io_err(&seg.path, e))
     };
 
+    // Checked before the header, which a torn-header repair rewrites.
+    if seg.start_seq == 0 {
+        // The journal numbers records from 1; a start of 0 would make
+        // the last sequence of an empty journal underflow.
+        return Err(corrupt(
+            0,
+            "segment starts at 0, sequences start at 1".to_owned(),
+        ));
+    }
+    if seg.start_seq != expected_start {
+        return Err(corrupt(
+            0,
+            format!(
+                "segment starts at {}, expected {expected_start}",
+                seg.start_seq
+            ),
+        ));
+    }
+
     // Header line.
     let header_end = match bytes.iter().position(|&b| b == b'\n') {
         Some(i) => i + 1,
@@ -619,18 +647,10 @@ fn scan_segment(
         .strip_prefix(HEADER_PREFIX)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| corrupt(0, format!("bad header `{header}`")))?;
-    if start == 0 {
-        // The journal numbers records from 1; a start of 0 would make
-        // the last sequence of an empty journal underflow.
+    if start != seg.start_seq {
         return Err(corrupt(
             0,
-            "header start 0, sequences start at 1".to_owned(),
-        ));
-    }
-    if start != seg.start_seq || start != expected_start {
-        return Err(corrupt(
-            0,
-            format!("header start {start}, expected {expected_start}"),
+            format!("header start {start}, expected {}", seg.start_seq),
         ));
     }
 
@@ -740,8 +760,9 @@ mod tests {
         {
             let (mut wal, rec) = open(&dir);
             assert!(rec.records.is_empty() && rec.torn.is_none());
-            assert_eq!(wal.append(&entries[..3]).expect("append"), 3);
-            assert_eq!(wal.append(&entries[3..]).expect("append"), 7);
+            for (i, e) in entries.iter().enumerate() {
+                assert_eq!(wal.append(e).expect("append"), i as u64 + 1);
+            }
             wal.sync().expect("sync");
         }
         let (wal, rec) = open(&dir);
@@ -765,7 +786,7 @@ mod tests {
         cfg.segment_max_bytes = 128;
         let (mut wal, _) = Wal::open(cfg.clone(), &Registry::new(), time()).expect("opens");
         for i in 0..24 {
-            wal.append(&[entry(i)]).expect("append");
+            wal.append(&entry(i)).expect("append");
         }
         assert!(wal.segments.len() > 2, "small cap must rotate");
         let (reopened, rec) = Wal::open(cfg.clone(), &Registry::new(), time()).expect("reopens");
@@ -797,7 +818,7 @@ mod tests {
         {
             let (mut wal, _) = open(&dir);
             for i in 0..4 {
-                wal.append(&[entry(i)]).expect("append");
+                wal.append(&entry(i)).expect("append");
             }
         }
         // Tear the last record mid-line, like a crash mid-write.
@@ -816,7 +837,7 @@ mod tests {
         assert_eq!(rec.records.len(), 3, "the torn record is gone");
         assert_eq!(wal.last_seq(), 3);
         // The journal keeps accepting appends with a clean chain.
-        wal.append(&[entry(9)]).expect("append after heal");
+        wal.append(&entry(9)).expect("append after heal");
         drop(wal);
         let (_, rec) = open(&dir);
         assert!(rec.torn.is_none());
@@ -835,7 +856,7 @@ mod tests {
         {
             let (mut wal, _) = open(&dir);
             for i in 0..6 {
-                wal.append(&[entry(i)]).expect("append");
+                wal.append(&entry(i)).expect("append");
             }
         }
         let seg = dir.join(segment_name(1));
@@ -874,7 +895,7 @@ mod tests {
         {
             let (mut wal, _) = open(&dir);
             for i in 0..3 {
-                wal.append(&[entry(i)]).expect("append");
+                wal.append(&entry(i)).expect("append");
             }
         }
         let seg = dir.join(segment_name(1));
@@ -911,11 +932,11 @@ mod tests {
     fn injected_tear_self_heals() {
         let dir = tdir("inject");
         let (mut wal, _) = open(&dir);
-        wal.append(&[entry(0)]).expect("append");
+        wal.append(&entry(0)).expect("append");
         let err = wal.inject_torn_append(&entry(1));
         assert!(matches!(err, WalError::TornTail { .. }), "typed: {err}");
         assert_eq!(wal.last_seq(), 1, "the torn entry was never journaled");
-        wal.append(&[entry(2)]).expect("append after self-heal");
+        wal.append(&entry(2)).expect("append after self-heal");
         drop(wal);
         let (_, rec) = open(&dir);
         assert!(rec.torn.is_none(), "the tear healed in-process");
@@ -947,6 +968,33 @@ mod tests {
     #[test]
     fn a_segment_starting_at_sequence_zero_is_refused() {
         assert_refused_at("start0", 0, &format!("{HEADER_PREFIX}0\n"), 0);
+        // A torn header is recovered in the final segment, but not in a
+        // segment whose name starts it at 0.
+        assert_refused_at("start0-torn", 0, "mrwal", 0);
+    }
+
+    /// A torn header is the one damage recovery repairs in place, and it
+    /// may only do so in a segment that continues the chain: a final
+    /// segment named past the chain's next sequence must be refused, or
+    /// the records appended to it would be refused at the next open.
+    #[test]
+    fn a_torn_final_segment_off_the_chain_is_refused() {
+        let dir = tdir("offchain");
+        {
+            let (mut wal, _) = open(&dir);
+            wal.append(&entry(0)).expect("append");
+        }
+        std::fs::write(dir.join(segment_name(5)), "mrwal").expect("torn segment written");
+        let mut cfg = WalConfig::new(&dir);
+        cfg.fsync = FsyncPolicy::Off;
+        match Wal::open(cfg, &Registry::new(), time()) {
+            Err(WalError::Corrupt {
+                segment, offset, ..
+            }) => assert_eq!((segment.as_str(), offset), (segment_name(5).as_str(), 0)),
+            Err(other) => panic!("expected a Corrupt refusal, got {other}"),
+            Ok(_) => panic!("a segment off the chain opened"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -957,6 +1005,33 @@ mod tests {
         assert_refused_at("seqmax", u64::MAX, &text, header.len() as u64);
     }
 
+    /// A journal whose next record would carry `u64::MAX` refuses the
+    /// append, typed, and writes nothing: recovery would refuse that
+    /// record, and the append after it would overflow the sequence.
+    #[test]
+    fn an_append_past_the_last_recoverable_sequence_is_refused() {
+        let dir = tdir("seqfull");
+        std::fs::create_dir_all(&dir).expect("dir");
+        let seg = dir.join(segment_name(u64::MAX));
+        std::fs::write(&seg, format!("{HEADER_PREFIX}{}\n", u64::MAX)).expect("segment written");
+        let (mut wal, rec) = open(&dir);
+        assert!(rec.records.is_empty());
+        assert_eq!(wal.last_seq(), u64::MAX - 1);
+        for _ in 0..2 {
+            assert_eq!(
+                wal.append(&entry(0)),
+                Err(WalError::Exhausted {
+                    last_seq: u64::MAX - 1
+                })
+            );
+        }
+        drop(wal);
+        let (wal, rec) = open(&dir);
+        assert!(rec.records.is_empty() && rec.torn.is_none());
+        assert_eq!(wal.last_seq(), u64::MAX - 1, "nothing was written");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn wal_counters_account_for_appends_and_fsyncs() {
         let dir = tdir("counters");
@@ -964,10 +1039,11 @@ mod tests {
         let mut cfg = WalConfig::new(&dir);
         cfg.fsync = FsyncPolicy::Always;
         let (mut wal, _) = Wal::open(cfg, &obs, time()).expect("opens");
-        wal.append(&[entry(0), entry(1)]).expect("append");
-        wal.append(&[entry(2)]).expect("append");
-        assert_eq!(obs.counter("wal.appends").value(), 2, "one per batch");
-        assert_eq!(obs.counter("wal.fsyncs").value(), 2, "always = per batch");
+        for i in 0..3 {
+            wal.append(&entry(i)).expect("append");
+        }
+        assert_eq!(obs.counter("wal.appends").value(), 3);
+        assert_eq!(obs.counter("wal.fsyncs").value(), 3, "always = per append");
         assert!(obs.counter("wal.bytes").value() > 0);
         wal.note_replayed(3);
         assert_eq!(obs.counter("wal.replayed").value(), 3);

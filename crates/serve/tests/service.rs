@@ -1,19 +1,19 @@
-//! End-to-end service test: streaming ingestion with shedding, three
-//! scheduled epochs on the simulated clock, snapshot, restore, and
-//! metrics/evolution equality between the original and restored service —
-//! plus a model hot-swap picked up at the next epoch boundary.
+//! End-to-end service test: streaming ingestion with shedding and
+//! retry, three paced epochs on the simulated clock, snapshot, restore,
+//! and metrics/evolution equality between the original and restored
+//! service — plus a model hot-swap picked up at the next epoch boundary.
 
 use mobirescue_core::rl_dispatch::FEATURE_DIM;
 use mobirescue_core::scenario::{Scenario, ScenarioConfig};
 use mobirescue_rl::nn::Mlp;
 use mobirescue_roadnet::graph::SegmentId;
-use mobirescue_serve::obs::TimeSource as _;
+use mobirescue_serve::obs::TimeSource;
 use mobirescue_serve::{
-    Clock, DispatchService, EpochScheduler, Event, ModelRegistry, RetryPolicy, ServeConfig,
-    ServeError, SimClock, SwapError,
+    Clock, DispatchService, Event, ModelRegistry, RetryPolicy, ServeConfig, ServeError, SimClock,
+    SwapError, WalConfig,
 };
 use mobirescue_sim::{seal_snapshot, RequestSpec, SimConfig};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 
 fn test_scenario() -> Arc<Scenario> {
     Arc::new(ScenarioConfig::small().florence().build(11))
@@ -191,6 +191,83 @@ fn retry_exhaustion_accounts_every_offer() {
     );
 }
 
+/// A simulated clock whose every sleep also runs one epoch of the service
+/// it is attached to, so a retry's backoff reaches an epoch boundary and
+/// the drained queue has room for the re-offer.
+#[derive(Default)]
+struct EpochOnSleep {
+    time: SimClock,
+    service: OnceLock<Weak<DispatchService>>,
+}
+
+impl TimeSource for EpochOnSleep {
+    fn now_ms(&self) -> u64 {
+        self.time.now_ms()
+    }
+}
+
+impl Clock for EpochOnSleep {
+    fn sleep_ms(&self, ms: u64) {
+        self.time.sleep_ms(ms);
+        if let Some(service) = self.service.get().and_then(Weak::upgrade) {
+            service.run_epoch().expect("epoch runs during the backoff");
+        }
+    }
+}
+
+#[test]
+fn a_shed_offer_is_admitted_on_its_first_retry() {
+    let scenario = test_scenario();
+    let dir = std::env::temp_dir().join(format!("mobirescue-retry-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = test_config();
+    config.wal = Some(WalConfig::new(&dir));
+    let clock = Arc::new(EpochOnSleep::default());
+    let service = Arc::new(
+        DispatchService::start(
+            Arc::clone(&scenario),
+            config,
+            Arc::clone(&clock) as Arc<dyn Clock>,
+            Arc::new(ModelRegistry::new(None, None)),
+        )
+        .expect("service starts"),
+    );
+    clock
+        .service
+        .set(Arc::downgrade(&service))
+        .expect("clock attached once");
+
+    // Fill shard 0 to capacity (4); the next offer is shed, the backoff
+    // runs an epoch that drains the queue, and the first retry is
+    // admitted.
+    for spec in requests_for(&scenario, 0, 0, 4) {
+        assert!(service.ingest(Event::Request { shard: 0, spec }).unwrap());
+    }
+    let extra = requests_for(&scenario, 0, 1, 1).remove(0);
+    let admitted = service
+        .ingest_with_retry(
+            Event::Request {
+                shard: 0,
+                spec: extra,
+            },
+            &RetryPolicy::default(),
+        )
+        .expect("valid event");
+    assert!(admitted, "the retry after a drain must be admitted");
+
+    let m = service.metrics();
+    assert_eq!(m.ingest_retries, 1);
+    assert_eq!(m.requests_shed, 1);
+    assert_eq!(m.requests_accepted, 5);
+    assert_eq!(m.epochs_completed, 1);
+    assert_eq!(m.shards[0].queue_depth, 1, "only the retried offer waits");
+    // The shed attempt left no journal record; the admitted one did.
+    assert_eq!(service.wal_last_seq(), m.requests_accepted);
+
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn route_planner_counters_survive_restore_exactly() {
     let scenario = test_scenario();
@@ -258,20 +335,19 @@ fn snapshot_restore_preserves_metrics_and_future_evolution() {
     let registry = Arc::new(ModelRegistry::new(None, None));
     let service = start_service(&scenario, &clock, &registry);
 
-    // Three scheduled epochs on the simulated clock, with fresh requests
+    // Three epochs paced on the simulated clock, with fresh requests
     // ingested between epochs and some left pending in the queues.
     ingest_all(&service, &scenario, 0, 3);
-    let mut scheduler = EpochScheduler::for_service(&service).expect("valid period");
-    assert_eq!(scheduler.period_ms(), 300_000);
-    let mut seen = Vec::new();
-    scheduler
-        .run(&service, clock.as_ref(), 3, |epoch, reports| {
-            seen.push((epoch, reports.to_vec()));
-            ingest_all(&service, &scenario, epoch + 1, 3);
-        })
-        .expect("epochs run");
-    assert_eq!(seen.len(), 3);
-    assert_eq!(scheduler.overruns(), 0, "sim-clock epochs never overrun");
+    let period_ms = u64::from(service.config().sim.dispatch_period_s) * 1_000;
+    assert_eq!(period_ms, 300_000);
+    let start = clock.now_ms();
+    for epoch in 0..3 {
+        service.run_epoch().expect("epoch runs");
+        ingest_all(&service, &scenario, epoch + 1, 3);
+        let deadline = start + u64::from(epoch + 1) * period_ms;
+        assert!(clock.now_ms() <= deadline, "sim-clock epochs never overrun");
+        clock.sleep_ms(deadline - clock.now_ms());
+    }
     // An advisory naming an unknown segment is admitted and only counted
     // invalid when drained, so a snapshot may carry it and must restore.
     service

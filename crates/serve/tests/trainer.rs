@@ -5,9 +5,10 @@
 
 use mobirescue_core::scenario::ScenarioConfig;
 use mobirescue_roadnet::graph::SegmentId;
+use mobirescue_serve::obs::TimeSource as _;
 use mobirescue_serve::{
-    Clock, DispatchService, EpochScheduler, Event, ModelRegistry, RolloutConfig, ServeConfig,
-    SimClock, TrainerConfig,
+    Clock, DispatchService, Event, ModelRegistry, RolloutConfig, ServeConfig, SimClock,
+    TrainerConfig,
 };
 use mobirescue_sim::{RequestSpec, SimConfig};
 use std::sync::Arc;
@@ -46,6 +47,25 @@ fn config(seed: u64, candidate_every: u32) -> ServeConfig {
     config
 }
 
+/// Runs `epochs` epochs of `service`, calling `at_boundary(e)` after epoch
+/// `e` and then sleeping `clock` to that epoch's fixed deadline,
+/// `start + (e+1)·period`.
+fn drive(
+    service: &DispatchService,
+    clock: &SimClock,
+    epochs: u32,
+    mut at_boundary: impl FnMut(u32),
+) {
+    let period_ms = u64::from(service.config().sim.dispatch_period_s) * 1_000;
+    let start = clock.now_ms();
+    for e in 0..epochs {
+        service.run_epoch().expect("epoch runs");
+        at_boundary(e);
+        let deadline = start + u64::from(e + 1) * period_ms;
+        clock.sleep_ms(deadline.saturating_sub(clock.now_ms()));
+    }
+}
+
 /// Drives `epochs` epochs with a deterministic request stream and returns
 /// the service for inspection.
 fn run_service(seed: u64, candidate_every: u32, epochs: u32) -> DispatchService {
@@ -72,14 +92,11 @@ fn run_service(seed: u64, candidate_every: u32, epochs: u32) -> DispatchService 
         }
     };
     ingest(0);
-    let mut scheduler = EpochScheduler::for_service(&service).expect("scheduler");
-    scheduler
-        .run(&service, clock.as_ref(), epochs, |e, _| {
-            if e + 1 < epochs {
-                ingest(e + 1);
-            }
-        })
-        .expect("epochs run");
+    drive(&service, &clock, epochs, |e| {
+        if e + 1 < epochs {
+            ingest(e + 1);
+        }
+    });
     service
 }
 
@@ -162,15 +179,12 @@ fn trainer_state_survives_snapshot_restore_and_resumes_bit_identically() {
             }
         }
     };
-    let drive = |service: &DispatchService, clock: &SimClock, from: u32, to: u32| {
-        let mut scheduler = EpochScheduler::for_service(service).expect("scheduler");
-        scheduler
-            .run(service, clock, to - from, |i, _| {
-                if from + i + 1 < to {
-                    ingest(service, from + i + 1);
-                }
-            })
-            .expect("epochs run");
+    let drive_from = |service: &DispatchService, clock: &SimClock, from: u32, to: u32| {
+        drive(service, clock, to - from, |i| {
+            if from + i + 1 < to {
+                ingest(service, from + i + 1);
+            }
+        });
     };
 
     let clock: Arc<SimClock> = Arc::new(SimClock::new());
@@ -182,7 +196,7 @@ fn trainer_state_survives_snapshot_restore_and_resumes_bit_identically() {
     )
     .expect("service starts");
     ingest(&origin, 0);
-    drive(&origin, &clock, 0, 6);
+    drive_from(&origin, &clock, 0, 6);
     ingest(&origin, 6);
     let status_before = origin.trainer_status().expect("trainer configured");
     let policy_before = origin.trainer_policy_text().expect("trainer configured");
@@ -237,8 +251,8 @@ fn trainer_state_survives_snapshot_restore_and_resumes_bit_identically() {
     );
 
     let (b2, clock_b2) = restore();
-    drive(&b1, &clock_b1, 6, 12);
-    drive(&b2, &clock_b2, 6, 12);
+    drive_from(&b1, &clock_b1, 6, 12);
+    drive_from(&b2, &clock_b2, 6, 12);
     assert_eq!(
         b1.trainer_status().expect("trainer configured"),
         b2.trainer_status().expect("trainer configured"),

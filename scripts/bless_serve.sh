@@ -60,8 +60,8 @@ if [[ -z "$sent" || "$sent" -eq 0 || "$lost" != "0" || "$nacked_invalid" != "0" 
 fi
 
 # Ride-along informational rows: what each journal fsync policy costs per
-# group-committed append batch on the bless machine. The SLO gate does
-# not read these; they document the durability tax.
+# single-record append on the bless machine. The SLO gate does not read
+# these; they document the durability tax.
 echo "==> bench_wal (fsync-policy cost rows)"
 ./target/release/bench_wal > "$wal_rows"
 head -n -1 BENCH_serve.json > "${wal_rows}.merged"

@@ -9,8 +9,7 @@
 
 use mobirescue_serve::chaos::{crash_replay_divergence, run_chaos, ChaosOptions};
 use mobirescue_serve::{
-    Clock, DispatchService, FaultInjector, FaultPlan, ModelRegistry, ServeError, SimClock,
-    SnapshotCorruption,
+    Clock, DispatchService, FaultPlan, ModelRegistry, ServeError, SimClock, SnapshotCorruption,
 };
 use std::sync::Arc;
 
@@ -23,8 +22,7 @@ const SEEDS: [u64; 5] = mobirescue_serve::CHAOS_SEEDS;
 fn chaos_invariants_hold_for_fixed_seeds() {
     let mut kinds_seen = (0u64, 0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
     for seed in SEEDS {
-        let opts = ChaosOptions::seeded(seed, 6, 2);
-        let outcome = run_chaos(seed, &opts).expect("chaos run completes");
+        let outcome = run_chaos(&ChaosOptions::seeded(seed)).expect("chaos run completes");
         assert!(
             outcome.ok(),
             "seed {seed} broke invariants:\n{}",
@@ -63,9 +61,9 @@ fn chaos_invariants_hold_for_fixed_seeds() {
 
 #[test]
 fn chaos_runs_are_deterministic() {
-    let opts = ChaosOptions::seeded(23, 6, 2);
-    let a = run_chaos(23, &opts).expect("first run");
-    let b = run_chaos(23, &opts).expect("second run");
+    let opts = ChaosOptions::seeded(23);
+    let a = run_chaos(&opts).expect("first run");
+    let b = run_chaos(&opts).expect("second run");
     assert_eq!(a.counters, b.counters);
     assert_eq!(a.metrics, b.metrics);
     assert_eq!(a.restarts, b.restarts);
@@ -74,9 +72,9 @@ fn chaos_runs_are_deterministic() {
 
 #[test]
 fn quiet_plan_degrades_nothing() {
-    let mut opts = ChaosOptions::seeded(99, 4, 2);
+    let mut opts = ChaosOptions::seeded(99);
     opts.plan = FaultPlan::empty();
-    let outcome = run_chaos(99, &opts).expect("quiet run completes");
+    let outcome = run_chaos(&opts).expect("quiet run completes");
     assert!(outcome.ok(), "{}", outcome.summary());
     assert_eq!(outcome.metrics.degraded_epochs, 0);
     assert_eq!(outcome.restarts, 0);
@@ -90,8 +88,7 @@ fn crash_recovery_is_replay_masked_bit_identical() {
     // exactly the pre-epoch-0 state). The recovered run must end with a
     // snapshot text *byte-identical* to an unfaulted twin's, because each
     // crash is consumed when it fires and the replayed epoch runs clean.
-    let divergences =
-        crash_replay_divergence(&[(0, 0), (2, 1), (4, 0)], 6, 2).expect("both runs complete");
+    let divergences = crash_replay_divergence().expect("both runs complete");
     assert!(
         divergences.is_empty(),
         "crashed+recovered run diverged from the unfaulted reference:\n{}",
@@ -106,7 +103,6 @@ fn corrupted_snapshot_writes_are_rejected_on_restore() {
         SnapshotCorruption::BitFlip(6_789),
     ] {
         let scenario = Arc::new(mobirescue_serve::chaos::chaos_scenario());
-        let injector = FaultInjector::new(FaultPlan::empty().with_snapshot_corruption(corruption));
         let mut config = mobirescue_serve::ServeConfig::new(mobirescue_sim::SimConfig::small(6));
         config.num_shards = 2;
         let clock: Arc<SimClock> = Arc::new(SimClock::new());
@@ -121,8 +117,7 @@ fn corrupted_snapshot_writes_are_rejected_on_restore() {
         service.run_epoch().expect("epoch runs");
         // The write is damaged on its way to disk, after the service
         // sealed it.
-        let corrupted = injector.corrupt_snapshot(service.snapshot().expect("snapshot writes"));
-        assert_eq!(injector.counters().snapshot_corruptions, 1);
+        let corrupted = corruption.apply(&service.snapshot().expect("snapshot writes"));
         let err = DispatchService::restore(
             Arc::clone(&scenario),
             config,

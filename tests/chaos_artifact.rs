@@ -14,8 +14,7 @@ const SWEEP: &str = include_str!("../robustness_serve.txt");
 #[test]
 fn committed_sweep_matches_the_harness() {
     for seed in 1..=3 {
-        let outcome =
-            run_chaos(seed, &ChaosOptions::seeded(seed, 6, 2)).expect("chaos run completes");
+        let outcome = run_chaos(&ChaosOptions::seeded(seed)).expect("chaos run completes");
         let line = outcome.summary();
         assert!(
             SWEEP.lines().any(|l| l == line),

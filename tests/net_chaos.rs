@@ -41,8 +41,8 @@ fn conservation_holds_for_fixed_seeds() {
     assert!(kinds_seen.2 > 0, "no slow-loris fired across the seed set");
 }
 
-/// Overload honesty: with retries off, every queue shed must surface as
-/// exactly one wire-visible NACK(Shed) — the run's invariants include
+/// Overload honesty: every queue shed must surface as exactly one
+/// wire-visible NACK(Shed) — the run's invariants include
 /// `queue_shed == nacked_shed` — and a tiny queue under a request burst
 /// must actually shed, so the equality is tested under real overload,
 /// not vacuously.
@@ -51,8 +51,6 @@ fn every_shed_is_a_nack_under_overload() {
     let opts = NetChaosOptions {
         offers: 90,
         epoch_every: 30, // long bursts between drains overflow capacity 4
-        max_retries: 0,
-        ..NetChaosOptions::default()
     };
     let mut sheds = 0u64;
     for seed in SEEDS {

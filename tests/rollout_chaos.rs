@@ -18,7 +18,7 @@
 //! seed; the suite pins the same seed set as `tests/chaos.rs` and
 //! `scripts/verify.sh`.
 
-use mobirescue_serve::chaos::{rollout_chaos_divergence, RolloutChaosOptions};
+use mobirescue_serve::chaos::rollout_chaos_divergence;
 
 /// Same pinned set as the ingestion/crash chaos suite.
 const SEEDS: [u64; 5] = mobirescue_serve::CHAOS_SEEDS;
@@ -26,8 +26,7 @@ const SEEDS: [u64; 5] = mobirescue_serve::CHAOS_SEEDS;
 #[test]
 fn poisoned_rollouts_never_serve_and_twins_stay_bit_identical() {
     for seed in SEEDS {
-        let opts = RolloutChaosOptions::standard(2);
-        let divergences = rollout_chaos_divergence(seed, &opts).expect("runs complete");
+        let divergences = rollout_chaos_divergence(seed).expect("runs complete");
         assert!(
             divergences.is_empty(),
             "seed {seed} violated rollout invariants:\n{}",
@@ -38,8 +37,7 @@ fn poisoned_rollouts_never_serve_and_twins_stay_bit_identical() {
 
 #[test]
 fn rollout_chaos_is_deterministic() {
-    let opts = RolloutChaosOptions::standard(2);
-    let a = rollout_chaos_divergence(37, &opts).expect("first run");
-    let b = rollout_chaos_divergence(37, &opts).expect("second run");
+    let a = rollout_chaos_divergence(37).expect("first run");
+    let b = rollout_chaos_divergence(37).expect("second run");
     assert_eq!(a, b, "rollout chaos must be a pure function of its seed");
 }

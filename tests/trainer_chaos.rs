@@ -19,7 +19,7 @@
 //! seed; the suite pins the same seed set as `tests/chaos.rs` and
 //! `scripts/verify.sh`.
 
-use mobirescue_serve::chaos::{trainer_chaos_divergence, TrainerChaosOptions};
+use mobirescue_serve::chaos::trainer_chaos_divergence;
 
 /// Same pinned set as the ingestion/crash and rollout chaos suites.
 const SEEDS: [u64; 5] = mobirescue_serve::CHAOS_SEEDS;
@@ -27,8 +27,7 @@ const SEEDS: [u64; 5] = mobirescue_serve::CHAOS_SEEDS;
 #[test]
 fn trainer_faults_never_break_conservation_or_serve_unguarded_models() {
     for seed in SEEDS {
-        let opts = TrainerChaosOptions::standard(2);
-        let divergences = trainer_chaos_divergence(seed, &opts).expect("runs complete");
+        let divergences = trainer_chaos_divergence(seed).expect("runs complete");
         assert!(
             divergences.is_empty(),
             "seed {seed} violated trainer invariants:\n{}",
@@ -39,8 +38,7 @@ fn trainer_faults_never_break_conservation_or_serve_unguarded_models() {
 
 #[test]
 fn trainer_chaos_is_deterministic() {
-    let opts = TrainerChaosOptions::standard(2);
-    let a = trainer_chaos_divergence(41, &opts).expect("first run");
-    let b = trainer_chaos_divergence(41, &opts).expect("second run");
+    let a = trainer_chaos_divergence(41).expect("first run");
+    let b = trainer_chaos_divergence(41).expect("second run");
     assert_eq!(a, b, "trainer chaos must be a pure function of its seed");
 }

@@ -24,14 +24,13 @@
 //! seed; the suite iterates `mobirescue_serve::CHAOS_SEEDS`, the same
 //! constant the chaos sweep binary and the sibling suites pin.
 
-use mobirescue_serve::chaos::{wal_chaos_divergence, WalChaosOptions};
+use mobirescue_serve::chaos::wal_chaos_divergence;
 use mobirescue_serve::CHAOS_SEEDS;
 
 #[test]
 fn crash_at_any_journal_byte_recovers_bit_identically() {
     for seed in CHAOS_SEEDS {
-        let opts = WalChaosOptions::standard(2);
-        let divergences = wal_chaos_divergence(seed, &opts).expect("runs complete");
+        let divergences = wal_chaos_divergence(seed).expect("runs complete");
         assert!(
             divergences.is_empty(),
             "seed {seed} violated journal invariants:\n{}",
@@ -42,8 +41,7 @@ fn crash_at_any_journal_byte_recovers_bit_identically() {
 
 #[test]
 fn wal_chaos_is_deterministic() {
-    let opts = WalChaosOptions::standard(2);
-    let a = wal_chaos_divergence(37, &opts).expect("first run");
-    let b = wal_chaos_divergence(37, &opts).expect("second run");
+    let a = wal_chaos_divergence(37).expect("first run");
+    let b = wal_chaos_divergence(37).expect("second run");
     assert_eq!(a, b, "wal chaos must be a pure function of its seed");
 }
