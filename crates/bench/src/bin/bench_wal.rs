@@ -9,7 +9,7 @@
 //! what durability costs on the bless machine).
 //!
 //! ```text
-//! cargo run -p mobirescue-bench --release --bin bench_wal -- [--appends N]
+//! cargo run -p mobirescue-bench --release --bin bench_wal
 //! ```
 
 use mobirescue_obs::{Registry, WallTime};
@@ -19,9 +19,12 @@ use mobirescue_sim::RequestSpec;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Appends `appends` records under `policy` in a fresh temp journal and
-/// returns the mean per-append cost in microseconds.
-fn bench_policy(policy: FsyncPolicy, appends: u64) -> f64 {
+/// Records appended per policy.
+const APPENDS: u64 = 512;
+
+/// Appends [`APPENDS`] records under `policy` in a fresh temp journal
+/// and returns the mean per-append cost in microseconds.
+fn bench_policy(policy: FsyncPolicy) -> f64 {
     let dir = std::env::temp_dir().join(format!(
         "mobirescue-benchwal-{}-{}",
         std::process::id(),
@@ -35,7 +38,7 @@ fn bench_policy(policy: FsyncPolicy, appends: u64) -> f64 {
         Wal::open(cfg, &registry, Arc::new(WallTime::new())).expect("fresh journal opens");
 
     let start = Instant::now();
-    for i in 0..appends {
+    for i in 0..APPENDS {
         let entry = WalEntry {
             clock_ms: i,
             shard: (i % 2) as usize,
@@ -50,33 +53,23 @@ fn bench_policy(policy: FsyncPolicy, appends: u64) -> f64 {
     wal.sync().expect("final flush");
     drop(wal);
     let _ = std::fs::remove_dir_all(&dir);
-    elapsed.as_micros() as f64 / appends as f64
+    elapsed.as_micros() as f64 / APPENDS as f64
 }
 
 fn main() {
-    let mut appends = 512u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--appends" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => appends = n,
-                _ => {
-                    eprintln!("bench_wal: --appends needs a positive integer");
-                    std::process::exit(2);
-                }
-            },
-            "--help" | "-h" => {
-                println!("usage: bench_wal [--appends N]");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
-            }
+    match std::env::args().nth(1).as_deref() {
+        None => {}
+        Some("--help" | "-h") => {
+            println!("usage: bench_wal");
+            return;
+        }
+        Some(other) => {
+            eprintln!("unknown argument {other:?}");
+            std::process::exit(2);
         }
     }
 
-    eprintln!("bench_wal: {appends} single-record appends per policy");
+    eprintln!("bench_wal: {APPENDS} single-record appends per policy");
     // Flat JSON, one scalar per line — the same shape as the rest of
     // BENCH_serve.json so the sed extractor keeps working.
     println!("{{");
@@ -84,7 +77,7 @@ fn main() {
         .into_iter()
         .enumerate()
     {
-        let us = bench_policy(policy, appends);
+        let us = bench_policy(policy);
         let comma = if i < 2 { "," } else { "" };
         println!("  \"wal_append_{}_us\": {:.1}{comma}", policy.as_str(), us);
     }
