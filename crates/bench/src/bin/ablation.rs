@@ -6,7 +6,7 @@
 //! cargo run -p mobirescue-bench --release --bin ablation -- [--scale small|medium] [--seed N]
 //! ```
 
-use mobirescue_bench::ExperimentScale;
+use mobirescue_bench::{cli, ExperimentScale};
 use mobirescue_core::predictor::{mine_rescues, RequestPredictor};
 use mobirescue_core::rl_dispatch::{MobiRescueDispatcher, RlDispatchConfig};
 use mobirescue_core::scenario::Scenario;
@@ -29,16 +29,10 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--scale" => {
-                scale = args
-                    .next()
-                    .as_deref()
-                    .and_then(ExperimentScale::parse)
-                    .unwrap_or(ExperimentScale::Small)
-            }
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(42),
+            "--scale" => scale = cli::scale(&mut args, "ablation"),
+            "--seed" => seed = cli::count(&mut args, "ablation", "--seed"),
             other => {
-                eprintln!("unknown argument {other:?}");
+                eprintln!("ablation: unknown argument {other:?}");
                 std::process::exit(2);
             }
         }

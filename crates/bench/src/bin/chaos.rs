@@ -7,22 +7,18 @@
 //! ```
 //!
 //! Sweeps N seeded fault plans through `mobirescue_serve::chaos::run_chaos`
-//! (drop/delay/duplicate/corrupt ingestion, shard stalls and crashes,
-//! failed hot-swaps), then runs the crash-replay masking check, the
-//! poisoned-checkpoint rollout sweep (NaN weights, wrong dims, and a
-//! reward-tanking policy against the guarded promotion pipeline), the
-//! trainer fault sweep (transition drops, stale-candidate floods, and
-//! boundary crashes against the online training loop), and the WAL fault
-//! sweep (kill -9 at arbitrary journal byte offsets, torn appends, bit
-//! flips and fsync stalls against the durable ingest journal, over the
-//! pinned `CHAOS_SEEDS`). Every run has the harness's one configuration
+//! (drop/delay/duplicate/corrupt ingestion, shard stalls and crashes),
+//! then runs the crash-replay masking check and the WAL fault sweep
+//! (kill -9 at arbitrary journal byte offsets, torn appends, bit flips
+//! and fsync stalls against the durable ingest journal, over the pinned
+//! `CHAOS_SEEDS`). Every run has the harness's one configuration
 //! (`CHAOS_EPOCHS` epochs on `CHAOS_SHARDS` shards for the sweep). Exits 1
 //! if any seed breaks an invariant and 2 on a bad argument — pipe the
 //! output into `robustness_serve.txt` via `scripts/chaos.sh`.
 
 use mobirescue_serve::chaos::{
-    crash_replay_divergence, rollout_chaos_divergence, run_chaos, trainer_chaos_divergence,
-    wal_chaos_divergence, ChaosOptions, CHAOS_EPOCHS, CHAOS_SEEDS, CHAOS_SHARDS,
+    crash_replay_divergence, run_chaos, wal_chaos_divergence, ChaosOptions, CHAOS_EPOCHS,
+    CHAOS_SEEDS, CHAOS_SHARDS,
 };
 use mobirescue_serve::ServeError;
 use std::path::PathBuf;
@@ -103,24 +99,6 @@ fn main() {
         "bit-identical to the unfaulted reference",
         crash_replay_divergence(),
     );
-
-    println!("rollout chaos (poisoned checkpoints vs the guarded pipeline):");
-    for seed in base_seed..base_seed + seeds.min(5) {
-        failures += report(
-            &format!("  seed {seed:>4}"),
-            "poisoned twin bit-identical to clean run",
-            rollout_chaos_divergence(seed),
-        );
-    }
-
-    println!("trainer chaos (drops, stale floods, boundary crashes vs the learning loop):");
-    for seed in base_seed..base_seed + seeds.min(5) {
-        failures += report(
-            &format!("  seed {seed:>4}"),
-            "conservation held, floods blocked, crash twin bit-identical",
-            trainer_chaos_divergence(seed),
-        );
-    }
 
     // The WAL arm runs the pinned seed set (the same CHAOS_SEEDS constant
     // the test suites iterate) rather than the sweep range: crash-at-any-

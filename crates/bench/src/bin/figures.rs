@@ -5,7 +5,7 @@
 //!     [--seed N] [--exp all|analysis|comparison|table1|fig2..fig16|summary]
 //! ```
 
-use mobirescue_bench::{ExperimentScale, FigureContext};
+use mobirescue_bench::{cli, ExperimentScale, FigureContext};
 
 fn main() {
     let mut scale = ExperimentScale::Medium;
@@ -14,20 +14,24 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--scale" => {
-                let v = args.next().unwrap_or_default();
-                scale = ExperimentScale::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown scale {v:?} (small|medium|paper)");
-                    std::process::exit(2);
-                });
+            "--scale" => scale = cli::scale(&mut args, "figures"),
+            "--seed" => seed = cli::count(&mut args, "figures", "--seed"),
+            // Checked here, before the context build it would otherwise
+            // wait for (over a minute at `medium`).
+            "--exp" => {
+                exp = cli::value(
+                    &mut args,
+                    "figures",
+                    "--exp",
+                    "all, analysis, comparison or an experiment id",
+                    |v| {
+                        let known = ["all", "analysis", "comparison"].contains(&v)
+                            || FigureContext::analysis_ids().contains(&v)
+                            || FigureContext::comparison_ids().contains(&v);
+                        known.then(|| v.to_owned())
+                    },
+                )
             }
-            "--seed" => {
-                seed = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs an integer");
-                    std::process::exit(2);
-                });
-            }
-            "--exp" => exp = args.next().unwrap_or_default(),
             "--help" | "-h" => {
                 println!(
                     "usage: figures [--scale small|medium|paper] [--seed N] \
@@ -36,7 +40,7 @@ fn main() {
                 return;
             }
             other => {
-                eprintln!("unknown argument {other:?}");
+                eprintln!("figures: unknown argument {other:?}");
                 std::process::exit(2);
             }
         }
@@ -66,12 +70,9 @@ fn main() {
     eprintln!("context ready in {:.1?}", start.elapsed());
 
     for id in ids {
-        match ctx.run(id) {
-            Some(text) => println!("{text}"),
-            None => {
-                eprintln!("unknown experiment id {id:?}");
-                std::process::exit(2);
-            }
-        }
+        let text = ctx
+            .run(id)
+            .expect("--exp was checked against the known ids");
+        println!("{text}");
     }
 }

@@ -5,7 +5,7 @@
 //! cargo run -p mobirescue-bench --release --bin robustness -- [--scale small|medium] [--seeds N]
 //! ```
 
-use mobirescue_bench::ExperimentScale;
+use mobirescue_bench::{cli, ExperimentScale};
 use mobirescue_core::experiment::{run_comparison, Comparison};
 
 /// A named invariant checked against every seed's comparison.
@@ -17,16 +17,10 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--scale" => {
-                scale = args
-                    .next()
-                    .as_deref()
-                    .and_then(ExperimentScale::parse)
-                    .unwrap_or(ExperimentScale::Small)
-            }
-            "--seeds" => seeds = args.next().and_then(|v| v.parse().ok()).unwrap_or(5),
+            "--scale" => scale = cli::scale(&mut args, "robustness"),
+            "--seeds" => seeds = cli::count(&mut args, "robustness", "--seeds"),
             other => {
-                eprintln!("unknown argument {other:?}");
+                eprintln!("robustness: unknown argument {other:?}");
                 std::process::exit(2);
             }
         }

@@ -7,6 +7,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod experiments;
 pub mod loadgen;
 pub mod report;

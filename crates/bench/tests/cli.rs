@@ -1,6 +1,6 @@
-//! Pins the loadgen and chaos binaries' command-line contracts: typos,
-//! missing values and non-numeric values fail loudly with usage, they
-//! never fall through to a default run.
+//! Pins the loadgen, chaos and experiment binaries' command-line
+//! contracts: typos, missing values and non-numeric values fail loudly,
+//! they never fall through to a default run.
 
 use std::process::Command;
 
@@ -96,4 +96,67 @@ fn chaos_refuses_a_non_numeric_or_missing_count() {
 fn chaos_runs_one_configuration() {
     chaos_refuses(&["--epochs", "6"], "unknown argument \"--epochs\"");
     chaos_refuses(&["--shards", "2"], "unknown argument \"--shards\"");
+}
+
+/// Runs the binary at `bin` with `args`, expecting it to refuse them with
+/// exit 2 and a one-line stderr that contains `names`, before it starts
+/// any work (every experiment binary logs its progress to stderr).
+fn refuses_at_once(bin: &str, args: &[&str], names: &str) {
+    let out = Command::new(bin).args(args).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+    assert!(out.stdout.is_empty(), "{args:?} must not print results");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(names),
+        "{args:?}: stderr names {names}: {stderr}"
+    );
+    assert_eq!(stderr.lines().count(), 1, "{args:?} started work: {stderr}");
+}
+
+#[test]
+fn robustness_and_ablation_refuse_bad_values() {
+    let robustness = env!("CARGO_BIN_EXE_robustness");
+    refuses_at_once(
+        robustness,
+        &["--seeds", "abc"],
+        "--seeds needs a non-negative integer, got \"abc\"",
+    );
+    refuses_at_once(robustness, &["--seeds"], "--seeds needs a value");
+    refuses_at_once(
+        robustness,
+        &["--scale", "bogus"],
+        "--scale needs small, medium or paper, got \"bogus\"",
+    );
+    let ablation = env!("CARGO_BIN_EXE_ablation");
+    refuses_at_once(
+        ablation,
+        &["--seed", "abc"],
+        "--seed needs a non-negative integer, got \"abc\"",
+    );
+    refuses_at_once(
+        ablation,
+        &["--scale", "bogus"],
+        "--scale needs small, medium or paper, got \"bogus\"",
+    );
+}
+
+#[test]
+fn figures_refuses_bad_values_before_building_a_context() {
+    let figures = env!("CARGO_BIN_EXE_figures");
+    refuses_at_once(
+        figures,
+        &["--scale", "medium", "--exp", "bogus"],
+        "--exp needs all, analysis, comparison or an experiment id, got \"bogus\"",
+    );
+    refuses_at_once(figures, &["--exp"], "--exp needs a value");
+    refuses_at_once(
+        figures,
+        &["--seed", "-1"],
+        "--seed needs a non-negative integer, got \"-1\"",
+    );
+    refuses_at_once(
+        figures,
+        &["--scale", "huge"],
+        "--scale needs small, medium or paper, got \"huge\"",
+    );
 }

@@ -276,47 +276,6 @@ impl RequestPredictor {
         self.decision_value(factors) > self.threshold
     }
 
-    /// Structural admission probe: every numeric field must be finite and
-    /// the decision function must stay finite on a deterministic batch of
-    /// factor vectors spanning calm weather to a severe storm.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first failure.
-    pub fn probe(&self) -> Result<(), String> {
-        if !self.threshold.is_finite() {
-            return Err(format!("threshold is not finite ({})", self.threshold));
-        }
-        for (name, v) in [("means", self.scaler.means()), ("stds", self.scaler.stds())] {
-            if let Some(i) = v.iter().position(|x| !x.is_finite()) {
-                return Err(format!("scaler {name}[{i}] is not finite ({})", v[i]));
-            }
-        }
-        mobirescue_svm::persist::check_finite(&self.model)?;
-        let probes = [
-            FactorVector::default(),
-            FactorVector {
-                precipitation_mm_h: 5.0,
-                wind_mph: 30.0,
-                altitude_m: 10.0,
-            },
-            FactorVector {
-                precipitation_mm_h: 80.0,
-                wind_mph: 150.0,
-                altitude_m: 2.0,
-            },
-        ];
-        for (i, f) in probes.iter().enumerate() {
-            let d = self.decision_value(f);
-            if !d.is_finite() {
-                return Err(format!(
-                    "probe factor vector {i} produced decision value {d}"
-                ));
-            }
-        }
-        Ok(())
-    }
-
     /// The calibrated decision threshold.
     pub fn threshold(&self) -> f64 {
         self.threshold
@@ -667,9 +626,8 @@ mod tests {
                  svm rbf 0.5\nbias 0.1\nsv 1.0 {sv}\n"
             )
         };
-        let ok = RequestPredictor::from_text(&text("1 2 3", "1 1 1", "0.5 0.5 0.5"))
+        RequestPredictor::from_text(&text("1 2 3", "1 1 1", "0.5 0.5 0.5"))
             .expect("a 3-factor predictor parses");
-        assert_eq!(ok.probe(), Ok(()));
         let refused = |t: String| RequestPredictor::from_text(&t).map(|_| ()).unwrap_err();
         // A 3-mean scaler over 1-component support vectors.
         let e = refused(text("1 2 3", "1 1 1", "0.5"));
@@ -688,17 +646,6 @@ mod tests {
         assert!(e.contains("stds[1] is not positive"), "{e}");
         let e = refused(text("1 2 3", "1 1 -1", "0.5 0.5 0.5"));
         assert!(e.contains("stds[2] is not positive"), "{e}");
-    }
-
-    #[test]
-    fn probe_accepts_trained_and_rejects_poisoned() {
-        let (_, predictor) = train_small();
-        assert_eq!(predictor.probe(), Ok(()));
-        // Poison the threshold through the text round trip.
-        let text = predictor.to_text();
-        let poisoned = text.replacen(&format!("{:?}", predictor.threshold()), "NaN", 1);
-        let bad = RequestPredictor::from_text(&poisoned).expect("NaN parses numerically");
-        assert!(bad.probe().unwrap_err().contains("threshold"));
     }
 
     #[test]

@@ -131,11 +131,6 @@ pub struct MobiRescueDispatcher<'a> {
     predictor: Option<RequestPredictor>,
     policy: QScore,
     training: bool,
-    /// Emit `(features, reward, next_candidates)` transitions into
-    /// [`MobiRescueDispatcher::take_tapped_transitions`] without touching
-    /// the policy — the serve-layer trainer's feed from frozen dispatchers.
-    tap: bool,
-    tapped: Vec<PairTransition>,
     /// Zone anchors' positions (`None` for empty zones).
     anchor_pos: Vec<Option<GeoPoint>>,
     /// Normalization scale for distances (city diameter, meters).
@@ -197,8 +192,6 @@ impl<'a> MobiRescueDispatcher<'a> {
             predictor,
             policy,
             training: true,
-            tap: false,
-            tapped: Vec::new(),
             anchor_pos,
             diameter_m,
             cached_pred_hour: None,
@@ -232,24 +225,6 @@ impl<'a> MobiRescueDispatcher<'a> {
     /// greedy evaluation.
     pub fn set_training(&mut self, training: bool) {
         self.training = training;
-    }
-
-    /// Turns the transition tap on or off. While on, every round's online
-    /// Equation-5 transitions are buffered for
-    /// [`MobiRescueDispatcher::take_tapped_transitions`] — *without*
-    /// changing action selection or the policy, so a frozen dispatcher
-    /// behaves bit-identically to an untapped one.
-    pub fn set_transition_tap(&mut self, tap: bool) {
-        self.tap = tap;
-        if !tap {
-            self.tapped.clear();
-        }
-    }
-
-    /// Drains the transitions buffered since the last call (insertion
-    /// order: round by round, team by team).
-    pub fn take_tapped_transitions(&mut self) -> Vec<PairTransition> {
-        std::mem::take(&mut self.tapped)
     }
 
     /// The zone map in use.
@@ -290,36 +265,12 @@ impl<'a> MobiRescueDispatcher<'a> {
         d
     }
 
-    /// Like [`MobiRescueDispatcher::with_policy`] but rejects a mismatched
-    /// policy instead of panicking — the hot-swap path of a long-running
-    /// service must survive a bad checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch when the policy's feature
-    /// dimension is not [`FEATURE_DIM`].
-    pub fn try_with_policy(
-        scenario: &'a Scenario,
-        predictor: Option<RequestPredictor>,
-        config: RlDispatchConfig,
-        policy: QScore,
-    ) -> Result<Self, String> {
-        if policy.config().feature_dim != FEATURE_DIM {
-            return Err(format!(
-                "policy scores {}-dimensional features, dispatcher needs {FEATURE_DIM}",
-                policy.config().feature_dim
-            ));
-        }
-        Ok(Self::with_policy(scenario, predictor, config, policy))
-    }
-
     /// Clears cross-round state at an episode boundary (between simulated
     /// days during offline training).
     pub fn reset_episode(&mut self) {
         self.prev = None;
         self.cached_pred_hour = None;
         self.episode_reward = 0.0;
-        self.tapped.clear();
     }
 
     /// Refreshes the per-segment scratch tallies for this round:
@@ -471,16 +422,16 @@ impl Dispatcher for MobiRescueDispatcher<'_> {
         self.refresh_demand(state);
         let mut remaining = self.zones.aggregate_demand(&self.demand);
         let live_zone = self.zones.aggregate_demand(&self.live);
-        // The waiting-id set only feeds the reward path; a frozen, untapped
+        // The waiting-id set only feeds the reward path; a frozen
         // dispatcher skips building it (HashSet::new is allocation-free).
-        let now_waiting: HashSet<RequestId> = if self.training || self.tap {
+        let now_waiting: HashSet<RequestId> = if self.training {
             state.waiting.iter().map(|r| r.id).collect()
         } else {
             HashSet::new()
         };
 
         // Online Equation-5 reward for the previous round.
-        if self.training || self.tap {
+        if self.training {
             if let Some(prev) = self.prev.take() {
                 let served = prev
                     .waiting_ids
@@ -529,18 +480,11 @@ impl Dispatcher for MobiRescueDispatcher<'_> {
                         reward,
                         next_candidates,
                     };
-                    if self.training {
-                        if self.tap {
-                            self.tapped.push(t.clone());
-                        }
-                        self.observed += 1;
-                        if self.observed.is_multiple_of(self.config.learn_every) {
-                            let _ = self.policy.observe(t);
-                        } else {
-                            self.policy.store(t);
-                        }
-                    } else if self.tap {
-                        self.tapped.push(t);
+                    self.observed += 1;
+                    if self.observed.is_multiple_of(self.config.learn_every) {
+                        let _ = self.policy.observe(t);
+                    } else {
+                        self.policy.store(t);
                     }
                 }
             }
@@ -548,7 +492,6 @@ impl Dispatcher for MobiRescueDispatcher<'_> {
 
         // Decide this round. Decisions are only recorded when the reward
         // path will consume them.
-        let record = self.training || self.tap;
         let mut plan = DispatchPlan::none(state.teams.len());
         let mut decisions = Vec::new();
         for team in state.teams {
@@ -599,12 +542,12 @@ impl Dispatcher for MobiRescueDispatcher<'_> {
                     }
                 }
             }
-            if record {
+            if self.training {
                 decisions.push(decision);
             }
         }
 
-        if record {
+        if self.training {
             self.prev = Some(PrevRound {
                 decisions,
                 waiting_ids: now_waiting,
@@ -751,53 +694,6 @@ mod tests {
             d.policy().q(&go),
             d.policy().q(&stay)
         );
-    }
-
-    #[test]
-    fn tap_on_a_frozen_dispatcher_yields_transitions_without_changing_dispatch() {
-        let scenario = florence();
-        let requests: Vec<RequestSpec> = (0..12)
-            .map(|i| RequestSpec {
-                appear_s: i * 200,
-                segment: SegmentId(i * 9),
-            })
-            .collect();
-        let cfg = SimConfig::small(24);
-        let run = |tap: bool| {
-            let mut d = MobiRescueDispatcher::new(
-                &scenario,
-                None,
-                RlDispatchConfig {
-                    seed: 3,
-                    ..Default::default()
-                },
-            );
-            d.set_training(false);
-            d.set_transition_tap(tap);
-            let outcome = mobirescue_sim::run(
-                &scenario.city,
-                &scenario.conditions,
-                &requests,
-                &mut d,
-                &cfg,
-            );
-            let transitions = d.take_tapped_transitions();
-            (outcome, transitions, d.policy().learn_steps())
-        };
-        let (tapped_outcome, transitions, learned) = run(true);
-        let (clean_outcome, none, _) = run(false);
-        assert_eq!(
-            tapped_outcome.requests, clean_outcome.requests,
-            "the tap must not perturb dispatch"
-        );
-        assert!(!transitions.is_empty(), "tap captured nothing");
-        assert!(none.is_empty(), "untapped run must capture nothing");
-        assert_eq!(learned, 0, "a frozen dispatcher must never learn");
-        for t in &transitions {
-            assert_eq!(t.features.len(), FEATURE_DIM);
-            assert!(t.reward.is_finite());
-            assert!(t.next_candidates.iter().all(|c| c.len() == FEATURE_DIM));
-        }
     }
 
     #[test]

@@ -14,8 +14,7 @@ use mobirescue_core::scenario::{Scenario, ScenarioConfig};
 use mobirescue_net::{NetConfig, NetServer};
 use mobirescue_obs::TimeSource as _;
 use mobirescue_serve::{
-    Clock, DispatchService, FsyncPolicy, ModelRegistry, ServeConfig, ServeError, WalConfig,
-    WallClock,
+    Clock, DispatchService, FsyncPolicy, ModelBundle, ServeConfig, ServeError, WalConfig, WallClock,
 };
 use mobirescue_sim::SimConfig;
 use std::io::Write as _;
@@ -86,9 +85,17 @@ fn parse_args() -> Result<Args, String> {
         metrics_prom: None,
     };
     let mut args = std::env::args().skip(1);
-    let value = |args: &mut dyn Iterator<Item = String>, flag: &str| {
+    fn value(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<String, String> {
         args.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
+    }
+    fn positive<T: std::str::FromStr + PartialOrd + Default>(
+        args: &mut dyn Iterator<Item = String>,
+        flag: &str,
+    ) -> Result<T, String> {
+        (value(args, flag)?.parse().ok())
+            .filter(|n| *n > T::default())
+            .ok_or_else(|| format!("{flag} needs a positive integer"))
+    }
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--listen" => listen = Some(value(&mut args, "--listen")?),
@@ -102,33 +109,13 @@ fn parse_args() -> Result<Args, String> {
                 }
                 parsed.scenario = name;
             }
-            "--shards" => {
-                parsed.shards = value(&mut args, "--shards")?
-                    .parse()
-                    .map_err(|_| "--shards needs a positive integer".to_owned())?;
-            }
-            "--epochs" => {
-                parsed.epochs = value(&mut args, "--epochs")?
-                    .parse()
-                    .map_err(|_| "--epochs needs a positive integer".to_owned())?;
-            }
-            "--period-ms" => {
-                parsed.period_ms = value(&mut args, "--period-ms")?
-                    .parse()
-                    .map_err(|_| "--period-ms needs a positive integer".to_owned())?;
-            }
+            "--shards" => parsed.shards = positive(&mut args, "--shards")?,
+            "--epochs" => parsed.epochs = positive(&mut args, "--epochs")?,
+            "--period-ms" => parsed.period_ms = positive(&mut args, "--period-ms")?,
             "--queue-capacity" => {
-                parsed.queue_capacity = value(&mut args, "--queue-capacity")?
-                    .parse()
-                    .map_err(|_| "--queue-capacity needs a positive integer".to_owned())?;
+                parsed.queue_capacity = positive(&mut args, "--queue-capacity")?;
             }
-            "--max-conns" => {
-                parsed.max_conns = value(&mut args, "--max-conns")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or_else(|| "--max-conns needs a positive integer".to_owned())?;
-            }
+            "--max-conns" => parsed.max_conns = positive(&mut args, "--max-conns")?,
             "--wal-dir" => {
                 parsed.wal_dir = Some(value(&mut args, "--wal-dir")?.into());
             }
@@ -209,8 +196,8 @@ fn run_listen(args: &Args) -> Result<(), ServeError> {
         );
     }
     let mut config = ServeConfig::new(sim);
-    config.num_shards = args.shards.max(1);
-    config.request_queue_capacity = args.queue_capacity.max(1);
+    config.num_shards = args.shards;
+    config.request_queue_capacity = args.queue_capacity;
     // With --wal-dir, every accepted request is journaled (and fsynced
     // per --fsync) before its Ack leaves the process, and the service
     // snapshots to DIR/snapshot.txt at each epoch boundary.
@@ -222,7 +209,7 @@ fn run_listen(args: &Args) -> Result<(), ServeError> {
         config.wal = Some(wal_cfg);
     }
     let clock: Arc<WallClock> = Arc::new(WallClock::new());
-    let registry = Arc::new(ModelRegistry::new(None, None));
+    let bundle = Arc::new(ModelBundle::default());
     let prior_snapshot = match &snapshot_path {
         Some(path) if path.exists() => {
             Some(std::fs::read_to_string(path).map_err(|e| ServeError::Io(e.to_string()))?)
@@ -235,14 +222,14 @@ fn run_listen(args: &Args) -> Result<(), ServeError> {
             Arc::clone(&scenario),
             config,
             Arc::clone(&clock) as Arc<dyn Clock>,
-            registry,
+            bundle,
             &text,
         )?,
         None => DispatchService::start(
             Arc::clone(&scenario),
             config,
             Arc::clone(&clock) as Arc<dyn Clock>,
-            registry,
+            bundle,
         )?,
     });
     if recovering {

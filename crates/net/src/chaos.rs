@@ -31,8 +31,8 @@ use crate::listener::{NetConfig, NetServer};
 use crate::wire::{Frame, MetricsReport, NackReason};
 use mobirescue_serve::chaos::chaos_scenario;
 use mobirescue_serve::{
-    Clock, ConnFault, DispatchService, FaultCounters, FaultInjector, FaultPlanConfig,
-    ModelRegistry, RetryPolicy, ServeConfig, SimClock,
+    Clock, ConnFault, DispatchService, FaultCounters, FaultInjector, FaultPlanConfig, ModelBundle,
+    RetryPolicy, ServeConfig, SimClock,
 };
 use mobirescue_sim::SimConfig;
 use std::collections::BTreeSet;
@@ -134,13 +134,13 @@ pub fn run_net_chaos(seed: u64, opts: &NetChaosOptions) -> NetChaosReport {
     // so wire-level accounting is exact.
     config.faults = None;
     let clock: Arc<SimClock> = Arc::new(SimClock::new());
-    let registry = Arc::new(ModelRegistry::new(None, None));
+    let bundle = Arc::new(ModelBundle::default());
     let service = Arc::new(
         DispatchService::start(
             scenario.clone(),
             config,
             Arc::clone(&clock) as Arc<dyn Clock>,
-            registry,
+            bundle,
         )
         .expect("chaos service starts"),
     );

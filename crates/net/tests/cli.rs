@@ -94,3 +94,28 @@ fn help_prints_usage_to_stdout_and_exits_zero() {
     assert!(stdout.contains("--listen ADDR"), "{stdout}");
     assert!(out.stderr.is_empty(), "help goes to stdout only");
 }
+
+#[test]
+fn non_positive_counts_exit_nonzero() {
+    for (flag, value) in [
+        ("--shards", "0"),
+        ("--queue-capacity", "0"),
+        ("--epochs", "0"),
+        ("--period-ms", "0"),
+        ("--max-conns", "0"),
+        ("--shards", "-1"),
+        ("--epochs", "many"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(["--listen", "127.0.0.1:0", flag, value])
+            .output()
+            .expect("serve runs");
+        assert_eq!(out.status.code(), Some(2), "{flag} {value} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} needs a positive integer")),
+            "{flag} {value}: {stderr}"
+        );
+        assert!(stderr.contains("usage: serve"), "{flag} {value}: {stderr}");
+    }
+}

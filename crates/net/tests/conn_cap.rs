@@ -7,7 +7,7 @@
 
 use mobirescue_core::scenario::ScenarioConfig;
 use mobirescue_net::{Frame, NetClient, NetConfig, NetError, NetServer};
-use mobirescue_serve::{Clock, DispatchService, ModelRegistry, ServeConfig, SimClock};
+use mobirescue_serve::{Clock, DispatchService, ModelBundle, ServeConfig, SimClock};
 use mobirescue_sim::SimConfig;
 use std::sync::Arc;
 
@@ -18,13 +18,13 @@ fn connection_65_gets_busy_while_connection_64_still_acks() {
     config.num_shards = 2;
     config.request_queue_capacity = 256;
     let clock: Arc<SimClock> = Arc::new(SimClock::new());
-    let registry = Arc::new(ModelRegistry::new(None, None));
+    let bundle = Arc::new(ModelBundle::default());
     let service = Arc::new(
         DispatchService::start(
             scenario,
             config,
             Arc::clone(&clock) as Arc<dyn Clock>,
-            registry,
+            bundle,
         )
         .expect("service starts"),
     );

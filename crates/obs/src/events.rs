@@ -1,8 +1,8 @@
 //! A bounded ring buffer of recent structured events.
 //!
 //! Metrics say *how much*; the event ring says *what happened last*. The
-//! serve runtime logs epoch completions, degraded epochs, failed
-//! hot-swaps and shard restarts here, and dumps the ring on error or on
+//! serve runtime logs epoch completions, degraded epochs, journal
+//! recoveries and shard restarts here, and dumps the ring on error or on
 //! demand — a flight recorder, not a log pipeline.
 
 use std::collections::VecDeque;

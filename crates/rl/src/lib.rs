@@ -11,7 +11,7 @@
 //! * [`qscore`] — Q-learning over action features (the dispatcher's
 //!   policy head: shared weights across destination zones), with replay
 //!   and a target network;
-//! * [`replay`] — the bounded replay ring the online trainer learns from;
+//! * [`replay`] — the bounded replay ring [`QScore`] learns from;
 //! * [`persist`] — the network checkpoint text format.
 
 #![warn(missing_docs)]
@@ -26,4 +26,4 @@ pub use adam::Adam;
 pub use nn::{ForwardCache, Mlp};
 pub use persist::{mlp_from_text, mlp_to_text, ParseNetworkError};
 pub use qscore::{PairTransition, QScore, QScoreConfig};
-pub use replay::{pair_from_line, pair_to_line, PairReplay};
+pub use replay::PairReplay;

@@ -311,22 +311,6 @@ impl Mlp {
         }
     }
 
-    /// Index of the first non-finite (NaN or ±Inf) parameter in
-    /// [`Mlp::visit_params_mut`] order, or `None` when every parameter is
-    /// finite.
-    pub fn first_non_finite_param(&self) -> Option<usize> {
-        let mut idx = 0;
-        for layer in &self.layers {
-            for p in layer.w.iter().chain(&layer.b) {
-                if !p.is_finite() {
-                    return Some(idx);
-                }
-                idx += 1;
-            }
-        }
-        None
-    }
-
     /// Visits every `(parameter, accumulated gradient)` pair mutably, in a
     /// stable order (used by optimizers).
     pub fn visit_params_mut(&mut self, mut f: impl FnMut(usize, &mut f64, f64)) {
@@ -459,19 +443,6 @@ mod tests {
         assert_ne!(a.predict(&[0.5, 0.5]), b.predict(&[0.5, 0.5]));
         a.copy_params_from(&b);
         assert_eq!(a.predict(&[0.5, 0.5]), b.predict(&[0.5, 0.5]));
-    }
-
-    #[test]
-    fn non_finite_params_are_located_in_visit_order() {
-        let mut mlp = Mlp::new(&[2, 3, 1], 4);
-        assert_eq!(mlp.first_non_finite_param(), None);
-        let poison_at = 7;
-        mlp.visit_params_mut(|i, w, _| {
-            if i == poison_at {
-                *w = f64::NAN;
-            }
-        });
-        assert_eq!(mlp.first_non_finite_param(), Some(poison_at));
     }
 
     #[test]

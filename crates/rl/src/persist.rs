@@ -106,87 +106,6 @@ pub fn mlp_from_text(text: &str) -> Result<Mlp, ParseNetworkError> {
     Ok(net)
 }
 
-/// Reasons a network fails the [`probe_mlp`] admission probe.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ProbeError {
-    /// A parameter is NaN or ±Inf; carries its `visit_params_mut` index.
-    NonFiniteParam(usize),
-    /// The output for probe row `row` is NaN or ±Inf.
-    NonFiniteOutput(usize),
-    /// The output for probe row `row` exceeds the sanity bound.
-    UnboundedOutput {
-        /// Probe batch row that produced the value.
-        row: usize,
-        /// The offending output value.
-        value: f64,
-        /// The configured `|output|` bound.
-        bound: f64,
-    },
-}
-
-impl std::fmt::Display for ProbeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProbeError::NonFiniteParam(i) => write!(f, "parameter {i} is not finite"),
-            ProbeError::NonFiniteOutput(row) => {
-                write!(f, "probe input {row} produced a non-finite output")
-            }
-            ProbeError::UnboundedOutput { row, value, bound } => write!(
-                f,
-                "probe input {row} produced |{value}| > sanity bound {bound}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ProbeError {}
-
-/// Deterministic probe batch for networks with `dim` inputs: all-zeros,
-/// all-ones, all-halves, the two alternating 0/1 patterns, and a unit ramp.
-/// The rows cover the `[0, 1]` range the dispatcher's squashed features
-/// live in, so a policy that explodes on them would explode in service.
-pub fn probe_inputs(dim: usize) -> Vec<Vec<f64>> {
-    let ramp: Vec<f64> = (0..dim)
-        .map(|i| i as f64 / (dim.max(2) - 1) as f64)
-        .collect();
-    vec![
-        vec![0.0; dim],
-        vec![1.0; dim],
-        vec![0.5; dim],
-        (0..dim).map(|i| (i % 2) as f64).collect(),
-        (0..dim).map(|i| ((i + 1) % 2) as f64).collect(),
-        ramp,
-    ]
-}
-
-/// Structural admission probe: every parameter must be finite and every
-/// output on the [`probe_inputs`] batch must be finite and within
-/// `max_abs_output`.
-///
-/// # Errors
-///
-/// Returns the first [`ProbeError`] encountered, parameters before outputs.
-pub fn probe_mlp(net: &Mlp, max_abs_output: f64) -> Result<(), ProbeError> {
-    if let Some(i) = net.first_non_finite_param() {
-        return Err(ProbeError::NonFiniteParam(i));
-    }
-    for (row, x) in probe_inputs(net.input_dim()).iter().enumerate() {
-        for &y in &net.predict(x) {
-            if !y.is_finite() {
-                return Err(ProbeError::NonFiniteOutput(row));
-            }
-            if y.abs() > max_abs_output {
-                return Err(ProbeError::UnboundedOutput {
-                    row,
-                    value: y,
-                    bound: max_abs_output,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,35 +158,6 @@ mod tests {
         );
         let err = ParseNetworkError::WrongLength.to_string();
         assert!(err.contains("parameter count"));
-    }
-
-    #[test]
-    fn probe_accepts_healthy_networks() {
-        let net = Mlp::new(&[6, 8, 1], 3);
-        assert_eq!(probe_mlp(&net, 1e6), Ok(()));
-        assert_eq!(probe_inputs(6).len(), 6);
-        assert!(probe_inputs(6).iter().all(|row| row.len() == 6));
-    }
-
-    #[test]
-    fn probe_rejects_non_finite_params_and_outputs() {
-        let mut nan = Mlp::new(&[4, 3, 1], 0);
-        nan.visit_params_mut(|i, w, _| {
-            if i == 5 {
-                *w = f64::NAN;
-            }
-        });
-        assert_eq!(probe_mlp(&nan, 1e6), Err(ProbeError::NonFiniteParam(5)));
-
-        // All parameters finite, but the magnitude explodes past the bound.
-        let mut big = Mlp::new(&[2, 1], 0);
-        big.visit_params_mut(|_, w, _| *w = 1e9);
-        match probe_mlp(&big, 1e6) {
-            Err(ProbeError::UnboundedOutput { bound, .. }) => assert_eq!(bound, 1e6),
-            other => panic!("expected UnboundedOutput, got {other:?}"),
-        }
-        let msg = ProbeError::NonFiniteOutput(2).to_string();
-        assert!(msg.contains("non-finite"));
     }
 
     #[test]

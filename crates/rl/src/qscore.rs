@@ -88,10 +88,9 @@ pub struct QScore {
     scratch: RefCell<BatchScratch>,
 }
 
-/// The DQN core both learners share — [`QScore`] and the serve runtime's
-/// online trainer: the online scoring network, its target copy, the Adam
-/// optimizer, and the minibatch TD update. Each caller samples its own
-/// batches; the update itself is written once, here.
+/// The DQN core of [`QScore`]: the online scoring network, its target
+/// copy, the Adam optimizer, and the minibatch TD update. The caller
+/// samples the batches.
 #[derive(Debug)]
 pub struct TdLearner {
     online: Mlp,
@@ -126,70 +125,14 @@ impl TdLearner {
         }
     }
 
-    /// Rebuilds a learner from persisted state (a snapshot restore),
-    /// with `config`'s discount and sync cadence.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the optimizer or the target network does
-    /// not match the online network's shape — either would panic at the
-    /// next [`TdLearner::step`] or target sync.
-    pub fn from_parts(
-        config: &QScoreConfig,
-        online: Mlp,
-        target: Mlp,
-        adam: Adam,
-        steps: u64,
-    ) -> Result<Self, String> {
-        if adam.num_params() != online.num_params() {
-            return Err(format!(
-                "optimizer holds {} moments for a {}-parameter network",
-                adam.num_params(),
-                online.num_params()
-            ));
-        }
-        if target.layer_dims() != online.layer_dims() {
-            return Err(format!(
-                "target network is {:?}, online network is {:?}",
-                target.layer_dims(),
-                online.layer_dims()
-            ));
-        }
-        Ok(Self {
-            online,
-            target,
-            adam,
-            steps,
-            gamma: config.gamma,
-            target_sync_every: config.target_sync_every,
-        })
-    }
-
     /// The online scoring network.
     pub fn online(&self) -> &Mlp {
         &self.online
     }
 
-    /// The target network the TD bootstrap scores with.
-    pub fn target(&self) -> &Mlp {
-        &self.target
-    }
-
-    /// The optimizer state.
-    pub fn adam(&self) -> &Adam {
-        &self.adam
-    }
-
     /// TD updates performed so far.
     pub fn steps(&self) -> u64 {
         self.steps
-    }
-
-    /// Whether the online network can learn from `t`: its features and
-    /// every next candidate are exactly the network's input width.
-    pub fn can_step(&self, t: &PairTransition) -> bool {
-        let dim = self.online.input_dim();
-        t.features.len() == dim && t.next_candidates.iter().all(|c| c.len() == dim)
     }
 
     /// One minibatch TD update over `batch`: the target is the reward
@@ -200,8 +143,8 @@ impl TdLearner {
     ///
     /// # Panics
     ///
-    /// Panics if `batch` is empty or a transition does not fit the
-    /// network (see [`TdLearner::can_step`]).
+    /// Panics if `batch` is empty or a transition's features or next
+    /// candidates are not the network's input width.
     pub fn step(&mut self, batch: &[&PairTransition], scratch: &mut BatchScratch) -> f64 {
         self.online.zero_grad();
         let mut loss = 0.0;
@@ -276,8 +219,8 @@ impl QScore {
     }
 
     /// Rebuilds a learner around an already-trained scoring network (e.g.
-    /// one loaded through [`crate::persist::mlp_from_text`]) — the model
-    /// hot-swap path of a serving runtime. The target network starts
+    /// one loaded through [`crate::persist::mlp_from_text`]) — how a
+    /// serving runtime loads the policy it boots with. The target network starts
     /// synced to `online`, the replay buffer empty, and `config.hidden` is
     /// overwritten with the loaded network's actual hidden sizes.
     ///

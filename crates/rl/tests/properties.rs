@@ -126,8 +126,7 @@ proptest! {
     }
 
     /// Persisting a network is byte-stable: save → load → save produces the
-    /// identical text over arbitrary architectures and perturbed weights
-    /// (the serving hot-swap path relies on this).
+    /// identical text over arbitrary architectures and perturbed weights.
     #[test]
     fn persist_save_load_save_is_byte_stable(
         seed in 0u64..200,

@@ -20,15 +20,13 @@
 //!    plus its retries; and everything admitted is either injected into
 //!    a world, rejected by it, or still queued.
 //! 3. **Degradation is honest** — `degraded_epochs` is positive iff a
-//!    degrading fault (stall past the deadline, failed swap) actually
-//!    fired, and never exceeds the number fired.
+//!    degrading fault (a stall past the deadline) actually fired, never
+//!    exceeds the number fired, and every fired stall degrades exactly
+//!    its own shard epoch.
 //! 4. **Crashes never outlive recovery** — every fired crash maps to
 //!    exactly one shard restart.
 //! 5. **Snapshot integrity** — the final snapshot restores to an equal
 //!    service.
-//! 6. **Swap-failure attribution** — every injected registry failure is
-//!    counted under its typed cause ([`crate::SwapError::Injected`]), and
-//!    no build or rollout failure claims one.
 //!
 //! [`run_chaos`] exercises only retry *exhaustion*: its queues drain only
 //! in [`DispatchService::run_epoch`], which a retry's backoff sleep never
@@ -38,21 +36,8 @@
 //! The service draws only the faults it alone can suffer. Every other
 //! fault is applied here, to what crosses the service boundary, where it
 //! crosses: the network's drop, delay, duplicate and corrupt faults to
-//! each request before it is offered, checkpoint poison to the text the
-//! rollout arm hands to [`DispatchService::submit_rollout`], and bit rot
-//! to the journal file on disk.
-//!
-//! [`rollout_chaos_divergence`] adds the poisoned-checkpoint invariants:
-//! an inadmissible or shadow-stage candidate never serves a primary
-//! dispatch, every injected regression is caught with the registry still
-//! pinned to the prior version, and a poisoned run ends bit-identical to
-//! a twin that never saw the poison.
-//!
-//! [`trainer_chaos_divergence`] covers the online training loop
-//! ([`crate::trainer`]): transition conservation under injected drops and
-//! floods, stale-candidate floods never reaching a primary dispatch, and
-//! a trainer that crashes at epoch boundaries recovering bit-identically
-//! to an unfaulted twin.
+//! each request before it is offered, and bit rot to the journal file on
+//! disk.
 //!
 //! [`wal_chaos_divergence`] covers the durable ingest journal
 //! ([`crate::wal`]): torn appends surface as typed refusals with the
@@ -63,30 +48,23 @@
 //! naming the segment and offset.
 //!
 //! Every bit-identity check runs through one twin harness. An *arm* is a
-//! service configuration, an incumbent policy and the standard request
-//! stream; its twins run it under the arm's fault plan and as the plain
-//! service (no injector, no `auto_recover`), with the same checks on
-//! both, and must end with equal metrics, journal sequence, trainer
-//! status and policy, and byte-identical snapshot text.
+//! service configuration and the standard request stream; its twins run
+//! it under the arm's fault plan and as the plain service (no injector,
+//! no `auto_recover`), with the same checks on both, and must end with
+//! equal metrics and journal sequence, and byte-identical snapshot text.
 
+use crate::bundle::ModelBundle;
 use crate::clock::{Clock, SimClock};
 use crate::error::ServeError;
 use crate::event::Event;
 use crate::fault::{
-    family_stream, CheckpointPoison, FaultCounters, FaultInjector, FaultPlan, FaultPlanConfig,
-    IngestFault, TrainerFault, WalFault,
+    family_stream, FaultCounters, FaultInjector, FaultPlan, FaultPlanConfig, IngestFault, WalFault,
 };
 use crate::metrics::MetricsSnapshot;
-use crate::registry::ModelRegistry;
-use crate::rollout::{RolloutConfig, RolloutError};
 use crate::service::{DispatchService, RetryPolicy, ServeConfig};
-use crate::trainer::{TrainerConfig, TrainerStatus};
 use crate::wal::{FsyncPolicy, WalConfig, WalError};
-use mobirescue_core::rl_dispatch::FEATURE_DIM;
 use mobirescue_core::scenario::{Scenario, ScenarioConfig};
 use mobirescue_obs::{ObsSnapshot, TimeSource as _};
-use mobirescue_rl::nn::Mlp;
-use mobirescue_rl::persist::mlp_to_text;
 use mobirescue_roadnet::graph::SegmentId;
 use mobirescue_sim::{EpochReport, RequestSpec, SimConfig};
 use rand::RngExt;
@@ -160,7 +138,7 @@ impl ChaosOutcome {
     pub fn summary(&self) -> String {
         let mut line = format!(
             "seed {:>4}: epochs {} degraded {} | fired: drop {} delay {}({} released) dup {} \
-             corrupt {} stall {} crash {} swapfail {} | restarts {} retries {} shed {} -> {}",
+             corrupt {} stall {} crash {} | restarts {} retries {} shed {} -> {}",
             self.seed,
             self.metrics.epochs_completed,
             self.metrics.degraded_epochs,
@@ -171,7 +149,6 @@ impl ChaosOutcome {
             self.counters.corrupts,
             self.counters.stalls,
             self.counters.crashes,
-            self.counters.swap_fails,
             self.restarts,
             self.metrics.ingest_retries,
             self.metrics.requests_shed,
@@ -206,15 +183,14 @@ fn request_events(epoch: u32, per_shard: usize, segments: u32) -> Vec<Event> {
     events
 }
 
-/// One chaos arm: a service configuration, the incumbent policy and the
-/// standard request stream on the chaos scenario. The twins of an arm
-/// share all of it and differ only in their fault plan, so any difference
-/// between their ends is the plan's doing.
+/// One chaos arm: a service configuration and the standard request
+/// stream on the chaos scenario, served by the default model bundle. The
+/// twins of an arm share all of it and differ only in their fault plan,
+/// so any difference between their ends is the plan's doing.
 #[derive(Clone)]
 struct Arm {
     scenario: Arc<Scenario>,
     config: ServeConfig,
-    incumbent: Option<Mlp>,
     epochs: u32,
     per_shard: usize,
 }
@@ -223,7 +199,6 @@ struct Arm {
 struct Live {
     service: DispatchService,
     clock: Arc<SimClock>,
-    registry: Arc<ModelRegistry>,
     injector: Arc<FaultInjector>,
     violations: Vec<String>,
 }
@@ -233,8 +208,6 @@ struct RunEnd {
     snapshot: String,
     metrics: MetricsSnapshot,
     wal_seq: u64,
-    trainer: Option<TrainerStatus>,
-    policy: Option<String>,
     violations: Vec<String>,
 }
 
@@ -248,7 +221,6 @@ impl Arm {
         Self {
             scenario: Arc::new(chaos_scenario()),
             config,
-            incumbent: None,
             epochs,
             per_shard,
         }
@@ -257,11 +229,6 @@ impl Arm {
     /// The number of road segments requests are placed on.
     fn segments(&self) -> u32 {
         self.scenario.city.network.num_segments() as u32
-    }
-
-    /// A fresh registry holding the arm's incumbent.
-    fn registry(&self) -> Arc<ModelRegistry> {
-        Arc::new(ModelRegistry::new(None, self.incumbent.clone()))
     }
 
     /// This arm with its journal in `dir`. One segment keeps the crash
@@ -281,14 +248,9 @@ impl Arm {
     /// plain service — no injector, and `auto_recover` off as
     /// [`ServeConfig`] defaults it — though the run still holds an empty
     /// injector so checks read the same counters. `restore` restores a
-    /// snapshot into the given registry over whatever journal the arm's
-    /// directory holds; without it the service starts fresh over an
-    /// emptied journal directory.
-    fn start(
-        &self,
-        plan: Option<FaultPlan>,
-        restore: Option<(&str, Arc<ModelRegistry>)>,
-    ) -> Result<Live, ServeError> {
+    /// snapshot over whatever journal the arm's directory holds; without
+    /// it the service starts fresh over an emptied journal directory.
+    fn start(&self, plan: Option<FaultPlan>, restore: Option<&str>) -> Result<Live, ServeError> {
         let attach = plan.is_some();
         let injector = Arc::new(FaultInjector::new(plan.unwrap_or_else(FaultPlan::empty)));
         let mut config = self.config.clone();
@@ -297,31 +259,19 @@ impl Arm {
         let clock = Arc::new(SimClock::new());
         let scenario = Arc::clone(&self.scenario);
         let service_clock = Arc::clone(&clock) as Arc<dyn Clock>;
-        let (service, registry) = match restore {
-            Some((text, registry)) => (
-                DispatchService::restore(
-                    scenario,
-                    config,
-                    service_clock,
-                    Arc::clone(&registry),
-                    text,
-                )?,
-                registry,
-            ),
+        let bundle = Arc::new(ModelBundle::default());
+        let service = match restore {
+            Some(text) => DispatchService::restore(scenario, config, service_clock, bundle, text)?,
             None => {
                 if let Some(wal) = &config.wal {
                     fresh_dir(&wal.dir);
                 }
-                let registry = self.registry();
-                let service =
-                    DispatchService::start(scenario, config, service_clock, Arc::clone(&registry))?;
-                (service, registry)
+                DispatchService::start(scenario, config, service_clock, bundle)?
             }
         };
         Ok(Live {
             service,
             clock,
-            registry,
             injector,
             violations: Vec::new(),
         })
@@ -406,8 +356,6 @@ impl Live {
             snapshot: self.service.snapshot()?,
             metrics: self.service.metrics(),
             wal_seq: self.service.wal_last_seq(),
-            trainer: self.service.trainer_status(),
-            policy: self.service.trainer_policy_text(),
             violations: std::mem::take(&mut self.violations),
         };
         self.shutdown();
@@ -424,9 +372,9 @@ impl Live {
     }
 }
 
-/// How two runs' ends differ — metrics, journal sequence, trainer status
-/// and policy, and the first byte where their snapshot texts differ — as
-/// violation messages under `label`; empty when the ends are identical.
+/// How two runs' ends differ — metrics, journal sequence, and the first
+/// byte where their snapshot texts differ — as violation messages under
+/// `label`; empty when the ends are identical.
 fn divergences(
     label: &str,
     (a_name, a): (&str, &RunEnd),
@@ -443,15 +391,6 @@ fn divergences(
             "{label}: journal at seq {} in the {a_name} run, {} in the {b_name} run",
             a.wal_seq, b.wal_seq
         ));
-    }
-    if a.trainer != b.trainer {
-        out.push(format!(
-            "{label}: trainer status diverged: {:?} vs {:?}",
-            a.trainer, b.trainer
-        ));
-    }
-    if a.policy != b.policy {
-        out.push(format!("{label}: trainer policy checkpoints diverged"));
     }
     if a.snapshot != b.snapshot {
         let at = a
@@ -559,23 +498,12 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosOutcome, ServeError> {
                 flooded: true,
             });
         },
-        |run, e, reports, violations| {
+        |_, e, reports, violations| {
             if reports.len() != CHAOS_SHARDS {
                 violations.push(format!(
                     "epoch {e} produced {} reports for {CHAOS_SHARDS} shards",
                     reports.len()
                 ));
-            }
-            if e == CHAOS_EPOCHS / 2 {
-                // Exercise the hot-swap path mid-run with a valid policy —
-                // through the guarded rollout pipeline, like a deployment
-                // would. With the pipeline's default gates the candidate is
-                // usually still in flight at the end of the run, which drags
-                // the rollout state through the snapshot-integrity check.
-                let policy = mlp_to_text(&Mlp::new(&[FEATURE_DIM, 8, 1], 5));
-                if let Err(e) = run.service.submit_rollout(None, Some(&policy)) {
-                    violations.push(format!("guarded rollout submission failed: {e}"));
-                }
             }
         },
     )?;
@@ -641,14 +569,14 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosOutcome, ServeError> {
             metrics.degraded_epochs
         ));
     }
-    // A stall and a swap failure on the same shard epoch degrade it once:
-    // the failed swap forces the fallback before the stalled dispatcher
-    // runs. So the shards count degraded shard epochs, not faults.
+    // Every stall overshoots the deadline, and a shard epoch holds one
+    // shard fault at most, so each fired stall degrades its own shard
+    // epoch once.
     let shard_degraded: u64 = metrics.shards.iter().map(|s| s.degraded).sum();
-    let cells = opts.plan.degraded_cells(CHAOS_EPOCHS, CHAOS_SHARDS) as u64;
-    if shard_degraded != cells {
+    if shard_degraded != counters.stalls {
         violations.push(format!(
-            "shards report {shard_degraded} degraded epochs, the plan degrades {cells} shard epochs"
+            "shards report {shard_degraded} degraded epochs for {} stalls fired",
+            counters.stalls
         ));
     }
 
@@ -660,30 +588,10 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosOutcome, ServeError> {
         ));
     }
 
-    // Invariant 6: swap-failure attribution. Every injected registry
-    // failure is counted under its typed cause, and neither a bundle
-    // build nor a rollout candidate failed in a run that schedules only
-    // healthy checkpoints.
-    if metrics.swap_failures_injected != counters.swap_fails
-        || metrics.swap_failures_build != 0
-        || metrics.swap_failures_rollout != 0
-    {
-        violations.push(format!(
-            "swap failures attributed {}i/{}b/{}r, injector fired {}",
-            metrics.swap_failures_injected,
-            metrics.swap_failures_build,
-            metrics.swap_failures_rollout,
-            counters.swap_fails
-        ));
-    }
-
     // Invariant 5: snapshot integrity. The final snapshot restores to an
     // equal service.
     let snapshot = service.snapshot()?;
-    match arm.start(
-        Some(FaultPlan::empty()),
-        Some((&snapshot, Arc::clone(&run.registry))),
-    ) {
+    match arm.start(Some(FaultPlan::empty()), Some(&snapshot)) {
         Ok(restored) => {
             if restored.service.metrics() != metrics {
                 violations.push("restored metrics differ from the live service".to_owned());
@@ -746,340 +654,6 @@ pub fn crash_replay_divergence() -> Result<Vec<String>, ServeError> {
             }
         },
     )?;
-    Ok(divergences)
-}
-
-/// A *competent* incumbent policy for the gate harnesses: the shadow gate
-/// can only separate a reward tank from the incumbent if the incumbent
-/// reliably out-picks a policy that recalls every team. Hand-set weights
-/// score candidate zones by live requests and remaining demand, penalise
-/// distance, and pin the standby feature strongly negative; the seed
-/// contributes a small perturbation on top so a sweep still covers
-/// distinct policies.
-fn competent_incumbent(seed: u64) -> Mlp {
-    let mut net = Mlp::new(&[FEATURE_DIM, 1], seed ^ 0x600d);
-    let base = [-2.0, 1.0, 3.0, 0.0, 0.0, -1_000.0, 0.0];
-    net.visit_params_mut(|i, w, _| {
-        *w = base[i] + 0.05 * *w;
-    });
-    net
-}
-
-/// The gate configuration of the rollout and trainer harnesses. Canary
-/// and watch slacks are wide open: there those stages only need to
-/// *pass* for a good candidate (a tank must die in shadow, and the
-/// dedicated watch tests cover post-promotion regression); the strict
-/// shadow gate is the one under test.
-fn gate_rollout_config() -> RolloutConfig {
-    RolloutConfig {
-        shadow_epochs: 4,
-        shadow_slack: 0.0,
-        canary_epochs: 2,
-        canary_shards: 1,
-        canary_slack: 1e9,
-        watch_epochs: 2,
-        watch_slack: 1e9,
-        probe_bound: 1e6,
-    }
-}
-
-/// The checkpoints the rollout arm poisons, one per submission, before
-/// its good candidate. Structural poisons must be rejected at admission;
-/// the reward tank must be admitted and then killed by the shadow gate.
-const POISONS: [CheckpointPoison; 3] = [
-    CheckpointPoison::NanWeights,
-    CheckpointPoison::WrongDims,
-    CheckpointPoison::RewardTank,
-];
-
-/// The epoch after which the rollout arm submits its genuine candidate:
-/// every poison has been consumed and resolved by then, and the 18-epoch
-/// run leaves the candidate room for its full shadow → canary → watch
-/// pipeline.
-const GOOD_AT: u32 = 8;
-
-/// The poisoned-checkpoint invariants, checked as a twin experiment:
-///
-/// * an **inadmissible** candidate (NaN weights, wrong dims) is rejected
-///   with a typed error and never reaches the registry;
-/// * an admitted but **reward-tanking** candidate never serves a primary
-///   dispatch (it dies in shadow), and its rejection leaves the registry
-///   pinned to the *exact* prior bundle;
-/// * a run that saw every poison ends **bit-identical** — snapshot text
-///   and metrics — to a twin run that never saw any poison, because every
-///   guard fired before dispatch could be affected.
-///
-/// The incumbent starts from the same weights the good candidate carries,
-/// so the good candidate's shadow replay ties the incumbent exactly and
-/// passes the gate deterministically, while the reward tank — which
-/// refuses every dispatch — falls strictly short.
-///
-/// The run offers three requests per shard per epoch: light enough that
-/// free teams exist at every dispatch tick, since the shadow gate can only
-/// separate a reward tank from the incumbent when there is work a free
-/// team *could* take.
-///
-/// Returns the list of divergences/violations (empty on a clean run).
-///
-/// # Errors
-///
-/// Returns the first *unexpected* service error from either run (typed
-/// admission rejections are the contract, not errors).
-pub fn rollout_chaos_divergence(seed: u64) -> Result<Vec<String>, ServeError> {
-    // The incumbent (and the good candidate, which carries the same
-    // weights) must be a competent dispatcher, not a random init.
-    let good_net = competent_incumbent(seed);
-    let good_text = mlp_to_text(&good_net);
-    let mut arm = Arm::new(18, 3);
-    arm.config.rollout = gate_rollout_config();
-    arm.incumbent = Some(good_net);
-    let plan = POISONS.iter().fold(FaultPlan::empty(), |plan, &kind| {
-        plan.with_poisoned_checkpoint(kind)
-    });
-    // A run's poisons are those its plan scheduled: the whole list for the
-    // poisoned twin, none for the clean one.
-    let poisons_of = |run: &Live| run.injector.scheduled().poisoned_checkpoints;
-    let at_boundary = |run: &Live, e: u32, violations: &mut Vec<String>| {
-        let service = &run.service;
-        // One submission at a time: poisoned deliveries first, the
-        // genuine candidate at `good_at`. Every submission sends the
-        // *good* text — the injector swaps the poison in transit.
-        let delivered = run.injector.counters().poisoned_checkpoints as usize;
-        if e < GOOD_AT && service.rollout_status().is_none() {
-            if let Some(&kind) = POISONS[..poisons_of(run)].get(delivered) {
-                let text = run.injector.poison_checkpoint(Some(good_text.clone()));
-                let outcome = service.submit_rollout(None, text.as_deref());
-                match (kind, outcome) {
-                    (CheckpointPoison::RewardTank, Ok(_)) => {}
-                    (
-                        CheckpointPoison::NanWeights | CheckpointPoison::WrongDims,
-                        Err(ServeError::Rollout(RolloutError::Probe { .. })),
-                    ) => {}
-                    (kind, outcome) => violations.push(format!(
-                        "epoch {e}: poisoned submission ({kind:?}) resolved as {outcome:?}"
-                    )),
-                }
-            }
-        } else if e == GOOD_AT {
-            if let Err(err) = service.submit_rollout(None, Some(&good_text)) {
-                violations.push(format!("epoch {e}: good candidate rejected: {err}"));
-            }
-        }
-        // While poisons are being delivered and screened, nothing may
-        // serve but the exact original bundle: the registry has seen no
-        // install and no restore (the only two writes to its slot), and
-        // every shard dispatches at version 1.
-        if e < GOOD_AT {
-            if run.registry.swaps() + run.registry.rollbacks() != 0 {
-                violations.push(format!("epoch {e}: registry moved off the v1 bundle"));
-            }
-            for (i, s) in service.metrics().shards.iter().enumerate() {
-                if s.model_version != 1 {
-                    violations.push(format!(
-                        "epoch {e}: shard {i} served model v{} during poison screening",
-                        s.model_version
-                    ));
-                }
-            }
-        }
-    };
-    let check = |run: &mut Live| {
-        let poisons = &POISONS[..poisons_of(run)];
-        let tanks = poisons
-            .iter()
-            .filter(|p| matches!(p, CheckpointPoison::RewardTank))
-            .count() as u64;
-        let structural = poisons.len() as u64 - tanks;
-        let counters = run.service.rollout_counters();
-        let fired = run.injector.counters().poisoned_checkpoints;
-        let (swaps, rollbacks) = (run.registry.swaps(), run.registry.rollbacks());
-        let version = run.registry.current().version;
-        let v = &mut run.violations;
-        if fired != poisons.len() as u64 {
-            v.push(format!(
-                "{fired} poisons submitted, {} scheduled (GOOD_AT too early?)",
-                poisons.len()
-            ));
-        }
-        if counters.rejected != structural {
-            v.push(format!(
-                "{} admission rejections for {structural} structural poisons",
-                counters.rejected
-            ));
-        }
-        if counters.admitted != tanks + 1 {
-            v.push(format!(
-                "{} admissions for {tanks} reward tanks plus the good candidate",
-                counters.admitted
-            ));
-        }
-        if counters.rolled_back != tanks {
-            v.push(format!(
-                "{} rollbacks for {tanks} reward tanks",
-                counters.rolled_back
-            ));
-        }
-        if run.service.rollout_status().is_some() {
-            v.push("rollout still in flight at end of run".to_owned());
-        }
-        // The good candidate promoted exactly once; no poison ever made it
-        // far enough to need a registry-level rollback.
-        if swaps != 1 || rollbacks != 0 || version != 2 {
-            v.push(format!(
-                "run ended at v{version} with {swaps} swaps, {rollbacks} rollbacks \
-                 (expected v2, 1, 0)"
-            ));
-        }
-    };
-    let divergences = arm.twins("poisoned", plan, at_boundary, check)?;
-    Ok(divergences)
-}
-
-/// The online-training-loop invariants, checked as two arms:
-///
-/// **Arm A (floods + transition drops, no crashes):**
-/// * **Transition conservation** — `train.transitions_offered` equals
-///   accepted + shed even while injected drops destroy tapped transitions
-///   upstream (a dropped transition is never *offered*), and the trainer's
-///   own counters agree with the registry's.
-/// * **No unguarded serve** — candidate emission is disabled, so every
-///   rollout submission in the run is an injected stale, reward-tanking
-///   candidate; the gates must keep the registry at v1, zero swaps, and
-///   every shard serving v1 at every epoch.
-/// * The trainer keeps learning through the faults.
-///
-/// **Arm B (boundary crashes):** a run whose trainer crashes at epoch
-/// boundaries (respawning from its per-boundary checkpoint) must end
-/// **bit-identical** — service snapshot text, metrics, trainer status and
-/// policy checkpoint — to an unfaulted twin fed the same event stream.
-///
-/// Both arms run 14 epochs of three request offers per shard: light
-/// enough that free teams exist at every tick, since the shadow gate can
-/// only separate a stale reward tank from the incumbent when there is
-/// work a free team *could* take.
-///
-/// Returns the list of violations/divergences (empty on a clean run).
-///
-/// # Errors
-///
-/// Returns the first service error from any run.
-pub fn trainer_chaos_divergence(seed: u64) -> Result<Vec<String>, ServeError> {
-    let epochs = 14;
-    let mut base = Arm::new(epochs, 3);
-    base.config.rollout = gate_rollout_config();
-    // The shadow gate can only kill a reward-tanking flood candidate when
-    // the incumbent reliably out-picks it.
-    base.incumbent = Some(competent_incumbent(seed));
-    let arm = |candidate_every: u32| {
-        let mut arm = base.clone();
-        arm.config.trainer = Some(TrainerConfig {
-            min_replay: 8,
-            batch_size: 4,
-            steps_per_epoch: 2,
-            candidate_every,
-            hidden: vec![8],
-            seed,
-            ..TrainerConfig::default()
-        });
-        arm
-    };
-
-    // Arm A: seeded floods and transition drops, with one of each forced
-    // so every seed exercises both kinds.
-    let flood_drop_cfg = FaultPlanConfig {
-        trainer_horizon: epochs,
-        p_trainer_flood: 0.20,
-        p_trainer_drop: 0.25,
-        trainer_flood_len: 2,
-        ..FaultPlanConfig::quiet(epochs, CHAOS_SHARDS)
-    };
-    let plan_a = FaultPlan::generate(seed, &flood_drop_cfg)
-        .with_trainer_fault(2, TrainerFault::StaleCandidateFlood(2))
-        .with_trainer_fault(3, TrainerFault::TransitionDrop);
-    // With emission disabled, every submission this run ever makes is an
-    // injected stale candidate — primary dispatch must stay pinned to v1
-    // on every shard at every epoch.
-    let arm_a = arm(0);
-    let mut a = arm_a.start(Some(plan_a), None)?;
-    a.drive(
-        epochs,
-        |run, e, violations| arm_a.offer(run, e, violations),
-        |run, e, _, violations| {
-            for (i, s) in run.service.metrics().shards.iter().enumerate() {
-                if s.model_version != 1 {
-                    violations.push(format!(
-                        "epoch {e}: shard {i} served model v{} under a stale-candidate flood",
-                        s.model_version
-                    ));
-                }
-            }
-        },
-    )?;
-    let fired = a.injector.counters();
-    let status = a.service.trainer_status().expect("trainer configured");
-    let obs = a.service.obs();
-    let count = |name: &str| obs.counter(name).value();
-    let offered = count("train.transitions_offered");
-    let accepted = count("train.transitions_accepted");
-    let shed = count("train.transitions_shed");
-    let submitted = count("train.candidates_submitted");
-    let admitted = count("train.candidates_admitted");
-    let rejected = count("train.candidates_rejected");
-    let (swaps, final_version) = (a.registry.swaps(), a.registry.current().version);
-    let mut divergences = std::mem::take(&mut a.violations);
-    if fired.trainer_floods == 0 || fired.trainer_drops == 0 {
-        divergences.push(format!(
-            "arm A fired {} floods / {} drops, expected at least one of each",
-            fired.trainer_floods, fired.trainer_drops
-        ));
-    }
-    if offered != accepted + shed {
-        divergences.push(format!(
-            "transition conservation broken: offered {offered} != accepted {accepted} + shed {shed}"
-        ));
-    }
-    if offered == 0 {
-        divergences.push("no transitions ever offered — the tap is dead".to_owned());
-    }
-    if status.steps == 0 {
-        divergences.push("trainer never learned under flood/drop faults".to_owned());
-    }
-    if submitted == 0 || submitted != admitted + rejected {
-        divergences.push(format!(
-            "candidate accounting broken: submitted {submitted} admitted {admitted} rejected {rejected}"
-        ));
-    }
-    if swaps != 0 || final_version != 1 {
-        divergences.push(format!(
-            "stale-candidate flood reached the registry: v{final_version} after {swaps} swaps"
-        ));
-    }
-    a.shutdown();
-
-    // Arm B: seeded boundary crashes (one forced) against an unfaulted
-    // twin — recovery must be bit-identical, trainer state included.
-    let crash_cfg = FaultPlanConfig {
-        trainer_horizon: epochs,
-        p_trainer_crash: 0.20,
-        ..FaultPlanConfig::quiet(epochs, CHAOS_SHARDS)
-    };
-    let plan_b = FaultPlan::generate(seed, &crash_cfg).with_trainer_fault(1, TrainerFault::Crash);
-    let twins = arm(5).twins(
-        "crashed",
-        plan_b,
-        |_, _, _| {},
-        |run| {
-            // Every crash in the horizon fires: the clean twin fires none.
-            let fired = run.injector.counters().trainer_crashes;
-            let scheduled = run.injector.scheduled().trainer;
-            if fired != scheduled as u64 {
-                run.violations.push(format!(
-                    "arm B fired {fired} of {scheduled} trainer crashes"
-                ));
-            }
-        },
-    )?;
-    divergences.extend(twins);
     Ok(divergences)
 }
 
@@ -1229,10 +803,7 @@ pub fn wal_chaos_divergence(seed: u64) -> Result<Vec<String>, ServeError> {
         // Every injected tear self-healed: the journal directory restores
         // to an equal service.
         let snapshot = run.service.snapshot()?;
-        match arm.start(
-            Some(FaultPlan::empty()),
-            Some((&snapshot, Arc::clone(&run.registry))),
-        ) {
+        match arm.start(Some(FaultPlan::empty()), Some(&snapshot)) {
             Ok(restored) => {
                 let restored = restored.service;
                 if restored.metrics() != metrics {
@@ -1326,7 +897,7 @@ pub fn wal_chaos_divergence(seed: u64) -> Result<Vec<String>, ServeError> {
                     .map_err(|e| ServeError::Io(format!("write truncated journal: {e}")))?;
                 let mut crashed = base
                     .journaled(&crash_dir)
-                    .start(None, Some((&boundary_snapshot, base.registry())))?;
+                    .start(None, Some(&boundary_snapshot))?;
                 let recovered = crashed.service.wal_last_seq();
                 if recovered < hwm {
                     violations.push(format!(
@@ -1362,7 +933,7 @@ pub fn wal_chaos_divergence(seed: u64) -> Result<Vec<String>, ServeError> {
         }
         let snapshot = run.service.snapshot()?;
         let flipped = only_segment(&dir).and_then(|path| flip_first_record(&path));
-        let restored = arm.start(Some(FaultPlan::empty()), Some((&snapshot, arm.registry())));
+        let restored = arm.start(Some(FaultPlan::empty()), Some(&snapshot));
         match (flipped, restored) {
             (
                 Ok((name, at)),
@@ -1383,21 +954,4 @@ pub fn wal_chaos_divergence(seed: u64) -> Result<Vec<String>, ServeError> {
     }
 
     Ok(violations)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn a_stall_masked_by_a_failed_swap_degrades_its_shard_epoch_once() {
-        let mut opts = ChaosOptions::seeded(8);
-        opts.plan = FaultPlan::empty()
-            .with_stall(1, 0, 50)
-            .with_swap_failure(1, 0);
-        let outcome = run_chaos(&opts).expect("chaos run completes");
-        assert!(outcome.ok(), "{}", outcome.summary());
-        assert_eq!(outcome.counters.degrading(), 2);
-        assert_eq!(outcome.metrics.shards[0].degraded, 1);
-    }
 }

@@ -3,12 +3,12 @@
 //! Inside the simulator, violated invariants still panic — a corrupted
 //! engine state is a bug, not an operating condition. At the *service*
 //! boundary everything a caller or a peer process can get wrong (bad
-//! events, unreadable checkpoints, truncated snapshots, a dead shard)
+//! events, a misshapen model bundle, truncated snapshots, a dead shard)
 //! surfaces as a [`ServeError`] instead, so a long-running dispatcher
 //! keeps serving through malformed input.
 
-use crate::rollout::RolloutError;
 use crate::wal::WalError;
+use mobirescue_core::rl_dispatch::FEATURE_DIM;
 use mobirescue_sim::record::RecordError;
 use mobirescue_sim::WorldError;
 
@@ -33,9 +33,14 @@ pub enum ServeError {
     },
     /// A service snapshot failed to parse.
     BadSnapshot(String),
-    /// The rollout pipeline rejected a candidate bundle (admission
-    /// failure or a rollout already in flight).
-    Rollout(RolloutError),
+    /// The model bundle's policy network cannot score the dispatcher's
+    /// candidates: it must map `FEATURE_DIM` inputs to one output.
+    PolicyShape {
+        /// The policy's input width.
+        inputs: usize,
+        /// The policy's output width.
+        outputs: usize,
+    },
     /// Reading or writing a checkpoint/snapshot file failed.
     Io(String),
     /// The configuration cannot host a service (e.g. zero shards).
@@ -68,7 +73,10 @@ impl std::fmt::Display for ServeError {
                 write!(f, "shard {shard} failed: {message}")
             }
             ServeError::BadSnapshot(why) => write!(f, "bad service snapshot: {why}"),
-            ServeError::Rollout(e) => write!(f, "rollout rejected: {e}"),
+            ServeError::PolicyShape { inputs, outputs } => write!(
+                f,
+                "bundle policy network is {inputs}→{outputs}, dispatcher needs {FEATURE_DIM}→1"
+            ),
             ServeError::Io(why) => write!(f, "i/o error: {why}"),
             ServeError::BadConfig(what) => write!(f, "bad service config: {what}"),
             ServeError::Wal(e) => write!(f, "ingest journal failed: {e}"),
@@ -121,9 +129,11 @@ mod tests {
         assert!(ServeError::BadConfig("zero shards")
             .to_string()
             .contains("zero shards"));
-        assert!(ServeError::Rollout(RolloutError::InFlight)
-            .to_string()
-            .contains("in flight"));
+        let e = ServeError::PolicyShape {
+            inputs: FEATURE_DIM + 1,
+            outputs: 1,
+        };
+        assert!(e.to_string().contains(&format!("{}→1", FEATURE_DIM + 1)));
         let e: ServeError = WalError::TornTail {
             segment: "wal-1.log".into(),
             offset: 42,

@@ -2,22 +2,19 @@
 //!
 //! A disaster-time dispatcher must keep producing plans while its own
 //! infrastructure degrades: ingestion links drop and reorder events,
-//! worker processes die mid-epoch, model pushes fail, checkpoints get
+//! worker processes die mid-epoch, journal appends tear, snapshots get
 //! truncated on a failing disk. This module makes those conditions a
 //! *first-class, reproducible test input*: a [`FaultPlan`] is a seeded,
 //! inspectable schedule of faults, and a [`FaultInjector`] hands each
 //! fault out exactly once.
 //!
 //! Where a fault is applied follows where it happens. Faults only the
-//! process itself can suffer — [`ShardFault`]s, registry-swap failures,
-//! [`TrainerFault`]s and the two [`WalFault`]s — fire at hook points
-//! inside [`crate::DispatchService`] and its shard workers. Faults on
-//! something that crosses the service boundary are applied by the
-//! caller at the point where it crosses: [`IngestFault`]s to requests
-//! before [`crate::DispatchService::ingest`], [`CheckpointPoison`]s to
-//! checkpoint texts before [`crate::DispatchService::submit_rollout`],
-//! [`ConnFault`]s to frames on the socket, and bit flips to journal files
-//! on disk. A [`SnapshotCorruption`] is not scheduled: it is a pure
+//! process itself can suffer — [`ShardFault`]s and the two [`WalFault`]s
+//! — fire at hook points inside [`crate::DispatchService`] and its shard
+//! workers. Faults on something that crosses the service boundary are
+//! applied by the caller at the point where it crosses: [`IngestFault`]s
+//! to requests before [`crate::DispatchService::ingest`], [`ConnFault`]s
+//! to frames on the socket, and bit flips to journal files on disk. A [`SnapshotCorruption`] is not scheduled: it is a pure
 //! function a test applies to a snapshot text.
 //!
 //! Determinism is the whole point. The plan is fully decided up front from
@@ -31,13 +28,10 @@
 //! after restore, the crash (already consumed) does not re-fire, so the
 //! replay is the *masked* — unfaulted — execution of the same epoch.
 
-use mobirescue_core::rl_dispatch::FEATURE_DIM;
-use mobirescue_rl::nn::Mlp;
-use mobirescue_rl::persist::mlp_to_text;
 use mobirescue_sim::fnv1a_64_bytes;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A fault the network applies to one rescue request on its way to
@@ -89,25 +83,6 @@ pub enum ConnFault {
     SlowLoris,
 }
 
-/// A fault applied to the online trainer (`crate::trainer`) at one epoch
-/// boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrainerFault {
-    /// The trainer dies at the boundary; the service must respawn it from
-    /// its last boundary checkpoint, and the recovered run must stay
-    /// bit-identical to an unfaulted twin (checkpoints are taken every
-    /// boundary, so a boundary crash loses nothing).
-    Crash,
-    /// A wedged trainer replays an old queue: a burst of this many stale,
-    /// reward-tanking candidates floods the rollout pipeline. The gates
-    /// must keep every one of them away from primary dispatch.
-    StaleCandidateFlood(u32),
-    /// This epoch's tapped transitions are lost in transit before reaching
-    /// the trainer queue — they never count as offered, so transition
-    /// conservation (`offered == accepted + shed`) must still hold.
-    TransitionDrop,
-}
-
 /// A fault applied to the durable ingest journal (`crate::wal`) at one
 /// journaled push attempt. Damage to a journal file at rest is not one
 /// of these: a harness edits the file itself.
@@ -122,22 +97,6 @@ pub enum WalFault {
     /// draining) for this many clock milliseconds. The append blocks for
     /// the stall and then completes normally.
     FsyncStall(u64),
-}
-
-/// How a submitted checkpoint is poisoned before it reaches the rollout
-/// pipeline's admission gate (a corrupted training job, a bad export, or
-/// an adversarially regressed policy). The caller applies it with
-/// [`FaultInjector::poison_checkpoint`] before it submits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointPoison {
-    /// The policy parses but carries a NaN weight — admission must reject.
-    NanWeights,
-    /// The policy's input layer disagrees with `FEATURE_DIM` — admission
-    /// must reject.
-    WrongDims,
-    /// A structurally valid policy that pins every team on stand-by,
-    /// tanking the paper reward — only the shadow gate can catch it.
-    RewardTank,
 }
 
 /// How a snapshot text is damaged on write (failing disk / torn write),
@@ -203,9 +162,6 @@ pub struct FaultPlanConfig {
     pub p_stall: f64,
     /// Per-(epoch, shard) probability of [`ShardFault::Crash`].
     pub p_crash: f64,
-    /// Per-(epoch, shard) probability of an injected registry-swap
-    /// failure.
-    pub p_swap_fail: f64,
     /// Stall magnitude, clock milliseconds (choose it above the service's
     /// epoch deadline to guarantee the fallback trips).
     pub stall_ms: u64,
@@ -218,17 +174,6 @@ pub struct FaultPlanConfig {
     pub p_conn_torn: f64,
     /// Per-frame probability of [`ConnFault::SlowLoris`].
     pub p_conn_slowloris: f64,
-    /// Epochs covered by trainer-fault decisions (one draw per epoch;
-    /// epochs beyond the horizon pass through clean).
-    pub trainer_horizon: u32,
-    /// Per-epoch probability of [`TrainerFault::Crash`].
-    pub p_trainer_crash: f64,
-    /// Per-epoch probability of [`TrainerFault::StaleCandidateFlood`].
-    pub p_trainer_flood: f64,
-    /// Per-epoch probability of [`TrainerFault::TransitionDrop`].
-    pub p_trainer_drop: f64,
-    /// Candidates per [`TrainerFault::StaleCandidateFlood`] burst.
-    pub trainer_flood_len: u32,
     /// Journaled push attempts covered by WAL-fault decisions; attempts
     /// beyond the horizon append clean.
     pub wal_horizon: usize,
@@ -253,9 +198,7 @@ impl FaultPlanConfig {
             max_delay_epochs: 2,
             p_stall: 0.10,
             p_crash: 0.08,
-            p_swap_fail: 0.06,
             stall_ms: 50,
-            trainer_flood_len: 3,
             ..Self::quiet(epochs, num_shards)
         }
     }
@@ -307,14 +250,8 @@ pub struct ScheduledFaults {
     pub stalls: usize,
     /// Scheduled crashes.
     pub crashes: usize,
-    /// Scheduled registry-swap failures.
-    pub swap_fails: usize,
-    /// Scheduled checkpoint poisonings.
-    pub poisoned_checkpoints: usize,
     /// Front-door frame offers with a connection-fault decision.
     pub conn: usize,
-    /// Scheduled trainer faults.
-    pub trainer: usize,
     /// Journaled push attempts with a WAL-fault decision.
     pub wal: usize,
 }
@@ -322,15 +259,7 @@ pub struct ScheduledFaults {
 impl ScheduledFaults {
     /// Whether anything is scheduled at all.
     pub fn any(&self) -> bool {
-        self.ingest
-            + self.stalls
-            + self.crashes
-            + self.swap_fails
-            + self.poisoned_checkpoints
-            + self.conn
-            + self.trainer
-            + self.wal
-            > 0
+        self.ingest + self.stalls + self.crashes + self.conn + self.wal > 0
     }
 }
 
@@ -360,10 +289,7 @@ fn roll<F: Copy>(rng: &mut StdRng, bands: &[(f64, F)]) -> Option<F> {
 pub struct FaultPlan {
     ingest: Vec<Option<IngestFault>>,
     shard: BTreeMap<(u32, usize), ShardFault>,
-    swap_fail: BTreeSet<(u32, usize)>,
-    poison: VecDeque<CheckpointPoison>,
     conn: Vec<Option<ConnFault>>,
-    trainer: BTreeMap<u32, TrainerFault>,
     wal: Vec<Option<WalFault>>,
 }
 
@@ -401,10 +327,6 @@ impl FaultPlan {
         let shard = grid()
             .filter_map(|key| roll(&mut rng, &shard_bands).map(|f| (key, f)))
             .collect();
-        let mut rng = family_stream(seed, "swap");
-        let swap_fail = grid()
-            .filter(|_| rng.random_bool(cfg.p_swap_fail))
-            .collect();
         let mut rng = family_stream(seed, "conn");
         let conn_bands = [
             (cfg.p_conn_disconnect, ConnFault::MidFrameDisconnect),
@@ -413,18 +335,6 @@ impl FaultPlan {
         ];
         let conn = (0..cfg.conn_horizon)
             .map(|_| roll(&mut rng, &conn_bands))
-            .collect();
-        let mut rng = family_stream(seed, "trainer");
-        let trainer_bands = [
-            (cfg.p_trainer_crash, TrainerFault::Crash),
-            (
-                cfg.p_trainer_flood,
-                TrainerFault::StaleCandidateFlood(cfg.trainer_flood_len.max(1)),
-            ),
-            (cfg.p_trainer_drop, TrainerFault::TransitionDrop),
-        ];
-        let trainer = (0..cfg.trainer_horizon)
-            .filter_map(|epoch| roll(&mut rng, &trainer_bands).map(|f| (epoch, f)))
             .collect();
         let mut rng = family_stream(seed, "wal");
         let wal_bands = [
@@ -437,13 +347,8 @@ impl FaultPlan {
         Self {
             ingest,
             shard,
-            swap_fail,
             conn,
-            trainer,
             wal,
-            // Checkpoint poisons are scheduled only through
-            // `with_poisoned_checkpoint`.
-            ..Self::default()
         }
     }
 
@@ -465,19 +370,6 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules a registry-swap failure for `shard` at `epoch`.
-    pub fn with_swap_failure(mut self, epoch: u32, shard: usize) -> Self {
-        self.swap_fail.insert((epoch, shard));
-        self
-    }
-
-    /// Schedules the next rollout submission's policy checkpoint to be
-    /// replaced with a poisoned one of the given kind.
-    pub fn with_poisoned_checkpoint(mut self, kind: CheckpointPoison) -> Self {
-        self.poison.push_back(kind);
-        self
-    }
-
     /// Schedules `fault` for the `offer_index`-th frame sent over the
     /// front door.
     pub fn with_conn_fault(mut self, offer_index: usize, fault: ConnFault) -> Self {
@@ -485,32 +377,10 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules `fault` for the trainer at `epoch`.
-    pub fn with_trainer_fault(mut self, epoch: u32, fault: TrainerFault) -> Self {
-        self.trainer.insert(epoch, fault);
-        self
-    }
-
     /// Schedules `fault` for the `offer_index`-th journaled push attempt.
     pub fn with_wal_fault(mut self, offer_index: usize, fault: WalFault) -> Self {
         set_offer(&mut self.wal, offer_index, fault);
         self
-    }
-
-    /// The shard epochs below `epochs` on shards below `num_shards` that
-    /// a scheduled stall or registry-swap failure degrades. One shard
-    /// epoch with both counts once.
-    pub(crate) fn degraded_cells(&self, epochs: u32, num_shards: usize) -> usize {
-        let stalls = self
-            .shard
-            .iter()
-            .filter(|(_, f)| matches!(f, ShardFault::Stall(_)))
-            .map(|(&cell, _)| cell);
-        stalls
-            .chain(self.swap_fail.iter().copied())
-            .filter(|&(e, s)| e < epochs && s < num_shards)
-            .collect::<BTreeSet<_>>()
-            .len()
     }
 
     /// What the plan has scheduled, by kind.
@@ -524,10 +394,7 @@ impl FaultPlan {
             ingest: self.ingest.iter().flatten().count(),
             stalls,
             crashes: self.shard.len() - stalls,
-            swap_fails: self.swap_fail.len(),
-            poisoned_checkpoints: self.poison.len(),
             conn: self.conn.iter().flatten().count(),
-            trainer: self.trainer.len(),
             wal: self.wal.iter().flatten().count(),
         }
     }
@@ -558,22 +425,12 @@ pub struct FaultCounters {
     pub stalls: u64,
     /// Shard crashes fired.
     pub crashes: u64,
-    /// Registry-swap failures fired.
-    pub swap_fails: u64,
-    /// Rollout submissions whose checkpoint was poisoned.
-    pub poisoned_checkpoints: u64,
     /// Mid-frame disconnects fired at the front door.
     pub conn_disconnects: u64,
     /// Torn writes fired at the front door.
     pub conn_torn_writes: u64,
     /// Slow-loris stalls fired at the front door.
     pub conn_slow_loris: u64,
-    /// Trainer crashes fired.
-    pub trainer_crashes: u64,
-    /// Stale-candidate floods fired.
-    pub trainer_floods: u64,
-    /// Transition drops fired.
-    pub trainer_drops: u64,
     /// Torn journal appends fired.
     pub wal_torn: u64,
     /// Journal fsync stalls fired.
@@ -581,10 +438,10 @@ pub struct FaultCounters {
 }
 
 impl FaultCounters {
-    /// Faults that degrade an epoch when they fire (stall past the
-    /// deadline, or a failed swap).
+    /// Faults that degrade an epoch when they fire: stalls past the
+    /// deadline.
     pub fn degrading(&self) -> u64 {
-        self.stalls + self.swap_fails
+        self.stalls
     }
 
     /// Whether any fault fired at all.
@@ -595,14 +452,9 @@ impl FaultCounters {
             + self.corrupts
             + self.stalls
             + self.crashes
-            + self.swap_fails
-            + self.poisoned_checkpoints
             + self.conn_disconnects
             + self.conn_torn_writes
             + self.conn_slow_loris
-            + self.trainer_crashes
-            + self.trainer_floods
-            + self.trainer_drops
             + self.wal_torn
             + self.wal_stalls
             > 0
@@ -720,80 +572,10 @@ impl FaultInjector {
         fault
     }
 
-    /// Takes (consumes) the trainer fault scheduled for `epoch`, if any.
-    /// One-shot, like every other fault kind.
-    pub fn take_trainer_fault(&self, epoch: u32) -> Option<TrainerFault> {
-        let p = &mut *self.pending();
-        let fault = p.plan.trainer.remove(&epoch);
-        match fault {
-            Some(TrainerFault::Crash) => p.fired.trainer_crashes += 1,
-            Some(TrainerFault::StaleCandidateFlood(_)) => p.fired.trainer_floods += 1,
-            Some(TrainerFault::TransitionDrop) => p.fired.trainer_drops += 1,
-            None => {}
-        }
-        fault
-    }
-
-    /// Takes (consumes) the registry-swap failure scheduled for
-    /// `(epoch, shard)`, if any.
-    pub fn take_swap_failure(&self, epoch: u32, shard: usize) -> bool {
-        let p = &mut *self.pending();
-        let fired = p.plan.swap_fail.remove(&(epoch, shard));
-        p.fired.swap_fails += u64::from(fired);
-        fired
-    }
-
-    /// Replaces a rollout submission's policy checkpoint text with the
-    /// next scheduled poison (consumed one-shot), or passes the text
-    /// through untouched when none is scheduled.
-    pub fn poison_checkpoint(&self, policy_text: Option<String>) -> Option<String> {
-        let kind = {
-            let p = &mut *self.pending();
-            let kind = p.plan.poison.pop_front();
-            p.fired.poisoned_checkpoints += u64::from(kind.is_some());
-            kind
-        };
-        match kind {
-            Some(kind) => Some(poisoned_policy_text(kind)),
-            None => policy_text,
-        }
-    }
-
     /// The faults fired so far.
     pub fn counters(&self) -> FaultCounters {
         self.pending().fired
     }
-}
-
-/// The checkpoint text a poisoning of `kind` substitutes for the submitted
-/// policy. Deterministic per kind.
-pub fn poisoned_policy_text(kind: CheckpointPoison) -> String {
-    match kind {
-        CheckpointPoison::NanWeights => {
-            let mut net = Mlp::new(&[FEATURE_DIM, 4, 1], 0x6e616e);
-            net.visit_params_mut(|i, w, _| {
-                if i == 5 {
-                    *w = f64::NAN;
-                }
-            });
-            mlp_to_text(&net)
-        }
-        CheckpointPoison::WrongDims => mlp_to_text(&Mlp::new(&[FEATURE_DIM + 1, 4, 1], 0x646d73)),
-        CheckpointPoison::RewardTank => reward_tank_policy_text(),
-    }
-}
-
-/// A structurally valid policy that passes every admission check yet tanks
-/// the paper reward: a single linear layer whose only non-zero weight
-/// (1000, well under the probe bound) sits on the stand-by feature flag, so
-/// standing by always out-scores every rescue candidate and no team is
-/// ever dispatched.
-pub fn reward_tank_policy_text() -> String {
-    let mut net = Mlp::new(&[FEATURE_DIM, 1], 0);
-    net.visit_params_mut(|i, w, _| {
-        *w = if i == FEATURE_DIM - 1 { 1_000.0 } else { 0.0 };
-    });
-    mlp_to_text(&net)
 }
 
 #[cfg(test)]
@@ -810,8 +592,8 @@ mod tests {
         assert_eq!(a.shard, b.shard);
         let c = FaultPlan::generate(43, &cfg);
         assert_ne!(
-            (a.ingest.clone(), a.shard.clone(), a.swap_fail.clone()),
-            (c.ingest.clone(), c.shard.clone(), c.swap_fail.clone()),
+            (a.ingest.clone(), a.shard.clone()),
+            (c.ingest.clone(), c.shard.clone()),
             "different seeds draw different schedules"
         );
         let quiet = FaultPlan::generate(42, &FaultPlanConfig::quiet(8, 2));
@@ -823,7 +605,6 @@ mod tests {
         let plan = FaultPlan::empty()
             .with_crash(3, 0)
             .with_stall(4, 1, 500)
-            .with_swap_failure(2, 0)
             .with_ingest_fault(1, IngestFault::Drop);
         let inj = FaultInjector::new(plan);
         assert_eq!(inj.next_ingest_fault(), None);
@@ -832,52 +613,12 @@ mod tests {
         assert_eq!(inj.take_shard_fault(3, 0), Some(ShardFault::Crash));
         assert_eq!(inj.take_shard_fault(3, 0), None, "crash fires once");
         assert_eq!(inj.take_shard_fault(4, 1), Some(ShardFault::Stall(500)));
-        assert!(inj.take_swap_failure(2, 0));
-        assert!(!inj.take_swap_failure(2, 0), "swap failure fires once");
         let c = inj.counters();
         assert_eq!(c.offers, 3);
         assert_eq!(c.drops, 1);
         assert_eq!(c.crashes, 1);
         assert_eq!(c.stalls, 1);
-        assert_eq!(c.swap_fails, 1);
         assert!(c.any());
-    }
-
-    #[test]
-    fn poisoned_checkpoints_consume_one_shot_and_build_what_they_claim() {
-        use mobirescue_rl::persist::mlp_from_text;
-        let plan = FaultPlan::empty()
-            .with_poisoned_checkpoint(CheckpointPoison::NanWeights)
-            .with_poisoned_checkpoint(CheckpointPoison::WrongDims)
-            .with_poisoned_checkpoint(CheckpointPoison::RewardTank);
-        assert_eq!(plan.scheduled().poisoned_checkpoints, 3);
-        let inj = FaultInjector::new(plan);
-
-        let nan = inj.poison_checkpoint(Some("good".into())).expect("text");
-        let net = mlp_from_text(&nan).expect("NaN poison still parses");
-        assert!(net.first_non_finite_param().is_some());
-
-        let wrong = inj.poison_checkpoint(None).expect("poison ignores None");
-        let net = mlp_from_text(&wrong).expect("parses");
-        assert_eq!(net.input_dim(), FEATURE_DIM + 1);
-
-        let tank = inj.poison_checkpoint(Some("good".into())).expect("text");
-        let net = mlp_from_text(&tank).expect("parses");
-        assert_eq!((net.input_dim(), net.output_dim()), (FEATURE_DIM, 1));
-        assert!(net.first_non_finite_param().is_none());
-        // Stand-by (flag set) out-scores any zone candidate (flag clear).
-        let mut standby = [0.0; FEATURE_DIM];
-        standby[FEATURE_DIM - 1] = 1.0;
-        let mut zone = [0.9; FEATURE_DIM];
-        zone[FEATURE_DIM - 1] = 0.0;
-        assert!(net.predict(&standby)[0] > net.predict(&zone)[0] + 100.0);
-
-        // Exhausted: submissions pass through untouched.
-        assert_eq!(
-            inj.poison_checkpoint(Some("good".into())).as_deref(),
-            Some("good")
-        );
-        assert_eq!(inj.counters().poisoned_checkpoints, 3);
     }
 
     #[test]
@@ -885,11 +626,6 @@ mod tests {
         let all = FaultPlanConfig {
             p_crash: 0.3,
             p_stall: 0.3,
-            p_swap_fail: 0.5,
-            trainer_horizon: 16,
-            p_trainer_crash: 0.2,
-            p_trainer_flood: 0.2,
-            p_trainer_drop: 0.2,
             wal_horizon: 64,
             p_wal_torn: 0.2,
             p_wal_stall: 0.2,
@@ -901,19 +637,15 @@ mod tests {
             [
                 format!("{:?}", p.ingest),
                 format!("{:?}", p.shard),
-                format!("{:?}", p.swap_fail),
                 format!("{:?}", p.conn),
-                format!("{:?}", p.trainer),
                 format!("{:?}", p.wal),
             ]
         };
         let armed = families(&all);
-        let disarms: [fn(&mut FaultPlanConfig); 6] = [
+        let disarms: [fn(&mut FaultPlanConfig); 4] = [
             |c| c.ingest_horizon = 0,
             |c| (c.p_crash, c.p_stall) = (0.0, 0.0),
-            |c| c.p_swap_fail = 0.0,
             |c| c.conn_horizon = 0,
-            |c| c.trainer_horizon = 0,
             |c| c.wal_horizon = 0,
         ];
         // Disarming one family empties exactly that family and leaves
@@ -958,33 +690,6 @@ mod tests {
         assert_eq!(c.conn_disconnects, 1);
         assert_eq!(c.conn_torn_writes, 1);
         assert_eq!(c.conn_slow_loris, 1);
-        assert!(c.any());
-    }
-
-    #[test]
-    fn trainer_faults_consume_one_shot() {
-        let plan = FaultPlan::empty()
-            .with_trainer_fault(1, TrainerFault::Crash)
-            .with_trainer_fault(2, TrainerFault::StaleCandidateFlood(4))
-            .with_trainer_fault(3, TrainerFault::TransitionDrop);
-        assert_eq!(plan.scheduled().trainer, 3);
-        assert!(plan.scheduled().any());
-        let inj = FaultInjector::new(plan);
-        assert_eq!(inj.take_trainer_fault(0), None);
-        assert_eq!(inj.take_trainer_fault(1), Some(TrainerFault::Crash));
-        assert_eq!(inj.take_trainer_fault(1), None, "crash fires once");
-        assert_eq!(
-            inj.take_trainer_fault(2),
-            Some(TrainerFault::StaleCandidateFlood(4))
-        );
-        assert_eq!(
-            inj.take_trainer_fault(3),
-            Some(TrainerFault::TransitionDrop)
-        );
-        let c = inj.counters();
-        assert_eq!(c.trainer_crashes, 1);
-        assert_eq!(c.trainer_floods, 1);
-        assert_eq!(c.trainer_drops, 1);
         assert!(c.any());
     }
 

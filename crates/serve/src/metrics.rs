@@ -32,14 +32,12 @@ pub struct ShardMetrics {
     pub picked_up: usize,
     /// Requests delivered to a hospital so far.
     pub delivered: usize,
-    /// Model bundle version the shard's dispatcher was built from.
-    pub model_version: u64,
     /// Shortest-path-tree cache hits in the shard's route planner.
     pub routing_hits: u64,
     /// Shortest-path-tree cache misses (trees actually computed).
     pub routing_misses: u64,
     /// Epochs this shard served on the heuristic fallback instead of the
-    /// DQN policy (deadline blown or model unavailable).
+    /// DQN policy (deadline blown).
     pub degraded: u64,
 }
 
@@ -62,24 +60,11 @@ pub struct MetricsSnapshot {
     /// Advisories dropped at validation (unknown segment / hour).
     pub advisories_invalid: u64,
     /// Epochs in which at least one shard fell back to the heuristic
-    /// dispatcher (deadline blown or registry swap failed).
+    /// dispatcher (deadline blown).
     pub degraded_epochs: u64,
     /// Ingestion re-offers performed by
     /// [`crate::DispatchService::ingest_with_retry`] after a shed.
     pub ingest_retries: u64,
-    /// Model swaps that failed because a fault injector simulated the
-    /// registry being unreachable.
-    pub swap_failures_injected: u64,
-    /// Model swaps that failed because the installed bundle could not
-    /// build a dispatcher (parse/shape failure).
-    pub swap_failures_build: u64,
-    /// Rollout canary candidates that failed to build on a shard (each is
-    /// a canary gate failure).
-    pub swap_failures_rollout: u64,
-    /// Current model bundle version in the registry.
-    pub model_version: u64,
-    /// Hot-swaps performed since the registry was created.
-    pub model_swaps: u64,
     /// One entry per hosted shard.
     pub shards: Vec<ShardMetrics>,
 }
@@ -103,7 +88,6 @@ impl MetricsSnapshot {
                     waiting: g("waiting") as usize,
                     picked_up: c("picked_up") as usize,
                     delivered: c("delivered") as usize,
-                    model_version: g("model_version") as u64,
                     routing_hits: counter(&format!("{}.cache_hits", routing_prefix(i))),
                     routing_misses: counter(&format!("{}.cache_misses", routing_prefix(i))),
                     degraded: c("degraded_epochs"),
@@ -125,11 +109,6 @@ impl MetricsSnapshot {
             advisories_invalid: counter("serve.advisories_invalid"),
             degraded_epochs: counter("serve.degraded_epochs"),
             ingest_retries: counter("serve.ingest_retries"),
-            swap_failures_injected: counter("serve.swap_failures_injected"),
-            swap_failures_build: counter("serve.swap_failures_build"),
-            swap_failures_rollout: counter("serve.swap_failures_rollout"),
-            model_version: gauge("serve.model_version") as u64,
-            model_swaps: counter("serve.model_swaps"),
             shards,
         }
     }
@@ -154,10 +133,8 @@ impl MetricsSnapshot {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "epoch {:>4} | model v{} ({} swaps) | ingest ok {} shed {} | advisories ok {} shed {} applied {} invalid {}",
+            "epoch {:>4} | ingest ok {} shed {} | advisories ok {} shed {} applied {} invalid {}",
             self.epochs_completed,
-            self.model_version,
-            self.model_swaps,
             self.requests_accepted,
             self.requests_shed,
             self.advisories_accepted,
@@ -167,12 +144,8 @@ impl MetricsSnapshot {
         );
         let _ = writeln!(
             out,
-            "  degraded epochs {} | ingest retries {} | swap failures {}i/{}b/{}r",
-            self.degraded_epochs,
-            self.ingest_retries,
-            self.swap_failures_injected,
-            self.swap_failures_build,
-            self.swap_failures_rollout,
+            "  degraded epochs {} | ingest retries {}",
+            self.degraded_epochs, self.ingest_retries,
         );
         for (i, s) in self.shards.iter().enumerate() {
             let _ = writeln!(
@@ -210,11 +183,6 @@ mod tests {
             advisories_invalid: 1,
             degraded_epochs: 1,
             ingest_retries: 2,
-            swap_failures_injected: 1,
-            swap_failures_build: 0,
-            swap_failures_rollout: 2,
-            model_version: 2,
-            model_swaps: 1,
             shards: vec![
                 ShardMetrics {
                     picked_up: 3,
@@ -234,10 +202,9 @@ mod tests {
         assert_eq!(m.total_delivered(), 6);
         assert_eq!(m.total_waiting(), 1);
         let text = m.render();
-        assert!(text.contains("model v2"));
+        assert!(text.contains("epoch    3"));
         assert!(text.contains("shard 1"));
         assert!(text.contains("degraded epochs 1"));
         assert!(text.contains("ingest retries 2"));
-        assert!(text.contains("swap failures 1i/0b/2r"));
     }
 }

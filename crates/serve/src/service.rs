@@ -3,24 +3,19 @@
 //! harness (bounded ingestion retry, shard crash-restart from the last
 //! boundary checkpoint).
 
+use crate::bundle::ModelBundle;
 use crate::clock::Clock;
 use crate::error::ServeError;
 use crate::event::Event;
-use crate::fault::{reward_tank_policy_text, TrainerFault, WalFault};
+use crate::fault::WalFault;
 use crate::metrics::{shard_series, MetricsSnapshot};
 use crate::queue::{BoundedQueue, ShedPolicy};
-use crate::registry::ModelRegistry;
-use crate::rollout::{
-    Events, Rollout, RolloutConfig, RolloutCounters, RolloutError, RolloutRecords, RolloutStatus,
-};
-use crate::shard::{spawn_shard, ShardCmd, ShardReply, ShardSpec, ShardStatus, SwapError};
-use crate::trainer::{Trainer, TrainerConfig, TrainerStatus};
+use crate::shard::{spawn_shard, ShardCmd, ShardReply, ShardSpec, ShardStatus};
 use crate::wal::{FsyncPolicy, Wal, WalConfig, WalEntry, WalError};
 use crate::FaultInjector;
 use mobirescue_core::rl_dispatch::RlDispatchConfig;
 use mobirescue_core::scenario::Scenario;
 use mobirescue_obs::{Counter, Histogram, Level, ObsSnapshot, Registry};
-use mobirescue_rl::PairTransition;
 use mobirescue_roadnet::graph::SegmentId;
 use mobirescue_sim::record::{write_block, Reader, Record, RecordError};
 use mobirescue_sim::{open_snapshot, seal_snapshot};
@@ -46,10 +41,10 @@ pub struct ServeConfig {
     pub rl: RlDispatchConfig,
     /// Deterministic fault schedule for chaos testing (`None` in
     /// production: every hook is a no-op). The service draws only the
-    /// faults it alone can suffer — shard stalls and crashes, swap
-    /// failures, trainer faults, torn journal appends and fsync stalls;
-    /// faults on what crosses its boundary (requests, snapshot texts,
-    /// checkpoint texts, journal files) are applied by the caller.
+    /// faults it alone can suffer — shard stalls and crashes, torn
+    /// journal appends and fsync stalls; faults on what crosses its
+    /// boundary (requests, snapshot texts, journal files) are applied by
+    /// the caller.
     pub faults: Option<Arc<FaultInjector>>,
     /// Per-epoch dispatch compute budget, ms. A shard whose primary
     /// dispatcher exceeds it discards the late plan and replans with the
@@ -60,21 +55,6 @@ pub struct ServeConfig {
     /// replay the epoch's drained events, instead of failing the epoch.
     /// Costs one shard snapshot per epoch.
     pub auto_recover: bool,
-    /// Observability registry the service publishes into. `None` (the
-    /// default) gives the service a private registry, reachable through
-    /// [`DispatchService::obs`]. Supplying a registry is for embedding the
-    /// service in a host that scrapes one place — never share it with a
-    /// *live* second service: counters are get-or-create by name, and
-    /// [`DispatchService::restore`] overwrites them from the snapshot.
-    pub obs: Option<Arc<Registry>>,
-    /// Gate parameters for [`DispatchService::submit_rollout`]'s guarded
-    /// promotion pipeline (admission → shadow → canary → watch).
-    pub rollout: RolloutConfig,
-    /// Online training loop. `Some` makes every shard tap its dispatch
-    /// transitions into a background trainer whose candidate checkpoints
-    /// feed [`DispatchService::submit_rollout`]; `None` (the default)
-    /// disables training entirely.
-    pub trainer: Option<TrainerConfig>,
     /// Durable write-ahead ingest journal. `Some` journals every request
     /// push attempt *before* it reaches a queue — so an `Ok(true)` from
     /// [`DispatchService::ingest`] (and therefore a net-layer `Ack`)
@@ -94,9 +74,6 @@ impl ServeConfig {
             faults: None,
             epoch_deadline_ms: None,
             auto_recover: false,
-            obs: None,
-            rollout: RolloutConfig::default(),
-            trainer: None,
             wal: None,
         }
     }
@@ -129,30 +106,10 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Mutable service-level state, behind one lock: what the epoch logic
-/// reads back. No count lives here — every count the service reports is
-/// an obs [`Registry`] series with one writer — except `epochs_completed`,
-/// the barrier's own epoch number, which a scrape samples into
-/// `serve.epochs_completed`.
-struct ServiceState {
-    epochs_completed: u32,
-    last_swap_error: Option<(usize, SwapError)>,
-    rollout: Rollout,
-}
-
 struct ShardHandle {
     tx: Sender<ShardCmd>,
     rx: Receiver<ShardReply>,
     join: Option<JoinHandle<()>>,
-}
-
-/// The online trainer plus its last epoch-boundary checkpoint. The
-/// checkpoint is refreshed after every trainer tick, so an injected
-/// trainer crash at a boundary respawns into exactly the state an
-/// unfaulted trainer would hold.
-struct TrainerSlot {
-    trainer: Trainer,
-    checkpoint: String,
 }
 
 /// A running sharded dispatch service.
@@ -165,7 +122,7 @@ struct TrainerSlot {
 pub struct DispatchService {
     config: ServeConfig,
     scenario: Arc<Scenario>,
-    registry: Arc<ModelRegistry>,
+    bundle: Arc<ModelBundle>,
     clock: Arc<dyn Clock>,
     request_queues: Vec<Arc<BoundedQueue<RequestSpec>>>,
     advisories: Arc<BoundedQueue<Event>>,
@@ -182,23 +139,16 @@ pub struct DispatchService {
     advisories_applied: Counter,
     advisories_invalid: Counter,
     degraded_epochs: Counter,
-    swap_fail_injected: Counter,
-    swap_fail_build: Counter,
-    swap_fail_rollout: Counter,
-    rollouts_admitted: Counter,
-    rollouts_rejected: Counter,
-    rollouts_rolled_back: Counter,
-    candidates_submitted: Counter,
-    candidates_admitted: Counter,
-    candidates_rejected: Counter,
     snapshot_hist: Histogram,
-    // The online trainer (populated iff `config.trainer` is set), stepped
-    // synchronously at each epoch boundary.
-    trainer: Mutex<Option<TrainerSlot>>,
     // The durable ingest journal (populated iff `config.wal` is set),
     // appended to one record at a time under its own lock.
     wal: Mutex<Option<Wal>>,
-    state: Mutex<ServiceState>,
+    // The barrier's own epoch number, which a scrape samples into
+    // `serve.epochs_completed`; every other count the service reports is
+    // an obs [`Registry`] series with one writer. `run_epoch` bumps it
+    // and adds the epoch's service counts under this lock, so a snapshot
+    // sees an epoch whole.
+    epochs_completed: Mutex<u32>,
 }
 
 impl DispatchService {
@@ -211,16 +161,18 @@ impl DispatchService {
     /// # Errors
     ///
     /// Returns [`ServeError::BadConfig`] for zero shards,
-    /// [`ServeError::World`] when the simulation configuration cannot host
-    /// a world over `scenario`, and [`ServeError::Wal`] when the journal
-    /// directory holds a corrupt segment.
+    /// [`ServeError::PolicyShape`] when the bundle's policy cannot score
+    /// the dispatcher's candidates, [`ServeError::World`] when the
+    /// simulation configuration cannot host a world over `scenario`, and
+    /// [`ServeError::Wal`] when the journal directory holds a corrupt
+    /// segment.
     pub fn start(
         scenario: Arc<Scenario>,
         config: ServeConfig,
         clock: Arc<dyn Clock>,
-        registry: Arc<ModelRegistry>,
+        bundle: Arc<ModelBundle>,
     ) -> Result<Self, ServeError> {
-        let svc = Self::start_core(scenario, config, clock, registry)?;
+        let svc = Self::start_core(scenario, config, clock, bundle)?;
         svc.attach_wal(Some(0))?;
         Ok(svc)
     }
@@ -231,15 +183,16 @@ impl DispatchService {
         scenario: Arc<Scenario>,
         config: ServeConfig,
         clock: Arc<dyn Clock>,
-        registry: Arc<ModelRegistry>,
+        bundle: Arc<ModelBundle>,
     ) -> Result<Self, ServeError> {
         if config.num_shards == 0 {
             return Err(ServeError::BadConfig("need at least one shard"));
         }
         // Validate once on the caller's thread so workers cannot fail
         // construction.
+        bundle.check()?;
         World::new(&scenario.city, &scenario.conditions, &config.sim)?;
-        let obs = config.obs.clone().unwrap_or_default();
+        let obs = Arc::new(Registry::new());
         // A full request queue sheds the newcomer: evicting the oldest
         // would drop a request that is already journaled and acked.
         let request_queues: Vec<_> = (0..config.num_shards)
@@ -258,24 +211,11 @@ impl DispatchService {
             obs.counter("serve.advisories_accepted"),
             obs.counter("serve.advisories_shed"),
         ));
-        let state = ServiceState {
-            epochs_completed: 0,
-            last_swap_error: None,
-            rollout: Rollout::new(config.rollout.clone(), Arc::clone(&registry)),
-        };
-        let trainer = config.trainer.clone().map(|cfg| {
-            let trainer = Trainer::new(cfg, &obs, Arc::clone(&clock) as _);
-            let checkpoint = trainer.snapshot_text();
-            TrainerSlot {
-                trainer,
-                checkpoint,
-            }
-        });
         let num_shards = config.num_shards;
         let mut svc = Self {
             config,
             scenario,
-            registry,
+            bundle,
             clock,
             request_queues,
             advisories,
@@ -286,20 +226,10 @@ impl DispatchService {
             advisories_applied: obs.counter("serve.advisories_applied"),
             advisories_invalid: obs.counter("serve.advisories_invalid"),
             degraded_epochs: obs.counter("serve.degraded_epochs"),
-            swap_fail_injected: obs.counter("serve.swap_failures_injected"),
-            swap_fail_build: obs.counter("serve.swap_failures_build"),
-            swap_fail_rollout: obs.counter("serve.swap_failures_rollout"),
-            rollouts_admitted: obs.counter("serve.rollouts_admitted"),
-            rollouts_rejected: obs.counter("serve.rollouts_rejected"),
-            rollouts_rolled_back: obs.counter("serve.rollouts_rolled_back"),
-            candidates_submitted: obs.counter("train.candidates_submitted"),
-            candidates_admitted: obs.counter("train.candidates_admitted"),
-            candidates_rejected: obs.counter("train.candidates_rejected"),
             snapshot_hist: obs.histogram("epoch.snapshot_ms"),
             obs,
-            trainer: Mutex::new(trainer),
             wal: Mutex::new(None),
-            state: Mutex::new(state),
+            epochs_completed: Mutex::new(0),
         };
         svc.shards = (0..num_shards)
             .map(|i| Mutex::new(svc.spawn_worker(i)))
@@ -469,8 +399,8 @@ impl DispatchService {
         lock(&self.wal).as_ref().map_or(0, |w| w.last_seq())
     }
 
-    fn state(&self) -> MutexGuard<'_, ServiceState> {
-        lock(&self.state)
+    fn epochs_completed(&self) -> MutexGuard<'_, u32> {
+        lock(&self.epochs_completed)
     }
 
     fn shard(&self, i: usize) -> MutexGuard<'_, ShardHandle> {
@@ -481,13 +411,12 @@ impl DispatchService {
     fn spawn_worker(&self, i: usize) -> ShardHandle {
         let spec = ShardSpec {
             scenario: Arc::clone(&self.scenario),
-            registry: Arc::clone(&self.registry),
+            bundle: Arc::clone(&self.bundle),
             clock: Arc::clone(&self.clock),
             sim: self.config.sim.clone(),
             rl: self.config.rl.clone(),
             faults: self.config.faults.clone(),
             obs: Arc::clone(&self.obs),
-            tap_transitions: self.config.trainer.is_some(),
         };
         let (cmd_tx, cmd_rx) = channel();
         let (reply_tx, reply_rx) = channel();
@@ -518,88 +447,6 @@ impl DispatchService {
     /// converge to the exact state of an unfaulted one.
     pub fn shard_restarts(&self) -> u64 {
         self.restarts.value()
-    }
-
-    /// Submits a candidate checkpoint bundle to the guarded rollout
-    /// pipeline instead of installing it directly into the registry.
-    ///
-    /// The candidate is structurally validated at once ([`crate::rollout::admit`]:
-    /// parse, finite weights, `FEATURE_DIM`-compatible shapes, sane probe
-    /// outputs); an admitted candidate then advances one pipeline stage per
-    /// [`DispatchService::run_epoch`] — shadow scoring, canary shards,
-    /// fleet-wide promotion, post-promotion watch — and any gate failure
-    /// rolls it back without ever (further) touching dispatch. Returns the
-    /// in-flight status, or `None` when the configured gates are all empty
-    /// and the candidate was promoted immediately.
-    ///
-    /// The texts are taken as delivered: a poisoned checkpoint (a
-    /// corrupted artifact store) must be rejected at admission or — for
-    /// an adversarially plausible poison — caught by the shadow/watch
-    /// gates.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Rollout`] with a typed [`RolloutError`]: a
-    /// rollout already in flight, an empty candidate, or an admission
-    /// failure naming the offending artifact.
-    pub fn submit_rollout(
-        &self,
-        predictor_text: Option<&str>,
-        policy_text: Option<&str>,
-    ) -> Result<Option<RolloutStatus>, ServeError> {
-        let mut state = self.state();
-        let epoch = state.epochs_completed;
-        if state.rollout.status().is_some() {
-            self.rollouts_rejected.inc();
-            return Err(ServeError::Rollout(RolloutError::InFlight));
-        }
-        let mut events = Events::new();
-        let submitted = state
-            .rollout
-            .submit(predictor_text, policy_text, &mut events);
-        let status = submitted.map_err(|e| {
-            self.rollouts_rejected.inc();
-            let message = format!("rollout candidate rejected at admission: {e}");
-            self.obs.events().log(Level::Warn, epoch, None, message);
-            ServeError::Rollout(e)
-        })?;
-        self.rollouts_admitted.inc();
-        drop(state);
-        self.log_events(epoch, events);
-        Ok(status)
-    }
-
-    /// The in-flight rollout's stage, epochs completed within it, and the
-    /// candidate's (tentative) version; `None` when nothing is in flight.
-    pub fn rollout_status(&self) -> Option<RolloutStatus> {
-        self.state().rollout.status()
-    }
-
-    /// Lifetime rollout counters: admitted, rejected, rolled back.
-    /// Operational counters (like [`DispatchService::shard_restarts`]),
-    /// deliberately not part of the snapshot text.
-    pub fn rollout_counters(&self) -> RolloutCounters {
-        RolloutCounters {
-            admitted: self.rollouts_admitted.value(),
-            rejected: self.rollouts_rejected.value(),
-            rolled_back: self.rollouts_rolled_back.value(),
-        }
-    }
-
-    /// The online trainer's progress counters, or `None` when the service
-    /// was configured without a trainer.
-    pub fn trainer_status(&self) -> Option<TrainerStatus> {
-        lock(&self.trainer).as_ref().map(|s| s.trainer.status())
-    }
-
-    /// The trainer's current online-network checkpoint text (exactly what
-    /// its next candidate emission would submit), or `None` without a
-    /// trainer. Byte-stable across snapshot/restore and, on a
-    /// [`crate::SimClock`], across same-seeded runs.
-    pub fn trainer_policy_text(&self) -> Option<String> {
-        lock(&self.trainer)
-            .as_ref()
-            .map(|s| s.trainer.policy_text())
     }
 
     fn validate_request(&self, spec: &RequestSpec) -> Result<(), ServeError> {
@@ -695,12 +542,6 @@ impl DispatchService {
         (applied, invalid)
     }
 
-    fn log_events(&self, epoch: u32, events: Events) {
-        for (level, shard, message) in events {
-            self.obs.events().log(level, epoch, shard, message);
-        }
-    }
-
     fn shard_error(&self, shard: usize, message: impl Into<String>) -> ServeError {
         ServeError::Shard {
             shard,
@@ -742,9 +583,9 @@ impl DispatchService {
     }
 
     /// Shard `shard`'s reply to the `RunEpoch` already sent to it.
-    fn epoch_reply(&self, shard: usize) -> Result<Box<ShardStatus>, ServeError> {
+    fn epoch_reply(&self, shard: usize) -> Result<ShardStatus, ServeError> {
         match self.recv_reply(shard)? {
-            ShardReply::Epoch(reply) => reply.map_err(|m| self.shard_error(shard, m)),
+            ShardReply::Epoch(status) => Ok(status),
             _ => Err(self.shard_error(shard, "out-of-protocol reply")),
         }
     }
@@ -755,11 +596,11 @@ impl DispatchService {
     /// epoch's `RunEpoch` command, with the already-drained requests. The
     /// crashed epoch's faults were consumed when they fired, so the replay
     /// runs unfaulted.
-    fn recover_shard(&self, i: usize, run_epoch: ShardCmd) -> Result<Box<ShardStatus>, ServeError> {
+    fn recover_shard(&self, i: usize, run_epoch: ShardCmd) -> Result<ShardStatus, ServeError> {
         self.restarts.inc();
         self.obs.events().log(
             Level::Error,
-            self.state().epochs_completed,
+            *self.epochs_completed(),
             Some(i),
             "shard worker died; restarting from last boundary checkpoint",
         );
@@ -793,8 +634,8 @@ impl DispatchService {
     /// dispatch period in parallel, and collects their reports. With
     /// `auto_recover`, a shard whose worker died is restarted from its
     /// last boundary checkpoint and the epoch is replayed with the same
-    /// drained batch — no epoch is skipped. The shard and trainer faults
-    /// a configured [`FaultInjector`] schedules fire here.
+    /// drained batch — no epoch is skipped. The shard faults a configured
+    /// [`FaultInjector`] schedules fire here.
     ///
     /// # Errors
     ///
@@ -802,12 +643,10 @@ impl DispatchService {
     /// `auto_recover` is off or recovery itself failed).
     pub fn run_epoch(&self) -> Result<Vec<EpochReport>, ServeError> {
         let (applied, invalid) = self.apply_advisories(self.advisories.drain());
-        let (directives, mut tally) = self.state().rollout.plan(self.shards.len());
-        let cmds: Vec<ShardCmd> = (self.request_queues.iter().zip(directives))
-            .map(|(q, rollout)| ShardCmd::RunEpoch {
+        let cmds: Vec<ShardCmd> = (self.request_queues.iter())
+            .map(|q| ShardCmd::RunEpoch {
                 requests: q.drain(),
                 budget_ms: self.config.epoch_deadline_ms,
-                rollout,
             })
             .collect();
         let mut send_failed = vec![false; self.shards.len()];
@@ -840,50 +679,29 @@ impl DispatchService {
         if let Some(e) = first_error {
             return Err(e);
         }
-        let mut reports = Vec::with_capacity(statuses.len());
-        let mut events = Events::new();
-        // Tapped transitions, collected in shard-index order so the
-        // trainer's input stream is deterministic.
-        let mut trainer_feed: Vec<PairTransition> = Vec::new();
-        let epoch;
-        {
-            let mut state = self.state();
-            let mut any_degraded = false;
-            for (i, st) in statuses {
-                any_degraded |= st.degraded_now;
-                tally.add(i, &st);
-                if st.degraded_now {
-                    events.push((
-                        Level::Warn,
-                        Some(i),
-                        "epoch served degraded on the heuristic fallback".to_owned(),
-                    ));
-                }
-                if let Some(err) = st.swap_error {
-                    match &err {
-                        SwapError::Injected => self.swap_fail_injected.inc(),
-                        SwapError::Build(_) => self.swap_fail_build.inc(),
-                        SwapError::Rollout(_) => self.swap_fail_rollout.inc(),
-                    }
-                    events.push((Level::Warn, Some(i), format!("model swap failed: {err}")));
-                    state.last_swap_error = Some((i, err));
-                }
-                reports.push(st.report);
-                trainer_feed.extend(st.transitions);
-            }
-            if state.rollout.advance(&tally, &mut events) {
-                self.rollouts_rolled_back.inc();
-            }
-            epoch = state.epochs_completed;
-            state.epochs_completed += 1;
+        let epoch = {
+            let mut epochs = self.epochs_completed();
+            let epoch = *epochs;
+            *epochs += 1;
             self.advisories_applied.add(applied);
             self.advisories_invalid.add(invalid);
-            if any_degraded {
+            if statuses.iter().any(|(_, st)| st.degraded_now) {
                 self.degraded_epochs.inc();
             }
+            epoch
+        };
+        let mut reports = Vec::with_capacity(statuses.len());
+        for (i, st) in statuses {
+            if st.degraded_now {
+                self.obs.events().log(
+                    Level::Warn,
+                    epoch,
+                    Some(i),
+                    "epoch served degraded on the heuristic fallback",
+                );
+            }
+            reports.push(st.report);
         }
-        self.log_events(epoch, events);
-        self.run_trainer_phase(epoch, trainer_feed);
         self.wal_epoch_sync()?;
         self.obs
             .events()
@@ -892,118 +710,6 @@ impl DispatchService {
             self.checkpoint_shards()?;
         }
         Ok(reports)
-    }
-
-    /// The trainer's slice of the epoch boundary: apply any scheduled
-    /// trainer fault, offer the epoch's tapped transitions into the
-    /// bounded queue, run the learning steps, refresh the crash-recovery
-    /// checkpoint, and route an emitted candidate into the rollout
-    /// pipeline. A no-op when no trainer is configured.
-    fn run_trainer_phase(&self, epoch: u32, mut transitions: Vec<PairTransition>) {
-        if self.config.trainer.is_none() {
-            return;
-        }
-        let fault = self
-            .config
-            .faults
-            .as_ref()
-            .and_then(|f| f.take_trainer_fault(epoch));
-        let mut flood = 0u32;
-        match fault {
-            None => {}
-            Some(TrainerFault::TransitionDrop) => {
-                // Lost in transit, upstream of the trainer queue: these
-                // never count as offered, so conservation still holds.
-                let n = transitions.len();
-                transitions.clear();
-                self.obs.events().log(
-                    Level::Warn,
-                    epoch,
-                    None,
-                    format!("trainer fault: {n} tapped transitions lost in transit"),
-                );
-            }
-            Some(TrainerFault::StaleCandidateFlood(n)) => flood = n,
-            Some(TrainerFault::Crash) => {
-                let mut slot = lock(&self.trainer);
-                if let Some(s) = slot.as_mut() {
-                    let message = match s.trainer.restore(&s.checkpoint) {
-                        Ok(trainer) => {
-                            s.trainer = trainer;
-                            "trainer crashed; respawned from last boundary checkpoint".to_owned()
-                        }
-                        // Unreachable with self-written checkpoints; keep
-                        // the live trainer rather than panicking.
-                        Err(e) => format!("trainer crash recovery failed, kept live state: {e}"),
-                    };
-                    self.obs.events().log(Level::Error, epoch, None, message);
-                }
-            }
-        }
-        let candidate = {
-            let mut slot = lock(&self.trainer);
-            let Some(s) = slot.as_mut() else { return };
-            s.trainer.offer(transitions);
-            let candidate = s.trainer.epoch_tick();
-            s.checkpoint = s.trainer.snapshot_text();
-            candidate
-        };
-        // Submission happens outside the trainer lock: `submit_rollout`
-        // takes the state lock, and it never touches the trainer.
-        if let Some(text) = candidate {
-            self.candidates_submitted.inc();
-            match self.submit_rollout(None, Some(&text)) {
-                Ok(_) => {
-                    self.candidates_admitted.inc();
-                    self.obs.events().log(
-                        Level::Info,
-                        epoch,
-                        None,
-                        "trainer candidate submitted to the rollout pipeline",
-                    );
-                }
-                Err(e) => {
-                    // A rollout already in flight (or a rejected artifact)
-                    // discards the candidate deterministically; the next
-                    // cadence tick emits a fresher one anyway.
-                    self.candidates_rejected.inc();
-                    self.obs.events().log(
-                        Level::Warn,
-                        epoch,
-                        None,
-                        format!("trainer candidate discarded: {e}"),
-                    );
-                }
-            }
-        }
-        for _ in 0..flood {
-            // A wedged trainer replaying stale state: structurally valid,
-            // reward-tanking candidates. Every one must die at a gate.
-            self.candidates_submitted.inc();
-            let stale = reward_tank_policy_text();
-            match self.submit_rollout(None, Some(&stale)) {
-                Ok(_) => self.candidates_admitted.inc(),
-                Err(_) => self.candidates_rejected.inc(),
-            }
-        }
-        if flood > 0 {
-            self.obs.events().log(
-                Level::Warn,
-                epoch,
-                None,
-                format!("trainer fault: flood of {flood} stale candidates submitted"),
-            );
-        }
-    }
-
-    /// The most recent failed model hot-swap, if any: the shard index and
-    /// the typed reason (injected fault, bundle build failure, or a
-    /// rollout candidate rejected on a canary shard). A failed swap is not
-    /// fatal — the shard keeps serving with its previous dispatcher, or
-    /// degraded on the heuristic fallback when none exists — but operators
-    /// should see it.
-    pub fn last_swap_error(&self) -> Option<(usize, SwapError)> {
-        self.state().last_swap_error.clone()
     }
 
     /// Assembles a point-in-time metrics snapshot without stopping any
@@ -1017,19 +723,11 @@ impl DispatchService {
     /// service reports (each written live by its owner — a queue, a shard
     /// worker, the epoch barrier — or set by a restore), and the event
     /// ring. The few values owned outside the registry are sampled into
-    /// it first: the barrier's epoch count, the model registry's version
-    /// and swap count, and each request queue's depth.
+    /// it first: the barrier's epoch count and each request queue's depth.
     pub fn obs_snapshot(&self) -> ObsSnapshot {
-        self.sample_into_registry(&self.state())
-    }
-
-    fn sample_into_registry(&self, state: &ServiceState) -> ObsSnapshot {
         let o = &self.obs;
-        o.counter("serve.epochs_completed")
-            .set(u64::from(state.epochs_completed));
-        o.gauge("serve.model_version")
-            .set(self.registry.current().version as i64);
-        o.counter("serve.model_swaps").set(self.registry.swaps());
+        let epochs = self.epochs_completed();
+        o.counter("serve.epochs_completed").set(u64::from(*epochs));
         for (i, q) in self.request_queues.iter().enumerate() {
             o.gauge(&shard_series(i, "queue_depth"))
                 .set(q.depth() as i64);
@@ -1052,8 +750,8 @@ impl DispatchService {
     pub fn snapshot(&self) -> Result<String, ServeError> {
         let _span = self.snapshot_hist.time(self.clock.as_ref());
         // Capture the journal high-water mark AND the queue contents in
-        // ONE journal critical section, before taking the state lock (wal
-        // and state locks are never held together). Every journaled push
+        // ONE journal critical section, before taking the epoch lock (wal
+        // and epoch locks are never held together). Every journaled push
         // holds the wal lock across its queue push, so a record at
         // `seq <= hwm` is already visible to this capture and a record
         // past the mark never is — exactly the invariant a restore's
@@ -1082,8 +780,8 @@ impl DispatchService {
         };
         let mut out = String::from("mrserve 1\n");
         {
-            let state = self.state();
-            let _ = writeln!(out, "epochs {} {}", state.epochs_completed, wal_hwm);
+            let epochs = self.epochs_completed();
+            let _ = writeln!(out, "epochs {} {}", *epochs, wal_hwm);
             let _ = writeln!(
                 out,
                 "advisories {} {} {} {}",
@@ -1094,21 +792,10 @@ impl DispatchService {
             );
             let _ = writeln!(
                 out,
-                "resil {} {} {} {} {}",
+                "resil {} {}",
                 self.degraded_epochs.value(),
-                self.retries.value(),
-                self.swap_fail_injected.value(),
-                self.swap_fail_build.value(),
-                self.swap_fail_rollout.value()
+                self.retries.value()
             );
-            state.rollout.write_records(&mut out);
-        }
-        // Trainer state rides along as one counted text block; snapshots
-        // taken before the trainer existed simply lack the record, and
-        // restore treats its absence as training-from-scratch (or
-        // disabled, when the config carries no trainer).
-        if let Some(slot) = lock(&self.trainer).as_ref() {
-            write_block(&mut out, "tstate", &slot.trainer.snapshot_text());
         }
         out.push_str(&rqueue_text);
         for event in self.advisories.peek_all() {
@@ -1157,7 +844,7 @@ impl DispatchService {
         scenario: Arc<Scenario>,
         config: ServeConfig,
         clock: Arc<dyn Clock>,
-        registry: Arc<ModelRegistry>,
+        bundle: Arc<ModelBundle>,
         text: &str,
     ) -> Result<Self, ServeError> {
         let bad = |why: &str| ServeError::BadSnapshot(why.to_owned());
@@ -1166,15 +853,13 @@ impl DispatchService {
         // start_core, not start: the journal must replay against the
         // *restored* queues with the snapshot's high-water mark as the
         // cutoff, so it attaches at the very end of restore.
-        let svc = Self::start_core(scenario, config, clock, registry)?;
+        let svc = Self::start_core(scenario, config, clock, bundle)?;
         let num_shards = svc.config.num_shards;
         let num_segments = svc.scenario.city.network.num_segments();
         // Singleton records; an absent one restores its default.
         let mut epochs: Option<(u32, Option<u64>)> = None;
         let mut adv_counts: Option<[u64; 4]> = None;
-        let mut resil: Option<([u64; 2], Option<[u64; 3]>)> = None;
-        let mut rollout_records = RolloutRecords::default();
-        let mut trainer_text: Option<String> = None;
+        let mut resil: Option<[u64; 2]> = None;
         let mut rqueue_counters = vec![(0u64, 0u64); num_shards];
         let mut restored_shards = vec![false; num_shards];
         let read_spec = |r: &mut Record| -> Result<RequestSpec, RecordError> {
@@ -1209,17 +894,26 @@ impl DispatchService {
                 // restore starts every `epoch.*` histogram empty.
                 "hist" => continue,
                 "resil" => {
-                    // Pre-rollout snapshots lack the swap-cause tail.
+                    // Snapshots written while a running service could swap
+                    // its models carry three swap-failure counters after
+                    // these two; they are read and dropped.
                     r.once(&mut resil, |r| {
                         let counters = [r.field("degraded")?, r.field("retries")?];
-                        Ok((counters, r.tail("swap-cause counters")?))
+                        r.tail::<u64, 3>("swap-cause counters")?;
+                        Ok(counters)
                     })?;
                 }
-                "rrew" | "rollout" | "rtext" => {
-                    rollout_records.read(r, &mut reader)?;
-                    continue;
+                // So were the rollout pipeline's reward window and stage,
+                // its checkpoint texts and the online trainer's state; a
+                // restored service serves the bundle it was given.
+                "rrew" | "rollout" => continue,
+                "rtext" => {
+                    r.token("kind")?;
+                    reader.block(&mut r)?;
                 }
-                "tstate" => r.once(&mut trainer_text, |r| reader.block(r))?,
+                "tstate" => {
+                    reader.block(&mut r)?;
+                }
                 "rqueue" => {
                     let i: usize = r.below(num_shards, "shard")?;
                     rqueue_counters[i] = (r.field("accepted")?, r.field("shed")?);
@@ -1268,27 +962,11 @@ impl DispatchService {
         if !restored_shards.iter().all(|&r| r) {
             return Err(bad("snapshot does not cover every configured shard"));
         }
-        let rollout =
-            rollout_records.restore(svc.config.rollout.clone(), Arc::clone(&svc.registry))?;
-        // A trainer record only matters when the restored service trains:
-        // the snapshot carries state, the config carries topology. With
-        // training disabled the record is skipped, and a snapshot without
-        // one (taken before the trainer existed, or with training off)
-        // restores into a trainer-configured service training from scratch.
-        if let (Some(text), Some(slot)) = (&trainer_text, lock(&svc.trainer).as_mut()) {
-            slot.trainer = slot
-                .trainer
-                .restore(text)
-                .map_err(|e| ServeError::BadSnapshot(format!("trainer state in snapshot: {e}")))?;
-            slot.checkpoint = slot.trainer.snapshot_text();
-        }
         // Counters are *set*, not added, and only after every `queued` and
         // `adv` record was pushed through its queue: a restored service
-        // continues from the snapshot's totals exactly once, even when the
-        // caller handed `start` a pre-populated registry.
+        // continues from the snapshot's totals exactly once.
         let [applied, invalid, adv_accepted, adv_shed] = adv_counts.unwrap_or_default();
-        let ([degraded, retries], swap_causes) = resil.unwrap_or_default();
-        let [swap_injected, swap_build, swap_rollout] = swap_causes.unwrap_or_default();
+        let [degraded, retries] = resil.unwrap_or_default();
         for (q, (accepted, shed)) in svc.request_queues.iter().zip(rqueue_counters) {
             let (a, s) = q.counters();
             a.set(accepted);
@@ -1301,15 +979,8 @@ impl DispatchService {
         svc.advisories_applied.set(applied);
         svc.advisories_invalid.set(invalid);
         svc.degraded_epochs.set(degraded);
-        svc.swap_fail_injected.set(swap_injected);
-        svc.swap_fail_build.set(swap_build);
-        svc.swap_fail_rollout.set(swap_rollout);
         let (epochs, wal_hwm) = epochs.unwrap_or_default();
-        {
-            let mut state = svc.state();
-            state.epochs_completed = epochs;
-            state.rollout = rollout;
-        }
+        *svc.epochs_completed() = epochs;
         // The snapshot restored everything journaled at or below its
         // high-water mark; replaying the journal suffix past it recovers
         // the requests acked after the snapshot was taken.

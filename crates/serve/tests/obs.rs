@@ -1,12 +1,12 @@
 //! Observability integration: the service publishes its phase histograms,
 //! registry-backed counters and routing gauges, and snapshot→restore→
-//! continue never double-counts — even into a pre-populated host registry.
+//! continue never double-counts.
 
 use mobirescue_core::scenario::Scenario;
 use mobirescue_roadnet::graph::SegmentId;
 use mobirescue_serve::chaos::chaos_scenario;
-use mobirescue_serve::obs::{ObsSnapshot, Registry};
-use mobirescue_serve::{Clock, DispatchService, Event, ModelRegistry, ServeConfig, SimClock};
+use mobirescue_serve::obs::ObsSnapshot;
+use mobirescue_serve::{Clock, DispatchService, Event, ModelBundle, ServeConfig, SimClock};
 use mobirescue_sim::{RequestSpec, SimConfig};
 use std::sync::Arc;
 
@@ -25,7 +25,7 @@ fn start_service(config: ServeConfig) -> (Arc<Scenario>, DispatchService) {
         Arc::clone(&scenario),
         config,
         Arc::new(SimClock::new()) as Arc<dyn Clock>,
-        Arc::new(ModelRegistry::new(None, None)),
+        Arc::new(ModelBundle::default()),
     )
     .expect("service starts");
     (scenario, service)
@@ -120,8 +120,7 @@ fn phase_histograms_cover_every_epoch_and_dump_round_trips() {
 /// The registry-backed counter bugfix pinned: restoring a snapshot *sets*
 /// the counters rather than adding to them, so a restored service's
 /// shard-summed and service-level counters match the live one exactly and
-/// keep evolving identically — even when the host hands `restore` a
-/// registry that already carries stale values from a previous tenant.
+/// keep evolving identically.
 #[test]
 fn restore_into_prepopulated_registry_does_not_double_count() {
     let (scenario, service) = start_service(small_config());
@@ -137,31 +136,19 @@ fn restore_into_prepopulated_registry_does_not_double_count() {
         "epoch latency is telemetry: the snapshot carries no `hist` record"
     );
 
-    // A host registry polluted by a previous tenant's totals.
-    let host = Arc::new(Registry::new());
-    host.counter("serve.ingest_retries").add(99);
-    host.counter("serve.advisories_applied").add(77);
-    host.counter("serve.advisories_invalid").add(55);
-    host.counter("serve.degraded_epochs").add(33);
-
-    let mut config = small_config();
-    config.obs = Some(Arc::clone(&host));
     let restored = DispatchService::restore(
         Arc::clone(&scenario),
-        config,
+        small_config(),
         Arc::new(SimClock::new()) as Arc<dyn Clock>,
-        Arc::new(ModelRegistry::new(None, None)),
+        Arc::new(ModelBundle::default()),
         &snapshot,
     )
     .expect("clean snapshot restores");
     assert_eq!(
         restored.metrics(),
         metrics_at_snap,
-        "restored counters must equal the snapshot's, not snapshot + stale"
+        "restored counters must equal the snapshot's"
     );
-    assert_eq!(host.counter("serve.advisories_applied").value(), {
-        metrics_at_snap.advisories_applied
-    });
 
     // Continue both services with the same stream: totals must stay equal
     // (the restored one must not re-count what the snapshot carried).

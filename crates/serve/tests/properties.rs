@@ -1,22 +1,15 @@
 //! Property tests for the `mrserve 1` snapshot format — restore of any
 //! truncated or bit-flipped snapshot must return a typed
 //! [`ServeError::BadSnapshot`], never panic, never silently succeed, and a
-//! re-sealed snapshot with one hostile field must restore or fail typed —
-//! and for rollout admission, which must reject any candidate policy
-//! with mismatched layer shapes or a non-finite weight anywhere, and must
-//! refuse a candidate with one hostile field typed, never by panicking.
+//! re-sealed snapshot with one hostile field must restore or fail typed.
 //!
 //! The checksum trailer is verified before a single record is parsed, so
 //! every corrupted case fails fast without spawning shard workers.
 
-use mobirescue_core::rl_dispatch::FEATURE_DIM;
 use mobirescue_core::scenario::{Scenario, ScenarioConfig};
-use mobirescue_rl::nn::Mlp;
-use mobirescue_rl::persist::mlp_to_text;
 use mobirescue_roadnet::graph::SegmentId;
-use mobirescue_serve::rollout::{admit, Artifact};
 use mobirescue_serve::{
-    Clock, DispatchService, Event, ModelRegistry, RolloutError, ServeConfig, ServeError, SimClock,
+    Clock, DispatchService, Event, ModelBundle, ServeConfig, ServeError, SimClock,
 };
 use mobirescue_sim::{open_snapshot, seal_snapshot, RequestSpec, SimConfig};
 use proptest::prelude::*;
@@ -41,12 +34,12 @@ fn fixture() -> &'static Fixture {
     FIXTURE.get_or_init(|| {
         let scenario = Arc::new(ScenarioConfig::small().florence().build(11));
         let clock = Arc::new(SimClock::new());
-        let registry = Arc::new(ModelRegistry::new(None, None));
+        let bundle = Arc::new(ModelBundle::default());
         let service = DispatchService::start(
             Arc::clone(&scenario),
             config(),
             clock as Arc<dyn Clock>,
-            registry,
+            bundle,
         )
         .expect("service starts");
         let num_segments = scenario.city.network.num_segments() as u32;
@@ -85,7 +78,7 @@ fn restore(text: &str) -> Result<DispatchService, ServeError> {
         Arc::clone(&f.scenario),
         config(),
         Arc::new(SimClock::new()) as Arc<dyn Clock>,
-        Arc::new(ModelRegistry::new(None, None)),
+        Arc::new(ModelBundle::default()),
         text,
     )
 }
@@ -128,57 +121,6 @@ fn with_hostile_field(snapshot: &str, pick: usize, hostile: &str) -> String {
         out.push('\n');
     }
     seal_snapshot(out)
-}
-
-/// Values chosen to break a checkpoint parser: a zero-sized layer or
-/// spread, a huge layer, an overflow, a negative, a non-number.
-const HOSTILE_CHECKPOINT: [&str; 5] = ["0", "100000", "18446744073709551615", "-1", "x"];
-
-/// An admissible candidate: a hand-written predictor over the three
-/// disaster factors and a `FEATURE_DIM`→3→1 policy, in artifact order
-/// (`Artifact::Svm`, `Artifact::Dqn`).
-fn admissible_candidate() -> [String; 2] {
-    let predictor = "predictor michael 4 0.25\n\
-                     means 1.0 20.0 5.0\n\
-                     stds 2.0 10.0 3.0\n\
-                     svm rbf 0.5\n\
-                     bias 0.1\n\
-                     sv 0.5 0.2 -0.4 1.0\n";
-    [
-        predictor.to_owned(),
-        mlp_to_text(&Mlp::new(&[FEATURE_DIM, 3, 1], 5)),
-    ]
-}
-
-/// Edits one whitespace-separated field of `text`, counted across all its
-/// lines: `edit` indexes [`HOSTILE_CHECKPOINT`] to replace the field, or
-/// is 5 to drop it, or 6 to duplicate it.
-fn with_hostile_checkpoint_field(text: &str, pick: usize, edit: usize) -> String {
-    let mut lines: Vec<Vec<&str>> = text
-        .lines()
-        .map(|l| l.split_whitespace().collect())
-        .collect();
-    let fields: Vec<(usize, usize)> = lines
-        .iter()
-        .enumerate()
-        .flat_map(|(ln, f)| (0..f.len()).map(move |i| (ln, i)))
-        .collect();
-    let (ln, i) = fields[pick % fields.len()];
-    let line = &mut lines[ln];
-    match edit {
-        5 => {
-            line.remove(i);
-        }
-        6 => line.insert(i, line[i]),
-        _ => line[i] = HOSTILE_CHECKPOINT[edit],
-    }
-    lines.iter().map(|f| f.join(" ") + "\n").collect()
-}
-
-#[test]
-fn admissible_candidate_is_admitted() {
-    let [predictor, policy] = admissible_candidate();
-    admit(Some(&predictor), Some(&policy), 1e6).expect("the unedited candidate is admissible");
 }
 
 proptest! {
@@ -246,81 +188,6 @@ proptest! {
                 prop_assert!(!message.contains("worker thread"), "shard worker died: {message}");
             }
             Err(_) => {}
-        }
-    }
-
-    /// Admission rejects any policy whose layer shapes disagree with the
-    /// dispatcher's feature contract, on either end of the network.
-    #[test]
-    fn admission_rejects_any_shape_mismatch(
-        in_extra in 0usize..4,
-        out_extra in 0usize..4,
-        hidden in 1usize..12,
-        seed in 0u64..1000,
-    ) {
-        // Skew at least one end away from the FEATURE_DIM → 1 contract.
-        let (in_extra, out_extra) = if in_extra == 0 && out_extra == 0 {
-            (1, 0)
-        } else {
-            (in_extra, out_extra)
-        };
-        let net = Mlp::new(&[FEATURE_DIM + in_extra, hidden, 1 + out_extra], seed);
-        match admit(None, Some(&mlp_to_text(&net)), 1e6) {
-            Err(RolloutError::Probe { message, .. }) => {
-                prop_assert!(message.contains("dispatcher needs"), "{message}");
-            }
-            Err(other) => prop_assert!(false, "wrong rejection: {other}"),
-            Ok(_) => prop_assert!(false, "shape mismatch admitted"),
-        }
-    }
-
-    /// Admission rejects any bundle carrying a non-finite weight, wherever
-    /// it hides in the parameter vector.
-    #[test]
-    fn admission_rejects_any_non_finite_weight(
-        idx in 0usize..10_000,
-        inf in 0u8..3,
-        hidden in 1usize..12,
-        seed in 0u64..1000,
-    ) {
-        let mut net = Mlp::new(&[FEATURE_DIM, hidden, 1], seed);
-        let poison = match inf {
-            0 => f64::NAN,
-            1 => f64::INFINITY,
-            _ => f64::NEG_INFINITY,
-        };
-        let target = idx % net.num_params();
-        net.visit_params_mut(|i, w, _| {
-            if i == target {
-                *w = poison;
-            }
-        });
-        match admit(None, Some(&mlp_to_text(&net)), 1e6) {
-            Err(RolloutError::Probe { message, .. }) => {
-                prop_assert!(message.contains("not finite"), "{message}");
-            }
-            Err(other) => prop_assert!(false, "wrong rejection: {other}"),
-            Ok(_) => prop_assert!(false, "non-finite weight at {target} admitted"),
-        }
-    }
-
-    /// One hostile field in either checkpoint text is admitted or refused
-    /// with a typed error naming that artifact; admission never panics.
-    #[test]
-    fn admission_never_panics_on_a_hostile_field(
-        artifact in 0usize..2,
-        pick in 0usize..1_000_000,
-        edit in 0usize..7,
-    ) {
-        let mut texts = admissible_candidate();
-        texts[artifact] = with_hostile_checkpoint_field(&texts[artifact], pick, edit);
-        let edited = [Artifact::Svm, Artifact::Dqn][artifact];
-        match admit(Some(&texts[0]), Some(&texts[1]), 1e6) {
-            Ok(_) => {}
-            Err(RolloutError::Parse { artifact, .. } | RolloutError::Probe { artifact, .. }) => {
-                prop_assert_eq!(artifact, edited);
-            }
-            Err(other) => prop_assert!(false, "wrong refusal: {other}"),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end service test: streaming ingestion with shedding and
 //! retry, three paced epochs on the simulated clock, snapshot, restore,
 //! and metrics/evolution equality between the original and restored
-//! service — plus a model hot-swap picked up at the next epoch boundary.
+//! service — plus the refusal of a model bundle no dispatcher can serve.
 
 use mobirescue_core::rl_dispatch::FEATURE_DIM;
 use mobirescue_core::scenario::{Scenario, ScenarioConfig};
@@ -9,8 +9,8 @@ use mobirescue_rl::nn::Mlp;
 use mobirescue_roadnet::graph::SegmentId;
 use mobirescue_serve::obs::TimeSource;
 use mobirescue_serve::{
-    Clock, DispatchService, Event, ModelRegistry, RetryPolicy, ServeConfig, ServeError, SimClock,
-    SwapError, WalConfig,
+    Clock, DispatchService, Event, ModelBundle, RetryPolicy, ServeConfig, ServeError, SimClock,
+    WalConfig,
 };
 use mobirescue_sim::{seal_snapshot, RequestSpec, SimConfig};
 use std::sync::{Arc, OnceLock, Weak};
@@ -29,13 +29,13 @@ fn test_config() -> ServeConfig {
 fn start_service(
     scenario: &Arc<Scenario>,
     clock: &Arc<SimClock>,
-    registry: &Arc<ModelRegistry>,
+    bundle: &Arc<ModelBundle>,
 ) -> DispatchService {
     DispatchService::start(
         Arc::clone(scenario),
         test_config(),
         Arc::clone(clock) as Arc<dyn Clock>,
-        Arc::clone(registry),
+        Arc::clone(bundle),
     )
     .expect("service starts")
 }
@@ -74,8 +74,8 @@ fn ingest_all(service: &DispatchService, scenario: &Scenario, epoch: u32, n: u32
 fn ingestion_rejects_malformed_events_and_sheds_overflow() {
     let scenario = test_scenario();
     let clock = Arc::new(SimClock::new());
-    let registry = Arc::new(ModelRegistry::new(None, None));
-    let service = start_service(&scenario, &clock, &registry);
+    let bundle = Arc::new(ModelBundle::default());
+    let service = start_service(&scenario, &clock, &bundle);
 
     // Unknown shard and unknown segment are errors, not queued junk.
     let spec = RequestSpec {
@@ -139,8 +139,8 @@ fn ingestion_rejects_malformed_events_and_sheds_overflow() {
 fn retry_exhaustion_accounts_every_offer() {
     let scenario = test_scenario();
     let clock = Arc::new(SimClock::new());
-    let registry = Arc::new(ModelRegistry::new(None, None));
-    let service = start_service(&scenario, &clock, &registry);
+    let bundle = Arc::new(ModelBundle::default());
+    let service = start_service(&scenario, &clock, &bundle);
 
     // Fill shard 0 to capacity (4), then offer one more with retry. No
     // consumer drains between attempts, so every attempt sheds and the
@@ -228,7 +228,7 @@ fn a_shed_offer_is_admitted_on_its_first_retry() {
             Arc::clone(&scenario),
             config,
             Arc::clone(&clock) as Arc<dyn Clock>,
-            Arc::new(ModelRegistry::new(None, None)),
+            Arc::new(ModelBundle::default()),
         )
         .expect("service starts"),
     );
@@ -272,8 +272,8 @@ fn a_shed_offer_is_admitted_on_its_first_retry() {
 fn route_planner_counters_survive_restore_exactly() {
     let scenario = test_scenario();
     let clock = Arc::new(SimClock::new());
-    let registry = Arc::new(ModelRegistry::new(None, None));
-    let service = start_service(&scenario, &clock, &registry);
+    let bundle = Arc::new(ModelBundle::default());
+    let service = start_service(&scenario, &clock, &bundle);
 
     // Enough dispatch work that every shard's planner both misses (first
     // route to a segment in an epoch) and hits (repeat routes).
@@ -294,7 +294,7 @@ fn route_planner_counters_survive_restore_exactly() {
         Arc::clone(&scenario),
         test_config(),
         Arc::clone(&clock) as Arc<dyn Clock>,
-        Arc::clone(&registry),
+        Arc::clone(&bundle),
         &snapshot,
     )
     .expect("snapshot restores");
@@ -332,8 +332,8 @@ fn route_planner_counters_survive_restore_exactly() {
 fn snapshot_restore_preserves_metrics_and_future_evolution() {
     let scenario = test_scenario();
     let clock = Arc::new(SimClock::new());
-    let registry = Arc::new(ModelRegistry::new(None, None));
-    let service = start_service(&scenario, &clock, &registry);
+    let bundle = Arc::new(ModelBundle::default());
+    let service = start_service(&scenario, &clock, &bundle);
 
     // Three epochs paced on the simulated clock, with fresh requests
     // ingested between epochs and some left pending in the queues.
@@ -371,7 +371,7 @@ fn snapshot_restore_preserves_metrics_and_future_evolution() {
         Arc::clone(&scenario),
         test_config(),
         Arc::clone(&clock) as Arc<dyn Clock>,
-        Arc::clone(&registry),
+        Arc::clone(&bundle),
         &snapshot,
     )
     .expect("snapshot restores");
@@ -403,7 +403,7 @@ fn snapshot_restore_preserves_metrics_and_future_evolution() {
         Arc::clone(&scenario),
         test_config(),
         Arc::clone(&clock) as Arc<dyn Clock>,
-        Arc::clone(&registry),
+        Arc::clone(&bundle),
         &again,
     )
     .expect("second restore");
@@ -414,58 +414,63 @@ fn snapshot_restore_preserves_metrics_and_future_evolution() {
 }
 
 #[test]
-fn hot_swap_applies_at_the_next_epoch_without_stopping_ingestion() {
+fn a_misshapen_policy_is_refused_at_start_and_restore() {
     let scenario = test_scenario();
     let clock = Arc::new(SimClock::new());
-    let registry = Arc::new(ModelRegistry::new(None, None));
-    let service = start_service(&scenario, &clock, &registry);
-
+    let service = start_service(&scenario, &clock, &Arc::new(ModelBundle::default()));
     ingest_all(&service, &scenario, 0, 2);
     service.run_epoch().expect("epoch 0");
-    assert_eq!(service.metrics().model_version, 1);
+    let snapshot = service.snapshot().expect("snapshot serializes");
+    service.shutdown();
 
-    // Install a policy mid-run.
-    let mut dims = vec![FEATURE_DIM, 8, 1];
-    let version = registry.install(None, Some(Mlp::new(&dims, 99)));
-    assert_eq!(version, 2);
-
-    // Ingestion keeps working between the swap and the next epoch.
-    ingest_all(&service, &scenario, 1, 2);
-    service.run_epoch().expect("epoch 1");
-    let m = service.metrics();
-    assert_eq!(m.model_version, 2);
-    assert_eq!(m.model_swaps, 1);
-    assert!(
-        m.shards.iter().all(|s| s.model_version == 2),
-        "all shards rebuilt"
-    );
-    assert!(service.last_swap_error().is_none());
-
-    // A wrong-shaped policy is rejected by the shards but never kills the
-    // service: it keeps dispatching with the previous bundle.
-    dims[0] = FEATURE_DIM + 1;
-    registry.install(None, Some(Mlp::new(&dims, 7)));
-    ingest_all(&service, &scenario, 2, 2);
-    service.run_epoch().expect("epoch 2 still runs");
-    let m = service.metrics();
-    assert!(
-        m.shards.iter().all(|s| s.model_version == 2),
-        "shards keep the old bundle"
-    );
-    let (_, why) = service.last_swap_error().expect("swap failure surfaced");
-    match &why {
-        SwapError::Build(msg) => {
-            assert!(msg.contains("dispatcher needs"), "unexpected reason: {msg}")
+    // A policy scoring one feature too many cannot rank the dispatcher's
+    // candidates: the service refuses it before any shard spawns.
+    let bundle = Arc::new(ModelBundle {
+        predictor: None,
+        policy: Some(Mlp::new(&[FEATURE_DIM + 1, 8, 1], 7)),
+    });
+    let refused = |result: Result<DispatchService, ServeError>| match result {
+        Err(e @ ServeError::PolicyShape { .. }) => {
+            assert_eq!(
+                e,
+                ServeError::PolicyShape {
+                    inputs: FEATURE_DIM + 1,
+                    outputs: 1
+                }
+            );
+            let why = e.to_string();
+            assert!(
+                why.contains(&format!("{}→1", FEATURE_DIM + 1))
+                    && why.contains(&format!("needs {FEATURE_DIM}→1")),
+                "the error names both shapes: {why}"
+            );
         }
-        other => panic!("expected a build failure, got {other}"),
-    }
+        Err(e) => panic!("refused for the wrong reason: {e}"),
+        Ok(service) => {
+            service.shutdown();
+            panic!("a {}→1 policy was served", FEATURE_DIM + 1);
+        }
+    };
+    refused(DispatchService::start(
+        Arc::clone(&scenario),
+        test_config(),
+        Arc::clone(&clock) as Arc<dyn Clock>,
+        Arc::clone(&bundle),
+    ));
+    refused(DispatchService::restore(
+        Arc::clone(&scenario),
+        test_config(),
+        Arc::clone(&clock) as Arc<dyn Clock>,
+        bundle,
+        &snapshot,
+    ));
 }
 
 #[test]
 fn garbage_snapshots_are_rejected() {
     let scenario = test_scenario();
     let clock = Arc::new(SimClock::new());
-    let registry = Arc::new(ModelRegistry::new(None, None));
+    let bundle = Arc::new(ModelBundle::default());
     // Every body is correctly sealed, so the checksum passes and the
     // record parser itself must refuse — with the named reason.
     for (body, reason) in [
@@ -492,7 +497,7 @@ fn garbage_snapshots_are_rejected() {
             Arc::clone(&scenario),
             test_config(),
             Arc::clone(&clock) as Arc<dyn Clock>,
-            Arc::clone(&registry),
+            Arc::clone(&bundle),
             &text,
         );
         assert!(

@@ -7,7 +7,7 @@
 use mobirescue_core::scenario::{Scenario, ScenarioConfig};
 use mobirescue_roadnet::graph::SegmentId;
 use mobirescue_serve::{
-    Clock, DispatchService, Event, FsyncPolicy, ModelRegistry, ServeConfig, ServeError, SimClock,
+    Clock, DispatchService, Event, FsyncPolicy, ModelBundle, ServeConfig, ServeError, SimClock,
     WalConfig,
 };
 use mobirescue_sim::{RequestSpec, SimConfig};
@@ -46,7 +46,7 @@ fn start(scenario: &Arc<Scenario>, config: ServeConfig) -> Result<DispatchServic
         Arc::clone(scenario),
         config,
         Arc::new(SimClock::new()) as Arc<dyn Clock>,
-        Arc::new(ModelRegistry::new(None, None)),
+        Arc::new(ModelBundle::default()),
     )
 }
 
@@ -209,7 +209,7 @@ fn concurrent_snapshot_never_loses_or_duplicates_acked_requests() {
             Arc::clone(&scenario),
             config.clone(),
             Arc::new(SimClock::new()) as Arc<dyn Clock>,
-            Arc::new(ModelRegistry::new(None, None)),
+            Arc::new(ModelBundle::default()),
             text,
         )
         .unwrap_or_else(|e| panic!("snapshot {i} restores: {e}"));

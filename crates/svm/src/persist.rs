@@ -140,46 +140,6 @@ pub fn model_from_text(text: &str) -> Result<SvmModel, ParseModelError> {
     ))
 }
 
-/// Structural finiteness check over every numeric field of a model: kernel
-/// parameters, bias, coefficients, and support-vector entries.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first non-finite value.
-pub fn check_finite(model: &SvmModel) -> Result<(), String> {
-    match model.kernel() {
-        Kernel::Linear => {}
-        Kernel::Rbf { gamma } => {
-            if !gamma.is_finite() {
-                return Err(format!("rbf gamma is not finite ({gamma})"));
-            }
-        }
-        Kernel::Polynomial { coef0, .. } => {
-            if !coef0.is_finite() {
-                return Err(format!("polynomial coef0 is not finite ({coef0})"));
-            }
-        }
-    }
-    if !model.bias().is_finite() {
-        return Err(format!("bias is not finite ({})", model.bias()));
-    }
-    for (i, c) in model.coefficients().iter().enumerate() {
-        if !c.is_finite() {
-            return Err(format!("coefficient {i} is not finite ({c})"));
-        }
-    }
-    for (i, sv) in model.support_vectors().iter().enumerate() {
-        for (j, x) in sv.iter().enumerate() {
-            if !x.is_finite() {
-                return Err(format!(
-                    "support vector {i} component {j} is not finite ({x})"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,41 +185,6 @@ mod tests {
                 back.decision_function(&[0.4, 0.6])
             );
         }
-    }
-
-    #[test]
-    fn check_finite_flags_each_poisoned_field() {
-        let healthy = trained();
-        assert_eq!(check_finite(&healthy), Ok(()));
-
-        let bad_bias = SvmModel::from_parts(Kernel::Linear, vec![vec![1.0]], vec![0.5], f64::NAN);
-        assert!(check_finite(&bad_bias).unwrap_err().contains("bias"));
-
-        let bad_coef =
-            SvmModel::from_parts(Kernel::Linear, vec![vec![1.0]], vec![f64::INFINITY], 0.0);
-        assert!(check_finite(&bad_coef)
-            .unwrap_err()
-            .contains("coefficient 0"));
-
-        let bad_sv = SvmModel::from_parts(
-            Kernel::Rbf { gamma: 0.5 },
-            vec![vec![1.0, f64::NAN]],
-            vec![0.5],
-            0.0,
-        );
-        assert!(check_finite(&bad_sv)
-            .unwrap_err()
-            .contains("support vector 0 component 1"));
-
-        let bad_gamma = SvmModel::from_parts(
-            Kernel::Rbf {
-                gamma: f64::INFINITY,
-            },
-            vec![vec![1.0]],
-            vec![0.5],
-            0.0,
-        );
-        assert!(check_finite(&bad_gamma).unwrap_err().contains("gamma"));
     }
 
     #[test]

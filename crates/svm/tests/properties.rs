@@ -76,7 +76,7 @@ proptest! {
 
     /// Persisting a trained model is byte-stable: save → load → save
     /// produces the identical text, so checkpoints can be compared and
-    /// deduplicated by content (the serving hot-swap path relies on this).
+    /// deduplicated by content.
     #[test]
     fn persist_save_load_save_is_byte_stable(
         seed in 0u64..50,

@@ -1,12 +1,9 @@
 #!/usr/bin/env bash
 # Chaos seed sweep: run the dispatch service under N seeded fault plans
-# and record one line of invariant results per seed, then sweep poisoned
-# checkpoints (NaN weights, wrong dims, reward tank) through the guarded
-# rollout pipeline, then sweep trainer faults (transition drops,
-# stale-candidate floods, boundary crashes) through the online training
-# loop, then sweep WAL faults (kill -9 at arbitrary journal bytes, torn
-# appends, bit flips, fsync stalls) through the durable ingest journal
-# over the pinned CHAOS_SEEDS.
+# and record one line of invariant results per seed, then check that
+# shard crashes replay bit-identically, then sweep WAL faults (kill -9 at
+# arbitrary journal bytes, torn appends, bit flips, fsync stalls) through
+# the durable ingest journal over the pinned CHAOS_SEEDS.
 #
 #   scripts/chaos.sh [SEEDS] [BASE_SEED]
 #

@@ -9,7 +9,7 @@
 #                              # tests in release, `bench` included
 #
 # `cargo test -q` tests only the root package: its suites include the
-# five chaos suites (chaos, rollout, trainer, net, wal). The "crate tests"
+# three chaos suites (chaos, net, wal). The "crate tests"
 # step runs every library crate under `crates/` once — the golden and
 # frozen compat fixtures (`mrserve 1`, `mrworld 1`, `mrobs 1`), the
 # property tests that hold the CSR kernel and the route planner to naive

@@ -9,7 +9,7 @@
 
 use mobirescue_serve::chaos::{crash_replay_divergence, run_chaos, ChaosOptions};
 use mobirescue_serve::{
-    Clock, DispatchService, FaultPlan, ModelRegistry, ServeError, SimClock, SnapshotCorruption,
+    Clock, DispatchService, FaultPlan, ModelBundle, ServeError, SimClock, SnapshotCorruption,
 };
 use std::sync::Arc;
 
@@ -20,7 +20,7 @@ const SEEDS: [u64; 5] = mobirescue_serve::CHAOS_SEEDS;
 
 #[test]
 fn chaos_invariants_hold_for_fixed_seeds() {
-    let mut kinds_seen = (0u64, 0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
+    let mut kinds_seen = (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
     for seed in SEEDS {
         let outcome = run_chaos(&ChaosOptions::seeded(seed)).expect("chaos run completes");
         assert!(
@@ -43,7 +43,6 @@ fn chaos_invariants_hold_for_fixed_seeds() {
         kinds_seen.3 += c.corrupts;
         kinds_seen.4 += c.stalls;
         kinds_seen.5 += c.crashes;
-        kinds_seen.6 += c.swap_fails;
     }
     // The seed set is only a meaningful gate if, across it, every fault
     // kind actually fired.
@@ -53,10 +52,6 @@ fn chaos_invariants_hold_for_fixed_seeds() {
     assert!(kinds_seen.3 > 0, "no corrupt fired across the seed set");
     assert!(kinds_seen.4 > 0, "no stall fired across the seed set");
     assert!(kinds_seen.5 > 0, "no crash fired across the seed set");
-    assert!(
-        kinds_seen.6 > 0,
-        "no swap failure fired across the seed set"
-    );
 }
 
 #[test]
@@ -106,12 +101,12 @@ fn corrupted_snapshot_writes_are_rejected_on_restore() {
         let mut config = mobirescue_serve::ServeConfig::new(mobirescue_sim::SimConfig::small(6));
         config.num_shards = 2;
         let clock: Arc<SimClock> = Arc::new(SimClock::new());
-        let registry = Arc::new(ModelRegistry::new(None, None));
+        let bundle = Arc::new(ModelBundle::default());
         let service = DispatchService::start(
             Arc::clone(&scenario),
             config.clone(),
             Arc::clone(&clock) as Arc<dyn Clock>,
-            Arc::clone(&registry),
+            Arc::clone(&bundle),
         )
         .expect("service starts");
         service.run_epoch().expect("epoch runs");
@@ -122,7 +117,7 @@ fn corrupted_snapshot_writes_are_rejected_on_restore() {
             Arc::clone(&scenario),
             config,
             Arc::new(SimClock::new()) as Arc<dyn Clock>,
-            registry,
+            bundle,
             &corrupted,
         )
         .err()
