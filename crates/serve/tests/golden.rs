@@ -126,12 +126,11 @@ fn mrserve_v1_format_matches_golden_fixture() {
 }
 
 /// Compares a generated snapshot against the fixture at `path` byte for
-/// byte (or, under `UPDATE_GOLDEN`, writes it there) and returns the
-/// fixture text.
-fn assert_matches_fixture(generated: &str, path: &str) -> String {
+/// byte (or, under `UPDATE_GOLDEN`, writes it there).
+fn assert_matches_fixture(generated: &str, path: &str) {
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(path, generated).expect("fixture written");
-        return generated.to_owned();
+        return;
     }
     let golden = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("{path}: {e}; run with UPDATE_GOLDEN=1 to create it"));
@@ -161,7 +160,6 @@ fn assert_matches_fixture(generated: &str, path: &str) -> String {
              and explain the format change in the commit."
         );
     }
-    golden
 }
 
 /// Snapshots written before the guarded-rollout work carry a two-field
