@@ -184,20 +184,6 @@ impl DatasetAnalysis {
         )
     }
 
-    /// Figure 5: per-region daily average flow over a day range.
-    pub fn daily_region_flow(
-        &self,
-        scenario: &Scenario,
-        region: RegionId,
-        days: std::ops::Range<u32>,
-    ) -> Vec<f64> {
-        days.map(|d| {
-            self.flow
-                .region_daily_avg(&scenario.city.regions, region, d)
-        })
-        .collect()
-    }
-
     /// Table I: Pearson correlation between region-day flow rates and each
     /// disaster factor, over the disaster-and-recovery window.
     ///
@@ -374,7 +360,5 @@ mod tests {
         assert_eq!(hourly.len(), 24);
         let cdf = a.flow_difference_cdf(&scenario, 6..10, 17..21);
         assert!(!cdf.is_empty());
-        let daily = a.daily_region_flow(&scenario, r1, 9..20);
-        assert_eq!(daily.len(), 11);
     }
 }

@@ -197,14 +197,7 @@ pub fn run_comparison(config: &ExperimentConfig) -> Comparison {
         experiment_day,
         lookback.max(1),
     );
-    let ts_eval = TimeSeriesPredictor::fit(
-        &florence.city.network,
-        &matcher,
-        &florence_rescues,
-        experiment_day,
-        lookback.max(1),
-    );
-    let mut rescue = RescueDispatcher::new(ts);
+    let mut rescue = RescueDispatcher::new(ts.clone());
     let rescue_outcome = mobirescue_sim::run(
         &florence.city,
         &florence.conditions,
@@ -238,7 +231,7 @@ pub fn run_comparison(config: &ExperimentConfig) -> Comparison {
         experiment_day,
         |pos, hour| {
             let seg = matcher.nearest_segment(&florence.city.network, pos);
-            ts_eval.predict_person(seg, hour % 24, 0.2)
+            ts.predict_person(seg, hour % 24, 0.2)
         },
     );
 

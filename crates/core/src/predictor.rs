@@ -185,92 +185,6 @@ impl RequestPredictor {
         self.num_training_examples
     }
 
-    /// Serializes the trained predictor (scaler + SVM + threshold) to a
-    /// plain-text blob, so a model trained on one disaster can be shipped
-    /// to the next deployment.
-    pub fn to_text(&self) -> String {
-        let mut out = format!(
-            "predictor {} {} {:?}\n",
-            self.trained_on.replace(' ', "_"),
-            self.num_training_examples,
-            self.threshold
-        );
-        let fmt = |v: &[f64]| {
-            v.iter()
-                .map(|x| format!("{x:?}"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        out.push_str(&format!("means {}\n", fmt(self.scaler.means())));
-        out.push_str(&format!("stds {}\n", fmt(self.scaler.stds())));
-        out.push_str(&mobirescue_svm::persist::model_to_text(&self.model));
-        out
-    }
-
-    /// Parses a predictor produced by [`RequestPredictor::to_text`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message on any malformed section.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty input")?;
-        let mut parts = header.split_whitespace();
-        if parts.next() != Some("predictor") {
-            return Err("missing predictor header".into());
-        }
-        let trained_on = parts.next().ok_or("missing source")?.replace('_', " ");
-        let num_training_examples = parts
-            .next()
-            .and_then(|n| n.parse().ok())
-            .ok_or("bad example count")?;
-        let threshold: f64 = parts
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or("bad threshold")?;
-        let parse_vec = |line: Option<&str>, prefix: &str| -> Result<Vec<f64>, String> {
-            line.and_then(|l| l.strip_prefix(prefix))
-                .ok_or_else(|| format!("missing {prefix} line"))?
-                .split_whitespace()
-                .map(|x| x.parse().map_err(|_| format!("bad number in {prefix}")))
-                .collect()
-        };
-        let means = parse_vec(lines.next(), "means ")?;
-        let stds = parse_vec(lines.next(), "stds ")?;
-        // Every row the predictor scores is a factor vector, so a scaler or
-        // support vector of another length could only panic later, in
-        // `scale` or `kernel`.
-        let dim = FactorVector::default().as_array().len();
-        for (name, v) in [("means", &means), ("stds", &stds)] {
-            if v.len() != dim {
-                return Err(format!("{name} has {} entries, expected {dim}", v.len()));
-            }
-        }
-        // `StandardScaler::from_parts` asserts that every spread is positive.
-        if let Some(i) = stds.iter().position(|s| s.is_nan() || *s <= 0.0) {
-            return Err(format!("stds[{i}] is not positive ({})", stds[i]));
-        }
-        let rest: String = lines.collect::<Vec<_>>().join("\n");
-        let model = mobirescue_svm::persist::model_from_text(&rest).map_err(|e| e.to_string())?;
-        if let Some(i) = model
-            .support_vectors()
-            .iter()
-            .position(|sv| sv.len() != dim)
-        {
-            return Err(format!(
-                "support vector {i} has {} components, expected {dim}",
-                model.support_vectors()[i].len()
-            ));
-        }
-        Ok(Self {
-            scaler: mobirescue_svm::StandardScaler::from_parts(means, stds),
-            model,
-            threshold,
-            trained_on,
-            num_training_examples,
-        })
-    }
-
     /// Equation 1: should the person with factor vector `h` be rescued?
     pub fn predict(&self, factors: &FactorVector) -> bool {
         self.decision_value(factors) > self.threshold
@@ -595,57 +509,6 @@ mod tests {
             }
         }
         assert_eq!(batched, scalar, "batched SVM path must be bit-identical");
-    }
-
-    #[test]
-    fn predictor_round_trips_through_text() {
-        let (scenario, predictor) = train_small();
-        let text = predictor.to_text();
-        let back = RequestPredictor::from_text(&text).expect("round trip parses");
-        assert_eq!(back.trained_on(), predictor.trained_on());
-        assert_eq!(back.threshold(), predictor.threshold());
-        assert_eq!(
-            back.num_training_examples(),
-            predictor.num_training_examples()
-        );
-        // Decisions identical at arbitrary positions/hours.
-        for hour in [24u32, 300, 400] {
-            let f = scenario.disaster.factors_at(scenario.city.center, hour);
-            assert_eq!(back.decision_value(&f), predictor.decision_value(&f));
-            assert_eq!(back.predict(&f), predictor.predict(&f));
-        }
-        assert!(RequestPredictor::from_text("garbage").is_err());
-        assert!(RequestPredictor::from_text("").is_err());
-    }
-
-    #[test]
-    fn from_text_refuses_shapes_other_than_the_factor_vector() {
-        let text = |means: &str, stds: &str, sv: &str| {
-            format!(
-                "predictor michael 4 0.0\nmeans {means}\nstds {stds}\n\
-                 svm rbf 0.5\nbias 0.1\nsv 1.0 {sv}\n"
-            )
-        };
-        RequestPredictor::from_text(&text("1 2 3", "1 1 1", "0.5 0.5 0.5"))
-            .expect("a 3-factor predictor parses");
-        let refused = |t: String| RequestPredictor::from_text(&t).map(|_| ()).unwrap_err();
-        // A 3-mean scaler over 1-component support vectors.
-        let e = refused(text("1 2 3", "1 1 1", "0.5"));
-        assert!(e.contains("support vector 0 has 1 components"), "{e}");
-        // A 1-mean scaler.
-        let e = refused(text("1", "1", "0.5 0.5 0.5"));
-        assert!(e.contains("means has 1 entries"), "{e}");
-        // 4-component support vectors.
-        let e = refused(text("1 2 3", "1 1 1", "0.5 0.5 0.5 0.5"));
-        assert!(e.contains("support vector 0 has 4 components"), "{e}");
-        // A scaler whose stds disagree in length with its means.
-        let e = refused(text("1 2 3", "1 1", "0.5 0.5 0.5"));
-        assert!(e.contains("stds has 2 entries"), "{e}");
-        // A zero or negative spread cannot standardize anything.
-        let e = refused(text("1 2 3", "1 0 1", "0.5 0.5 0.5"));
-        assert!(e.contains("stds[1] is not positive"), "{e}");
-        let e = refused(text("1 2 3", "1 1 -1", "0.5 0.5 0.5"));
-        assert!(e.contains("stds[2] is not positive"), "{e}");
     }
 
     #[test]

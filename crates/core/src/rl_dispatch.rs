@@ -33,7 +33,7 @@ use std::cell::Cell;
 use std::collections::HashSet;
 
 /// Dimension of one `(team, zone)` feature vector — the input width any
-/// externally loaded policy network must match.
+/// policy network handed to a dispatcher must match.
 pub const FEATURE_DIM: usize = 6;
 
 /// Reward weights and learning settings of the RL dispatcher.

@@ -87,11 +87,6 @@ impl Timeline {
         }
     }
 
-    /// Phase of the day containing `hour`.
-    pub fn phase_of_hour(&self, hour: u32) -> DisasterPhase {
-        self.phase_of_day(self.day_of_hour(hour))
-    }
-
     /// Hour at the center of the disaster window, where the storm peaks.
     pub fn peak_hour(&self) -> u32 {
         (self.disaster_start_day + self.disaster_end_day) * HOURS_PER_DAY / 2
@@ -250,7 +245,10 @@ mod tests {
         assert_eq!(tl.day_of_hour(23), 0);
         assert_eq!(tl.day_of_hour(24), 1);
         assert_eq!(tl.total_hours(), 720);
-        assert_eq!(tl.phase_of_hour(13 * 24), DisasterPhase::During);
+        assert_eq!(
+            tl.phase_of_day(tl.day_of_hour(13 * 24)),
+            DisasterPhase::During
+        );
     }
 
     #[test]

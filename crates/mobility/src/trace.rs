@@ -27,18 +27,6 @@ pub struct GpsPing {
     pub position: GeoPoint,
 }
 
-impl GpsPing {
-    /// Hour (since scenario start) containing this ping.
-    pub fn hour(&self) -> u32 {
-        self.minute / 60
-    }
-
-    /// Day (since scenario start) containing this ping.
-    pub fn day(&self) -> u32 {
-        self.minute / MINUTES_PER_DAY
-    }
-}
-
 /// The time-ordered pings of a single person (the paper's Definition 1,
 /// before snapping to landmarks): a view into the dataset's sorted ping
 /// array, not a copy.
@@ -48,34 +36,6 @@ pub struct Trajectory<'a> {
     pub person: PersonId,
     /// Pings in increasing `minute` order.
     pub pings: &'a [GpsPing],
-}
-
-impl Trajectory<'_> {
-    /// The paper's Definition 1 proper: the trajectory as a sequence of
-    /// time-ordered *landmarks* (consecutive duplicates collapsed — a
-    /// person pinging from home all night is one landmark visit).
-    pub fn to_landmarks(
-        &self,
-        net: &mobirescue_roadnet::graph::RoadNetwork,
-        matcher: &crate::map_match::MapMatcher,
-    ) -> Vec<(u32, mobirescue_roadnet::graph::LandmarkId)> {
-        let mut out: Vec<(u32, mobirescue_roadnet::graph::LandmarkId)> = Vec::new();
-        for ping in self.pings {
-            let lm = matcher.nearest_landmark(net, ping.position);
-            if out.last().map(|&(_, prev)| prev) != Some(lm) {
-                out.push((ping.minute, lm));
-            }
-        }
-        out
-    }
-
-    /// Total straight-line displacement along the trajectory, meters.
-    pub fn total_displacement_m(&self) -> f64 {
-        self.pings
-            .windows(2)
-            .map(|w| w[0].position.distance_m(w[1].position))
-            .sum()
-    }
 }
 
 /// A complete mobility dataset: the population plus every ping.
@@ -124,11 +84,6 @@ impl MobilityDataset {
         }
         out
     }
-
-    /// Pings recorded during day `day`.
-    pub fn pings_on_day(&self, day: u32) -> impl Iterator<Item = &GpsPing> + '_ {
-        self.pings.iter().filter(move |p| p.day() == day)
-    }
 }
 
 #[cfg(test)]
@@ -164,17 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn ping_time_arithmetic() {
-        let p = GpsPing {
-            person: PersonId(0),
-            minute: MINUTES_PER_DAY + 125,
-            position: GeoPoint::new(0.0, 0.0),
-        };
-        assert_eq!(p.day(), 1);
-        assert_eq!(p.hour(), 26);
-    }
-
-    #[test]
     fn trajectories_split_by_person_in_order() {
         let mut ds = tiny_dataset();
         ds.people.push(Person {
@@ -199,41 +143,5 @@ mod tests {
         // Person 0's pings now form two runs: 0, 1, 0, 1.
         ds.pings.swap(1, 2);
         ds.trajectories();
-    }
-
-    #[test]
-    fn pings_on_day_filters() {
-        let ds = tiny_dataset();
-        assert_eq!(ds.pings_on_day(0).count(), 3);
-        assert_eq!(ds.pings_on_day(1).count(), 1);
-        assert_eq!(ds.pings_on_day(2).count(), 0);
-    }
-
-    #[test]
-    fn landmark_trajectory_collapses_duplicates() {
-        let city = mobirescue_roadnet::generator::CityConfig::small().build(9);
-        let matcher = crate::map_match::MapMatcher::new(&city.network);
-        let home = city.center;
-        let far = home.offset_m(3_000.0, 0.0);
-        let ping = |minute, pos| GpsPing {
-            person: PersonId(0),
-            minute,
-            position: pos,
-        };
-        let pings = [
-            ping(0, home),
-            ping(60, home.offset_m(5.0, 5.0)), // same landmark
-            ping(120, far),
-            ping(180, home),
-        ];
-        let traj = Trajectory {
-            person: PersonId(0),
-            pings: &pings,
-        };
-        let lms = traj.to_landmarks(&city.network, &matcher);
-        assert_eq!(lms.len(), 3, "duplicate home visit collapsed: {lms:?}");
-        assert_eq!(lms[0].1, lms[2].1, "returns to the same home landmark");
-        assert!(lms.windows(2).all(|w| w[0].0 < w[1].0));
-        assert!(traj.total_displacement_m() > 5_900.0);
     }
 }

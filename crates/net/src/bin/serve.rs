@@ -177,14 +177,16 @@ fn run_listen(args: &Args) -> Result<(), ServeError> {
     let hours = scenario.conditions.hours();
     // Size the simulated window to cover every epoch (the dispatch period
     // is simulated seconds; the wall-clock pacing below is independent).
+    // The product is taken in u64: a large `--epochs` would wrap in u32.
     let base = if args.scenario == "small" {
         SimConfig::small(first)
     } else {
         SimConfig::paper(first)
     };
-    let needed_hours = (args.epochs * base.dispatch_period_s).div_ceil(3_600) + 1;
+    let needed_s = u64::from(args.epochs) * u64::from(base.dispatch_period_s);
+    let needed_hours = needed_s.div_ceil(3_600) + 1;
     let sim = SimConfig {
-        duration_hours: needed_hours.min(hours - first),
+        duration_hours: u32::try_from(needed_hours).map_or(hours - first, |h| h.min(hours - first)),
         ..base
     };
     let max_epochs = sim.duration_hours * 3_600 / sim.dispatch_period_s;

@@ -2,7 +2,8 @@
 //! missing `--listen` must fail loudly (nonzero exit, usage on stderr),
 //! never start a server with the option silently ignored.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Child, Command, Stdio};
 
 #[test]
 fn unknown_flag_prints_usage_and_exits_nonzero() {
@@ -118,4 +119,40 @@ fn non_positive_counts_exit_nonzero() {
         );
         assert!(stderr.contains("usage: serve"), "{flag} {value}: {stderr}");
     }
+}
+
+/// Kills and reaps a spawned server when dropped, so no process outlives
+/// its test, even one whose assertion failed.
+struct KillOnDrop(Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn huge_epoch_count_clamps_to_the_scenario() {
+    // 14316558 × the small preset's 300 s period overflows u32; the window
+    // must still cover the scenario's 720 hours, i.e. 8640 epochs.
+    let mut child = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(["--listen", "127.0.0.1:0"])
+            .args(["--epochs", "14316558", "--period-ms", "60000"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("serve starts"),
+    );
+    let stdout = child.0.stdout.take().expect("stdout is piped");
+    let serving = BufReader::new(stdout)
+        .lines()
+        .map(|line| line.expect("stdout is text"))
+        .find(|line| line.starts_with("serving small ("))
+        .expect("serve prints its serving line");
+    assert!(
+        serving.ends_with(", 8640 epochs at 60000 ms/epoch"),
+        "{serving}"
+    );
 }

@@ -11,19 +11,16 @@
 //! * [`qscore`] — Q-learning over action features (the dispatcher's
 //!   policy head: shared weights across destination zones), with replay
 //!   and a target network;
-//! * [`replay`] — the bounded replay ring [`QScore`] learns from;
-//! * [`persist`] — the network checkpoint text format.
+//! * [`replay`] — the bounded replay ring [`QScore`] learns from.
 
 #![warn(missing_docs)]
 
 pub mod adam;
 pub mod nn;
-pub mod persist;
 pub mod qscore;
 pub mod replay;
 
 pub use adam::Adam;
 pub use nn::{ForwardCache, Mlp};
-pub use persist::{mlp_from_text, mlp_to_text, ParseNetworkError};
 pub use qscore::{PairTransition, QScore, QScoreConfig};
 pub use replay::PairReplay;

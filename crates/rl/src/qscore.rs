@@ -218,11 +218,12 @@ impl QScore {
         }
     }
 
-    /// Rebuilds a learner around an already-trained scoring network (e.g.
-    /// one loaded through [`crate::persist::mlp_from_text`]) — how a
-    /// serving runtime loads the policy it boots with. The target network starts
-    /// synced to `online`, the replay buffer empty, and `config.hidden` is
-    /// overwritten with the loaded network's actual hidden sizes.
+    /// Rebuilds a learner around a scoring network trained earlier in this
+    /// process — how a serving runtime takes over the policy it boots
+    /// with. Models are retrained, never loaded from outside the process.
+    /// The target network starts synced to `online`, the replay buffer
+    /// empty, and `config.hidden` is overwritten with the network's actual
+    /// hidden sizes.
     ///
     /// # Panics
     ///
@@ -246,7 +247,8 @@ impl QScore {
         Self::with_learner(config, learner)
     }
 
-    /// The online scoring network (checkpointing / persistence).
+    /// The online scoring network (what a trained policy hands on to
+    /// [`QScore::from_mlp`]).
     pub fn online(&self) -> &Mlp {
         self.learner.online()
     }

@@ -8,7 +8,7 @@
 //! arrays (`offsets`/`heads`/`segs`) built once per network, and
 //! [`CostSnapshot`] materializes a [`TravelCost`] into one flat `Vec<f64>`
 //! of per-edge travel times, computed once per
-//! [`NetworkCondition`](crate::damage::NetworkCondition) generation.
+//! [`NetworkCondition`] generation.
 //!
 //! # Exact-equivalence contract
 //!
@@ -22,7 +22,7 @@
 //! * per-edge weights are the same `f64` value the trait object would
 //!   return (the snapshot calls the very same [`TravelCost`] impl), with
 //!   `f64::INFINITY` standing in for "impassable";
-//! * the binary heap reuses [`crate::routing::HeapEntry`], so tie-breaks
+//! * the binary heap reuses the naive router's `HeapEntry`, so tie-breaks
 //!   between equal-cost frontier nodes resolve identically.
 //!
 //! Property tests in `crates/roadnet/tests/` compare both paths on random
@@ -318,7 +318,7 @@ impl Workspace {
 ///
 /// `f64::INFINITY` marks an impassable edge (removed from G̃). The
 /// `generation` tag ties the snapshot to the
-/// [`NetworkCondition`](crate::damage::NetworkCondition) contents it was
+/// [`NetworkCondition`] contents it was
 /// built from; any damage mutation draws a fresh generation, so a stale
 /// snapshot can never be mistaken for current.
 #[derive(Debug, Clone)]
@@ -336,11 +336,6 @@ impl CostSnapshot {
     /// Number of edge weights (matches [`CsrGraph::num_edges`]).
     pub fn num_edges(&self) -> usize {
         self.weights.len()
-    }
-
-    /// Number of passable edges under this snapshot.
-    pub fn passable_edges(&self) -> usize {
-        self.weights.iter().filter(|w| w.is_finite()).count()
     }
 }
 
@@ -417,7 +412,10 @@ mod tests {
         cond.set_speed_factor(net.out_segments(ids[0])[0], 0.25);
         let snap = csr.snapshot_condition(&net, &cond);
         assert_eq!(snap.generation(), cond.generation());
-        assert_eq!(snap.passable_edges(), cond.operable_count());
+        assert_eq!(
+            snap.weights.iter().filter(|w| w.is_finite()).count(),
+            cond.operable_count()
+        );
         let router = Router::new(&net);
         for &from in &ids {
             let fast = csr.shortest_paths(&snap, from);

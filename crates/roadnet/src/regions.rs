@@ -117,15 +117,6 @@ impl RegionPartition {
             .map(|(i, _)| LandmarkId(i as u32))
             .collect()
     }
-
-    /// Number of segments per region.
-    pub fn segment_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.num_regions];
-        for r in &self.of_segment {
-            counts[r.index()] += 1;
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -156,10 +147,9 @@ mod tests {
     #[test]
     fn membership_queries_are_consistent() {
         let (net, part) = two_region_net();
-        let counts = part.segment_counts();
-        assert_eq!(counts.iter().sum::<usize>(), net.num_segments());
+        let total: usize = part.region_ids().map(|r| part.segments_in(r).len()).sum();
+        assert_eq!(total, net.num_segments());
         for r in part.region_ids() {
-            assert_eq!(part.segments_in(r).len(), counts[r.index()]);
             for seg in part.segments_in(r) {
                 assert_eq!(part.of_segment(seg), r);
             }

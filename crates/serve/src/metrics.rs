@@ -113,21 +113,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Total requests picked up across shards.
-    pub fn total_picked_up(&self) -> usize {
-        self.shards.iter().map(|s| s.picked_up).sum()
-    }
-
-    /// Total requests delivered across shards.
-    pub fn total_delivered(&self) -> usize {
-        self.shards.iter().map(|s| s.delivered).sum()
-    }
-
-    /// Total requests still waiting across shards.
-    pub fn total_waiting(&self) -> usize {
-        self.shards.iter().map(|s| s.waiting).sum()
-    }
-
     /// Human-readable multi-line report (the serve binary's output).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -172,7 +157,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_totals_and_render() {
+    fn snapshot_renders() {
         let m = MetricsSnapshot {
             epochs_completed: 3,
             requests_accepted: 10,
@@ -198,9 +183,6 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(m.total_picked_up(), 7);
-        assert_eq!(m.total_delivered(), 6);
-        assert_eq!(m.total_waiting(), 1);
         let text = m.render();
         assert!(text.contains("epoch    3"));
         assert!(text.contains("shard 1"));

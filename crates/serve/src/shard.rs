@@ -22,8 +22,10 @@
 //! dispatcher once, from the service's [`ModelBundle`], when it spawns.
 //! When that dispatcher overruns the per-epoch compute budget
 //! (`RunEpoch::budget_ms`), the plan computed late is discarded and the
-//! paper's nearest-request heuristic replans, via
-//! [`World::run_epoch_with_deadline`]; the epoch counts as *degraded*.
+//! paper's nearest-request heuristic replans; the epoch counts as
+//! *degraded*. One wrapper, [`DeadlineDispatcher`], times the primary,
+//! adds any injected stall and makes that decision inside a plain
+//! [`World::run_epoch`].
 //!
 //! The budget is checked against the *shard's own* measured dispatch time,
 //! not an absolute clock instant: shards share one service clock, so an
@@ -43,7 +45,6 @@ use mobirescue_sim::record::Reader;
 use mobirescue_sim::{
     DispatchPlan, EpochReport, NearestRequestDispatcher, RequestSpec, SimConfig, World,
 };
-use std::cell::Cell;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -104,39 +105,47 @@ pub(crate) struct ShardSpec {
     pub obs: Arc<Registry>,
 }
 
-/// Wraps the real dispatcher to measure its compute time through the
-/// service clock. The measurement accumulates into a shared [`Cell`] so
-/// the epoch-budget check can read it while the wrapper is mutably
-/// borrowed by the running epoch.
-struct TimedDispatcher<'d> {
-    inner: &'d mut dyn Dispatcher,
+/// Enforces the epoch deadline around the primary dispatcher: it
+/// measures the primary's compute time through the service clock, and
+/// when that time exceeds the budget it discards the late plan and
+/// returns the fallback's instead, marking the epoch degraded. The
+/// modelled compute latency stays the primary's either way.
+struct DeadlineDispatcher<'d> {
+    primary: &'d mut dyn Dispatcher,
+    fallback: &'d mut NearestRequestDispatcher,
     clock: &'d dyn Clock,
-    spent_ms: &'d Cell<u64>,
+    budget_ms: Option<u64>,
     /// Injected stall applied once, at the first dispatch call.
     stall_ms: u64,
+    /// The primary's measured compute time this epoch, stall included.
+    spent_ms: u64,
+    degraded: bool,
 }
 
-impl Dispatcher for TimedDispatcher<'_> {
+impl Dispatcher for DeadlineDispatcher<'_> {
     fn name(&self) -> &str {
-        self.inner.name()
+        self.primary.name()
     }
 
     fn compute_latency_s(&self, state: &DispatchState<'_>) -> f64 {
-        self.inner.compute_latency_s(state)
+        self.primary.compute_latency_s(state)
     }
 
     fn dispatch(&mut self, state: &DispatchState<'_>) -> DispatchPlan {
         let t0 = self.clock.now_ms();
-        let plan = self.inner.dispatch(state);
+        let plan = self.primary.dispatch(state);
         let elapsed = self.clock.now_ms().saturating_sub(t0);
         // An injected stall is accounted directly rather than slept on the
         // clock: shards share the service clock, so sleeping would leak
         // one shard's stall into its neighbours' concurrently measured
         // epochs (and make SimClock runs nondeterministic).
-        self.spent_ms
-            .set(self.spent_ms.get() + elapsed + self.stall_ms);
-        self.stall_ms = 0;
-        plan
+        self.spent_ms += elapsed + std::mem::take(&mut self.stall_ms);
+        if self.budget_ms.is_some_and(|budget| self.spent_ms > budget) {
+            self.degraded = true;
+            self.fallback.dispatch(state)
+        } else {
+            plan
+        }
     }
 }
 
@@ -232,20 +241,19 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
                     }
                     drop(ingest_span);
                 }
-                let spent_ms = Cell::new(0u64);
-                let carry_s = carry_ms as f64 / 1_000.0;
-                let (report, degraded_now) = {
-                    let mut timed = TimedDispatcher {
-                        inner: &mut dispatcher,
-                        clock: &*spec.clock,
-                        spent_ms: &spent_ms,
-                        stall_ms,
-                    };
-                    let mut over = || budget_ms.is_some_and(|budget| spent_ms.get() > budget);
-                    world.run_epoch_with_deadline(&mut timed, &mut fallback, carry_s, &mut over)
+                let mut gate = DeadlineDispatcher {
+                    primary: &mut dispatcher,
+                    fallback: &mut fallback,
+                    clock: &*spec.clock,
+                    budget_ms,
+                    stall_ms,
+                    spent_ms: 0,
+                    degraded: false,
                 };
+                let report = world.run_epoch(&mut gate, carry_ms as f64 / 1_000.0);
+                let (spent_ms, degraded_now) = (gate.spent_ms, gate.degraded);
                 h_predict.record(dispatcher.take_predict_ms());
-                h_dispatch.record(spent_ms.get());
+                h_dispatch.record(spent_ms);
                 h_routing.record(world.take_phases().routing_ms);
                 degraded += u64::from(degraded_now);
                 publish(&obs, index, &world, [injected, rejected, degraded]);
@@ -256,7 +264,7 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
                 if tx.send(ShardReply::Epoch(st)).is_err() {
                     return;
                 }
-                carry_ms = spent_ms.get();
+                carry_ms = spent_ms;
             }
             ShardCmd::Snapshot => {
                 let routing = world.routing_stats();

@@ -1,18 +1,20 @@
 //! End-to-end service test: streaming ingestion with shedding and
 //! retry, three paced epochs on the simulated clock, snapshot, restore,
 //! and metrics/evolution equality between the original and restored
-//! service — plus the refusal of a model bundle no dispatcher can serve.
+//! service — plus the refusal of a model bundle no dispatcher can serve
+//! and the fallback plan a stalled epoch is served with.
 
 use mobirescue_core::rl_dispatch::FEATURE_DIM;
 use mobirescue_core::scenario::{Scenario, ScenarioConfig};
 use mobirescue_rl::nn::Mlp;
 use mobirescue_roadnet::graph::SegmentId;
+use mobirescue_serve::chaos::chaos_scenario;
 use mobirescue_serve::obs::TimeSource;
 use mobirescue_serve::{
-    Clock, DispatchService, Event, ModelBundle, RetryPolicy, ServeConfig, ServeError, SimClock,
-    WalConfig,
+    Clock, DispatchService, Event, FaultInjector, FaultPlan, ModelBundle, RetryPolicy, ServeConfig,
+    ServeError, SimClock, WalConfig,
 };
-use mobirescue_sim::{seal_snapshot, RequestSpec, SimConfig};
+use mobirescue_sim::{seal_snapshot, NearestRequestDispatcher, RequestSpec, SimConfig, World};
 use std::sync::{Arc, OnceLock, Weak};
 
 fn test_scenario() -> Arc<Scenario> {
@@ -464,6 +466,81 @@ fn a_misshapen_policy_is_refused_at_start_and_restore() {
         bundle,
         &snapshot,
     ));
+}
+
+/// Runs epoch 0 of a one-shard service with a 10 ms dispatch deadline on
+/// `requests`, stalling the shard's dispatcher for `stall_ms`, and returns
+/// the world in shard 0's snapshot block (its `shardstate` line dropped)
+/// with the epoch's degraded count.
+fn first_epoch_world(
+    scenario: &Arc<Scenario>,
+    requests: &[RequestSpec],
+    stall_ms: Option<u64>,
+) -> (String, u64) {
+    let mut config = ServeConfig::new(SimConfig::small(6));
+    config.epoch_deadline_ms = Some(10);
+    config.faults =
+        stall_ms.map(|ms| Arc::new(FaultInjector::new(FaultPlan::empty().with_stall(0, 0, ms))));
+    let service = DispatchService::start(
+        Arc::clone(scenario),
+        config,
+        Arc::new(SimClock::new()),
+        Arc::new(ModelBundle::default()),
+    )
+    .expect("service starts");
+    for &spec in requests {
+        let event = Event::Request { shard: 0, spec };
+        assert!(
+            service.ingest(event).expect("valid event"),
+            "queue has room"
+        );
+    }
+    service.run_epoch().expect("epoch 0");
+    let degraded = service.metrics().degraded_epochs;
+    let snapshot = service.snapshot().expect("snapshot serializes");
+    service.shutdown();
+    let mut lines = snapshot.lines().skip_while(|l| !l.starts_with("shard 0 "));
+    let count: usize = lines.next().expect("a shard 0 block")["shard 0 ".len()..]
+        .parse()
+        .expect("the block header counts its lines");
+    let block: Vec<&str> = lines.take(count).collect();
+    assert!(block[0].starts_with("shardstate "), "{}", block[0]);
+    let world = block[1..].iter().map(|l| format!("{l}\n")).collect();
+    (world, degraded)
+}
+
+#[test]
+fn a_stalled_epoch_serves_the_fallback_plan() {
+    let scenario = Arc::new(chaos_scenario());
+    let requests = requests_for(&scenario, 0, 0, 6);
+    // The reference: the same requests and one epoch of the fallback
+    // heuristic alone at zero extra latency. Its 0.1 s modelled latency
+    // and the primary's 0.4 s both round up to one 1 s step, so only the
+    // plan can tell the worlds apart.
+    let mut world = World::new(&scenario.city, &scenario.conditions, &SimConfig::small(6))
+        .expect("world builds");
+    for &spec in &requests {
+        world.inject_request(spec).expect("segment exists");
+    }
+    world.run_epoch(&mut NearestRequestDispatcher::default(), 0.0);
+    let fallback = world.snapshot_text();
+
+    // A 50 ms stall overshoots the 10 ms deadline: the late primary plan
+    // is discarded and the fallback's plan is served.
+    let (stalled, degraded) = first_epoch_world(&scenario, &requests, Some(50));
+    assert_eq!(degraded, 1, "the stalled epoch counts as degraded");
+    assert_eq!(
+        stalled, fallback,
+        "the stalled epoch runs the fallback's plan"
+    );
+
+    // Without the stall the primary's own plan is served, and it differs.
+    let (on_time, degraded) = first_epoch_world(&scenario, &requests, None);
+    assert_eq!(degraded, 0);
+    assert_ne!(
+        on_time, fallback,
+        "the primary's plan differs from the fallback's"
+    );
 }
 
 #[test]

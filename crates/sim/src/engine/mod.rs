@@ -626,58 +626,6 @@ impl<'a> World<'a> {
         }
     }
 
-    /// Like [`World::run_epoch`], but deadline-aware: after `primary`
-    /// computes the epoch's plan, `over_deadline` is consulted; if it
-    /// reports the dispatch deadline blown, the primary's plan is
-    /// discarded and `fallback` plans the epoch instead. Returns the
-    /// epoch report plus whether the fallback was used.
-    ///
-    /// The serve runtime drives `over_deadline` from its service clock
-    /// (wall time in deployment, simulated time in tests), which is how a
-    /// stalled or overly slow policy degrades to a cheap heuristic instead
-    /// of delaying the whole epoch barrier. When `over_deadline` never
-    /// fires, the epoch is bit-identical to a plain [`World::run_epoch`]
-    /// call.
-    pub fn run_epoch_with_deadline(
-        &mut self,
-        primary: &mut dyn Dispatcher,
-        fallback: &mut dyn Dispatcher,
-        extra_latency_s: f64,
-        over_deadline: &mut dyn FnMut() -> bool,
-    ) -> (EpochReport, bool) {
-        struct DeadlineGate<'d> {
-            primary: &'d mut dyn Dispatcher,
-            fallback: &'d mut dyn Dispatcher,
-            over_deadline: &'d mut dyn FnMut() -> bool,
-            degraded: bool,
-        }
-        impl Dispatcher for DeadlineGate<'_> {
-            fn name(&self) -> &str {
-                self.primary.name()
-            }
-            fn compute_latency_s(&self, state: &DispatchState<'_>) -> f64 {
-                self.primary.compute_latency_s(state)
-            }
-            fn dispatch(&mut self, state: &DispatchState<'_>) -> DispatchPlan {
-                let plan = self.primary.dispatch(state);
-                if (self.over_deadline)() {
-                    self.degraded = true;
-                    self.fallback.dispatch(state)
-                } else {
-                    plan
-                }
-            }
-        }
-        let mut gate = DeadlineGate {
-            primary,
-            fallback,
-            over_deadline,
-            degraded: false,
-        };
-        let report = self.run_epoch(&mut gate, extra_latency_s);
-        (report, gate.degraded)
-    }
-
     /// Consumes the world into the batch outcome shape.
     pub fn into_outcome(self, dispatcher_name: &str) -> SimOutcome {
         SimOutcome {

@@ -1,5 +1,5 @@
 //! World-state snapshot/restore in the workspace's dependency-free text
-//! style (`svm::persist`, `rl::persist`).
+//! style (the `mr*` record codec).
 //!
 //! A snapshot taken at an epoch boundary captures everything the engine
 //! needs to resume mid-disaster: the clock, every request outcome so far,

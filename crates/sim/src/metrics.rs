@@ -36,14 +36,6 @@ impl SimOutcome {
         out
     }
 
-    /// Per-team total served counts.
-    pub fn served_per_team(&self) -> Vec<f64> {
-        self.team_served
-            .iter()
-            .map(|hours| hours.iter().sum::<u32>() as f64)
-            .collect()
-    }
-
     /// Figure 10: per-team *timely* served counts (the paper measures "the
     /// numbers of timely served rescue requests of all the rescue teams").
     pub fn timely_served_per_team(&self) -> Vec<f64> {
@@ -129,14 +121,6 @@ impl SimOutcome {
             .map(|(s, c)| if c > 0 { s / c as f64 } else { 0.0 })
             .collect()
     }
-
-    /// Fraction of requests served.
-    pub fn service_rate(&self) -> f64 {
-        if self.requests.is_empty() {
-            return 0.0;
-        }
-        self.total_served() as f64 / self.requests.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -179,7 +163,6 @@ mod tests {
         let o = outcome();
         assert_eq!(o.total_served(), 3);
         assert_eq!(o.total_timely_served(), 2);
-        assert!((o.service_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -198,7 +181,6 @@ mod tests {
     #[test]
     fn team_and_serving_series() {
         let o = outcome();
-        assert_eq!(o.served_per_team(), vec![3.0, 1.0]);
         // Timely counts come from request outcomes: requests 0 and 3 were
         // timely, both picked up by team 0; the config has 6 teams.
         let timely = o.timely_served_per_team();

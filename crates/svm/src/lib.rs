@@ -26,13 +26,11 @@
 pub mod kernel;
 pub mod metrics;
 pub mod model;
-pub mod persist;
 pub mod scale;
 pub mod smo;
 
 pub use kernel::Kernel;
 pub use metrics::ConfusionMatrix;
 pub use model::SvmModel;
-pub use persist::{model_from_text, model_to_text, ParseModelError};
 pub use scale::StandardScaler;
 pub use smo::{train, SmoConfig};

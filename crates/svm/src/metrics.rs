@@ -39,14 +39,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Merges another matrix into this one.
-    pub fn merge(&mut self, other: &ConfusionMatrix) {
-        self.tp += other.tp;
-        self.fp += other.fp;
-        self.tn += other.tn;
-        self.fn_ += other.fn_;
-    }
-
     /// Total predictions recorded.
     pub fn total(&self) -> usize {
         self.tp + self.fp + self.tn + self.fn_
@@ -107,13 +99,5 @@ mod tests {
         assert!(all_neg.precision().is_none());
         assert!(all_neg.recall().is_none());
         assert_eq!(all_neg.accuracy(), Some(1.0));
-    }
-
-    #[test]
-    fn merge_adds_counters() {
-        let mut a = ConfusionMatrix::from_predictions([(true, true)]);
-        let b = ConfusionMatrix::from_predictions([(false, true), (true, false)]);
-        a.merge(&b);
-        assert_eq!((a.tp, a.fp, a.tn, a.fn_), (1, 1, 0, 1));
     }
 }

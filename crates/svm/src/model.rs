@@ -48,26 +48,6 @@ impl SvmModel {
         self.support_vectors.len()
     }
 
-    /// The kernel the model was trained with.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-
-    /// The retained support vectors.
-    pub fn support_vectors(&self) -> &[Vec<f64>] {
-        &self.support_vectors
-    }
-
-    /// The `αᵢ yᵢ` coefficient of each support vector.
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coefficients
-    }
-
-    /// The bias term `b`.
-    pub fn bias(&self) -> f64 {
-        self.bias
-    }
-
     /// The raw decision value `f(x)`; its sign is the class.
     ///
     /// # Panics

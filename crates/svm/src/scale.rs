@@ -48,32 +48,6 @@ impl StandardScaler {
         Self { means, stds }
     }
 
-    /// Reassembles a scaler from its parameters (persistence).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors differ in length, are empty, or any σ is not
-    /// positive.
-    pub fn from_parts(means: Vec<f64>, stds: Vec<f64>) -> Self {
-        assert_eq!(means.len(), stds.len(), "means/stds length mismatch");
-        assert!(!means.is_empty(), "scaler must have at least one feature");
-        assert!(
-            stds.iter().all(|&s| s > 0.0),
-            "standard deviations must be positive"
-        );
-        Self { means, stds }
-    }
-
-    /// Per-feature means.
-    pub fn means(&self) -> &[f64] {
-        &self.means
-    }
-
-    /// Per-feature standard deviations.
-    pub fn stds(&self) -> &[f64] {
-        &self.stds
-    }
-
     /// Dimension the scaler was fitted on.
     pub fn dim(&self) -> usize {
         self.means.len()

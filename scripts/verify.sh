@@ -2,9 +2,9 @@
 # Repo verification: the tier-1 gate (ROADMAP.md) plus formatting and
 # lints, with a per-step PASS/FAIL summary.
 #
-#   scripts/verify.sh          # lock files + fmt + clippy + tier-1 +
-#                              # crate tests + mrbench ledger tests +
-#                              # scale bench gate
+#   scripts/verify.sh          # lock files + fmt + clippy + docs +
+#                              # tier-1 + crate tests + mrbench ledger
+#                              # tests + scale bench gate
 #   scripts/verify.sh --full   # additionally run the whole workspace's
 #                              # tests in release, `bench` included
 #
@@ -55,6 +55,9 @@ locks_current() {
 run_step "lock files" locks_current
 run_step "fmt" cargo fmt --check
 run_step "clippy" cargo clippy --workspace --all-targets -- -D warnings
+# A doc link to a deleted or private item builds and lints clean; only
+# rustdoc with its warnings denied reports it.
+run_step "docs" env RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps
 run_step "tier-1 build" cargo build --release
 run_step "tier-1 tests" cargo test -q
 run_step "crate tests" cargo test -q -p mobirescue-core -p mobirescue-disaster \

@@ -156,7 +156,7 @@ pub mod prop {
         use rand::RngExt;
         use std::ops::Range;
 
-        /// Number of elements a [`vec`] strategy generates: a fixed size
+        /// Number of elements a [`vec()`] strategy generates: a fixed size
         /// or a uniformly drawn one.
         #[derive(Debug, Clone)]
         pub enum SizeRange {
@@ -186,7 +186,7 @@ pub mod prop {
             }
         }
 
-        /// See [`vec`].
+        /// See [`vec()`].
         #[derive(Debug, Clone)]
         pub struct VecStrategy<S> {
             element: S,

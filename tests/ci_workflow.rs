@@ -7,9 +7,10 @@
 //! `Cargo.lock` with `restore-keys` fallbacks — so an edit that breaks
 //! the pipeline fails locally, not on the runner. It also pins where the
 //! gates live: the scale gate runs in `scripts/verify.sh`, the retired
-//! routing gate's knobs stay out of CI, and verify's "crate tests" step
+//! routing gate's knobs stay out of CI, verify's "crate tests" step
 //! names every library crate under `crates/`, so a new crate cannot go
-//! untested. DESIGN.md's dependency DAG is held to the crate manifests.
+//! untested, and its "docs" step builds the docs with warnings denied.
+//! DESIGN.md's dependency DAG is held to the crate manifests.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -207,6 +208,23 @@ fn verify_tests_every_library_crate_once() {
     assert!(
         !verify.contains("--test "),
         "verify.sh re-runs a root-package suite that the tier-1 step already runs"
+    );
+}
+
+#[test]
+fn verify_builds_the_docs_with_warnings_denied() {
+    let verify = repo_file("scripts/verify.sh").replace("\\\n", " ");
+    let step = verify
+        .lines()
+        .find(|l| l.trim_start().starts_with("run_step \"docs\""))
+        .expect("verify.sh has a \"docs\" step");
+    assert!(
+        step.contains("RUSTDOCFLAGS='-D warnings'"),
+        "the docs step must deny rustdoc warnings: {step}"
+    );
+    assert!(
+        step.contains("cargo doc --workspace --no-deps"),
+        "the docs step must document the whole workspace: {step}"
     );
 }
 
