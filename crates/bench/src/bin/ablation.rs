@@ -2,23 +2,36 @@
 //! zone granularity, reward weights (α/β/γ of Equation 5), coverage
 //! shaping, and online continual training (Section IV-C4).
 //!
+//! Every variant runs on the comparison's own set-up
+//! ([`Evaluation`]): the same Florence day, requests and Michael-trained
+//! SVM, so the "full MobiRescue" row is the MobiRescue arm of `figures`'
+//! summary at the same scale and seed.
+//!
 //! ```text
 //! cargo run -p mobirescue-bench --release --bin ablation -- [--scale small|medium] [--seed N]
 //! ```
 
 use mobirescue_bench::{cli, ExperimentScale};
-use mobirescue_core::predictor::{mine_rescues, RequestPredictor};
-use mobirescue_core::rl_dispatch::{MobiRescueDispatcher, RlDispatchConfig};
-use mobirescue_core::scenario::Scenario;
-use mobirescue_core::training::{busiest_request_day, requests_on_day, train_offline};
-use mobirescue_mobility::map_match::MapMatcher;
-use mobirescue_sim::types::SimConfig;
+use mobirescue_core::experiment::Evaluation;
+use mobirescue_core::rl_dispatch::RlDispatchConfig;
 
 struct Variant {
     name: &'static str,
     use_predictor: bool,
     online: bool,
     tweak: fn(&mut RlDispatchConfig),
+}
+
+impl Variant {
+    /// Prediction and online training on, the RL settings changed by `tweak`.
+    fn tweaked(name: &'static str, tweak: fn(&mut RlDispatchConfig)) -> Self {
+        Self {
+            name,
+            use_predictor: true,
+            online: true,
+            tweak,
+        }
+    }
 }
 
 fn no_tweak(_: &mut RlDispatchConfig) {}
@@ -40,82 +53,31 @@ fn main() {
     let config = scale.config(seed);
 
     eprintln!("building scenarios ...");
-    let michael = config.scenario.clone().michael().build(seed);
-    let florence = config.scenario.clone().florence().build(seed);
-    let matcher = MapMatcher::new(&florence.city.network);
-    let rescues = mine_rescues(&florence);
-    let day = busiest_request_day(&rescues).expect("florence has rescues");
-    let requests = requests_on_day(&florence, &matcher, &rescues, day);
-    let predictor = RequestPredictor::train_on(&michael, &config.predictor);
-    let mut sim = config.sim.clone();
-    sim.start_hour = day * 24;
+    let eval = Evaluation::prepare(&config);
     eprintln!(
-        "evaluation day {day}: {} requests, {} teams",
-        requests.len(),
-        sim.num_teams
+        "evaluation day {}: {} requests, {} teams",
+        eval.day,
+        eval.requests.len(),
+        eval.sim.num_teams
     );
 
-    let variants: Vec<Variant> = vec![
+    let variants = [
+        Variant::tweaked("full MobiRescue", no_tweak),
         Variant {
-            name: "full MobiRescue",
-            use_predictor: true,
-            online: true,
-            tweak: no_tweak,
-        },
-        Variant {
-            name: "no SVM prediction",
             use_predictor: false,
-            online: true,
-            tweak: no_tweak,
+            ..Variant::tweaked("no SVM prediction", no_tweak)
         },
         Variant {
-            name: "no online training",
-            use_predictor: true,
             online: false,
-            tweak: no_tweak,
+            ..Variant::tweaked("no online training", no_tweak)
         },
-        Variant {
-            name: "no coverage shaping",
-            use_predictor: true,
-            online: true,
-            tweak: |c| c.shaping_coverage = 0.0,
-        },
-        Variant {
-            name: "coarse zones (k/2)",
-            use_predictor: true,
-            online: true,
-            tweak: |c| c.zone_k = (c.zone_k / 2).max(2),
-        },
-        Variant {
-            name: "fine zones (k*2)",
-            use_predictor: true,
-            online: true,
-            tweak: |c| c.zone_k *= 2,
-        },
-        Variant {
-            name: "alpha/10 (served weight)",
-            use_predictor: true,
-            online: true,
-            tweak: |c| c.alpha /= 10.0,
-        },
-        Variant {
-            name: "beta*10 (delay weight)",
-            use_predictor: true,
-            online: true,
-            tweak: |c| c.beta *= 10.0,
-        },
-        Variant {
-            name: "gamma*25 (fleet weight)",
-            use_predictor: true,
-            online: true,
-            tweak: |c| c.gamma_weight *= 25.0,
-        },
-        Variant {
-            name: "slow exploration (eps*10)",
-            use_predictor: true,
-            online: true,
-            tweak: |c| c.eps_decay_steps *= 10,
-        },
+        Variant::tweaked("no coverage shaping", |c| c.shaping_coverage = 0.0),
+        Variant::tweaked("coarse zones (k/2)", |c| c.zone_k = (c.zone_k / 2).max(2)),
+        Variant::tweaked("fine zones (k*2)", |c| c.zone_k *= 2),
+        Variant::tweaked("alpha/10 (served weight)", |c| c.alpha /= 10.0),
+        Variant::tweaked("beta*10 (delay weight)", |c| c.beta *= 10.0),
+        Variant::tweaked("gamma*25 (fleet weight)", |c| c.gamma_weight *= 25.0),
+        Variant::tweaked("slow exploration (eps*10)", |c| c.eps_decay_steps *= 10),
     ];
 
     println!(
@@ -125,63 +87,14 @@ fn main() {
     for v in variants {
         let mut rl = config.rl.clone();
         (v.tweak)(&mut rl);
-        let stats = evaluate(
-            &michael,
-            &florence,
-            &requests,
-            &predictor,
-            rl,
-            &sim,
-            v.use_predictor,
-            v.online,
-            config.train_episodes,
-        );
+        let (outcome, _) = eval.run_mobirescue(rl, v.use_predictor, v.online);
         println!(
             "{:<28} {:>7} {:>7} {:>12.0} {:>10.1}",
-            v.name, stats.0, stats.1, stats.2, stats.3
+            v.name,
+            outcome.total_served(),
+            outcome.total_timely_served(),
+            outcome.median_timeliness_s().unwrap_or(f64::NAN),
+            outcome.mean_serving_teams()
         );
     }
-}
-
-/// Trains a variant offline on Michael and evaluates it on Florence.
-/// Returns `(served, timely, median timeliness s, avg serving teams)`.
-#[allow(clippy::too_many_arguments)]
-fn evaluate(
-    michael: &Scenario,
-    florence: &Scenario,
-    requests: &[mobirescue_sim::types::RequestSpec],
-    predictor: &RequestPredictor,
-    rl: RlDispatchConfig,
-    sim: &SimConfig,
-    use_predictor: bool,
-    online: bool,
-    episodes: usize,
-) -> (usize, usize, f64, f64) {
-    let p = use_predictor.then(|| predictor.clone());
-    let (policy, _) = train_offline(michael, p.clone(), rl.clone(), sim, episodes);
-    let mut dispatcher = MobiRescueDispatcher::with_policy(florence, p, rl, policy);
-    dispatcher.set_training(online);
-    let outcome = mobirescue_sim::run(
-        &florence.city,
-        &florence.conditions,
-        requests,
-        &mut dispatcher,
-        sim,
-    );
-    let median = {
-        let c = outcome.timeliness_cdf();
-        if c.is_empty() {
-            f64::NAN
-        } else {
-            c.quantile(0.5)
-        }
-    };
-    let serving = outcome.avg_serving_teams_per_hour();
-    let avg_serving = serving.iter().sum::<f64>() / serving.len().max(1) as f64;
-    (
-        outcome.total_served(),
-        outcome.total_timely_served(),
-        median,
-        avg_serving,
-    )
 }

@@ -1,12 +1,12 @@
 //! Open-loop load generator for `serve --listen` (`BENCH_serve.json`).
 //!
 //! Replays the busiest mined rescue day of the scenario against a running
-//! front door at a scheduled arrival rate, measures request→ACK round
+//! front door at a constant arrival rate, measures request→ACK round
 //! trips client-side, pulls the server's ingest-to-dispatch percentiles
 //! over the wire at the end, and emits the flat JSON report gated by
 //! `scripts/check_bench.sh`.
 
-use mobirescue_bench::loadgen::{mined_stream, LoadReport, Profile};
+use mobirescue_bench::loadgen::{mined_stream, open_schedule, LoadReport};
 use mobirescue_core::scenario::ScenarioConfig;
 use mobirescue_net::{Frame, NackReason, NetClient, NetError};
 use mobirescue_obs::Histogram;
@@ -18,6 +18,13 @@ use std::time::{Duration, Instant};
 /// segments exist on the server's world.
 const SEED: u64 = 20180914;
 
+/// The ceilings stamped into every report, so a committed baseline
+/// (`BENCH_serve.json`) declares the gate `scripts/check_bench.sh` holds
+/// it to: p99 and p99.9 request→ACK milliseconds and the shed-rate percent.
+const P99_SLO_MS: u64 = 250;
+const P999_SLO_MS: u64 = 1_000;
+const MAX_SHED_PCT: f64 = 5.0;
+
 fn usage() -> String {
     "usage: loadgen --addr HOST:PORT [OPTIONS]
 
@@ -25,12 +32,8 @@ Options:
   --addr HOST:PORT     the serve --listen address (required)
   --rate RPS           nominal request rate (default: 200)
   --duration-ms MS     scheduled run length (default: 5000)
-  --profile NAME       arrival shape: open | ramp | spike (default: open)
   --scenario NAME      world the server runs: small | medium | charlotte
                        (default: small; must match the server)
-  --slo-ms MS          p99 RTT ceiling stamped into the report (default: 250)
-  --p999-slo-ms MS     p99.9 RTT ceiling stamped into the report (default: 1000)
-  --max-shed-pct PCT   shed-rate ceiling stamped into the report (default: 5)
   --out FILE           also write the JSON report to FILE
   --acked-ids FILE     write the sorted ids of every ACKed request to FILE,
                        one per line — the durability ledger the WAL crash
@@ -44,11 +47,7 @@ struct Args {
     addr: String,
     rate: f64,
     duration_ms: u64,
-    profile: Profile,
     scenario: String,
-    slo_ms: u64,
-    p999_slo_ms: u64,
-    max_shed_pct: f64,
     out: Option<std::path::PathBuf>,
     acked_ids: Option<std::path::PathBuf>,
     quiet: bool,
@@ -59,11 +58,7 @@ fn parse_args() -> Result<Args, String> {
         addr: String::new(),
         rate: 200.0,
         duration_ms: 5_000,
-        profile: Profile::Open,
         scenario: "small".to_owned(),
-        slo_ms: 250,
-        p999_slo_ms: 1_000,
-        max_shed_pct: 5.0,
         out: None,
         acked_ids: None,
         quiet: false,
@@ -87,11 +82,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--duration-ms needs a positive integer".to_owned())?;
             }
-            "--profile" => {
-                let name = value(&mut args, "--profile")?;
-                parsed.profile = Profile::parse(&name)
-                    .ok_or_else(|| format!("unknown profile {name:?} (open, ramp, or spike)"))?;
-            }
             "--scenario" => {
                 let name = value(&mut args, "--scenario")?;
                 if !["small", "medium", "charlotte"].contains(&name.as_str()) {
@@ -100,21 +90,6 @@ fn parse_args() -> Result<Args, String> {
                     ));
                 }
                 parsed.scenario = name;
-            }
-            "--slo-ms" => {
-                parsed.slo_ms = value(&mut args, "--slo-ms")?
-                    .parse()
-                    .map_err(|_| "--slo-ms needs a positive integer".to_owned())?;
-            }
-            "--p999-slo-ms" => {
-                parsed.p999_slo_ms = value(&mut args, "--p999-slo-ms")?
-                    .parse()
-                    .map_err(|_| "--p999-slo-ms needs a positive integer".to_owned())?;
-            }
-            "--max-shed-pct" => {
-                parsed.max_shed_pct = value(&mut args, "--max-shed-pct")?
-                    .parse()
-                    .map_err(|_| "--max-shed-pct needs a number".to_owned())?;
             }
             "--out" => parsed.out = Some(value(&mut args, "--out")?.into()),
             "--acked-ids" => {
@@ -194,7 +169,7 @@ fn run(args: &Args) -> Result<(), String> {
     };
     let num_shards_hint = 2u32; // requests round-robin over shards 0..hint
     let stream = mined_stream(&scenario);
-    let schedule = args.profile.schedule(args.rate, args.duration_ms);
+    let schedule = open_schedule(args.rate, args.duration_ms);
     let total = schedule.len() as u64;
 
     let writer_client = NetClient::connect(addr).map_err(|e| format!("connect: {e}"))?;
@@ -328,7 +303,7 @@ fn run(args: &Args) -> Result<(), String> {
     let nacked_invalid = tallies.nacked_invalid.load(Ordering::Relaxed);
     let rtt = tallies.rtt_ms.snapshot();
     let report = LoadReport {
-        profile: args.profile.name().to_owned(),
+        profile: "open".to_owned(),
         scenario: args.scenario.clone(),
         target_rps: args.rate,
         duration_ms: args.duration_ms,
@@ -345,9 +320,9 @@ fn run(args: &Args) -> Result<(), String> {
         i2d_p50_ms: server.i2d_p50,
         i2d_p99_ms: server.i2d_p99,
         i2d_p999_ms: server.i2d_p999,
-        p99_slo_ms: args.slo_ms,
-        p999_slo_ms: args.p999_slo_ms,
-        max_shed_pct: args.max_shed_pct,
+        p99_slo_ms: P99_SLO_MS,
+        p999_slo_ms: P999_SLO_MS,
+        max_shed_pct: MAX_SHED_PCT,
     };
     let json = report.to_json();
     print!("{json}");

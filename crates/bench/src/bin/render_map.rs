@@ -7,46 +7,50 @@
 //! ```
 
 use mobirescue_bench::svgmap::{render_map, MapStyle};
-use mobirescue_bench::ExperimentScale;
+use mobirescue_bench::{cli, ExperimentScale};
 use mobirescue_core::predictor::mine_rescues;
-use mobirescue_core::scenario::ScenarioConfig;
+use mobirescue_disaster::hurricane::Hurricane;
 
 fn main() {
     let mut scale = ExperimentScale::Small;
     let mut seed = 42u64;
-    let mut hour_arg = "peak".to_owned();
+    // `None` renders the peak hour.
+    let mut hour: Option<u32> = None;
     let mut out = "map.svg".to_owned();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--scale" => {
-                scale = args
-                    .next()
-                    .as_deref()
-                    .and_then(ExperimentScale::parse)
-                    .unwrap_or(ExperimentScale::Small)
+            "--scale" => scale = cli::scale(&mut args, "render_map"),
+            "--seed" => seed = cli::count(&mut args, "render_map", "--seed"),
+            // Every scale renders Florence, so the hour is checked against
+            // its timeline here, before the scenario build.
+            "--hour" => {
+                let hours = Hurricane::florence().timeline.total_hours();
+                hour = cli::value(
+                    &mut args,
+                    "render_map",
+                    "--hour",
+                    &format!("peak or an hour below {hours}"),
+                    |v| match v {
+                        "peak" => Some(None),
+                        _ => v.parse().ok().filter(|&h| h < hours).map(Some),
+                    },
+                )
             }
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(42),
-            "--hour" => hour_arg = args.next().unwrap_or_default(),
-            "--out" => out = args.next().unwrap_or(out),
+            "--out" => {
+                out = cli::value(&mut args, "render_map", "--out", "a file path", |v| {
+                    Some(v.to_owned())
+                })
+            }
             other => {
-                eprintln!("unknown argument {other:?}");
+                eprintln!("render_map: unknown argument {other:?}");
                 std::process::exit(2);
             }
         }
     }
-    let base = match scale {
-        ExperimentScale::Small => ScenarioConfig::small(),
-        ExperimentScale::Medium => ScenarioConfig::medium(),
-        ExperimentScale::Paper => ScenarioConfig::charlotte_like(),
-    };
     eprintln!("building scenario ...");
-    let scenario = base.florence().build(seed);
-    let hour = if hour_arg == "peak" {
-        scenario.hurricane().timeline.peak_hour() + 18
-    } else {
-        hour_arg.parse().unwrap_or(0)
-    };
+    let scenario = scale.config(seed).scenario.florence().build(seed);
+    let hour = hour.unwrap_or(scenario.hurricane().timeline.peak_hour() + 18);
     // Mark the day's rescue requests.
     let rescues = mine_rescues(&scenario);
     let markers: Vec<_> = rescues

@@ -41,31 +41,24 @@ fn main() {
         }),
         ("median timeliness: MR < both baselines", |c| {
             let med = |n: &str| {
-                let cdf = c.method(n).outcome.timeliness_cdf();
-                if cdf.is_empty() {
-                    f64::INFINITY
-                } else {
-                    cdf.quantile(0.5)
-                }
+                c.method(n)
+                    .outcome
+                    .median_timeliness_s()
+                    .unwrap_or(f64::INFINITY)
             };
             med("MobiRescue") < med("Rescue") && med("MobiRescue") < med("Schedule")
         }),
         ("median driving delay: MR < Schedule", |c| {
             let med = |n: &str| {
-                let cdf = c.method(n).outcome.driving_delay_cdf();
-                if cdf.is_empty() {
-                    f64::INFINITY
-                } else {
-                    cdf.quantile(0.5)
-                }
+                c.method(n)
+                    .outcome
+                    .median_driving_delay_s()
+                    .unwrap_or(f64::INFINITY)
             };
             med("MobiRescue") < med("Schedule")
         }),
         ("serving teams: MR < both baselines", |c| {
-            let avg = |n: &str| {
-                let v = c.method(n).outcome.avg_serving_teams_per_hour();
-                v.iter().sum::<f64>() / v.len().max(1) as f64
-            };
+            let avg = |n: &str| c.method(n).outcome.mean_serving_teams();
             avg("MobiRescue") < avg("Rescue") && avg("MobiRescue") < avg("Schedule")
         }),
         ("prediction accuracy: MR > Rescue", |c| {

@@ -2,7 +2,7 @@
 
 use crate::report::{cdf_table, heading, series_table};
 use mobirescue_core::analysis::DatasetAnalysis;
-use mobirescue_core::experiment::{run_comparison, Comparison, ExperimentConfig};
+use mobirescue_core::experiment::{run_comparison, Comparison, ExperimentConfig, MethodResult};
 use mobirescue_core::scenario::Scenario;
 use mobirescue_mobility::stats::Cdf;
 use mobirescue_roadnet::regions::RegionId;
@@ -544,14 +544,7 @@ impl FigureContext {
             served.1,
             served.2
         ));
-        let med = |m: &mobirescue_core::experiment::MethodResult| {
-            let c = m.outcome.driving_delay_cdf();
-            if c.is_empty() {
-                f64::INFINITY
-            } else {
-                c.quantile(0.5)
-            }
-        };
+        let med = |m: &MethodResult| m.outcome.median_driving_delay_s().unwrap_or(f64::INFINITY);
         let delays = (med(mr), med(rescue), med(schedule));
         out.push_str(&format!(
             "[{}] median driving delay: MobiRescue < Rescue < Schedule   (measured {:.0}s / {:.0}s / {:.0}s)\n",
@@ -560,14 +553,7 @@ impl FigureContext {
             delays.1,
             delays.2
         ));
-        let tmed = |m: &mobirescue_core::experiment::MethodResult| {
-            let c = m.outcome.timeliness_cdf();
-            if c.is_empty() {
-                f64::INFINITY
-            } else {
-                c.quantile(0.5)
-            }
-        };
+        let tmed = |m: &MethodResult| m.outcome.median_timeliness_s().unwrap_or(f64::INFINITY);
         let t = (tmed(mr), tmed(rescue), tmed(schedule));
         out.push_str(&format!(
             "[{}] median timeliness: MobiRescue << Schedule < Rescue   (measured {:.0}s / {:.0}s / {:.0}s)\n",
@@ -576,11 +562,11 @@ impl FigureContext {
             t.2,
             t.1
         ));
-        let avg_serving = |m: &mobirescue_core::experiment::MethodResult| {
-            let v = m.outcome.avg_serving_teams_per_hour();
-            v.iter().sum::<f64>() / v.len().max(1) as f64
-        };
-        let s = (avg_serving(mr), avg_serving(rescue), avg_serving(schedule));
+        let s = (
+            mr.outcome.mean_serving_teams(),
+            rescue.outcome.mean_serving_teams(),
+            schedule.outcome.mean_serving_teams(),
+        );
         out.push_str(&format!(
             "[{}] serving teams: MobiRescue < Rescue ≈ Schedule   (measured {:.1} / {:.1} / {:.1})\n",
             check(s.0 < s.1 && s.0 < s.2),

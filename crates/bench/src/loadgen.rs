@@ -18,79 +18,16 @@ use mobirescue_core::training::{busiest_request_day, requests_on_day};
 use mobirescue_mobility::map_match::MapMatcher;
 use std::fmt::Write as _;
 
-/// The arrival-rate shape of a load run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Profile {
-    /// Constant rate for the whole run.
-    Open,
-    /// Rate ramps linearly from zero to twice the nominal rate (same
-    /// total request count as [`Profile::Open`]).
-    Ramp,
-    /// Half the nominal rate, with a 4x burst in the middle tenth of the
-    /// run — the overload probe.
-    Spike,
-}
-
-impl Profile {
-    /// Parses a profile name as the CLI spells it.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "open" => Some(Self::Open),
-            "ramp" => Some(Self::Ramp),
-            "spike" => Some(Self::Spike),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Open => "open",
-            Self::Ramp => "ramp",
-            Self::Spike => "spike",
-        }
-    }
-
-    /// Send offsets in milliseconds from the start of the run, sorted
-    /// ascending. `rate_rps` is the nominal rate; `duration_ms` the run
-    /// length. Deterministic — the same arguments always produce the
-    /// same schedule.
-    pub fn schedule(self, rate_rps: f64, duration_ms: u64) -> Vec<u64> {
-        let duration = duration_ms as f64;
-        let total = (rate_rps * duration / 1_000.0).floor().max(1.0) as u64;
-        match self {
-            Self::Open => (0..total)
-                .map(|i| (i as f64 * duration / total as f64) as u64)
-                .collect(),
-            Self::Ramp => {
-                // Rate r(t) = 2R·t/D integrates to C(t) = R·t²/D, so the
-                // i-th send lands at D·sqrt(i/n).
-                (0..total)
-                    .map(|i| (duration * (i as f64 / total as f64).sqrt()) as u64)
-                    .collect()
-            }
-            Self::Spike => {
-                // Baseline R/2 outside the burst window [45%, 55%), 4R
-                // inside it.
-                let burst_start = duration * 0.45;
-                let burst_end = duration * 0.55;
-                let base = rate_rps / 2.0;
-                let burst = rate_rps * 4.0;
-                let mut offsets = Vec::new();
-                let mut t = 0.0;
-                while t < duration {
-                    offsets.push(t as u64);
-                    let rate = if (burst_start..burst_end).contains(&t) {
-                        burst
-                    } else {
-                        base
-                    };
-                    t += 1_000.0 / rate;
-                }
-                offsets
-            }
-        }
-    }
+/// Send offsets in milliseconds from the start of the run, evenly spaced
+/// and sorted ascending. `rate_rps` is the request rate; `duration_ms` the
+/// run length. Deterministic — the same arguments always produce the same
+/// schedule.
+pub fn open_schedule(rate_rps: f64, duration_ms: u64) -> Vec<u64> {
+    let duration = duration_ms as f64;
+    let total = (rate_rps * duration / 1_000.0).floor().max(1.0) as u64;
+    (0..total)
+        .map(|i| (i as f64 * duration / total as f64) as u64)
+        .collect()
 }
 
 /// One request of the replayed stream: `(appear_s, segment index)`.
@@ -212,7 +149,7 @@ mod tests {
 
     #[test]
     fn open_schedule_is_uniform_and_sized_by_rate() {
-        let offsets = Profile::Open.schedule(100.0, 2_000);
+        let offsets = open_schedule(100.0, 2_000);
         assert_eq!(offsets.len(), 200);
         assert_eq!(offsets[0], 0);
         assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "sorted");
@@ -222,44 +159,8 @@ mod tests {
     }
 
     #[test]
-    fn ramp_schedule_accelerates() {
-        let offsets = Profile::Ramp.schedule(100.0, 2_000);
-        assert_eq!(offsets.len(), 200);
-        assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "sorted");
-        // More sends in the second half than the first.
-        let mid = offsets.iter().filter(|&&t| t < 1_000).count();
-        assert!(
-            mid < offsets.len() / 3,
-            "ramp is back-loaded, got {mid} of {} in the first half",
-            offsets.len()
-        );
-    }
-
-    #[test]
-    fn spike_schedule_bursts_in_the_middle_tenth() {
-        let offsets = Profile::Spike.schedule(100.0, 2_000);
-        assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "sorted");
-        let in_burst = offsets
-            .iter()
-            .filter(|&&t| (900..1_100).contains(&t))
-            .count();
-        let before = offsets.iter().filter(|&&t| t < 200).count();
-        // 4x rate over 10% of the run vs R/2 elsewhere: the burst window
-        // holds ~8x the sends of an equal-length baseline window.
-        assert!(
-            in_burst >= 4 * before.max(1),
-            "burst window has {in_burst} sends vs {before} in an equal baseline window"
-        );
-    }
-
-    #[test]
     fn schedules_are_deterministic() {
-        for profile in [Profile::Open, Profile::Ramp, Profile::Spike] {
-            assert_eq!(
-                profile.schedule(250.0, 1_500),
-                profile.schedule(250.0, 1_500)
-            );
-        }
+        assert_eq!(open_schedule(250.0, 1_500), open_schedule(250.0, 1_500));
     }
 
     #[test]

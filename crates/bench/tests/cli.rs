@@ -1,4 +1,4 @@
-//! Pins the loadgen, chaos and experiment binaries' command-line
+//! Pins the loadgen, chaos, experiment and map binaries' command-line
 //! contracts: typos, missing values and non-numeric values fail loudly,
 //! they never fall through to a default run.
 
@@ -32,15 +32,22 @@ fn missing_addr_exits_nonzero() {
     assert!(stderr.contains("--addr HOST:PORT is required"), "{stderr}");
 }
 
+/// Every run is open-loop at a constant rate and stamps the same SLO
+/// ceilings, so the flags that once chose them are unknown arguments.
 #[test]
-fn bad_profile_exits_nonzero() {
-    let out = Command::new(env!("CARGO_BIN_EXE_loadgen"))
-        .args(["--addr", "127.0.0.1:9", "--profile", "closed"])
-        .output()
-        .expect("loadgen runs");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown profile"), "{stderr}");
+fn profile_and_slo_flags_are_refused() {
+    for flag in ["--profile", "--slo-ms", "--p999-slo-ms", "--max-shed-pct"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_loadgen"))
+            .args(["--addr", "127.0.0.1:9", flag, "1"])
+            .output()
+            .expect("loadgen runs");
+        assert_eq!(out.status.code(), Some(2), "{flag} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown argument \"{flag}\"")),
+            "{stderr}"
+        );
+    }
 }
 
 #[test]
@@ -52,7 +59,8 @@ fn help_prints_usage_to_stdout_and_exits_zero() {
     assert!(out.status.success(), "--help exits 0");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("usage: loadgen"), "{stdout}");
-    assert!(stdout.contains("--profile NAME"), "{stdout}");
+    assert!(stdout.contains("--rate RPS"), "{stdout}");
+    assert!(!stdout.contains("--profile"), "{stdout}");
 }
 
 /// Runs the chaos binary with `args`, expecting it to refuse them with
@@ -159,4 +167,30 @@ fn figures_refuses_bad_values_before_building_a_context() {
         &["--scale", "huge"],
         "--scale needs small, medium or paper, got \"huge\"",
     );
+}
+
+#[test]
+fn render_map_refuses_bad_values_before_building_a_scenario() {
+    let render_map = env!("CARGO_BIN_EXE_render_map");
+    refuses_at_once(
+        render_map,
+        &["--hour", "99999"],
+        "--hour needs peak or an hour below 720, got \"99999\"",
+    );
+    refuses_at_once(
+        render_map,
+        &["--hour", "noon"],
+        "--hour needs peak or an hour below 720, got \"noon\"",
+    );
+    refuses_at_once(
+        render_map,
+        &["--seed", "abc"],
+        "--seed needs a non-negative integer, got \"abc\"",
+    );
+    refuses_at_once(
+        render_map,
+        &["--scale", "bogus"],
+        "--scale needs small, medium or paper, got \"bogus\"",
+    );
+    refuses_at_once(render_map, &["--out"], "--out needs a value");
 }

@@ -1,12 +1,13 @@
 //! The Section-V experiment harness: train on Michael, evaluate on
 //! Florence, compare MobiRescue against *Schedule* and *Rescue*.
 //!
+//! [`Evaluation`] builds the evaluated day once, and every method — a
+//! baseline, MobiRescue or one of `ablation`'s variants — runs through it.
 //! One call to [`run_comparison`] reproduces the data behind Figures 9–16:
-//! it builds both scenarios over the same city, mines the rescue ground
-//! truth, trains the SVM predictor and the RL agent on Michael, fits the
-//! time-series baseline on Florence's request history, runs the three
-//! dispatchers through the identical 24-hour request schedule, and
-//! evaluates both predictors per road segment.
+//! on that set-up it runs MobiRescue and the two baselines through the
+//! identical 24-hour request schedule, fitting the time-series baseline on
+//! Florence's request history, and evaluates both predictors per road
+//! segment.
 
 use crate::baselines::{RescueDispatcher, ScheduleDispatcher};
 use crate::predictor::{
@@ -17,8 +18,10 @@ use crate::scenario::{Scenario, ScenarioConfig};
 use crate::timeseries::TimeSeriesPredictor;
 use crate::training::{busiest_request_day, requests_on_day, train_offline, TrainingReport};
 use mobirescue_mobility::map_match::MapMatcher;
+use mobirescue_mobility::rescue::RescueRecord;
 use mobirescue_sim::engine::SimOutcome;
-use mobirescue_sim::types::SimConfig;
+use mobirescue_sim::types::{RequestSpec, SimConfig};
+use mobirescue_sim::Dispatcher;
 
 /// Configuration of a full comparison experiment.
 #[derive(Debug, Clone)]
@@ -139,6 +142,104 @@ impl Comparison {
     }
 }
 
+/// The Michael→Florence evaluation day, built once: both storms over one
+/// city, Florence's busiest request day and its requests, the SVM trained
+/// on Michael and the evaluation day's simulation settings. Every method
+/// under comparison — the paper's baselines, MobiRescue and its ablated
+/// variants — runs against this one value.
+#[derive(Debug)]
+pub struct Evaluation {
+    /// The training scenario (Hurricane Michael).
+    michael: Scenario,
+    /// The evaluation scenario (Hurricane Florence, same city).
+    florence: Scenario,
+    /// Map matcher over the city's road network.
+    matcher: MapMatcher,
+    /// Florence's mined rescue ground truth.
+    rescues: Vec<RescueRecord>,
+    /// Florence's busiest request day (the paper's Sep 16).
+    pub day: u32,
+    /// The requests injected on that day.
+    pub requests: Vec<RequestSpec>,
+    /// The SVM request predictor trained on Michael.
+    predictor: RequestPredictor,
+    /// The evaluated day's simulation settings, clamped to the timeline.
+    pub sim: SimConfig,
+    /// The configuration it was prepared from; offline training runs on
+    /// its simulation settings.
+    config: ExperimentConfig,
+}
+
+impl Evaluation {
+    /// Builds both scenarios from `config`, mines Florence's ground truth,
+    /// picks its busiest day and trains the SVM on Michael.
+    ///
+    /// # Panics
+    ///
+    /// Panics if Florence produces no rescue ground truth (degenerate
+    /// configurations only).
+    pub fn prepare(config: &ExperimentConfig) -> Self {
+        let michael = config.scenario.clone().michael().build(config.seed);
+        let florence = config.scenario.clone().florence().build(config.seed);
+        let matcher = MapMatcher::new(&florence.city.network);
+        let rescues = mine_rescues(&florence);
+        let day = busiest_request_day(&rescues).expect("Florence produced no rescues");
+        let requests = requests_on_day(&florence, &matcher, &rescues, day);
+        let predictor = RequestPredictor::train_on(&michael, &config.predictor);
+        let mut sim = config.sim.clone();
+        sim.start_hour = day * 24;
+        sim.duration_hours = sim
+            .duration_hours
+            .min(florence.disaster.total_hours() - sim.start_hour);
+        Self {
+            michael,
+            florence,
+            matcher,
+            rescues,
+            day,
+            requests,
+            predictor,
+            sim,
+            config: config.clone(),
+        }
+    }
+
+    /// Runs `dispatcher` through the evaluated day.
+    pub fn run(&self, dispatcher: &mut dyn Dispatcher) -> SimOutcome {
+        mobirescue_sim::run(
+            &self.florence.city,
+            &self.florence.conditions,
+            &self.requests,
+            dispatcher,
+            &self.sim,
+        )
+    }
+
+    /// Trains MobiRescue offline on Michael under `rl` — with the SVM
+    /// predictor when `use_predictor`, on live requests only otherwise —
+    /// then runs the trained agent through the evaluated day, learning
+    /// online (Section IV-C4) when `online`, frozen otherwise.
+    pub fn run_mobirescue(
+        &self,
+        rl: RlDispatchConfig,
+        use_predictor: bool,
+        online: bool,
+    ) -> (SimOutcome, TrainingReport) {
+        let predictor = use_predictor.then(|| self.predictor.clone());
+        let (policy, training) = train_offline(
+            &self.michael,
+            predictor.clone(),
+            rl.clone(),
+            &self.config.sim,
+            self.config.train_episodes,
+        );
+        let mut dispatcher =
+            MobiRescueDispatcher::with_policy(&self.florence, predictor, rl, policy);
+        dispatcher.set_training(online);
+        (self.run(&mut dispatcher), training)
+    }
+}
+
 /// Runs the full train-on-Michael / evaluate-on-Florence comparison.
 ///
 /// # Panics
@@ -146,116 +247,57 @@ impl Comparison {
 /// Panics if either scenario produces no rescue ground truth (degenerate
 /// configurations only).
 pub fn run_comparison(config: &ExperimentConfig) -> Comparison {
-    let michael = config.scenario.clone().michael().build(config.seed);
-    let florence = config.scenario.clone().florence().build(config.seed);
-    let matcher = MapMatcher::new(&florence.city.network);
-
-    // Ground truth on the evaluation disaster.
-    let florence_rescues = mine_rescues(&florence);
-    let experiment_day =
-        busiest_request_day(&florence_rescues).expect("Florence produced no rescues");
-    let requests = requests_on_day(&florence, &matcher, &florence_rescues, experiment_day);
-
-    // Train on Michael (Section V-B).
-    let predictor = RequestPredictor::train_on(&michael, &config.predictor);
-    let (policy, training) = train_offline(
-        &michael,
-        Some(predictor.clone()),
-        config.rl.clone(),
-        &config.sim,
-        config.train_episodes,
-    );
-
-    let mut sim = config.sim.clone();
-    sim.start_hour = experiment_day * 24;
-    sim.duration_hours = sim
-        .duration_hours
-        .min(florence.disaster.total_hours() - sim.start_hour);
+    let eval = Evaluation::prepare(config);
+    let Evaluation {
+        florence,
+        matcher,
+        rescues,
+        day,
+        predictor,
+        ..
+    } = &eval;
 
     // MobiRescue: trained agent + online continual training (IV-C4).
-    let mut mr = MobiRescueDispatcher::with_policy(
-        &florence,
-        Some(predictor.clone()),
-        config.rl.clone(),
-        policy,
-    );
-    mr.reset_episode();
-    let mr_outcome = mobirescue_sim::run(
-        &florence.city,
-        &florence.conditions,
-        &requests,
-        &mut mr,
-        &sim,
-    );
+    let (mr_outcome, training) = eval.run_mobirescue(config.rl.clone(), true, true);
 
     // Rescue baseline: time-series over the experiment day's history.
-    let lookback = config.lookback_days.min(experiment_day);
+    let lookback = config.lookback_days.min(*day);
     let ts = TimeSeriesPredictor::fit(
         &florence.city.network,
-        &matcher,
-        &florence_rescues,
-        experiment_day,
+        matcher,
+        rescues,
+        *day,
         lookback.max(1),
     );
-    let mut rescue = RescueDispatcher::new(ts.clone());
-    let rescue_outcome = mobirescue_sim::run(
-        &florence.city,
-        &florence.conditions,
-        &requests,
-        &mut rescue,
-        &sim,
-    );
-
-    // Schedule baseline.
-    let mut schedule = ScheduleDispatcher::default();
-    let schedule_outcome = mobirescue_sim::run(
-        &florence.city,
-        &florence.conditions,
-        &requests,
-        &mut schedule,
-        &sim,
-    );
+    let rescue_outcome = eval.run(&mut RescueDispatcher::new(ts.clone()));
+    let schedule_outcome = eval.run(&mut ScheduleDispatcher::default());
 
     // Figures 15–16: per-segment prediction quality on the experiment day.
-    let prediction_mr = evaluate_per_segment(
-        &florence,
-        &matcher,
-        &florence_rescues,
-        experiment_day,
-        |pos, hour| predictor.predict(&florence.disaster.factors_at(pos, hour)),
-    );
-    let prediction_rescue = evaluate_per_segment(
-        &florence,
-        &matcher,
-        &florence_rescues,
-        experiment_day,
-        |pos, hour| {
-            let seg = matcher.nearest_segment(&florence.city.network, pos);
-            ts.predict_person(seg, hour % 24, 0.2)
-        },
-    );
+    let prediction_mr = evaluate_per_segment(florence, matcher, rescues, *day, |pos, hour| {
+        predictor.predict(&florence.disaster.factors_at(pos, hour))
+    });
+    let prediction_rescue = evaluate_per_segment(florence, matcher, rescues, *day, |pos, hour| {
+        let seg = matcher.nearest_segment(&florence.city.network, pos);
+        ts.predict_person(seg, hour % 24, 0.2)
+    });
 
     Comparison {
-        experiment_day,
-        num_requests: requests.len(),
-        results: vec![
-            MethodResult {
-                name: "MobiRescue".into(),
-                outcome: mr_outcome,
-            },
-            MethodResult {
-                name: "Rescue".into(),
-                outcome: rescue_outcome,
-            },
-            MethodResult {
-                name: "Schedule".into(),
-                outcome: schedule_outcome,
-            },
-        ],
+        experiment_day: eval.day,
+        num_requests: eval.requests.len(),
+        results: [
+            ("MobiRescue", mr_outcome),
+            ("Rescue", rescue_outcome),
+            ("Schedule", schedule_outcome),
+        ]
+        .map(|(name, outcome)| MethodResult {
+            name: name.into(),
+            outcome,
+        })
+        .into(),
         prediction_mr,
         prediction_rescue,
         training,
-        florence,
+        florence: eval.florence,
     }
 }
 

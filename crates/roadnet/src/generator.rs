@@ -145,12 +145,21 @@ impl CityConfig {
         self.districts_x * self.districts_y
     }
 
-    /// Generates the city deterministically from `seed`.
+    /// Generates the city deterministically from `seed`:
+    /// `districts_x × districts_y` jittered grids (each with the per-district
+    /// arterial pattern and central motorway cross), joined across the
+    /// district gaps by two-way connectors on every arterial row/column
+    /// (motorway on the central row/column). Connectors on every district
+    /// boundary keep the metro strongly connected whenever each district is.
     ///
     /// # Panics
     ///
     /// Panics if the grid is smaller than 3×3, `num_regions < 2`, or
     /// `arterial_every == 0`.
+    // Index loops are the natural shape here: the connector passes pair
+    // each district with its eastern/southern neighbor (`grids[dy][dx]`
+    // vs `grids[dy][dx + 1]`), which iterators cannot express cleanly.
+    #[allow(clippy::needless_range_loop)]
     pub fn build(&self, seed: u64) -> City {
         assert!(
             self.grid_width >= 3 && self.grid_height >= 3,
@@ -162,118 +171,22 @@ impl CityConfig {
             self.districts_x >= 1 && self.districts_y >= 1,
             "district counts must be positive"
         );
-        if self.num_districts() > 1 {
-            // The metro path draws from its own RNG stream; the
-            // single-district path below is byte-for-byte the original
-            // generator, so every existing fixture stays pinned.
-            return self.build_districts(seed);
-        }
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x6d6f_6269_7265_7363);
-        let mut network = RoadNetwork::new();
-
-        let half_w = (self.grid_width - 1) as f64 / 2.0;
-        let half_h = (self.grid_height - 1) as f64 / 2.0;
-        let mut grid = vec![vec![LandmarkId(0); self.grid_width]; self.grid_height];
-        for (r, row) in grid.iter_mut().enumerate() {
-            for (c, cell) in row.iter_mut().enumerate() {
-                let east = (c as f64 - half_w) * self.spacing_m
-                    + rng.random_range(-self.position_jitter_m..=self.position_jitter_m);
-                let north = (r as f64 - half_h) * self.spacing_m
-                    + rng.random_range(-self.position_jitter_m..=self.position_jitter_m);
-                *cell = network.add_landmark(self.center.offset_m(east, north));
-            }
-        }
-
-        let mid_r = self.grid_height / 2;
-        let mid_c = self.grid_width / 2;
-        let class_of = |r: usize, c: usize, horizontal: bool| -> RoadClass {
-            if (horizontal && r == mid_r) || (!horizontal && c == mid_c) {
-                RoadClass::Motorway
-            } else if (horizontal && r.is_multiple_of(self.arterial_every))
-                || (!horizontal && c.is_multiple_of(self.arterial_every))
-            {
-                RoadClass::Arterial
-            } else {
-                RoadClass::Residential
-            }
+        // Every layout runs the district generator below (a 1×1 layout is
+        // the classic grid); only the RNG stream key still depends on the
+        // district count, because single- and multi-district cities were
+        // each blessed on their own stream.
+        let stream = if self.num_districts() > 1 {
+            0x6d65_7472_6f63_6974
+        } else {
+            0x6d6f_6269_7265_7363
         };
-        // Residential streets may come out one-way; the skipped reverse
-        // directions are kept as repair candidates.
-        let mut skipped_reverses: Vec<(LandmarkId, LandmarkId, RoadClass)> = Vec::new();
-        let mut add_street = |network: &mut RoadNetwork,
-                              rng: &mut StdRng,
-                              a: LandmarkId,
-                              b: LandmarkId,
-                              class: RoadClass| {
-            let one_way = class == RoadClass::Residential
-                && self.one_way_fraction > 0.0
-                && rng.random_bool(self.one_way_fraction.clamp(0.0, 1.0));
-            if one_way {
-                // Direction chosen at random.
-                let (from, to) = if rng.random_bool(0.5) { (a, b) } else { (b, a) };
-                network.add_segment(from, to, class);
-                skipped_reverses.push((to, from, class));
-            } else {
-                network.add_two_way(a, b, class);
-            }
-        };
-        for r in 0..self.grid_height {
-            for c in 0..self.grid_width {
-                if c + 1 < self.grid_width {
-                    add_street(
-                        &mut network,
-                        &mut rng,
-                        grid[r][c],
-                        grid[r][c + 1],
-                        class_of(r, c, true),
-                    );
-                }
-                if r + 1 < self.grid_height {
-                    add_street(
-                        &mut network,
-                        &mut rng,
-                        grid[r][c],
-                        grid[r + 1][c],
-                        class_of(r, c, false),
-                    );
-                }
-            }
-        }
-        self.repair_connectivity(&mut network, skipped_reverses);
-
-        let regions = self.partition(&network);
-        let hospitals = self.place_hospitals(&network, &regions, &mut rng);
-        let depot = network
-            .nearest_landmark(self.center)
-            .expect("generated network is non-empty");
-
-        City {
-            network,
-            regions,
-            hospitals,
-            depot,
-            center: self.center,
-        }
-    }
-
-    /// The multi-district metro generator: `districts_x × districts_y`
-    /// jittered grids (each with the per-district arterial pattern and
-    /// central motorway cross), joined across the district gaps by two-way
-    /// connectors on every arterial row/column (motorway on the central
-    /// row/column). Connectors on every district boundary keep the metro
-    /// strongly connected whenever each district is.
-    // Index loops are the natural shape here: the connector passes pair
-    // each district with its eastern/southern neighbor (`grids[dy][dx]`
-    // vs `grids[dy][dx + 1]`), which iterators cannot express cleanly.
-    #[allow(clippy::needless_range_loop)]
-    fn build_districts(&self, seed: u64) -> City {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x6d65_7472_6f63_6974);
+        let mut rng = StdRng::seed_from_u64(seed ^ stream);
         let mut network = RoadNetwork::new();
         let span_x = (self.grid_width - 1) as f64 * self.spacing_m;
         let span_y = (self.grid_height - 1) as f64 * self.spacing_m;
         let pitch_x = span_x + self.district_gap_m;
         let pitch_y = span_y + self.district_gap_m;
-        // Center the whole metro on `self.center`.
+        // Center the whole city on `self.center`.
         let origin_e = -(span_x + (self.districts_x - 1) as f64 * pitch_x) / 2.0;
         let origin_n = -(span_y + (self.districts_y - 1) as f64 * pitch_y) / 2.0;
 

@@ -1,9 +1,9 @@
 //! Property-based tests for the multi-district metro generator.
 //!
-//! The single-district generator path is pinned byte-for-byte by the
-//! golden fixtures; these properties cover the multi-district path
-//! (`districts_x * districts_y > 1`), which draws from its own RNG
-//! stream. Randomized cases use
+//! Single-district cities are pinned byte-for-byte by the golden
+//! fixtures and the root package's `tests/city_equivalence.rs`; these
+//! properties cover multi-district layouts (`districts_x * districts_y >
+//! 1`), which draw from their own RNG stream. Randomized cases use
 //! small district grids to keep each build cheap; the pinned tests at the
 //! bottom assert the full `metro`/`multi_city` presets hit their scale
 //! targets.

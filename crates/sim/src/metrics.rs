@@ -99,6 +99,20 @@ impl SimOutcome {
         )
     }
 
+    /// Median of [`Self::driving_delay_cdf`] (seconds); `None` when nothing
+    /// was served.
+    pub fn median_driving_delay_s(&self) -> Option<f64> {
+        let cdf = self.driving_delay_cdf();
+        (!cdf.is_empty()).then(|| cdf.quantile(0.5))
+    }
+
+    /// Median of [`Self::timeliness_cdf`] (seconds); `None` when nothing was
+    /// served.
+    pub fn median_timeliness_s(&self) -> Option<f64> {
+        let cdf = self.timeliness_cdf();
+        (!cdf.is_empty()).then(|| cdf.quantile(0.5))
+    }
+
     /// Figure 14: number of serving teams per dispatch slot.
     pub fn serving_teams_per_slot(&self) -> &[(u32, usize)] {
         &self.serving_per_tick
@@ -120,6 +134,13 @@ impl SimOutcome {
             .zip(count)
             .map(|(s, c)| if c > 0 { s / c as f64 } else { 0.0 })
             .collect()
+    }
+
+    /// Figure 14 as one number: the mean of
+    /// [`Self::avg_serving_teams_per_hour`] over the simulated hours.
+    pub fn mean_serving_teams(&self) -> f64 {
+        let hourly = self.avg_serving_teams_per_hour();
+        hourly.iter().sum::<f64>() / hourly.len().max(1) as f64
     }
 }
 
@@ -199,5 +220,17 @@ mod tests {
         assert_eq!(o.driving_delay_cdf().len(), 3);
         assert_eq!(o.timeliness_cdf().len(), 3);
         assert_eq!(o.timeliness_cdf().min(), Some(200.0));
+    }
+
+    #[test]
+    fn headline_statistics() {
+        let mut o = outcome();
+        assert_eq!(o.median_timeliness_s(), Some(600.0));
+        assert_eq!(o.median_driving_delay_s(), Some(500.0));
+        let hours = f64::from(o.config.duration_hours);
+        assert_eq!(o.mean_serving_teams(), (3.0 + 6.0) / hours);
+        o.requests.retain(|r| r.picked_up_s.is_none());
+        assert_eq!(o.median_timeliness_s(), None);
+        assert_eq!(o.median_driving_delay_s(), None);
     }
 }

@@ -28,25 +28,14 @@ fn main() {
         "method", "served", "timely", "median delay", "median T13", "avg teams"
     );
     for m in &cmp.results {
-        let delay = m.outcome.driving_delay_cdf();
-        let timeliness = m.outcome.timeliness_cdf();
-        let serving = m.outcome.avg_serving_teams_per_hour();
         println!(
             "{:<12} {:>7} {:>7} {:>11.0}s {:>11.0}s {:>9.1}",
             m.name,
             m.outcome.total_served(),
             m.outcome.total_timely_served(),
-            if delay.is_empty() {
-                f64::NAN
-            } else {
-                delay.quantile(0.5)
-            },
-            if timeliness.is_empty() {
-                f64::NAN
-            } else {
-                timeliness.quantile(0.5)
-            },
-            serving.iter().sum::<f64>() / serving.len().max(1) as f64,
+            m.outcome.median_driving_delay_s().unwrap_or(f64::NAN),
+            m.outcome.median_timeliness_s().unwrap_or(f64::NAN),
+            m.outcome.mean_serving_teams(),
         );
     }
 

@@ -36,9 +36,8 @@ if [[ -z "$addr" ]]; then
     exit 1
 fi
 
-echo "==> loadgen (open profile, blessing BENCH_serve.json)"
-./target/release/loadgen --addr "$addr" --profile open --rate 200 \
-    --duration-ms 5000 --slo-ms 250 --p999-slo-ms 1000 --max-shed-pct 5 \
+echo "==> loadgen (blessing BENCH_serve.json)"
+./target/release/loadgen --addr "$addr" --rate 200 --duration-ms 5000 \
     --out BENCH_serve.json --quiet > "$report"
 wait "$serve_pid" || {
     echo "bless_serve: serve exited non-zero" >&2

@@ -4,7 +4,7 @@
 #
 #   scripts/verify.sh          # lock files + fmt + clippy + docs +
 #                              # tier-1 + crate tests + mrbench ledger
-#                              # tests + scale bench gate
+#                              # tests + medium summary + scale bench gate
 #   scripts/verify.sh --full   # additionally run the whole workspace's
 #                              # tests in release, `bench` included
 #
@@ -69,6 +69,17 @@ run_step "crate tests" cargo test -q -p mobirescue-core -p mobirescue-disaster \
 # turns a public-API break in rl, core or sim into a verify failure
 # instead of a benchmark-pipeline one.
 run_step "ledger" cargo test --offline -q --manifest-path mrbench/Cargo.toml
+# The medium seed-42 summary that EXPERIMENTS.md reports, rebuilt through
+# `run_comparison` (~75 s in release) and byte-compared with the summary
+# block of the committed run: a change that moves the reproduction fails
+# here until `figures_medium_seed42.txt` is regenerated. The block runs
+# from the blank line that opens every heading to the end of the file.
+medium_summary_current() {
+    cargo build --release -q -p mobirescue-bench --bin figures &&
+        cmp <(echo; sed -n '/^== Summary:/,$p' figures_medium_seed42.txt) \
+            <(./target/release/figures --scale medium --seed 42 --exp summary 2>/dev/null)
+}
+run_step "medium summary" medium_summary_current
 # CI's scale gate (the serving gate has its own CI job, bench-smoke):
 # medium and metro presets with a loosened ceiling — verify machines vary
 # more than the bless machine, and the exact checksums are the

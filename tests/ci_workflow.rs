@@ -9,7 +9,8 @@
 //! gates live: the scale gate runs in `scripts/verify.sh`, the retired
 //! routing gate's knobs stay out of CI, verify's "crate tests" step
 //! names every library crate under `crates/`, so a new crate cannot go
-//! untested, and its "docs" step builds the docs with warnings denied.
+//! untested, its "docs" step builds the docs with warnings denied, and its
+//! "medium summary" step reruns the summary EXPERIMENTS.md reports.
 //! DESIGN.md's dependency DAG is held to the crate manifests.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -209,6 +210,29 @@ fn verify_tests_every_library_crate_once() {
         !verify.contains("--test "),
         "verify.sh re-runs a root-package suite that the tier-1 step already runs"
     );
+}
+
+#[test]
+fn verify_rebuilds_the_recorded_medium_summary() {
+    let verify = repo_file("scripts/verify.sh").replace("\\\n", " ");
+    assert!(
+        verify
+            .lines()
+            .any(|l| l.trim_start().starts_with("run_step \"medium summary\"")),
+        "verify.sh has a \"medium summary\" step"
+    );
+    for piece in [
+        "cargo build --release -q -p mobirescue-bench --bin figures",
+        "figures --scale medium --seed 42 --exp summary",
+        "cmp ",
+        "figures_medium_seed42.txt",
+    ] {
+        assert!(
+            verify.contains(piece),
+            "the medium summary step must build figures in release, rerun the \
+             seed-42 summary and byte-compare it with the committed run: {piece}"
+        );
+    }
 }
 
 #[test]

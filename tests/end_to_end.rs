@@ -49,12 +49,10 @@ fn mobirescue_serves_at_least_as_well_as_ip_baselines() {
     // timeliness — both see the same requests, only the dispatch mechanism
     // differs.
     let median = |name: &str| {
-        let c = cmp.method(name).outcome.timeliness_cdf();
-        if c.is_empty() {
-            f64::INFINITY
-        } else {
-            c.quantile(0.5)
-        }
+        cmp.method(name)
+            .outcome
+            .median_timeliness_s()
+            .unwrap_or(f64::INFINITY)
     };
     assert!(
         median("MobiRescue") < median("Rescue"),
@@ -74,10 +72,20 @@ fn medium_scale_reproduces_paper_orderings() {
     let timely = |name: &str| cmp.method(name).outcome.total_timely_served();
     assert!(timely("MobiRescue") > timely("Rescue"));
     assert!(timely("Rescue") > timely("Schedule"));
-    let median_t = |name: &str| cmp.method(name).outcome.timeliness_cdf().quantile(0.5);
+    let median_t = |name: &str| {
+        cmp.method(name)
+            .outcome
+            .median_timeliness_s()
+            .expect("served requests")
+    };
     assert!(median_t("MobiRescue") < median_t("Schedule"));
     assert!(median_t("Schedule") < median_t("Rescue"));
-    let median_d = |name: &str| cmp.method(name).outcome.driving_delay_cdf().quantile(0.5);
+    let median_d = |name: &str| {
+        cmp.method(name)
+            .outcome
+            .median_driving_delay_s()
+            .expect("served requests")
+    };
     assert!(median_d("MobiRescue") < median_d("Rescue"));
     assert!(median_d("Rescue") < median_d("Schedule"));
     assert!(cmp.prediction_mr.mean_accuracy() > cmp.prediction_rescue.mean_accuracy());
@@ -87,10 +95,7 @@ fn medium_scale_reproduces_paper_orderings() {
 #[test]
 fn mobirescue_uses_fewer_serving_teams() {
     let cmp = small_comparison();
-    let avg = |name: &str| {
-        let v = cmp.method(name).outcome.avg_serving_teams_per_hour();
-        v.iter().sum::<f64>() / v.len().max(1) as f64
-    };
+    let avg = |name: &str| cmp.method(name).outcome.mean_serving_teams();
     assert!(
         avg("MobiRescue") < avg("Rescue") && avg("MobiRescue") < avg("Schedule"),
         "MobiRescue {:.1} vs Rescue {:.1} / Schedule {:.1}",
