@@ -10,7 +10,7 @@ use mobirescue_roadnet::regions::RegionId;
 /// How big an experiment to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentScale {
-    /// Seconds: 12×12 city, 300 people, 6 teams.
+    /// Seconds: 12×12 city, 300 people, 8 teams.
     Small,
     /// Minutes: 24×24 city, 2,500 people, 60 teams.
     Medium,

@@ -11,7 +11,7 @@
 use crate::terrain::TerrainModel;
 use crate::weather::WeatherField;
 use mobirescue_roadnet::damage::NetworkCondition;
-use mobirescue_roadnet::geo::{BoundingBox, GeoPoint};
+use mobirescue_roadnet::geo::{BoundingBox, GeoPoint, LocalProjection};
 use mobirescue_roadnet::graph::RoadNetwork;
 use serde::{Deserialize, Serialize};
 
@@ -43,11 +43,17 @@ pub const WET_DEPTH_M: f64 = 0.08;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FloodField {
     bbox: BoundingBox,
+    /// Projection around the raster's south-west corner.
+    projection: LocalProjection,
+    /// Raster extent east and north of the south-west corner, meters.
+    extent_m: (f64, f64),
     cols: usize,
     rows: usize,
     hours: u32,
     /// Water depth in meters, indexed `[hour * rows * cols + row * cols + col]`.
     depth: Vec<f32>,
+    /// Whether any cell reaches [`FLOOD_DEPTH_M`], per hour.
+    flooded_hours: Vec<bool>,
 }
 
 impl FloodField {
@@ -66,20 +72,18 @@ impl FloodField {
         assert!(resolution >= 2, "raster resolution must be at least 2");
         let hours = weather.hurricane().timeline.total_hours();
         let (cols, rows) = (resolution, resolution);
-        let (width_m, height_m) = {
-            let (e, n) = bbox.north_east.local_xy_m(bbox.south_west);
-            (e, n)
-        };
+        let projection = LocalProjection::new(bbox.south_west);
+        let (width_m, height_m) = projection.xy_m(bbox.north_east);
 
-        // Precompute per-cell center position and altitude.
-        let mut centers = Vec::with_capacity(rows * cols);
+        // Precompute each cell's rain profile and altitude at its center.
+        let mut profiles = Vec::with_capacity(rows * cols);
         let mut altitude = Vec::with_capacity(rows * cols);
         for r in 0..rows {
             for c in 0..cols {
                 let east = (c as f64 + 0.5) / cols as f64 * width_m;
                 let north = (r as f64 + 0.5) / rows as f64 * height_m;
                 let p = bbox.south_west.offset_m(east, north);
-                centers.push(p);
+                profiles.push(weather.precipitation_profile(p));
                 altitude.push(terrain.altitude_m(p));
             }
         }
@@ -92,25 +96,34 @@ impl FloodField {
 
         // Water balance: each hour, water += rain * runoff(alt);
         // water *= retention(alt). Low ground both collects more runoff and
-        // drains more slowly, so it floods first and recovers last.
+        // drains more slowly, so it floods first and recovers last. Rain is
+        // the hour's storm-wide scale times the cell's profile, the product
+        // `WeatherField::precipitation_mm_h` takes.
         let mut depth = vec![0f32; hours as usize * rows * cols];
         let mut water = vec![0f64; rows * cols];
+        let mut flooded_hours = Vec::with_capacity(hours as usize);
         for h in 0..hours {
-            for (i, (&p, &alt)) in centers.iter().zip(altitude.iter()).enumerate() {
+            let scale = weather.precipitation_scale_mm_h(h);
+            let hour_depth = &mut depth[h as usize * rows * cols..][..rows * cols];
+            for (i, (&profile, &alt)) in profiles.iter().zip(altitude.iter()).enumerate() {
                 let lowness = 1.0 - (alt - alt_min) / alt_span; // 0 = highest, 1 = lowest
-                let rain_m = weather.precipitation_mm_h(p, h) / 1000.0;
+                let rain_m = scale * profile / 1000.0;
                 let runoff = 0.4 + 6.0 * lowness * lowness;
                 let retention = 0.90 + 0.07 * lowness; // hourly decay factor
                 water[i] = (water[i] + rain_m * runoff) * retention;
-                depth[h as usize * rows * cols + i] = water[i] as f32;
+                hour_depth[i] = water[i] as f32;
             }
+            flooded_hours.push(hour_depth.iter().any(|&d| d as f64 >= FLOOD_DEPTH_M));
         }
         Self {
             bbox,
+            projection,
+            extent_m: (width_m, height_m),
             cols,
             rows,
             hours,
             depth,
+            flooded_hours,
         }
     }
 
@@ -125,14 +138,26 @@ impl FloodField {
     }
 
     fn cell_index(&self, p: GeoPoint) -> usize {
-        let (e, n) = p.local_xy_m(self.bbox.south_west);
-        let (width_m, height_m) = {
-            let (we, wn) = self.bbox.north_east.local_xy_m(self.bbox.south_west);
-            (we, wn)
-        };
+        let (e, n) = self.projection.xy_m(p);
+        let (width_m, height_m) = self.extent_m;
         let c = ((e / width_m * self.cols as f64) as isize).clamp(0, self.cols as isize - 1);
         let r = ((n / height_m * self.rows as f64) as isize).clamp(0, self.rows as isize - 1);
         r as usize * self.cols + c as usize
+    }
+
+    /// The raster's depths during `hour`, one per cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hour` is past the end of the scenario.
+    fn hour_depths(&self, hour: u32) -> &[f32] {
+        assert!(
+            hour < self.hours,
+            "hour {hour} outside scenario of {} hours",
+            self.hours
+        );
+        let cells = self.rows * self.cols;
+        &self.depth[hour as usize * cells..][..cells]
     }
 
     /// Water depth at `p` during `hour`, meters. Positions outside the raster
@@ -142,12 +167,7 @@ impl FloodField {
     ///
     /// Panics if `hour` is past the end of the scenario.
     pub fn depth_m(&self, p: GeoPoint, hour: u32) -> f64 {
-        assert!(
-            hour < self.hours,
-            "hour {hour} outside scenario of {} hours",
-            self.hours
-        );
-        self.depth[hour as usize * self.rows * self.cols + self.cell_index(p)] as f64
+        self.hour_depths(hour)[self.cell_index(p)] as f64
     }
 
     /// Whether `p` lies in a flood zone during `hour` (depth above
@@ -166,34 +186,71 @@ impl FloodField {
     ///
     /// Panics if `hour` is past the end of the scenario.
     pub fn flooded_fraction(&self, hour: u32) -> f64 {
-        assert!(hour < self.hours, "hour {hour} outside scenario");
-        let base = hour as usize * self.rows * self.cols;
-        let n = self.rows * self.cols;
-        let flooded = (0..n)
-            .filter(|i| self.depth[base + i] as f64 >= FLOOD_DEPTH_M)
+        let depths = self.hour_depths(hour);
+        let flooded = depths
+            .iter()
+            .filter(|&&d| d as f64 >= FLOOD_DEPTH_M)
             .count();
-        flooded as f64 / n as f64
+        flooded as f64 / depths.len() as f64
+    }
+
+    /// Whether any raster cell is in a flood zone during `hour`. When it is
+    /// not, [`FloodField::is_flooded`] is false everywhere in that hour.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hour` is past the end of the scenario.
+    pub fn any_cell_flooded(&self, hour: u32) -> bool {
+        assert!(hour < self.hours, "hour {hour} outside scenario");
+        self.flooded_hours[hour as usize]
     }
 
     /// The remaining available network G̃ at `hour`: flooded segments are
-    /// blocked, wet segments slowed proportionally to water depth.
+    /// blocked, wet segments slowed proportionally to water depth. The
+    /// one-hour case of [`FloodField::network_conditions`].
     ///
     /// # Panics
     ///
     /// Panics if `hour` is past the end of the scenario.
     pub fn network_condition(&self, net: &RoadNetwork, hour: u32) -> NetworkCondition {
-        let mut cond = NetworkCondition::pristine(net);
-        for sid in net.segment_ids() {
-            let depth = self.depth_m(net.segment_midpoint(sid), hour);
-            if depth >= FLOOD_DEPTH_M {
-                cond.block(sid);
-            } else if depth >= WET_DEPTH_M {
-                // Linear slowdown from 1.0 at WET_DEPTH to 0.35 at FLOOD_DEPTH.
-                let x = (depth - WET_DEPTH_M) / (FLOOD_DEPTH_M - WET_DEPTH_M);
-                cond.set_speed_factor(sid, 1.0 - 0.65 * x);
-            }
-        }
-        cond
+        assert!(hour < self.hours, "hour {hour} outside scenario");
+        let mut conditions = self.network_conditions(net, hour..hour + 1);
+        conditions.pop().expect("one hour gives one condition")
+    }
+
+    /// The remaining available network G̃ for every hour of `hours`, in
+    /// order. Each segment's midpoint is mapped to its raster cell once,
+    /// and each hour reads the cells' depths by index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hours` extends past the end of the scenario.
+    pub fn network_conditions(
+        &self,
+        net: &RoadNetwork,
+        hours: std::ops::Range<u32>,
+    ) -> Vec<NetworkCondition> {
+        let cells: Vec<usize> = net
+            .segment_ids()
+            .map(|sid| self.cell_index(net.segment_midpoint(sid)))
+            .collect();
+        hours
+            .map(|hour| {
+                let depths = self.hour_depths(hour);
+                let mut cond = NetworkCondition::pristine(net);
+                for (sid, &cell) in net.segment_ids().zip(&cells) {
+                    let depth = depths[cell] as f64;
+                    if depth >= FLOOD_DEPTH_M {
+                        cond.block(sid);
+                    } else if depth >= WET_DEPTH_M {
+                        // Linear slowdown from 1.0 at WET_DEPTH to 0.35 at FLOOD_DEPTH.
+                        let x = (depth - WET_DEPTH_M) / (FLOOD_DEPTH_M - WET_DEPTH_M);
+                        cond.set_speed_factor(sid, 1.0 - 0.65 * x);
+                    }
+                }
+                cond
+            })
+            .collect()
     }
 }
 
@@ -260,6 +317,26 @@ mod tests {
             day_after > 0.01,
             "flooding vanished immediately: {day_after}"
         );
+    }
+
+    #[test]
+    fn flooded_hour_flags_match_the_flooded_fraction() {
+        let center = GeoPoint::new(35.2271, -80.8431);
+        let bbox = BoundingBox::new(
+            center.offset_m(-11_000.0, -11_000.0),
+            center.offset_m(11_000.0, 11_000.0),
+        );
+        let terrain = TerrainModel::new(center, 1);
+        for hurricane in [Hurricane::florence(), Hurricane::michael()] {
+            let weather = WeatherField::new(center, hurricane, 1);
+            let flood = FloodField::compute(bbox, &terrain, &weather, 40);
+            let mut flooded_hours = 0;
+            for h in 0..flood.hours() {
+                assert_eq!(flood.any_cell_flooded(h), flood.flooded_fraction(h) > 0.0);
+                flooded_hours += usize::from(flood.any_cell_flooded(h));
+            }
+            assert!(flooded_hours > 0 && flooded_hours < flood.hours() as usize);
+        }
     }
 
     #[test]

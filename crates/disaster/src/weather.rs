@@ -81,12 +81,24 @@ impl WeatherField {
         (0.75 + band_weight * band + 0.25 * core + 0.1 * n).max(0.05)
     }
 
-    /// Precipitation at `p` during `hour`, in mm per hour.
+    /// Precipitation at `p` during `hour`, in mm per hour: the storm's
+    /// peak rate times its intensity during `hour`, times the rain's
+    /// spatial profile at `p`.
     pub fn precipitation_mm_h(&self, p: GeoPoint, hour: u32) -> f64 {
-        let intensity = self.hurricane.timeline.intensity(hour);
-        self.hurricane.peak_precipitation_mm_h
-            * intensity
-            * self.spatial_profile(p, self.precip_noise, 0.25)
+        self.precipitation_scale_mm_h(hour) * self.precipitation_profile(p)
+    }
+
+    /// The time-dependent factor of [`WeatherField::precipitation_mm_h`]:
+    /// the peak rate times the storm's intensity during `hour`, in mm per
+    /// hour.
+    pub(crate) fn precipitation_scale_mm_h(&self, hour: u32) -> f64 {
+        self.hurricane.peak_precipitation_mm_h * self.hurricane.timeline.intensity(hour)
+    }
+
+    /// The time-independent factor of [`WeatherField::precipitation_mm_h`]:
+    /// the rain's spatial profile at `p`, roughly in `[0.3, 1.3]`.
+    pub(crate) fn precipitation_profile(&self, p: GeoPoint) -> f64 {
+        self.spatial_profile(p, self.precip_noise, 0.25)
     }
 
     /// Sustained wind speed at `p` during `hour`, in mph. A small ambient

@@ -54,11 +54,9 @@ impl HourlyConditions {
             "window {window:?} extends past the {}-hour scenario",
             scenario.total_hours()
         );
-        let first_hour = window.start;
-        let conditions = window.map(|h| scenario.network_condition(net, h)).collect();
         Self {
-            conditions,
-            first_hour,
+            first_hour: window.start,
+            conditions: scenario.flood().network_conditions(net, window),
         }
     }
 

@@ -136,6 +136,33 @@ impl AnchorTimeline {
         let idx = self.events.partition_point(|&(m, _)| m <= minute);
         self.events[idx.saturating_sub(1)].1
     }
+
+    /// A reader for lookups at non-decreasing minutes: one forward pass
+    /// over the events in place of a binary search per lookup.
+    fn cursor(&self) -> AnchorCursor<'_> {
+        AnchorCursor {
+            events: &self.events,
+            next: 0,
+        }
+    }
+}
+
+/// Reads an [`AnchorTimeline`] forward; see [`AnchorTimeline::cursor`].
+struct AnchorCursor<'a> {
+    events: &'a [(u32, GeoPoint)],
+    /// Events at or before the last minute looked up.
+    next: usize,
+}
+
+impl AnchorCursor<'_> {
+    /// [`AnchorTimeline::at`]`(minute)`, for a `minute` no earlier than the
+    /// previous call's.
+    fn at(&mut self, minute: u32) -> GeoPoint {
+        while self.next < self.events.len() && self.events[self.next].0 <= minute {
+            self.next += 1;
+        }
+        self.events[self.next.saturating_sub(1)].1
+    }
 }
 
 /// Generates the synthetic dataset for `city` under `scenario`,
@@ -164,7 +191,6 @@ pub fn generate(
         .iter()
         .map(|&h| city.network.landmark(h).position)
         .collect();
-    // High-ground evacuation spots: the least flooded hospitals suffice.
     let mut pings = Vec::new();
     let mut true_rescues = Vec::new();
 
@@ -215,7 +241,9 @@ pub(crate) fn simulate_person(
 
         for day in 0..total_days {
             let day_start = day * MINUTES_PER_DAY;
-            // Hourly flood check at the current anchor.
+            // Hourly flood check at the current anchor. An hour in which no
+            // raster cell is flooded cannot flood the anchor, so it is
+            // skipped without a lookup.
             if !done_with_disaster {
                 for h in 0..24 {
                     let minute = day_start + h * 60;
@@ -223,6 +251,9 @@ pub(crate) fn simulate_person(
                         break;
                     }
                     let hour = minute / 60;
+                    if !scenario.flood().any_cell_flooded(hour) {
+                        continue;
+                    }
                     let pos = timeline.at(minute);
                     if trapped.is_none() && !evacuated && scenario.is_flooded(pos, hour) {
                         let depth = scenario.flood().depth_m(pos, hour);
@@ -324,10 +355,12 @@ pub(crate) fn simulate_person(
             }
         }
 
-        // Sample GPS pings along the anchor timeline.
+        // Sample GPS pings along the anchor timeline, in increasing minute
+        // order.
+        let mut anchors = timeline.cursor();
         let mut t = rng.random_range(0..config.ping_interval_max);
         while t < total_minutes {
-            let anchor = timeline.at(t);
+            let anchor = anchors.at(t);
             let position = anchor.offset_m(
                 rng.random_range(-config.gps_noise_m..=config.gps_noise_m),
                 rng.random_range(-config.gps_noise_m..=config.gps_noise_m),
@@ -545,6 +578,32 @@ mod tests {
         assert_eq!(a.dataset.pings.len(), b.dataset.pings.len());
         assert_eq!(a.dataset.pings[100], b.dataset.pings[100]);
         assert_eq!(a.true_rescues, b.true_rescues);
+    }
+
+    #[test]
+    fn cursor_reads_what_a_lookup_reads_at_increasing_minutes() {
+        let point = |i: u32| GeoPoint::new(35.0 + f64::from(i) * 0.001, -80.0);
+        let mut timeline = AnchorTimeline::default();
+        timeline.push(0, point(0));
+        timeline.push(300, point(1));
+        // Two events at one minute: the later push holds from then on.
+        timeline.push(600, point(2));
+        timeline.push(600, point(3));
+        timeline.push(1_500, point(4));
+        // An out-of-order insert, as a late-night errand's return spills
+        // past the next day's first anchor.
+        timeline.push(1_450, point(5));
+        timeline.push(1_450, point(6));
+        timeline.push(2_000, point(7));
+        let mut cursor = timeline.cursor();
+        for minute in (0..2_100).chain([2_100, 5_000, u32::MAX]) {
+            assert_eq!(cursor.at(minute), timeline.at(minute), "minute {minute}");
+        }
+        // Strides that jump over several events at once.
+        let mut cursor = timeline.cursor();
+        for minute in [0, 599, 600, 1_449, 1_501, 3_000] {
+            assert_eq!(cursor.at(minute), timeline.at(minute), "minute {minute}");
+        }
     }
 
     #[test]

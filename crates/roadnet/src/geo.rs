@@ -58,16 +58,50 @@ impl GeoPoint {
     /// Local planar coordinates of `self` relative to `origin`, in meters
     /// (east, north). Inverse of [`GeoPoint::offset_m`] at city scale.
     pub fn local_xy_m(self, origin: GeoPoint) -> (f64, f64) {
-        let north = (self.lat - origin.lat).to_radians() * EARTH_RADIUS_M;
-        let east =
-            (self.lon - origin.lon).to_radians() * EARTH_RADIUS_M * origin.lat.to_radians().cos();
-        (east, north)
+        LocalProjection::new(origin).xy_m(self)
     }
 
     /// Midpoint between `self` and `other` (arithmetic in degrees; fine at
     /// city scale away from the antimeridian).
     pub fn midpoint(self, other: GeoPoint) -> GeoPoint {
         GeoPoint::new((self.lat + other.lat) / 2.0, (self.lon + other.lon) / 2.0)
+    }
+}
+
+/// The local east/north projection around a fixed origin, with the cosine
+/// of the origin's latitude taken once: [`GeoPoint::local_xy_m`] for many
+/// points against one origin, bit for bit.
+///
+/// # Examples
+///
+/// ```
+/// use mobirescue_roadnet::geo::{GeoPoint, LocalProjection};
+///
+/// let origin = GeoPoint::new(35.2271, -80.8431);
+/// let p = origin.offset_m(1_500.0, -2_300.0);
+/// assert_eq!(LocalProjection::new(origin).xy_m(p), p.local_xy_m(origin));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct LocalProjection {
+    origin: GeoPoint,
+    cos_lat: f64,
+}
+
+impl LocalProjection {
+    /// The projection around `origin`.
+    pub fn new(origin: GeoPoint) -> Self {
+        Self {
+            origin,
+            cos_lat: origin.lat.to_radians().cos(),
+        }
+    }
+
+    /// Planar coordinates of `p` relative to the origin, in meters (east,
+    /// north).
+    pub fn xy_m(&self, p: GeoPoint) -> (f64, f64) {
+        let north = (p.lat - self.origin.lat).to_radians() * EARTH_RADIUS_M;
+        let east = (p.lon - self.origin.lon).to_radians() * EARTH_RADIUS_M * self.cos_lat;
+        (east, north)
     }
 }
 
@@ -170,6 +204,36 @@ mod tests {
         let (east, north) = moved.local_xy_m(origin);
         assert!((east - 1500.0).abs() < 0.5, "east {east}");
         assert!((north + 2300.0).abs() < 0.5, "north {north}");
+    }
+
+    #[test]
+    fn projection_matches_the_inline_expression_bit_for_bit() {
+        // The expression `local_xy_m` evaluated before the projection held
+        // the origin's cosine.
+        let inline = |p: GeoPoint, origin: GeoPoint| {
+            let north = (p.lat - origin.lat).to_radians() * EARTH_RADIUS_M;
+            let east =
+                (p.lon - origin.lon).to_radians() * EARTH_RADIUS_M * origin.lat.to_radians().cos();
+            (east.to_bits(), north.to_bits())
+        };
+        let origins = [
+            GeoPoint::new(35.2271, -80.8431),
+            GeoPoint::new(-33.8688, 151.2093),
+            GeoPoint::new(0.0, 0.0),
+            GeoPoint::new(64.1466, -21.9426),
+        ];
+        for origin in origins {
+            let projection = LocalProjection::new(origin);
+            for i in -6..=6 {
+                for j in -6..=6 {
+                    let p = origin.offset_m(i as f64 * 3_137.5, j as f64 * -2_211.25);
+                    let (east, north) = projection.xy_m(p);
+                    assert_eq!((east.to_bits(), north.to_bits()), inline(p, origin));
+                    let (east, north) = p.local_xy_m(origin);
+                    assert_eq!((east.to_bits(), north.to_bits()), inline(p, origin));
+                }
+            }
+        }
     }
 
     #[test]
