@@ -1,6 +1,6 @@
-//! Pins the loadgen, chaos, experiment and map binaries' command-line
-//! contracts: typos, missing values and non-numeric values fail loudly,
-//! they never fall through to a default run.
+//! Pins the loadgen, chaos, experiment, map and scale-bench binaries'
+//! command-line contracts: typos, missing values, non-numeric values and
+//! unknown presets fail loudly, they never fall through to a default run.
 
 use std::process::Command;
 
@@ -166,6 +166,21 @@ fn figures_refuses_bad_values_before_building_a_context() {
         figures,
         &["--scale", "huge"],
         "--scale needs small, medium or paper, got \"huge\"",
+    );
+}
+
+#[test]
+fn bench_scale_refuses_an_unknown_preset_before_building_a_world() {
+    let bench_scale = env!("CARGO_BIN_EXE_bench_scale");
+    refuses_at_once(
+        bench_scale,
+        &["multi_city"],
+        "unknown preset \"multi_city\"; choose from medium or metro",
+    );
+    refuses_at_once(
+        bench_scale,
+        &["medium", "bogus"],
+        "unknown preset \"bogus\"; choose from medium or metro",
     );
 }
 

@@ -86,29 +86,14 @@ impl ScenarioConfig {
         }
     }
 
-    /// Multi-city Florence scenario: 3×2 widely separated cities (~54k
-    /// segments, 1M residents) for cross-district dispatch studies.
-    pub fn multi_city() -> Self {
-        let mut population = PopulationConfig::metro();
-        population.num_people = 1_000_000;
-        Self {
-            city: CityConfig::multi_city(),
-            hurricane: Hurricane::florence(),
-            population,
-            condition_window: Some(276..336),
-            materialize_cap: Some(20_000),
-        }
-    }
-
     /// Looks up a preset by its CLI name (`small`, `medium`, `charlotte`,
-    /// `metro`, `multi_city`). Returns `None` for unknown names.
+    /// `metro`). Returns `None` for unknown names.
     pub fn from_name(name: &str) -> Option<Self> {
         match name {
             "small" => Some(Self::small()),
             "medium" => Some(Self::medium()),
             "charlotte" => Some(Self::charlotte_like()),
             "metro" => Some(Self::metro()),
-            "multi_city" => Some(Self::multi_city()),
             _ => None,
         }
     }
@@ -193,7 +178,7 @@ mod tests {
 
     #[test]
     fn preset_names_round_trip() {
-        for name in ["small", "medium", "charlotte", "metro", "multi_city"] {
+        for name in ["small", "medium", "charlotte", "metro"] {
             assert!(ScenarioConfig::from_name(name).is_some(), "missing {name}");
         }
         assert!(ScenarioConfig::from_name("atlantis").is_none());

@@ -30,8 +30,8 @@ ephemeral port).
 
 Options:
   --scenario NAME      world to serve: small | medium | charlotte | metro
-                       | multi_city (default: small). Metro presets serve
-                       the storm-hour condition window of a 100k+-segment
+                       (default: small). The metro preset serves the
+                       storm-hour condition window of a 100k+-segment
                        multi-district world
   --shards N           city shards (default: 2)
   --epochs N           dispatch epochs before draining (default: 60)
@@ -103,8 +103,8 @@ fn parse_args() -> Result<Args, String> {
                 let name = value(&mut args, "--scenario")?;
                 if ScenarioConfig::from_name(&name).is_none() {
                     return Err(format!(
-                        "unknown scenario {name:?} (expected small, medium, charlotte, \
-                         metro, or multi_city)"
+                        "unknown scenario {name:?} (expected small, medium, charlotte \
+                         or metro)"
                     ));
                 }
                 parsed.scenario = name;
@@ -172,7 +172,7 @@ fn dump_metrics(args: &Args, obs: &mobirescue_obs::ObsSnapshot) -> Result<(), Se
 fn run_listen(args: &Args) -> Result<(), ServeError> {
     let scenario = Arc::new(build_scenario(&args.scenario));
     // Simulation starts at the first covered condition hour (0 for the
-    // classic presets; the storm window's opening hour for metro presets).
+    // classic presets; the storm window's opening hour for metro).
     let first = scenario.conditions.first_hour();
     let hours = scenario.conditions.hours();
     // Size the simulated window to cover every epoch (the dispatch period

@@ -32,7 +32,7 @@ use crate::wire::{Frame, MetricsReport, NackReason};
 use mobirescue_serve::chaos::chaos_scenario;
 use mobirescue_serve::{
     Clock, ConnFault, DispatchService, FaultCounters, FaultInjector, FaultPlanConfig, ModelBundle,
-    RetryPolicy, ServeConfig, SimClock,
+    ServeConfig, SimClock,
 };
 use mobirescue_sim::SimConfig;
 use std::collections::BTreeSet;
@@ -147,10 +147,7 @@ pub fn run_net_chaos(seed: u64, opts: &NetChaosOptions) -> NetChaosReport {
     let mut net_cfg = NetConfig::new("127.0.0.1:0");
     net_cfg.frame_timeout_ms = 150;
     net_cfg.poll_interval_ms = 5;
-    net_cfg.retry = RetryPolicy {
-        max_retries: 0,
-        ..RetryPolicy::default()
-    };
+    net_cfg.max_retries = 0;
     let mut server = NetServer::start(
         Arc::clone(&service),
         Arc::clone(&clock) as Arc<dyn Clock>,

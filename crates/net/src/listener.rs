@@ -9,7 +9,8 @@
 //!
 //! * a **connection cap** — excess connections get `mrnet 1 busy` and a
 //!   close, never an unbounded thread pile;
-//! * an **idle timeout** — a connection sending nothing is closed;
+//! * an **idle timeout** — a connection sending nothing for 30 s is
+//!   closed;
 //! * a **frame deadline** — once a frame starts, it must complete within
 //!   the deadline, which is what defeats slow-loris trickle;
 //! * **graceful drain** — shutdown NACKs new requests with `Draining`,
@@ -26,7 +27,7 @@ use crate::metrics::NetMetrics;
 use crate::wire::{Frame, MetricsReport, NackReason, HELLO, HELLO_BUSY, HELLO_OK};
 use mobirescue_obs::Level;
 use mobirescue_roadnet::graph::SegmentId;
-use mobirescue_serve::{Clock, DispatchService, Event, RetryPolicy, ServeError};
+use mobirescue_serve::{Clock, DispatchService, ServeError};
 use mobirescue_sim::RequestSpec;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -35,6 +36,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// A connection that has sent nothing for this long is closed, ms.
+const IDLE_TIMEOUT_MS: u64 = 30_000;
+
 /// Listener configuration.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
@@ -42,15 +46,14 @@ pub struct NetConfig {
     pub addr: String,
     /// Concurrent connections accepted; excess get `mrnet 1 busy`.
     pub max_connections: usize,
-    /// Close a connection that has sent nothing for this long, ms.
-    pub idle_timeout_ms: u64,
     /// A started frame must complete within this, ms (slow-loris guard).
     pub frame_timeout_ms: u64,
     /// Socket read poll tick, ms — bounds shutdown latency.
     pub poll_interval_ms: u64,
-    /// Retry policy for queue-shed offers. `max_retries: 0` makes every
-    /// shed an immediate NACK (NACK count == queue shed counters).
-    pub retry: RetryPolicy,
+    /// Re-offers of a queue-shed request before it is NACKed (see
+    /// [`DispatchService::ingest_with_retry`]). `0` makes every shed an
+    /// immediate NACK (NACK count == queue shed counters).
+    pub max_retries: u32,
 }
 
 impl NetConfig {
@@ -59,10 +62,9 @@ impl NetConfig {
         Self {
             addr: addr.into(),
             max_connections: 64,
-            idle_timeout_ms: 30_000,
             frame_timeout_ms: 2_000,
             poll_interval_ms: 20,
-            retry: RetryPolicy::default(),
+            max_retries: 3,
         }
     }
 }
@@ -302,7 +304,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     let poll = Duration::from_millis(shared.cfg.poll_interval_ms.max(1));
     let _ = stream.set_read_timeout(Some(poll));
     let frame_deadline = Duration::from_millis(shared.cfg.frame_timeout_ms.max(1));
-    let idle_deadline = Duration::from_millis(shared.cfg.idle_timeout_ms.max(1));
+    let idle_deadline = Duration::from_millis(IDLE_TIMEOUT_MS);
 
     match read_line(&mut stream, frame_deadline) {
         Some(line) if line == HELLO => {}
@@ -395,14 +397,14 @@ fn process_frame(shared: &Shared, stream: &mut TcpStream, frame: Frame) -> bool 
                     reason: NackReason::Draining,
                 }
             } else {
-                let event = Event::Request {
-                    shard: shard as usize,
-                    spec: RequestSpec {
-                        appear_s,
-                        segment: SegmentId(segment),
-                    },
+                let spec = RequestSpec {
+                    appear_s,
+                    segment: SegmentId(segment),
                 };
-                match shared.service.ingest_with_retry(event, &shared.cfg.retry) {
+                match shared
+                    .service
+                    .ingest_with_retry(shard as usize, spec, shared.cfg.max_retries)
+                {
                     Ok(true) => {
                         shared.metrics.requests_acked.inc();
                         let tag = shared.epoch_tag.load(Ordering::SeqCst);

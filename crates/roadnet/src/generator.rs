@@ -122,24 +122,6 @@ impl CityConfig {
         }
     }
 
-    /// A multi-city configuration: 3×2 well-separated 48×48 cities joined
-    /// by long motorway/arterial connectors (≈54k directed segments).
-    pub fn multi_city() -> Self {
-        Self {
-            grid_width: 48,
-            grid_height: 48,
-            spacing_m: 400.0,
-            position_jitter_m: 70.0,
-            num_regions: 9,
-            downtown_radius_m: 3_000.0,
-            hospitals_per_region: 2,
-            districts_x: 3,
-            districts_y: 2,
-            district_gap_m: 6_000.0,
-            ..Self::charlotte_like()
-        }
-    }
-
     /// Total districts in the layout.
     pub fn num_districts(&self) -> usize {
         self.districts_x * self.districts_y

@@ -4,9 +4,8 @@
 //! fixtures and the root package's `tests/city_equivalence.rs`; these
 //! properties cover multi-district layouts (`districts_x * districts_y >
 //! 1`), which draw from their own RNG stream. Randomized cases use
-//! small district grids to keep each build cheap; the pinned tests at the
-//! bottom assert the full `metro`/`multi_city` presets hit their scale
-//! targets.
+//! small district grids to keep each build cheap; the pinned test at the
+//! bottom asserts the full `metro` preset hits its scale targets.
 
 use mobirescue_roadnet::connectivity::strongly_connected_components;
 use mobirescue_roadnet::generator::CityConfig;
@@ -179,18 +178,4 @@ fn metro_preset_hits_scale_targets() {
         again.network.landmark(probe).position
     );
     assert_eq!(city.hospitals, again.hospitals);
-}
-
-/// The `multi_city` preset stays strongly connected across its long
-/// inter-city connectors.
-#[test]
-fn multi_city_preset_is_connected() {
-    let city = CityConfig::multi_city().build(7);
-    assert!(
-        city.network.num_segments() >= 50_000,
-        "multi_city preset only has {} segments",
-        city.network.num_segments()
-    );
-    let (_, count) = strongly_connected_components(&city.network, &FreeFlow);
-    assert_eq!(count, 1, "multi-city metro fragmented");
 }

@@ -56,12 +56,11 @@
 use crate::bundle::ModelBundle;
 use crate::clock::{Clock, SimClock};
 use crate::error::ServeError;
-use crate::event::Event;
 use crate::fault::{
     family_stream, FaultCounters, FaultInjector, FaultPlan, FaultPlanConfig, IngestFault, WalFault,
 };
 use crate::metrics::MetricsSnapshot;
-use crate::service::{DispatchService, RetryPolicy, ServeConfig};
+use crate::service::{DispatchService, ServeConfig};
 use crate::wal::{FsyncPolicy, WalConfig, WalError};
 use mobirescue_core::scenario::{Scenario, ScenarioConfig};
 use mobirescue_obs::{ObsSnapshot, TimeSource as _};
@@ -166,18 +165,20 @@ pub fn chaos_scenario() -> Scenario {
     ScenarioConfig::small().florence().build(11)
 }
 
-fn request_events(epoch: u32, per_shard: usize, segments: u32) -> Vec<Event> {
+/// Epoch `epoch`'s standard request stream: `per_shard` requests for
+/// each shard, as `(shard, request)` pairs.
+fn request_events(epoch: u32, per_shard: usize, segments: u32) -> Vec<(usize, RequestSpec)> {
     let mut events = Vec::with_capacity(CHAOS_SHARDS * per_shard);
     for shard in 0..CHAOS_SHARDS {
         for i in 0..per_shard {
             let mix = epoch as usize * 53 + i * 17 + shard * 29;
-            events.push(Event::Request {
+            events.push((
                 shard,
-                spec: RequestSpec {
+                RequestSpec {
                     appear_s: epoch * 300 + (i as u32 * 37) % 300,
                     segment: SegmentId((mix as u32) % segments),
                 },
-            });
+            ));
         }
     }
     events
@@ -280,8 +281,8 @@ impl Arm {
     /// Offers epoch `e` of the standard request stream to `run`; an
     /// ingest error is a violation.
     fn offer(&self, run: &Live, e: u32, violations: &mut Vec<String>) {
-        for event in request_events(e, self.per_shard, self.segments()) {
-            if let Err(err) = run.service.ingest(event) {
+        for (shard, spec) in request_events(e, self.per_shard, self.segments()) {
+            if let Err(err) = run.service.ingest(shard, spec) {
                 violations.push(format!("epoch {e}: unexpected ingest error: {err}"));
             }
         }
@@ -419,11 +420,11 @@ fn accounted(metrics: &MetricsSnapshot) -> u64 {
 }
 
 /// Runs the full service under `opts` and checks every invariant: six
-/// request offers per shard per epoch into queues of 4, and a 10 ms
-/// dispatch deadline that every plan stall overshoots. The plan's ingest
-/// faults are the network's: each request draws one before it is offered,
-/// and a held request is offered at the boundary before the epoch its
-/// delay runs out in.
+/// request offers per shard per epoch into queues of 4, each retried up
+/// to 3 times when shed, and a 10 ms dispatch deadline that every plan
+/// stall overshoots. The plan's ingest faults are the network's: each
+/// request draws one before it is offered, and a held request is offered
+/// at the boundary before the epoch its delay runs out in.
 ///
 /// # Errors
 ///
@@ -437,21 +438,20 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosOutcome, ServeError> {
     arm.config.auto_recover = true;
     let mut run = arm.start(Some(opts.plan.clone()), None)?;
     let segments = arm.segments();
-    let retry = RetryPolicy::default();
 
     // The harness counts what reached the service itself, so the
     // service's queue counters are checked against an independent tally.
     let mut reached = 0u64;
     let mut rejected_corrupt = 0u64;
     let mut released = 0u64;
-    let mut held: Vec<(u32, Event)> = Vec::new();
+    let mut held: Vec<(u32, (usize, RequestSpec))> = Vec::new();
     run.drive(
         CHAOS_EPOCHS,
         |run, epoch, violations| {
             let service = &run.service;
-            let mut offer = |event: Event| {
+            let mut offer = |(shard, spec): (usize, RequestSpec)| {
                 reached += 1;
-                match service.ingest_with_retry(event, &retry) {
+                match service.ingest_with_retry(shard, spec, 3) {
                     Ok(_) => {}
                     Err(ServeError::World(_)) => rejected_corrupt += 1,
                     Err(e) => violations.push(format!("unexpected ingest error: {e}")),
@@ -467,14 +467,10 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosOutcome, ServeError> {
                         offer(event);
                     }
                     Some(IngestFault::Corrupt) => {
-                        if let Event::Request { shard, spec } = event {
-                            // Damaged in flight: a segment no city has.
-                            let segment = SegmentId(u32::MAX);
-                            offer(Event::Request {
-                                shard,
-                                spec: RequestSpec { segment, ..spec },
-                            });
-                        }
+                        // Damaged in flight: a segment no city has.
+                        let (shard, spec) = event;
+                        let segment = SegmentId(u32::MAX);
+                        offer((shard, RequestSpec { segment, ..spec }));
                     }
                 }
             }
@@ -484,19 +480,6 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosOutcome, ServeError> {
                 released += 1;
                 offer(event);
             }
-            // A couple of advisories per epoch keep the advisory path hot
-            // (one valid, one invalid — the network spares both).
-            let _ = service.ingest(Event::Weather {
-                shard: epoch as usize % CHAOS_SHARDS,
-                hour: epoch % 4,
-                rain_mm: 1.5 + f64::from(epoch),
-            });
-            let _ = service.ingest(Event::RoadDamage {
-                shard: 0,
-                segment: SegmentId(u32::MAX),
-                hour: 0,
-                flooded: true,
-            });
         },
         |_, e, reports, violations| {
             if reports.len() != CHAOS_SHARDS {
@@ -767,8 +750,8 @@ pub fn wal_chaos_divergence(seed: u64) -> Result<Vec<String>, ServeError> {
         run.drive(
             epochs,
             |run, epoch, violations| {
-                for event in request_events(epoch, base.per_shard, segments) {
-                    match run.service.ingest(event) {
+                for (shard, spec) in request_events(epoch, base.per_shard, segments) {
+                    match run.service.ingest(shard, spec) {
                         Ok(_) => {}
                         Err(ServeError::Wal(WalError::TornTail { .. })) => torn_refused += 1,
                         Err(e) => violations.push(format!("unexpected ingest error: {e}")),
@@ -866,8 +849,8 @@ pub fn wal_chaos_divergence(seed: u64) -> Result<Vec<String>, ServeError> {
         };
         let prefix_len = read_segment()?.len();
         let post = request_events(mid, base.per_shard, segments);
-        for event in post.iter().cloned() {
-            reference.service.ingest(event)?;
+        for &(shard, spec) in &post {
+            reference.service.ingest(shard, spec)?;
         }
         let journal = read_segment()?;
         let tail = epochs - mid;
@@ -909,8 +892,8 @@ pub fn wal_chaos_divergence(seed: u64) -> Result<Vec<String>, ServeError> {
                 // lost was never acked, so the client re-offers exactly
                 // that suffix, in order.
                 let missing = (hwm + post.len() as u64 - recovered) as usize;
-                for event in post[post.len() - missing..].iter().cloned() {
-                    crashed.service.ingest(event)?;
+                for &(shard, spec) in &post[post.len() - missing..] {
+                    crashed.service.ingest(shard, spec)?;
                 }
                 crashed.drive(tail, |_, _, _| {}, |_, _, _, _| {})?;
                 let crashed = crashed.end()?;
@@ -928,8 +911,8 @@ pub fn wal_chaos_divergence(seed: u64) -> Result<Vec<String>, ServeError> {
         let dir = wal_chaos_dir(seed, "c");
         let arm = base.journaled(&dir);
         let run = arm.start(None, None)?;
-        for event in request_events(0, base.per_shard, segments) {
-            run.service.ingest(event)?;
+        for (shard, spec) in request_events(0, base.per_shard, segments) {
+            run.service.ingest(shard, spec)?;
         }
         let snapshot = run.service.snapshot()?;
         let flipped = only_segment(&dir).and_then(|path| flip_first_record(&path));

@@ -5,11 +5,11 @@
 //! hosts the same dispatcher as a long-running service the way a real
 //! emergency-operations deployment would run it:
 //!
-//! * **Streaming ingestion** ([`Event`], [`BoundedQueue`]) — rescue
-//!   requests, weather updates and road-damage advisories arrive from
-//!   producer threads into bounded queues with an explicit shed policy
-//!   ([`ShedPolicy`]) and accepted/shed counters, so overload is a
-//!   measured decision instead of unbounded memory growth.
+//! * **Streaming ingestion** ([`DispatchService::ingest`],
+//!   [`BoundedQueue`]) — rescue requests arrive from producer threads
+//!   into one bounded queue per shard that sheds the newcomer when full
+//!   and counts what it accepts and sheds, so overload is a measured
+//!   decision instead of unbounded memory growth.
 //! * **Epoch loop** ([`DispatchService::run_epoch`]) — one dispatch tick
 //!   per call, which its caller paces on the paper's 5-minute period
 //!   against a pluggable [`Clock`] ([`WallClock`] for deployment,
@@ -61,7 +61,6 @@ pub mod bundle;
 pub mod chaos;
 pub mod clock;
 pub mod error;
-pub mod event;
 pub mod fault;
 pub mod metrics;
 pub mod queue;
@@ -76,13 +75,12 @@ pub use chaos::{
 };
 pub use clock::{Clock, SimClock, WallClock};
 pub use error::ServeError;
-pub use event::Event;
 pub use fault::{
     ConnFault, FaultCounters, FaultInjector, FaultPlan, FaultPlanConfig, IngestFault,
     ScheduledFaults, ShardFault, SnapshotCorruption, WalFault,
 };
 pub use metrics::{MetricsSnapshot, ShardMetrics};
 pub use mobirescue_obs as obs;
-pub use queue::{BoundedQueue, ShedPolicy};
-pub use service::{DispatchService, RetryPolicy, ServeConfig};
+pub use queue::BoundedQueue;
+pub use service::{DispatchService, ServeConfig};
 pub use wal::{FsyncPolicy, Wal, WalConfig, WalEntry, WalError, WalRecord, WalRecovery};

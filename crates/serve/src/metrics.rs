@@ -51,14 +51,6 @@ pub struct MetricsSnapshot {
     pub requests_accepted: u64,
     /// Request events shed across all shard queues.
     pub requests_shed: u64,
-    /// Weather/road-damage advisories admitted.
-    pub advisories_accepted: u64,
-    /// Weather/road-damage advisories shed.
-    pub advisories_shed: u64,
-    /// Advisories drained and validated against the scenario.
-    pub advisories_applied: u64,
-    /// Advisories dropped at validation (unknown segment / hour).
-    pub advisories_invalid: u64,
     /// Epochs in which at least one shard fell back to the heuristic
     /// dispatcher (deadline blown).
     pub degraded_epochs: u64,
@@ -103,10 +95,6 @@ impl MetricsSnapshot {
             epochs_completed: counter("serve.epochs_completed") as u32,
             requests_accepted: requests("requests_accepted"),
             requests_shed: requests("requests_shed"),
-            advisories_accepted: counter("serve.advisories_accepted"),
-            advisories_shed: counter("serve.advisories_shed"),
-            advisories_applied: counter("serve.advisories_applied"),
-            advisories_invalid: counter("serve.advisories_invalid"),
             degraded_epochs: counter("serve.degraded_epochs"),
             ingest_retries: counter("serve.ingest_retries"),
             shards,
@@ -118,14 +106,8 @@ impl MetricsSnapshot {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "epoch {:>4} | ingest ok {} shed {} | advisories ok {} shed {} applied {} invalid {}",
-            self.epochs_completed,
-            self.requests_accepted,
-            self.requests_shed,
-            self.advisories_accepted,
-            self.advisories_shed,
-            self.advisories_applied,
-            self.advisories_invalid,
+            "epoch {:>4} | ingest ok {} shed {}",
+            self.epochs_completed, self.requests_accepted, self.requests_shed,
         );
         let _ = writeln!(
             out,
@@ -162,10 +144,6 @@ mod tests {
             epochs_completed: 3,
             requests_accepted: 10,
             requests_shed: 2,
-            advisories_accepted: 4,
-            advisories_shed: 0,
-            advisories_applied: 3,
-            advisories_invalid: 1,
             degraded_epochs: 1,
             ingest_retries: 2,
             shards: vec![
@@ -184,7 +162,7 @@ mod tests {
             ],
         };
         let text = m.render();
-        assert!(text.contains("epoch    3"));
+        assert!(text.contains("epoch    3 | ingest ok 10 shed 2"));
         assert!(text.contains("shard 1"));
         assert!(text.contains("degraded epochs 1"));
         assert!(text.contains("ingest retries 2"));

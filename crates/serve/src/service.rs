@@ -6,10 +6,9 @@
 use crate::bundle::ModelBundle;
 use crate::clock::Clock;
 use crate::error::ServeError;
-use crate::event::Event;
 use crate::fault::WalFault;
 use crate::metrics::{shard_series, MetricsSnapshot};
-use crate::queue::{BoundedQueue, ShedPolicy};
+use crate::queue::BoundedQueue;
 use crate::shard::{spawn_shard, ShardCmd, ShardReply, ShardSpec, ShardStatus};
 use crate::wal::{FsyncPolicy, Wal, WalConfig, WalEntry, WalError};
 use crate::FaultInjector;
@@ -79,32 +78,12 @@ impl ServeConfig {
     }
 }
 
-/// Capacity of the shared weather/road-damage advisory queue. A full
-/// queue evicts its oldest advisory: a fresh observation supersedes a
-/// stale one.
-const ADVISORY_QUEUE_CAPACITY: usize = 256;
+/// The first backoff of [`DispatchService::ingest_with_retry`], ms.
+const BASE_BACKOFF_MS: u64 = 10;
 
-/// Bounded retry for [`DispatchService::ingest_with_retry`]: when the
-/// queue sheds the event, back off on the service clock and re-offer.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Re-offers after the first attempt.
-    pub max_retries: u32,
-    /// First backoff, ms (scaled by `backoff_multiplier` per retry).
-    pub base_backoff_ms: u64,
-    /// Multiplier applied to the backoff after every retry.
-    pub backoff_multiplier: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            base_backoff_ms: 10,
-            backoff_multiplier: 2,
-        }
-    }
-}
+/// The factor each later backoff of [`DispatchService::ingest_with_retry`]
+/// grows by.
+const BACKOFF_MULTIPLIER: u64 = 2;
 
 struct ShardHandle {
     tx: Sender<ShardCmd>,
@@ -125,7 +104,6 @@ pub struct DispatchService {
     bundle: Arc<ModelBundle>,
     clock: Arc<dyn Clock>,
     request_queues: Vec<Arc<BoundedQueue<RequestSpec>>>,
-    advisories: Arc<BoundedQueue<Event>>,
     // Each handle sits in its own Mutex so a dead worker can be replaced
     // through `&self` during crash recovery (and because the non-`Sync`
     // receiver must not be shared bare across the `Arc`).
@@ -136,8 +114,6 @@ pub struct DispatchService {
     // Registry-backed counters, handles fetched once at start.
     retries: Counter,
     restarts: Counter,
-    advisories_applied: Counter,
-    advisories_invalid: Counter,
     degraded_epochs: Counter,
     snapshot_hist: Histogram,
     // The durable ingest journal (populated iff `config.wal` is set),
@@ -193,24 +169,15 @@ impl DispatchService {
         bundle.check()?;
         World::new(&scenario.city, &scenario.conditions, &config.sim)?;
         let obs = Arc::new(Registry::new());
-        // A full request queue sheds the newcomer: evicting the oldest
-        // would drop a request that is already journaled and acked.
         let request_queues: Vec<_> = (0..config.num_shards)
             .map(|i| {
                 Arc::new(BoundedQueue::new(
                     config.request_queue_capacity,
-                    ShedPolicy::DropNewest,
                     obs.counter(&shard_series(i, "requests_accepted")),
                     obs.counter(&shard_series(i, "requests_shed")),
                 ))
             })
             .collect();
-        let advisories = Arc::new(BoundedQueue::new(
-            ADVISORY_QUEUE_CAPACITY,
-            ShedPolicy::DropOldest,
-            obs.counter("serve.advisories_accepted"),
-            obs.counter("serve.advisories_shed"),
-        ));
         let num_shards = config.num_shards;
         let mut svc = Self {
             config,
@@ -218,13 +185,10 @@ impl DispatchService {
             bundle,
             clock,
             request_queues,
-            advisories,
             shards: Vec::new(),
             checkpoints: Mutex::new(vec![None; num_shards]),
             retries: obs.counter("serve.ingest_retries"),
             restarts: obs.counter("serve.shard_restarts"),
-            advisories_applied: obs.counter("serve.advisories_applied"),
-            advisories_invalid: obs.counter("serve.advisories_invalid"),
             degraded_epochs: obs.counter("serve.degraded_epochs"),
             snapshot_hist: obs.histogram("epoch.snapshot_ms"),
             obs,
@@ -458,88 +422,58 @@ impl DispatchService {
         Ok(())
     }
 
-    /// Offers one event to the ingestion front. Returns `Ok(true)` if it
-    /// was admitted — journaled first when a journal is configured — and
-    /// `Ok(false)` if the bounded queue shed it. The event is taken as
-    /// delivered: a network that drops, delays, duplicates or damages
-    /// requests does so before they reach this call.
+    /// Offers one rescue request to shard `shard`'s queue. Returns
+    /// `Ok(true)` if it was admitted — journaled first when a journal is
+    /// configured — and `Ok(false)` if the bounded queue shed it. The
+    /// request is taken as delivered: a network that drops, delays,
+    /// duplicates or damages requests does so before they reach this
+    /// call.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::UnknownShard`] for an out-of-range shard,
     /// [`ServeError::World`] for a request on a segment the city does not
-    /// have — malformed events are rejected at the door, not queued — and
-    /// [`ServeError::Wal`] when the journal append fails.
-    pub fn ingest(&self, event: Event) -> Result<bool, ServeError> {
-        let shard = event.shard();
+    /// have — malformed requests are rejected at the door, not queued —
+    /// and [`ServeError::Wal`] when the journal append fails.
+    pub fn ingest(&self, shard: usize, spec: RequestSpec) -> Result<bool, ServeError> {
         if shard >= self.config.num_shards {
             return Err(ServeError::UnknownShard {
                 shard,
                 num_shards: self.config.num_shards,
             });
         }
-        match event {
-            Event::Request { spec, .. } => {
-                self.validate_request(&spec)?;
-                self.journal_push(shard, spec)
-            }
-            other => Ok(self.advisories.push(other)),
-        }
+        self.validate_request(&spec)?;
+        self.journal_push(shard, spec)
     }
 
     /// [`DispatchService::ingest`] with bounded retry: when the queue
-    /// sheds the offer, back off on the service clock and re-offer, up to
-    /// `retry.max_retries` times. Errors are permanent — malformed events
-    /// are not retried.
+    /// sheds the offer, back off on the service clock — 10 ms, doubling
+    /// after every retry — and re-offer, up to `max_retries` times.
+    /// Errors are permanent — malformed requests are not retried.
     ///
     /// # Errors
     ///
     /// Whatever [`DispatchService::ingest`] returns.
-    pub fn ingest_with_retry(&self, event: Event, retry: &RetryPolicy) -> Result<bool, ServeError> {
-        let mut backoff_ms = retry.base_backoff_ms;
+    pub fn ingest_with_retry(
+        &self,
+        shard: usize,
+        spec: RequestSpec,
+        max_retries: u32,
+    ) -> Result<bool, ServeError> {
+        let mut backoff_ms = BASE_BACKOFF_MS;
         let mut attempts = 0;
         loop {
-            if self.ingest(event)? {
+            if self.ingest(shard, spec)? {
                 return Ok(true);
             }
-            if attempts >= retry.max_retries {
+            if attempts >= max_retries {
                 return Ok(false);
             }
             attempts += 1;
             self.retries.inc();
             self.clock.sleep_ms(backoff_ms);
-            backoff_ms = backoff_ms.saturating_mul(retry.backoff_multiplier.max(1));
+            backoff_ms = backoff_ms.saturating_mul(BACKOFF_MULTIPLIER);
         }
-    }
-
-    /// Validates drained advisories against the scenario. Weather and
-    /// road-damage reports do not mutate the world — hourly conditions are
-    /// the scenario's precomputed ground truth (the paper's G̃ per hour) —
-    /// but every advisory is checked and counted, and invalid ones
-    /// (unknown segment, out-of-window hour) are dropped loudly in the
-    /// metrics rather than silently.
-    fn apply_advisories(&self, drained: Vec<Event>) -> (u64, u64) {
-        let hours = self.scenario.conditions.hours();
-        let num_segments = self.scenario.city.network.num_segments();
-        let mut applied = 0;
-        let mut invalid = 0;
-        for event in drained {
-            let ok = match event {
-                Event::Weather { hour, rain_mm, .. } => {
-                    hour < hours && rain_mm.is_finite() && rain_mm >= 0.0
-                }
-                Event::RoadDamage { segment, hour, .. } => {
-                    hour < hours && segment.index() < num_segments
-                }
-                Event::Request { .. } => false, // never queued here
-            };
-            if ok {
-                applied += 1;
-            } else {
-                invalid += 1;
-            }
-        }
-        (applied, invalid)
     }
 
     fn shard_error(&self, shard: usize, message: impl Into<String>) -> ServeError {
@@ -642,7 +576,6 @@ impl DispatchService {
     /// Returns [`ServeError::Shard`] when a worker has died (and
     /// `auto_recover` is off or recovery itself failed).
     pub fn run_epoch(&self) -> Result<Vec<EpochReport>, ServeError> {
-        let (applied, invalid) = self.apply_advisories(self.advisories.drain());
         let cmds: Vec<ShardCmd> = (self.request_queues.iter())
             .map(|q| ShardCmd::RunEpoch {
                 requests: q.drain(),
@@ -683,8 +616,6 @@ impl DispatchService {
             let mut epochs = self.epochs_completed();
             let epoch = *epochs;
             *epochs += 1;
-            self.advisories_applied.add(applied);
-            self.advisories_invalid.add(invalid);
             if statuses.iter().any(|(_, st)| st.degraded_now) {
                 self.degraded_epochs.inc();
             }
@@ -784,45 +715,12 @@ impl DispatchService {
             let _ = writeln!(out, "epochs {} {}", *epochs, wal_hwm);
             let _ = writeln!(
                 out,
-                "advisories {} {} {} {}",
-                self.advisories_applied.value(),
-                self.advisories_invalid.value(),
-                self.advisories.accepted(),
-                self.advisories.shed()
-            );
-            let _ = writeln!(
-                out,
                 "resil {} {}",
                 self.degraded_epochs.value(),
                 self.retries.value()
             );
         }
         out.push_str(&rqueue_text);
-        for event in self.advisories.peek_all() {
-            match event {
-                Event::Weather {
-                    shard,
-                    hour,
-                    rain_mm,
-                } => {
-                    let _ = writeln!(out, "adv w {shard} {hour} {rain_mm:?}");
-                }
-                Event::RoadDamage {
-                    shard,
-                    segment,
-                    hour,
-                    flooded,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "adv d {shard} {} {hour} {}",
-                        segment.0,
-                        u8::from(flooded)
-                    );
-                }
-                Event::Request { .. } => {}
-            }
-        }
         for i in 0..self.shards.len() {
             write_block(&mut out, &format!("shard {i}"), &self.shard_snapshot(i)?);
         }
@@ -858,7 +756,6 @@ impl DispatchService {
         let num_segments = svc.scenario.city.network.num_segments();
         // Singleton records; an absent one restores its default.
         let mut epochs: Option<(u32, Option<u64>)> = None;
-        let mut adv_counts: Option<[u64; 4]> = None;
         let mut resil: Option<[u64; 2]> = None;
         let mut rqueue_counters = vec![(0u64, 0u64); num_shards];
         let mut restored_shards = vec![false; num_shards];
@@ -879,16 +776,12 @@ impl DispatchService {
                         Ok((count, r.tail("journal high-water mark")?.map(|[hwm]| hwm)))
                     })?;
                 }
-                "advisories" => {
-                    r.once(&mut adv_counts, |r| {
-                        Ok([
-                            r.field("applied")?,
-                            r.field("invalid")?,
-                            r.field("accepted")?,
-                            r.field("shed")?,
-                        ])
-                    })?;
-                }
+                // Snapshots written while the service took weather and
+                // road-damage advisories carry their counters in an
+                // `advisories` record and the queued ones in `adv`
+                // records; the service takes no advisories, so a restore
+                // reads past both.
+                "advisories" | "adv" => continue,
                 // Snapshots written while epoch latency was service state
                 // carry it in a `hist` record; it is telemetry now, and a
                 // restore starts every `epoch.*` histogram empty.
@@ -931,25 +824,6 @@ impl DispatchService {
                         });
                     }
                 }
-                "adv" => {
-                    let event = match r.token("kind")? {
-                        "w" => Event::Weather {
-                            shard: r.below(num_shards, "shard")?,
-                            hour: r.field("hour")?,
-                            rain_mm: r.field("rain")?,
-                        },
-                        "d" => Event::RoadDamage {
-                            shard: r.below(num_shards, "shard")?,
-                            // Not range-checked: advisories are validated
-                            // (and counted invalid) when drained.
-                            segment: SegmentId(r.field("segment")?),
-                            hour: r.field("hour")?,
-                            flooded: r.below::<u8>(2, "flooded flag")? == 1,
-                        },
-                        _ => return Err(bad("unknown advisory kind")),
-                    };
-                    svc.advisories.push(event);
-                }
                 "shard" => {
                     let i: usize = r.below(num_shards, "index")?;
                     svc.shard_restore(i, reader.block(&mut r)?)?;
@@ -962,22 +836,16 @@ impl DispatchService {
         if !restored_shards.iter().all(|&r| r) {
             return Err(bad("snapshot does not cover every configured shard"));
         }
-        // Counters are *set*, not added, and only after every `queued` and
-        // `adv` record was pushed through its queue: a restored service
+        // Counters are *set*, not added, and only after every `queued`
+        // record was pushed through its queue: a restored service
         // continues from the snapshot's totals exactly once.
-        let [applied, invalid, adv_accepted, adv_shed] = adv_counts.unwrap_or_default();
         let [degraded, retries] = resil.unwrap_or_default();
         for (q, (accepted, shed)) in svc.request_queues.iter().zip(rqueue_counters) {
             let (a, s) = q.counters();
             a.set(accepted);
             s.set(shed);
         }
-        let (a, s) = svc.advisories.counters();
-        a.set(adv_accepted);
-        s.set(adv_shed);
         svc.retries.set(retries);
-        svc.advisories_applied.set(applied);
-        svc.advisories_invalid.set(invalid);
         svc.degraded_epochs.set(degraded);
         let (epochs, wal_hwm) = epochs.unwrap_or_default();
         *svc.epochs_completed() = epochs;

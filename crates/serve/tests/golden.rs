@@ -19,15 +19,15 @@
 
 use mobirescue_core::scenario::ScenarioConfig;
 use mobirescue_roadnet::graph::SegmentId;
-use mobirescue_serve::{Clock, DispatchService, Event, ModelBundle, ServeConfig, SimClock};
+use mobirescue_serve::{Clock, DispatchService, ModelBundle, ServeConfig, SimClock};
 use mobirescue_sim::{RequestSpec, SimConfig};
 use std::sync::Arc;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/mrserve_v1.txt");
 
 /// The fixed run the fixture pins: 2 shards, queue capacity 4, two epochs
-/// with three requests per shard per epoch, one weather advisory, one
-/// road-damage advisory, and one request left delayed in the queue.
+/// with three requests per shard per epoch, and one request left delayed
+/// in the queue.
 fn golden_snapshot() -> String {
     let scenario = Arc::new(ScenarioConfig::small().florence().build(11));
     let clock = Arc::new(SimClock::new());
@@ -47,26 +47,9 @@ fn golden_snapshot() -> String {
                     appear_s: epoch * 300 + i * 40,
                     segment: SegmentId((epoch * 53 + i * 17 + shard as u32 * 29) % num_segments),
                 };
-                service
-                    .ingest(Event::Request { shard, spec })
-                    .expect("valid request");
+                service.ingest(shard, spec).expect("valid request");
             }
         }
-        service
-            .ingest(Event::Weather {
-                shard: 0,
-                hour: epoch,
-                rain_mm: 8.0,
-            })
-            .expect("valid advisory");
-        service
-            .ingest(Event::RoadDamage {
-                shard: 1,
-                segment: SegmentId(3),
-                hour: epoch + 1,
-                flooded: true,
-            })
-            .expect("valid advisory");
         service.run_epoch().expect("epoch runs");
     }
     // Leave work pending in the queues so the fixture covers queued-event
@@ -75,9 +58,7 @@ fn golden_snapshot() -> String {
         appear_s: 700,
         segment: SegmentId(5),
     };
-    service
-        .ingest(Event::Request { shard: 1, spec })
-        .expect("valid request");
+    service.ingest(1, spec).expect("valid request");
 
     let snapshot = service.snapshot().expect("snapshot serializes");
     service.shutdown();

@@ -6,7 +6,7 @@ use mobirescue_core::scenario::Scenario;
 use mobirescue_roadnet::graph::SegmentId;
 use mobirescue_serve::chaos::chaos_scenario;
 use mobirescue_serve::obs::ObsSnapshot;
-use mobirescue_serve::{Clock, DispatchService, Event, ModelBundle, ServeConfig, SimClock};
+use mobirescue_serve::{Clock, DispatchService, ModelBundle, ServeConfig, SimClock};
 use mobirescue_sim::{RequestSpec, SimConfig};
 use std::sync::Arc;
 
@@ -45,18 +45,9 @@ fn ingest_epoch(service: &DispatchService, scenario: &Scenario, epoch: u32) {
                 appear_s: epoch * 300 + i * 40,
                 segment: SegmentId((epoch * 53 + i * 17 + shard as u32 * 29) % segments),
             };
-            service
-                .ingest(Event::Request { shard, spec })
-                .expect("valid request");
+            service.ingest(shard, spec).expect("valid request");
         }
     }
-    service
-        .ingest(Event::Weather {
-            shard: 0,
-            hour: epoch % 4,
-            rain_mm: 2.0,
-        })
-        .expect("valid advisory");
 }
 
 #[test]
@@ -91,10 +82,6 @@ fn phase_histograms_cover_every_epoch_and_dump_round_trips() {
         .map(|i| snap.counters[&format!("serve.shard{i}.requests_accepted")])
         .sum();
     assert_eq!(shard_accepted, m.requests_accepted);
-    assert_eq!(
-        snap.counters["serve.advisories_applied"],
-        m.advisories_applied
-    );
     assert_eq!(snap.counters["serve.ingest_retries"], m.ingest_retries);
     assert_eq!(snap.counters["serve.degraded_epochs"], m.degraded_epochs);
     for i in 0..NUM_SHARDS {
@@ -130,7 +117,7 @@ fn restore_into_prepopulated_registry_does_not_double_count() {
     }
     let snapshot = service.snapshot().expect("snapshot serializes");
     let metrics_at_snap = service.metrics();
-    assert!(metrics_at_snap.advisories_applied > 0, "counters are live");
+    assert!(metrics_at_snap.requests_accepted > 0, "counters are live");
     assert!(
         !snapshot.lines().any(|l| l.starts_with("hist ")),
         "epoch latency is telemetry: the snapshot carries no `hist` record"

@@ -8,9 +8,7 @@
 
 use mobirescue_core::scenario::{Scenario, ScenarioConfig};
 use mobirescue_roadnet::graph::SegmentId;
-use mobirescue_serve::{
-    Clock, DispatchService, Event, ModelBundle, ServeConfig, ServeError, SimClock,
-};
+use mobirescue_serve::{Clock, DispatchService, ModelBundle, ServeConfig, ServeError, SimClock};
 use mobirescue_sim::{open_snapshot, seal_snapshot, RequestSpec, SimConfig};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -27,8 +25,8 @@ fn config() -> ServeConfig {
     config
 }
 
-/// A two-epoch service snapshot with queued requests, advisories, and
-/// epoch history — every record kind the `mrserve 1` format emits.
+/// A two-epoch service snapshot with queued requests and epoch history —
+/// every record kind the `mrserve 1` format emits.
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
@@ -52,18 +50,9 @@ fn fixture() -> &'static Fixture {
                             (epoch * 53 + i * 17 + shard as u32 * 29) % num_segments,
                         ),
                     };
-                    service
-                        .ingest(Event::Request { shard, spec })
-                        .expect("valid request");
+                    service.ingest(shard, spec).expect("valid request");
                 }
             }
-            service
-                .ingest(Event::Weather {
-                    shard: 0,
-                    hour: epoch,
-                    rain_mm: 8.0,
-                })
-                .expect("valid advisory");
             service.run_epoch().expect("epoch runs");
         }
         let snapshot = service.snapshot().expect("snapshot serializes");

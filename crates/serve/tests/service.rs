@@ -11,10 +11,12 @@ use mobirescue_roadnet::graph::SegmentId;
 use mobirescue_serve::chaos::chaos_scenario;
 use mobirescue_serve::obs::TimeSource;
 use mobirescue_serve::{
-    Clock, DispatchService, Event, FaultInjector, FaultPlan, ModelBundle, RetryPolicy, ServeConfig,
-    ServeError, SimClock, WalConfig,
+    Clock, DispatchService, FaultInjector, FaultPlan, ModelBundle, ServeConfig, ServeError,
+    SimClock, WalConfig,
 };
-use mobirescue_sim::{seal_snapshot, NearestRequestDispatcher, RequestSpec, SimConfig, World};
+use mobirescue_sim::{
+    open_snapshot, seal_snapshot, NearestRequestDispatcher, RequestSpec, SimConfig, World,
+};
 use std::sync::{Arc, OnceLock, Weak};
 
 fn test_scenario() -> Arc<Scenario> {
@@ -59,10 +61,7 @@ fn ingest_all(service: &DispatchService, scenario: &Scenario, epoch: u32, n: u32
     let mut shed = 0;
     for shard in 0..2 {
         for spec in requests_for(scenario, shard, epoch, n) {
-            if service
-                .ingest(Event::Request { shard, spec })
-                .expect("valid event")
-            {
+            if service.ingest(shard, spec).expect("valid request") {
                 accepted += 1;
             } else {
                 shed += 1;
@@ -85,7 +84,7 @@ fn ingestion_rejects_malformed_events_and_sheds_overflow() {
         segment: SegmentId(0),
     };
     assert!(matches!(
-        service.ingest(Event::Request { shard: 9, spec }),
+        service.ingest(9, spec),
         Err(ServeError::UnknownShard {
             shard: 9,
             num_shards: 2
@@ -95,16 +94,10 @@ fn ingestion_rejects_malformed_events_and_sheds_overflow() {
         appear_s: 0,
         segment: SegmentId(u32::MAX),
     };
-    assert!(matches!(
-        service.ingest(Event::Request {
-            shard: 0,
-            spec: bad
-        }),
-        Err(ServeError::World(_))
-    ));
+    assert!(matches!(service.ingest(0, bad), Err(ServeError::World(_))));
 
-    // Capacity is 4 per shard; the fifth and sixth pushes are shed
-    // (DropNewest) and counted.
+    // Capacity is 4 per shard; the fifth and sixth pushes are shed (a
+    // full queue refuses the newcomer) and counted.
     let (accepted, shed) = ingest_all(&service, &scenario, 0, 6);
     assert_eq!(accepted, 8);
     assert_eq!(shed, 4);
@@ -112,29 +105,8 @@ fn ingestion_rejects_malformed_events_and_sheds_overflow() {
     assert_eq!(m.requests_accepted, 8);
     assert_eq!(m.requests_shed, 4);
     assert_eq!(m.shards[0].queue_depth, 4);
-
-    // Advisories: valid ones are applied at the next epoch, invalid ones
-    // (out-of-window hour) counted as invalid.
-    assert!(service
-        .ingest(Event::Weather {
-            shard: 0,
-            hour: 0,
-            rain_mm: 12.0
-        })
-        .expect("valid advisory"));
-    assert!(service
-        .ingest(Event::RoadDamage {
-            shard: 1,
-            segment: SegmentId(3),
-            hour: 9_999,
-            flooded: true
-        })
-        .expect("shard in range"));
     service.run_epoch().expect("epoch runs");
-    let m = service.metrics();
-    assert_eq!(m.advisories_applied, 1);
-    assert_eq!(m.advisories_invalid, 1);
-    assert_eq!(m.epochs_completed, 1);
+    assert_eq!(service.metrics().epochs_completed, 1);
 }
 
 #[test]
@@ -148,26 +120,20 @@ fn retry_exhaustion_accounts_every_offer() {
     // consumer drains between attempts, so every attempt sheds and the
     // offer is eventually given up.
     for spec in requests_for(&scenario, 0, 0, 4) {
-        assert!(service.ingest(Event::Request { shard: 0, spec }).unwrap());
+        assert!(service.ingest(0, spec).unwrap());
     }
     let extra = requests_for(&scenario, 0, 1, 1).remove(0);
-    let retry = RetryPolicy::default();
+    let max_retries = 3;
     let t0 = clock.now_ms();
     let admitted = service
-        .ingest_with_retry(
-            Event::Request {
-                shard: 0,
-                spec: extra,
-            },
-            &retry,
-        )
-        .expect("valid event");
+        .ingest_with_retry(0, extra, max_retries)
+        .expect("valid request");
     assert!(!admitted, "a full queue with no drain must exhaust retries");
 
     let m = service.metrics();
-    assert_eq!(m.ingest_retries, u64::from(retry.max_retries));
+    assert_eq!(m.ingest_retries, u64::from(max_retries));
     // The initial offer plus each retry is a fresh shed: 1 + max_retries.
-    assert_eq!(m.requests_shed, 1 + u64::from(retry.max_retries));
+    assert_eq!(m.requests_shed, 1 + u64::from(max_retries));
     assert_eq!(m.requests_accepted, 4);
     assert_eq!(m.shards[0].queue_depth, 4, "queue untouched by retries");
     // Backoff really waited on the clock: 10 + 20 + 40 ms for 3 retries.
@@ -178,19 +144,8 @@ fn retry_exhaustion_accounts_every_offer() {
         appear_s: 0,
         segment: SegmentId(u32::MAX),
     };
-    assert!(service
-        .ingest_with_retry(
-            Event::Request {
-                shard: 0,
-                spec: bad
-            },
-            &retry
-        )
-        .is_err());
-    assert_eq!(
-        service.metrics().ingest_retries,
-        u64::from(retry.max_retries)
-    );
+    assert!(service.ingest_with_retry(0, bad, max_retries).is_err());
+    assert_eq!(service.metrics().ingest_retries, u64::from(max_retries));
 }
 
 /// A simulated clock whose every sleep also runs one epoch of the service
@@ -243,18 +198,12 @@ fn a_shed_offer_is_admitted_on_its_first_retry() {
     // runs an epoch that drains the queue, and the first retry is
     // admitted.
     for spec in requests_for(&scenario, 0, 0, 4) {
-        assert!(service.ingest(Event::Request { shard: 0, spec }).unwrap());
+        assert!(service.ingest(0, spec).unwrap());
     }
     let extra = requests_for(&scenario, 0, 1, 1).remove(0);
     let admitted = service
-        .ingest_with_retry(
-            Event::Request {
-                shard: 0,
-                spec: extra,
-            },
-            &RetryPolicy::default(),
-        )
-        .expect("valid event");
+        .ingest_with_retry(0, extra, 3)
+        .expect("valid request");
     assert!(admitted, "the retry after a drain must be admitted");
 
     let m = service.metrics();
@@ -350,16 +299,6 @@ fn snapshot_restore_preserves_metrics_and_future_evolution() {
         assert!(clock.now_ms() <= deadline, "sim-clock epochs never overrun");
         clock.sleep_ms(deadline - clock.now_ms());
     }
-    // An advisory naming an unknown segment is admitted and only counted
-    // invalid when drained, so a snapshot may carry it and must restore.
-    service
-        .ingest(Event::RoadDamage {
-            shard: 0,
-            segment: SegmentId(u32::MAX),
-            hour: 0,
-            flooded: true,
-        })
-        .expect("advisory segments are validated at drain");
 
     let snapshot = service.snapshot().expect("snapshot serializes");
     let before = service.metrics();
@@ -413,6 +352,52 @@ fn snapshot_restore_preserves_metrics_and_future_evolution() {
 
     service.shutdown();
     restored.shutdown();
+}
+
+/// Snapshots written while the service took weather and road-damage
+/// advisories can hold queued `adv` records. Restore reads past them: the
+/// restored service equals the snapshotted one and one restored from the
+/// same text without them, and its own snapshot carries none.
+#[test]
+fn restore_skips_the_advisory_records_of_older_snapshots() {
+    let scenario = test_scenario();
+    let clock = Arc::new(SimClock::new());
+    let bundle = Arc::new(ModelBundle::default());
+    let service = start_service(&scenario, &clock, &bundle);
+    ingest_all(&service, &scenario, 0, 3);
+    service.run_epoch().expect("epoch runs");
+    ingest_all(&service, &scenario, 1, 2);
+    let snapshot = service.snapshot().expect("snapshot serializes");
+    let source = service.metrics();
+    service.shutdown();
+
+    let body = open_snapshot(&snapshot).expect("the snapshot is sealed");
+    let first_shard = body.find("\nshard ").expect("a shard block") + 1;
+    let with_adv = seal_snapshot(format!(
+        "{}adv w 0 1 8.0\nadv d 1 3 2 1\n{}",
+        &body[..first_shard],
+        &body[first_shard..]
+    ));
+    let restore = |text: &str| {
+        DispatchService::restore(
+            Arc::clone(&scenario),
+            test_config(),
+            Arc::clone(&clock) as Arc<dyn Clock>,
+            Arc::clone(&bundle),
+            text,
+        )
+        .expect("snapshot restores")
+    };
+    let restored = restore(&with_adv);
+    let plain = restore(&snapshot);
+    assert_eq!(restored.metrics(), source, "restored metrics drifted");
+    assert_eq!(
+        restored.snapshot().expect("re-snapshot"),
+        plain.snapshot().expect("re-snapshot"),
+        "the `adv` records outlived the restore"
+    );
+    restored.shutdown();
+    plain.shutdown();
 }
 
 #[test]
@@ -489,9 +474,8 @@ fn first_epoch_world(
     )
     .expect("service starts");
     for &spec in requests {
-        let event = Event::Request { shard: 0, spec };
         assert!(
-            service.ingest(event).expect("valid event"),
+            service.ingest(0, spec).expect("valid request"),
             "queue has room"
         );
     }
@@ -567,7 +551,6 @@ fn garbage_snapshots_are_rejected() {
             "partial swap-cause counters",
         ),
         ("mrserve 1\nrqueue 2 0 0\nend\n", "out of range"),
-        ("mrserve 1\nadv x 0 1 1.5\nend\n", "unknown advisory kind"),
     ] {
         let text = seal_snapshot(body.to_owned());
         let err = DispatchService::restore(

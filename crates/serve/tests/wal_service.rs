@@ -7,8 +7,7 @@
 use mobirescue_core::scenario::{Scenario, ScenarioConfig};
 use mobirescue_roadnet::graph::SegmentId;
 use mobirescue_serve::{
-    Clock, DispatchService, Event, FsyncPolicy, ModelBundle, ServeConfig, ServeError, SimClock,
-    WalConfig,
+    Clock, DispatchService, FsyncPolicy, ModelBundle, ServeConfig, ServeError, SimClock, WalConfig,
 };
 use mobirescue_sim::{RequestSpec, SimConfig};
 use std::path::PathBuf;
@@ -70,20 +69,13 @@ fn shed_offers_are_never_journaled() {
     for tag in 0..2 {
         let spec = request(&scenario, tag);
         assert!(
-            service
-                .ingest(Event::Request { shard: 0, spec })
-                .expect("valid event"),
+            service.ingest(0, spec).expect("valid event"),
             "offer {tag} fits under capacity"
         );
     }
     let overflow = request(&scenario, 99);
     assert!(
-        !service
-            .ingest(Event::Request {
-                shard: 0,
-                spec: overflow
-            })
-            .expect("valid event"),
+        !service.ingest(0, overflow).expect("valid event"),
         "the third offer overflows the capacity-2 queue"
     );
     assert_eq!(
@@ -114,9 +106,7 @@ fn replay_overflow_is_a_typed_refusal() {
     let service = start(&scenario, wal_config(&dir, 1, 4)).expect("service starts");
     for tag in 0..4 {
         let spec = request(&scenario, tag);
-        assert!(service
-            .ingest(Event::Request { shard: 0, spec })
-            .expect("valid event"));
+        assert!(service.ingest(0, spec).expect("valid event"));
     }
     assert_eq!(service.wal_last_seq(), 4);
     drop(service);
@@ -178,9 +168,7 @@ fn concurrent_snapshot_never_loses_or_duplicates_acked_requests() {
                     let spec = request(&scenario, tag);
                     let shard = (tag % 2) as usize;
                     assert!(
-                        service
-                            .ingest(Event::Request { shard, spec })
-                            .expect("valid event"),
+                        service.ingest(shard, spec).expect("valid event"),
                         "capacity is ample: every offer is acked"
                     );
                 }

@@ -3,7 +3,7 @@
 #
 #   scripts/bench_scale.sh                  # run medium+metro, print JSON
 #   scripts/bench_scale.sh --bless          # rewrite the committed baseline
-#   scripts/bench_scale.sh --bless medium metro multi_city
+#   scripts/bench_scale.sh --bless medium metro
 #   SCALE_PRESETS="medium" scripts/bench_scale.sh
 #
 # The benchmark reports per-preset dispatch-epoch latency, request
