@@ -30,27 +30,35 @@ pub fn requests_on_day(
     day: u32,
 ) -> Vec<RequestSpec> {
     let net = &scenario.city.network;
-    rescues
+    let mut requests: Vec<(&RescueRecord, RequestSpec)> = rescues
         .iter()
         .filter(|r| r.request_day() == day)
         .map(|r| {
-            let hour = (r.request_minute / 60).min(scenario.disaster.total_hours() - 1);
-            let cond = scenario.conditions.at(hour);
-            let nearest = matcher.nearest_segment(net, r.request_position);
-            let segment = if cond.is_operable(nearest) {
-                nearest
-            } else {
-                cond.operable_segments()
-                    .map(|s| (s, net.segment_midpoint(s).distance_m(r.request_position)))
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("distances are never NaN"))
-                    .map_or(nearest, |(s, _)| s)
-            };
-            RequestSpec {
+            let spec = RequestSpec {
                 appear_s: (r.request_minute - day * 24 * 60) * 60,
-                segment,
-            }
+                segment: matcher.nearest_segment(net, r.request_position),
+            };
+            (r, spec)
         })
-        .collect()
+        .collect();
+    // Visit the requests in time order, so that each run of equal hours
+    // has its condition built once; every request keeps its place.
+    let mut by_time: Vec<usize> = (0..requests.len()).collect();
+    by_time.sort_by_key(|&i| requests[i].0.request_minute);
+    let mut conditions = scenario.conditions.cursor();
+    for i in by_time {
+        let (r, spec) = &mut requests[i];
+        let hour = (r.request_minute / 60).min(scenario.disaster.total_hours() - 1);
+        let cond = conditions.at(hour);
+        if !cond.is_operable(spec.segment) {
+            spec.segment = cond
+                .operable_segments()
+                .map(|s| (s, net.segment_midpoint(s).distance_m(r.request_position)))
+                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("distances are never NaN"))
+                .map_or(spec.segment, |(s, _)| s);
+        }
+    }
+    requests.into_iter().map(|(_, spec)| spec).collect()
 }
 
 /// The day with the most rescue requests — the paper picks Sep 16 as "the

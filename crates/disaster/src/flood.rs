@@ -10,9 +10,9 @@
 
 use crate::terrain::TerrainModel;
 use crate::weather::WeatherField;
-use mobirescue_roadnet::damage::NetworkCondition;
+use mobirescue_roadnet::damage::{NetworkCondition, SegmentCondition};
 use mobirescue_roadnet::geo::{BoundingBox, GeoPoint, LocalProjection};
-use mobirescue_roadnet::graph::RoadNetwork;
+use mobirescue_roadnet::graph::{RoadNetwork, SegmentId};
 use serde::{Deserialize, Serialize};
 
 /// Water depth (meters) above which a cell counts as a flood zone.
@@ -82,7 +82,7 @@ impl FloodField {
             for c in 0..cols {
                 let east = (c as f64 + 0.5) / cols as f64 * width_m;
                 let north = (r as f64 + 0.5) / rows as f64 * height_m;
-                let p = bbox.south_west.offset_m(east, north);
+                let p = projection.offset_m(east, north);
                 profiles.push(weather.precipitation_profile(p));
                 altitude.push(terrain.altitude_m(p));
             }
@@ -206,51 +206,68 @@ impl FloodField {
     }
 
     /// The remaining available network G̃ at `hour`: flooded segments are
-    /// blocked, wet segments slowed proportionally to water depth. The
-    /// one-hour case of [`FloodField::network_conditions`].
+    /// blocked, wet segments slowed proportionally to water depth (see
+    /// [`SegmentDamage::at`]).
     ///
     /// # Panics
     ///
     /// Panics if `hour` is past the end of the scenario.
     pub fn network_condition(&self, net: &RoadNetwork, hour: u32) -> NetworkCondition {
-        assert!(hour < self.hours, "hour {hour} outside scenario");
-        let mut conditions = self.network_conditions(net, hour..hour + 1);
-        conditions.pop().expect("one hour gives one condition")
+        NetworkCondition::from_changes(net.num_segments(), self.segment_damage(net).at(hour))
     }
 
-    /// The remaining available network G̃ for every hour of `hours`, in
-    /// order. Each segment's midpoint is mapped to its raster cell once,
-    /// and each hour reads the cells' depths by index.
+    /// The flood's damage to the segments of `net`, hour by hour. Each
+    /// segment's midpoint is mapped to its raster cell here, once.
+    pub fn segment_damage(&self, net: &RoadNetwork) -> SegmentDamage<'_> {
+        SegmentDamage {
+            flood: self,
+            cells: net
+                .segment_ids()
+                .map(|sid| self.cell_index(net.segment_midpoint(sid)))
+                .collect(),
+        }
+    }
+}
+
+/// A [`FloodField`]'s damage to the segments of one network: the raster
+/// cell of every segment's midpoint, read hour by hour.
+#[derive(Debug, Clone)]
+pub struct SegmentDamage<'a> {
+    flood: &'a FloodField,
+    /// Raster cell of each segment's midpoint, in segment order.
+    cells: Vec<usize>,
+}
+
+impl SegmentDamage<'_> {
+    /// The segments the water reaches during `hour`, in segment order,
+    /// with their condition: a segment in a flood zone (depth at least
+    /// [`FLOOD_DEPTH_M`]) is blocked, and a wet one (at least
+    /// [`WET_DEPTH_M`]) slowed linearly from 1.0 at `WET_DEPTH_M` to 0.35
+    /// at `FLOOD_DEPTH_M`. Every other segment is pristine.
     ///
     /// # Panics
     ///
-    /// Panics if `hours` extends past the end of the scenario.
-    pub fn network_conditions(
-        &self,
-        net: &RoadNetwork,
-        hours: std::ops::Range<u32>,
-    ) -> Vec<NetworkCondition> {
-        let cells: Vec<usize> = net
-            .segment_ids()
-            .map(|sid| self.cell_index(net.segment_midpoint(sid)))
-            .collect();
-        hours
-            .map(|hour| {
-                let depths = self.hour_depths(hour);
-                let mut cond = NetworkCondition::pristine(net);
-                for (sid, &cell) in net.segment_ids().zip(&cells) {
-                    let depth = depths[cell] as f64;
-                    if depth >= FLOOD_DEPTH_M {
-                        cond.block(sid);
-                    } else if depth >= WET_DEPTH_M {
-                        // Linear slowdown from 1.0 at WET_DEPTH to 0.35 at FLOOD_DEPTH.
-                        let x = (depth - WET_DEPTH_M) / (FLOOD_DEPTH_M - WET_DEPTH_M);
-                        cond.set_speed_factor(sid, 1.0 - 0.65 * x);
-                    }
+    /// Panics if `hour` is past the end of the scenario.
+    pub fn at(&self, hour: u32) -> impl Iterator<Item = (SegmentId, SegmentCondition)> + '_ {
+        let depths = self.flood.hour_depths(hour);
+        self.cells.iter().enumerate().filter_map(move |(i, &cell)| {
+            let depth = depths[cell] as f64;
+            let condition = if depth >= FLOOD_DEPTH_M {
+                SegmentCondition {
+                    operable: false,
+                    speed_factor: 1.0,
                 }
-                cond
-            })
-            .collect()
+            } else if depth >= WET_DEPTH_M {
+                let x = (depth - WET_DEPTH_M) / (FLOOD_DEPTH_M - WET_DEPTH_M);
+                SegmentCondition {
+                    operable: true,
+                    speed_factor: 1.0 - 0.65 * x,
+                }
+            } else {
+                return None;
+            };
+            Some((SegmentId(i as u32), condition))
+        })
     }
 }
 

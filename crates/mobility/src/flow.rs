@@ -10,24 +10,50 @@
 
 use crate::trips::Trip;
 use mobirescue_disaster::scenario::DisasterScenario;
-use mobirescue_roadnet::damage::NetworkCondition;
+use mobirescue_roadnet::damage::{NetworkCondition, SegmentCondition};
 use mobirescue_roadnet::graph::{RoadNetwork, SegmentId};
 use mobirescue_roadnet::planner::RoutePlanner;
 use mobirescue_roadnet::pool;
 use mobirescue_roadnet::regions::{RegionId, RegionPartition};
 use serde::{Deserialize, Serialize};
 
-/// Per-hour network conditions (G̃ at every hour), precomputed once.
+/// Per-hour network conditions (G̃ at every hour), precomputed once and
+/// held once per run of equal consecutive hours.
 ///
-/// Conditions may cover only a *window* of the scenario (see
-/// [`HourlyConditions::compute_window`]): at metro scale a full 30-day
-/// horizon over 100k+ segments costs gigabytes, while serving and
-/// benchmarking only ever touch the hours around the storm.
+/// A run stores only the segments that are not pristine, each with its
+/// [`SegmentCondition`]; every other segment is operable at full speed.
+/// [`HourlyConditions::at`] builds an hour's dense [`NetworkCondition`]
+/// from its run, and a [`ConditionCursor`] holds one while the run lasts.
+/// On the `charlotte` preset (seed 7) the 720 hours of the full horizon
+/// form 190 runs of 242,220 entries in all, about 4.8 MB where one dense
+/// condition per hour took 58.1 MB.
+///
+/// Conditions may also cover only a *window* of the scenario (see
+/// [`HourlyConditions::compute_window`]). Held densely, the full 720-hour
+/// horizon of the 101,280-segment `metro` preset took 1.17 GB. Its 60-hour
+/// storm window holds 43 runs and 1,070,926 entries (about 21 MB); the
+/// full horizon would hold 189 runs and 4.05M entries (81 MB) and take
+/// four to six times as long to build.
 #[derive(Debug, Clone)]
 pub struct HourlyConditions {
-    conditions: Vec<NetworkCondition>,
+    /// Segments in the network the conditions describe.
+    num_segments: usize,
     /// First absolute scenario hour covered (0 for full-horizon builds).
     first_hour: u32,
+    /// One past the last absolute hour covered.
+    end_hour: u32,
+    /// The runs of equal hours, in hour order.
+    runs: Vec<Run>,
+}
+
+/// Equal consecutive hours of a [`HourlyConditions`]: the segments that
+/// are not pristine in them, in segment order, with their conditions.
+#[derive(Debug, Clone)]
+struct Run {
+    /// First absolute hour of the run; it lasts until the next run's.
+    first_hour: u32,
+    segments: Box<[SegmentId]>,
+    damage: Box<[SegmentCondition]>,
 }
 
 impl HourlyConditions {
@@ -39,6 +65,9 @@ impl HourlyConditions {
     /// Precomputes conditions for the absolute-hour window
     /// `window.start..window.end` only. `at` remains indexed by *absolute*
     /// scenario hour; hours outside the window panic.
+    ///
+    /// The runs are built one hour at a time from the flood raster: no
+    /// more than the hour being compared is held besides them.
     ///
     /// # Panics
     ///
@@ -54,10 +83,12 @@ impl HourlyConditions {
             "window {window:?} extends past the {}-hour scenario",
             scenario.total_hours()
         );
-        Self {
-            first_hour: window.start,
-            conditions: scenario.flood().network_conditions(net, window),
-        }
+        let damage = scenario.flood().segment_damage(net);
+        Self::from_hours(
+            net.num_segments(),
+            window.start,
+            window.map(|hour| damage.at(hour)),
+        )
     }
 
     /// Builds from explicit per-hour conditions (synthetic damage schedules
@@ -66,16 +97,99 @@ impl HourlyConditions {
     ///
     /// # Panics
     ///
-    /// Panics if `conditions` is empty.
+    /// Panics if `conditions` is empty or its conditions differ in length.
     pub fn from_conditions(conditions: Vec<NetworkCondition>) -> Self {
         assert!(
             !conditions.is_empty(),
             "need at least one hour of conditions"
         );
-        Self {
-            conditions,
-            first_hour: 0,
+        let num_segments = conditions[0].len();
+        let hours = conditions.iter().map(|cond| {
+            assert_eq!(
+                cond.len(),
+                num_segments,
+                "every hour must cover the same segments"
+            );
+            (0..num_segments as u32)
+                .map(SegmentId)
+                .map(|seg| (seg, cond.condition(seg)))
+        });
+        Self::from_hours(num_segments, 0, hours)
+    }
+
+    /// Builds from hours given in order from `first_hour`, each as its
+    /// segments in segment order. Pristine segments are dropped, and an
+    /// hour equal to the one before joins that hour's run.
+    fn from_hours<H>(num_segments: usize, first_hour: u32, hours: impl Iterator<Item = H>) -> Self
+    where
+        H: Iterator<Item = (SegmentId, SegmentCondition)>,
+    {
+        let mut runs: Vec<Run> = Vec::new();
+        let (mut segments, mut damage) = (Vec::new(), Vec::new());
+        let mut end_hour = first_hour;
+        for hour in hours {
+            segments.clear();
+            damage.clear();
+            for (seg, c) in hour.filter(|(_, c)| *c != SegmentCondition::default()) {
+                segments.push(seg);
+                damage.push(c);
+            }
+            let repeats = runs
+                .last()
+                .is_some_and(|run| *run.segments == segments[..] && *run.damage == damage[..]);
+            if !repeats {
+                runs.push(Run {
+                    first_hour: end_hour,
+                    segments: segments.as_slice().into(),
+                    damage: damage.as_slice().into(),
+                });
+            }
+            end_hour += 1;
         }
+        runs.shrink_to_fit();
+        Self {
+            num_segments,
+            first_hour,
+            end_hour,
+            runs,
+        }
+    }
+
+    /// The hours run `run` covers.
+    fn run_hours(&self, run: usize) -> std::ops::Range<u32> {
+        let end = self
+            .runs
+            .get(run + 1)
+            .map_or(self.end_hour, |r| r.first_hour);
+        self.runs[run].first_hour..end
+    }
+
+    /// The run covering absolute `hour`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hour` is outside the covered window.
+    fn run_of(&self, hour: u32) -> usize {
+        assert!(
+            hour >= self.first_hour,
+            "hour {hour} precedes the covered window starting at {}",
+            self.first_hour
+        );
+        assert!(
+            hour < self.end_hour,
+            "hour {hour} is past the covered window ending at {}",
+            self.end_hour
+        );
+        self.runs.partition_point(|r| r.first_hour <= hour) - 1
+    }
+
+    /// The dense condition of run `run`, under a fresh generation.
+    fn run_condition(&self, run: usize) -> NetworkCondition {
+        let run = &self.runs[run];
+        NetworkCondition::from_changes(
+            self.num_segments,
+            run.segments.iter().copied().zip(run.damage.iter().copied()),
+        )
     }
 
     /// First absolute hour covered (0 for full-horizon builds).
@@ -86,21 +200,61 @@ impl HourlyConditions {
     /// One past the last absolute hour covered. Full-horizon builds cover
     /// `0..hours()`, windowed builds `first_hour()..hours()`.
     pub fn hours(&self) -> u32 {
-        self.first_hour + self.conditions.len() as u32
+        self.end_hour
     }
 
-    /// The condition at absolute scenario `hour`.
+    /// The condition at absolute scenario `hour`, built from its run under
+    /// a fresh generation. To read many hours in order, a
+    /// [`HourlyConditions::cursor`] builds each run's condition once.
     ///
     /// # Panics
     ///
     /// Panics if `hour` is outside the covered window.
-    pub fn at(&self, hour: u32) -> &NetworkCondition {
-        assert!(
-            hour >= self.first_hour,
-            "hour {hour} precedes the covered window starting at {}",
-            self.first_hour
-        );
-        &self.conditions[(hour - self.first_hour) as usize]
+    pub fn at(&self, hour: u32) -> NetworkCondition {
+        self.run_condition(self.run_of(hour))
+    }
+
+    /// A reader that holds the condition of one run at a time. It builds
+    /// nothing until its first lookup.
+    pub fn cursor(&self) -> ConditionCursor<'_> {
+        ConditionCursor {
+            conditions: self,
+            held: None,
+        }
+    }
+}
+
+/// Holds the dense condition of one run of a [`HourlyConditions`] and
+/// rebuilds it only when a lookup leaves the run, so the hours of a run
+/// share one condition and one generation (and the route planner's cost
+/// snapshot and trees with them).
+#[derive(Debug, Clone)]
+pub struct ConditionCursor<'a> {
+    conditions: &'a HourlyConditions,
+    /// The hours of the held run, and its condition.
+    held: Option<(std::ops::Range<u32>, NetworkCondition)>,
+}
+
+impl ConditionCursor<'_> {
+    /// The condition at absolute scenario `hour`, equal to
+    /// [`HourlyConditions::at`]`(hour)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hour` is outside the covered window.
+    pub fn at(&mut self, hour: u32) -> &NetworkCondition {
+        if !self
+            .held
+            .as_ref()
+            .is_some_and(|(hours, _)| hours.contains(&hour))
+        {
+            let run = self.conditions.run_of(hour);
+            self.held = Some((
+                self.conditions.run_hours(run),
+                self.conditions.run_condition(run),
+            ));
+        }
+        &self.held.as_ref().expect("built above").1
     }
 }
 
@@ -126,11 +280,12 @@ impl FlowField {
     /// Unroutable trips (origin or destination cut off by flooding) are
     /// dropped.
     ///
-    /// Trips are grouped by departure hour so each hour's damage condition
-    /// is materialized into a flat cost snapshot exactly once (see
-    /// [`RoutePlanner`]); within an hour the point queries fan out over
-    /// the available cores. Results are deterministic: routes come back in
-    /// input order and counts are merged by addition.
+    /// Trips are grouped by departure hour. A run of equal hours gets its
+    /// condition when the first of its hours with trips is reached, and
+    /// that condition is materialized into a flat cost snapshot exactly
+    /// once (see [`RoutePlanner`]); within an hour the point queries fan
+    /// out over the available cores. Results are deterministic: routes
+    /// come back in input order and counts are merged by addition.
     pub fn from_trips(net: &RoadNetwork, trips: &[Trip], conditions: &HourlyConditions) -> Self {
         let hours = conditions.hours();
         let planner = RoutePlanner::new(net);
@@ -140,11 +295,12 @@ impl FlowField {
             by_hour[trip.depart_hour().min(hours - 1) as usize].push(trip);
         }
         let mut field = Self::zeros(net.num_segments(), hours);
+        let mut cursor = conditions.cursor();
         for (hour, hour_trips) in by_hour.iter().enumerate() {
             if hour_trips.is_empty() {
                 continue;
             }
-            let cond = conditions.at(hour as u32);
+            let cond = cursor.at(hour as u32);
             let routes = pool::parallel_map(threads, hour_trips, |_, trip| {
                 planner.route(cond, trip.from, trip.to)
             });
@@ -268,7 +424,7 @@ mod tests {
         };
         let field = FlowField::from_trips(&city.network, &[trip], &conds);
         let router = Router::new(&city.network);
-        let route = router.shortest_path(conds.at(1), from, to).unwrap();
+        let route = router.shortest_path(&conds.at(1), from, to).unwrap();
         for sid in &route.segments {
             assert_eq!(field.flow(*sid, 1), 1);
         }

@@ -23,7 +23,7 @@ use crate::person::{MobilityProfile, Person, PersonId};
 use crate::trace::{GpsPing, MobilityDataset, MINUTES_PER_DAY};
 use mobirescue_disaster::scenario::DisasterScenario;
 use mobirescue_roadnet::generator::City;
-use mobirescue_roadnet::geo::GeoPoint;
+use mobirescue_roadnet::geo::{GeoPoint, LocalProjection};
 use mobirescue_roadnet::graph::LandmarkId;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -143,6 +143,7 @@ impl AnchorTimeline {
         AnchorCursor {
             events: &self.events,
             next: 0,
+            held: None,
         }
     }
 }
@@ -152,16 +153,26 @@ struct AnchorCursor<'a> {
     events: &'a [(u32, GeoPoint)],
     /// Events at or before the last minute looked up.
     next: usize,
+    /// The projection around the anchor of the last lookup, kept while
+    /// that anchor holds.
+    held: Option<LocalProjection>,
 }
 
 impl AnchorCursor<'_> {
-    /// [`AnchorTimeline::at`]`(minute)`, for a `minute` no earlier than the
-    /// previous call's.
-    fn at(&mut self, minute: u32) -> GeoPoint {
+    /// The projection around [`AnchorTimeline::at`]`(minute)`, for a
+    /// `minute` no earlier than the previous call's. The anchor's cosine is
+    /// taken once per anchor, not once per lookup.
+    fn at(&mut self, minute: u32) -> &LocalProjection {
+        let before = self.next;
         while self.next < self.events.len() && self.events[self.next].0 <= minute {
             self.next += 1;
         }
-        self.events[self.next.saturating_sub(1)].1
+        if self.next != before || self.held.is_none() {
+            self.held = Some(LocalProjection::new(
+                self.events[self.next.saturating_sub(1)].1,
+            ));
+        }
+        self.held.as_ref().expect("set above")
     }
 }
 
@@ -360,8 +371,7 @@ pub(crate) fn simulate_person(
         let mut anchors = timeline.cursor();
         let mut t = rng.random_range(0..config.ping_interval_max);
         while t < total_minutes {
-            let anchor = anchors.at(t);
-            let position = anchor.offset_m(
+            let position = anchors.at(t).offset_m(
                 rng.random_range(-config.gps_noise_m..=config.gps_noise_m),
                 rng.random_range(-config.gps_noise_m..=config.gps_noise_m),
             );
@@ -595,14 +605,15 @@ mod tests {
         timeline.push(1_450, point(5));
         timeline.push(1_450, point(6));
         timeline.push(2_000, point(7));
+        let at = |minute| LocalProjection::new(timeline.at(minute));
         let mut cursor = timeline.cursor();
         for minute in (0..2_100).chain([2_100, 5_000, u32::MAX]) {
-            assert_eq!(cursor.at(minute), timeline.at(minute), "minute {minute}");
+            assert_eq!(*cursor.at(minute), at(minute), "minute {minute}");
         }
         // Strides that jump over several events at once.
         let mut cursor = timeline.cursor();
         for minute in [0, 599, 600, 1_449, 1_501, 3_000] {
-            assert_eq!(cursor.at(minute), timeline.at(minute), "minute {minute}");
+            assert_eq!(*cursor.at(minute), at(minute), "minute {minute}");
         }
     }
 

@@ -34,7 +34,7 @@ pub mod trace;
 pub mod trips;
 
 pub use cleaning::{clean, CleaningConfig, CleaningReport};
-pub use flow::{FlowField, HourlyConditions};
+pub use flow::{ConditionCursor, FlowField, HourlyConditions};
 pub use generator::{generate, GenerationOutput, PopulationConfig, TrueRescue};
 pub use map_match::MapMatcher;
 pub use person::{MobilityProfile, Person, PersonId};

@@ -3,13 +3,16 @@
 use mobirescue_disaster::hurricane::Hurricane;
 use mobirescue_disaster::scenario::DisasterScenario;
 use mobirescue_mobility::cleaning::{clean, CleaningConfig};
+use mobirescue_mobility::flow::HourlyConditions;
 use mobirescue_mobility::generator::{generate, PopulationConfig};
 use mobirescue_mobility::person::{MobilityProfile, Person, PersonId};
 use mobirescue_mobility::rescue::detect_deliveries;
 use mobirescue_mobility::stats::{pearson, Cdf};
 use mobirescue_mobility::trace::{GpsPing, MobilityDataset};
+use mobirescue_roadnet::damage::{NetworkCondition, SegmentCondition};
 use mobirescue_roadnet::generator::CityConfig;
 use mobirescue_roadnet::geo::{BoundingBox, GeoPoint, EARTH_RADIUS_M};
+use mobirescue_roadnet::graph::SegmentId;
 use proptest::prelude::*;
 
 mod reference;
@@ -331,4 +334,84 @@ fn detect_deliveries_edge_cases_match_the_reference() {
             (7, 0, true)
         ]
     );
+}
+
+/// Segments of every synthetic schedule's network.
+const SCHEDULE_SEGMENTS: usize = 7;
+
+/// A segment's condition from a drawn `(kind, speed)`: pristine, blocked,
+/// slowed, or blocked and slowed (which the flood never produces).
+fn drawn_condition(kind: u8, speed_factor: f64) -> SegmentCondition {
+    let (operable, speed_factor) = match kind {
+        0 => (true, 1.0),
+        1 => (false, 1.0),
+        2 => (true, speed_factor),
+        _ => (false, speed_factor),
+    };
+    SegmentCondition {
+        operable,
+        speed_factor,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Hourly conditions built from a synthetic schedule give back every
+    /// hour, and two hours share a run exactly when they are adjacent and
+    /// equal. A schedule is a list of `(pattern, hours)` pieces over a
+    /// palette of per-segment patterns; a quarter of the schedules are cut
+    /// to their first hour.
+    #[test]
+    fn synthetic_schedules_round_trip(
+        palette in prop::collection::vec(
+            prop::collection::vec((0u8..4, 0.05f64..1.0), SCHEDULE_SEGMENTS),
+            1..4,
+        ),
+        pieces in prop::collection::vec((0usize..4, 1usize..4), 1..8),
+        cut in 0u32..4,
+    ) {
+        let mut schedule: Vec<usize> = pieces
+            .iter()
+            .flat_map(|&(pattern, hours)| std::iter::repeat_n(pattern % palette.len(), hours))
+            .collect();
+        if cut == 0 {
+            schedule.truncate(1);
+        }
+        // Every hour is built on its own, under its own generation.
+        let hours: Vec<NetworkCondition> = schedule
+            .iter()
+            .map(|&pattern| {
+                let segments = palette[pattern].iter().enumerate();
+                NetworkCondition::from_changes(
+                    SCHEDULE_SEGMENTS,
+                    segments.map(|(s, &(kind, f))| (SegmentId(s as u32), drawn_condition(kind, f))),
+                )
+            })
+            .collect();
+        let conditions = HourlyConditions::from_conditions(hours.clone());
+        prop_assert_eq!((conditions.first_hour(), conditions.hours()), (0, hours.len() as u32));
+
+        let mut cursor = conditions.cursor();
+        let mut generations = Vec::new();
+        for (hour, want) in hours.iter().enumerate() {
+            prop_assert!(conditions.at(hour as u32) == *want, "hour {}", hour);
+            let held = cursor.at(hour as u32);
+            prop_assert!(held == want, "cursor at hour {}", hour);
+            generations.push(held.generation());
+        }
+        // The cursor builds each run's condition once, under one
+        // generation: adjacent hours share it exactly when they are equal,
+        // and hours apart never do.
+        for hour in 1..hours.len() {
+            let equal = hours[hour] == hours[hour - 1];
+            prop_assert_eq!(generations[hour] == generations[hour - 1], equal, "hour {}", hour);
+        }
+        let runs = 1 + hours.windows(2).filter(|w| w[0] != w[1]).count();
+        generations.dedup();
+        prop_assert_eq!(generations.len(), runs);
+        generations.sort_unstable();
+        generations.dedup();
+        prop_assert_eq!(generations.len(), runs, "a generation held by two runs");
+    }
 }

@@ -89,6 +89,33 @@ impl NetworkCondition {
         }
     }
 
+    /// `num_segments` segments, pristine except for `changes`, which set
+    /// whole segment conditions in the order given. Draws one generation
+    /// however many segments change.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a segment is out of range or a speed factor is not in
+    /// `(0, 1]`.
+    pub fn from_changes(
+        num_segments: usize,
+        changes: impl IntoIterator<Item = (SegmentId, SegmentCondition)>,
+    ) -> Self {
+        let mut conditions = vec![SegmentCondition::default(); num_segments];
+        for (seg, c) in changes {
+            assert!(
+                c.speed_factor > 0.0 && c.speed_factor <= 1.0,
+                "speed factor must be in (0, 1], got {}",
+                c.speed_factor
+            );
+            conditions[seg.index()] = c;
+        }
+        Self {
+            conditions,
+            generation: fresh_generation(),
+        }
+    }
+
     /// The condition's cost generation: a process-unique tag shared only by
     /// clones with identical contents. [`crate::planner::RoutePlanner`]
     /// keys its per-epoch cost snapshots and shortest-path cache on this,
@@ -270,6 +297,43 @@ mod tests {
         assert_ne!(a.generation(), unblocked);
         // Equality ignores the tag: a is back to operable but slowed.
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn from_changes_equals_the_mutated_pristine() {
+        let (net, fwd) = line();
+        let mut mutated = NetworkCondition::pristine(&net);
+        mutated.block(fwd[0]);
+        mutated.set_speed_factor(fwd[2], 0.5);
+        let slowed = SegmentCondition {
+            operable: true,
+            speed_factor: 0.5,
+        };
+        let blocked = SegmentCondition {
+            operable: false,
+            speed_factor: 1.0,
+        };
+        let built = NetworkCondition::from_changes(
+            net.num_segments(),
+            [(fwd[0], blocked), (fwd[2], slowed)],
+        );
+        assert_eq!(built, mutated);
+        assert_ne!(built.generation(), mutated.generation());
+        assert_eq!(
+            NetworkCondition::from_changes(net.num_segments(), []),
+            NetworkCondition::pristine(&net)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "speed factor")]
+    fn from_changes_rejects_a_zero_speed_factor() {
+        let (net, fwd) = line();
+        let stopped = SegmentCondition {
+            operable: true,
+            speed_factor: 0.0,
+        };
+        let _ = NetworkCondition::from_changes(net.num_segments(), [(fwd[0], stopped)]);
     }
 
     #[test]

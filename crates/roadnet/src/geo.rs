@@ -48,11 +48,10 @@ impl GeoPoint {
     /// meters north, using a local equirectangular approximation.
     ///
     /// Accurate to well under a meter at city scale, which is all the
-    /// procedural city generator needs.
+    /// procedural city generator needs. The one-shot case of
+    /// [`LocalProjection::offset_m`].
     pub fn offset_m(self, east_m: f64, north_m: f64) -> GeoPoint {
-        let dlat = north_m / EARTH_RADIUS_M;
-        let dlon = east_m / (EARTH_RADIUS_M * self.lat.to_radians().cos());
-        GeoPoint::new(self.lat + dlat.to_degrees(), self.lon + dlon.to_degrees())
+        LocalProjection::new(self).offset_m(east_m, north_m)
     }
 
     /// Local planar coordinates of `self` relative to `origin`, in meters
@@ -69,8 +68,8 @@ impl GeoPoint {
 }
 
 /// The local east/north projection around a fixed origin, with the cosine
-/// of the origin's latitude taken once: [`GeoPoint::local_xy_m`] for many
-/// points against one origin, bit for bit.
+/// of the origin's latitude taken once: [`GeoPoint::local_xy_m`] and
+/// [`GeoPoint::offset_m`] for many points against one origin, bit for bit.
 ///
 /// # Examples
 ///
@@ -78,8 +77,10 @@ impl GeoPoint {
 /// use mobirescue_roadnet::geo::{GeoPoint, LocalProjection};
 ///
 /// let origin = GeoPoint::new(35.2271, -80.8431);
-/// let p = origin.offset_m(1_500.0, -2_300.0);
-/// assert_eq!(LocalProjection::new(origin).xy_m(p), p.local_xy_m(origin));
+/// let projection = LocalProjection::new(origin);
+/// let p = projection.offset_m(1_500.0, -2_300.0);
+/// assert_eq!(p, origin.offset_m(1_500.0, -2_300.0));
+/// assert_eq!(projection.xy_m(p), p.local_xy_m(origin));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LocalProjection {
@@ -102,6 +103,17 @@ impl LocalProjection {
         let north = (p.lat - self.origin.lat).to_radians() * EARTH_RADIUS_M;
         let east = (p.lon - self.origin.lon).to_radians() * EARTH_RADIUS_M * self.cos_lat;
         (east, north)
+    }
+
+    /// The origin displaced by `east_m` meters east and `north_m` meters
+    /// north (see [`GeoPoint::offset_m`]).
+    pub fn offset_m(&self, east_m: f64, north_m: f64) -> GeoPoint {
+        let dlat = north_m / EARTH_RADIUS_M;
+        let dlon = east_m / (EARTH_RADIUS_M * self.cos_lat);
+        GeoPoint::new(
+            self.origin.lat + dlat.to_degrees(),
+            self.origin.lon + dlon.to_degrees(),
+        )
     }
 }
 
@@ -231,6 +243,41 @@ mod tests {
                     assert_eq!((east.to_bits(), north.to_bits()), inline(p, origin));
                     let (east, north) = p.local_xy_m(origin);
                     assert_eq!((east.to_bits(), north.to_bits()), inline(p, origin));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn held_offset_matches_the_inline_expression_bit_for_bit() {
+        // The expression `offset_m` evaluated before the projection held
+        // the origin's cosine.
+        let inline = |origin: GeoPoint, east_m: f64, north_m: f64| {
+            let dlat = north_m / EARTH_RADIUS_M;
+            let dlon = east_m / (EARTH_RADIUS_M * origin.lat.to_radians().cos());
+            let p = GeoPoint::new(
+                origin.lat + dlat.to_degrees(),
+                origin.lon + dlon.to_degrees(),
+            );
+            (p.lat.to_bits(), p.lon.to_bits())
+        };
+        let bits = |p: GeoPoint| (p.lat.to_bits(), p.lon.to_bits());
+        let origins = [
+            GeoPoint::new(35.2271, -80.8431),
+            GeoPoint::new(-33.8688, 151.2093),
+            GeoPoint::new(0.0, 0.0),
+            GeoPoint::new(64.1466, -21.9426),
+        ];
+        for origin in origins {
+            // One projection held for every offset, as ping sampling holds
+            // an anchor's.
+            let projection = LocalProjection::new(origin);
+            for i in -6..=6 {
+                for j in -6..=6 {
+                    let (east, north) = (i as f64 * 3_137.5 + 0.1, j as f64 * -2_211.25 - 0.3);
+                    let want = inline(origin, east, north);
+                    assert_eq!(bits(projection.offset_m(east, north)), want);
+                    assert_eq!(bits(origin.offset_m(east, north)), want);
                 }
             }
         }

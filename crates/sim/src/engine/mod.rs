@@ -19,7 +19,7 @@ use crate::types::{
     DispatchPlan, Order, RequestId, RequestOutcome, RequestSpec, RequestView, SimConfig, TeamId,
     TeamView,
 };
-use mobirescue_mobility::flow::HourlyConditions;
+use mobirescue_mobility::flow::{ConditionCursor, HourlyConditions};
 use mobirescue_obs::PhaseTimer;
 use mobirescue_roadnet::damage::NetworkCondition;
 use mobirescue_roadnet::generator::City;
@@ -148,6 +148,9 @@ pub struct WorldPhases {
 pub struct World<'a> {
     city: &'a City,
     conditions: &'a HourlyConditions,
+    /// The current hour's condition, rebuilt only when the hour leaves
+    /// its run of equal hours.
+    condition: ConditionCursor<'a>,
     config: SimConfig,
     planner: RoutePlanner<'a>,
     /// Reverse-segment lookup, indexed by segment (`NO_U32` when one-way
@@ -235,6 +238,7 @@ impl<'a> World<'a> {
         Ok(Self {
             city,
             conditions,
+            condition: conditions.cursor(),
             config: config.clone(),
             planner: RoutePlanner::new(net),
             reverse,
@@ -380,7 +384,7 @@ impl<'a> World<'a> {
     pub fn step(&mut self, dispatcher: &mut dyn Dispatcher, extra_latency_s: f64) {
         let now = self.now;
         let hour = (self.config.start_hour + now / 3_600).min(self.conditions.hours() - 1);
-        let cond = self.conditions.at(hour);
+        let cond = self.condition.at(hour);
         let net = &self.city.network;
 
         // 1. Inject appearing requests.

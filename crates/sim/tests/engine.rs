@@ -3,11 +3,12 @@
 use mobirescue_disaster::hurricane::Hurricane;
 use mobirescue_disaster::scenario::DisasterScenario;
 use mobirescue_mobility::flow::HourlyConditions;
+use mobirescue_roadnet::damage::NetworkCondition;
 use mobirescue_roadnet::generator::{City, CityConfig};
 use mobirescue_roadnet::graph::SegmentId;
 use mobirescue_sim::dispatcher::{DispatchState, Dispatcher, NearestRequestDispatcher};
 use mobirescue_sim::types::{DispatchPlan, RequestSpec, SimConfig};
-use mobirescue_sim::{run, SimOutcome};
+use mobirescue_sim::{run, SimOutcome, World};
 
 fn setup() -> (City, HourlyConditions) {
     let city = CityConfig::small().build(13);
@@ -286,4 +287,40 @@ fn zero_requests_is_a_quiet_day() {
     for &(_, n) in outcome.serving_teams_per_slot() {
         assert_eq!(n, 0);
     }
+}
+
+#[test]
+fn equal_hours_keep_the_planners_trees() {
+    let city = CityConfig::small().build(13);
+    let pristine = NetworkCondition::pristine(&city.network);
+    // Equal to `pristine`, but built on its own under its own generation.
+    let rebuilt = NetworkCondition::pristine(&city.network);
+    let mut one_blocked = NetworkCondition::pristine(&city.network);
+    one_blocked.block(SegmentId(0));
+    let conditions =
+        HourlyConditions::from_conditions(vec![pristine.clone(), pristine, rebuilt, one_blocked]);
+    let mut config = SimConfig::small(0);
+    config.duration_hours = 4;
+    let mut world = World::new(&city, &conditions, &config).unwrap();
+    // No requests: the teams stand still, and every dispatch tick prewarms
+    // the trees from where they stand.
+    let mut dispatcher = NearestRequestDispatcher::default();
+    let mut misses_by_hour = [0; 4];
+    while world.now_s() < config.duration_s() {
+        let report = world.run_epoch(&mut dispatcher, 0.0);
+        misses_by_hour[(report.start_s / 3_600) as usize] = world.routing_stats().misses;
+    }
+    assert!(misses_by_hour[0] > 0, "the first tick builds the trees");
+    assert_eq!(
+        misses_by_hour[1], misses_by_hour[0],
+        "hour 1 is a clone of hour 0"
+    );
+    assert_eq!(
+        misses_by_hour[2], misses_by_hour[0],
+        "hour 2 equals hour 0: the same run, condition and trees"
+    );
+    assert!(
+        misses_by_hour[3] > misses_by_hour[2],
+        "a blocked segment is a new run: the trees are rebuilt"
+    );
 }

@@ -5,9 +5,12 @@
 //! One checksum covers the raster: `depth_m` at every cell's centre in
 //! every hour, as IEEE-754 bits. The other covers the conditions: every
 //! segment's `(operable, speed factor bits)` in every hour of a full
-//! `HourlyConditions::compute` and of a windowed `compute_window`. Both
-//! were recorded before the raster cached its per-cell rain profile and
-//! before the conditions mapped each segment to its cell once per window.
+//! `HourlyConditions::compute` and of a windowed `compute_window`, and of
+//! the same hours built by `HourlyConditions::from_conditions` from each
+//! hour's `network_condition`. Both were recorded before the raster cached
+//! its per-cell rain profile, before the conditions mapped each segment to
+//! its cell once per window, and before they held each run of equal hours
+//! once.
 
 use mobirescue_core::scenario::ScenarioConfig;
 use mobirescue_disaster::hurricane::Hurricane;
@@ -104,14 +107,25 @@ fn hourly_conditions_are_bit_identical_across_refactors() {
         };
         let city = config.city.build(seed);
         let disaster = DisasterScenario::new(&city, hurricane, seed);
-        let conditions = match window.clone() {
+        let computed = match window.clone() {
             None => HourlyConditions::compute(&city.network, &disaster),
             Some(hours) => HourlyConditions::compute_window(&city.network, &disaster, hours),
         };
-        let got = conditions_checksum(&city.network, &conditions);
-        assert_eq!(
-            got, expect,
-            "{preset} {storm} seed {seed} window {window:?}: conditions checksum {got:#018x}"
+        // The path synthetic schedules take: dense hours, diffed into runs.
+        // It covers the same hours from hour 0, and the checksum reads
+        // only the conditions, not their hour numbers.
+        let hours = window.clone().unwrap_or(0..disaster.total_hours());
+        let diffed = HourlyConditions::from_conditions(
+            hours
+                .map(|hour| disaster.flood().network_condition(&city.network, hour))
+                .collect(),
         );
+        for (build, conditions) in [("computed", computed), ("from_conditions", diffed)] {
+            let got = conditions_checksum(&city.network, &conditions);
+            assert_eq!(
+                got, expect,
+                "{preset} {storm} seed {seed} window {window:?} {build}: conditions checksum {got:#018x}"
+            );
+        }
     }
 }
