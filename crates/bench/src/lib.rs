@@ -6,6 +6,7 @@
 //! so the binary and the integration tests share the exact same code.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cli;
 pub mod experiments;

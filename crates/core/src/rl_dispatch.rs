@@ -25,7 +25,7 @@ use crate::zones::{ZoneId, ZoneMap};
 use mobirescue_mobility::map_match::MapMatcher;
 use mobirescue_obs::PhaseTimer;
 use mobirescue_rl::qscore::{PairTransition, QScore, QScoreConfig};
-use mobirescue_roadnet::geo::GeoPoint;
+use mobirescue_roadnet::geo::HaversinePoint;
 use mobirescue_roadnet::graph::SegmentId;
 use mobirescue_sim::dispatcher::{DispatchState, Dispatcher};
 use mobirescue_sim::types::{DispatchPlan, Order, RequestId};
@@ -131,8 +131,9 @@ pub struct MobiRescueDispatcher<'a> {
     predictor: Option<RequestPredictor>,
     policy: QScore,
     training: bool,
-    /// Zone anchors' positions (`None` for empty zones).
-    anchor_pos: Vec<Option<GeoPoint>>,
+    /// Zone anchors' positions (`None` for empty zones), held for the
+    /// haversine distance from every team.
+    anchor_pos: Vec<Option<HaversinePoint>>,
     /// Normalization scale for distances (city diameter, meters).
     diameter_m: f64,
     cached_pred_hour: Option<u32>,
@@ -175,7 +176,7 @@ impl<'a> MobiRescueDispatcher<'a> {
             .map(|z| {
                 zones
                     .anchor(ZoneId(z as u16))
-                    .map(|lm| scenario.city.network.landmark(lm).position)
+                    .map(|lm| HaversinePoint::new(scenario.city.network.landmark(lm).position))
             })
             .collect();
         let bbox = scenario
@@ -312,7 +313,7 @@ impl<'a> MobiRescueDispatcher<'a> {
     /// inside stored transitions.
     fn candidates(
         &self,
-        team_pos: GeoPoint,
+        team_pos: &HaversinePoint,
         onboard_frac: f64,
         remaining: &[f64],
         live_zone: &[f64],
@@ -338,7 +339,7 @@ impl<'a> MobiRescueDispatcher<'a> {
     fn target_segment_in(
         &self,
         zone: ZoneId,
-        team_pos: GeoPoint,
+        team_pos: &HaversinePoint,
         live: &[f64],
         demand: &[f64],
         state: &DispatchState<'_>,
@@ -347,7 +348,10 @@ impl<'a> MobiRescueDispatcher<'a> {
         let nearest_live = segs
             .iter()
             .filter(|s| live[s.index()] > 0.0)
-            .map(|&s| (s, state.net.segment_midpoint(s).distance_m(team_pos)))
+            .map(|&s| {
+                let mid = HaversinePoint::new(state.net.segment_midpoint(s));
+                (s, mid.distance_m(team_pos))
+            })
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("distances are never NaN"))
             .map(|(s, _)| s);
         nearest_live
@@ -376,9 +380,9 @@ impl<'a> MobiRescueDispatcher<'a> {
 /// the decide loop allocates nothing per candidate.
 #[allow(clippy::too_many_arguments)]
 fn fill_candidates(
-    anchor_pos: &[Option<GeoPoint>],
+    anchor_pos: &[Option<HaversinePoint>],
     diameter_m: f64,
-    team_pos: GeoPoint,
+    team_pos: &HaversinePoint,
     onboard_frac: f64,
     remaining: &[f64],
     live_zone: &[f64],
@@ -392,7 +396,7 @@ fn fill_candidates(
     for (z, pos) in anchor_pos.iter().enumerate() {
         let Some(pos) = pos else { continue };
         feats.push([
-            team_pos.distance_m(*pos) / diameter_m,
+            team_pos.distance_m(pos) / diameter_m,
             squash(remaining[z]),
             squash(live_zone[z]),
             squash(total),
@@ -453,9 +457,9 @@ impl Dispatcher for MobiRescueDispatcher<'_> {
                         - self.config.beta * (d.delay_s / 3_600.0)
                         - self.config.gamma_weight * f64::from(d.serving);
                     let team = &state.teams[d.team_index];
-                    let pos = state.net.landmark(team.location).position;
+                    let pos = HaversinePoint::new(state.net.landmark(team.location).position);
                     let mut next_candidates = self.candidates(
-                        pos,
+                        &pos,
                         team.onboard as f64 / self.config.capacity as f64,
                         &remaining,
                         &live_zone,
@@ -498,12 +502,12 @@ impl Dispatcher for MobiRescueDispatcher<'_> {
             if team.delivering || team.onboard >= self.config.capacity {
                 continue;
             }
-            let pos = state.net.landmark(team.location).position;
+            let pos = HaversinePoint::new(state.net.landmark(team.location).position);
             let onboard_frac = team.onboard as f64 / self.config.capacity as f64;
             fill_candidates(
                 &self.anchor_pos,
                 self.diameter_m,
-                pos,
+                &pos,
                 onboard_frac,
                 &remaining,
                 &live_zone,
@@ -530,13 +534,13 @@ impl Dispatcher for MobiRescueDispatcher<'_> {
                 }
                 Some(zone) => {
                     if let Some(seg) =
-                        self.target_segment_in(zone, pos, &self.live, &self.demand, state)
+                        self.target_segment_in(zone, &pos, &self.live, &self.demand, state)
                     {
                         plan.orders[team.id.index()] = Some(Order::GoToSegment(seg));
-                        let target = state.net.segment_midpoint(seg);
+                        let target = HaversinePoint::new(state.net.segment_midpoint(seg));
                         let cap = self.config.capacity as f64;
                         decision.serving = true;
-                        decision.delay_s = pos.distance_m(target) / 8.0;
+                        decision.delay_s = pos.distance_m(&target) / 8.0;
                         decision.covered = remaining[zone.index()].min(cap) / cap;
                         remaining[zone.index()] = (remaining[zone.index()] - cap).max(0.0);
                     }

@@ -21,6 +21,7 @@
 //!   rest of the workspace.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod factors;
 pub mod flood;

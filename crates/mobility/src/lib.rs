@@ -21,6 +21,7 @@
 //! * [`stats`] — Pearson correlation (Table I) and empirical CDFs.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cleaning;
 pub mod flow;

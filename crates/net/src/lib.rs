@@ -29,6 +29,7 @@
 //! mobirescue_serve::DispatchService::ingest_with_retry
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod chaos;
 pub mod client;

@@ -32,6 +32,7 @@
 //! the workspace's vendored-shim policy.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod events;
 pub mod histogram;

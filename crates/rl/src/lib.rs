@@ -14,6 +14,7 @@
 //! * [`replay`] — the bounded replay ring [`QScore`] learns from.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod adam;
 pub mod nn;

@@ -40,15 +40,17 @@ impl Linear {
         }
     }
 
-    /// `forward` for a whole batch at once: `x` holds `rows` inputs
-    /// feature-major (feature `i` of row `r` at `i * rows + r`) and `y`
-    /// receives the outputs in the same layout. Every output is computed in
-    /// `forward`'s order — its products summed in input order from
-    /// `Iterator::sum`'s `-0.0` start, then added to the bias — so each
-    /// row's result is bit-identical to `forward` on that row; batching
-    /// only lets [`ROW_BLOCK`] rows share each weight load and run as
-    /// independent, vectorized accumulators.
-    fn forward_batch(&self, x: &[f64], rows: usize, y: &mut Vec<f64>) {
+    /// `forward` for a whole batch at once, followed by [`relu`] when
+    /// `RELU`: `x` holds `rows` inputs feature-major (feature `i` of row
+    /// `r` at `i * rows + r`) and `y` receives the outputs in the same
+    /// layout. Every output is computed in `forward`'s order — its products
+    /// summed in input order from `Iterator::sum`'s `-0.0` start, then
+    /// added to the bias — so each row's result is bit-identical to
+    /// `forward` (and its ReLU) on that row; batching only lets
+    /// [`ROW_BLOCK`] rows share each weight load and run as independent,
+    /// vectorized accumulators.
+    #[inline(always)]
+    fn forward_batch<const RELU: bool>(&self, x: &[f64], rows: usize, y: &mut Vec<f64>) {
         debug_assert_eq!(x.len(), self.in_dim * rows);
         y.clear();
         y.resize(self.out_dim * rows, 0.0);
@@ -56,10 +58,10 @@ impl Linear {
         for (o, out) in y.chunks_exact_mut(rows).enumerate() {
             let w = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
             for r in (0..full).step_by(ROW_BLOCK) {
-                dot_block::<ROW_BLOCK>(w, self.b[o], x, rows, r, out);
+                dot_block::<ROW_BLOCK, RELU>(w, self.b[o], x, rows, r, out);
             }
             for r in full..rows {
-                dot_block::<1>(w, self.b[o], x, rows, r, out);
+                dot_block::<1, RELU>(w, self.b[o], x, rows, r, out);
             }
         }
     }
@@ -208,6 +210,17 @@ impl Mlp {
         rows: &[R],
         scratch: &'s mut BatchScratch,
     ) -> &'s [f64] {
+        self.predict_batch_by(rows, scratch, batch_pass_dispatched)
+    }
+
+    /// [`Mlp::predict_batch`] with the layers run by `pass` (one of
+    /// [`batch_pass`]'s instantiations), from and into row order.
+    fn predict_batch_by<'s, R: AsRef<[f64]>>(
+        &self,
+        rows: &[R],
+        scratch: &'s mut BatchScratch,
+        pass: fn(&[Linear], usize, &mut Vec<f64>, &mut Vec<f64>),
+    ) -> &'s [f64] {
         let n = rows.len();
         if n == 0 {
             return &[];
@@ -223,14 +236,7 @@ impl Mlp {
                 input[i * n + r] = x;
             }
         }
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            layer.forward_batch(input, n, output);
-            if i < last {
-                relu_inplace(output);
-            }
-            std::mem::swap(input, output);
-        }
+        pass(&self.layers, n, input, output);
         let out_dim = self.output_dim();
         if out_dim == 1 {
             return input;
@@ -253,7 +259,7 @@ impl Mlp {
         for (i, layer) in self.layers.iter().enumerate() {
             let mut a = layer.forward(acts.last().expect("non-empty"));
             if i + 1 < n {
-                relu_inplace(&mut a);
+                a.iter_mut().for_each(|v| *v = relu(*v));
             }
             acts.push(a);
         }
@@ -329,13 +335,22 @@ impl Mlp {
 }
 
 /// Rows per block of [`Linear::forward_batch`]: sixteen accumulators fill
-/// eight SSE2 registers (on x86-64, 16 ran faster than 4, 8 or 12).
+/// eight SSE2 or four AVX2 registers (on x86-64 with SSE2, 16 ran faster
+/// than 4, 8 or 12).
 const ROW_BLOCK: usize = 16;
 
 /// Writes `out[r..r + L]`: rows `r..r + L` of one output unit with weights
-/// `w` and bias `b`, over the feature-major batch `x` of `rows` rows.
+/// `w` and bias `b`, over the feature-major batch `x` of `rows` rows,
+/// through [`relu`] when `RELU`.
 #[inline(always)]
-fn dot_block<const L: usize>(w: &[f64], b: f64, x: &[f64], rows: usize, r: usize, out: &mut [f64]) {
+fn dot_block<const L: usize, const RELU: bool>(
+    w: &[f64],
+    b: f64,
+    x: &[f64],
+    rows: usize,
+    r: usize,
+    out: &mut [f64],
+) {
     let mut acc = [-0.0; L];
     for (&w, xs) in w.iter().zip(x.chunks_exact(rows)) {
         for (a, &x) in acc.iter_mut().zip(&xs[r..r + L]) {
@@ -343,15 +358,62 @@ fn dot_block<const L: usize>(w: &[f64], b: f64, x: &[f64], rows: usize, r: usize
         }
     }
     for (y, a) in out[r..r + L].iter_mut().zip(acc) {
-        *y = b + a;
+        let v = b + a;
+        *y = if RELU { relu(v) } else { v };
     }
 }
 
-fn relu_inplace(a: &mut [f64]) {
-    for x in a {
-        if *x < 0.0 {
-            *x = 0.0;
-        }
+/// The layers of a batch pass: every layer's [`Linear::forward_batch`] in
+/// turn, ReLU fused into every layer but the last, leaving the output in
+/// `input`. Compiled twice, here for the build's baseline target and in
+/// [`batch_pass_avx2`]: Rust never contracts `w * x + a` into a fused
+/// multiply-add and AVX2 brings none, so both instantiations compute every
+/// output bit for bit alike.
+#[inline(always)]
+fn batch_pass(layers: &[Linear], rows: usize, input: &mut Vec<f64>, output: &mut Vec<f64>) {
+    let (hidden, last) = layers.split_at(layers.len() - 1);
+    for layer in hidden {
+        layer.forward_batch::<true>(input, rows, output);
+        std::mem::swap(input, output);
+    }
+    last[0].forward_batch::<false>(input, rows, output);
+    std::mem::swap(input, output);
+}
+
+/// [`batch_pass`] compiled with AVX2 enabled: the sixteen accumulators of
+/// a row block run four to a register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn batch_pass_avx2(layers: &[Linear], rows: usize, input: &mut Vec<f64>, output: &mut Vec<f64>) {
+    batch_pass(layers, rows, input, output);
+}
+
+/// [`batch_pass`] on AVX2 when the CPU has it (the standard library caches
+/// the check), on the baseline target otherwise.
+#[allow(unsafe_code)]
+fn batch_pass_dispatched(
+    layers: &[Linear],
+    rows: usize,
+    input: &mut Vec<f64>,
+    output: &mut Vec<f64>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `batch_pass_avx2` requires only the `avx2` target
+        // feature, and the CPU running this code has just been found to
+        // support it.
+        return unsafe { batch_pass_avx2(layers, rows, input, output) };
+    }
+    batch_pass(layers, rows, input, output);
+}
+
+/// The hidden layers' activation, passing `-0.0` and NaN through.
+#[inline(always)]
+fn relu(v: f64) -> f64 {
+    if v < 0.0 {
+        0.0
+    } else {
+        v
     }
 }
 
@@ -434,6 +496,76 @@ mod tests {
                 analytical[k]
             );
         }
+    }
+
+    /// The separate pass over the activations that the batch pass ran
+    /// before its ReLU moved into the store.
+    fn relu_inplace(a: &mut [f64]) {
+        for x in a {
+            if *x < 0.0 {
+                *x = 0.0;
+            }
+        }
+    }
+
+    #[test]
+    fn dispatched_batch_pass_matches_the_portable_body_bitwise() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(33);
+        let (mut signed_zeros, mut nans, mut negatives) = (0, 0, 0);
+        let (mut dispatched, mut portable) = (BatchScratch::default(), BatchScratch::default());
+        for case in 0..64u64 {
+            let hidden = (case % 4) as usize;
+            let mut dims = vec![rng.random_range(1..9)];
+            dims.extend((0..hidden).map(|_| rng.random_range(1..41)));
+            dims.push(rng.random_range(1..4));
+            let mut net = Mlp::new(&dims, case);
+            // Shifted weights give negative pre-activations; biases of
+            // -0.0 let a unit whose products are all -0.0 output -0.0;
+            // every fourth network carries one NaN weight.
+            let shift = rng.random::<f64>() - 0.5;
+            let nan_at = (case % 4 == 3).then(|| rng.random_range(0..net.num_params()));
+            net.visit_params_mut(|i, w, _| {
+                *w = match (Some(i) == nan_at, *w == 0.0) {
+                    (true, _) => f64::NAN,
+                    (false, true) => -0.0,
+                    (false, false) => *w + shift,
+                }
+            });
+            let rows: Vec<Vec<f64>> = (0..rng.random_range(1..160))
+                .map(|_| {
+                    (0..dims[0])
+                        .map(|_| match rng.random_range(0..4) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => rng.random::<f64>() * 4.0 - 2.0,
+                        })
+                        .collect()
+                })
+                .collect();
+            let got = net.predict_batch(&rows, &mut dispatched);
+            let body = net.predict_batch_by(&rows, &mut portable, batch_pass);
+            assert_eq!(bits(got), bits(body), "case {case}: dims {dims:?}");
+            let out_dim = net.output_dim();
+            for (row, got) in rows.iter().zip(got.chunks_exact(out_dim)) {
+                let mut a = row.clone();
+                for (i, layer) in net.layers.iter().enumerate() {
+                    a = layer.forward(&a);
+                    if i < hidden {
+                        negatives += a.iter().filter(|&&v| v < 0.0).count();
+                        relu_inplace(&mut a);
+                        signed_zeros += a
+                            .iter()
+                            .filter(|v| v.to_bits() == (-0.0f64).to_bits())
+                            .count();
+                        nans += a.iter().filter(|v| v.is_nan()).count();
+                    }
+                }
+                assert_eq!(bits(got), bits(&a), "case {case}: row {row:?}");
+            }
+        }
+        // The fused ReLU met every kind of activation it must get right.
+        assert!(signed_zeros > 0 && nans > 0 && negatives > 0);
     }
 
     #[test]

@@ -34,14 +34,10 @@ impl GeoPoint {
         Self { lat, lon }
     }
 
-    /// Great-circle (haversine) distance to `other`, in meters.
+    /// Great-circle (haversine) distance to `other`, in meters. The
+    /// one-shot case of [`HaversinePoint::distance_m`].
     pub fn distance_m(self, other: GeoPoint) -> f64 {
-        let (lat1, lon1) = (self.lat.to_radians(), self.lon.to_radians());
-        let (lat2, lon2) = (other.lat.to_radians(), other.lon.to_radians());
-        let dlat = lat2 - lat1;
-        let dlon = lon2 - lon1;
-        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
-        2.0 * EARTH_RADIUS_M * a.sqrt().asin()
+        HaversinePoint::new(self).distance_m(&HaversinePoint::new(other))
     }
 
     /// Returns the point displaced by `east_m` meters east and `north_m`
@@ -114,6 +110,50 @@ impl LocalProjection {
             self.origin.lat + dlat.to_degrees(),
             self.origin.lon + dlon.to_degrees(),
         )
+    }
+}
+
+/// One end of a haversine distance, with its radians and the cosine of its
+/// latitude taken once: [`GeoPoint::distance_m`] for many distances from
+/// or to one point, bit for bit.
+///
+/// # Examples
+///
+/// ```
+/// use mobirescue_roadnet::geo::{GeoPoint, HaversinePoint};
+///
+/// let charlotte = GeoPoint::new(35.2271, -80.8431);
+/// let raleigh = GeoPoint::new(35.7796, -78.6382);
+/// let held = HaversinePoint::new(charlotte);
+/// let d = held.distance_m(&HaversinePoint::new(raleigh));
+/// assert_eq!(d, charlotte.distance_m(raleigh));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HaversinePoint {
+    lat_rad: f64,
+    lon_rad: f64,
+    cos_lat: f64,
+}
+
+impl HaversinePoint {
+    /// The endpoint at `p`.
+    pub fn new(p: GeoPoint) -> Self {
+        let lat_rad = p.lat.to_radians();
+        Self {
+            lat_rad,
+            lon_rad: p.lon.to_radians(),
+            cos_lat: lat_rad.cos(),
+        }
+    }
+
+    /// Great-circle distance to `other`, in meters (see
+    /// [`GeoPoint::distance_m`]; the deltas run from `self` to `other`).
+    pub fn distance_m(&self, other: &HaversinePoint) -> f64 {
+        let dlat = other.lat_rad - self.lat_rad;
+        let dlon = other.lon_rad - self.lon_rad;
+        let a =
+            (dlat / 2.0).sin().powi(2) + self.cos_lat * other.cos_lat * (dlon / 2.0).sin().powi(2);
+        2.0 * EARTH_RADIUS_M * a.sqrt().asin()
     }
 }
 
@@ -278,6 +318,42 @@ mod tests {
                     let want = inline(origin, east, north);
                     assert_eq!(bits(projection.offset_m(east, north)), want);
                     assert_eq!(bits(origin.offset_m(east, north)), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn held_haversine_matches_distance_m_bit_for_bit() {
+        // The expression `distance_m` evaluated before an endpoint could
+        // hold its radians and latitude cosine.
+        let inline = |a: GeoPoint, b: GeoPoint| {
+            let (lat1, lon1) = (a.lat.to_radians(), a.lon.to_radians());
+            let (lat2, lon2) = (b.lat.to_radians(), b.lon.to_radians());
+            let dlat = lat2 - lat1;
+            let dlon = lon2 - lon1;
+            let h =
+                (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
+            (2.0 * EARTH_RADIUS_M * h.sqrt().asin()).to_bits()
+        };
+        let origins = [
+            GeoPoint::new(35.2271, -80.8431),
+            GeoPoint::new(-33.8688, 151.2093),
+            GeoPoint::new(0.0, 0.0),
+            GeoPoint::new(64.1466, -21.9426),
+        ];
+        for origin in origins {
+            // One endpoint held against every other, from both sides, as
+            // the dispatcher holds a team's against the zone anchors.
+            let held = HaversinePoint::new(origin);
+            for i in -6..=6 {
+                for j in -6..=6 {
+                    let p = origin.offset_m(i as f64 * 3_137.5 + 0.1, j as f64 * -2_211.25 - 0.3);
+                    let other = HaversinePoint::new(p);
+                    assert_eq!(held.distance_m(&other).to_bits(), inline(origin, p));
+                    assert_eq!(other.distance_m(&held).to_bits(), inline(p, origin));
+                    assert_eq!(origin.distance_m(p).to_bits(), inline(origin, p));
+                    assert_eq!(p.distance_m(origin).to_bits(), inline(p, origin));
                 }
             }
         }

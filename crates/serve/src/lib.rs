@@ -56,6 +56,7 @@
 //! Built entirely on `std` (`std::thread`, `std::sync::mpsc`).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bundle;
 pub mod chaos;

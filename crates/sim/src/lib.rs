@@ -21,6 +21,7 @@
 //!   `mr*` readers, re-exported from `mobirescue_obs::record`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod dispatcher;
 pub mod engine;

@@ -9,6 +9,7 @@
 //! modelled `ip_latency_s`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod hungarian;
 
