@@ -3,12 +3,8 @@
 //! Section IV-B: every person carries a vector **h** of *disaster-related
 //! factors* describing their surrounding environment — `(precipitation, wind
 //! speed, altitude)` for hurricanes/flooding — which the SVM consumes to
-//! decide whether the person needs rescue. Section IV-C5 notes the factor
-//! set should be swappable per disaster type, so factor extraction is behind
-//! the [`FactorSet`] trait with hurricane and earthquake instances.
+//! decide whether the person needs rescue.
 
-use crate::scenario::DisasterScenario;
-use mobirescue_roadnet::geo::GeoPoint;
 use serde::{Deserialize, Serialize};
 
 /// The hurricane factor vector `h = (precipitation, wind speed, altitude)`.
@@ -35,78 +31,9 @@ impl From<FactorVector> for Vec<f64> {
     }
 }
 
-/// A pluggable set of disaster-related factors (Section IV-C5 extension
-/// point).
-pub trait FactorSet {
-    /// Number of factors produced.
-    fn dim(&self) -> usize;
-
-    /// Human-readable factor names, `dim()` long.
-    fn names(&self) -> Vec<&'static str>;
-
-    /// Factor values for a person at `p` during `hour`.
-    fn compute(&self, scenario: &DisasterScenario, p: GeoPoint, hour: u32) -> Vec<f64>;
-}
-
-/// The paper's hurricane/flooding factor set: precipitation, wind speed,
-/// altitude.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HurricaneFactors;
-
-impl FactorSet for HurricaneFactors {
-    fn dim(&self) -> usize {
-        3
-    }
-
-    fn names(&self) -> Vec<&'static str> {
-        vec!["precipitation", "wind speed", "altitude"]
-    }
-
-    fn compute(&self, scenario: &DisasterScenario, p: GeoPoint, hour: u32) -> Vec<f64> {
-        scenario.factors_at(p, hour).into()
-    }
-}
-
-/// The paper's sketched earthquake factor set: seismic magnitude, altitude,
-/// building density. Magnitude and building density are synthesized from the
-/// scenario geometry (distance to the storm/epicenter core and to downtown),
-/// exercising the extension path end-to-end.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EarthquakeFactors;
-
-impl FactorSet for EarthquakeFactors {
-    fn dim(&self) -> usize {
-        3
-    }
-
-    fn names(&self) -> Vec<&'static str> {
-        vec!["seismic magnitude", "altitude", "building density"]
-    }
-
-    fn compute(&self, scenario: &DisasterScenario, p: GeoPoint, hour: u32) -> Vec<f64> {
-        let (x, y) = p.local_xy_m(scenario.center());
-        let r = (x * x + y * y).sqrt();
-        let intensity = scenario.hurricane().timeline.intensity(hour);
-        // Felt magnitude attenuates with distance from the epicenter (city
-        // center) and scales with the disaster's temporal intensity.
-        let magnitude = 7.0 * intensity / (1.0 + r / 8_000.0);
-        let altitude = scenario.terrain().altitude_m(p);
-        let building_density = (-r / 6_000.0).exp();
-        vec![magnitude, altitude, building_density]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hurricane::Hurricane;
-    use crate::scenario::DisasterScenario;
-    use mobirescue_roadnet::generator::CityConfig;
-
-    fn scenario() -> DisasterScenario {
-        let city = CityConfig::small().build(11);
-        DisasterScenario::new(&city, Hurricane::florence(), 11)
-    }
 
     #[test]
     fn factor_vector_round_trips_to_array() {
@@ -118,28 +45,5 @@ mod tests {
         assert_eq!(v.as_array(), [1.0, 2.0, 3.0]);
         let vec: Vec<f64> = v.into();
         assert_eq!(vec, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn hurricane_factor_set_matches_scenario() {
-        let s = scenario();
-        let p = s.center();
-        let peak = s.hurricane().timeline.peak_hour();
-        let via_set = HurricaneFactors.compute(&s, p, peak);
-        let direct = s.factors_at(p, peak);
-        assert_eq!(via_set, Vec::<f64>::from(direct));
-        assert_eq!(HurricaneFactors.dim(), 3);
-        assert_eq!(HurricaneFactors.names().len(), 3);
-    }
-
-    #[test]
-    fn earthquake_factors_attenuate_with_distance() {
-        let s = scenario();
-        let peak = s.hurricane().timeline.peak_hour();
-        let near = EarthquakeFactors.compute(&s, s.center(), peak);
-        let far = EarthquakeFactors.compute(&s, s.center().offset_m(8_000.0, 0.0), peak);
-        assert!(near[0] > far[0], "magnitude should attenuate");
-        assert!(near[2] > far[2], "density should attenuate");
-        assert_eq!(EarthquakeFactors.dim(), 3);
     }
 }

@@ -15,8 +15,7 @@
 //! * [`weather`] — space–time precipitation and wind fields;
 //! * [`flood`] — raster water-balance flood model producing flood zones and
 //!   the per-hour [`mobirescue_roadnet::damage::NetworkCondition`] (G̃);
-//! * [`factors`] — the disaster-related factor vector **h** and the
-//!   [`factors::FactorSet`] extension point of Section IV-C5;
+//! * [`factors`] — the disaster-related factor vector **h**;
 //! * [`scenario`] — the [`scenario::DisasterScenario`] bundle used by the
 //!   rest of the workspace.
 
@@ -30,7 +29,7 @@ pub mod scenario;
 pub mod terrain;
 pub mod weather;
 
-pub use factors::{EarthquakeFactors, FactorSet, FactorVector, HurricaneFactors};
+pub use factors::FactorVector;
 pub use flood::FloodField;
 pub use hurricane::{DisasterPhase, Hurricane, Timeline, HOURS_PER_DAY};
 pub use scenario::DisasterScenario;

@@ -45,23 +45,13 @@ pub struct DisasterScenario {
 
 impl DisasterScenario {
     /// Builds the full disaster state for `hurricane` over `city`,
-    /// deterministic in `seed`, at the default flood resolution.
-    pub fn new(city: &City, hurricane: Hurricane, seed: u64) -> Self {
-        Self::with_resolution(city, hurricane, seed, DEFAULT_FLOOD_RESOLUTION)
-    }
-
-    /// Like [`DisasterScenario::new`] with an explicit flood raster
-    /// resolution.
+    /// deterministic in `seed`, on a flood raster of
+    /// [`DEFAULT_FLOOD_RESOLUTION`] cells a side.
     ///
     /// # Panics
     ///
-    /// Panics if the city network is empty or `resolution < 2`.
-    pub fn with_resolution(
-        city: &City,
-        hurricane: Hurricane,
-        seed: u64,
-        resolution: usize,
-    ) -> Self {
+    /// Panics if the city network is empty.
+    pub fn new(city: &City, hurricane: Hurricane, seed: u64) -> Self {
         let bbox = city
             .network
             .bounding_box()
@@ -74,7 +64,7 @@ impl DisasterScenario {
         let basin_sigma_m = (0.35 * 0.5 * width_m.min(height_m)).max(800.0);
         let terrain = TerrainModel::with_params(city.center, seed, 232.0, 45.0, basin_sigma_m);
         let weather = WeatherField::new(city.center, hurricane, seed);
-        let flood = FloodField::compute(bbox, &terrain, &weather, resolution);
+        let flood = FloodField::compute(bbox, &terrain, &weather, DEFAULT_FLOOD_RESOLUTION);
         Self {
             center: city.center,
             terrain,

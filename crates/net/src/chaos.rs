@@ -21,20 +21,18 @@
 //! 5. `server.frames_decoded == completed + metrics_pulls` and every
 //!    destroyed frame is counted in `net.frames_rejected`.
 //!
-//! The service runs on a [`SimClock`] (all recorded latencies are
-//! exactly zero) and the fault schedule is a pure function of the seed,
-//! so a run's accounting reproduces exactly; only socket timing varies,
-//! and no invariant depends on it.
+//! The service is the overloaded chaos arm's ([`Arm::overloaded`]),
+//! unfaulted, on a [`SimClock`] (all recorded latencies are exactly
+//! zero), and the fault schedule ([`FaultPlan::connections`]) is a pure
+//! function of the seed, so a run's accounting reproduces exactly; only
+//! socket timing varies, and no invariant depends on it.
 
 use crate::client::NetClient;
+use crate::error::NetError;
 use crate::listener::{NetConfig, NetServer};
 use crate::wire::{Frame, MetricsReport, NackReason};
-use mobirescue_serve::chaos::chaos_scenario;
-use mobirescue_serve::{
-    Clock, ConnFault, DispatchService, FaultCounters, FaultInjector, FaultPlanConfig, ModelBundle,
-    ServeConfig, SimClock,
-};
-use mobirescue_sim::SimConfig;
+use mobirescue_serve::chaos::Arm;
+use mobirescue_serve::{Clock, ConnFault, FaultCounters, FaultPlan, SimClock};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -83,7 +81,7 @@ pub struct NetChaosReport {
     pub queue_shed: u64,
     /// The server's own counters, pulled over the wire at the end.
     pub server: MetricsReport,
-    /// Connection faults that actually fired.
+    /// Connection faults the client applied.
     pub faults: FaultCounters,
     /// Broken invariants (empty on a clean run).
     pub violations: Vec<String>,
@@ -115,6 +113,56 @@ impl NetChaosReport {
     }
 }
 
+/// The client's own tally of what became of its offers, kept apart from
+/// the server's counters so the two can be reconciled.
+#[derive(Default)]
+struct Tally {
+    completed: u64,
+    acked: u64,
+    nacked_shed: u64,
+    nacked_invalid: u64,
+    lost: u64,
+    acked_ids: BTreeSet<u64>,
+    violations: Vec<String>,
+}
+
+impl Tally {
+    /// Counts `reply`, the answer to request `id`.
+    fn reply(&mut self, reply: Result<Frame, NetError>, id: u64) {
+        match reply {
+            Ok(Frame::Ack { id: got }) => {
+                self.completed += 1;
+                self.acked += 1;
+                if got != id {
+                    self.violations
+                        .push(format!("ack id {got} for request {id}"));
+                }
+                self.acked_ids.insert(got);
+            }
+            Ok(Frame::Nack { id: got, reason }) => {
+                self.completed += 1;
+                if got != id {
+                    self.violations
+                        .push(format!("nack id {got} for request {id}"));
+                }
+                match reason {
+                    NackReason::Shed => self.nacked_shed += 1,
+                    NackReason::UnknownShard | NackReason::UnknownSegment => {
+                        self.nacked_invalid += 1
+                    }
+                    other => self
+                        .violations
+                        .push(format!("request {id}: unexpected nack {other:?}")),
+                }
+            }
+            Ok(other) => self
+                .violations
+                .push(format!("request {id}: unexpected reply {other:?}")),
+            Err(e) => self.violations.push(format!("request {id}: no reply: {e}")),
+        }
+    }
+}
+
 /// Runs a listener under a seeded misbehaving client and checks the
 /// conservation invariants.
 ///
@@ -123,27 +171,9 @@ impl NetChaosReport {
 /// Panics when the service or listener cannot start at all (no route to
 /// localhost) — environmental, not an invariant under test.
 pub fn run_net_chaos(seed: u64, opts: &NetChaosOptions) -> NetChaosReport {
-    let scenario = Arc::new(chaos_scenario());
-    let epochs = (opts.offers / opts.epoch_every.max(1) + 2) as u32;
-    let injector = FaultInjector::from_seed(seed, &FaultPlanConfig::net_chaos(epochs, 2));
-    let mut config = ServeConfig::new(SimConfig::small(6));
-    config.num_shards = 2;
-    config.request_queue_capacity = 4;
-    // The injector stays client-side: it only schedules *connection*
-    // faults, applied at the socket. The service itself runs unfaulted
-    // so wire-level accounting is exact.
-    config.faults = None;
-    let clock: Arc<SimClock> = Arc::new(SimClock::new());
-    let bundle = Arc::new(ModelBundle::default());
-    let service = Arc::new(
-        DispatchService::start(
-            scenario.clone(),
-            config,
-            Arc::clone(&clock) as Arc<dyn Clock>,
-            bundle,
-        )
-        .expect("chaos service starts"),
-    );
+    let arm = Arm::overloaded();
+    let clock = Arc::new(SimClock::new());
+    let service = Arc::new(arm.service(&clock, None).expect("chaos service starts"));
     let mut net_cfg = NetConfig::new("127.0.0.1:0");
     net_cfg.frame_timeout_ms = 150;
     net_cfg.poll_interval_ms = 5;
@@ -155,14 +185,16 @@ pub fn run_net_chaos(seed: u64, opts: &NetChaosOptions) -> NetChaosReport {
     )
     .expect("listener binds on localhost");
     let addr = server.local_addr();
-    let segments = scenario.city.network.num_segments() as u32;
+    let segments = arm.segments();
 
-    let mut violations: Vec<String> = Vec::new();
+    // The connection faults stay client-side, applied at the socket and
+    // counted here; the service itself runs unfaulted so wire-level
+    // accounting is exact.
+    let plan = FaultPlan::connections(seed);
+    let mut conn_faults = plan.conn_faults().iter().copied();
+    let mut faults = FaultCounters::default();
+    let mut tally = Tally::default();
     let mut client = NetClient::connect(addr).expect("chaos client connects");
-    let (mut completed, mut acked, mut nacked_shed, mut nacked_invalid, mut lost) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
-    let mut acked_ids: BTreeSet<u64> = BTreeSet::new();
-    let mut acked_ids_unique = true;
 
     for i in 0..opts.offers {
         // A sprinkling of invalid requests keeps the typed-NACK paths
@@ -182,24 +214,15 @@ pub fn run_net_chaos(seed: u64, opts: &NetChaosOptions) -> NetChaosReport {
             segment,
         };
         let bytes = frame.encode();
-        match injector.next_conn_fault() {
+        match conn_faults.next().flatten() {
             None => {
                 client.send_raw(&bytes).expect("send");
-                track_reply(
-                    client.recv(),
-                    i as u64,
-                    &mut completed,
-                    &mut acked,
-                    &mut nacked_shed,
-                    &mut nacked_invalid,
-                    &mut acked_ids,
-                    &mut acked_ids_unique,
-                    &mut violations,
-                );
+                tally.reply(client.recv(), i as u64);
             }
             Some(ConnFault::TornWrite) => {
                 // The frame arrives in two flushes with a pause between:
                 // the listener must reassemble and reply normally.
+                faults.conn_torn_writes += 1;
                 let mid = bytes.len() / 2;
                 client
                     .send_raw(&bytes[..mid])
@@ -208,36 +231,28 @@ pub fn run_net_chaos(seed: u64, opts: &NetChaosOptions) -> NetChaosReport {
                 client
                     .send_raw(&bytes[mid..])
                     .expect("send torn second half");
-                track_reply(
-                    client.recv(),
-                    i as u64,
-                    &mut completed,
-                    &mut acked,
-                    &mut nacked_shed,
-                    &mut nacked_invalid,
-                    &mut acked_ids,
-                    &mut acked_ids_unique,
-                    &mut violations,
-                );
+                tally.reply(client.recv(), i as u64);
             }
             Some(ConnFault::MidFrameDisconnect) => {
                 // Half a frame, then hang up. The torso must be counted
                 // rejected, never admitted.
+                faults.conn_disconnects += 1;
                 let _ = client.send_raw(&bytes[..bytes.len() / 2]);
                 drop(client);
-                lost += 1;
+                tally.lost += 1;
                 client = NetClient::connect(addr).expect("reconnect after disconnect");
             }
             Some(ConnFault::SlowLoris) => {
                 // Trickle three header bytes and stall: the server's
                 // frame deadline must close the connection.
+                faults.conn_slow_loris += 1;
                 let _ = client.send_raw(&bytes[..3]);
                 if client.recv().is_ok() {
-                    violations.push(format!(
+                    tally.violations.push(format!(
                         "offer {i}: server replied to a stalled partial header"
                     ));
                 }
-                lost += 1;
+                tally.lost += 1;
                 client = NetClient::connect(addr).expect("reconnect after slow-loris");
             }
         }
@@ -260,59 +275,22 @@ pub fn run_net_chaos(seed: u64, opts: &NetChaosOptions) -> NetChaosReport {
     let service_metrics = service.metrics();
     let report = NetChaosReport {
         offered: opts.offers as u64,
-        completed,
-        acked,
-        nacked_shed,
-        nacked_invalid,
-        lost,
+        completed: tally.completed,
+        acked: tally.acked,
+        nacked_shed: tally.nacked_shed,
+        nacked_invalid: tally.nacked_invalid,
+        lost: tally.lost,
         metrics_pulls,
-        acked_ids_unique,
+        // Every Ack inserts its id, so a repeated id leaves fewer ids
+        // than Acks.
+        acked_ids_unique: tally.acked_ids.len() as u64 == tally.acked,
         queue_accepted: service_metrics.requests_accepted,
         queue_shed: service_metrics.requests_shed,
         server: server_report,
-        faults: injector.counters(),
-        violations,
+        faults,
+        violations: tally.violations,
     };
     check_invariants(report)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn track_reply(
-    reply: Result<Frame, crate::error::NetError>,
-    id: u64,
-    completed: &mut u64,
-    acked: &mut u64,
-    nacked_shed: &mut u64,
-    nacked_invalid: &mut u64,
-    acked_ids: &mut BTreeSet<u64>,
-    acked_ids_unique: &mut bool,
-    violations: &mut Vec<String>,
-) {
-    match reply {
-        Ok(Frame::Ack { id: got }) => {
-            *completed += 1;
-            *acked += 1;
-            if got != id {
-                violations.push(format!("ack id {got} for request {id}"));
-            }
-            if !acked_ids.insert(got) {
-                *acked_ids_unique = false;
-            }
-        }
-        Ok(Frame::Nack { id: got, reason }) => {
-            *completed += 1;
-            if got != id {
-                violations.push(format!("nack id {got} for request {id}"));
-            }
-            match reason {
-                NackReason::Shed => *nacked_shed += 1,
-                NackReason::UnknownShard | NackReason::UnknownSegment => *nacked_invalid += 1,
-                other => violations.push(format!("request {id}: unexpected nack {other:?}")),
-            }
-        }
-        Ok(other) => violations.push(format!("request {id}: unexpected reply {other:?}")),
-        Err(e) => violations.push(format!("request {id}: no reply: {e}")),
-    }
 }
 
 fn check_invariants(mut report: NetChaosReport) -> NetChaosReport {

@@ -106,16 +106,11 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// An empty registry with the default 256-event ring.
+    /// An empty registry whose event ring holds the last 256 events.
     pub fn new() -> Self {
-        Self::with_event_capacity(256)
-    }
-
-    /// An empty registry whose event ring holds `capacity` events.
-    pub fn with_event_capacity(capacity: usize) -> Self {
         Self {
             metrics: Mutex::new(BTreeMap::new()),
-            events: EventRing::with_capacity(capacity),
+            events: EventRing::with_capacity(256),
         }
     }
 

@@ -70,13 +70,11 @@ impl TimeSource for ManualTime {
 
 /// A guard that records the milliseconds between its creation and its
 /// drop into a [`Histogram`] — the `span!`-like primitive. Obtain one
-/// via [`Histogram::time`]; call [`SpanTimer::discard`] to abandon the
-/// measurement instead.
+/// via [`Histogram::time`].
 pub struct SpanTimer<'a> {
     hist: &'a Histogram,
     source: &'a dyn TimeSource,
     start_ms: u64,
-    armed: bool,
 }
 
 impl<'a> SpanTimer<'a> {
@@ -85,7 +83,6 @@ impl<'a> SpanTimer<'a> {
             hist,
             source,
             start_ms: source.now_ms(),
-            armed: true,
         }
     }
 
@@ -93,18 +90,11 @@ impl<'a> SpanTimer<'a> {
     pub fn elapsed_ms(&self) -> u64 {
         self.source.now_ms().saturating_sub(self.start_ms)
     }
-
-    /// Drops the guard without recording anything.
-    pub fn discard(mut self) {
-        self.armed = false;
-    }
 }
 
 impl Drop for SpanTimer<'_> {
     fn drop(&mut self) {
-        if self.armed {
-            self.hist.record(self.elapsed_ms());
-        }
+        self.hist.record(self.elapsed_ms());
     }
 }
 
@@ -178,7 +168,7 @@ mod tests {
     }
 
     #[test]
-    fn span_records_on_drop_and_discard_does_not() {
+    fn span_records_on_drop() {
         let h = Histogram::new();
         let t = ManualTime::new();
         {
@@ -188,10 +178,6 @@ mod tests {
         }
         let snap = h.snapshot();
         assert_eq!((snap.count(), snap.max), (1, 7));
-        let span = h.time(&t);
-        t.advance_ms(100);
-        span.discard();
-        assert_eq!(h.snapshot().count(), 1);
     }
 
     #[test]

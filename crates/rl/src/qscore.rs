@@ -80,93 +80,18 @@ pub struct PairTransition {
 #[derive(Debug)]
 pub struct QScore {
     config: QScoreConfig,
-    learner: TdLearner,
+    /// The scoring network being trained.
+    online: Mlp,
+    /// The TD bootstrap's copy of `online`, synced every
+    /// `target_sync_every` learning steps.
+    target: Mlp,
+    adam: Adam,
     replay: PairReplay,
     rng: StdRng,
     act_steps: u64,
+    learn_steps: u64,
     /// Activation buffers every scoring pass reuses.
     scratch: RefCell<BatchScratch>,
-}
-
-/// The DQN core of [`QScore`]: the online scoring network, its target
-/// copy, the Adam optimizer, and the minibatch TD update. The caller
-/// samples the batches.
-#[derive(Debug)]
-pub struct TdLearner {
-    online: Mlp,
-    target: Mlp,
-    adam: Adam,
-    steps: u64,
-    gamma: f64,
-    target_sync_every: u64,
-}
-
-impl TdLearner {
-    /// A fresh learner for `config`: an online network of
-    /// `feature_dim → hidden… → 1` seeded with `config.seed`, the target
-    /// a copy of it, and Adam at `config.lr`.
-    pub fn new(config: &QScoreConfig) -> Self {
-        let mut dims = vec![config.feature_dim];
-        dims.extend_from_slice(&config.hidden);
-        dims.push(1);
-        Self::from_online(Mlp::new(&dims, config.seed), config)
-    }
-
-    /// A learner around an already-built online network; the target
-    /// starts as a copy of it and the optimizer fresh.
-    pub fn from_online(online: Mlp, config: &QScoreConfig) -> Self {
-        Self {
-            target: online.clone(),
-            adam: Adam::new(&online, config.lr),
-            online,
-            steps: 0,
-            gamma: config.gamma,
-            target_sync_every: config.target_sync_every,
-        }
-    }
-
-    /// The online scoring network.
-    pub fn online(&self) -> &Mlp {
-        &self.online
-    }
-
-    /// TD updates performed so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// One minibatch TD update over `batch`: the target is the reward
-    /// plus γ times the target network's best next score (just the
-    /// reward when there is no next state); then forward, backward and
-    /// one Adam step, and a target sync every `target_sync_every` steps.
-    /// Returns the mean squared TD error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is empty or a transition's features or next
-    /// candidates are not the network's input width.
-    pub fn step(&mut self, batch: &[&PairTransition], scratch: &mut BatchScratch) -> f64 {
-        self.online.zero_grad();
-        let mut loss = 0.0;
-        for t in batch {
-            let target_q = if t.next_candidates.is_empty() {
-                t.reward
-            } else {
-                let best_next = max_q(&self.target, &t.next_candidates, scratch);
-                t.reward + self.gamma * best_next
-            };
-            let cache = self.online.forward(&t.features);
-            let err = cache.output()[0] - target_q;
-            loss += err * err;
-            self.online.backward(&cache, &[err]);
-        }
-        self.adam.step(&mut self.online, batch.len());
-        self.steps += 1;
-        if self.steps.is_multiple_of(self.target_sync_every) {
-            self.target.copy_params_from(&self.online);
-        }
-        loss / batch.len() as f64
-    }
 }
 
 /// The TD bootstrap `max_c Q(c)` over a one-output network: one batched
@@ -203,17 +128,25 @@ impl QScore {
     pub fn new(config: QScoreConfig) -> Self {
         assert!(config.feature_dim > 0, "feature dimension must be positive");
         assert!(config.batch_size > 0, "batch size must be positive");
-        let learner = TdLearner::new(&config);
-        Self::with_learner(config, learner)
+        let mut dims = vec![config.feature_dim];
+        dims.extend_from_slice(&config.hidden);
+        dims.push(1);
+        let online = Mlp::new(&dims, config.seed);
+        Self::around(config, online)
     }
 
-    fn with_learner(config: QScoreConfig, learner: TdLearner) -> Self {
+    /// A learner around `online`: the target network starts as a copy of
+    /// it, Adam fresh at `config.lr`, and the replay buffer empty.
+    fn around(config: QScoreConfig, online: Mlp) -> Self {
         Self {
+            target: online.clone(),
+            adam: Adam::new(&online, config.lr),
+            online,
             replay: PairReplay::new(config.replay_capacity),
             rng: StdRng::seed_from_u64(config.seed ^ 0x7173_636f_7265),
             config,
-            learner,
             act_steps: 0,
+            learn_steps: 0,
             scratch: RefCell::default(),
         }
     }
@@ -243,14 +176,13 @@ impl QScore {
         );
         let dims = online.layer_dims();
         config.hidden = dims[1..dims.len() - 1].to_vec();
-        let learner = TdLearner::from_online(online, &config);
-        Self::with_learner(config, learner)
+        Self::around(config, online)
     }
 
     /// The online scoring network (what a trained policy hands on to
     /// [`QScore::from_mlp`]).
     pub fn online(&self) -> &Mlp {
-        self.learner.online()
+        &self.online
     }
 
     /// The configuration.
@@ -311,20 +243,48 @@ impl QScore {
             .then(|| self.learn_step())
     }
 
-    /// One minibatch TD step; returns the mean squared TD error.
+    /// One minibatch TD step over a sampled batch: the target is the
+    /// reward plus γ times the target network's best next score (just the
+    /// reward when there is no next state); then forward, backward and one
+    /// Adam step, and a target sync every `target_sync_every` steps.
+    /// Returns the mean squared TD error.
     ///
     /// # Panics
     ///
-    /// Panics if nothing has been stored yet.
+    /// Panics if nothing has been stored yet, or a stored transition's
+    /// features or next candidates are not the network's input width.
     pub fn learn_step(&mut self) -> f64 {
         assert!(!self.replay.is_empty(), "nothing to learn from");
         let batch = self.replay.sample(&mut self.rng, self.config.batch_size);
-        self.learner.step(&batch, self.scratch.get_mut())
+        let scratch = self.scratch.get_mut();
+        self.online.zero_grad();
+        let mut loss = 0.0;
+        for t in &batch {
+            let target_q = if t.next_candidates.is_empty() {
+                t.reward
+            } else {
+                let best_next = max_q(&self.target, &t.next_candidates, scratch);
+                t.reward + self.config.gamma * best_next
+            };
+            let cache = self.online.forward(&t.features);
+            let err = cache.output()[0] - target_q;
+            loss += err * err;
+            self.online.backward(&cache, &[err]);
+        }
+        self.adam.step(&mut self.online, batch.len());
+        self.learn_steps += 1;
+        if self
+            .learn_steps
+            .is_multiple_of(self.config.target_sync_every)
+        {
+            self.target.copy_params_from(&self.online);
+        }
+        loss / batch.len() as f64
     }
 
     /// Learning steps performed so far.
     pub fn learn_steps(&self) -> u64 {
-        self.learner.steps()
+        self.learn_steps
     }
 
     /// Acting steps performed so far.

@@ -3,30 +3,11 @@
 //! Flooding cuts the network into islands; dispatchers and the analysis
 //! pipeline both need to reason about which landmarks remain mutually
 //! reachable (the paper's Ẽ is only useful alongside knowing who can reach
-//! whom). This module provides reachability sets and strongly connected
-//! components under any [`TravelCost`].
+//! whom). This module provides strongly connected components under any
+//! [`TravelCost`].
 
 use crate::graph::{LandmarkId, RoadNetwork};
 use crate::routing::TravelCost;
-
-/// Landmarks reachable from `from` by driving (forward BFS over passable
-/// segments).
-pub fn reachable_from<C: TravelCost>(net: &RoadNetwork, cost: &C, from: LandmarkId) -> Vec<bool> {
-    let mut seen = vec![false; net.num_landmarks()];
-    let mut queue = std::collections::VecDeque::new();
-    seen[from.index()] = true;
-    queue.push_back(from);
-    while let Some(u) = queue.pop_front() {
-        for &sid in net.out_segments(u) {
-            let seg = net.segment(sid);
-            if cost.travel_time_s(seg).is_some() && !seen[seg.to.index()] {
-                seen[seg.to.index()] = true;
-                queue.push_back(seg.to);
-            }
-        }
-    }
-    seen
-}
 
 /// Strongly connected components under `cost` (Kosaraju's algorithm).
 /// Returns one component id per landmark, with ids in `0..num_components`.
@@ -141,7 +122,7 @@ mod tests {
     }
 
     #[test]
-    fn reachability_matches_components_on_bidirectional_graphs() {
+    fn a_blocked_band_splits_the_grid() {
         let city = CityConfig::small().build(3);
         // Block a band of segments to split the grid.
         let mut cond = NetworkCondition::pristine(&city.network);
@@ -152,17 +133,8 @@ mod tests {
                 cond.block(seg.id);
             }
         }
-        let (comp, count) = strongly_connected_components(&city.network, &cond);
+        let (_, count) = strongly_connected_components(&city.network, &cond);
         assert!(count >= 2, "the band should split the grid");
-        // Reachability from the depot agrees with its component on this
-        // symmetric (two-way) network.
-        let reach = reachable_from(&city.network, &cond, city.depot);
-        let depot_comp = comp[city.depot.index()];
-        for lm in city.network.landmark_ids() {
-            if comp[lm.index()] == depot_comp {
-                assert!(reach[lm.index()], "{lm} in depot component but unreachable");
-            }
-        }
     }
 
     #[test]

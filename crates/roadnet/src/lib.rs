@@ -14,8 +14,8 @@
 //! * [`regions`] — the region partition used throughout the paper's analysis;
 //! * [`damage`] — per-segment flood condition implementing `TravelCost`
 //!   (this *is* G̃);
-//! * [`connectivity`] — reachability and strongly connected components of
-//!   the damaged network;
+//! * [`connectivity`] — strongly connected components of the damaged
+//!   network;
 //! * [`generator`] — a procedural Charlotte-like city (grid + arterials +
 //!   downtown, hospitals, depot) replacing the OSM import;
 //! * [`csr`], [`planner`], [`pool`] — the routing acceleration layer:
@@ -51,7 +51,7 @@ pub mod pool;
 pub mod regions;
 pub mod routing;
 
-pub use connectivity::{largest_component_size, reachable_from, strongly_connected_components};
+pub use connectivity::{largest_component_size, strongly_connected_components};
 pub use csr::{CostSnapshot, CsrGraph};
 pub use damage::{NetworkCondition, SegmentCondition};
 pub use generator::{City, CityConfig};

@@ -47,18 +47,19 @@
 //! an interior bit flip is a typed [`crate::WalError::Corrupt`] refusal
 //! naming the segment and offset.
 //!
-//! Every bit-identity check runs through one twin harness. An *arm* is a
-//! service configuration and the standard request stream; its twins run
+//! Every bit-identity check runs through one twin harness. An [`Arm`] is
+//! a service configuration and the standard request stream; its twins run
 //! it under the arm's fault plan and as the plain service (no injector,
 //! no `auto_recover`), with the same checks on both, and must end with
 //! equal metrics and journal sequence, and byte-identical snapshot text.
+//! Every other chaos harness starts its service from an arm too:
+//! `mobirescue-net`'s front-door chaos and the service's observability
+//! and snapshot-corruption tests call [`Arm::service`].
 
 use crate::bundle::ModelBundle;
 use crate::clock::{Clock, SimClock};
 use crate::error::ServeError;
-use crate::fault::{
-    family_stream, FaultCounters, FaultInjector, FaultPlan, FaultPlanConfig, IngestFault, WalFault,
-};
+use crate::fault::{family_stream, FaultCounters, FaultInjector, FaultPlan, IngestFault, WalFault};
 use crate::metrics::MetricsSnapshot;
 use crate::service::{DispatchService, ServeConfig};
 use crate::wal::{FsyncPolicy, WalConfig, WalError};
@@ -94,12 +95,12 @@ pub struct ChaosOptions {
 }
 
 impl ChaosOptions {
-    /// The standard sweep run: the full fault mix drawn from `seed`.
+    /// The standard sweep run: the in-process chaos mix
+    /// ([`FaultPlan::chaos`]) drawn from `seed`.
     pub fn seeded(seed: u64) -> Self {
-        let cfg = FaultPlanConfig::chaos(CHAOS_EPOCHS, CHAOS_SHARDS);
         Self {
             seed,
-            plan: FaultPlan::generate(seed, &cfg),
+            plan: FaultPlan::chaos(seed),
         }
     }
 }
@@ -109,7 +110,8 @@ impl ChaosOptions {
 pub struct ChaosOutcome {
     /// The seed the run was labeled with.
     pub seed: u64,
-    /// What actually fired.
+    /// What actually fired: the request faults the harness applied and
+    /// the shard faults the service suffered.
     pub counters: FaultCounters,
     /// Delayed requests the harness offered once their delay ran out
     /// (the rest of `counters.delays` were still held at the end).
@@ -187,12 +189,16 @@ fn request_events(epoch: u32, per_shard: usize, segments: u32) -> Vec<(usize, Re
 /// One chaos arm: a service configuration and the standard request
 /// stream on the chaos scenario, served by the default model bundle. The
 /// twins of an arm share all of it and differ only in their fault plan,
-/// so any difference between their ends is the plan's doing.
+/// so any difference between their ends is the plan's doing. A harness
+/// that offers its own requests starts the arm's service with
+/// [`Arm::service`].
 #[derive(Clone)]
-struct Arm {
+pub struct Arm {
     scenario: Arc<Scenario>,
     config: ServeConfig,
+    /// Epochs a twin run drives.
     epochs: u32,
+    /// Standard-stream request offers per shard per epoch.
     per_shard: usize,
 }
 
@@ -212,24 +218,64 @@ struct RunEnd {
     violations: Vec<String>,
 }
 
-impl Arm {
-    /// An arm of `epochs` epochs with `per_shard` request offers per shard
-    /// per epoch, on [`CHAOS_SHARDS`] shards with request queues of 8.
-    fn new(epochs: u32, per_shard: usize) -> Self {
+impl Default for Arm {
+    /// The standard arm: [`chaos_scenario`] on [`CHAOS_SHARDS`] shards with
+    /// request queues of 8, no journal, deadline or `auto_recover`; its
+    /// twins drive [`CHAOS_EPOCHS`] epochs of four offers per shard.
+    fn default() -> Self {
         let mut config = ServeConfig::new(SimConfig::small(6));
         config.num_shards = CHAOS_SHARDS;
         config.request_queue_capacity = 8;
         Self {
             scenario: Arc::new(chaos_scenario()),
             config,
-            epochs,
-            per_shard,
+            epochs: CHAOS_EPOCHS,
+            per_shard: 4,
         }
+    }
+}
+
+impl Arm {
+    /// The standard arm with request queues of 4, so a burst of offers
+    /// between two epochs sheds: the in-process sweep's and the front
+    /// door's.
+    pub fn overloaded() -> Self {
+        let mut arm = Self::default();
+        arm.config.request_queue_capacity = 4;
+        arm
     }
 
     /// The number of road segments requests are placed on.
-    fn segments(&self) -> u32 {
+    pub fn segments(&self) -> u32 {
         self.scenario.city.network.num_segments() as u32
+    }
+
+    /// Starts the arm's service on `clock`, as configured and served by
+    /// the default model bundle — or, given a snapshot text, restores it.
+    /// A fresh start empties the arm's journal directory first.
+    ///
+    /// # Errors
+    ///
+    /// Returns what [`DispatchService::start`] or
+    /// [`DispatchService::restore`] returns.
+    pub fn service(
+        &self,
+        clock: &Arc<SimClock>,
+        restore: Option<&str>,
+    ) -> Result<DispatchService, ServeError> {
+        let scenario = Arc::clone(&self.scenario);
+        let config = self.config.clone();
+        let clock = Arc::clone(clock) as Arc<dyn Clock>;
+        let bundle = Arc::new(ModelBundle::default());
+        match restore {
+            Some(text) => DispatchService::restore(scenario, config, clock, bundle, text),
+            None => {
+                if let Some(wal) = &config.wal {
+                    fresh_dir(&wal.dir);
+                }
+                DispatchService::start(scenario, config, clock, bundle)
+            }
+        }
     }
 
     /// This arm with its journal in `dir`. One segment keeps the crash
@@ -254,22 +300,11 @@ impl Arm {
     fn start(&self, plan: Option<FaultPlan>, restore: Option<&str>) -> Result<Live, ServeError> {
         let attach = plan.is_some();
         let injector = Arc::new(FaultInjector::new(plan.unwrap_or_else(FaultPlan::empty)));
-        let mut config = self.config.clone();
-        config.faults = attach.then(|| Arc::clone(&injector));
-        config.auto_recover &= attach;
+        let mut arm = self.clone();
+        arm.config.faults = attach.then(|| Arc::clone(&injector));
+        arm.config.auto_recover &= attach;
         let clock = Arc::new(SimClock::new());
-        let scenario = Arc::clone(&self.scenario);
-        let service_clock = Arc::clone(&clock) as Arc<dyn Clock>;
-        let bundle = Arc::new(ModelBundle::default());
-        let service = match restore {
-            Some(text) => DispatchService::restore(scenario, config, service_clock, bundle, text)?,
-            None => {
-                if let Some(wal) = &config.wal {
-                    fresh_dir(&wal.dir);
-                }
-                DispatchService::start(scenario, config, service_clock, bundle)?
-            }
-        };
+        let service = arm.service(&clock, restore)?;
         Ok(Live {
             service,
             clock,
@@ -422,9 +457,10 @@ fn accounted(metrics: &MetricsSnapshot) -> u64 {
 /// Runs the full service under `opts` and checks every invariant: six
 /// request offers per shard per epoch into queues of 4, each retried up
 /// to 3 times when shed, and a 10 ms dispatch deadline that every plan
-/// stall overshoots. The plan's ingest faults are the network's: each
-/// request draws one before it is offered, and a held request is offered
-/// at the boundary before the epoch its delay runs out in.
+/// stall overshoots. The plan's request faults are the network's: the
+/// harness applies the `i`-th to the `i`-th request before it is offered,
+/// and counts it; a held request is offered at the boundary before the
+/// epoch its delay runs out in.
 ///
 /// # Errors
 ///
@@ -432,8 +468,10 @@ fn accounted(metrics: &MetricsSnapshot) -> u64 {
 /// rejected at ingestion are part of the contract and checked, not
 /// propagated.
 pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosOutcome, ServeError> {
-    let mut arm = Arm::new(CHAOS_EPOCHS, 6);
-    arm.config.request_queue_capacity = 4;
+    let mut arm = Arm {
+        per_shard: 6,
+        ..Arm::overloaded()
+    };
     arm.config.epoch_deadline_ms = Some(10);
     arm.config.auto_recover = true;
     let mut run = arm.start(Some(opts.plan.clone()), None)?;
@@ -445,6 +483,8 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosOutcome, ServeError> {
     let mut rejected_corrupt = 0u64;
     let mut released = 0u64;
     let mut held: Vec<(u32, (usize, RequestSpec))> = Vec::new();
+    let mut ingest_faults = opts.plan.ingest_faults().iter().copied();
+    let (mut drops, mut delays, mut duplicates, mut corrupts) = (0u64, 0u64, 0u64, 0u64);
     run.drive(
         CHAOS_EPOCHS,
         |run, epoch, violations| {
@@ -458,15 +498,20 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosOutcome, ServeError> {
                 }
             };
             for event in request_events(epoch, arm.per_shard, segments) {
-                match run.injector.next_ingest_fault() {
+                match ingest_faults.next().flatten() {
                     None => offer(event),
-                    Some(IngestFault::Drop) => {}
-                    Some(IngestFault::Delay(k)) => held.push((epoch + k.max(1), event)),
+                    Some(IngestFault::Drop) => drops += 1,
+                    Some(IngestFault::Delay(k)) => {
+                        delays += 1;
+                        held.push((epoch + k.max(1), event));
+                    }
                     Some(IngestFault::Duplicate) => {
+                        duplicates += 1;
                         offer(event);
                         offer(event);
                     }
                     Some(IngestFault::Corrupt) => {
+                        corrupts += 1;
                         // Damaged in flight: a segment no city has.
                         let (shard, spec) = event;
                         let segment = SegmentId(u32::MAX);
@@ -494,7 +539,13 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosOutcome, ServeError> {
     let (service, injector) = (&run.service, &run.injector);
 
     let metrics = service.metrics();
-    let counters = injector.counters();
+    let counters = FaultCounters {
+        drops,
+        delays,
+        duplicates,
+        corrupts,
+        ..injector.counters()
+    };
     let restarts = service.shard_restarts();
 
     // Invariant 1: no epoch skipped silently.
@@ -538,8 +589,9 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosOutcome, ServeError> {
         ));
     }
 
-    // Invariant 3: degradation is honest.
-    let degrading = counters.degrading();
+    // Invariant 3: degradation is honest. The degrading faults are the
+    // stalls: each overshoots the deadline.
+    let degrading = counters.stalls;
     if (metrics.degraded_epochs > 0) != (degrading > 0) {
         violations.push(format!(
             "degraded_epochs {} with {degrading} degrading faults fired",
@@ -552,9 +604,8 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosOutcome, ServeError> {
             metrics.degraded_epochs
         ));
     }
-    // Every stall overshoots the deadline, and a shard epoch holds one
-    // shard fault at most, so each fired stall degrades its own shard
-    // epoch once.
+    // A shard epoch holds one shard fault at most, so each fired stall
+    // degrades its own shard epoch once.
     let shard_degraded: u64 = metrics.shards.iter().map(|s| s.degraded).sum();
     if shard_degraded != counters.stalls {
         violations.push(format!(
@@ -612,21 +663,26 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosOutcome, ServeError> {
 ///
 /// Returns the first service error from either run.
 pub fn crash_replay_divergence() -> Result<Vec<String>, ServeError> {
-    let mut arm = Arm::new(6, 4);
+    let mut arm = Arm::default();
     arm.config.epoch_deadline_ms = Some(10);
     arm.config.auto_recover = true;
-    let plan = FaultPlan::empty()
-        .with_crash(0, 0)
-        .with_crash(2, 1)
-        .with_crash(4, 0);
+    let crashes = [(0, 0), (2, 1), (4, 0)];
+    let plan = crashes
+        .iter()
+        .fold(FaultPlan::empty(), |plan, &(epoch, shard)| {
+            plan.with_crash(epoch, shard)
+        });
     let divergences = arm.twins(
         "crashed",
         plan,
         |_, _, _| {},
         |run| {
             let fired = run.injector.counters().crashes;
-            let scheduled = run.injector.scheduled().crashes;
-            if fired != scheduled as u64 {
+            // The clean twin runs without an injector: nothing is
+            // scheduled there.
+            let attached = run.service.config().faults.is_some();
+            let scheduled = if attached { crashes.len() as u64 } else { 0 };
+            if fired != scheduled {
                 run.violations
                     .push(format!("{fired} crashes fired, {scheduled} scheduled"));
             }
@@ -734,14 +790,16 @@ fn flip_first_record(path: &Path) -> Result<(String, u64), String> {
 /// errors).
 pub fn wal_chaos_divergence(seed: u64) -> Result<Vec<String>, ServeError> {
     let epochs = 8;
-    let base = Arm::new(epochs, 4);
+    let base = Arm {
+        epochs,
+        ..Arm::default()
+    };
     let segments = base.segments();
     let mut violations = Vec::new();
 
     // ---- Arm A: seeded torn appends + fsync stalls, one of each forced.
     {
-        let cfg = FaultPlanConfig::wal_chaos(epochs, CHAOS_SHARDS);
-        let plan = FaultPlan::generate(seed, &cfg)
+        let plan = FaultPlan::journal(seed)
             .with_wal_fault(1, WalFault::TornAppend)
             .with_wal_fault(4, WalFault::FsyncStall(7));
         let arm = base.journaled(&wal_chaos_dir(seed, "a"));
@@ -809,13 +867,7 @@ pub fn wal_chaos_divergence(seed: u64) -> Result<Vec<String>, ServeError> {
 
     // ---- Arm A2: fsync stalls must never leak into state.
     {
-        let stall_cfg = FaultPlanConfig {
-            wal_horizon: 64,
-            p_wal_stall: 0.5,
-            wal_stall_ms: 15,
-            ..FaultPlanConfig::quiet(epochs, CHAOS_SHARDS)
-        };
-        let plan = FaultPlan::generate(seed, &stall_cfg).with_wal_fault(0, WalFault::FsyncStall(5));
+        let plan = FaultPlan::fsync_stalls(seed).with_wal_fault(0, WalFault::FsyncStall(5));
         let arm = base.journaled(&wal_chaos_dir(seed, "a2"));
         let twins = arm.twins("stalled", plan, |_, _, _| {}, |_| {})?;
         violations.extend(twins);

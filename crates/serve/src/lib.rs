@@ -77,8 +77,7 @@ pub use chaos::{
 pub use clock::{Clock, SimClock, WallClock};
 pub use error::ServeError;
 pub use fault::{
-    ConnFault, FaultCounters, FaultInjector, FaultPlan, FaultPlanConfig, IngestFault,
-    ScheduledFaults, ShardFault, SnapshotCorruption, WalFault,
+    ConnFault, FaultCounters, FaultInjector, FaultPlan, IngestFault, ShardFault, WalFault,
 };
 pub use metrics::{MetricsSnapshot, ShardMetrics};
 pub use mobirescue_obs as obs;

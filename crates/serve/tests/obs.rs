@@ -2,15 +2,13 @@
 //! registry-backed counters and routing gauges, and snapshot→restore→
 //! continue never double-counts.
 
-use mobirescue_core::scenario::Scenario;
 use mobirescue_roadnet::graph::SegmentId;
-use mobirescue_serve::chaos::chaos_scenario;
+use mobirescue_serve::chaos::Arm;
 use mobirescue_serve::obs::ObsSnapshot;
-use mobirescue_serve::{Clock, DispatchService, ModelBundle, ServeConfig, SimClock};
-use mobirescue_sim::{RequestSpec, SimConfig};
+use mobirescue_serve::{DispatchService, SimClock, CHAOS_SHARDS as NUM_SHARDS};
+use mobirescue_sim::RequestSpec;
 use std::sync::Arc;
 
-const NUM_SHARDS: usize = 2;
 const PHASES: [&str; 5] = [
     "epoch.ingest_ms",
     "epoch.predict_ms",
@@ -19,26 +17,8 @@ const PHASES: [&str; 5] = [
     "epoch.snapshot_ms",
 ];
 
-fn start_service(config: ServeConfig) -> (Arc<Scenario>, DispatchService) {
-    let scenario = Arc::new(chaos_scenario());
-    let service = DispatchService::start(
-        Arc::clone(&scenario),
-        config,
-        Arc::new(SimClock::new()) as Arc<dyn Clock>,
-        Arc::new(ModelBundle::default()),
-    )
-    .expect("service starts");
-    (scenario, service)
-}
-
-fn small_config() -> ServeConfig {
-    let mut config = ServeConfig::new(SimConfig::small(6));
-    config.num_shards = NUM_SHARDS;
-    config
-}
-
-fn ingest_epoch(service: &DispatchService, scenario: &Scenario, epoch: u32) {
-    let segments = scenario.city.network.num_segments() as u32;
+fn ingest_epoch(service: &DispatchService, arm: &Arm, epoch: u32) {
+    let segments = arm.segments();
     for shard in 0..NUM_SHARDS {
         for i in 0..3u32 {
             let spec = RequestSpec {
@@ -53,9 +33,12 @@ fn ingest_epoch(service: &DispatchService, scenario: &Scenario, epoch: u32) {
 #[test]
 fn phase_histograms_cover_every_epoch_and_dump_round_trips() {
     let epochs = 5u32;
-    let (scenario, service) = start_service(small_config());
+    let arm = Arm::default();
+    let service = arm
+        .service(&Arc::new(SimClock::new()), None)
+        .expect("service starts");
     for e in 0..epochs {
-        ingest_epoch(&service, &scenario, e);
+        ingest_epoch(&service, &arm, e);
         service.run_epoch().expect("epoch runs");
     }
     let _ = service.snapshot().expect("snapshot serializes");
@@ -110,9 +93,12 @@ fn phase_histograms_cover_every_epoch_and_dump_round_trips() {
 /// keep evolving identically.
 #[test]
 fn restore_into_prepopulated_registry_does_not_double_count() {
-    let (scenario, service) = start_service(small_config());
+    let arm = Arm::default();
+    let service = arm
+        .service(&Arc::new(SimClock::new()), None)
+        .expect("service starts");
     for e in 0..4u32 {
-        ingest_epoch(&service, &scenario, e);
+        ingest_epoch(&service, &arm, e);
         service.run_epoch().expect("epoch runs");
     }
     let snapshot = service.snapshot().expect("snapshot serializes");
@@ -123,14 +109,9 @@ fn restore_into_prepopulated_registry_does_not_double_count() {
         "epoch latency is telemetry: the snapshot carries no `hist` record"
     );
 
-    let restored = DispatchService::restore(
-        Arc::clone(&scenario),
-        small_config(),
-        Arc::new(SimClock::new()) as Arc<dyn Clock>,
-        Arc::new(ModelBundle::default()),
-        &snapshot,
-    )
-    .expect("clean snapshot restores");
+    let restored = arm
+        .service(&Arc::new(SimClock::new()), Some(&snapshot))
+        .expect("clean snapshot restores");
     assert_eq!(
         restored.metrics(),
         metrics_at_snap,
@@ -140,8 +121,8 @@ fn restore_into_prepopulated_registry_does_not_double_count() {
     // Continue both services with the same stream: totals must stay equal
     // (the restored one must not re-count what the snapshot carried).
     for e in 4..6u32 {
-        ingest_epoch(&service, &scenario, e);
-        ingest_epoch(&restored, &scenario, e);
+        ingest_epoch(&service, &arm, e);
+        ingest_epoch(&restored, &arm, e);
         service.run_epoch().expect("epoch runs");
         restored.run_epoch().expect("epoch runs");
     }

@@ -1,5 +1,4 @@
-//! Train and inspect the SVM rescue-request predictor (Section IV-B),
-//! including the Section IV-C5 extension to a different factor set.
+//! Train and inspect the SVM rescue-request predictor (Section IV-B).
 //!
 //! ```text
 //! cargo run --release --example svm_prediction
@@ -9,7 +8,6 @@ use mobirescue::core::predictor::{
     evaluate_per_segment, mine_rescues, people_positions_at, PredictorConfig, RequestPredictor,
 };
 use mobirescue::core::scenario::ScenarioConfig;
-use mobirescue::disaster::factors::{EarthquakeFactors, FactorSet, HurricaneFactors};
 use mobirescue::mobility::map_match::MapMatcher;
 
 fn main() {
@@ -89,16 +87,4 @@ fn main() {
     );
     let positions = people_positions_at(&florence, hour);
     println!("  (from the live positions of {} people)", positions.len());
-
-    // Section IV-C5: the factor set is pluggable per disaster type.
-    let hurricane_factors = HurricaneFactors;
-    let quake_factors = EarthquakeFactors;
-    let p = florence.city.center;
-    println!(
-        "\nfactor-set extension at the city center (hour {peak}):\n  {:?} = {:?}\n  {:?} = {:?}",
-        hurricane_factors.names(),
-        hurricane_factors.compute(&florence.disaster, p, peak),
-        quake_factors.names(),
-        quake_factors.compute(&florence.disaster, p, peak),
-    );
 }

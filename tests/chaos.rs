@@ -7,10 +7,8 @@
 //! `SimClock`: a run is a pure function of its fault plan, and these
 //! tests are deterministic.
 
-use mobirescue_serve::chaos::{crash_replay_divergence, run_chaos, ChaosOptions};
-use mobirescue_serve::{
-    Clock, DispatchService, FaultPlan, ModelBundle, ServeError, SimClock, SnapshotCorruption,
-};
+use mobirescue_serve::chaos::{crash_replay_divergence, run_chaos, Arm, ChaosOptions};
+use mobirescue_serve::{FaultCounters, FaultPlan, ServeError, SimClock};
 use std::sync::Arc;
 
 /// The fixed seed set the suite (and `scripts/verify.sh`) pins. Chosen
@@ -34,7 +32,7 @@ fn chaos_invariants_hold_for_fixed_seeds() {
         // harness checks the iff both ways; spot-check the direction that
         // matters most here).
         if outcome.metrics.degraded_epochs > 0 {
-            assert!(outcome.counters.degrading() > 0, "seed {seed}");
+            assert!(outcome.counters.stalls > 0, "seed {seed}");
         }
         let c = outcome.counters;
         kinds_seen.0 += c.drops;
@@ -73,7 +71,11 @@ fn quiet_plan_degrades_nothing() {
     assert!(outcome.ok(), "{}", outcome.summary());
     assert_eq!(outcome.metrics.degraded_epochs, 0);
     assert_eq!(outcome.restarts, 0);
-    assert!(!outcome.counters.any(), "no fault may fire without a plan");
+    assert_eq!(
+        outcome.counters,
+        FaultCounters::default(),
+        "no fault may fire without a plan"
+    );
 }
 
 #[test]
@@ -91,37 +93,66 @@ fn crash_recovery_is_replay_masked_bit_identical() {
     );
 }
 
+/// How a snapshot text is damaged on write (failing disk / torn write),
+/// applied with [`SnapshotCorruption::apply`] to the text the service
+/// returned. The embedded position is reduced modulo the snapshot length
+/// when applied, so a corruption stays valid for any snapshot size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SnapshotCorruption {
+    /// The text is cut short at the given byte offset.
+    Truncate(u64),
+    /// One byte at the given offset has a bit flipped.
+    BitFlip(u64),
+}
+
+impl SnapshotCorruption {
+    /// The snapshot `text` damaged by this corruption. Snapshot formats
+    /// are pure ASCII, so byte surgery stays valid UTF-8;
+    /// `from_utf8_lossy` guards the general case anyway.
+    fn apply(self, text: &str) -> String {
+        let mut bytes = text.as_bytes().to_vec();
+        if bytes.is_empty() {
+            return String::new();
+        }
+        match self {
+            SnapshotCorruption::Truncate(at) => {
+                // Keep at least one byte, lose at least one.
+                let keep = 1 + (at as usize) % bytes.len().max(2).saturating_sub(1);
+                bytes.truncate(keep.min(bytes.len() - 1));
+            }
+            SnapshotCorruption::BitFlip(at) => {
+                let i = (at as usize) % bytes.len();
+                bytes[i] ^= 0x10;
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+}
+
 #[test]
 fn corrupted_snapshot_writes_are_rejected_on_restore() {
+    let arm = Arm::default();
     for corruption in [
         SnapshotCorruption::Truncate(12_345),
         SnapshotCorruption::BitFlip(6_789),
     ] {
-        let scenario = Arc::new(mobirescue_serve::chaos::chaos_scenario());
-        let mut config = mobirescue_serve::ServeConfig::new(mobirescue_sim::SimConfig::small(6));
-        config.num_shards = 2;
-        let clock: Arc<SimClock> = Arc::new(SimClock::new());
-        let bundle = Arc::new(ModelBundle::default());
-        let service = DispatchService::start(
-            Arc::clone(&scenario),
-            config.clone(),
-            Arc::clone(&clock) as Arc<dyn Clock>,
-            Arc::clone(&bundle),
-        )
-        .expect("service starts");
+        let service = arm
+            .service(&Arc::new(SimClock::new()), None)
+            .expect("service starts");
         service.run_epoch().expect("epoch runs");
         // The write is damaged on its way to disk, after the service
-        // sealed it.
-        let corrupted = corruption.apply(&service.snapshot().expect("snapshot writes"));
-        let err = DispatchService::restore(
-            Arc::clone(&scenario),
-            config,
-            Arc::new(SimClock::new()) as Arc<dyn Clock>,
-            bundle,
-            &corrupted,
-        )
-        .err()
-        .expect("corrupted snapshot must not restore");
+        // sealed it: a flip keeps the length, a cut loses bytes.
+        let sealed = service.snapshot().expect("snapshot writes");
+        let corrupted = corruption.apply(&sealed);
+        assert_ne!(corrupted, sealed);
+        match corruption {
+            SnapshotCorruption::Truncate(_) => assert!(corrupted.len() < sealed.len()),
+            SnapshotCorruption::BitFlip(_) => assert_eq!(corrupted.len(), sealed.len()),
+        }
+        let err = arm
+            .service(&Arc::new(SimClock::new()), Some(&corrupted))
+            .err()
+            .expect("corrupted snapshot must not restore");
         assert!(
             matches!(err, ServeError::BadSnapshot(_)),
             "expected a typed BadSnapshot error, got: {err}"
